@@ -42,6 +42,7 @@ mod mapping;
 mod objective;
 mod policies;
 mod rebalance;
+mod remaining;
 mod scheduler;
 mod stats;
 
@@ -52,9 +53,6 @@ pub use config::{
 };
 pub use error::CompileError;
 pub use mapping::initial_mapping;
-pub use policies::{
-    decide_direction, decide_direction_open, DirectionChoice, MoveDecision, MoveScores,
-};
 pub use scheduler::{compile, compile_with_mapping, CompileResult};
 pub use stats::CompileStats;
 

@@ -2,9 +2,9 @@
 //! the paper's future-ops move score (§III-A).
 
 use crate::config::DirectionPolicy;
+use crate::remaining::{RemainingGates, SCAN_ENTRIES};
 use qccd_circuit::{Circuit, DependencyDag, GateId, Qubit};
 use qccd_machine::{IonId, MachineState, TrapId};
-use std::collections::VecDeque;
 
 /// The outcome of a shuttle-direction decision for a cross-trap gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,8 +28,8 @@ impl MoveDecision {
     }
 }
 
-/// The two move scores of §III-A2, exposed for tests and diagnostics
-/// (Table I of the paper reports exactly these numbers).
+/// The two move scores of §III-A2 (Table I of the paper reports exactly
+/// these numbers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MoveScores {
     /// `ionA(A→B)` move score: future gates satisfied if both ions end up
@@ -71,27 +71,28 @@ pub struct DirectionChoice {
     pub alternative: Option<MoveDecision>,
 }
 
-/// Decides which ion of the cross-trap gate at `pending[active_pos]` moves.
+/// Decides which ion of the cross-trap gate `active` moves.
 ///
-/// `pending` is the planned execution order of the not-yet-executed gates
-/// (layer-sorted); the scan for future operations walks it forward from the
-/// active gate. Ion positions are taken from the *current* machine state —
-/// the paper's proximity cutoff exists precisely because distant future
-/// gates "may not represent ion locations correctly" (§III-A3).
+/// `remaining` indexes the not-yet-executed gates; the scan for future
+/// operations walks the active operands' remaining gates in plan order.
+/// `active` must be ready, so it heads both operands' remaining lists. Ion
+/// positions are taken from the *current* machine state — the paper's
+/// proximity cutoff exists precisely because distant future gates "may not
+/// represent ion locations correctly" (§III-A3).
 ///
 /// # Panics
 ///
 /// Panics if the active gate is not a two-qubit gate spanning two traps —
 /// the scheduler only calls this for gates that need a shuttle.
-pub fn decide_direction(
+pub(crate) fn decide_direction(
     policy: DirectionPolicy,
     circuit: &Circuit,
     dag: &DependencyDag,
     state: &MachineState,
-    pending: &VecDeque<GateId>,
-    active_pos: usize,
+    remaining: &RemainingGates,
+    active: GateId,
 ) -> MoveDecision {
-    decide_direction_open(policy, circuit, dag, state, pending, active_pos).decision
+    decide_direction_open(policy, circuit, dag, state, remaining, active).decision
 }
 
 /// [`decide_direction`] with the tie surfaced: identical decision, plus
@@ -99,15 +100,15 @@ pub fn decide_direction(
 /// [`DirectionChoice`]). The shuttle-count objective ignores the
 /// alternative; the clock objective scores both on the projected device
 /// clock.
-pub fn decide_direction_open(
+pub(crate) fn decide_direction_open(
     policy: DirectionPolicy,
     circuit: &Circuit,
     dag: &DependencyDag,
     state: &MachineState,
-    pending: &VecDeque<GateId>,
-    active_pos: usize,
+    remaining: &RemainingGates,
+    active: GateId,
 ) -> DirectionChoice {
-    let gate = circuit.gate(pending[active_pos]);
+    let gate = circuit.gate(active);
     let (qa, qb) = gate
         .two_qubit_operands()
         .expect("direction decision requires a two-qubit gate");
@@ -117,7 +118,7 @@ pub fn decide_direction_open(
 
     let scored = |metric: ProximityMetric, proximity: u32| -> DirectionChoice {
         let scores = move_scores(
-            circuit, dag, state, pending, active_pos, qa, qb, trap_a, trap_b, proximity, metric,
+            circuit, dag, state, remaining, active, qa, qb, trap_a, trap_b, proximity, metric,
         );
         if scores.a_to_b > scores.b_to_a {
             DirectionChoice {
@@ -201,17 +202,21 @@ fn excess_capacity_direction(
 /// Computes the §III-A2 move scores for the active gate, honouring the
 /// §III-A3 proximity cutoff.
 ///
-/// Scanning walks `pending` past the active gate. A gate is *relevant* if
-/// it involves `qa` or `qb`. When the gap since the previous relevant gate
-/// (measured per `metric`) exceeds `proximity`, the scan stops and all
-/// later gates are excluded.
+/// A gate is *relevant* if it involves `qa` or `qb`. The scan visits the
+/// relevant gates after `active` in plan order — the merge of the two
+/// operands' remaining-gate lists. When the gap since the previous relevant
+/// gate (measured per `metric`) exceeds `proximity`, the scan stops and all
+/// later gates are excluded. The pending queue is a subsequence of the
+/// layer-sorted plan, so a non-relevant gate past the cutoff is followed
+/// only by relevant gates past it too: visiting relevant gates alone gives
+/// exactly the scores of a walk over the whole queue.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn move_scores(
     circuit: &Circuit,
     dag: &DependencyDag,
     state: &MachineState,
-    pending: &VecDeque<GateId>,
-    active_pos: usize,
+    remaining: &RemainingGates,
+    active: GateId,
     qa: Qubit,
     qb: Qubit,
     trap_a: TrapId,
@@ -219,32 +224,49 @@ pub(crate) fn move_scores(
     proximity: u32,
     metric: ProximityMetric,
 ) -> MoveScores {
+    let (a, b) = (remaining.of(qa), remaining.of(qb));
+    debug_assert!(
+        a.first() == Some(&active) && b.first() == Some(&active),
+        "the active gate is ready, so it heads both operands' lists"
+    );
+    let (mut i, mut j) = (1, 1);
     let mut scores = MoveScores::default();
-    let mut last_pos = active_pos;
-    let mut last_layer = dag.layer_of(pending[active_pos]);
-    #[allow(clippy::needless_range_loop)] // VecDeque range iteration needs indices for gap math
-    for pos in (active_pos + 1)..pending.len() {
-        let gid = pending[pos];
-        // Gap from the previous relevant gate, in the configured unit. The
-        // queue is layer-sorted and positions only grow, so once the gap
-        // exceeds the cutoff for a *non-relevant* gate no later relevant
-        // gate can be back within range — break either way.
-        let gap = match metric {
-            ProximityMetric::Layers => u64::from(dag.layer_of(gid).saturating_sub(last_layer)),
-            ProximityMetric::Gates => (pos - last_pos - 1) as u64,
+    let mut last = active;
+    loop {
+        // Next relevant gate in plan order; a gate on both operands
+        // appears in both lists and is visited once.
+        let gid = match (a.get(i), b.get(j)) {
+            (Some(&x), Some(&y)) if x == y => {
+                i += 1;
+                j += 1;
+                x
+            }
+            (Some(&x), Some(&y)) if remaining.rank(x) < remaining.rank(y) => {
+                i += 1;
+                x
+            }
+            (_, Some(&y)) => {
+                j += 1;
+                y
+            }
+            (Some(&x), None) => {
+                i += 1;
+                x
+            }
+            (None, None) => break,
         };
-        if gap > u64::from(proximity) {
+        let gap = match metric {
+            ProximityMetric::Layers => dag.layer_of(gid).saturating_sub(dag.layer_of(last)),
+            ProximityMetric::Gates => remaining.pending_between(last, gid),
+        };
+        if gap > proximity {
             break;
         }
-        let gate = circuit.gate(gid);
-        let Some((x, y)) = gate.two_qubit_operands() else {
-            continue; // single-qubit gates only widen the gap
-        };
-        if x != qa && x != qb && y != qa && y != qb {
-            continue;
-        }
-        last_pos = pos;
-        last_layer = dag.layer_of(gid);
+        last = gid;
+        let (x, y) = circuit
+            .gate(gid)
+            .two_qubit_operands()
+            .expect("the index lists only two-qubit gates");
         for (p, partner) in [(x, y), (y, x)] {
             if p != qa && p != qb {
                 continue;
@@ -258,18 +280,107 @@ pub(crate) fn move_scores(
             // Partners in third traps influence neither direction.
         }
     }
+    SCAN_ENTRIES.add((i + j - 2) as u64);
     scores
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::remaining::testing::random_walk;
     use qccd_circuit::Opcode;
     use qccd_machine::{InitialMapping, MachineSpec};
+    use std::collections::VecDeque;
+
+    /// The reference scan: walks the whole pending queue past the active
+    /// gate, stopping at the first gate of any kind beyond the cutoff.
+    #[allow(clippy::too_many_arguments)]
+    fn queue_scan_scores(
+        circuit: &Circuit,
+        dag: &DependencyDag,
+        state: &MachineState,
+        pending: &VecDeque<GateId>,
+        active_pos: usize,
+        trap_a: TrapId,
+        trap_b: TrapId,
+        proximity: u32,
+        metric: ProximityMetric,
+    ) -> MoveScores {
+        let (qa, qb) = circuit
+            .gate(pending[active_pos])
+            .two_qubit_operands()
+            .unwrap();
+        let mut scores = MoveScores::default();
+        let (mut last_pos, mut last_layer) = (active_pos, dag.layer_of(pending[active_pos]));
+        for (pos, &gid) in pending.iter().enumerate().skip(active_pos + 1) {
+            let gap = match metric {
+                ProximityMetric::Layers => dag.layer_of(gid).saturating_sub(last_layer) as usize,
+                ProximityMetric::Gates => pos - last_pos - 1,
+            };
+            if gap > proximity as usize {
+                break;
+            }
+            let Some((x, y)) = circuit.gate(gid).two_qubit_operands() else {
+                continue;
+            };
+            if x != qa && x != qb && y != qa && y != qb {
+                continue;
+            }
+            (last_pos, last_layer) = (pos, dag.layer_of(gid));
+            for (p, partner) in [(x, y), (y, x)] {
+                if p != qa && p != qb {
+                    continue;
+                }
+                let partner_trap = state.trap_of(IonId::from(partner));
+                if partner_trap == trap_b {
+                    scores.a_to_b += 1;
+                } else if partner_trap == trap_a {
+                    scores.b_to_a += 1;
+                }
+            }
+        }
+        scores
+    }
+
+    #[test]
+    fn indexed_scores_equal_the_queue_scan_at_every_step() {
+        let mut compared = 0;
+        for seed in 0..40 {
+            let walk = random_walk(seed);
+            let (c, dag, state) = (&walk.circuit, &walk.dag, &walk.state);
+            for (pending, ready, remaining) in &walk.steps {
+                for (pos, &gid) in pending.iter().enumerate() {
+                    let Some((qa, qb)) = c.gate(gid).two_qubit_operands() else {
+                        continue;
+                    };
+                    let (ta, tb) = (state.trap_of(qa.into()), state.trap_of(qb.into()));
+                    if !ready.is_ready(gid) || ta == tb {
+                        continue;
+                    }
+                    for metric in [ProximityMetric::Layers, ProximityMetric::Gates] {
+                        for proximity in [0, 1, 2, 6, 50] {
+                            assert_eq!(
+                                move_scores(
+                                    c, dag, state, remaining, gid, qa, qb, ta, tb, proximity,
+                                    metric
+                                ),
+                                queue_scan_scores(
+                                    c, dag, state, pending, pos, ta, tb, proximity, metric
+                                ),
+                                "seed {seed} gate {gid} {metric:?} proximity {proximity}"
+                            );
+                            compared += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(compared > 10_000, "{compared} comparisons");
+    }
 
     /// Builds the Fig. 4 scenario: 2 traps of capacity 4; ions 0,1 in T0;
     /// ions 2,3,4 in T1. Gates A-D.
-    fn fig4() -> (Circuit, DependencyDag, MachineState, VecDeque<GateId>) {
+    fn fig4() -> (Circuit, DependencyDag, MachineState, RemainingGates) {
         let mut c = Circuit::new(5);
         c.push_two_qubit(Opcode::Ms, Qubit(1), Qubit(2)).unwrap(); // A
         c.push_two_qubit(Opcode::Ms, Qubit(2), Qubit(3)).unwrap(); // B
@@ -283,22 +394,22 @@ mod tests {
         .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let pending: VecDeque<GateId> = (0..4).map(GateId).collect();
-        (c, dag, state, pending)
+        let remaining = RemainingGates::new(&c, &dag.topological_order());
+        (c, dag, state, remaining)
     }
 
     #[test]
     fn paper_table1_move_score() {
         // Table I: ionA=1, ionB=2, trapA=T0, trapB=T1.
         // ionA(A→B) = 3 (Gate-C + Gates B,D), ionB(B→A) = 1 (Gate-C).
-        let (c, dag, state, pending) = fig4();
+        let (c, dag, state, remaining) = fig4();
         for metric in [ProximityMetric::Layers, ProximityMetric::Gates] {
             let scores = move_scores(
                 &c,
                 &dag,
                 &state,
-                &pending,
-                0,
+                &remaining,
+                GateId(0),
                 Qubit(1),
                 Qubit(2),
                 TrapId(0),
@@ -320,14 +431,14 @@ mod tests {
     #[test]
     fn future_ops_moves_ion1_to_t1() {
         // §III-A2: "ionA = 1 will move from trapA (T0) to trapB (T1)".
-        let (c, dag, state, pending) = fig4();
+        let (c, dag, state, remaining) = fig4();
         let d = decide_direction(
             DirectionPolicy::FutureOps { proximity: 6 },
             &c,
             &dag,
             &state,
-            &pending,
-            0,
+            &remaining,
+            GateId(0),
         );
         assert_eq!(
             d,
@@ -342,14 +453,14 @@ mod tests {
     #[test]
     fn excess_capacity_moves_ion2_to_t0() {
         // Fig. 4: EC(T0)=2 > EC(T1)=1, so the baseline moves ion 2 into T0.
-        let (c, dag, state, pending) = fig4();
+        let (c, dag, state, remaining) = fig4();
         let d = decide_direction(
             DirectionPolicy::ExcessCapacity,
             &c,
             &dag,
             &state,
-            &pending,
-            0,
+            &remaining,
+            GateId(0),
         );
         assert_eq!(
             d,
@@ -372,14 +483,14 @@ mod tests {
                 .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let pending: VecDeque<GateId> = [GateId(0)].into_iter().collect();
+        let remaining = RemainingGates::new(&c, &dag.topological_order());
         let d = decide_direction(
             DirectionPolicy::ExcessCapacity,
             &c,
             &dag,
             &state,
-            &pending,
-            0,
+            &remaining,
+            GateId(0),
         );
         assert_eq!(d.ion, IonId(0), "tie moves the gate's first ion");
         assert_eq!(d.to, TrapId(1));
@@ -387,7 +498,7 @@ mod tests {
 
     /// Builds the Fig. 5 scenario: relevant gates 1 and 3 are close; gate
     /// 11 is separated from gate 3 by a 7-gate (and 7-layer) filler chain.
-    fn fig5() -> (Circuit, DependencyDag, MachineState, VecDeque<GateId>) {
+    fn fig5() -> (Circuit, DependencyDag, MachineState, RemainingGates) {
         let mut c = Circuit::new(10);
         let (a, b, cc, d) = (Qubit(0), Qubit(1), Qubit(2), Qubit(3));
         c.push_two_qubit(Opcode::Ms, a, b).unwrap(); // 1 (active)
@@ -422,24 +533,22 @@ mod tests {
         .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let pending: VecDeque<GateId> = dag.topological_order().into();
-        // The active gate (a,b) must be at the front for the scan.
-        assert_eq!(pending[0], GateId(0));
-        (c, dag, state, pending)
+        let remaining = RemainingGates::new(&c, &dag.topological_order());
+        (c, dag, state, remaining)
     }
 
     #[test]
     fn proximity_excludes_distant_gates_both_metrics() {
         // Fig. 5: gate 3 is close (considered); the late (b,d) gate is
         // beyond the proximity-6 horizon under both metrics.
-        let (c, dag, state, pending) = fig5();
+        let (c, dag, state, remaining) = fig5();
         for metric in [ProximityMetric::Layers, ProximityMetric::Gates] {
             let near = move_scores(
                 &c,
                 &dag,
                 &state,
-                &pending,
-                0,
+                &remaining,
+                GateId(0),
                 Qubit(0),
                 Qubit(1),
                 TrapId(0),
@@ -460,8 +569,8 @@ mod tests {
                 &c,
                 &dag,
                 &state,
-                &pending,
-                0,
+                &remaining,
+                GateId(0),
                 Qubit(0),
                 Qubit(1),
                 TrapId(0),
@@ -508,15 +617,14 @@ mod tests {
         let mapping = InitialMapping::from_traps(&spec, traps).unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let pending: VecDeque<GateId> = dag.topological_order().into();
-        assert_eq!(pending[0], GateId(0));
+        let remaining = RemainingGates::new(&c, &dag.topological_order());
 
         let layers = move_scores(
             &c,
             &dag,
             &state,
-            &pending,
-            0,
+            &remaining,
+            GateId(0),
             Qubit(0),
             Qubit(1),
             TrapId(0),
@@ -536,8 +644,8 @@ mod tests {
             &c,
             &dag,
             &state,
-            &pending,
-            0,
+            &remaining,
+            GateId(0),
             Qubit(0),
             Qubit(1),
             TrapId(0),
@@ -565,14 +673,14 @@ mod tests {
         .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let pending: VecDeque<GateId> = [GateId(0)].into_iter().collect();
+        let remaining = RemainingGates::new(&c, &dag.topological_order());
         let d = decide_direction(
             DirectionPolicy::FutureOps { proximity: 6 },
             &c,
             &dag,
             &state,
-            &pending,
-            0,
+            &remaining,
+            GateId(0),
         );
         // EC(T0)=2 > EC(T1)=1: move ion 2 into T0 (same as baseline test).
         assert_eq!(d.ion, IonId(2));
@@ -592,14 +700,14 @@ mod tests {
         .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let pending: VecDeque<GateId> = [GateId(0)].into_iter().collect();
+        let remaining = RemainingGates::new(&c, &dag.topological_order());
         let choice = decide_direction_open(
             DirectionPolicy::FutureOps { proximity: 6 },
             &c,
             &dag,
             &state,
-            &pending,
-            0,
+            &remaining,
+            GateId(0),
         );
         let alt = choice.alternative.expect("scoreless gate ties");
         assert_ne!(choice.decision.ion, alt.ion);
@@ -608,14 +716,14 @@ mod tests {
 
         // A decisive score (the Fig. 4 setup) surfaces no alternative, and
         // the EC policy never does.
-        let (c, dag, state, pending) = fig4();
+        let (c, dag, state, remaining) = fig4();
         let decisive = decide_direction_open(
             DirectionPolicy::FutureOps { proximity: 6 },
             &c,
             &dag,
             &state,
-            &pending,
-            0,
+            &remaining,
+            GateId(0),
         );
         assert_eq!(decisive.alternative, None);
         let ec = decide_direction_open(
@@ -623,8 +731,8 @@ mod tests {
             &c,
             &dag,
             &state,
-            &pending,
-            0,
+            &remaining,
+            GateId(0),
         );
         assert_eq!(ec.alternative, None);
     }
@@ -649,13 +757,13 @@ mod tests {
         .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let pending: VecDeque<GateId> = (0..2).map(GateId).collect();
+        let remaining = RemainingGates::new(&c, &dag.topological_order());
         let s = move_scores(
             &c,
             &dag,
             &state,
-            &pending,
-            0,
+            &remaining,
+            GateId(0),
             Qubit(0),
             Qubit(1),
             TrapId(0),

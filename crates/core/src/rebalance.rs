@@ -6,10 +6,9 @@
 //! destination, max-score ion selection.
 
 use crate::config::{IonSelection, RebalancePolicy};
-use qccd_circuit::{Circuit, GateId};
+use crate::remaining::{RemainingGates, SCAN_ENTRIES};
 use qccd_flow::{min_cost_max_flow, FlowNetwork};
 use qccd_machine::{IonId, MachineState, TrapId, TrapTopology};
-use std::collections::VecDeque;
 
 /// Picks the destination trap for an ion evicted from `blocked`.
 ///
@@ -81,16 +80,15 @@ pub(crate) fn destination_candidates(
 
 /// Picks which ion leaves `blocked` toward `dest`.
 ///
-/// `pending` is the planned order of unexecuted gates — the max-score
-/// heuristic counts each candidate ion's remaining gates whose partner sits
-/// in the destination vs. the source trap (§III-C2). Ions in `keep` are
+/// The max-score heuristic counts each candidate ion's remaining gates
+/// whose partner sits in the destination vs. the source trap (§III-C2),
+/// read from the remaining-gate index's pair counts. Ions in `keep` are
 /// never evicted (the scheduler protects gate operands this way).
 /// Returns `None` if every ion in the trap is protected.
 pub(crate) fn choose_ion(
     selection: IonSelection,
-    circuit: &Circuit,
     state: &MachineState,
-    pending: &VecDeque<GateId>,
+    remaining: &RemainingGates,
     blocked: TrapId,
     dest: TrapId,
     keep: &[IonId],
@@ -108,37 +106,21 @@ pub(crate) fn choose_ion(
         // Baseline: the chain-end ion is the cheapest split.
         IonSelection::ChainEnd => candidates.last().copied(),
         IonSelection::MaxScore { wd, ws } => {
-            // One pass over the remaining gates accumulating, for every ion
-            // currently in `blocked`, how many of its gates have a partner
-            // in `dest` (pull) vs. in `blocked` (anchor).
-            let mut dest_count = vec![0u32; state.num_ions() as usize];
-            let mut src_count = vec![0u32; state.num_ions() as usize];
-            for &gid in pending {
-                let Some((x, y)) = circuit.gate(gid).two_qubit_operands() else {
-                    continue;
-                };
-                let (ix, iy) = (IonId::from(x), IonId::from(y));
-                for (ion, partner) in [(ix, iy), (iy, ix)] {
-                    if state.trap_of(ion) != blocked {
-                        continue;
-                    }
-                    let pt = state.trap_of(partner);
-                    if pt == dest {
-                        dest_count[ion.index()] += 1;
-                    } else if pt == blocked {
-                        src_count[ion.index()] += 1;
-                    }
-                }
-            }
+            // Remaining gates of `ion` whose partner sits in `trap`.
+            let gates_with = |ion: IonId, trap: TrapId| -> u32 {
+                let partners = state.chain(trap);
+                SCAN_ENTRIES.add(partners.len() as u64);
+                partners.iter().map(|&p| remaining.pair_count(ion, p)).sum()
+            };
             let score = |ion: IonId| -> f64 {
-                let d = f64::from(dest_count[ion.index()]);
-                let s = f64::from(src_count[ion.index()]);
-                if dest_count[ion.index()] == src_count[ion.index()] {
+                let (d, s) = (gates_with(ion, dest), gates_with(ion, blocked));
+                let (df, sf) = (f64::from(d), f64::from(s));
+                if d == s {
                     // §III-C2: equal counts shift weights to 0.49/0.51 so
                     // the score cannot be zero.
-                    0.49 * d - 0.51 * s
+                    0.49 * df - 0.51 * sf
                 } else {
-                    wd * d - ws * s
+                    wd * df - ws * sf
                 }
             };
             // Highest score wins; ties break toward the chain end (cheaper
@@ -219,7 +201,7 @@ fn mcmf_route(topology: &TrapTopology, from: TrapId, to: TrapId) -> Option<Vec<T
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qccd_circuit::{Opcode, Qubit};
+    use qccd_circuit::{Circuit, Opcode, Qubit};
     use qccd_machine::{InitialMapping, MachineSpec, MachineState};
 
     /// Fig. 7 scenario: L6, T4 full, excess capacities
@@ -333,13 +315,12 @@ mod tests {
         let mapping = InitialMapping::round_robin(&spec, 4).unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let c = Circuit::new(4);
-        let pending = VecDeque::new();
+        let remaining = RemainingGates::new(&c, &[]);
         // T0 chain = [0, 1, 2]; keep ion 2 → pick ion 1.
         let ion = choose_ion(
             IonSelection::ChainEnd,
-            &c,
             &state,
-            &pending,
+            &remaining,
             TrapId(0),
             TrapId(1),
             &[IonId(2)],
@@ -360,12 +341,11 @@ mod tests {
             InitialMapping::from_traps(&spec, vec![TrapId(0), TrapId(0), TrapId(0), TrapId(1)])
                 .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
-        let pending: VecDeque<GateId> = (0..3).map(GateId).collect();
+        let remaining = RemainingGates::new(&c, &c.dependency_dag().topological_order());
         let ion = choose_ion(
             IonSelection::MaxScore { wd: 0.5, ws: 0.5 },
-            &c,
             &state,
-            &pending,
+            &remaining,
             TrapId(0),
             TrapId(1),
             &[],
@@ -385,12 +365,11 @@ mod tests {
             InitialMapping::from_traps(&spec, vec![TrapId(0), TrapId(0), TrapId(0), TrapId(1)])
                 .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
-        let pending: VecDeque<GateId> = (0..3).map(GateId).collect();
+        let remaining = RemainingGates::new(&c, &c.dependency_dag().topological_order());
         let ion = choose_ion(
             IonSelection::MaxScore { wd: 0.5, ws: 0.5 },
-            &c,
             &state,
-            &pending,
+            &remaining,
             TrapId(0),
             TrapId(1),
             &[],
@@ -407,13 +386,12 @@ mod tests {
         let mapping = InitialMapping::from_traps(&spec, vec![TrapId(0), TrapId(1)]).unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let c = Circuit::new(2);
-        let pending = VecDeque::new();
+        let remaining = RemainingGates::new(&c, &[]);
         assert_eq!(
             choose_ion(
                 IonSelection::ChainEnd,
-                &c,
                 &state,
-                &pending,
+                &remaining,
                 TrapId(0),
                 TrapId(1),
                 &[IonId(0)],

@@ -1,0 +1,261 @@
+//! The remaining-gate index behind the §III scans.
+//!
+//! Dependencies are qubit-carried: every gate depends on the last earlier
+//! gate on each of its operands. So the gates on one qubit execute in
+//! program order, and a qubit's not-yet-executed gates are always a suffix
+//! of its gate list. The index keeps, per qubit, that list and the length
+//! of its executed prefix. The §III-A move score then visits only the gates
+//! of the active gate's two operands, never the whole pending queue.
+//!
+//! Two more views serve the other scans: per-pair counts of the remaining
+//! two-qubit gates, which make the §III-C eviction score O(capacity²) per
+//! candidate set instead of a walk over every pending gate, and a Fenwick
+//! tree over plan ranks, which gives the gate-distance proximity metric
+//! the number of pending gates between two gates in O(log n).
+
+use qccd_circuit::{Circuit, GateId, GateQubits, Qubit};
+use qccd_machine::IonId;
+
+/// Entries of the remaining-gate index and of the pending queue that the
+/// §III scans read: a deterministic measure of their work.
+pub(crate) static SCAN_ENTRIES: qccd_obs::Counter = qccd_obs::Counter::new("core.scan_entries");
+
+/// Per-qubit remaining gates, remaining pair counts and pending ranks of
+/// one compile. Updated by [`mark_done`](Self::mark_done) exactly when the
+/// scheduler retires a gate from its pending queue.
+#[derive(Debug, Clone)]
+pub(crate) struct RemainingGates {
+    /// `by_qubit[q]`: qubit `q`'s two-qubit gates, in plan order.
+    by_qubit: Vec<Vec<GateId>>,
+    /// `executed[q]`: how many of `by_qubit[q]` have executed.
+    executed: Vec<usize>,
+    /// `pairs[a * num_qubits + b]`: remaining two-qubit gates on `a`, `b`.
+    pairs: Vec<u32>,
+    num_qubits: usize,
+    /// `rank[g]`: position of gate `g` in the initial plan.
+    rank: Vec<u32>,
+    /// Fenwick tree over plan ranks holding 1 per gate not yet executed.
+    pending: Vec<u32>,
+}
+
+impl RemainingGates {
+    /// The index for `circuit` with nothing executed; `plan` is the
+    /// initial execution order (a topological order of every gate).
+    pub(crate) fn new(circuit: &Circuit, plan: &[GateId]) -> Self {
+        let n = circuit.num_qubits() as usize;
+        let mut by_qubit = vec![Vec::new(); n];
+        let mut pairs = vec![0u32; n * n];
+        let mut rank = vec![0u32; plan.len()];
+        for (r, &g) in plan.iter().enumerate() {
+            rank[g.index()] = r as u32;
+            if let Some((a, b)) = circuit.gate(g).two_qubit_operands() {
+                by_qubit[a.index()].push(g);
+                by_qubit[b.index()].push(g);
+                pairs[a.index() * n + b.index()] += 1;
+                pairs[b.index() * n + a.index()] += 1;
+            }
+        }
+        // With every rank pending, Fenwick node i (1-based) covers
+        // (i - lowbit(i), i], so it holds lowbit(i).
+        let pending = (1..=plan.len())
+            .map(|i| (i & i.wrapping_neg()) as u32)
+            .collect();
+        RemainingGates {
+            by_qubit,
+            executed: vec![0; n],
+            pairs,
+            num_qubits: n,
+            rank,
+            pending,
+        }
+    }
+
+    /// Qubit `q`'s two-qubit gates not yet executed, in plan order.
+    pub(crate) fn of(&self, q: Qubit) -> &[GateId] {
+        &self.by_qubit[q.index()][self.executed[q.index()]..]
+    }
+
+    /// Remaining two-qubit gates between ions `a` and `b` (0 for an ion
+    /// that hosts no qubit of the circuit).
+    pub(crate) fn pair_count(&self, a: IonId, b: IonId) -> u32 {
+        let n = self.num_qubits;
+        if a.index() < n && b.index() < n {
+            self.pairs[a.index() * n + b.index()]
+        } else {
+            0
+        }
+    }
+
+    /// Position of `g` in the initial plan.
+    pub(crate) fn rank(&self, g: GateId) -> u32 {
+        self.rank[g.index()]
+    }
+
+    /// Pending gates strictly between `a` and `b` in plan order
+    /// (`a` before `b`).
+    pub(crate) fn pending_between(&self, a: GateId, b: GateId) -> u32 {
+        self.pending_before(self.rank(b) as usize) - self.pending_before(self.rank(a) as usize + 1)
+    }
+
+    /// Pending gates with plan rank below `rank`.
+    fn pending_before(&self, rank: usize) -> u32 {
+        let (mut i, mut sum) = (rank, 0);
+        while i > 0 {
+            sum += self.pending[i - 1];
+            i &= i - 1;
+        }
+        sum
+    }
+
+    /// Retires the executed gate `g`.
+    pub(crate) fn mark_done(&mut self, circuit: &Circuit, g: GateId) {
+        if let GateQubits::Two(a, b) = circuit.gate(g).qubits {
+            for q in [a, b] {
+                debug_assert_eq!(self.of(q).first(), Some(&g), "qubit gates run in order");
+                self.executed[q.index()] += 1;
+            }
+            let n = self.num_qubits;
+            self.pairs[a.index() * n + b.index()] -= 1;
+            self.pairs[b.index() * n + a.index()] -= 1;
+        }
+        let mut i = self.rank(g) as usize + 1;
+        while i <= self.pending.len() {
+            self.pending[i - 1] -= 1;
+            i += i & i.wrapping_neg();
+        }
+    }
+}
+
+/// Random executions for the differential tests of the index and the
+/// scans built on it.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::RemainingGates;
+    use qccd_circuit::{Circuit, DependencyDag, GateId, Opcode, Qubit, ReadySet};
+    use qccd_machine::{InitialMapping, MachineSpec, MachineState, TrapId};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::VecDeque;
+
+    /// A random circuit mixing one- and two-qubit gates on a random
+    /// placement over four traps, executed in a random ready order; `steps`
+    /// holds the scheduler's view before every execution.
+    pub(crate) struct Walk {
+        pub(crate) circuit: Circuit,
+        pub(crate) dag: DependencyDag,
+        pub(crate) state: MachineState,
+        pub(crate) steps: Vec<(VecDeque<GateId>, ReadySet, RemainingGates)>,
+    }
+
+    pub(crate) fn random_walk(seed: u64) -> Walk {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(4u32..=16);
+        let mut circuit = Circuit::new(n);
+        for _ in 0..rng.gen_range(20..120) {
+            let a = rng.gen_range(0..n);
+            if rng.gen_bool(0.2) {
+                circuit.push_single_qubit(Opcode::H, Qubit(a)).unwrap();
+            } else {
+                let b = (a + rng.gen_range(1..n)) % n;
+                circuit
+                    .push_two_qubit(Opcode::Ms, Qubit(a), Qubit(b))
+                    .unwrap();
+            }
+        }
+        let spec = MachineSpec::linear(4, n, 0).unwrap();
+        let traps = (0..n).map(|_| TrapId(rng.gen_range(0..4))).collect();
+        let mapping = InitialMapping::from_traps(&spec, traps).unwrap();
+        let state = MachineState::with_mapping(&spec, &mapping).unwrap();
+        let dag = circuit.dependency_dag();
+        let plan = dag.topological_order();
+        let mut remaining = RemainingGates::new(&circuit, &plan);
+        let mut pending: VecDeque<GateId> = plan.into();
+        let mut ready = dag.ready_set();
+        let mut steps = Vec::new();
+        while !pending.is_empty() {
+            steps.push((pending.clone(), ready.clone(), remaining.clone()));
+            // Hoist a random ready gate from the front window, as the
+            // drain and re-ordering passes do.
+            let window: Vec<usize> = (0..pending.len().min(8))
+                .filter(|&p| ready.is_ready(pending[p]))
+                .collect();
+            let pos = window[rng.gen_range(0..window.len())];
+            let g = pending.remove(pos).unwrap();
+            ready.mark_done(&dag, g);
+            remaining.mark_done(&circuit, g);
+        }
+        Walk {
+            circuit,
+            dag,
+            state,
+            steps,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qccd_circuit::Opcode;
+
+    #[test]
+    fn tracks_suffixes_pairs_and_pending_ranks() {
+        let mut c = Circuit::new(3);
+        c.push_two_qubit(Opcode::Ms, Qubit(0), Qubit(1)).unwrap(); // g0
+        c.push_single_qubit(Opcode::H, Qubit(2)).unwrap(); // g1
+        c.push_two_qubit(Opcode::Ms, Qubit(1), Qubit(2)).unwrap(); // g2
+        c.push_two_qubit(Opcode::Ms, Qubit(0), Qubit(1)).unwrap(); // g3
+        let plan = c.dependency_dag().topological_order();
+        assert_eq!(plan, vec![GateId(0), GateId(1), GateId(2), GateId(3)]);
+        let mut r = RemainingGates::new(&c, &plan);
+        assert_eq!(r.of(Qubit(1)), &[GateId(0), GateId(2), GateId(3)]);
+        assert_eq!(r.pair_count(IonId(0), IonId(1)), 2);
+        assert_eq!(r.pair_count(IonId(1), IonId(0)), 2);
+        assert_eq!(r.pair_count(IonId(0), IonId(7)), 0, "ion without a qubit");
+        assert_eq!(r.pending_between(GateId(0), GateId(3)), 2);
+
+        r.mark_done(&c, GateId(0));
+        r.mark_done(&c, GateId(1));
+        assert_eq!(r.of(Qubit(0)), &[GateId(3)]);
+        assert_eq!(r.of(Qubit(1)), &[GateId(2), GateId(3)]);
+        assert_eq!(r.of(Qubit(2)), &[GateId(2)]);
+        assert_eq!(r.pair_count(IonId(0), IonId(1)), 1);
+        assert_eq!(r.pending_between(GateId(0), GateId(3)), 1);
+        assert_eq!(r.pending_between(GateId(2), GateId(3)), 0);
+    }
+
+    #[test]
+    fn index_matches_the_pending_queue_at_every_step() {
+        for seed in 0..30 {
+            let walk = testing::random_walk(seed);
+            let c = &walk.circuit;
+            let n = c.num_qubits();
+            for (pending, _, r) in &walk.steps {
+                let two_qubit = |g: &&GateId| c.gate(**g).two_qubit_operands();
+                for q in (0..n).map(Qubit) {
+                    let on_q: Vec<GateId> = pending
+                        .iter()
+                        .filter(|g| two_qubit(g).is_some_and(|(a, b)| a == q || b == q))
+                        .copied()
+                        .collect();
+                    assert_eq!(r.of(q), on_q, "seed {seed}");
+                    for p in (0..n).map(Qubit) {
+                        let on_pair = pending
+                            .iter()
+                            .filter(|g| {
+                                two_qubit(g) == Some((q, p)) || two_qubit(g) == Some((p, q))
+                            })
+                            .count() as u32;
+                        let ions = (IonId::from(q), IonId::from(p));
+                        assert_eq!(r.pair_count(ions.0, ions.1), on_pair, "seed {seed}");
+                    }
+                }
+                for (i, &a) in pending.iter().enumerate() {
+                    for (j, &b) in pending.iter().enumerate().skip(i + 1) {
+                        assert_eq!(r.pending_between(a, b) as usize, j - i - 1, "seed {seed}");
+                    }
+                }
+            }
+        }
+    }
+}

@@ -7,6 +7,7 @@ use crate::mapping::initial_mapping;
 use crate::objective::{edge_weight, ClockScorer};
 use crate::policies::{decide_direction, decide_direction_open, MoveDecision};
 use crate::rebalance::{choose_destination, choose_ion, destination_candidates, eviction_route};
+use crate::remaining::{RemainingGates, SCAN_ENTRIES};
 use crate::stats::CompileStats;
 use qccd_circuit::{Circuit, DependencyDag, GateId, GateQubits, ReadySet};
 use qccd_flow::{route_commodities, Commodity};
@@ -140,7 +141,9 @@ pub fn compile_with_mapping(
     let state = MachineState::with_mapping(spec, &mapping)?;
     let dag = circuit.dependency_dag();
     let ready = dag.ready_set();
-    let pending: VecDeque<GateId> = dag.topological_order().into();
+    let plan = dag.topological_order();
+    let remaining = RemainingGates::new(circuit, &plan);
+    let pending: VecDeque<GateId> = plan.into();
     let clock = match config.objective {
         Objective::Shuttles => None,
         // The clock objective threads the transport-less lowering fold
@@ -166,6 +169,7 @@ pub fn compile_with_mapping(
         edge_load: EdgeLoad::new(spec.num_traps()),
         state,
         pending,
+        remaining,
         ops: Vec::with_capacity(circuit.len() * 2),
         stats: CompileStats::default(),
         in_rebalance: false,
@@ -229,6 +233,8 @@ struct Scheduler<'a> {
     /// Always a subsequence of the initial (layer, id)-sorted topological
     /// order, so layers are non-decreasing along the queue.
     pending: VecDeque<GateId>,
+    /// The gates of `pending` indexed per qubit, for the §III scans.
+    remaining: RemainingGates,
     ops: Vec<Operation>,
     stats: CompileStats,
     /// Set while shuttles belong to a re-balancing eviction, for stats.
@@ -333,6 +339,7 @@ impl Scheduler<'_> {
         // the recent past should price routes.
         self.edge_load.decay();
         self.ready.mark_done(&self.dag, gate_id);
+        self.remaining.mark_done(self.circuit, gate_id);
         self.pending.remove(pos);
         Ok(())
     }
@@ -416,8 +423,8 @@ impl Scheduler<'_> {
             self.circuit,
             &self.dag,
             &self.state,
-            &self.pending,
-            pos,
+            &self.remaining,
+            self.pending[pos],
         );
         let (Some(alt), Some(clock)) = (choice.alternative, self.clock.as_mut()) else {
             return choice.decision;
@@ -545,8 +552,8 @@ impl Scheduler<'_> {
                 self.circuit,
                 &self.dag,
                 &self.state,
-                &self.pending,
-                p,
+                &self.remaining,
+                gid,
             );
             if self.state.is_full(d.to) {
                 continue;
@@ -821,9 +828,8 @@ impl Scheduler<'_> {
         };
         let ion = choose_ion(
             self.config.ion_selection,
-            self.circuit,
             &self.state,
-            &self.pending,
+            &self.remaining,
             blocked,
             dest,
             keep,
@@ -879,9 +885,8 @@ impl Scheduler<'_> {
         for dest in candidates {
             let Some(ion) = choose_ion(
                 self.config.ion_selection,
-                self.circuit,
                 &self.state,
-                &self.pending,
+                &self.remaining,
                 blocked,
                 dest,
                 keep,
@@ -953,9 +958,8 @@ impl Scheduler<'_> {
                         }
                         let shifted = choose_ion(
                             self.config.ion_selection,
-                            self.circuit,
                             &self.state,
-                            &self.pending,
+                            &self.remaining,
                             route[j],
                             route[j + 1],
                             &keep_all,
@@ -1013,22 +1017,33 @@ impl Scheduler<'_> {
             let Some((qa, qb)) = self.circuit.gate(gid).two_qubit_operands() else {
                 continue;
             };
-            let (ia, ib) = (IonId::from(qa), IonId::from(qb));
-            if self.state.trap_of(ia) == self.state.trap_of(ib) {
-                continue; // local gate frees nothing
+            let (ta, tb) = (
+                self.state.trap_of(IonId::from(qa)),
+                self.state.trap_of(IonId::from(qb)),
+            );
+            // The direction moves one operand into the other's trap, so
+            // only a cross-trap gate with an operand in `old_destination`
+            // and room at the other end can qualify: skip the move-score
+            // scan for every other gate.
+            let frees =
+                |from: TrapId, to: TrapId| from == old_destination && !self.state.is_full(to);
+            if ta == tb || !(frees(ta, tb) || frees(tb, ta)) {
+                continue;
             }
             let dir = decide_direction(
                 self.config.direction,
                 self.circuit,
                 &self.dag,
                 &self.state,
-                &self.pending,
-                pos,
+                &self.remaining,
+                gid,
             );
-            if dir.from == old_destination && !self.state.is_full(dir.to) {
+            if frees(dir.from, dir.to) {
+                SCAN_ENTRIES.add((pos - active_pos) as u64);
                 return Some(pos);
             }
         }
+        SCAN_ENTRIES.add((end - active_pos - 1) as u64);
         None
     }
 }

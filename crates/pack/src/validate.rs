@@ -46,7 +46,7 @@ pub fn validate_equivalent(
             .iter()
             .zip(&b)
             .position(|(x, y)| x != y)
-            .unwrap_or(a.len().min(b.len()));
+            .unwrap_or_else(|| a.len().min(b.len()));
         return Err(PackError::GateSequenceDiverged { index });
     }
 

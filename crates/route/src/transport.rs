@@ -396,6 +396,12 @@ impl TransportSchedule {
         let mut state = MachineState::with_mapping(spec, &schedule.initial_mapping)
             .map_err(TransportError::Machine)?;
         let mut serial = state.clone();
+        // Counting every move and shuttle op is O(n): build the error only
+        // on failure, or validation turns quadratic.
+        let count_mismatch = || TransportError::MoveCountMismatch {
+            rounds: self.num_moves(),
+            schedule: schedule.stats().shuttles,
+        };
         let mut round_idx = 0usize;
         let mut pos = 0usize;
         for (op_index, op) in schedule.operations.iter().enumerate() {
@@ -407,13 +413,7 @@ impl TransportSchedule {
                 }
                 Operation::Shuttle { ion, from, to } => {
                     let expected = ShuttleMove { ion, from, to };
-                    let round =
-                        self.rounds
-                            .get(round_idx)
-                            .ok_or(TransportError::MoveCountMismatch {
-                                rounds: self.num_moves(),
-                                schedule: schedule.stats().shuttles,
-                            })?;
+                    let round = self.rounds.get(round_idx).ok_or_else(count_mismatch)?;
                     if round.moves.get(pos) != Some(&expected) {
                         return Err(TransportError::MoveMismatch { op_index });
                     }
@@ -430,10 +430,7 @@ impl TransportSchedule {
             }
         }
         if pos != 0 || round_idx != self.rounds.len() {
-            return Err(TransportError::MoveCountMismatch {
-                rounds: self.num_moves(),
-                schedule: schedule.stats().shuttles,
-            });
+            return Err(count_mismatch());
         }
         for ion in 0..state.num_ions() {
             let ion = qccd_machine::IonId(ion);
@@ -738,9 +735,24 @@ mod tests {
         let (spec, mapping) = fixture();
         let schedule = Schedule::new(mapping, vec![sh(2, 0, 1)]);
         let t = TransportSchedule { rounds: vec![] };
-        assert!(matches!(
+        assert_eq!(
             t.validate(&schedule, &spec).unwrap_err(),
-            TransportError::MoveCountMismatch { .. }
+            TransportError::MoveCountMismatch {
+                rounds: 0,
+                schedule: 1
+            }
+        );
+        // A leftover round is reported with the same counts.
+        let extra = TransportSchedule::pack_serial(&Schedule::new(
+            schedule.initial_mapping.clone(),
+            vec![sh(2, 0, 1), sh(2, 1, 2)],
         ));
+        assert_eq!(
+            extra.validate(&schedule, &spec).unwrap_err(),
+            TransportError::MoveCountMismatch {
+                rounds: 2,
+                schedule: 1
+            }
+        );
     }
 }
