@@ -4,7 +4,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qccd_circuit::generators::{qft, random_circuit};
 use qccd_core::{compile, CompilerConfig};
-use qccd_flow::{min_cost_max_flow, Adjacency, FlowNetwork};
+use qccd_flow::{
+    min_cost_max_flow, min_cost_unit_path, route_commodities, Adjacency, Commodity, FlowNetwork,
+};
 use qccd_machine::MachineSpec;
 use std::hint::black_box;
 
@@ -35,6 +37,42 @@ fn bench_flow(c: &mut Criterion) {
             net.add_edge(n, 12, 1, 0);
             min_cost_max_flow(black_box(&mut net), n, 0)
         })
+    });
+    // The congestion planner's shape: a node-split 4x4 grid (in/out halves
+    // per trap), segment costs one scaled hop plus a load surcharge, one
+    // unit from a corner trap to the opposite one. Built per call, as the
+    // planner does.
+    let grid = Adjacency::grid(4, 4);
+    c.bench_function("unit_path_grid4x4", |b| {
+        b.iter(|| {
+            let n = grid.len();
+            let hop_scale = (n as i64 + 1) * 16;
+            let mut net = FlowNetwork::new(2 * n + 1);
+            for a in 0..n {
+                net.add_edge(2 * a, 2 * a + 1, 1, 0);
+                for &nb in grid.neighbors(a) {
+                    net.add_edge(2 * a + 1, 2 * nb, 1, hop_scale + ((a + nb) % 3) as i64);
+                }
+            }
+            net.add_edge(2 * n, 0, 1, 0);
+            min_cost_unit_path(black_box(&mut net), 2 * n, 2 * (n - 1) + 1)
+        })
+    });
+    // A batched layer at the compiler's batch limit: 8 commodities.
+    let demands: Vec<Commodity> = [
+        (0, 15),
+        (3, 12),
+        (1, 14),
+        (4, 11),
+        (2, 8),
+        (7, 13),
+        (5, 10),
+        (6, 9),
+    ]
+    .map(|(source, sink)| Commodity { source, sink })
+    .to_vec();
+    c.bench_function("route_commodities_grid4x4_x8", |b| {
+        b.iter(|| route_commodities(black_box(&grid), &demands, |a, b| 2 + ((a + b) % 3) as i64))
     });
     let line = Adjacency::line(64);
     c.bench_function("bfs_line_64", |b| {

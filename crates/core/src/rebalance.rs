@@ -7,7 +7,7 @@
 
 use crate::config::{IonSelection, RebalancePolicy};
 use crate::remaining::{RemainingGates, SCAN_ENTRIES};
-use qccd_flow::{min_cost_max_flow, FlowNetwork};
+use qccd_flow::{min_cost_unit_path, FlowNetwork};
 use qccd_machine::{IonId, MachineState, TrapId, TrapTopology};
 
 /// Picks the destination trap for an ion evicted from `blocked`.
@@ -158,8 +158,8 @@ pub(crate) fn eviction_route(
     }
 }
 
-/// Routes one unit of flow from `from` to `to` with min-cost max-flow and
-/// extracts the resulting trap path.
+/// Routes one unit of min-cost flow from `from` to `to` and returns the
+/// trap path it takes.
 fn mcmf_route(topology: &TrapTopology, from: TrapId, to: TrapId) -> Option<Vec<TrapId>> {
     if from == to {
         return Some(vec![from]);
@@ -173,29 +173,8 @@ fn mcmf_route(topology: &TrapTopology, from: TrapId, to: TrapId) -> Option<Vec<T
         }
     }
     net.add_edge(n, from.index(), 1, 0);
-    let result = min_cost_max_flow(&mut net, n, to.index());
-    if result.flow != 1 {
-        return None;
-    }
-    // Follow the unit of flow from `from` to `to`.
-    let flows = net.forward_flows();
-    let mut path = vec![from];
-    let mut cur = from.index();
-    let mut used = vec![false; flows.len()];
-    while cur != to.index() {
-        let (idx, &(_, next, _)) = flows
-            .iter()
-            .enumerate()
-            .find(|(i, (s, _, f))| !used[*i] && *s == cur && *f > 0)
-            .expect("flow conservation guarantees an outgoing unit");
-        used[idx] = true;
-        cur = next;
-        path.push(TrapId(next as u32));
-        if path.len() > n + 1 {
-            return None; // defensive: malformed flow
-        }
-    }
-    Some(path)
+    let nodes = min_cost_unit_path(&mut net, n, to.index())?;
+    Some(nodes[1..].iter().map(|&t| TrapId(t as u32)).collect())
 }
 
 #[cfg(test)]

@@ -8,11 +8,17 @@
 //!
 //! * [`Adjacency`] — a small undirected graph with BFS shortest paths.
 //! * [`FlowNetwork`] / [`min_cost_max_flow`] — successive-shortest-path
-//!   min-cost max-flow with non-negative edge costs.
+//!   min-cost max-flow with non-negative edge costs, on flat edge storage.
+//! * [`min_cost_unit_path`] — the one-unit primitive every compiler caller
+//!   uses: a single shortest-path search, one augmentation, and the node
+//!   path read off the predecessor chain. The priced planner, its
+//!   evictions, the baseline re-balancer and the batched layers together
+//!   make about 200k of these solves per `grid_clock` benchmark pass.
 //! * [`route_commodities`] — sequential multi-commodity routing over
 //!   shared unit edge capacities: pairwise edge-disjoint paths (so a whole
 //!   layer of moves can share transport rounds), with a per-commodity
-//!   `None` fallback when the flows conflict.
+//!   `None` fallback when the flows conflict. One network serves every
+//!   commodity of a call: spent segments drop to capacity 0.
 //!
 //! # Example
 //!
@@ -29,5 +35,5 @@ mod mcmf;
 mod multicommodity;
 
 pub use adjacency::Adjacency;
-pub use mcmf::{min_cost_max_flow, FlowEdge, FlowNetwork, FlowResult};
+pub use mcmf::{min_cost_max_flow, min_cost_unit_path, FlowEdge, FlowNetwork, FlowResult};
 pub use multicommodity::{route_commodities, Commodity};

@@ -1,16 +1,33 @@
-//! Minimum-cost maximum-flow via successive shortest paths.
+//! Minimum-cost flow via successive shortest paths, plus the one-unit
+//! path primitive every compiler caller uses.
 //!
 //! The baseline QCCD compiler (Murali et al., ISCA'20) formulates trap
 //! re-balancing as an MCMF problem: full traps are sources, traps with
 //! excess capacity are sinks, and shuttle-path segments carry unit costs.
 //! This module implements the classic successive-shortest-path algorithm
-//! with Bellman–Ford path selection (costs here are small and non-negative,
-//! so SPFA-style relaxation is plenty fast for ≤ dozens of traps).
+//! with SPFA path selection (a FIFO-queue Bellman–Ford; costs here are
+//! non-negative and networks have a few dozen nodes).
+//!
+//! Every compiler caller sends exactly one unit — one ion — per solve, so
+//! [`min_cost_unit_path`] runs a single SPFA, applies that augmentation and
+//! returns the node path straight from the predecessor chain. The traffic
+//! is not small: one `grid_clock` benchmark pass (three 8000-gate circuits
+//! on a 4×4 grid through the clock pipeline) makes about 200k one-unit
+//! solves, so the network is flat — one edge vector with each forward edge
+//! `id` paired with its residual reverse `id ^ 1`, and per-node edge lists
+//! threaded through it in insertion order — and a solve allocates its SPFA
+//! scratch once.
 
-/// MCMF solves started (one per [`min_cost_max_flow`] call).
+use std::collections::VecDeque;
+
+/// MCMF solves started (one per [`min_cost_max_flow`] or
+/// [`min_cost_unit_path`] call).
 static FLOW_SOLVES: qccd_obs::Counter = qccd_obs::Counter::new("flow.solves");
 /// Augmenting paths found and applied across all solves.
 static FLOW_AUGMENTING_PATHS: qccd_obs::Counter = qccd_obs::Counter::new("flow.augmenting_paths");
+
+/// End-of-list / no-predecessor marker for edge ids.
+const NONE: usize = usize::MAX;
 
 /// One directed edge in a [`FlowNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,15 +36,18 @@ pub struct FlowEdge {
     pub to: usize,
     /// Remaining capacity.
     pub capacity: i64,
-    /// Cost per unit of flow (non-negative).
+    /// Cost per unit of flow (negated on residual reverses).
     pub cost: i64,
-    /// Index of the reverse edge in `graph[to]`.
-    rev: usize,
-    /// `true` for original edges, `false` for residual reverses.
-    is_forward: bool,
+    /// Next edge id in the tail node's list, or [`NONE`].
+    next: usize,
 }
 
 /// A directed flow network on nodes `0..n`.
+///
+/// Edges live in one vector: [`add_edge`](FlowNetwork::add_edge) pushes the
+/// forward edge at an even id and its residual reverse at `id ^ 1`. Each
+/// node's outgoing edges (forward and residual) are linked in insertion
+/// order, which is the order the shortest-path search relaxes them in.
 ///
 /// # Example
 ///
@@ -45,68 +65,98 @@ pub struct FlowEdge {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FlowNetwork {
-    graph: Vec<Vec<FlowEdge>>,
+    edges: Vec<FlowEdge>,
+    /// First and last edge id of each node's list.
+    head: Vec<usize>,
+    tail: Vec<usize>,
 }
 
 impl FlowNetwork {
     /// Creates a network with `n` nodes and no edges.
     pub fn new(n: usize) -> Self {
         FlowNetwork {
-            graph: vec![Vec::new(); n],
+            edges: Vec::new(),
+            head: vec![NONE; n],
+            tail: vec![NONE; n],
         }
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.graph.len()
+        self.head.len()
     }
 
     /// Returns `true` if the network has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
+        self.head.is_empty()
     }
 
-    /// Adds a directed edge `from → to` with the given capacity and cost.
+    /// Adds a directed edge `from → to` with the given capacity and cost,
+    /// returning its id (for [`reset_edge`](FlowNetwork::reset_edge)).
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is out of range, `capacity < 0`, or `cost < 0`.
-    pub fn add_edge(&mut self, from: usize, to: usize, capacity: i64, cost: i64) {
+    pub fn add_edge(&mut self, from: usize, to: usize, capacity: i64, cost: i64) -> usize {
         assert!(
             from < self.len() && to < self.len(),
             "endpoint out of range"
         );
         assert!(capacity >= 0, "capacity must be non-negative");
         assert!(cost >= 0, "cost must be non-negative");
-        let rev_from = self.graph[to].len();
-        let rev_to = self.graph[from].len();
-        self.graph[from].push(FlowEdge {
+        let id = self.edges.len();
+        self.push(from, to, capacity, cost);
+        self.push(to, from, 0, -cost);
+        id
+    }
+
+    fn push(&mut self, from: usize, to: usize, capacity: i64, cost: i64) {
+        let id = self.edges.len();
+        self.edges.push(FlowEdge {
             to,
             capacity,
             cost,
-            rev: rev_from,
-            is_forward: true,
+            next: NONE,
         });
-        self.graph[to].push(FlowEdge {
-            to: from,
-            capacity: 0,
-            cost: -cost,
-            rev: rev_to,
-            is_forward: false,
-        });
+        match self.tail[from] {
+            NONE => self.head[from] = id,
+            last => self.edges[last].next = id,
+        }
+        self.tail[from] = id;
+    }
+
+    /// Clears any flow on edge `id` (as returned by
+    /// [`add_edge`](FlowNetwork::add_edge)) and sets its capacity, so one
+    /// network can be re-solved with edges opened, closed or spent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not an edge id or `capacity < 0`.
+    pub fn reset_edge(&mut self, id: usize, capacity: i64) {
+        assert!(
+            id.is_multiple_of(2) && id < self.edges.len(),
+            "not an edge id"
+        );
+        assert!(capacity >= 0, "capacity must be non-negative");
+        self.edges[id].capacity = capacity;
+        self.edges[id ^ 1].capacity = 0;
+    }
+
+    /// Edge ids leaving `node`, residual reverses included, in insertion
+    /// order.
+    fn out_edges(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
+        let live = |e: usize| (e != NONE).then_some(e);
+        std::iter::successors(live(self.head[node]), move |&e| live(self.edges[e].next))
     }
 
     /// Flow currently assigned along each *forward* edge, as
     /// `(from, to, flow)` triples in insertion order.
     pub fn forward_flows(&self) -> Vec<(usize, usize, i64)> {
         let mut out = Vec::new();
-        for (from, edges) in self.graph.iter().enumerate() {
-            for e in edges {
-                if e.is_forward {
-                    // Flow pushed = capacity of the residual reverse edge.
-                    let flow = self.graph[e.to][e.rev].capacity;
-                    out.push((from, e.to, flow));
-                }
+        for from in 0..self.len() {
+            for id in self.out_edges(from).filter(|id| id.is_multiple_of(2)) {
+                // Flow pushed = capacity of the residual reverse edge.
+                out.push((from, self.edges[id].to, self.edges[id ^ 1].capacity));
             }
         }
         out
@@ -122,73 +172,163 @@ pub struct FlowResult {
     pub cost: i64,
 }
 
+/// Shortest-path scratch for one solve: allocated once, reused by every
+/// augmentation of that solve.
+struct Spfa {
+    dist: Vec<i64>,
+    /// Id of the edge each node was last relaxed through, or [`NONE`].
+    prev: Vec<usize>,
+    in_queue: Vec<bool>,
+    queue: VecDeque<usize>,
+}
+
+impl Spfa {
+    fn new(n: usize) -> Self {
+        Spfa {
+            dist: vec![i64::MAX; n],
+            prev: vec![NONE; n],
+            in_queue: vec![false; n],
+            queue: VecDeque::with_capacity(n),
+        }
+    }
+
+    /// FIFO SPFA over the residual graph from `source`, run to completion
+    /// (no early exit at any sink); a node's distance and predecessor only
+    /// change on a strictly shorter path, so ties keep the first-found
+    /// edge in relaxation order.
+    fn run(&mut self, net: &FlowNetwork, source: usize) {
+        self.dist.fill(i64::MAX);
+        self.prev.fill(NONE);
+        self.dist[source] = 0;
+        self.queue.push_back(source);
+        self.in_queue[source] = true;
+        while let Some(u) = self.queue.pop_front() {
+            self.in_queue[u] = false;
+            let du = self.dist[u];
+            let mut id = net.head[u];
+            while id != NONE {
+                let e = &net.edges[id];
+                if e.capacity > 0 && du + e.cost < self.dist[e.to] {
+                    self.dist[e.to] = du + e.cost;
+                    self.prev[e.to] = id;
+                    if !self.in_queue[e.to] {
+                        self.queue.push_back(e.to);
+                        self.in_queue[e.to] = true;
+                    }
+                }
+                id = e.next;
+            }
+        }
+    }
+
+    /// Pushes `amount` units along the shortest path to `sink`, calling
+    /// `visit` with each node the path passes, sink end first (the sink
+    /// itself excluded).
+    fn augment(
+        &self,
+        net: &mut FlowNetwork,
+        sink: usize,
+        amount: i64,
+        mut visit: impl FnMut(usize),
+    ) {
+        let mut v = sink;
+        while self.prev[v] != NONE {
+            let e = self.prev[v];
+            net.edges[e].capacity -= amount;
+            net.edges[e ^ 1].capacity += amount;
+            v = net.edges[e ^ 1].to;
+            visit(v);
+        }
+    }
+
+    /// Smallest residual capacity on the shortest path to `sink`.
+    fn bottleneck(&self, net: &FlowNetwork, sink: usize) -> i64 {
+        let mut min = i64::MAX;
+        let mut v = sink;
+        while self.prev[v] != NONE {
+            let e = self.prev[v];
+            min = min.min(net.edges[e].capacity);
+            v = net.edges[e ^ 1].to;
+        }
+        min
+    }
+}
+
 /// Computes minimum-cost maximum flow from `source` to `sink`, mutating the
 /// network's residual capacities in place.
 ///
-/// Runs successive shortest augmenting paths (SPFA); with the unit-ish
-/// capacities and ≤ tens of nodes used for trap re-balancing this is
-/// effectively instantaneous.
+/// Runs successive shortest augmenting paths, one SPFA per path. Compiler
+/// callers that route a single unit use [`min_cost_unit_path`] instead;
+/// this is the general solver (and its test oracle).
 ///
 /// # Panics
 ///
-/// Panics if `source` or `sink` is out of range.
+/// Panics if `source` or `sink` is out of range, or `source == sink`.
 pub fn min_cost_max_flow(net: &mut FlowNetwork, source: usize, sink: usize) -> FlowResult {
     assert!(source < net.len() && sink < net.len(), "node out of range");
+    assert_ne!(source, sink, "source and sink must differ");
     FLOW_SOLVES.incr();
-    let n = net.len();
+    let mut spfa = Spfa::new(net.len());
     let mut total_flow = 0i64;
     let mut total_cost = 0i64;
-
     loop {
-        // SPFA (Bellman–Ford with a queue) over the residual graph.
-        let mut dist = vec![i64::MAX; n];
-        let mut in_queue = vec![false; n];
-        let mut prev: Vec<Option<(usize, usize)>> = vec![None; n]; // (node, edge idx)
-        dist[source] = 0;
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(source);
-        in_queue[source] = true;
-        while let Some(u) = queue.pop_front() {
-            in_queue[u] = false;
-            let du = dist[u];
-            for (ei, e) in net.graph[u].iter().enumerate() {
-                if e.capacity > 0 && du != i64::MAX && du + e.cost < dist[e.to] {
-                    dist[e.to] = du + e.cost;
-                    prev[e.to] = Some((u, ei));
-                    if !in_queue[e.to] {
-                        queue.push_back(e.to);
-                        in_queue[e.to] = true;
-                    }
-                }
-            }
-        }
-        if dist[sink] == i64::MAX {
+        spfa.run(net, source);
+        if spfa.dist[sink] == i64::MAX {
             break; // no augmenting path remains
         }
         FLOW_AUGMENTING_PATHS.incr();
-        // Find bottleneck along the path.
-        let mut bottleneck = i64::MAX;
-        let mut v = sink;
-        while let Some((u, ei)) = prev[v] {
-            bottleneck = bottleneck.min(net.graph[u][ei].capacity);
-            v = u;
-        }
-        // Apply it.
-        let mut v = sink;
-        while let Some((u, ei)) = prev[v] {
-            let rev = net.graph[u][ei].rev;
-            net.graph[u][ei].capacity -= bottleneck;
-            net.graph[v][rev].capacity += bottleneck;
-            v = u;
-        }
+        let bottleneck = spfa.bottleneck(net, sink);
+        spfa.augment(net, sink, bottleneck, |_| {});
         total_flow += bottleneck;
-        total_cost += bottleneck * dist[sink];
+        total_cost += bottleneck * spfa.dist[sink];
     }
-
     FlowResult {
         flow: total_flow,
         cost: total_cost,
     }
+}
+
+/// Sends one unit of flow from `source` to `sink` along a minimum-cost
+/// path and returns that path as nodes `source ..= sink`, or `None` when
+/// `sink` is unreachable in the residual network (nothing changes then).
+///
+/// This is the first augmentation of [`min_cost_max_flow`] on the same
+/// network — same search, same tie-breaking — capped at one unit, without
+/// the follow-up search a one-unit demand cannot use, and with the path
+/// read off the predecessor chain instead of the flow assignment.
+///
+/// # Example
+///
+/// ```
+/// use qccd_flow::{FlowNetwork, min_cost_unit_path};
+///
+/// let mut net = FlowNetwork::new(4);
+/// net.add_edge(0, 1, 1, 5);
+/// net.add_edge(0, 2, 1, 1);
+/// net.add_edge(1, 3, 1, 1);
+/// net.add_edge(2, 3, 1, 1);
+/// assert_eq!(min_cost_unit_path(&mut net, 0, 3), Some(vec![0, 2, 3]));
+/// assert_eq!(min_cost_unit_path(&mut net, 0, 3), Some(vec![0, 1, 3]));
+/// assert_eq!(min_cost_unit_path(&mut net, 0, 3), None);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `source` or `sink` is out of range, or `source == sink`.
+pub fn min_cost_unit_path(net: &mut FlowNetwork, source: usize, sink: usize) -> Option<Vec<usize>> {
+    assert!(source < net.len() && sink < net.len(), "node out of range");
+    assert_ne!(source, sink, "source and sink must differ");
+    FLOW_SOLVES.incr();
+    let mut spfa = Spfa::new(net.len());
+    spfa.run(net, source);
+    if spfa.dist[sink] == i64::MAX {
+        return None;
+    }
+    FLOW_AUGMENTING_PATHS.incr();
+    let mut path = vec![sink];
+    spfa.augment(net, sink, 1, |v| path.push(v));
+    path.reverse();
+    Some(path)
 }
 
 #[cfg(test)]
@@ -295,6 +435,33 @@ mod tests {
     }
 
     #[test]
+    fn unit_path_follows_cheapest_route_then_residual() {
+        let mut net = FlowNetwork::new(4);
+        net.add_edge(0, 1, 1, 1);
+        net.add_edge(1, 3, 1, 1);
+        net.add_edge(0, 2, 1, 1);
+        net.add_edge(2, 3, 1, 1);
+        // Equal costs: the first-inserted route wins the tie.
+        assert_eq!(min_cost_unit_path(&mut net, 0, 3), Some(vec![0, 1, 3]));
+        assert_eq!(net.forward_flows()[0], (0, 1, 1));
+        assert_eq!(min_cost_unit_path(&mut net, 0, 3), Some(vec![0, 2, 3]));
+        assert_eq!(min_cost_unit_path(&mut net, 0, 3), None);
+    }
+
+    #[test]
+    fn reset_edge_clears_flow_and_reopens() {
+        let mut net = FlowNetwork::new(2);
+        let id = net.add_edge(0, 1, 1, 4);
+        assert_eq!(min_cost_unit_path(&mut net, 0, 1), Some(vec![0, 1]));
+        assert_eq!(min_cost_unit_path(&mut net, 0, 1), None);
+        net.reset_edge(id, 1);
+        assert_eq!(net.forward_flows(), vec![(0, 1, 0)]);
+        assert_eq!(min_cost_unit_path(&mut net, 0, 1), Some(vec![0, 1]));
+        net.reset_edge(id, 0);
+        assert_eq!(min_cost_unit_path(&mut net, 0, 1), None);
+    }
+
+    #[test]
     #[should_panic(expected = "capacity must be non-negative")]
     fn rejects_negative_capacity() {
         let mut net = FlowNetwork::new(2);
@@ -315,7 +482,110 @@ mod property_tests {
     use crate::adjacency::Adjacency;
     use proptest::prelude::*;
 
+    /// The path extraction the compiler used before [`min_cost_unit_path`]:
+    /// a full [`min_cost_max_flow`] solve, then a walk of the flow
+    /// assignment from `source`, one [`FlowNetwork::forward_flows`] scan per
+    /// hop. Only meaningful when at most one unit can flow.
+    fn oracle_unit_path(net: &mut FlowNetwork, source: usize, sink: usize) -> Option<Vec<usize>> {
+        if min_cost_max_flow(net, source, sink).flow != 1 {
+            return None;
+        }
+        let flows = net.forward_flows();
+        let mut path = vec![source];
+        while *path.last().unwrap() != sink {
+            let cur = *path.last().unwrap();
+            let next = flows
+                .iter()
+                .find_map(|&(s, t, f)| (f > 0 && s == cur).then_some(t))
+                .expect("flow conservation");
+            path.push(next);
+            assert!(path.len() <= net.len(), "flow walk cycled");
+        }
+        Some(path)
+    }
+
+    /// A node-split network shaped like the compiler's priced planner:
+    /// in/out halves per node (internal cost `penalty[a]`), segment costs
+    /// from a tiny range so equal-cost routes are everywhere, and a
+    /// one-unit super-source at node `2n` into `src`'s in-half.
+    fn split_network(
+        n: usize,
+        edges: &[(usize, usize)],
+        costs: &[i64],
+        penalty: &[i64],
+        src: usize,
+    ) -> FlowNetwork {
+        let mut adj = Adjacency::new(n);
+        for &(a, b) in edges {
+            if a % n != b % n {
+                adj.add_edge(a % n, b % n);
+            }
+        }
+        let mut net = FlowNetwork::new(2 * n + 1);
+        let mut k = 0;
+        for a in 0..n {
+            net.add_edge(2 * a, 2 * a + 1, 1, penalty[a % penalty.len()]);
+            for &b in adj.neighbors(a) {
+                net.add_edge(2 * a + 1, 2 * b, 1, costs[k % costs.len()]);
+                k += 1;
+            }
+        }
+        net.add_edge(2 * n, 2 * src, 1, 0);
+        net
+    }
+
     proptest! {
+        /// On split networks with tied costs, the primitive returns the
+        /// oracle's path and leaves the identical residual network.
+        #[test]
+        fn unit_path_matches_mcmf_walk_on_tied_split_graphs(
+            n in 2usize..=8,
+            edges in proptest::collection::vec((0usize..8, 0usize..8), 1..20),
+            costs in proptest::collection::vec(1i64..=2, 1..12),
+            penalty in proptest::collection::vec(0i64..=1, 1..8),
+            endpoints in (0usize..8, 0usize..8),
+        ) {
+            let (src, dst) = (endpoints.0 % n, endpoints.1 % n);
+            let mut fast = split_network(n, &edges, &costs, &penalty, src);
+            let mut oracle = fast.clone();
+            let sink = 2 * dst + 1;
+            let got = min_cost_unit_path(&mut fast, 2 * n, sink);
+            let want = oracle_unit_path(&mut oracle, 2 * n, sink);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(fast.forward_flows(), oracle.forward_flows());
+        }
+
+        /// Plain (unsplit) graphs with mixed capacities and zero-cost
+        /// edges, as the baseline re-balancer builds: same path, same
+        /// residual state, and the path costs what the full solve charged.
+        #[test]
+        fn unit_path_matches_mcmf_walk_on_plain_graphs(
+            n in 2usize..=8,
+            edges in proptest::collection::vec((0usize..8, 0usize..8, 1i64..=3, 0i64..=2), 1..24),
+            endpoints in (0usize..8, 0usize..8),
+        ) {
+            let (src, dst) = (endpoints.0 % n, endpoints.1 % n);
+            prop_assume!(src != dst);
+            let mut fast = FlowNetwork::new(n + 1);
+            for &(a, b, cap, cost) in &edges {
+                if a % n != b % n {
+                    fast.add_edge(a % n, b % n, cap, cost);
+                }
+            }
+            fast.add_edge(n, src, 1, 0);
+            let mut oracle = fast.clone();
+            let cost_of = |net: &FlowNetwork| -> i64 {
+                net.forward_flows().iter().zip(edges.iter().filter(|e| e.0 % n != e.1 % n))
+                    .map(|(&(_, _, f), e)| f * e.3)
+                    .sum()
+            };
+            let got = min_cost_unit_path(&mut fast, n, dst);
+            let want = oracle_unit_path(&mut oracle, n, dst);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(fast.forward_flows(), oracle.forward_flows());
+            prop_assert_eq!(cost_of(&fast), cost_of(&oracle));
+        }
+
         /// On a unit-cost bidirectional graph, one unit of min-cost flow
         /// costs exactly the BFS distance.
         #[test]

@@ -7,15 +7,16 @@
 //! deliberately. True minimum-cost multi-commodity flow is NP-hard in the
 //! integral case; this module implements the standard sequential
 //! relaxation on the MCMF substrate: commodities are routed one at a time
-//! through a *shared* residual network whose undirected edges carry unit
-//! capacity, so the routed paths are pairwise edge-disjoint — exactly the
-//! property that lets their k-th hops share the k-th transport round.
+//! through a *shared* residual network, built once per call, whose
+//! undirected edges carry unit capacity, so the routed paths are pairwise
+//! edge-disjoint — exactly the property that lets their k-th hops share
+//! the k-th transport round.
 //! When the shared network has no remaining path for a commodity (the
 //! flows conflict), that commodity falls back to `None` and the caller
 //! routes it alone.
 
 use crate::adjacency::Adjacency;
-use crate::mcmf::{min_cost_max_flow, FlowNetwork};
+use crate::mcmf::{min_cost_unit_path, FlowNetwork};
 
 /// Commodities handed to [`route_commodities`] across all calls.
 static FLOW_COMMODITIES: qccd_obs::Counter = qccd_obs::Counter::new("flow.commodities_routed");
@@ -38,15 +39,22 @@ pub struct Commodity {
 ///
 /// Each undirected edge of `graph` may carry at most one commodity in
 /// total (either direction), and each returned path is simple. Commodities
-/// are processed in the given order; each is routed by min-cost max-flow
-/// over the remaining capacities with `edge_cost(a, b)` pricing the hop
-/// `a → b` (costs must be non-negative). The entry for a commodity is
-/// `None` when the shared network has no path left for it — the flows
-/// conflict — and the caller decides the fallback (typically routing it
-/// alone on the raw topology).
+/// are processed in the given order; each is routed as one unit of
+/// min-cost flow ([`min_cost_unit_path`]) over the remaining capacities
+/// with `edge_cost(a, b)` pricing the hop `a → b` (costs must be
+/// non-negative). The entry for a commodity is `None` when the shared
+/// network has no path left for it — the flows conflict — and the caller
+/// decides the fallback (typically routing it alone on the raw topology).
 ///
 /// A zero-length commodity (`source == sink`) routes to the trivial
 /// one-node path and consumes no capacity.
+///
+/// The node-split network is built once per call: `edge_cost` is called
+/// exactly once per directed segment of `graph`, before any commodity is
+/// routed, so it must be pure — a cost may not depend on earlier
+/// routing. Segments a routed commodity spends drop to capacity 0, and
+/// the super-source has a closed entry edge into every node, opened only
+/// while that node's commodity is being routed.
 ///
 /// # Panics
 ///
@@ -58,9 +66,27 @@ pub fn route_commodities(
 ) -> Vec<Option<Vec<usize>>> {
     let _phase = qccd_obs::span("flow");
     let n = graph.len();
-    // Remaining undirected capacity per (low, high) edge.
-    let mut used: Vec<(usize, usize)> = Vec::new();
-    let key = |a: usize, b: usize| if a <= b { (a, b) } else { (b, a) };
+    // Node-split traps (in-half 2a, out-half 2a + 1, internal capacity 1)
+    // keep paths simple; node 2n is the super-source.
+    let source = 2 * n;
+    let mut net = FlowNetwork::new(2 * n + 1);
+    let mut internal = Vec::with_capacity(n);
+    // Edge id of the k-th directed segment out of `a` sits at
+    // `segments[first[a] + k]`, following `graph.neighbors(a)`.
+    let mut first = Vec::with_capacity(n);
+    let mut segments = Vec::new();
+    for a in 0..n {
+        internal.push(net.add_edge(2 * a, 2 * a + 1, 1, 0));
+        first.push(segments.len());
+        for &b in graph.neighbors(a) {
+            segments.push(net.add_edge(2 * a + 1, 2 * b, 1, edge_cost(a, b)));
+        }
+    }
+    let entries: Vec<usize> = (0..n).map(|a| net.add_edge(source, 2 * a, 0, 0)).collect();
+    let segment = |a: usize, b: usize| {
+        let k = graph.neighbors(a).iter().position(|&x| x == b);
+        segments[first[a] + k.expect("routed hops follow graph edges")]
+    };
 
     commodities
         .iter()
@@ -73,41 +99,27 @@ pub fn route_commodities(
             if c.source == c.sink {
                 return Some(vec![c.source]);
             }
-            // Build the residual network: node-split traps (in/out halves,
-            // internal capacity 1) keep paths simple; spent undirected
-            // edges are omitted.
-            let source = 2 * n;
-            let mut net = FlowNetwork::new(2 * n + 1);
-            for a in 0..n {
-                net.add_edge(2 * a, 2 * a + 1, 1, 0);
-                for &b in graph.neighbors(a) {
-                    if !used.contains(&key(a, b)) {
-                        net.add_edge(2 * a + 1, 2 * b, 1, edge_cost(a, b));
-                    }
-                }
-            }
-            net.add_edge(source, 2 * c.source, 1, 0);
-            let result = min_cost_max_flow(&mut net, source, 2 * c.sink + 1);
-            if result.flow != 1 {
+            net.reset_edge(entries[c.source], 1);
+            let routed = min_cost_unit_path(&mut net, source, 2 * c.sink + 1);
+            net.reset_edge(entries[c.source], 0);
+            let Some(nodes) = routed else {
                 FLOW_COMMODITY_FALLBACKS.incr();
                 return None;
-            }
-            // Follow the unit of flow through the out-halves.
-            let flows = net.forward_flows();
-            let mut path = vec![c.source];
-            let mut cur = c.source;
-            while cur != c.sink {
-                let next = flows.iter().find_map(|&(s, t, f)| {
-                    (f > 0 && s == 2 * cur + 1 && t % 2 == 0).then_some(t / 2)
-                })?;
-                path.push(next);
-                cur = next;
-                if path.len() > n {
-                    return None; // defensive: malformed flow
-                }
+            };
+            // The out-halves the unit passes spell the trap path.
+            let path: Vec<usize> = nodes
+                .into_iter()
+                .filter(|&v| v % 2 == 1 && v < source)
+                .map(|v| v / 2)
+                .collect();
+            // Re-open the traps the unit crossed; spend its segments in
+            // both directions.
+            for &a in &path {
+                net.reset_edge(internal[a], 1);
             }
             for w in path.windows(2) {
-                used.push(key(w[0], w[1]));
+                net.reset_edge(segment(w[0], w[1]), 0);
+                net.reset_edge(segment(w[1], w[0]), 0);
             }
             Some(path)
         })
@@ -193,6 +205,122 @@ mod tests {
                 assert!(!seen.contains(&k), "segment {k:?} used twice");
                 seen.push(k);
             }
+        }
+    }
+
+    #[test]
+    fn edge_cost_is_called_once_per_directed_segment() {
+        for g in [
+            Adjacency::line(5),
+            Adjacency::ring(6),
+            Adjacency::grid(3, 4),
+        ] {
+            let mut calls: Vec<(usize, usize)> = Vec::new();
+            let demands = [c(0, 4), c(0, 4), c(2, 2), c(4, 0), c(1, 3)];
+            route_commodities(&g, &demands, |a, b| {
+                calls.push((a, b));
+                1
+            });
+            let mut expected: Vec<(usize, usize)> = (0..g.len())
+                .flat_map(|a| g.neighbors(a).iter().map(move |&b| (a, b)))
+                .collect();
+            calls.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(calls, expected);
+        }
+    }
+}
+
+#[cfg(test)]
+mod property_tests {
+    use super::*;
+    use crate::mcmf::{min_cost_max_flow, FlowNetwork};
+    use proptest::prelude::*;
+
+    /// The per-commodity rebuild [`route_commodities`] replaced, kept as
+    /// its oracle: a fresh split network for every commodity with spent
+    /// segments left out, a full [`min_cost_max_flow`] solve, and a walk of
+    /// the flow assignment.
+    fn reference_route_commodities(
+        graph: &Adjacency,
+        commodities: &[Commodity],
+        edge_cost: impl Fn(usize, usize) -> i64,
+    ) -> Vec<Option<Vec<usize>>> {
+        let n = graph.len();
+        let mut used: Vec<(usize, usize)> = Vec::new();
+        let key = |a: usize, b: usize| if a <= b { (a, b) } else { (b, a) };
+        commodities
+            .iter()
+            .map(|c| {
+                if c.source == c.sink {
+                    return Some(vec![c.source]);
+                }
+                let source = 2 * n;
+                let mut net = FlowNetwork::new(2 * n + 1);
+                for a in 0..n {
+                    net.add_edge(2 * a, 2 * a + 1, 1, 0);
+                    for &b in graph.neighbors(a) {
+                        if !used.contains(&key(a, b)) {
+                            net.add_edge(2 * a + 1, 2 * b, 1, edge_cost(a, b));
+                        }
+                    }
+                }
+                net.add_edge(source, 2 * c.source, 1, 0);
+                if min_cost_max_flow(&mut net, source, 2 * c.sink + 1).flow != 1 {
+                    return None;
+                }
+                let flows = net.forward_flows();
+                let mut path = vec![c.source];
+                let mut cur = c.source;
+                while cur != c.sink {
+                    let next = flows
+                        .iter()
+                        .find_map(|&(s, t, f)| {
+                            (f > 0 && s == 2 * cur + 1 && t % 2 == 0).then_some(t / 2)
+                        })
+                        .expect("flow conservation");
+                    path.push(next);
+                    cur = next;
+                }
+                for w in path.windows(2) {
+                    used.push(key(w[0], w[1]));
+                }
+                Some(path)
+            })
+            .collect()
+    }
+
+    fn graph(kind: usize, size: usize) -> Adjacency {
+        match kind % 3 {
+            0 => Adjacency::line(size),
+            1 => Adjacency::ring(size.max(3)),
+            _ => Adjacency::grid(2 + size % 3, 2 + size / 3 % 3),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The build-once router matches the per-commodity rebuild on
+        /// line, ring and grid graphs: conflicts, `None` fallbacks and
+        /// zero-length commodities included, under tied asymmetric costs.
+        #[test]
+        fn build_once_routing_matches_per_commodity_rebuild(
+            kind in 0usize..3,
+            size in 2usize..=9,
+            demands in proptest::collection::vec((0usize..16, 0usize..16), 0..10),
+            costs in proptest::collection::vec(1i64..=3, 1..20),
+        ) {
+            let g = graph(kind, size);
+            let n = g.len();
+            let commodities: Vec<Commodity> = demands
+                .iter()
+                .map(|&(a, b)| Commodity { source: a % n, sink: b % n })
+                .collect();
+            let cost = |a: usize, b: usize| costs[(a * 7 + b * 3) % costs.len()];
+            let got = route_commodities(&g, &commodities, cost);
+            let want = reference_route_commodities(&g, &commodities, cost);
+            prop_assert_eq!(got, want);
         }
     }
 }

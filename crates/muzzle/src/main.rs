@@ -1134,6 +1134,24 @@ mod tests {
         assert_eq!(err, "--top: `five` is not a valid number");
     }
 
+    /// Degenerate generator dimensions reach `main` as errors (exit 2),
+    /// never as a generator panic (exit 101).
+    #[test]
+    fn degenerate_circuit_dimensions_are_usage_errors() {
+        for spec in [
+            "qaoa:0x1",
+            "qaoa:5x2",
+            "random:0x10",
+            "random:1x10",
+            "quadform:0x0",
+            "sqrt:0x0",
+            "sqrt:2x1",
+        ] {
+            let err = cmd_compile(&args(&["--circuit", spec])).unwrap_err();
+            assert!(err.contains(spec), "`{spec}` → `{err}`");
+        }
+    }
+
     #[test]
     fn jobs_flag_parses_and_reaches_the_config() {
         let opts = parse_common(&args(&[]), &[], &[]).unwrap();

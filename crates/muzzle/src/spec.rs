@@ -81,6 +81,19 @@ pub fn parse_circuit(spec: &str, file_qubits: Option<u32>) -> Result<CircuitSpec
         }
     };
 
+    // The generators assert their structural minimums; below them the
+    // spec is a usage error, not a panic.
+    let require = |ok: bool, need: &str| -> Result<(), String> {
+        if ok {
+            Ok(())
+        } else {
+            Err(format!(
+                "circuit family `{family}` needs {need}, got {} qubits in `{spec}`",
+                dims[0]
+            ))
+        }
+    };
+
     let circuit = match family {
         "qft" => {
             expect(1)?;
@@ -88,6 +101,10 @@ pub fn parse_circuit(spec: &str, file_qubits: Option<u32>) -> Result<CircuitSpec
         }
         "qaoa" => {
             expect(2)?;
+            require(
+                dims[0] >= 4 && dims[0].is_multiple_of(2),
+                "an even qubit count of at least 4 (a 3-regular graph)",
+            )?;
             qaoa(dims[0] as u32, dims[1] as u32, seed.unwrap_or(0xA0A0))
         }
         "supremacy" => {
@@ -96,14 +113,17 @@ pub fn parse_circuit(spec: &str, file_qubits: Option<u32>) -> Result<CircuitSpec
         }
         "sqrt" => {
             expect(2)?;
+            require(dims[0] >= 4, "at least 4 qubits")?;
             square_root(dims[0] as u32, dims[1] as u32)
         }
         "quadform" => {
             expect(2)?;
+            require(dims[0] >= 2, "at least 2 qubits")?;
             quadratic_form(dims[0] as u32, dims[1] as usize)
         }
         "random" => {
             expect(2)?;
+            require(dims[0] >= 2, "at least 2 qubits")?;
             random_circuit(dims[0] as u32, dims[1] as usize, seed.unwrap_or(7))
         }
         other => {
@@ -281,6 +301,44 @@ mod tests {
             parse_circuit("file:nope.txt", None).is_err(),
             "file needs --qubits"
         );
+    }
+
+    /// Below a generator's structural minimum the spec is rejected with
+    /// the requirement named, instead of reaching the generator's assert.
+    fn rejects_small(specs: &[&str], needle: &str) {
+        for spec in specs {
+            let err = parse_circuit(spec, None)
+                .err()
+                .unwrap_or_else(|| panic!("{spec}"));
+            assert!(err.contains(needle), "`{spec}` → `{err}`");
+        }
+    }
+
+    #[test]
+    fn rejects_qaoa_without_a_cubic_graph() {
+        rejects_small(&["qaoa:0x1", "qaoa:2x3", "qaoa:5x2", "qaoa:7x1@3"], "even");
+        assert!(parse_circuit("qaoa:4x0", None).is_ok());
+    }
+
+    #[test]
+    fn rejects_random_circuits_below_two_qubits() {
+        rejects_small(
+            &["random:0x10", "random:1x10", "random:1x0@4"],
+            "at least 2 qubits",
+        );
+        assert!(parse_circuit("random:2x0", None).is_ok());
+    }
+
+    #[test]
+    fn rejects_quadform_below_two_qubits() {
+        rejects_small(&["quadform:0x0", "quadform:1x5"], "at least 2 qubits");
+        assert!(parse_circuit("quadform:2x0", None).is_ok());
+    }
+
+    #[test]
+    fn rejects_sqrt_below_four_qubits() {
+        rejects_small(&["sqrt:0x0", "sqrt:2x1", "sqrt:3x4"], "at least 4 qubits");
+        assert!(parse_circuit("sqrt:4x0", None).is_ok());
     }
 
     #[test]

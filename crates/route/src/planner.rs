@@ -2,7 +2,7 @@
 //! priced with min-cost max-flow.
 
 use crate::policy::RouterPolicy;
-use qccd_flow::{min_cost_max_flow, FlowNetwork};
+use qccd_flow::{min_cost_unit_path, FlowNetwork};
 use qccd_machine::{MachineState, TrapId, TrapTopology};
 
 /// Per-segment congestion surcharge cap. Loads are clamped here so the
@@ -222,6 +222,7 @@ pub fn plan_eviction_weighted(
     full_trap_penalty: u32,
     weight: Option<&EdgeWeightFn>,
 ) -> Option<(TrapId, Vec<TrapId>)> {
+    let _phase = qccd_obs::span("route-plan");
     let topology = state.spec().topology();
     let n = topology.num_traps() as usize;
     // One extra node past the trap halves and the source: the super-sink
@@ -239,28 +240,9 @@ pub fn plan_eviction_weighted(
         return None;
     }
     net.add_edge(2 * n, 2 * blocked.index(), 1, 0);
-    let result = min_cost_max_flow(&mut net, 2 * n, sink);
-    if result.flow != 1 {
-        return None;
-    }
-    // Follow the unit of flow out-half to out-half until it exits to the
-    // super-sink; the trap it exits from is the destination.
-    let flows = net.forward_flows();
-    let mut path = vec![blocked];
-    let mut cur = blocked;
-    loop {
-        if flows
-            .iter()
-            .any(|&(s, t, f)| f > 0 && s == 2 * cur.index() + 1 && t == sink)
-        {
-            return Some((cur, path));
-        }
-        cur = flow_next_trap(&flows, cur, n)?;
-        path.push(cur);
-        if path.len() > n {
-            return None; // defensive: malformed flow
-        }
-    }
+    // The trap the unit exits to the super-sink from is the destination.
+    let path = trap_path(&min_cost_unit_path(&mut net, 2 * n, sink)?, n);
+    Some((*path.last()?, path))
 }
 
 /// Builds the priced node-split network [`priced_route`] and
@@ -300,13 +282,15 @@ fn priced_network(
     net
 }
 
-/// Follows one unit of flow from `cur`'s out-half to the next trap's
-/// in-half, if any.
-fn flow_next_trap(flows: &[(usize, usize, i64)], cur: TrapId, n: usize) -> Option<TrapId> {
-    flows.iter().find_map(|&(s, t, f)| {
-        (f > 0 && s == 2 * cur.index() + 1 && t % 2 == 0 && t < 2 * n)
-            .then_some(TrapId((t / 2) as u32))
-    })
+/// The trap path spelled by a unit path through [`priced_network`]: the
+/// out-halves it passes, in order (the caller's super-nodes sit at `2n`
+/// and above).
+fn trap_path(nodes: &[usize], n: usize) -> Vec<TrapId> {
+    nodes
+        .iter()
+        .filter(|&&v| v % 2 == 1 && v < 2 * n)
+        .map(|&v| TrapId((v / 2) as u32))
+        .collect()
 }
 
 /// Minimum-cost route from `from` to `dest` on the shared
@@ -320,6 +304,7 @@ fn priced_route(
     load: &EdgeLoad,
     weight: Option<&EdgeWeightFn>,
 ) -> Option<PlannedRoute> {
+    let _phase = qccd_obs::span("route-plan");
     let n = state.spec().topology().num_traps() as usize;
     let mut net = priced_network(
         state,
@@ -330,23 +315,8 @@ fn priced_route(
         weight,
     );
     net.add_edge(2 * n, 2 * from.index(), 1, 0);
-    let result = min_cost_max_flow(&mut net, 2 * n, 2 * dest.index() + 1);
-    if result.flow != 1 {
-        return None;
-    }
-    // Follow the unit of flow through the out-halves.
-    let flows = net.forward_flows();
-    let mut path = vec![from];
-    let mut cur = from;
-    while cur != dest {
-        cur =
-            flow_next_trap(&flows, cur, n).expect("flow conservation guarantees an outgoing unit");
-        path.push(cur);
-        if path.len() > n {
-            return None; // defensive: malformed flow
-        }
-    }
-    Some(PlannedRoute::from_path(state, path))
+    let nodes = min_cost_unit_path(&mut net, 2 * n, 2 * dest.index() + 1)?;
+    Some(PlannedRoute::from_path(state, trap_path(&nodes, n)))
 }
 
 #[cfg(test)]
