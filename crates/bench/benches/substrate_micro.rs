@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the substrates: DAG construction, flow routing,
-//! schedule validation.
+//! round backfill, schedule validation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qccd_circuit::generators::{qft, random_circuit};
@@ -7,7 +7,8 @@ use qccd_core::{compile, CompilerConfig};
 use qccd_flow::{
     min_cost_max_flow, min_cost_unit_path, route_commodities, Adjacency, Commodity, FlowNetwork,
 };
-use qccd_machine::MachineSpec;
+use qccd_machine::{MachineSpec, Operation, ShuttleMove, TrapTopology};
+use qccd_route::{BackfillRules, CreditRule, RoundBackfill};
 use std::hint::black_box;
 
 fn bench_dag_build(c: &mut Criterion) {
@@ -40,21 +41,27 @@ fn bench_flow(c: &mut Criterion) {
     });
     // The congestion planner's shape: a node-split 4x4 grid (in/out halves
     // per trap), segment costs one scaled hop plus a load surcharge, one
-    // unit from a corner trap to the opposite one. Built per call, as the
-    // planner does.
+    // unit from a corner trap to the opposite one. Built once and
+    // re-priced in place per call, as the planner does.
     let grid = Adjacency::grid(4, 4);
+    let n = grid.len();
+    let hop_scale = (n as i64 + 1) * 16;
+    let mut net = FlowNetwork::new(2 * n + 1);
+    let mut priced = Vec::new();
+    for a in 0..n {
+        priced.push((net.add_edge(2 * a, 2 * a + 1, 1, 0), 0));
+        for &nb in grid.neighbors(a) {
+            let cost = hop_scale + ((a + nb) % 3) as i64;
+            priced.push((net.add_edge(2 * a + 1, 2 * nb, 1, cost), cost));
+        }
+    }
+    let entry = net.add_edge(2 * n, 0, 1, 0);
     c.bench_function("unit_path_grid4x4", |b| {
         b.iter(|| {
-            let n = grid.len();
-            let hop_scale = (n as i64 + 1) * 16;
-            let mut net = FlowNetwork::new(2 * n + 1);
-            for a in 0..n {
-                net.add_edge(2 * a, 2 * a + 1, 1, 0);
-                for &nb in grid.neighbors(a) {
-                    net.add_edge(2 * a + 1, 2 * nb, 1, hop_scale + ((a + nb) % 3) as i64);
-                }
+            for &(id, cost) in &priced {
+                net.set_edge(id, 1, cost);
             }
-            net.add_edge(2 * n, 0, 1, 0);
+            net.set_edge(entry, 1, 0);
             min_cost_unit_path(black_box(&mut net), 2 * n, 2 * (n - 1) + 1)
         })
     });
@@ -80,6 +87,40 @@ fn bench_flow(c: &mut Criterion) {
     });
 }
 
+fn bench_backfill(c: &mut Criterion) {
+    // The cross-gate packer's backfill over a compiled 4x4-grid schedule:
+    // every hop first-fit placed (no-credit capacity, window 96), every
+    // gate fencing its trap.
+    let spec = MachineSpec::new(TrapTopology::grid(4, 4), 12, 2).expect("valid grid");
+    let circuit = random_circuit(120, 2000, 1);
+    let compiled = compile(&circuit, &spec, &CompilerConfig::optimized()).expect("compiles");
+    let schedule = &compiled.schedule;
+    let num_traps = spec.num_traps() as usize;
+    let mut occ0 = vec![0u32; num_traps];
+    for t in schedule.initial_mapping.as_slice() {
+        occ0[t.index()] += 1;
+    }
+    let rules = BackfillRules {
+        credit: CreditRule::NoCredit,
+        share_only: false,
+        window: 96,
+    };
+    c.bench_function("backfill_place_grid4x4", |b| {
+        b.iter(|| {
+            let mut bf = RoundBackfill::new(num_traps, 12, occ0.clone(), rules);
+            for op in &schedule.operations {
+                match *op {
+                    Operation::Gate { trap, .. } => bf.note_gate(trap),
+                    Operation::Shuttle { ion, from, to } => {
+                        bf.place(ShuttleMove { ion, from, to });
+                    }
+                }
+            }
+            black_box(bf.rounds().count())
+        })
+    });
+}
+
 fn bench_schedule_validation(c: &mut Criterion) {
     let spec = MachineSpec::paper_l6();
     let circuit = random_circuit(64, 1438, 5);
@@ -97,6 +138,7 @@ criterion_group!(
     benches,
     bench_dag_build,
     bench_flow,
+    bench_backfill,
     bench_schedule_validation
 );
 criterion_main!(benches);

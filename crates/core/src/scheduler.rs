@@ -12,10 +12,7 @@ use crate::stats::CompileStats;
 use qccd_circuit::{Circuit, DependencyDag, GateId, GateQubits, ReadySet};
 use qccd_flow::{route_commodities, Commodity};
 use qccd_machine::{InitialMapping, IonId, MachineSpec, MachineState, Operation, Schedule, TrapId};
-use qccd_route::{
-    plan_eviction_weighted, plan_route, plan_route_weighted, route_budget, EdgeLoad, RouterPolicy,
-    TransportSchedule,
-};
+use qccd_route::{route_budget, EdgeWeightFn, RoutePlanner, RouterPolicy, TransportSchedule};
 use qccd_timing::Timeline;
 use std::collections::VecDeque;
 
@@ -166,7 +163,7 @@ pub fn compile_with_mapping(
         config,
         dag,
         ready,
-        edge_load: EdgeLoad::new(spec.num_traps()),
+        planner: RoutePlanner::new(spec.topology()),
         state,
         pending,
         remaining,
@@ -225,9 +222,10 @@ struct Scheduler<'a> {
     config: &'a CompilerConfig,
     dag: DependencyDag,
     ready: ReadySet,
-    /// Decaying per-segment traffic counters feeding the congestion
-    /// router's edge pricing (ignored by the serial router).
-    edge_load: EdgeLoad,
+    /// The route planner, with its decaying per-segment traffic counters
+    /// feeding the congestion router's edge pricing (ignored by the
+    /// serial router) and its one priced network for the whole compile.
+    planner: RoutePlanner,
     state: MachineState,
     /// Planned execution order of not-yet-executed gates; front = active.
     /// Always a subsequence of the initial (layer, id)-sorted topological
@@ -337,7 +335,7 @@ impl Scheduler<'_> {
         self.stats.gate_ops += 1;
         // Each retired gate ages the congestion picture: only traffic from
         // the recent past should price routes.
-        self.edge_load.decay();
+        self.planner.decay();
         self.ready.mark_done(&self.dag, gate_id);
         self.remaining.mark_done(self.circuit, gate_id);
         self.pending.remove(pos);
@@ -430,15 +428,14 @@ impl Scheduler<'_> {
             return choice.decision;
         };
         let model = clock.model();
-        let plan_walk = |d: &MoveDecision| -> Option<(IonId, Vec<TrapId>)> {
+        let mut plan_walk = |d: &MoveDecision| -> Option<(IonId, Vec<TrapId>)> {
             let topology = self.state.spec().topology();
             let weight = |a: TrapId, b: TrapId| edge_weight(&model, topology, a, b);
-            let plan = plan_route_weighted(
+            let plan = self.planner.plan_route(
                 self.config.router,
                 &self.state,
                 d.from,
                 d.to,
-                &self.edge_load,
                 Some(&weight),
             )?;
             if self.state.is_full(d.to) || plan.full_interior_traps > 0 {
@@ -692,27 +689,18 @@ impl Scheduler<'_> {
             // (fullness never severs reachability, only prices it).
             // The clock objective prices segments by timed duration
             // (junction-aware) instead of unit hops.
-            let plan = match self.clock.as_ref() {
-                Some(clock) => {
-                    let model = clock.model();
-                    let topology = self.state.spec().topology();
-                    let weight = |a: TrapId, b: TrapId| edge_weight(&model, topology, a, b);
-                    plan_route_weighted(
-                        self.config.router,
-                        &self.state,
-                        cur,
-                        dest,
-                        &self.edge_load,
-                        Some(&weight),
-                    )
-                }
-                None => plan_route(self.config.router, &self.state, cur, dest, &self.edge_load),
-            }
-            .ok_or(CompileError::Unreachable {
-                ion,
-                from: start,
-                to: dest,
-            })?;
+            let model = self.clock.as_ref().map(ClockScorer::model);
+            let topology = self.state.spec().topology();
+            let weight = model.map(|m| move |a: TrapId, b: TrapId| edge_weight(&m, topology, a, b));
+            let weight = weight.as_ref().map(|w| w as &EdgeWeightFn);
+            let plan = self
+                .planner
+                .plan_route(self.config.router, &self.state, cur, dest, weight)
+                .ok_or(CompileError::Unreachable {
+                    ion,
+                    from: start,
+                    to: dest,
+                })?;
             let next = plan.path[1];
             let mut attempts = 0u32;
             while self.state.is_full(next) {
@@ -738,7 +726,7 @@ impl Scheduler<'_> {
     fn hop(&mut self, ion: IonId, to: TrapId) -> Result<(), CompileError> {
         let from = self.state.trap_of(ion);
         self.state.shuttle(ion, to)?;
-        self.edge_load.record(from, to);
+        self.planner.record(from, to);
         let op = Operation::Shuttle { ion, from, to };
         self.ops.push(op);
         self.commit_clock(op)?;
@@ -761,10 +749,10 @@ impl Scheduler<'_> {
     ///
     /// Under the congestion router with the nearest-neighbour rebalance
     /// policy, the destination and route are priced together on the
-    /// planner's MCMF network ([`plan_eviction`]): hop count still
-    /// dominates (the destination stays a nearest non-full trap), but ties
-    /// break toward cold corridors and routes avoid full interior traps
-    /// when an equal-cost detour exists. The baseline `FromTrapZero`
+    /// planner's MCMF network ([`RoutePlanner::plan_eviction`]): hop
+    /// count still dominates (the destination stays a nearest non-full
+    /// trap), but ties break toward cold corridors and routes avoid full
+    /// interior traps when an equal-cost detour exists. The baseline `FromTrapZero`
     /// policy keeps the paper's T0-first rule even under the congestion
     /// router (the policy *is* the thing a baseline comparison measures),
     /// and the serial router keeps every paper policy bit-for-bit.
@@ -793,25 +781,18 @@ impl Scheduler<'_> {
                 let topology = self.state.spec().topology();
                 let weight = weight_hook
                     .map(|model| move |a: TrapId, b: TrapId| edge_weight(&model, topology, a, b));
-                let weight = weight.as_ref().map(|w| w as &dyn Fn(TrapId, TrapId) -> u32);
-                plan_eviction_weighted(
-                    &self.state,
-                    blocked,
-                    avoid,
-                    &self.edge_load,
-                    full_trap_penalty,
-                    weight,
-                )
-                .or_else(|| {
-                    plan_eviction_weighted(
-                        &self.state,
-                        blocked,
-                        &[],
-                        &self.edge_load,
-                        full_trap_penalty,
-                        weight,
-                    )
-                })
+                let weight = weight.as_ref().map(|w| w as &EdgeWeightFn);
+                self.planner
+                    .plan_eviction(&self.state, blocked, avoid, full_trap_penalty, weight)
+                    .or_else(|| {
+                        self.planner.plan_eviction(
+                            &self.state,
+                            blocked,
+                            &[],
+                            full_trap_penalty,
+                            weight,
+                        )
+                    })
             }
             _ => None,
         };

@@ -137,9 +137,30 @@ impl FlowNetwork {
             id.is_multiple_of(2) && id < self.edges.len(),
             "not an edge id"
         );
+        self.set_edge(id, capacity, self.edges[id].cost);
+    }
+
+    /// Clears any flow on edge `id` and sets both its capacity and its
+    /// cost, so a network built once can be re-priced and re-solved in
+    /// place. Node lists are untouched: the edge keeps its position in
+    /// the relaxation order, and a capacity-0 edge is never relaxed, so a
+    /// re-priced network searches exactly like a fresh one built with the
+    /// same edges in the same order (closed edges left out).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not an edge id, `capacity < 0`, or `cost < 0`.
+    pub fn set_edge(&mut self, id: usize, capacity: i64, cost: i64) {
+        assert!(
+            id.is_multiple_of(2) && id < self.edges.len(),
+            "not an edge id"
+        );
         assert!(capacity >= 0, "capacity must be non-negative");
+        assert!(cost >= 0, "cost must be non-negative");
         self.edges[id].capacity = capacity;
+        self.edges[id].cost = cost;
         self.edges[id ^ 1].capacity = 0;
+        self.edges[id ^ 1].cost = -cost;
     }
 
     /// Edge ids leaving `node`, residual reverses included, in insertion
@@ -459,6 +480,21 @@ mod tests {
         assert_eq!(min_cost_unit_path(&mut net, 0, 1), Some(vec![0, 1]));
         net.reset_edge(id, 0);
         assert_eq!(min_cost_unit_path(&mut net, 0, 1), None);
+    }
+
+    #[test]
+    fn set_edge_reprices_in_place() {
+        let mut net = FlowNetwork::new(3);
+        let direct = net.add_edge(0, 2, 1, 1);
+        net.add_edge(0, 1, 1, 1);
+        net.add_edge(1, 2, 1, 1);
+        assert_eq!(min_cost_unit_path(&mut net, 0, 2), Some(vec![0, 2]));
+        // Re-opened but now dearer than the two-hop detour.
+        net.set_edge(direct, 1, 5);
+        assert_eq!(net.forward_flows()[0], (0, 2, 0));
+        assert_eq!(min_cost_unit_path(&mut net, 0, 2), Some(vec![0, 1, 2]));
+        net.set_edge(direct, 0, 0);
+        assert_eq!(min_cost_unit_path(&mut net, 0, 2), None);
     }
 
     #[test]

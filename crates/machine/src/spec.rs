@@ -140,9 +140,11 @@ impl MachineSpec {
         self.total_capacity - self.comm_capacity
     }
 
-    /// Total ions the whole machine may host at initial allocation.
+    /// Total ions the whole machine may host at initial allocation,
+    /// saturating at `u32::MAX` (no circuit has more qubits than that).
     pub fn initial_capacity(&self) -> u32 {
-        self.initial_capacity_per_trap() * self.num_traps()
+        self.initial_capacity_per_trap()
+            .saturating_mul(self.num_traps())
     }
 
     /// Validates a trap id against this machine.

@@ -280,7 +280,11 @@ impl MachineState {
         }
         for t in 0..num_traps {
             let occ = self.chains[t].len() as u32;
-            if occ + arrivals[t] > self.spec.total_capacity() + departures[t] {
+            // Summed in u64: `capacity + departures` wraps u32 near
+            // `u32::MAX`.
+            if u64::from(occ) + u64::from(arrivals[t])
+                > u64::from(self.spec.total_capacity()) + u64::from(departures[t])
+            {
                 return Err(MachineError::RoundOverfill {
                     trap: TrapId(t as u32),
                     occupancy: occ,

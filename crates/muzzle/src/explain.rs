@@ -58,8 +58,8 @@ pub fn cmd_explain(args: &[String]) -> Result<(), String> {
         .find(|(k, _)| k == "--gantt")
         .map(|(_, v)| v.clone());
 
-    let circuit = crate::require_circuit(&opts)?;
     let machine = opts.machine.build()?;
+    let circuit = crate::require_circuit(&opts, machine.initial_capacity())?;
     let config = crate::build_config(
         &opts.policy,
         opts.proximity,

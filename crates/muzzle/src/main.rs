@@ -458,12 +458,14 @@ pub fn emit(report: &str, out: &Option<String>) -> Result<(), String> {
     }
 }
 
-fn require_circuit(opts: &CommonOptions) -> Result<CircuitSpec, String> {
+/// Parses `--circuit`, rejecting circuits with more qubits than
+/// `max_qubits` (the machine's ion capacity) before generating them.
+fn require_circuit(opts: &CommonOptions, max_qubits: u32) -> Result<CircuitSpec, String> {
     let spec = opts
         .circuit
         .as_deref()
         .ok_or("missing --circuit (e.g. --circuit qft:16)")?;
-    parse_circuit(spec, opts.qubits)
+    parse_circuit(spec, opts.qubits, max_qubits)
 }
 
 fn sim_report_json(report: &SimReport) -> Json {
@@ -590,8 +592,8 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
         ],
     )?;
     apply_verbosity(&opts);
-    let circuit = require_circuit(&opts)?;
     let machine = opts.machine.build()?;
+    let circuit = require_circuit(&opts, machine.initial_capacity())?;
     let config = build_config(
         &opts.policy,
         opts.proximity,
@@ -748,8 +750,8 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let opts = parse_common(args, &[], &["--compare", "--profile"])?;
-    let circuit = require_circuit(&opts)?;
     let machine = opts.machine.build()?;
+    let circuit = require_circuit(&opts, machine.initial_capacity())?;
     let params = SimParams::default();
     let compare = opts.extra_flags.iter().any(|f| f == "--compare");
     let profile = opts.extra_flags.iter().any(|f| f == "--profile");
@@ -926,7 +928,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let opts = parse_common(args, &["--param", "--values"], &[])?;
-    let circuit = require_circuit(&opts)?;
     let param = opts
         .extra_values
         .iter()
@@ -963,6 +964,29 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         )?;
     }
 
+    // The traps sweep keeps every machine option but the trap count.
+    let traps_machine = |traps: u32| {
+        MachineOptions {
+            traps,
+            capacity: opts.machine.capacity,
+            comm: opts.machine.comm,
+            topology: opts.machine.topology.clone(),
+            zones: None,
+        }
+        .build()
+    };
+    // The largest machine of the sweep bounds the circuit.
+    let max_qubits = if param == "traps" {
+        let mut max = 0;
+        for &value in &values {
+            max = max.max(traps_machine(value)?.initial_capacity());
+        }
+        max
+    } else {
+        opts.machine.build()?.initial_capacity()
+    };
+    let circuit = require_circuit(&opts, max_qubits)?;
+
     struct Row {
         value: u32,
         baseline: usize,
@@ -992,36 +1016,27 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                     opts.jobs,
                 )?,
             ),
-            "traps" => {
-                let mut m = MachineOptions {
-                    traps: value,
-                    ..MachineOptions::default()
-                };
-                m.capacity = opts.machine.capacity;
-                m.comm = opts.machine.comm;
-                m.topology = opts.machine.topology.clone();
-                (
-                    m.build()?,
-                    build_config(
-                        "baseline",
-                        None,
-                        &opts.router,
-                        &opts.timing,
-                        &opts.objective,
-                        &opts.score_mode,
-                        opts.jobs,
-                    )?,
-                    build_config(
-                        "optimized",
-                        opts.proximity,
-                        &opts.router,
-                        &opts.timing,
-                        &opts.objective,
-                        &opts.score_mode,
-                        opts.jobs,
-                    )?,
-                )
-            }
+            "traps" => (
+                traps_machine(value)?,
+                build_config(
+                    "baseline",
+                    None,
+                    &opts.router,
+                    &opts.timing,
+                    &opts.objective,
+                    &opts.score_mode,
+                    opts.jobs,
+                )?,
+                build_config(
+                    "optimized",
+                    opts.proximity,
+                    &opts.router,
+                    &opts.timing,
+                    &opts.objective,
+                    &opts.score_mode,
+                    opts.jobs,
+                )?,
+            ),
             other => {
                 return Err(format!(
                     "unknown sweep parameter `{other}` (expected proximity or traps)"
@@ -1149,6 +1164,52 @@ mod tests {
         ] {
             let err = cmd_compile(&args(&["--circuit", spec])).unwrap_err();
             assert!(err.contains(spec), "`{spec}` → `{err}`");
+        }
+    }
+
+    /// Circuits larger than the machine are usage errors raised before
+    /// any generator runs — one oversized spec per family, on every
+    /// subcommand that generates a circuit.
+    #[test]
+    fn oversized_circuit_specs_are_usage_errors() {
+        for spec in [
+            "qft:4294967295",
+            "qaoa:4294967294x1",
+            "supremacy:65536x65536x1",
+            "sqrt:4294967295x2",
+            "quadform:4294967295x2",
+            "random:4294967295x2",
+        ] {
+            let args = args(&["--circuit", spec]);
+            for err in [
+                cmd_compile(&args),
+                cmd_simulate(&args),
+                cmd_sweep(&args),
+                explain::cmd_explain(&args),
+            ] {
+                let err = err.unwrap_err();
+                assert!(
+                    err.contains("the machine holds at most"),
+                    "`{spec}` → `{err}`"
+                );
+            }
+        }
+    }
+
+    /// A trap capacity of `u32::MAX` compiles under every router and both
+    /// objectives (round-capacity sums once wrapped u32 there).
+    #[test]
+    fn capacity_u32_max_compiles_under_every_router() {
+        for stack in [
+            &["--router", "serial"][..],
+            &["--router", "congestion"],
+            &["--router", "lookahead"],
+            &["--router", "packed"],
+            &["--objective", "clock"],
+        ] {
+            let mut list = vec!["--capacity", "4294967295", "--circuit", "qft:8", "--quiet"];
+            list.extend_from_slice(stack);
+            cmd_compile(&args(&list)).unwrap_or_else(|e| panic!("{stack:?}: {e}"));
         }
     }
 

@@ -27,13 +27,32 @@ pub struct CircuitSpec {
 /// | `quadform:64x3400` | QuadraticForm with ≈3400 two-qubit gates |
 /// | `random:60x1438[@seed]` | uniform random two-qubit circuit |
 /// | `file:prog.txt` | program text in the paper's listing format |
-pub fn parse_circuit(spec: &str, file_qubits: Option<u32>) -> Result<CircuitSpec, String> {
+///
+/// A circuit with more qubits than `max_qubits` (the machine's ion
+/// capacity) is rejected before anything is generated, so an oversized
+/// spec is a usage error rather than an allocation failure.
+pub fn parse_circuit(
+    spec: &str,
+    file_qubits: Option<u32>,
+    max_qubits: u32,
+) -> Result<CircuitSpec, String> {
     let (family, rest) = spec
         .split_once(':')
         .ok_or_else(|| format!("circuit spec `{spec}` needs the form family:dims"))?;
+    let fits = |qubits: u64| -> Result<(), String> {
+        if qubits <= u64::from(max_qubits) {
+            Ok(())
+        } else {
+            Err(format!(
+                "circuit `{spec}` needs {qubits} qubits but the machine holds at most \
+                 {max_qubits} ions"
+            ))
+        }
+    };
     if family == "file" {
         let qubits =
             file_qubits.ok_or_else(|| "file: circuits need an explicit --qubits N".to_owned())?;
+        fits(u64::from(qubits))?;
         let text = std::fs::read_to_string(rest)
             .map_err(|e| format!("cannot read circuit file `{rest}`: {e}"))?;
         let circuit =
@@ -93,6 +112,18 @@ pub fn parse_circuit(spec: &str, file_qubits: Option<u32>) -> Result<CircuitSpec
             ))
         }
     };
+
+    // Qubit count first, in u64 (a product of two u32 dimensions cannot
+    // wrap there), checked against the machine before any generator runs.
+    // Every family but supremacy (rows × cols) takes it as its first
+    // dimension.
+    if let Some(&first) = dims.first() {
+        let qubits = match (family, dims.as_slice()) {
+            ("supremacy", [rows, cols, ..]) => rows * cols,
+            _ => first,
+        };
+        fits(qubits)?;
+    }
 
     let circuit = match family {
         "qft" => {
@@ -274,7 +305,7 @@ mod tests {
             ("quadform:16x200", 16, 200),
             ("random:18x200", 18, 200),
         ] {
-            let c = parse_circuit(spec, None).unwrap_or_else(|e| panic!("{spec}: {e}"));
+            let c = parse_circuit(spec, None, u32::MAX).unwrap_or_else(|e| panic!("{spec}: {e}"));
             assert_eq!(c.circuit.num_qubits(), qubits, "{spec}");
             if gates > 0 {
                 assert_eq!(c.circuit.two_qubit_gate_count(), gates, "{spec}");
@@ -285,20 +316,20 @@ mod tests {
 
     #[test]
     fn seed_suffix_changes_random_circuits() {
-        let a = parse_circuit("random:12x50@1", None).unwrap();
-        let b = parse_circuit("random:12x50@2", None).unwrap();
+        let a = parse_circuit("random:12x50@1", None, u32::MAX).unwrap();
+        let b = parse_circuit("random:12x50@2", None, u32::MAX).unwrap();
         assert_ne!(a.circuit, b.circuit);
     }
 
     #[test]
     fn rejects_malformed_specs() {
-        assert!(parse_circuit("qft", None).is_err());
-        assert!(parse_circuit("qft:16x2", None).is_err());
-        assert!(parse_circuit("nosuch:4", None).is_err());
-        assert!(parse_circuit("random:axb", None).is_err());
-        assert!(parse_circuit("random:12x50@zz", None).is_err());
+        assert!(parse_circuit("qft", None, u32::MAX).is_err());
+        assert!(parse_circuit("qft:16x2", None, u32::MAX).is_err());
+        assert!(parse_circuit("nosuch:4", None, u32::MAX).is_err());
+        assert!(parse_circuit("random:axb", None, u32::MAX).is_err());
+        assert!(parse_circuit("random:12x50@zz", None, u32::MAX).is_err());
         assert!(
-            parse_circuit("file:nope.txt", None).is_err(),
+            parse_circuit("file:nope.txt", None, u32::MAX).is_err(),
             "file needs --qubits"
         );
     }
@@ -307,7 +338,7 @@ mod tests {
     /// the requirement named, instead of reaching the generator's assert.
     fn rejects_small(specs: &[&str], needle: &str) {
         for spec in specs {
-            let err = parse_circuit(spec, None)
+            let err = parse_circuit(spec, None, u32::MAX)
                 .err()
                 .unwrap_or_else(|| panic!("{spec}"));
             assert!(err.contains(needle), "`{spec}` → `{err}`");
@@ -317,7 +348,7 @@ mod tests {
     #[test]
     fn rejects_qaoa_without_a_cubic_graph() {
         rejects_small(&["qaoa:0x1", "qaoa:2x3", "qaoa:5x2", "qaoa:7x1@3"], "even");
-        assert!(parse_circuit("qaoa:4x0", None).is_ok());
+        assert!(parse_circuit("qaoa:4x0", None, u32::MAX).is_ok());
     }
 
     #[test]
@@ -326,19 +357,51 @@ mod tests {
             &["random:0x10", "random:1x10", "random:1x0@4"],
             "at least 2 qubits",
         );
-        assert!(parse_circuit("random:2x0", None).is_ok());
+        assert!(parse_circuit("random:2x0", None, u32::MAX).is_ok());
     }
 
     #[test]
     fn rejects_quadform_below_two_qubits() {
         rejects_small(&["quadform:0x0", "quadform:1x5"], "at least 2 qubits");
-        assert!(parse_circuit("quadform:2x0", None).is_ok());
+        assert!(parse_circuit("quadform:2x0", None, u32::MAX).is_ok());
     }
 
     #[test]
     fn rejects_sqrt_below_four_qubits() {
         rejects_small(&["sqrt:0x0", "sqrt:2x1", "sqrt:3x4"], "at least 4 qubits");
-        assert!(parse_circuit("sqrt:4x0", None).is_ok());
+        assert!(parse_circuit("sqrt:4x0", None, u32::MAX).is_ok());
+    }
+
+    #[test]
+    fn rejects_circuits_larger_than_the_machine_before_generating() {
+        // One oversized spec per family. Each used to panic or exhaust
+        // memory in its generator; the supremacy grid's rows × cols also
+        // wrapped u32 to 0 qubits.
+        let l6 = MachineSpec::paper_l6().initial_capacity();
+        for spec in [
+            "qft:4294967295",
+            "qaoa:4294967294x1",
+            "supremacy:65536x65536x1",
+            "sqrt:4294967295x2",
+            "quadform:4294967295x2",
+            "random:4294967295x2@1",
+        ] {
+            let err = parse_circuit(spec, None, l6)
+                .err()
+                .unwrap_or_else(|| panic!("{spec}"));
+            assert!(
+                err.contains("the machine holds at most 90 ions"),
+                "`{spec}` → `{err}`"
+            );
+        }
+        let err = parse_circuit("supremacy:65536x65536x1", None, u32::MAX)
+            .err()
+            .expect("2^32 qubits exceed any machine");
+        assert!(err.contains("needs 4294967296 qubits"), "{err}");
+        let err = parse_circuit("file:prog.txt", Some(91), l6).err().unwrap();
+        assert!(err.contains("needs 91 qubits"), "{err}");
+        // At the limit the spec still generates.
+        assert!(parse_circuit("qft:90", None, l6).is_ok());
     }
 
     #[test]

@@ -41,15 +41,19 @@ pub(crate) struct LayerPlanned {
 const HOP_COST: i64 = 1_000;
 const FULL_TRAP_COST: i64 = 6_000;
 
+/// One ion's net displacement across a run: `(ion, first from, last to)`.
+type Mover = (IonId, TrapId, TrapId);
+
 /// A gate-free run located by the discovery pass: its slice of the
-/// operation stream and transport rounds, plus the machine occupancy
-/// snapshot its flow plan prices against.
+/// operation stream and transport rounds, plus — only when the run is
+/// worth re-planning — its movers and the machine occupancy snapshot its
+/// flow plan prices against.
 struct Run {
     start: usize,
     end: usize,
     rounds_start: usize,
     rounds_end: usize,
-    machine: MachineState,
+    plan: Option<(Vec<Mover>, MachineState)>,
 }
 
 /// Re-plans every gate-free run of `schedule` as a multi-commodity flow,
@@ -58,7 +62,8 @@ struct Run {
 /// rounds (they time the original runs during scoring).
 ///
 /// Three passes. **Discovery** walks the stream once with a plain machine
-/// replay, snapshotting the ion→trap mapping at every run start — run
+/// replay, snapshotting the machine at the start of every run worth
+/// re-planning ([`movers`]; most runs are not, and pay no clone) — run
 /// checkpoints are natural shard boundaries because a kept rewrite
 /// preserves each run's final mapping, so the snapshot is independent of
 /// which earlier rewrites get adopted. **Planning** then flow-plans every
@@ -75,6 +80,7 @@ pub(crate) fn plan_layers(
     model: &TimingModel,
     pool: &WorkerPool,
 ) -> Result<LayerPlanned, PackError> {
+    let _phase = qccd_obs::span("pack-layers");
     let stream = &schedule.operations;
     let rounds = &transport.rounds;
 
@@ -110,7 +116,7 @@ pub(crate) fn plan_layers(
             covered += round.moves.len();
             round_cursor += 1;
         }
-        let machine = replay.clone();
+        let plan = movers(&stream[run_start..i]).map(|m| (m, replay.clone()));
         for op in &stream[run_start..i] {
             if let Operation::Shuttle { ion, to, .. } = *op {
                 replay
@@ -123,7 +129,7 @@ pub(crate) fn plan_layers(
             end: i,
             rounds_start,
             rounds_end: round_cursor,
-            machine,
+            plan,
         });
     }
 
@@ -132,8 +138,8 @@ pub(crate) fn plan_layers(
     let rewrites: Vec<Option<Vec<Operation>>> =
         pool.map_indexed(runs.len(), SEQUENTIAL_CUTOFF, |k| {
             let run = &runs[k];
-            let run_ops = &stream[run.start..run.end];
-            rewrite_run(run_ops, &run.machine, spec).filter(|n| n.len() <= run_ops.len())
+            let (movers, machine) = run.plan.as_ref()?;
+            rewrite_run(movers, machine, spec).filter(|n| n.len() <= run.end - run.start)
         });
 
     // Pass 3 — adoption: the sequential timed fold, scoring each
@@ -193,42 +199,35 @@ pub(crate) fn plan_layers(
     })
 }
 
-/// Builds the flow-planned rewrite of one run, or `None` when the run has
-/// nothing to re-plan. The rewrite is round-major: layer k holds the k-th
-/// hop of every commodity still in flight.
-fn rewrite_run(
-    run_ops: &[Operation],
-    machine: &MachineState,
-    spec: &MachineSpec,
-) -> Option<Vec<Operation>> {
-    // Net displacement per ion, in first-touch order.
-    let mut ions: Vec<IonId> = Vec::new();
-    let mut endpoints: Vec<(TrapId, TrapId)> = Vec::new();
+/// The net movers of a gate-free run — each ion's first `from` and last
+/// `to`, in first-touch order, net-zero walks dropped — or `None` when the
+/// run is not worth re-planning: it needs either a net-zero walk to drop
+/// or at least two movers to batch.
+fn movers(run_ops: &[Operation]) -> Option<Vec<Mover>> {
+    let mut walks: Vec<Mover> = Vec::new();
     for op in run_ops {
         let Operation::Shuttle { ion, from, to } = *op else {
             unreachable!("runs contain only shuttles");
         };
-        match ions.iter().position(|&i| i == ion) {
-            Some(k) => endpoints[k].1 = to,
-            None => {
-                ions.push(ion);
-                endpoints.push((from, to));
-            }
+        match walks.iter_mut().find(|w| w.0 == ion) {
+            Some(w) => w.2 = to,
+            None => walks.push((ion, from, to)),
         }
     }
-    let movers: Vec<(IonId, TrapId, TrapId)> = ions
-        .iter()
-        .zip(&endpoints)
-        .filter(|(_, (a, b))| a != b)
-        .map(|(&ion, &(a, b))| (ion, a, b))
-        .collect();
-    let nil_walks = ions.len() - movers.len();
-    // A run worth re-planning has either net-zero walks to drop or at
-    // least two commodities to batch.
-    if nil_walks == 0 && movers.len() < 2 {
-        return None;
-    }
+    let touched = walks.len();
+    walks.retain(|&(_, a, b)| a != b);
+    (touched > walks.len() || walks.len() >= 2).then_some(walks)
+}
 
+/// Builds the flow-planned rewrite of a run from its `movers`, or `None`
+/// when the rewrite cannot be serialized legally. The rewrite is
+/// round-major: layer k holds the k-th hop of every commodity still in
+/// flight.
+fn rewrite_run(
+    movers: &[Mover],
+    machine: &MachineState,
+    spec: &MachineSpec,
+) -> Option<Vec<Operation>> {
     let cap = spec.total_capacity();
     let commodities: Vec<Commodity> = movers
         .iter()

@@ -334,13 +334,16 @@ pub fn pack(
     match best {
         Some(c) => {
             PACK_ADOPTED.incr();
-            validate_equivalent(&result.schedule, &c.schedule, circuit, spec)?;
-            c.transport
-                .validate(&c.schedule, spec)
-                .map_err(PackError::Transport)?;
-            c.timeline
-                .validate()
-                .map_err(|e| PackError::InvalidPacked(e.to_string()))?;
+            {
+                let _phase = qccd_obs::span("pack-validate");
+                validate_equivalent(&result.schedule, &c.schedule, circuit, spec)?;
+                c.transport
+                    .validate(&c.schedule, spec)
+                    .map_err(PackError::Transport)?;
+                c.timeline
+                    .validate()
+                    .map_err(|e| PackError::InvalidPacked(e.to_string()))?;
+            }
             let stats = PackStats {
                 input_depth: result.transport.depth(),
                 packed_depth: c.transport.depth(),

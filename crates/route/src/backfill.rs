@@ -24,9 +24,21 @@
 //!   `r` raises `t`'s occupancy in every later round; the rounds indexed
 //!   by the per-trap arrival lists are re-checked so their own single
 //!   arrival still fits.
+//!
+//! Cost per placement: the first-fit scan examines at most
+//! `min(window, rounds since the hop's fences)` candidate rounds, each in
+//! O(round width) for the segment check; the downstream re-check of a
+//! candidate round `r` reads only the destination's arrivals after `r`
+//! (found by binary search), so across the scan it reads each of them at
+//! most once per candidate. Accepting the hop updates the two traps'
+//! columns of the occupancy rows after the chosen round and inserts into
+//! one sorted arrival list. Occupancies, arrivals and departures live in
+//! flat row-major `rounds × traps` vectors, so opening a round appends a
+//! row and allocates nothing per round beyond its move list. The
+//! `route.backfill_scan` counter adds up the candidate rounds and
+//! downstream entries each placement reads.
 
-use qccd_machine::{IonId, ShuttleMove, TrapId};
-use std::collections::HashMap;
+use qccd_machine::{ShuttleMove, TrapId};
 
 /// Hops offered to [`RoundBackfill::place`] (backfill attempts).
 static BACKFILL_PLACEMENTS: qccd_obs::Counter = qccd_obs::Counter::new("route.backfill_attempts");
@@ -34,6 +46,9 @@ static BACKFILL_PLACEMENTS: qccd_obs::Counter = qccd_obs::Counter::new("route.ba
 static BACKFILL_JOINS: qccd_obs::Counter = qccd_obs::Counter::new("route.backfill_accepts");
 /// Accepted hops hoisted across at least one later-noted gate.
 static BACKFILL_HOISTS: qccd_obs::Counter = qccd_obs::Counter::new("route.backfill_hoists");
+/// Scan work: candidate rounds examined plus downstream arrival entries
+/// re-checked, summed over every placement.
+static BACKFILL_SCAN: qccd_obs::Counter = qccd_obs::Counter::new("route.backfill_scan");
 
 /// Whether a same-round departure out of a trap frees capacity for a
 /// same-round arrival into it.
@@ -64,18 +79,15 @@ pub struct BackfillRules {
 
 /// One round under construction.
 #[derive(Debug, Clone)]
-pub struct RoundSlot {
+struct RoundSlot {
     /// Member moves, in placement order.
-    pub moves: Vec<ShuttleMove>,
-    segments: Vec<(TrapId, TrapId)>,
-    arrivals: Vec<u32>,
-    departures: Vec<u32>,
+    moves: Vec<ShuttleMove>,
     /// Gates noted when this round was opened (hoist accounting).
     gates_at_creation: usize,
 }
 
 /// Where [`RoundBackfill::place`] put a hop.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     /// Index of the chosen round.
     pub round: usize,
@@ -93,16 +105,24 @@ pub struct Placement {
 pub struct RoundBackfill {
     rules: BackfillRules,
     cap: u32,
+    num_traps: usize,
     rounds: Vec<RoundSlot>,
-    /// `occ_before[r]` = trap occupancies entering round `r`, with one
-    /// extra entry for "after the last round".
-    occ_before: Vec<Vec<u32>>,
+    /// Row-major `(rounds + 1) × traps`: row `r` holds the trap
+    /// occupancies entering round `r`; the extra last row is "after the
+    /// last round".
+    occ_before: Vec<u32>,
+    /// Row-major `rounds × traps`: merges into each trap per round.
+    arrivals: Vec<u32>,
+    /// Row-major `rounds × traps`: splits out of each trap per round.
+    departures: Vec<u32>,
     /// Rounds with an arrival at each trap, ascending.
     arrival_rounds: Vec<Vec<usize>>,
     /// A hop touching trap `t` may not join a round older than
     /// `min_join[t]` (set by every gate noted in `t`).
     min_join: Vec<usize>,
-    last_round_of_ion: HashMap<IonId, usize>,
+    /// Indexed by ion: one past the round of the ion's latest hop (0 when
+    /// it has none), the earliest round its next hop may join.
+    ion_fence: Vec<usize>,
     gates_noted: usize,
 }
 
@@ -114,11 +134,14 @@ impl RoundBackfill {
         RoundBackfill {
             rules,
             cap,
+            num_traps,
             rounds: Vec::new(),
-            occ_before: vec![occ0],
+            occ_before: occ0,
+            arrivals: Vec::new(),
+            departures: Vec::new(),
             arrival_rounds: vec![Vec::new(); num_traps],
             min_join: vec![0; num_traps],
-            last_round_of_ion: HashMap::new(),
+            ion_fence: Vec::new(),
             gates_noted: 0,
         }
     }
@@ -131,13 +154,18 @@ impl RoundBackfill {
         self.gates_noted += 1;
     }
 
-    /// Capacity credit a same-round departure out of trap `t` grants an
-    /// arrival joining round `r`.
-    fn credit(&self, r: usize, t: usize) -> u32 {
-        match self.rules.credit {
-            CreditRule::DepartureCredit => self.rounds[r].departures[t],
+    /// Whether an arrival at trap `t` fits round `r` when the trap already
+    /// holds `extra` more ions than its snapshot: the room entering the
+    /// round, plus under [`CreditRule::DepartureCredit`] the room the
+    /// round's own departures open. Summed in u64, so a capacity near
+    /// `u32::MAX` cannot wrap.
+    fn fits(&self, r: usize, t: usize, extra: u32) -> bool {
+        let k = r * self.num_traps + t;
+        let credit = match self.rules.credit {
+            CreditRule::DepartureCredit => self.departures[k],
             CreditRule::NoCredit => 0,
-        }
+        };
+        u64::from(self.occ_before[k]) + u64::from(extra) <= u64::from(self.cap) + u64::from(credit)
     }
 
     /// First-fit places `m` into the earliest legal round, opening a new
@@ -145,24 +173,28 @@ impl RoundBackfill {
     pub fn place(&mut self, m: ShuttleMove) -> Placement {
         let seg = m.segment();
         let (fi, ti) = (m.from.index(), m.to.index());
+        let nt = self.num_traps;
         let lo = self.min_join[fi]
             .max(self.min_join[ti])
-            .max(self.last_round_of_ion.get(&m.ion).map_or(0, |&r| r + 1))
+            .max(self.ion_fence.get(m.ion.index()).copied().unwrap_or(0))
             .max(self.rounds.len().saturating_sub(self.rules.window));
+        let mut scanned = 0u64;
         let mut chosen = None;
         for r in lo..self.rounds.len() {
-            let rb = &self.rounds[r];
-            if rb.segments.contains(&seg)
-                || rb.departures[fi] > 0
-                || rb.arrivals[ti] > 0
-                || self.occ_before[r][ti] + 1 > self.cap + self.credit(r, ti)
+            scanned += 1;
+            let moves = &self.rounds[r].moves;
+            let row = r * nt;
+            if self.departures[row + fi] > 0
+                || self.arrivals[row + ti] > 0
+                || !self.fits(r, ti, 1)
+                || moves.iter().any(|c| c.segment() == seg)
             {
                 continue;
             }
             if self.rules.share_only
-                && rb.arrivals[fi] == 0
-                && rb.departures[ti] == 0
-                && !rb.moves.iter().any(|c| {
+                && self.arrivals[row + fi] == 0
+                && self.departures[row + ti] == 0
+                && !moves.iter().any(|c| {
                     let (cf, ct) = (c.from.index(), c.to.index());
                     cf == fi || cf == ti || ct == fi || ct == ti
                 })
@@ -173,45 +205,51 @@ impl RoundBackfill {
             // rounds with an arrival there must keep room for their own
             // single arrival (one merge per trap per round) under the
             // credit rule.
-            let downstream_ok = self.arrival_rounds[ti]
-                .iter()
-                .filter(|&&s| s > r)
-                .all(|&s| self.occ_before[s][ti] + 2 <= self.cap + self.credit(s, ti));
+            let list = &self.arrival_rounds[ti];
+            let mut downstream_ok = true;
+            for &s in &list[list.partition_point(|&s| s <= r)..] {
+                scanned += 1;
+                if !self.fits(s, ti, 2) {
+                    downstream_ok = false;
+                    break;
+                }
+            }
             if downstream_ok {
                 chosen = Some(r);
                 break;
             }
         }
+        BACKFILL_SCAN.add(scanned);
         let (chosen, opened) = match chosen {
             Some(r) => (r, false),
             None => {
-                let num_traps = self.arrival_rounds.len();
                 self.rounds.push(RoundSlot {
                     moves: Vec::new(),
-                    segments: Vec::new(),
-                    arrivals: vec![0; num_traps],
-                    departures: vec![0; num_traps],
                     gates_at_creation: self.gates_noted,
                 });
-                self.occ_before
-                    .push(self.occ_before.last().expect("seeded at new").clone());
+                let last = self.occ_before.len() - nt;
+                self.occ_before.extend_from_within(last..);
+                self.arrivals.resize(self.arrivals.len() + nt, 0);
+                self.departures.resize(self.departures.len() + nt, 0);
                 (self.rounds.len() - 1, true)
             }
         };
         let hoisted = self.rounds[chosen].gates_at_creation < self.gates_noted;
-        let rb = &mut self.rounds[chosen];
-        rb.moves.push(m);
-        rb.segments.push(seg);
-        rb.departures[fi] += 1;
-        rb.arrivals[ti] += 1;
+        self.rounds[chosen].moves.push(m);
+        self.departures[chosen * nt + fi] += 1;
+        self.arrivals[chosen * nt + ti] += 1;
         let list = &mut self.arrival_rounds[ti];
         let pos = list.partition_point(|&s| s < chosen);
         list.insert(pos, chosen);
-        for occ in &mut self.occ_before[chosen + 1..] {
+        for occ in self.occ_before[(chosen + 1) * nt..].chunks_exact_mut(nt) {
             occ[fi] -= 1;
             occ[ti] += 1;
         }
-        self.last_round_of_ion.insert(m.ion, chosen);
+        let ion = m.ion.index();
+        if ion >= self.ion_fence.len() {
+            self.ion_fence.resize(ion + 1, 0);
+        }
+        self.ion_fence[ion] = chosen + 1;
         BACKFILL_PLACEMENTS.incr();
         if !opened {
             BACKFILL_JOINS.incr();
@@ -240,6 +278,7 @@ impl RoundBackfill {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qccd_machine::IonId;
 
     fn mv(ion: u32, from: u32, to: u32) -> ShuttleMove {
         ShuttleMove {
@@ -300,6 +339,21 @@ mod tests {
     }
 
     #[test]
+    fn capacity_near_u32_max_does_not_wrap() {
+        // At cap u32::MAX a credited sum `cap + departures` overflows
+        // u32; every trap has room, so only the round rules (segments,
+        // one split and one merge per trap) decide where hops go.
+        for credit in [CreditRule::DepartureCredit, CreditRule::NoCredit] {
+            let mut bf = RoundBackfill::new(4, u32::MAX, vec![2, 1, 1, 1], rules(credit));
+            assert_eq!(bf.place(mv(0, 0, 1)).round, 0);
+            assert_eq!(bf.place(mv(1, 2, 3)).round, 0);
+            assert_eq!(bf.place(mv(2, 1, 0)).round, 1, "{credit:?}");
+            assert_eq!(bf.place(mv(3, 3, 2)).round, 1, "{credit:?}");
+            assert_eq!(bf.into_rounds().len(), 2);
+        }
+    }
+
+    #[test]
     fn window_bounds_the_scan() {
         let mut bf = RoundBackfill::new(
             4,
@@ -317,5 +371,203 @@ mod tests {
                                // where it also fits.
         let p = bf.place(mv(2, 2, 3));
         assert_eq!(p.round, 1);
+    }
+}
+
+/// The backfill as it was before flat storage: per-round snapshot `Vec`s,
+/// a per-ion `HashMap` fence and a downstream check that filters the
+/// whole arrival list. The flat version must place every hop identically.
+#[cfg(test)]
+mod oracle {
+    use super::{BackfillRules, CreditRule, Placement};
+    use qccd_machine::{IonId, ShuttleMove, TrapId};
+    use std::collections::HashMap;
+
+    struct Round {
+        moves: Vec<ShuttleMove>,
+        segments: Vec<(TrapId, TrapId)>,
+        arrivals: Vec<u32>,
+        departures: Vec<u32>,
+        gates_at_creation: usize,
+    }
+
+    pub(super) struct OracleBackfill {
+        rules: BackfillRules,
+        cap: u32,
+        rounds: Vec<Round>,
+        occ_before: Vec<Vec<u32>>,
+        arrival_rounds: Vec<Vec<usize>>,
+        min_join: Vec<usize>,
+        last_round_of_ion: HashMap<IonId, usize>,
+        gates_noted: usize,
+    }
+
+    impl OracleBackfill {
+        pub(super) fn new(
+            num_traps: usize,
+            cap: u32,
+            occ0: Vec<u32>,
+            rules: BackfillRules,
+        ) -> Self {
+            OracleBackfill {
+                rules,
+                cap,
+                rounds: Vec::new(),
+                occ_before: vec![occ0],
+                arrival_rounds: vec![Vec::new(); num_traps],
+                min_join: vec![0; num_traps],
+                last_round_of_ion: HashMap::new(),
+                gates_noted: 0,
+            }
+        }
+
+        pub(super) fn note_gate(&mut self, trap: TrapId) {
+            self.min_join[trap.index()] = self.rounds.len();
+            self.gates_noted += 1;
+        }
+
+        fn credit(&self, r: usize, t: usize) -> u32 {
+            match self.rules.credit {
+                CreditRule::DepartureCredit => self.rounds[r].departures[t],
+                CreditRule::NoCredit => 0,
+            }
+        }
+
+        pub(super) fn place(&mut self, m: ShuttleMove) -> Placement {
+            let seg = m.segment();
+            let (fi, ti) = (m.from.index(), m.to.index());
+            let lo = self.min_join[fi]
+                .max(self.min_join[ti])
+                .max(self.last_round_of_ion.get(&m.ion).map_or(0, |&r| r + 1))
+                .max(self.rounds.len().saturating_sub(self.rules.window));
+            let mut chosen = None;
+            for r in lo..self.rounds.len() {
+                let rb = &self.rounds[r];
+                if rb.segments.contains(&seg)
+                    || rb.departures[fi] > 0
+                    || rb.arrivals[ti] > 0
+                    || self.occ_before[r][ti] + 1 > self.cap + self.credit(r, ti)
+                {
+                    continue;
+                }
+                if self.rules.share_only
+                    && rb.arrivals[fi] == 0
+                    && rb.departures[ti] == 0
+                    && !rb.moves.iter().any(|c| {
+                        let (cf, ct) = (c.from.index(), c.to.index());
+                        cf == fi || cf == ti || ct == fi || ct == ti
+                    })
+                {
+                    continue;
+                }
+                let downstream_ok = self.arrival_rounds[ti]
+                    .iter()
+                    .filter(|&&s| s > r)
+                    .all(|&s| self.occ_before[s][ti] + 2 <= self.cap + self.credit(s, ti));
+                if downstream_ok {
+                    chosen = Some(r);
+                    break;
+                }
+            }
+            let (chosen, opened) = match chosen {
+                Some(r) => (r, false),
+                None => {
+                    let num_traps = self.arrival_rounds.len();
+                    self.rounds.push(Round {
+                        moves: Vec::new(),
+                        segments: Vec::new(),
+                        arrivals: vec![0; num_traps],
+                        departures: vec![0; num_traps],
+                        gates_at_creation: self.gates_noted,
+                    });
+                    self.occ_before
+                        .push(self.occ_before.last().expect("seeded at new").clone());
+                    (self.rounds.len() - 1, true)
+                }
+            };
+            let hoisted = self.rounds[chosen].gates_at_creation < self.gates_noted;
+            let rb = &mut self.rounds[chosen];
+            rb.moves.push(m);
+            rb.segments.push(seg);
+            rb.departures[fi] += 1;
+            rb.arrivals[ti] += 1;
+            let list = &mut self.arrival_rounds[ti];
+            let pos = list.partition_point(|&s| s < chosen);
+            list.insert(pos, chosen);
+            for occ in &mut self.occ_before[chosen + 1..] {
+                occ[fi] -= 1;
+                occ[ti] += 1;
+            }
+            self.last_round_of_ion.insert(m.ion, chosen);
+            Placement {
+                round: chosen,
+                opened,
+                hoisted,
+            }
+        }
+
+        pub(super) fn into_rounds(self) -> Vec<Vec<ShuttleMove>> {
+            self.rounds.into_iter().map(|r| r.moves).collect()
+        }
+    }
+}
+
+#[cfg(test)]
+mod property_tests {
+    use super::oracle::OracleBackfill;
+    use super::*;
+    use proptest::prelude::*;
+    use qccd_machine::IonId;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn flat_backfill_matches_the_oracle(
+            num_traps in 2usize..7,
+            cap in 1u32..6,
+            placement in proptest::collection::vec(0usize..8, 1..24),
+            credit in any::<bool>(),
+            share_only in any::<bool>(),
+            window in 0usize..4,
+            // `(0, t, _)` notes a gate in trap `t`; `(_, i, k)` hops ion `i`
+            // to the `k`-th other trap.
+            events in proptest::collection::vec((0u32..5, 0usize..64, 0usize..8), 0..160),
+        ) {
+            let rules = BackfillRules {
+                credit: if credit { CreditRule::DepartureCredit } else { CreditRule::NoCredit },
+                share_only,
+                window: [1, 4, 96, usize::MAX][window],
+            };
+            // A machine-consistent stream: each hop leaves the trap its
+            // ion is in. Capacity is deliberately not respected, so the
+            // capacity checks see both outcomes.
+            let mut trap_of: Vec<usize> = placement.iter().map(|&t| t % num_traps).collect();
+            let mut occ0 = vec![0u32; num_traps];
+            for &t in &trap_of {
+                occ0[t] += 1;
+            }
+            let mut flat = RoundBackfill::new(num_traps, cap, occ0.clone(), rules);
+            let mut oracle = OracleBackfill::new(num_traps, cap, occ0, rules);
+            for (kind, a, b) in events {
+                if kind == 0 {
+                    let trap = TrapId((a % num_traps) as u32);
+                    flat.note_gate(trap);
+                    oracle.note_gate(trap);
+                    continue;
+                }
+                let ion = a % trap_of.len();
+                let from = trap_of[ion];
+                let to = (from + 1 + b % (num_traps - 1)) % num_traps;
+                trap_of[ion] = to;
+                let m = ShuttleMove {
+                    ion: IonId(ion as u32),
+                    from: TrapId(from as u32),
+                    to: TrapId(to as u32),
+                };
+                prop_assert_eq!(flat.place(m), oracle.place(m));
+            }
+            prop_assert_eq!(flat.into_rounds(), oracle.into_rounds());
+        }
     }
 }

@@ -13,10 +13,12 @@
 //!   a congestion surcharge, so the planner detours around full traps only
 //!   while the detour is cheaper than a re-balancing eviction and spreads
 //!   equal-length routes across cold edges.
-//! * [`plan_route`] / [`PlannedRoute`] — one multi-segment route for one
-//!   ion over the live [`MachineState`](qccd_machine::MachineState).
-//! * [`EdgeLoad`] — the decaying per-segment usage counters that feed the
-//!   congestion surcharge.
+//! * [`RoutePlanner`] / [`PlannedRoute`] — one compile's route planner:
+//!   multi-segment routes and priced evictions for one ion over the live
+//!   [`MachineState`](qccd_machine::MachineState), priced on one node-split
+//!   flow network built per compile and re-priced in place per call, with
+//!   the decaying per-segment usage counters that feed the congestion
+//!   surcharge.
 //! * [`TransportSchedule`] — a compiled flat
 //!   [`Schedule`](qccd_machine::Schedule) re-expressed as *rounds* of
 //!   edge-disjoint concurrent shuttles, with full replay validation
@@ -28,21 +30,16 @@
 //!
 //! ```
 //! use qccd_machine::{InitialMapping, MachineSpec, MachineState, TrapId};
-//! use qccd_route::{plan_route, EdgeLoad, RouterPolicy};
+//! use qccd_route::{RoutePlanner, RouterPolicy};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let spec = MachineSpec::new(qccd_machine::TrapTopology::ring(6), 4, 1)?;
 //! let mapping = InitialMapping::round_robin(&spec, 6)?;
 //! let state = MachineState::with_mapping(&spec, &mapping)?;
-//! let load = EdgeLoad::new(spec.num_traps());
-//! let route = plan_route(
-//!     RouterPolicy::default(),
-//!     &state,
-//!     TrapId(0),
-//!     TrapId(3),
-//!     &load,
-//! )
-//! .expect("ring is connected");
+//! let mut planner = RoutePlanner::new(spec.topology());
+//! let route = planner
+//!     .plan_route(RouterPolicy::default(), &state, TrapId(0), TrapId(3), None)
+//!     .expect("ring is connected");
 //! assert_eq!(route.path.first(), Some(&TrapId(0)));
 //! assert_eq!(route.path.last(), Some(&TrapId(3)));
 //! # Ok(())
@@ -55,9 +52,6 @@ mod policy;
 mod transport;
 
 pub use backfill::{BackfillRules, CreditRule, Placement, RoundBackfill};
-pub use planner::{
-    plan_eviction, plan_eviction_weighted, plan_route, plan_route_weighted, route_budget, EdgeLoad,
-    EdgeWeightFn, PlannedRoute,
-};
+pub use planner::{route_budget, EdgeWeightFn, PlannedRoute, RoutePlanner};
 pub use policy::RouterPolicy;
 pub use transport::{TransportError, TransportRound, TransportSchedule};

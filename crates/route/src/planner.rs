@@ -10,9 +10,8 @@ use qccd_machine::{MachineState, TrapId, TrapTopology};
 /// lengthen a route (hop costs are scaled to dominate any load sum).
 const LOAD_CAP: u32 = 15;
 
-/// Decaying usage counters per directed shuttle segment, maintained by the
-/// compiler across a compile and fed to [`plan_route`] as the congestion
-/// price of each edge.
+/// Decaying usage counters per directed shuttle segment, kept by the
+/// [`RoutePlanner`] across a compile as the congestion price of each edge.
 ///
 /// Counters saturate at an internal cap and halve on every [`decay`]
 /// (called once per executed gate), so only *recent* traffic is priced.
@@ -20,23 +19,22 @@ const LOAD_CAP: u32 = 15;
 ///
 /// [`decay`]: EdgeLoad::decay
 #[derive(Debug, Clone)]
-pub struct EdgeLoad {
+struct EdgeLoad {
     n: usize,
     counts: Vec<u32>,
 }
 
 impl EdgeLoad {
     /// A zero-load table for a machine with `num_traps` traps.
-    pub fn new(num_traps: u32) -> Self {
-        let n = num_traps as usize;
+    fn new(num_traps: usize) -> Self {
         EdgeLoad {
-            n,
-            counts: vec![0; n * n],
+            n: num_traps,
+            counts: vec![0; num_traps * num_traps],
         }
     }
 
     /// Records one shuttle traversing `from → to`.
-    pub fn record(&mut self, from: TrapId, to: TrapId) {
+    fn record(&mut self, from: TrapId, to: TrapId) {
         if from.index() < self.n && to.index() < self.n {
             let c = &mut self.counts[from.index() * self.n + to.index()];
             *c = (*c + 1).min(LOAD_CAP);
@@ -44,7 +42,7 @@ impl EdgeLoad {
     }
 
     /// Current surcharge for `from → to`, in `[0, LOAD_CAP]`.
-    pub fn load(&self, from: TrapId, to: TrapId) -> u32 {
+    fn load(&self, from: TrapId, to: TrapId) -> u32 {
         if from.index() < self.n && to.index() < self.n {
             self.counts[from.index() * self.n + to.index()]
         } else {
@@ -52,9 +50,8 @@ impl EdgeLoad {
         }
     }
 
-    /// Halves every counter — call once per executed gate so only recent
-    /// traffic is priced.
-    pub fn decay(&mut self) {
+    /// Halves every counter.
+    fn decay(&mut self) {
         for c in &mut self.counts {
             *c /= 2;
         }
@@ -108,31 +105,6 @@ pub fn route_budget(topology: &TrapTopology, from: TrapId, dest: TrapId) -> Opti
         .map(|d| d + 2 * topology.num_traps() + 4)
 }
 
-/// Plans a route for one ion currently in `from` toward `dest` over the
-/// live `state`.
-///
-/// * [`RouterPolicy::Serial`] — the paper executor's choice: the shortest
-///   path whose interior traps all have room, falling back to the
-///   unconditional shortest path (whose full traps the caller re-balances).
-/// * [`RouterPolicy::Congestion`] — min-cost max-flow pricing over a
-///   node-split network: every segment costs one hop plus the `load`
-///   surcharge, and a full interior trap costs `full_trap_penalty` extra
-///   hops. The cheapest route wins; hop count strictly dominates the
-///   surcharge, so congestion only arbitrates between otherwise-equal
-///   routes, and a full-free detour is taken only while it beats evicting
-///   through the full trap.
-///
-/// Returns `None` when `dest` is unreachable.
-pub fn plan_route(
-    policy: RouterPolicy,
-    state: &MachineState,
-    from: TrapId,
-    dest: TrapId,
-    load: &EdgeLoad,
-) -> Option<PlannedRoute> {
-    plan_route_weighted(policy, state, from, dest, load, None)
-}
-
 /// Per-segment weight hook for the priced planner: the relative cost of
 /// traversing `from → to`, in abstract units (≥ 1). `None` (or returning
 /// 1 everywhere) reproduces unit-hop pricing exactly; a timed-objective
@@ -143,180 +115,248 @@ pub fn plan_route(
 /// edges second.
 pub type EdgeWeightFn<'a> = dyn Fn(TrapId, TrapId) -> u32 + 'a;
 
-/// [`plan_route`] with an optional per-segment [`EdgeWeightFn`] pricing
-/// edges by (relative) timed duration rather than unit hops. Only the
-/// congestion policy consumes the weights — the serial policy is the
-/// paper's executor and stays BFS-shortest by hop count.
-pub fn plan_route_weighted(
-    policy: RouterPolicy,
-    state: &MachineState,
-    from: TrapId,
-    dest: TrapId,
-    load: &EdgeLoad,
-    weight: Option<&EdgeWeightFn>,
-) -> Option<PlannedRoute> {
-    let topology = state.spec().topology();
-    if from == dest {
-        return Some(PlannedRoute {
-            path: vec![from],
-            full_interior_traps: 0,
-        });
+/// The route planner of one compile: the decaying edge-load counters
+/// and one priced node-split flow network, built once from the topology.
+///
+/// Nodes `2t` / `2t+1` are trap `t`'s in/out halves, joined by an internal
+/// edge of capacity 1 (so routes are simple paths) that carries the
+/// full-trap penalty; each physical segment `a → b` is an edge
+/// `2a+1 → 2b`. Node `2n` is a super-source with a closed entry edge into
+/// every trap's in-half, and node `2n+1` a super-sink with a closed exit
+/// edge out of every trap's out-half. Edges are inserted trap by trap
+/// (internal edge, then segments in neighbour order), then all exits,
+/// then all entries.
+///
+/// Every call re-prices the internal and segment edges from the live
+/// state and loads and opens only the entries and exits it needs, through
+/// [`FlowNetwork::set_edge`]; that also clears the previous call's flow.
+/// A closed (capacity-0) edge is never relaxed, so each solve searches
+/// exactly like a network freshly built with only the open edges, in the
+/// same order — the same FIFO shortest-path search, the same tie-breaks,
+/// the same routes — without a single allocation for the network.
+#[derive(Debug, Clone)]
+pub struct RoutePlanner {
+    load: EdgeLoad,
+    net: FlowNetwork,
+    /// Trap `t`'s internal edge `2t → 2t+1`.
+    internal: Vec<usize>,
+    /// Every segment edge, with its directed trap pair, in insertion order.
+    segments: Vec<(TrapId, TrapId, usize)>,
+    /// Trap `t`'s closed exit `2t+1 → 2n+1`.
+    exits: Vec<usize>,
+    /// Trap `t`'s closed entry `2n → 2t`.
+    entries: Vec<usize>,
+    /// Cost of one unit-weight hop: above any possible load sum, so cost
+    /// order is fewer `hops + penalty × full traps` first, colder edges
+    /// second.
+    hop_scale: i64,
+}
+
+impl RoutePlanner {
+    /// A planner with zero loads over `topology`.
+    pub fn new(topology: &TrapTopology) -> Self {
+        let n = topology.num_traps() as usize;
+        let mut net = FlowNetwork::new(2 * n + 2);
+        let mut internal = Vec::with_capacity(n);
+        let mut segments = Vec::new();
+        for t in topology.traps() {
+            internal.push(net.add_edge(2 * t.index(), 2 * t.index() + 1, 0, 0));
+            for nb in topology.neighbors(t) {
+                segments.push((t, nb, net.add_edge(2 * t.index() + 1, 2 * nb.index(), 0, 0)));
+            }
+        }
+        let exits = (0..n)
+            .map(|t| net.add_edge(2 * t + 1, 2 * n + 1, 0, 0))
+            .collect();
+        let entries = (0..n).map(|t| net.add_edge(2 * n, 2 * t, 0, 0)).collect();
+        RoutePlanner {
+            load: EdgeLoad::new(n),
+            net,
+            internal,
+            segments,
+            exits,
+            entries,
+            // Any load sum is < n * (LOAD_CAP + 1); scale hop costs above it.
+            hop_scale: (n as i64 + 1) * i64::from(LOAD_CAP + 1),
+        }
     }
-    let filtered = topology.shortest_path_filtered(from, dest, |t| t == dest || !state.is_full(t));
-    match policy {
-        RouterPolicy::Serial => filtered
-            .or_else(|| topology.shortest_path(from, dest))
-            .map(|p| PlannedRoute::from_path(state, p)),
-        RouterPolicy::Congestion { full_trap_penalty } => {
-            let Some(filtered) = filtered else {
-                // Every route needs evictions: walk the serial router's
-                // eviction path so the two routers share eviction behavior.
-                return topology
-                    .shortest_path(from, dest)
-                    .map(|p| PlannedRoute::from_path(state, p));
-            };
-            match priced_route(state, from, dest, full_trap_penalty, load, weight) {
-                Some(priced) => Some(priced),
-                // MCMF found no route (cannot happen while BFS did; be
-                // safe): fall back to the full-free detour.
-                None => Some(PlannedRoute::from_path(state, filtered)),
+
+    /// Records one shuttle traversing `from → to` in the congestion loads.
+    pub fn record(&mut self, from: TrapId, to: TrapId) {
+        self.load.record(from, to);
+    }
+
+    /// Halves every load counter — call once per executed gate so only
+    /// recent traffic is priced.
+    pub fn decay(&mut self) {
+        self.load.decay();
+    }
+
+    /// Plans a route for one ion currently in `from` toward `dest` over the
+    /// live `state`.
+    ///
+    /// * [`RouterPolicy::Serial`] — the paper executor's choice: the
+    ///   shortest path whose interior traps all have room, falling back to
+    ///   the unconditional shortest path (whose full traps the caller
+    ///   re-balances).
+    /// * [`RouterPolicy::Congestion`] — min-cost flow pricing over the
+    ///   node-split network: every segment costs one hop (or its `weight`,
+    ///   see [`EdgeWeightFn`]) plus the load surcharge, and a full interior
+    ///   trap costs `full_trap_penalty` extra hops. The cheapest route
+    ///   wins; hop count strictly dominates the surcharge, so congestion
+    ///   only arbitrates between otherwise-equal routes, and a full-free
+    ///   detour is taken only while it beats evicting through the full
+    ///   trap. Only this policy consumes the weights — the serial policy
+    ///   is the paper's executor and stays BFS-shortest by hop count.
+    ///
+    /// Returns `None` when `dest` is unreachable.
+    pub fn plan_route(
+        &mut self,
+        policy: RouterPolicy,
+        state: &MachineState,
+        from: TrapId,
+        dest: TrapId,
+        weight: Option<&EdgeWeightFn>,
+    ) -> Option<PlannedRoute> {
+        let topology = state.spec().topology();
+        if from == dest {
+            return Some(PlannedRoute {
+                path: vec![from],
+                full_interior_traps: 0,
+            });
+        }
+        let filtered =
+            topology.shortest_path_filtered(from, dest, |t| t == dest || !state.is_full(t));
+        match policy {
+            RouterPolicy::Serial => filtered
+                .or_else(|| topology.shortest_path(from, dest))
+                .map(|p| PlannedRoute::from_path(state, p)),
+            RouterPolicy::Congestion { full_trap_penalty } => {
+                let Some(filtered) = filtered else {
+                    // Every route needs evictions: walk the serial router's
+                    // eviction path so the two routers share eviction
+                    // behavior.
+                    return topology
+                        .shortest_path(from, dest)
+                        .map(|p| PlannedRoute::from_path(state, p));
+                };
+                match self.priced_route(state, from, dest, full_trap_penalty, weight) {
+                    Some(priced) => Some(priced),
+                    // The flow found no route (cannot happen while BFS
+                    // did; be safe): fall back to the full-free detour.
+                    None => Some(PlannedRoute::from_path(state, filtered)),
+                }
             }
         }
     }
-}
 
-/// Plans a re-balancing eviction out of the full trap `blocked` under the
-/// congestion policy: the destination *and* the route are chosen together
-/// on the same priced node-split network [`plan_route`] uses, instead of
-/// the paper's nearest-slot policy followed by an unpriced shortest path.
-///
-/// Every trap with excess capacity (other than `blocked` and the traps in
-/// `avoid`) is a candidate sink; each physical segment costs one hop plus
-/// its [`EdgeLoad`] surcharge, and crossing a *full* interior trap costs
-/// `full_trap_penalty` extra hops. Hop count strictly dominates the
-/// surcharge, so the destination is still a nearest non-full trap — but
-/// ties break toward cold corridors and routes never thread a full trap
-/// when an equal-cost detour exists.
-///
-/// Returns the chosen destination and the inclusive trap path
-/// `blocked ..= destination`, or `None` when no candidate is reachable.
-pub fn plan_eviction(
-    state: &MachineState,
-    blocked: TrapId,
-    avoid: &[TrapId],
-    load: &EdgeLoad,
-    full_trap_penalty: u32,
-) -> Option<(TrapId, Vec<TrapId>)> {
-    plan_eviction_weighted(state, blocked, avoid, load, full_trap_penalty, None)
-}
+    /// Plans a re-balancing eviction out of the full trap `blocked` under
+    /// the congestion policy: the destination *and* the route are chosen
+    /// together on the same priced network [`plan_route`] uses, instead of
+    /// the paper's nearest-slot policy followed by an unpriced shortest
+    /// path.
+    ///
+    /// Every trap with excess capacity (other than `blocked` and the traps
+    /// in `avoid`) is a candidate sink; each physical segment costs one hop
+    /// (or its `weight`) plus its load surcharge, and crossing a *full*
+    /// interior trap costs `full_trap_penalty` extra hops. Hop count
+    /// strictly dominates the surcharge, so the destination is still a
+    /// nearest non-full trap — but ties break toward cold corridors and
+    /// routes never thread a full trap when an equal-cost detour exists.
+    /// The clock-objective compiler passes timed weights, steering
+    /// re-balancing traffic away from junction-heavy corridors that cost
+    /// more device time than their hop count suggests.
+    ///
+    /// Returns the chosen destination and the inclusive trap path
+    /// `blocked ..= destination`, or `None` when no candidate is reachable.
+    ///
+    /// [`plan_route`]: RoutePlanner::plan_route
+    pub fn plan_eviction(
+        &mut self,
+        state: &MachineState,
+        blocked: TrapId,
+        avoid: &[TrapId],
+        full_trap_penalty: u32,
+        weight: Option<&EdgeWeightFn>,
+    ) -> Option<(TrapId, Vec<TrapId>)> {
+        let _phase = qccd_obs::span("route-plan");
+        self.price(state, full_trap_penalty, |t| t != blocked, weight);
+        let mut candidates = 0usize;
+        for t in state.spec().topology().traps() {
+            if t != blocked && !avoid.contains(&t) && !state.is_full(t) {
+                self.net.set_edge(self.exits[t.index()], 1, 0);
+                candidates += 1;
+            }
+        }
+        if candidates == 0 {
+            return None;
+        }
+        self.net.set_edge(self.entries[blocked.index()], 1, 0);
+        let n = self.internal.len();
+        // The trap the unit exits to the super-sink from is the destination.
+        let path = trap_path(&min_cost_unit_path(&mut self.net, 2 * n, 2 * n + 1)?, n);
+        Some((*path.last()?, path))
+    }
 
-/// [`plan_eviction`] with an optional [`EdgeWeightFn`] pricing segments by
-/// relative timed duration — the clock-objective compiler's eviction
-/// planner, steering re-balancing traffic away from junction-heavy
-/// corridors that cost more device time than their hop count suggests.
-pub fn plan_eviction_weighted(
-    state: &MachineState,
-    blocked: TrapId,
-    avoid: &[TrapId],
-    load: &EdgeLoad,
-    full_trap_penalty: u32,
-    weight: Option<&EdgeWeightFn>,
-) -> Option<(TrapId, Vec<TrapId>)> {
-    let _phase = qccd_obs::span("route-plan");
-    let topology = state.spec().topology();
-    let n = topology.num_traps() as usize;
-    // One extra node past the trap halves and the source: the super-sink
-    // gathering every candidate destination.
-    let sink = 2 * n + 1;
-    let mut net = priced_network(state, load, full_trap_penalty, |t| t != blocked, 1, weight);
-    let mut candidates = 0usize;
-    for t in topology.traps() {
-        if t != blocked && !avoid.contains(&t) && !state.is_full(t) {
-            net.add_edge(2 * t.index() + 1, sink, 1, 0);
-            candidates += 1;
+    /// Minimum-cost route from `from` to `dest`; full traps at the route's
+    /// own endpoints are exempt from the eviction penalty.
+    fn priced_route(
+        &mut self,
+        state: &MachineState,
+        from: TrapId,
+        dest: TrapId,
+        full_trap_penalty: u32,
+        weight: Option<&EdgeWeightFn>,
+    ) -> Option<PlannedRoute> {
+        let _phase = qccd_obs::span("route-plan");
+        self.price(state, full_trap_penalty, |t| t != from && t != dest, weight);
+        self.net.set_edge(self.entries[from.index()], 1, 0);
+        let n = self.internal.len();
+        let nodes = min_cost_unit_path(&mut self.net, 2 * n, 2 * dest.index() + 1)?;
+        Some(PlannedRoute::from_path(state, trap_path(&nodes, n)))
+    }
+
+    /// Re-prices every internal and segment edge from `state` and the
+    /// loads, and closes every entry and exit. The internal edge of a full
+    /// trap costs the penalty when `penalized(t)`; each segment costs
+    /// `weight × hop_scale + load`.
+    fn price(
+        &mut self,
+        state: &MachineState,
+        full_trap_penalty: u32,
+        penalized: impl Fn(TrapId) -> bool,
+        weight: Option<&EdgeWeightFn>,
+    ) {
+        debug_assert_eq!(state.spec().num_traps() as usize, self.internal.len());
+        for (t, &id) in self.internal.iter().enumerate() {
+            let t = TrapId(t as u32);
+            let cost = if penalized(t) && state.is_full(t) {
+                i64::from(full_trap_penalty) * self.hop_scale
+            } else {
+                0
+            };
+            self.net.set_edge(id, 1, cost);
+        }
+        for &(a, b, id) in &self.segments {
+            let units = weight.map_or(1, |w| i64::from(w(a, b).max(1)));
+            let cost = units * self.hop_scale + i64::from(self.load.load(a, b));
+            self.net.set_edge(id, 1, cost);
+        }
+        for &id in self.exits.iter().chain(&self.entries) {
+            self.net.set_edge(id, 0, 0);
         }
     }
-    if candidates == 0 {
-        return None;
-    }
-    net.add_edge(2 * n, 2 * blocked.index(), 1, 0);
-    // The trap the unit exits to the super-sink from is the destination.
-    let path = trap_path(&min_cost_unit_path(&mut net, 2 * n, sink)?, n);
-    Some((*path.last()?, path))
 }
 
-/// Builds the priced node-split network [`priced_route`] and
-/// [`plan_eviction`] share: nodes `2t` / `2t+1` are trap `t`'s in/out
-/// halves (internal edge: the full-trap penalty when `penalized(t)` and
-/// the trap is full, capacity 1 so routes are simple paths); each physical
-/// segment costs `hop_scale + load`, where `hop_scale` exceeds any
-/// possible load sum so cost order is: fewer `hops + penalty×full-traps`
-/// first, colder edges second. Node `2n` is reserved for the caller's
-/// super-source; `extra` further nodes follow it.
-fn priced_network(
-    state: &MachineState,
-    load: &EdgeLoad,
-    full_trap_penalty: u32,
-    penalized: impl Fn(TrapId) -> bool,
-    extra: usize,
-    weight: Option<&EdgeWeightFn>,
-) -> FlowNetwork {
-    let topology = state.spec().topology();
-    let n = topology.num_traps() as usize;
-    // Any load sum is < n * (LOAD_CAP + 1); scale hop costs above it.
-    let hop_scale = (n as i64 + 1) * i64::from(LOAD_CAP + 1);
-    let mut net = FlowNetwork::new(2 * n + 1 + extra);
-    for t in topology.traps() {
-        let cost = if penalized(t) && state.is_full(t) {
-            i64::from(full_trap_penalty) * hop_scale
-        } else {
-            0
-        };
-        net.add_edge(2 * t.index(), 2 * t.index() + 1, 1, cost);
-        for nb in topology.neighbors(t) {
-            let units = weight.map_or(1, |w| i64::from(w(t, nb).max(1)));
-            let cost = units * hop_scale + i64::from(load.load(t, nb));
-            net.add_edge(2 * t.index() + 1, 2 * nb.index(), 1, cost);
-        }
-    }
-    net
-}
-
-/// The trap path spelled by a unit path through [`priced_network`]: the
-/// out-halves it passes, in order (the caller's super-nodes sit at `2n`
-/// and above).
+/// The trap path spelled by a unit path through the planner's network:
+/// the out-halves it passes, in order (the super-nodes sit at `2n` and
+/// above).
 fn trap_path(nodes: &[usize], n: usize) -> Vec<TrapId> {
     nodes
         .iter()
         .filter(|&&v| v % 2 == 1 && v < 2 * n)
         .map(|&v| TrapId((v / 2) as u32))
         .collect()
-}
-
-/// Minimum-cost route from `from` to `dest` on the shared
-/// [`priced_network`]; full traps at the route's own endpoints are exempt
-/// from the eviction penalty.
-fn priced_route(
-    state: &MachineState,
-    from: TrapId,
-    dest: TrapId,
-    full_trap_penalty: u32,
-    load: &EdgeLoad,
-    weight: Option<&EdgeWeightFn>,
-) -> Option<PlannedRoute> {
-    let _phase = qccd_obs::span("route-plan");
-    let n = state.spec().topology().num_traps() as usize;
-    let mut net = priced_network(
-        state,
-        load,
-        full_trap_penalty,
-        |t| t != from && t != dest,
-        0,
-        weight,
-    );
-    net.add_edge(2 * n, 2 * from.index(), 1, 0);
-    let nodes = min_cost_unit_path(&mut net, 2 * n, 2 * dest.index() + 1)?;
-    Some(PlannedRoute::from_path(state, trap_path(&nodes, n)))
 }
 
 #[cfg(test)]
@@ -348,13 +388,26 @@ mod tests {
         state
     }
 
+    fn planner(state: &MachineState) -> RoutePlanner {
+        RoutePlanner::new(state.spec().topology())
+    }
+
+    fn route(
+        planner: &mut RoutePlanner,
+        policy: RouterPolicy,
+        state: &MachineState,
+        from: u32,
+        dest: u32,
+    ) -> Option<PlannedRoute> {
+        planner.plan_route(policy, state, TrapId(from), TrapId(dest), None)
+    }
+
     #[test]
     fn serial_prefers_full_free_detour() {
         // Ring of 6; trap 1 full; 0 → 2 must go the long way for serial.
         let state = ring_state(6, &[1, 3, 1, 1, 1, 1]);
         assert!(state.is_full(TrapId(1)));
-        let load = EdgeLoad::new(6);
-        let r = plan_route(RouterPolicy::Serial, &state, TrapId(0), TrapId(2), &load).unwrap();
+        let r = route(&mut planner(&state), RouterPolicy::Serial, &state, 0, 2).unwrap();
         assert_eq!(r.hops(), 4, "0-5-4-3-2 around the full trap");
         assert_eq!(r.full_interior_traps, 0);
     }
@@ -364,13 +417,12 @@ mod tests {
         // Detour excess (2 hops) is far below the penalty (6): both
         // routers detour, and the planner reports no eviction needed.
         let state = ring_state(6, &[1, 3, 1, 1, 1, 1]);
-        let load = EdgeLoad::new(6);
-        let r = plan_route(
+        let r = route(
+            &mut planner(&state),
             RouterPolicy::congestion(),
             &state,
-            TrapId(0),
-            TrapId(2),
-            &load,
+            0,
+            2,
         )
         .unwrap();
         assert_eq!(r.hops(), 4);
@@ -387,17 +439,10 @@ mod tests {
         occ[1] = 3;
         let state = ring_state(16, &occ);
         assert!(state.is_full(TrapId(1)));
-        let load = EdgeLoad::new(16);
-        let serial = plan_route(RouterPolicy::Serial, &state, TrapId(0), TrapId(2), &load).unwrap();
+        let mut p = planner(&state);
+        let serial = route(&mut p, RouterPolicy::Serial, &state, 0, 2).unwrap();
         assert_eq!(serial.hops(), 14);
-        let congestion = plan_route(
-            RouterPolicy::congestion(),
-            &state,
-            TrapId(0),
-            TrapId(2),
-            &load,
-        )
-        .unwrap();
+        let congestion = route(&mut p, RouterPolicy::congestion(), &state, 0, 2).unwrap();
         assert_eq!(congestion.hops(), 2, "pass through the full trap");
         assert_eq!(congestion.full_interior_traps, 1);
     }
@@ -407,16 +452,9 @@ mod tests {
         // Ring of 6, nobody full: 0 → 3 has two 3-hop routes. Heat the
         // clockwise first segment; the planner must take the other one.
         let state = ring_state(6, &[1, 1, 1, 1, 1, 1]);
-        let mut load = EdgeLoad::new(6);
-        load.record(TrapId(0), TrapId(1));
-        let r = plan_route(
-            RouterPolicy::congestion(),
-            &state,
-            TrapId(0),
-            TrapId(3),
-            &load,
-        )
-        .unwrap();
+        let mut p = planner(&state);
+        p.record(TrapId(0), TrapId(1));
+        let r = route(&mut p, RouterPolicy::congestion(), &state, 0, 3).unwrap();
         assert_eq!(r.hops(), 3);
         assert_eq!(r.path[1], TrapId(5), "cold counter-clockwise route");
     }
@@ -426,19 +464,12 @@ mod tests {
         // Saturate every edge of the short route: the planner still takes
         // it because hop count dominates the surcharge.
         let state = ring_state(6, &[1, 1, 1, 1, 1, 1]);
-        let mut load = EdgeLoad::new(6);
+        let mut p = planner(&state);
         for _ in 0..100 {
-            load.record(TrapId(0), TrapId(1));
-            load.record(TrapId(1), TrapId(2));
+            p.record(TrapId(0), TrapId(1));
+            p.record(TrapId(1), TrapId(2));
         }
-        let r = plan_route(
-            RouterPolicy::congestion(),
-            &state,
-            TrapId(0),
-            TrapId(2),
-            &load,
-        )
-        .unwrap();
+        let r = route(&mut p, RouterPolicy::congestion(), &state, 0, 2).unwrap();
         assert_eq!(r.hops(), 2, "hot 2-hop route still beats a 4-hop one");
     }
 
@@ -449,7 +480,7 @@ mod tests {
         // planner counter-clockwise even with zero congestion — and a
         // unit-weight hook must reproduce the unweighted choice exactly.
         let state = ring_state(6, &[1, 1, 1, 1, 1, 1]);
-        let load = EdgeLoad::new(6);
+        let mut p = planner(&state);
         let heavy = |a: TrapId, b: TrapId| -> u32 {
             if (a, b) == (TrapId(0), TrapId(1)) || (a, b) == (TrapId(1), TrapId(0)) {
                 4
@@ -457,33 +488,15 @@ mod tests {
                 1
             }
         };
-        let r = plan_route_weighted(
-            RouterPolicy::congestion(),
-            &state,
-            TrapId(0),
-            TrapId(3),
-            &load,
-            Some(&heavy),
-        )
-        .unwrap();
+        let policy = RouterPolicy::congestion();
+        let r = p
+            .plan_route(policy, &state, TrapId(0), TrapId(3), Some(&heavy))
+            .unwrap();
         assert_eq!(r.hops(), 3);
         assert_eq!(r.path[1], TrapId(5), "weighted route avoids the 4x edge");
         let unit = |_: TrapId, _: TrapId| 1u32;
-        let plain = plan_route(
-            RouterPolicy::congestion(),
-            &state,
-            TrapId(0),
-            TrapId(3),
-            &load,
-        );
-        let unitized = plan_route_weighted(
-            RouterPolicy::congestion(),
-            &state,
-            TrapId(0),
-            TrapId(3),
-            &load,
-            Some(&unit),
-        );
+        let plain = route(&mut p, policy, &state, 0, 3);
+        let unitized = p.plan_route(policy, &state, TrapId(0), TrapId(3), Some(&unit));
         assert_eq!(plain, unitized, "unit weights reproduce unweighted pricing");
     }
 
@@ -505,9 +518,9 @@ mod tests {
         // the 0→1 segment must steer the eviction to trap 5.
         let state = ring_state(6, &[3, 1, 1, 1, 1, 1]);
         assert!(state.is_full(TrapId(0)));
-        let mut load = EdgeLoad::new(6);
-        load.record(TrapId(0), TrapId(1));
-        let (dest, route) = plan_eviction(&state, TrapId(0), &[], &load, 6).unwrap();
+        let mut p = planner(&state);
+        p.record(TrapId(0), TrapId(1));
+        let (dest, route) = p.plan_eviction(&state, TrapId(0), &[], 6, None).unwrap();
         assert_eq!(dest, TrapId(5), "cold neighbour wins the tie");
         assert_eq!(route, vec![TrapId(0), TrapId(5)]);
     }
@@ -525,13 +538,15 @@ mod tests {
         let mapping = InitialMapping::from_traps(&spec, traps).unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         assert!(state.is_full(TrapId(0)) && state.is_full(TrapId(1)));
-        let load = EdgeLoad::new(8);
-        let (dest, route) = plan_eviction(&state, TrapId(0), &[TrapId(7)], &load, 6).unwrap();
+        let mut p = planner(&state);
+        let (dest, route) = p
+            .plan_eviction(&state, TrapId(0), &[TrapId(7)], 6, None)
+            .unwrap();
         assert_eq!(dest, TrapId(6));
         assert_eq!(route, vec![TrapId(0), TrapId(7), TrapId(6)]);
         // No candidate at all: every other trap avoided.
         let all: Vec<TrapId> = (1..8).map(TrapId).collect();
-        assert_eq!(plan_eviction(&state, TrapId(0), &all, &load, 6), None);
+        assert_eq!(p.plan_eviction(&state, TrapId(0), &all, 6, None), None);
     }
 
     #[test]
@@ -547,15 +562,253 @@ mod tests {
         let spec = MachineSpec::new(TrapTopology::try_custom(3, &[(0, 1)]).unwrap(), 3, 1).unwrap();
         let mapping = InitialMapping::from_traps(&spec, vec![TrapId(0)]).unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
-        let load = EdgeLoad::new(3);
+        let mut p = planner(&state);
         for policy in [RouterPolicy::Serial, RouterPolicy::congestion()] {
-            assert_eq!(
-                plan_route(policy, &state, TrapId(0), TrapId(2), &load),
-                None
-            );
+            assert_eq!(route(&mut p, policy, &state, 0, 2), None);
         }
         // Trivial route: already there.
-        let r = plan_route(RouterPolicy::Serial, &state, TrapId(0), TrapId(0), &load).unwrap();
+        let r = route(&mut p, RouterPolicy::Serial, &state, 0, 0).unwrap();
         assert_eq!(r.hops(), 0);
+    }
+}
+
+/// The planner as it was before [`RoutePlanner`] kept one network per
+/// compile: every call builds its own priced network, with only the
+/// super-edges that call needs. The reused planner must agree with it on
+/// every call.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    fn priced_network(
+        state: &MachineState,
+        load: &EdgeLoad,
+        full_trap_penalty: u32,
+        penalized: impl Fn(TrapId) -> bool,
+        extra: usize,
+        weight: Option<&EdgeWeightFn>,
+    ) -> FlowNetwork {
+        let topology = state.spec().topology();
+        let n = topology.num_traps() as usize;
+        let hop_scale = (n as i64 + 1) * i64::from(LOAD_CAP + 1);
+        let mut net = FlowNetwork::new(2 * n + 1 + extra);
+        for t in topology.traps() {
+            let cost = if penalized(t) && state.is_full(t) {
+                i64::from(full_trap_penalty) * hop_scale
+            } else {
+                0
+            };
+            net.add_edge(2 * t.index(), 2 * t.index() + 1, 1, cost);
+            for nb in topology.neighbors(t) {
+                let units = weight.map_or(1, |w| i64::from(w(t, nb).max(1)));
+                let cost = units * hop_scale + i64::from(load.load(t, nb));
+                net.add_edge(2 * t.index() + 1, 2 * nb.index(), 1, cost);
+            }
+        }
+        net
+    }
+
+    pub(super) fn plan_route(
+        policy: RouterPolicy,
+        state: &MachineState,
+        from: TrapId,
+        dest: TrapId,
+        load: &EdgeLoad,
+        weight: Option<&EdgeWeightFn>,
+    ) -> Option<PlannedRoute> {
+        let topology = state.spec().topology();
+        if from == dest {
+            return Some(PlannedRoute {
+                path: vec![from],
+                full_interior_traps: 0,
+            });
+        }
+        let filtered =
+            topology.shortest_path_filtered(from, dest, |t| t == dest || !state.is_full(t));
+        match policy {
+            RouterPolicy::Serial => filtered
+                .or_else(|| topology.shortest_path(from, dest))
+                .map(|p| PlannedRoute::from_path(state, p)),
+            RouterPolicy::Congestion { full_trap_penalty } => {
+                let Some(filtered) = filtered else {
+                    return topology
+                        .shortest_path(from, dest)
+                        .map(|p| PlannedRoute::from_path(state, p));
+                };
+                let n = topology.num_traps() as usize;
+                let penalized = |t| t != from && t != dest;
+                let mut net = priced_network(state, load, full_trap_penalty, penalized, 0, weight);
+                net.add_edge(2 * n, 2 * from.index(), 1, 0);
+                match min_cost_unit_path(&mut net, 2 * n, 2 * dest.index() + 1) {
+                    Some(nodes) => Some(PlannedRoute::from_path(state, trap_path(&nodes, n))),
+                    None => Some(PlannedRoute::from_path(state, filtered)),
+                }
+            }
+        }
+    }
+
+    pub(super) fn plan_eviction(
+        state: &MachineState,
+        blocked: TrapId,
+        avoid: &[TrapId],
+        load: &EdgeLoad,
+        full_trap_penalty: u32,
+        weight: Option<&EdgeWeightFn>,
+    ) -> Option<(TrapId, Vec<TrapId>)> {
+        let topology = state.spec().topology();
+        let n = topology.num_traps() as usize;
+        let sink = 2 * n + 1;
+        let mut net = priced_network(state, load, full_trap_penalty, |t| t != blocked, 1, weight);
+        let mut candidates = 0usize;
+        for t in topology.traps() {
+            if t != blocked && !avoid.contains(&t) && !state.is_full(t) {
+                net.add_edge(2 * t.index() + 1, sink, 1, 0);
+                candidates += 1;
+            }
+        }
+        if candidates == 0 {
+            return None;
+        }
+        net.add_edge(2 * n, 2 * blocked.index(), 1, 0);
+        let path = trap_path(&min_cost_unit_path(&mut net, 2 * n, sink)?, n);
+        Some((*path.last()?, path))
+    }
+}
+
+#[cfg(test)]
+mod property_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use qccd_machine::{InitialMapping, MachineSpec};
+
+    /// One step of a random planner session.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Shuttle the `ion`-th ion (mod ion count) one hop toward the
+        /// `nb`-th neighbour of its trap, if that trap has room.
+        Shuttle {
+            ion: usize,
+            nb: usize,
+        },
+        /// Record traffic on the `nb`-th segment out of trap `trap`.
+        Record {
+            trap: usize,
+            nb: usize,
+        },
+        Decay,
+        /// Plan a route between two traps under `policy`.
+        Route {
+            from: usize,
+            dest: usize,
+            policy: u32,
+        },
+        /// Plan an eviction out of `blocked`, avoiding a bitmask of traps.
+        Evict {
+            blocked: usize,
+            avoid: u64,
+        },
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (0usize..64, 0usize..4).prop_map(|(ion, nb)| Step::Shuttle { ion, nb }),
+            (0usize..64, 0usize..4).prop_map(|(trap, nb)| Step::Record { trap, nb }),
+            Just(Step::Decay),
+            (0usize..64, 0usize..64, 0u32..4).prop_map(|(from, dest, policy)| Step::Route {
+                from,
+                dest,
+                policy
+            }),
+            (0usize..64, any::<u64>()).prop_map(|(blocked, avoid)| Step::Evict { blocked, avoid }),
+        ]
+    }
+
+    fn topology(kind: u32, size: u32) -> TrapTopology {
+        match kind {
+            0 => TrapTopology::linear(size),
+            1 => TrapTopology::ring(size.max(3)),
+            2 => TrapTopology::grid(2, size.div_ceil(2).max(2)),
+            // Disconnected: two separate lines, so routes can be `None`.
+            _ => {
+                let edges: Vec<(u32, u32)> = (0..size)
+                    .filter(|&a| a + 1 < size && a + 1 != size / 2)
+                    .map(|a| (a, a + 1))
+                    .collect();
+                TrapTopology::try_custom(size, &edges).unwrap()
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn reused_planner_matches_per_call_rebuild(
+            kind in 0u32..4,
+            size in 3u32..9,
+            cap in 2u32..4,
+            weighted in any::<bool>(),
+            steps in proptest::collection::vec(step(), 1..60),
+        ) {
+            let topo = topology(kind, size);
+            let n = topo.num_traps();
+            // Comm capacity 0: traps really fill, so full-trap penalties,
+            // detours and evictions all get exercised.
+            let spec = MachineSpec::new(topo, cap, 0).unwrap();
+            // Half the traps start full.
+            let traps: Vec<TrapId> = (0..n * (cap - 1) + n / 2).map(|i| TrapId(i % n)).collect();
+            let mapping = InitialMapping::from_traps(&spec, traps).unwrap();
+            let mut state = MachineState::with_mapping(&spec, &mapping).unwrap();
+            let ions = mapping.num_ions() as usize;
+            let mut planner = RoutePlanner::new(spec.topology());
+            let mut load = EdgeLoad::new(n as usize);
+            let skew = |a: TrapId, b: TrapId| 1 + (a.0 * 3 + b.0) % 4;
+            let weight: Option<&EdgeWeightFn> = if weighted { Some(&skew) } else { None };
+            let trap = |i: usize| TrapId((i % n as usize) as u32);
+            let neighbour = |t: TrapId, k: usize| {
+                let nbs = spec.topology().neighbors(t);
+                (!nbs.is_empty()).then(|| nbs[k % nbs.len()])
+            };
+            for s in steps {
+                match s {
+                    Step::Shuttle { ion, nb } => {
+                        let ion = qccd_machine::IonId((ion % ions) as u32);
+                        if let Some(to) = neighbour(state.trap_of(ion), nb) {
+                            if !state.is_full(to) {
+                                state.shuttle(ion, to).unwrap();
+                            }
+                        }
+                    }
+                    Step::Record { trap: t, nb } => {
+                        if let Some(to) = neighbour(trap(t), nb) {
+                            planner.record(trap(t), to);
+                            load.record(trap(t), to);
+                        }
+                    }
+                    Step::Decay => {
+                        planner.decay();
+                        load.decay();
+                    }
+                    Step::Route { from, dest, policy } => {
+                        let policy = match policy {
+                            0 => RouterPolicy::Serial,
+                            p => RouterPolicy::Congestion { full_trap_penalty: 2 * p },
+                        };
+                        let (from, dest) = (trap(from), trap(dest));
+                        let got = planner.plan_route(policy, &state, from, dest, weight);
+                        let want = reference::plan_route(policy, &state, from, dest, &load, weight);
+                        prop_assert_eq!(got, want);
+                    }
+                    Step::Evict { blocked, avoid } => {
+                        let blocked = trap(blocked);
+                        let avoid: Vec<TrapId> =
+                            (0..n).filter(|t| avoid >> t & 1 == 1).map(TrapId).collect();
+                        let got = planner.plan_eviction(&state, blocked, &avoid, 6, weight);
+                        let want = reference::plan_eviction(&state, blocked, &avoid, &load, 6, weight);
+                        prop_assert_eq!(got, want);
+                    }
+                }
+            }
+        }
     }
 }

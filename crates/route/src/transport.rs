@@ -154,7 +154,8 @@ impl TransportSchedule {
                         && !cur.iter().any(|c| c.ion == ion)
                         && departures[from.index()] == 0
                         && arrivals[to.index()] == 0
-                        && state.occupancy(to) < spec.total_capacity() + departures[to.index()];
+                        && u64::from(state.occupancy(to))
+                            < u64::from(spec.total_capacity()) + u64::from(departures[to.index()]);
                     if !fits {
                         close(
                             &mut state,

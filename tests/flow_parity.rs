@@ -9,18 +9,26 @@
 //!   routes and evictions under the shuttle objective;
 //! * the baseline compiler (`FromTrapZero` re-balancing) on L6 — the
 //!   MCMF eviction route of §III-C1.
+//!
+//! Two `pack` pins (recorded from the packer whose backfill kept one
+//! snapshot `Vec` per round and whose layer pass cloned the machine at
+//! every gate-free run) cover the transport back end the same way: the
+//! adopted schedule and rounds as digests, the full `PackStats` and the
+//! makespan bits, on a 4×4 grid (cross-gate backfill wins) and on a ring
+//! (layer-planned rewrites win).
 
 use muzzle_shuttle::circuit::generators::random_circuit;
 use muzzle_shuttle::compiler::{compile, CompileResult, CompilerConfig, Objective};
-use muzzle_shuttle::machine::{MachineSpec, TrapTopology};
+use muzzle_shuttle::machine::{MachineSpec, Operation, TrapTopology};
 use muzzle_shuttle::obs;
-use muzzle_shuttle::pack::{compile_clock, ClockStats};
-use muzzle_shuttle::route::RouterPolicy;
+use muzzle_shuttle::pack::{compile_clock, pack, ClockStats, PackConfig, PackStats};
+use muzzle_shuttle::route::{RouterPolicy, TransportSchedule};
 use muzzle_shuttle::timing::TimingModel;
 use std::sync::Mutex;
 
 /// Telemetry counters are process-global: tests in this binary compile
-/// one at a time so the counter pins see only their own compile.
+/// one at a time so the counter pins see only their own compile (the
+/// pack pins read no counters but would leak into the others').
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Runs `f` with telemetry on and returns its value with the flow work
@@ -98,4 +106,119 @@ fn baseline_mcmf_evictions_on_l6_match_recorded_routes() {
     assert_eq!(quality(&result), (2777, 2777, 4691619723492720640));
     assert_eq!(result.stats.rebalances, 22);
     assert_eq!(counters, [22, 22, 0, 0]);
+}
+
+/// FNV-1a over 64-bit words: a stable digest for pinning long outputs.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn ops_digest(ops: &[Operation]) -> u64 {
+    fnv(ops.iter().flat_map(|op| match *op {
+        Operation::Gate { gate, trap } => [0, u64::from(gate.0), u64::from(trap.0), 0],
+        Operation::Shuttle { ion, from, to } => {
+            [1, u64::from(ion.0), u64::from(from.0), u64::from(to.0)]
+        }
+    }))
+}
+
+fn rounds_digest(transport: &TransportSchedule) -> u64 {
+    fnv(transport.rounds.iter().flat_map(|r| {
+        std::iter::once(r.moves.len() as u64).chain(
+            r.moves
+                .iter()
+                .flat_map(|m| [u64::from(m.ion.0), u64::from(m.from.0), u64::from(m.to.0)]),
+        )
+    }))
+}
+
+/// Compiles `circuit` with lookahead packing under realistic timing, packs
+/// it, and returns (op count, ops digest, depth, rounds digest, makespan
+/// bits, stats).
+fn packed(
+    circuit: &muzzle_shuttle::circuit::Circuit,
+    spec: &MachineSpec,
+    router: RouterPolicy,
+) -> (usize, u64, usize, u64, u64, PackStats) {
+    let config = CompilerConfig::optimized()
+        .with_router(router)
+        .with_lookahead(true)
+        .with_timing(TimingModel::realistic());
+    let result = compile(circuit, spec, &config).unwrap();
+    let model = TimingModel::realistic();
+    let p = pack(
+        &result,
+        circuit,
+        spec,
+        &PackConfig::for_model(model).with_jobs(2),
+    )
+    .unwrap();
+    (
+        p.schedule.operations.len(),
+        ops_digest(&p.schedule.operations),
+        p.transport.depth(),
+        rounds_digest(&p.transport),
+        p.timeline.makespan_us.to_bits(),
+        p.stats,
+    )
+}
+
+#[test]
+fn pack_on_grid_matches_recorded_output() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let spec = MachineSpec::new(TrapTopology::grid(4, 4), 12, 2).unwrap();
+    let circuit = random_circuit(120, 2000, 1);
+    let got = packed(&circuit, &spec, RouterPolicy::congestion());
+    let stats = PackStats {
+        input_depth: 4531,
+        packed_depth: 3631,
+        input_makespan_us: f64::from_bits(4697913706007232512),
+        packed_makespan_us: f64::from_bits(4697303262305452032),
+        hoisted_hops: 957,
+        replanned_runs: 0,
+        dropped_hops: 0,
+        improved: true,
+    };
+    assert_eq!(
+        got,
+        (
+            6591,
+            3033216815087920938,
+            3631,
+            10509723720006322717,
+            4697303262305452032,
+            stats
+        )
+    );
+}
+
+#[test]
+fn pack_with_layer_rewrites_on_ring_matches_recorded_output() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let spec = MachineSpec::new(TrapTopology::ring(8), 12, 2).unwrap();
+    let circuit = random_circuit(60, 1000, 4);
+    let got = packed(&circuit, &spec, RouterPolicy::Serial);
+    let stats = PackStats {
+        input_depth: 1911,
+        packed_depth: 1696,
+        input_makespan_us: f64::from_bits(4690173264406773760),
+        packed_makespan_us: f64::from_bits(4689985832033976320),
+        hoisted_hops: 201,
+        replanned_runs: 15,
+        dropped_hops: 6,
+        improved: true,
+    };
+    assert_eq!(
+        got,
+        (
+            2905,
+            477998678807955595,
+            1696,
+            14566819900114733039,
+            4689985832033976320,
+            stats
+        )
+    );
 }

@@ -5,9 +5,12 @@ use muzzle_shuttle::circuit::generators::{
     qaoa, qft, quadratic_form, random_circuit, square_root, supremacy,
 };
 use muzzle_shuttle::circuit::Circuit;
-use muzzle_shuttle::compiler::{compile, CompileError, CompilerConfig};
+use muzzle_shuttle::compiler::{compile, CompileError, CompileResult, CompilerConfig, Objective};
 use muzzle_shuttle::machine::MachineSpec;
+use muzzle_shuttle::pack::{compile_clock, compile_packed};
+use muzzle_shuttle::route::RouterPolicy;
 use muzzle_shuttle::sim::{simulate, SimParams};
+use muzzle_shuttle::timing::TimingModel;
 
 /// Scaled-down versions of the paper's benchmarks that compile in
 /// milliseconds but exercise every pattern.
@@ -122,6 +125,43 @@ fn oversubscribed_machine_is_rejected_cleanly() {
     let circuit = random_circuit(10, 20, 1);
     let err = compile(&circuit, &spec, &CompilerConfig::optimized()).unwrap_err();
     assert!(matches!(err, CompileError::CircuitTooLarge { .. }));
+}
+
+#[test]
+fn capacity_u32_max_compiles_under_every_stack() {
+    // `capacity + departures` once wrapped u32 in the round-capacity
+    // checks: every router rejected its own rounds (debug builds panicked).
+    let spec = MachineSpec::linear(6, u32::MAX, 2).unwrap();
+    let base = CompilerConfig::optimized().with_timing(TimingModel::realistic());
+    let strict = |r: &CompileResult, circuit: &Circuit| {
+        r.schedule.validate(circuit, &spec).unwrap();
+        r.transport.validate(&r.schedule, &spec).unwrap();
+        r.timeline.validate().unwrap();
+    };
+    for circuit in [qft(8), random_circuit(12, 200, 3)] {
+        let mut shuttles = 0;
+        for (router, lookahead) in [
+            (RouterPolicy::Serial, false),
+            (RouterPolicy::congestion(), false),
+            (RouterPolicy::congestion(), true),
+        ] {
+            let config = base.with_router(router).with_lookahead(lookahead);
+            let r = compile(&circuit, &spec, &config).unwrap();
+            r.schedule.validate(&circuit, &spec).unwrap();
+            r.transport.validate_relaxed(&r.schedule, &spec).unwrap();
+            if !lookahead {
+                r.transport.validate(&r.schedule, &spec).unwrap();
+            }
+            r.timeline.validate().unwrap();
+            shuttles += r.stats.shuttles;
+        }
+        let (packed, _) = compile_packed(&circuit, &spec, &base).unwrap();
+        strict(&packed, &circuit);
+        let clock = base.with_objective(Objective::Clock).with_jobs(2);
+        let (clocked, _) = compile_clock(&circuit, &spec, &clock).unwrap();
+        strict(&clocked, &circuit);
+        assert!(shuttles > 0, "the machine must actually shuttle");
+    }
 }
 
 #[test]
