@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the substrates: DAG construction, flow routing,
-//! round backfill, schedule validation.
+//! memoized topology paths, round backfill, and the replay passes every
+//! compile runs (schedule validation, transport validation, lowering).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qccd_circuit::generators::{qft, random_circuit};
@@ -85,6 +86,17 @@ fn bench_flow(c: &mut Criterion) {
     c.bench_function("bfs_line_64", |b| {
         b.iter(|| black_box(&line).shortest_path(0, 63))
     });
+    // Corner to corner on the 4x4 grid. The memoized tree path is
+    // 0-1-2-3-7-11-15: blocking trap 5 leaves it usable, blocking trap 2
+    // forces the filtered BFS fallback.
+    let mut group = c.benchmark_group("shortest_path_filtered_grid4x4");
+    group.bench_function("tree_path", |b| {
+        b.iter(|| black_box(&grid).shortest_path_filtered(0, 15, |t| t != 5))
+    });
+    group.bench_function("blocked_fallback", |b| {
+        b.iter(|| black_box(&grid).shortest_path_filtered(0, 15, |t| t != 2))
+    });
+    group.finish();
 }
 
 fn bench_backfill(c: &mut Criterion) {
@@ -122,6 +134,8 @@ fn bench_backfill(c: &mut Criterion) {
 }
 
 fn bench_schedule_validation(c: &mut Criterion) {
+    // The replay passes of one paper-scale compile: a 1438-gate random
+    // circuit (the paper's mean size) on L6.
     let spec = MachineSpec::paper_l6();
     let circuit = random_circuit(64, 1438, 5);
     let compiled = compile(&circuit, &spec, &CompilerConfig::optimized()).expect("compiles");
@@ -130,6 +144,25 @@ fn bench_schedule_validation(c: &mut Criterion) {
             black_box(&compiled.schedule)
                 .validate(&circuit, &spec)
                 .expect("valid")
+        })
+    });
+    c.bench_function("transport_validate_random_1438", |b| {
+        b.iter(|| {
+            black_box(&compiled.transport)
+                .validate(&compiled.schedule, &spec)
+                .expect("valid")
+        })
+    });
+    c.bench_function("lower_random_1438", |b| {
+        b.iter(|| {
+            qccd_timing::lower(
+                black_box(&compiled.schedule),
+                Some(&compiled.transport),
+                &circuit,
+                &spec,
+                &compiled.timing,
+            )
+            .expect("lowers")
         })
     });
 }

@@ -10,16 +10,41 @@ use serde::{Deserialize, Serialize};
 
 /// The dependency graph of a circuit: per-gate predecessors/successors plus
 /// the layer structure of Fig. 2b in the paper.
+///
+/// Dependencies are qubit-carried and gates act on at most two qubits, so
+/// every gate has at most two predecessors (the last earlier gate on each
+/// operand) and at most two successors (the next later gate on each
+/// operand). Both are stored inline in two-slot arrays: building the DAG
+/// allocates three flat vectors, not two per gate.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DependencyDag {
     /// `preds[g]` = gates that must execute before gate `g`.
-    preds: Vec<Vec<GateId>>,
+    preds: Vec<Pair>,
     /// `succs[g]` = gates that directly depend on gate `g`.
-    succs: Vec<Vec<GateId>>,
+    succs: Vec<Pair>,
     /// `layer[g]` = 0-based layer of gate `g` (longest-path depth).
     layer: Vec<u32>,
     /// Number of layers (circuit depth in gates).
     layer_count: u32,
+}
+
+/// Up to two gate ids in insertion order; slots past `len` stay
+/// `GateId(0)`, so derived equality compares only the live prefix.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Pair {
+    ids: [GateId; 2],
+    len: u8,
+}
+
+impl Pair {
+    fn push(&mut self, g: GateId) {
+        self.ids[usize::from(self.len)] = g;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[GateId] {
+        &self.ids[..usize::from(self.len)]
+    }
 }
 
 impl DependencyDag {
@@ -31,8 +56,8 @@ impl DependencyDag {
     /// view the paper draws in Fig. 2b.
     pub fn build(circuit: &Circuit) -> Self {
         let n = circuit.len();
-        let mut preds: Vec<Vec<GateId>> = vec![Vec::new(); n];
-        let mut succs: Vec<Vec<GateId>> = vec![Vec::new(); n];
+        let mut preds = vec![Pair::default(); n];
+        let mut succs = vec![Pair::default(); n];
         let mut layer: Vec<u32> = vec![0; n];
         // Last gate that touched each qubit, if any.
         let mut last_on_qubit: Vec<Option<GateId>> = vec![None; circuit.num_qubits() as usize];
@@ -44,7 +69,7 @@ impl DependencyDag {
                 if let Some(prev) = last_on_qubit[q.index()] {
                     // Avoid duplicate edges when both operands were last
                     // touched by the same gate.
-                    if !preds[gi].contains(&prev) {
+                    if !preds[gi].as_slice().contains(&prev) {
                         preds[gi].push(prev);
                         succs[prev.index()].push(gate.id);
                     }
@@ -98,7 +123,7 @@ impl DependencyDag {
     ///
     /// Panics if `g` is not a gate of the underlying circuit.
     pub fn predecessors(&self, g: GateId) -> &[GateId] {
-        &self.preds[g.index()]
+        self.preds[g.index()].as_slice()
     }
 
     /// Direct successors of `g`.
@@ -107,7 +132,7 @@ impl DependencyDag {
     ///
     /// Panics if `g` is not a gate of the underlying circuit.
     pub fn successors(&self, g: GateId) -> &[GateId] {
-        &self.succs[g.index()]
+        self.succs[g.index()].as_slice()
     }
 
     /// Gates grouped by layer, each layer in ascending gate order.
@@ -124,8 +149,20 @@ impl DependencyDag {
     /// This is the paper's "earliest-ready-gate-first" baseline execution
     /// order (§III-B): topologically sorted, breaking ties by program order.
     pub fn topological_order(&self) -> Vec<GateId> {
-        let mut order: Vec<GateId> = (0..self.layer.len() as u32).map(GateId).collect();
-        order.sort_by_key(|g| (self.layer[g.index()], g.0));
+        // Counting sort on the layer: ids enter their layer's bucket in
+        // ascending order, so ties keep program order without a sort.
+        let mut next = vec![0usize; self.layer_count as usize + 1];
+        for &l in &self.layer {
+            next[l as usize + 1] += 1;
+        }
+        for l in 1..next.len() {
+            next[l] += next[l - 1];
+        }
+        let mut order = vec![GateId(0); self.layer.len()];
+        for (i, &l) in self.layer.iter().enumerate() {
+            order[next[l as usize]] = GateId(i as u32);
+            next[l as usize] += 1;
+        }
         order
     }
 
@@ -148,7 +185,7 @@ impl DependencyDag {
             position[g.index()] = i;
         }
         for (gi, preds) in self.preds.iter().enumerate() {
-            for p in preds {
+            for p in preds.as_slice() {
                 if position[p.index()] >= position[gi] {
                     return false;
                 }
@@ -173,7 +210,7 @@ impl ReadySet {
     fn new(dag: &DependencyDag) -> Self {
         let mut indegree = vec![0u32; dag.len()];
         for (gi, preds) in dag.preds.iter().enumerate() {
-            indegree[gi] = preds.len() as u32;
+            indegree[gi] = u32::from(preds.len);
         }
         ReadySet {
             indegree,
@@ -364,5 +401,128 @@ mod tests {
         let dag = c.dependency_dag();
         assert_eq!(dag.predecessors(GateId(1)), &[GateId(0)]);
         assert_eq!(dag.successors(GateId(0)), &[GateId(1)]);
+    }
+}
+
+/// Differential check of the two-slot DAG against the `Vec<Vec<GateId>>`
+/// build it replaced, kept here as the oracle.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::gate::{Opcode, Qubit};
+    use proptest::prelude::*;
+
+    /// The previous build: one growable list per gate and direction.
+    struct Reference {
+        preds: Vec<Vec<GateId>>,
+        succs: Vec<Vec<GateId>>,
+        layer: Vec<u32>,
+        layer_count: u32,
+    }
+
+    impl Reference {
+        fn build(circuit: &Circuit) -> Self {
+            let n = circuit.len();
+            let mut preds: Vec<Vec<GateId>> = vec![Vec::new(); n];
+            let mut succs: Vec<Vec<GateId>> = vec![Vec::new(); n];
+            let mut layer = vec![0u32; n];
+            let mut last: Vec<Option<GateId>> = vec![None; circuit.num_qubits() as usize];
+            let mut layer_count = 0;
+            for gate in circuit.gates() {
+                let gi = gate.id.index();
+                for q in gate.qubits.iter() {
+                    if let Some(prev) = last[q.index()] {
+                        if !preds[gi].contains(&prev) {
+                            preds[gi].push(prev);
+                            succs[prev.index()].push(gate.id);
+                        }
+                        layer[gi] = layer[gi].max(layer[prev.index()] + 1);
+                    }
+                    last[q.index()] = Some(gate.id);
+                }
+                layer_count = layer_count.max(layer[gi] + 1);
+            }
+            Reference {
+                preds,
+                succs,
+                layer,
+                layer_count,
+            }
+        }
+
+        fn topological_order(&self) -> Vec<GateId> {
+            let mut order: Vec<GateId> = (0..self.layer.len() as u32).map(GateId).collect();
+            order.sort_by_key(|g| (self.layer[g.index()], g.0));
+            order
+        }
+
+        fn layers(&self) -> Vec<Vec<GateId>> {
+            let mut out = vec![Vec::new(); self.layer_count as usize];
+            for (i, &l) in self.layer.iter().enumerate() {
+                out[l as usize].push(GateId(i as u32));
+            }
+            out
+        }
+    }
+
+    /// Random 1q/2q circuits on few qubits, so pairs repeat often (both
+    /// orientations) and gates share one or both operands.
+    fn circuit(qubits: u32, raw: &[(u32, u32, u32)]) -> Circuit {
+        let mut c = Circuit::new(qubits);
+        for &(kind, a, b) in raw {
+            let (a, b) = (Qubit(a % qubits), Qubit(b % qubits));
+            if kind % 3 == 0 || a == b {
+                c.push_single_qubit(Opcode::Rz, a).unwrap();
+            } else {
+                c.push_two_qubit(Opcode::Ms, a, b).unwrap();
+            }
+        }
+        c
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn two_slot_dag_matches_the_vec_of_vec_reference(
+            qubits in 1u32..7,
+            raw in proptest::collection::vec((0u32..9, 0u32..7, 0u32..7), 0..48),
+            picks in proptest::collection::vec(any::<u32>(), 48..49),
+        ) {
+            let c = circuit(qubits, &raw);
+            let dag = c.dependency_dag();
+            let want = Reference::build(&c);
+            prop_assert_eq!(dag.len(), c.len());
+            prop_assert_eq!(dag.layer_count(), want.layer_count);
+            for g in 0..c.len() {
+                let id = GateId(g as u32);
+                prop_assert_eq!(dag.predecessors(id), want.preds[g].as_slice(), "preds of {}", id);
+                prop_assert_eq!(dag.successors(id), want.succs[g].as_slice(), "succs of {}", id);
+                prop_assert_eq!(dag.layer_of(id), want.layer[g]);
+            }
+            prop_assert_eq!(dag.layers(), want.layers());
+            prop_assert_eq!(dag.topological_order(), want.topological_order());
+
+            // Retire gates in a random ready order; readiness must track
+            // the reference indegrees after every step.
+            let mut ready = dag.ready_set();
+            let mut indegree: Vec<usize> = want.preds.iter().map(Vec::len).collect();
+            let mut done = vec![false; c.len()];
+            for step in 0..c.len() {
+                let open: Vec<usize> =
+                    (0..c.len()).filter(|&g| !done[g] && indegree[g] == 0).collect();
+                for g in 0..c.len() {
+                    prop_assert_eq!(ready.is_ready(GateId(g as u32)), open.contains(&g));
+                }
+                let g = open[picks[step % picks.len()] as usize % open.len()];
+                ready.mark_done(&dag, GateId(g as u32));
+                done[g] = true;
+                for s in &want.succs[g] {
+                    indegree[s.index()] -= 1;
+                }
+                prop_assert_eq!(ready.remaining(), c.len() - step - 1);
+            }
+            prop_assert!(ready.all_done());
+        }
     }
 }

@@ -136,9 +136,13 @@ pub fn compile_with_mapping(
 ) -> Result<CompileResult, CompileError> {
     let _phase = qccd_obs::span("compile");
     let state = MachineState::with_mapping(spec, &mapping)?;
-    let dag = circuit.dependency_dag();
+    let (dag, plan) = {
+        let _phase = qccd_obs::span("dag");
+        let dag = circuit.dependency_dag();
+        let plan = dag.topological_order();
+        (dag, plan)
+    };
     let ready = dag.ready_set();
-    let plan = dag.topological_order();
     let remaining = RemainingGates::new(circuit, &plan);
     let pending: VecDeque<GateId> = plan.into();
     let clock = match config.objective {
@@ -179,17 +183,23 @@ pub fn compile_with_mapping(
         .as_ref()
         .map_or(0, ClockScorer::speculations);
     let schedule = Schedule::new(mapping, scheduler.ops);
-    schedule
-        .validate(circuit, spec)
-        .map_err(CompileError::InternalValidation)?;
-    let transport = match config.router {
-        RouterPolicy::Serial => TransportSchedule::pack_serial(&schedule),
-        RouterPolicy::Congestion { .. } if config.lookahead => {
-            TransportSchedule::pack_lookahead(&schedule, spec)
-                .map_err(CompileError::InternalTransport)?
+    {
+        let _phase = qccd_obs::span("schedule-validate");
+        schedule
+            .validate(circuit, spec)
+            .map_err(CompileError::InternalValidation)?;
+    }
+    let transport = {
+        let _phase = qccd_obs::span("transport-pack");
+        match config.router {
+            RouterPolicy::Serial => TransportSchedule::pack_serial(&schedule),
+            RouterPolicy::Congestion { .. } if config.lookahead => {
+                TransportSchedule::pack_lookahead(&schedule, spec)
+                    .map_err(CompileError::InternalTransport)?
+            }
+            RouterPolicy::Congestion { .. } => TransportSchedule::pack_concurrent(&schedule, spec)
+                .map_err(CompileError::InternalTransport)?,
         }
-        RouterPolicy::Congestion { .. } => TransportSchedule::pack_concurrent(&schedule, spec)
-            .map_err(CompileError::InternalTransport)?,
     };
     // Lookahead rounds reorder hops within gate-free runs, so they answer
     // to the relaxed (multiset + replay + final-mapping) validator. The
@@ -199,6 +209,7 @@ pub fn compile_with_mapping(
     // lookahead hot-path cleanup. The other packers preserve flat order
     // and must pass the strict validator.
     if !(config.lookahead && config.router.is_congestion()) {
+        let _phase = qccd_obs::span("transport-validate");
         transport
             .validate(&schedule, spec)
             .map_err(CompileError::InternalTransport)?;

@@ -1,14 +1,118 @@
-//! Small undirected graph with BFS shortest paths.
+//! Small undirected graph with memoized BFS shortest paths.
+//!
+//! # Row memo
+//!
+//! Distance and shortest-path queries are answered from per-source BFS
+//! rows: the hop distance to every node plus the node's BFS-tree parent.
+//! A row is computed the first time its source is queried and kept.
+//!
+//! * **Tie-break.** The BFS visits each node's neighbours in ascending
+//!   index order, so every returned path is the lexicographically smallest
+//!   shortest path.
+//! * **Sharing.** The rows sit behind an [`Arc`]: every clone of a graph
+//!   (and so of every `MachineSpec` and `MachineState` built on it) shares
+//!   them, and a row computed through one clone serves all.
+//!   [`Adjacency::add_edge`] detaches the graph from the shared rows, so
+//!   clones taken before the edge keep answering for the old graph.
+//! * **Memory.** A row holds two `u32` per node, so the worst case, a row
+//!   for every source, is n² × 8 B (2 KiB for a 4×4 grid).
+//!
+//! [`Adjacency::shortest_path_filtered`] returns the memoized tree path
+//! whenever all of its interior nodes are allowed. The filtered BFS would
+//! return that same path: the tree path is the smallest shortest path of
+//! the whole graph and lies inside the allowed subgraph, so it is also the
+//! smallest shortest path there. Only a blocked tree path falls back to a
+//! BFS over the allowed nodes.
 
-use std::collections::VecDeque;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
+/// Marks an unreachable node in a row's `dist` and a missing parent.
+const NONE: u32 = u32::MAX;
 
 /// An undirected graph on nodes `0..n`, stored as adjacency lists.
 ///
 /// Used to model trap topologies (the paper's L6 is [`Adjacency::line`]`(6)`)
 /// and to answer the shortest-path queries both re-balancing policies need.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// See the [module docs](self) for the memo contract behind the queries.
+#[derive(Clone)]
 pub struct Adjacency {
     neighbors: Vec<Vec<usize>>,
+    /// BFS answers, built on first query and shared by every clone.
+    memo: Arc<OnceLock<Memo>>,
+}
+
+/// The lazily built query state of one graph.
+struct Memo {
+    /// Neighbour lists in ascending order: the BFS visit order.
+    sorted: Vec<Vec<usize>>,
+    /// `rows[s]`: the BFS row of source `s`, built on first use.
+    rows: Vec<OnceLock<Row>>,
+}
+
+/// A full BFS from one source.
+struct Row {
+    /// Hop distance from the source; [`NONE`] when unreachable.
+    dist: Vec<u32>,
+    /// BFS-tree parent; [`NONE`] for the source and unreachable nodes.
+    parent: Vec<u32>,
+}
+
+impl Memo {
+    fn new(neighbors: &[Vec<usize>]) -> Self {
+        let sorted = neighbors
+            .iter()
+            .map(|nbrs| {
+                let mut nbrs = nbrs.clone();
+                nbrs.sort_unstable();
+                nbrs
+            })
+            .collect();
+        Memo {
+            sorted,
+            rows: (0..neighbors.len()).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    fn row(&self, from: usize) -> &Row {
+        self.rows[from].get_or_init(|| {
+            let n = self.sorted.len();
+            let mut dist = vec![NONE; n];
+            let mut parent = vec![NONE; n];
+            let mut queue = Vec::with_capacity(n);
+            dist[from] = 0;
+            queue.push(from);
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                for &v in &self.sorted[u] {
+                    if dist[v] == NONE {
+                        dist[v] = dist[u] + 1;
+                        parent[v] = u as u32;
+                        queue.push(v);
+                    }
+                }
+            }
+            Row { dist, parent }
+        })
+    }
+}
+
+impl Row {
+    /// The tree path from the row's source to `to` inclusive.
+    fn path_to(&self, to: usize) -> Option<Vec<usize>> {
+        let hops = self.dist[to];
+        if hops == NONE {
+            return None;
+        }
+        let mut path = vec![0; hops as usize + 1];
+        let mut cur = to;
+        for slot in path.iter_mut().rev() {
+            *slot = cur;
+            cur = self.parent[cur] as usize;
+        }
+        Some(path)
+    }
 }
 
 impl Adjacency {
@@ -16,6 +120,7 @@ impl Adjacency {
     pub fn new(n: usize) -> Self {
         Adjacency {
             neighbors: vec![Vec::new(); n],
+            memo: Arc::default(),
         }
     }
 
@@ -69,6 +174,9 @@ impl Adjacency {
 
     /// Adds the undirected edge `a — b`. Duplicate edges are ignored.
     ///
+    /// A new edge drops this graph's memoized rows; clones taken before
+    /// keep theirs.
+    ///
     /// # Panics
     ///
     /// Panics if `a` or `b` is out of range, or if `a == b` (self-loop).
@@ -81,10 +189,14 @@ impl Adjacency {
         if !self.neighbors[a].contains(&b) {
             self.neighbors[a].push(b);
             self.neighbors[b].push(a);
+            match Arc::get_mut(&mut self.memo) {
+                Some(memo) => drop(memo.take()),
+                None => self.memo = Arc::default(),
+            }
         }
     }
 
-    /// Neighbours of `node`.
+    /// Neighbours of `node`, in edge insertion order.
     ///
     /// # Panics
     ///
@@ -105,13 +217,15 @@ impl Adjacency {
 
     /// Hop distance between `from` and `to`, or `None` if disconnected.
     pub fn distance(&self, from: usize, to: usize) -> Option<usize> {
-        self.bfs(from, to, &|_| true).map(|p| p.len() - 1)
+        let row = self.row(from, to)?;
+        let hops = row.dist[to];
+        (hops != NONE).then_some(hops as usize)
     }
 
     /// A shortest path from `from` to `to` inclusive, or `None` if
     /// disconnected. Ties are broken toward lower-indexed neighbours.
     pub fn shortest_path(&self, from: usize, to: usize) -> Option<Vec<usize>> {
-        self.bfs(from, to, &|_| true)
+        self.row(from, to)?.path_to(to)
     }
 
     /// A shortest path whose *interior* nodes all satisfy `allowed`
@@ -123,30 +237,42 @@ impl Adjacency {
         to: usize,
         allowed: impl Fn(usize) -> bool,
     ) -> Option<Vec<usize>> {
-        self.bfs(from, to, &allowed)
+        let path = self.shortest_path(from, to)?;
+        let interior = path.len().saturating_sub(2);
+        if path.iter().skip(1).take(interior).all(|&v| allowed(v)) {
+            return Some(path);
+        }
+        self.bfs_filtered(from, to, &allowed)
     }
 
-    fn bfs(
+    fn memo(&self) -> &Memo {
+        self.memo.get_or_init(|| Memo::new(&self.neighbors))
+    }
+
+    /// The memoized row of `from`, or `None` when either endpoint is out
+    /// of range.
+    fn row(&self, from: usize, to: usize) -> Option<&Row> {
+        (from < self.len() && to < self.len()).then(|| self.memo().row(from))
+    }
+
+    /// BFS over `from`, `to` and the allowed nodes, visiting neighbours in
+    /// ascending order; stops when `to` is reached.
+    fn bfs_filtered(
         &self,
         from: usize,
         to: usize,
         interior_allowed: &dyn Fn(usize) -> bool,
     ) -> Option<Vec<usize>> {
-        if from >= self.len() || to >= self.len() {
-            return None;
-        }
-        if from == to {
-            return Some(vec![from]);
-        }
-        let mut prev: Vec<Option<usize>> = vec![None; self.len()];
+        let sorted = &self.memo().sorted;
+        let mut prev = vec![NONE; self.len()];
         let mut visited = vec![false; self.len()];
-        let mut queue = VecDeque::new();
+        let mut queue = Vec::new();
         visited[from] = true;
-        queue.push_back(from);
-        while let Some(u) = queue.pop_front() {
-            let mut nbrs = self.neighbors[u].clone();
-            nbrs.sort_unstable();
-            for v in nbrs {
+        queue.push(from);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            for &v in &sorted[u] {
                 if visited[v] {
                     continue;
                 }
@@ -154,21 +280,38 @@ impl Adjacency {
                     continue;
                 }
                 visited[v] = true;
-                prev[v] = Some(u);
+                prev[v] = u as u32;
                 if v == to {
                     let mut path = vec![to];
                     let mut cur = to;
-                    while let Some(p) = prev[cur] {
-                        path.push(p);
-                        cur = p;
+                    while prev[cur] != NONE {
+                        cur = prev[cur] as usize;
+                        path.push(cur);
                     }
                     path.reverse();
                     return Some(path);
                 }
-                queue.push_back(v);
+                queue.push(v);
             }
         }
         None
+    }
+}
+
+/// Graphs are equal when their adjacency lists are; the memo is a cache.
+impl PartialEq for Adjacency {
+    fn eq(&self, other: &Self) -> bool {
+        self.neighbors == other.neighbors
+    }
+}
+
+impl Eq for Adjacency {}
+
+impl fmt::Debug for Adjacency {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Adjacency")
+            .field("neighbors", &self.neighbors)
+            .finish()
     }
 }
 
@@ -334,5 +477,147 @@ mod property_tests {
                 }
             }
         }
+    }
+}
+
+/// Differential check of the memoized queries against the per-query BFS
+/// they replaced, kept here as the oracle.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// The previous BFS: clones and sorts the neighbour list on every
+    /// dequeue and stops at `to`.
+    fn reference(
+        g: &Adjacency,
+        from: usize,
+        to: usize,
+        interior_allowed: &dyn Fn(usize) -> bool,
+    ) -> Option<Vec<usize>> {
+        if from >= g.len() || to >= g.len() {
+            return None;
+        }
+        if from == to {
+            return Some(vec![from]);
+        }
+        let mut prev: Vec<Option<usize>> = vec![None; g.len()];
+        let mut visited = vec![false; g.len()];
+        let mut queue = VecDeque::new();
+        visited[from] = true;
+        queue.push_back(from);
+        while let Some(u) = queue.pop_front() {
+            let mut nbrs = g.neighbors(u).to_vec();
+            nbrs.sort_unstable();
+            for v in nbrs {
+                if visited[v] || (v != to && !interior_allowed(v)) {
+                    continue;
+                }
+                visited[v] = true;
+                prev[v] = Some(u);
+                if v == to {
+                    let mut path = vec![to];
+                    let mut cur = to;
+                    while let Some(p) = prev[cur] {
+                        path.push(p);
+                        cur = p;
+                    }
+                    path.reverse();
+                    return Some(path);
+                }
+                queue.push_back(v);
+            }
+        }
+        None
+    }
+
+    /// Random graphs on up to 12 nodes with edges inserted in arbitrary
+    /// (unsorted) order, often disconnected, plus allow-masks.
+    fn graph() -> impl Strategy<Value = (Adjacency, Vec<u32>)> {
+        (
+            1usize..=12,
+            proptest::collection::vec((0usize..12, 0usize..12), 0..30),
+            proptest::collection::vec(0u32..1 << 12, 6..7),
+        )
+            .prop_map(|(n, raw, masks)| {
+                let mut g = Adjacency::new(n);
+                for (a, b) in raw {
+                    let (a, b) = (a % n, b % n);
+                    if a != b {
+                        g.add_edge(a, b);
+                    }
+                }
+                (g, masks)
+            })
+    }
+
+    /// Every query for every ordered pair (and one out-of-range node).
+    fn check_all(g: &Adjacency, masks: &[u32]) -> Result<usize, String> {
+        let mut queries = 0;
+        for from in 0..=g.len() {
+            for to in 0..=g.len() {
+                let want = reference(g, from, to, &|_| true);
+                prop_assert_eq!(g.shortest_path(from, to), want.clone());
+                prop_assert_eq!(g.distance(from, to), want.map(|p| p.len() - 1));
+                for &mask in masks {
+                    let allowed = |v: usize| mask >> v & 1 == 1;
+                    prop_assert_eq!(
+                        g.shortest_path_filtered(from, to, allowed),
+                        reference(g, from, to, &allowed),
+                        "{} -> {} under mask {:#b}",
+                        from,
+                        to,
+                        mask
+                    );
+                }
+                queries += 2 + masks.len();
+            }
+        }
+        Ok(queries)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn memoized_queries_match_the_per_query_bfs(case in graph()) {
+            let (g, masks) = case;
+            check_all(&g, &masks)?;
+            // A second pass reads only memoized rows.
+            check_all(&g, &masks)?;
+        }
+
+        /// A clone shares rows until its twin gains an edge; then each
+        /// answers for its own graph.
+        #[test]
+        fn clones_keep_their_answers_when_a_twin_gains_an_edge(
+            case in graph(),
+            edge in (0usize..12, 0usize..12),
+        ) {
+            let ((g, masks), (a, b)) = (case, edge);
+            let n = g.len();
+            check_all(&g, &masks)?;
+            let mut twin = g.clone();
+            let (a, b) = (a % n, b % n);
+            if a != b {
+                twin.add_edge(a, b);
+            }
+            check_all(&twin, &masks)?;
+            check_all(&g, &masks)?;
+            prop_assert_eq!(g.has_edge(a, b), g.neighbors(a).contains(&b));
+        }
+    }
+
+    #[test]
+    fn a_grown_clone_answers_for_its_own_graph() {
+        let line = Adjacency::line(5);
+        assert_eq!(line.distance(0, 4), Some(4));
+        let mut ring = line.clone();
+        ring.add_edge(4, 0);
+        assert_eq!(ring.distance(0, 4), Some(1));
+        assert_eq!(ring.shortest_path(0, 3), Some(vec![0, 4, 3]));
+        assert_eq!(line.distance(0, 4), Some(4));
+        assert_eq!(line.shortest_path(0, 3), Some(vec![0, 1, 2, 3]));
     }
 }

@@ -6,7 +6,7 @@ use crate::mapping::InitialMapping;
 use crate::ops::Operation;
 use crate::spec::MachineSpec;
 use crate::state::MachineState;
-use qccd_circuit::{Circuit, GateId, GateQubits};
+use qccd_circuit::{Circuit, GateId};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -123,10 +123,7 @@ impl Schedule {
                         return Err(ValidateScheduleError::DependencyViolation { step, gate });
                     }
                     let g = circuit.gate(gate);
-                    for q in match g.qubits {
-                        GateQubits::One(q) => vec![q],
-                        GateQubits::Two(a, b) => vec![a, b],
-                    } {
+                    for q in g.qubits.iter() {
                         if state.trap_of(IonId::from(q)) != trap {
                             return Err(ValidateScheduleError::NotCoLocated { step, gate });
                         }

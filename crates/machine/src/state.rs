@@ -223,18 +223,19 @@ impl MachineState {
     ///
     /// On error the state is unchanged.
     ///
+    /// Cost: O(m²) in the round's `m` moves, with no allocation. Each move
+    /// is checked against the round's earlier moves (rules 2–4), and once
+    /// the junction rule passes `m` is at most the number of traps.
+    ///
     /// # Errors
     ///
     /// The first violated rule, as a [`MachineError`] (`EdgeInUse`,
     /// `IonMovedTwice`, `JunctionBusy`, `RoundOverfill`, or the
-    /// single-hop errors of [`shuttle`](MachineState::shuttle)).
+    /// single-hop errors of [`shuttle`](MachineState::shuttle)). Moves are
+    /// checked in order, rules 1–4 per move; capacity (rule 5) is checked
+    /// last, and an overfill names the lowest overfilled trap.
     pub fn apply_round(&mut self, moves: &[ShuttleMove]) -> Result<(), MachineError> {
-        let num_traps = self.spec.num_traps() as usize;
-        let mut arrivals = vec![0u32; num_traps];
-        let mut departures = vec![0u32; num_traps];
-        let mut segments: Vec<(TrapId, TrapId)> = Vec::with_capacity(moves.len());
-        let mut moved: Vec<IonId> = Vec::with_capacity(moves.len());
-        for m in moves {
+        for (i, m) in moves.iter().enumerate() {
             if m.ion.index() >= self.trap_of.len() {
                 return Err(MachineError::IonOutOfRange {
                     ion: m.ion,
@@ -258,41 +259,42 @@ impl MachineState {
                     to: m.to,
                 });
             }
-            if moved.contains(&m.ion) {
+            let earlier = &moves[..i];
+            if earlier.iter().any(|e| e.ion == m.ion) {
                 return Err(MachineError::IonMovedTwice { ion: m.ion });
             }
             let seg = m.segment();
-            if segments.contains(&seg) {
+            if earlier.iter().any(|e| e.segment() == seg) {
                 return Err(MachineError::EdgeInUse { a: seg.0, b: seg.1 });
             }
-            if departures[m.from.index()] > 0 || arrivals[m.to.index()] > 0 {
-                let trap = if departures[m.from.index()] > 0 {
-                    m.from
-                } else {
-                    m.to
-                };
+            let split_busy = earlier.iter().any(|e| e.from == m.from);
+            if split_busy || earlier.iter().any(|e| e.to == m.to) {
+                let trap = if split_busy { m.from } else { m.to };
                 return Err(MachineError::JunctionBusy { trap });
             }
-            moved.push(m.ion);
-            segments.push(seg);
-            departures[m.from.index()] += 1;
-            arrivals[m.to.index()] += 1;
         }
-        for t in 0..num_traps {
-            let occ = self.chains[t].len() as u32;
-            // Summed in u64: `capacity + departures` wraps u32 near
-            // `u32::MAX`.
-            if u64::from(occ) + u64::from(arrivals[t])
-                > u64::from(self.spec.total_capacity()) + u64::from(departures[t])
-            {
-                return Err(MachineError::RoundOverfill {
-                    trap: TrapId(t as u32),
-                    occupancy: occ,
-                    arrivals: arrivals[t],
-                    departures: departures[t],
-                    capacity: self.spec.total_capacity(),
-                });
-            }
+        // The junction rule passed, so each trap has at most one arrival
+        // and one departure. A trap without an arrival cannot overfill,
+        // and one with an arrival overfills exactly when it is full and no
+        // move departs it. Summed in u64: `capacity + departures` wraps
+        // u32 near `u32::MAX`.
+        let capacity = self.spec.total_capacity();
+        let departures = |t: TrapId| u32::from(moves.iter().any(|d| d.from == t));
+        let overfilled = moves
+            .iter()
+            .map(|m| m.to)
+            .filter(|&t| {
+                u64::from(self.occupancy(t)) + 1 > u64::from(capacity) + u64::from(departures(t))
+            })
+            .min();
+        if let Some(trap) = overfilled {
+            return Err(MachineError::RoundOverfill {
+                trap,
+                occupancy: self.occupancy(trap),
+                arrivals: 1,
+                departures: departures(trap),
+                capacity,
+            });
         }
         // All checks passed: split every mover out, then merge them in.
         for m in moves {
@@ -573,5 +575,295 @@ mod tests {
             MachineState::with_mapping(&spec, &mapping),
             Err(MachineError::MappingOverfill { .. })
         ));
+    }
+}
+
+/// Differential check of [`MachineState::apply_round`] against the
+/// allocating implementation it replaced, kept here as the oracle.
+#[cfg(test)]
+mod apply_round_oracle {
+    use super::*;
+    use crate::topology::TrapTopology;
+    use proptest::prelude::*;
+
+    /// The previous `apply_round`: per-trap arrival/departure counters and
+    /// per-round segment and ion lists, then a capacity scan over every
+    /// trap.
+    fn reference(state: &mut MachineState, moves: &[ShuttleMove]) -> Result<(), MachineError> {
+        let num_traps = state.spec.num_traps() as usize;
+        let mut arrivals = vec![0u32; num_traps];
+        let mut departures = vec![0u32; num_traps];
+        let mut segments: Vec<(TrapId, TrapId)> = Vec::new();
+        let mut moved: Vec<IonId> = Vec::new();
+        for m in moves {
+            if m.ion.index() >= state.trap_of.len() {
+                return Err(MachineError::IonOutOfRange {
+                    ion: m.ion,
+                    num_ions: state.num_ions(),
+                });
+            }
+            state.spec.check_trap(m.to)?;
+            if state.trap_of[m.ion.index()] != m.from {
+                return Err(MachineError::WrongSourceTrap {
+                    ion: m.ion,
+                    claimed: m.from,
+                    actual: state.trap_of[m.ion.index()],
+                });
+            }
+            if m.from == m.to {
+                return Err(MachineError::SelfShuttle { trap: m.from });
+            }
+            if !state.spec.topology().are_adjacent(m.from, m.to) {
+                return Err(MachineError::NotAdjacent {
+                    from: m.from,
+                    to: m.to,
+                });
+            }
+            if moved.contains(&m.ion) {
+                return Err(MachineError::IonMovedTwice { ion: m.ion });
+            }
+            let seg = m.segment();
+            if segments.contains(&seg) {
+                return Err(MachineError::EdgeInUse { a: seg.0, b: seg.1 });
+            }
+            if departures[m.from.index()] > 0 || arrivals[m.to.index()] > 0 {
+                let trap = if departures[m.from.index()] > 0 {
+                    m.from
+                } else {
+                    m.to
+                };
+                return Err(MachineError::JunctionBusy { trap });
+            }
+            moved.push(m.ion);
+            segments.push(seg);
+            departures[m.from.index()] += 1;
+            arrivals[m.to.index()] += 1;
+        }
+        for t in 0..num_traps {
+            let occ = state.chains[t].len() as u32;
+            if u64::from(occ) + u64::from(arrivals[t])
+                > u64::from(state.spec.total_capacity()) + u64::from(departures[t])
+            {
+                return Err(MachineError::RoundOverfill {
+                    trap: TrapId(t as u32),
+                    occupancy: occ,
+                    arrivals: arrivals[t],
+                    departures: departures[t],
+                    capacity: state.spec.total_capacity(),
+                });
+            }
+        }
+        for m in moves {
+            let chain = &mut state.chains[m.from.index()];
+            let pos = chain.iter().position(|&i| i == m.ion).expect("consistent");
+            chain.remove(pos);
+        }
+        for m in moves {
+            state.chains[m.to.index()].push(m.ion);
+            state.trap_of[m.ion.index()] = m.to;
+        }
+        Ok(())
+    }
+
+    /// Reads bounded draws off a pre-sampled stream.
+    struct Draws<'a>(std::slice::Iter<'a, u32>);
+
+    impl Draws<'_> {
+        fn below(&mut self, n: u32) -> u32 {
+            self.0.next().map_or(0, |&x| x % n.max(1))
+        }
+    }
+
+    /// A small machine whose traps are filled up to total capacity by
+    /// serial hops, so rounds hit full traps, and a round mixing legal
+    /// hops, repeats, reversals and arbitrary (often illegal) moves.
+    fn case(raw: &[u32]) -> (MachineState, Vec<ShuttleMove>) {
+        let mut d = Draws(raw.iter());
+        let topology = match d.below(4) {
+            0 => TrapTopology::linear(2 + d.below(4)),
+            1 => TrapTopology::ring(3 + d.below(3)),
+            2 => TrapTopology::grid(2, 2 + d.below(2)),
+            _ => TrapTopology::custom(4, &[(2, 0), (3, 1), (1, 0)]),
+        };
+        let huge = d.below(6) == 0;
+        let capacity = if huge { u32::MAX } else { 2 + d.below(3) };
+        let comm = if huge { 1 } else { d.below(capacity) };
+        let spec = MachineSpec::new(topology, capacity, comm).expect("valid spec");
+        let traps = spec.num_traps();
+        let per_trap = spec.initial_capacity_per_trap().min(4);
+        let mut trap_of = Vec::new();
+        for t in 0..traps {
+            for _ in 0..d.below(per_trap + 1) {
+                trap_of.push(TrapId(t));
+            }
+        }
+        let mapping = InitialMapping::from_traps(&spec, trap_of).expect("fits");
+        let mut state = MachineState::with_mapping(&spec, &mapping).expect("fits");
+        let ions = state.num_ions();
+        for _ in 0..d.below(8) {
+            if ions == 0 {
+                break;
+            }
+            let ion = IonId(d.below(ions));
+            let nbrs = state.spec.topology().neighbors(state.trap_of(ion));
+            if !nbrs.is_empty() {
+                let to = nbrs[d.below(nbrs.len() as u32) as usize];
+                let _ = state.shuttle(ion, to);
+            }
+        }
+        let mut moves: Vec<ShuttleMove> = Vec::new();
+        for _ in 0..d.below(7) {
+            let m = match d.below(8) {
+                0..=3 if ions > 0 => {
+                    let ion = IonId(d.below(ions));
+                    let from = state.trap_of(ion);
+                    let nbrs = state.spec.topology().neighbors(from);
+                    let to = nbrs
+                        .get(d.below(nbrs.len() as u32) as usize)
+                        .copied()
+                        .unwrap_or(from);
+                    ShuttleMove { ion, from, to }
+                }
+                4 if !moves.is_empty() => moves[d.below(moves.len() as u32) as usize],
+                5 if !moves.is_empty() => {
+                    let m = moves[d.below(moves.len() as u32) as usize];
+                    ShuttleMove {
+                        ion: IonId(d.below(ions + 1)),
+                        from: m.to,
+                        to: m.from,
+                    }
+                }
+                _ => ShuttleMove {
+                    ion: IonId(d.below(ions + 2)),
+                    from: TrapId(d.below(traps + 1)),
+                    to: TrapId(d.below(traps + 1)),
+                },
+            };
+            moves.push(m);
+        }
+        (state, moves)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        /// Same first error (variant and fields) and same post-state.
+        #[test]
+        fn apply_round_matches_the_allocating_reference(
+            raw in proptest::collection::vec(any::<u32>(), 80..81)
+        ) {
+            let (state, moves) = case(&raw);
+            let mut fast = state.clone();
+            let mut slow = state;
+            let got = fast.apply_round(&moves);
+            let want = reference(&mut slow, &moves);
+            prop_assert_eq!(&got, &want, "moves {:?}", moves);
+            prop_assert_eq!(&fast, &slow);
+            prop_assert!(fast.check_invariants());
+        }
+    }
+
+    /// Every rule fires somewhere in the sampled rounds, so the agreement
+    /// above is not vacuous.
+    #[test]
+    fn sampled_rounds_hit_every_rule() {
+        let mut rng_state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..4000 {
+            let raw: Vec<u32> = (0..80)
+                .map(|_| {
+                    rng_state = rng_state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    (rng_state >> 33) as u32
+                })
+                .collect();
+            let (mut state, moves) = case(&raw);
+            let label = match state.apply_round(&moves) {
+                Ok(()) if moves.len() >= 2 => "ok-concurrent",
+                Ok(()) => "ok",
+                Err(MachineError::IonOutOfRange { .. }) => "ion-range",
+                Err(MachineError::TrapOutOfRange { .. }) => "trap-range",
+                Err(MachineError::WrongSourceTrap { .. }) => "wrong-source",
+                Err(MachineError::SelfShuttle { .. }) => "self",
+                Err(MachineError::NotAdjacent { .. }) => "not-adjacent",
+                Err(MachineError::IonMovedTwice { .. }) => "moved-twice",
+                Err(MachineError::EdgeInUse { .. }) => "edge",
+                Err(MachineError::JunctionBusy { .. }) => "junction",
+                Err(MachineError::RoundOverfill { departures: 0, .. }) => "overfill",
+                Err(e) => panic!("unexpected error {e:?}"),
+            };
+            seen.insert(label);
+        }
+        assert_eq!(seen.len(), 11, "rules hit: {seen:?}");
+    }
+
+    /// At capacity `u32::MAX` no trap can fill, and the capacity sum must
+    /// not wrap into a spurious overfill.
+    #[test]
+    fn u32_max_capacity_round_never_overfills() {
+        let spec = MachineSpec::linear(3, u32::MAX, 1).unwrap();
+        let mapping =
+            InitialMapping::from_traps(&spec, vec![TrapId(0), TrapId(1), TrapId(1)]).unwrap();
+        let state = MachineState::with_mapping(&spec, &mapping).unwrap();
+        let round = [
+            ShuttleMove {
+                ion: IonId(0),
+                from: TrapId(0),
+                to: TrapId(1),
+            },
+            ShuttleMove {
+                ion: IonId(2),
+                from: TrapId(1),
+                to: TrapId(2),
+            },
+        ];
+        let mut fast = state.clone();
+        let mut slow = state;
+        assert_eq!(fast.apply_round(&round), Ok(()));
+        assert_eq!(reference(&mut slow, &round), Ok(()));
+        assert_eq!(fast, slow);
+    }
+
+    /// The reported overfill is the lowest overfilled trap, with the
+    /// reference's fields, whatever order the arrivals are listed in.
+    #[test]
+    fn overfill_names_the_lowest_trap() {
+        // L4, capacity 2: T1 and T3 full, T0 and T2 hold one ion each.
+        let spec = MachineSpec::linear(4, 2, 0).unwrap();
+        let mapping = InitialMapping::from_traps(
+            &spec,
+            vec![
+                TrapId(0),
+                TrapId(1),
+                TrapId(1),
+                TrapId(2),
+                TrapId(3),
+                TrapId(3),
+            ],
+        )
+        .unwrap();
+        let state = MachineState::with_mapping(&spec, &mapping).unwrap();
+        let round = [
+            ShuttleMove {
+                ion: IonId(3),
+                from: TrapId(2),
+                to: TrapId(3),
+            },
+            ShuttleMove {
+                ion: IonId(0),
+                from: TrapId(0),
+                to: TrapId(1),
+            },
+        ];
+        let want = Err(MachineError::RoundOverfill {
+            trap: TrapId(1),
+            occupancy: 2,
+            arrivals: 1,
+            departures: 0,
+            capacity: 2,
+        });
+        assert_eq!(state.clone().apply_round(&round), want);
+        assert_eq!(reference(&mut state.clone(), &round), want);
     }
 }

@@ -50,6 +50,8 @@ CIRCUIT / MACHINE OPTIONS (compile, simulate, sweep):
     --circuit SPEC      qft:16 | qaoa:64x13[@seed] | supremacy:8x8x20 |
                         sqrt:78x9 | quadform:64x3400 | random:60x1438[@seed] |
                         file:PATH (program text; requires --qubits)
+                        (generated circuits may have at most 16777216
+                        gates; larger specs exit 2)
     --qubits N          qubit count for file: circuits
     --traps N           number of traps            [default: 6]
     --capacity N        total per-trap capacity    [default: 17]
@@ -1194,6 +1196,37 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Gate-count dimensions above `MAX_GATES` are usage errors raised
+    /// before any generator runs (they used to abort on allocation), one
+    /// per family, on every subcommand that generates a circuit.
+    #[test]
+    fn oversized_gate_count_specs_are_usage_errors() {
+        for spec in [
+            "qft:4097",
+            "qaoa:8x4294967295",
+            "qaoa:8x100000000",
+            "supremacy:4x4x4294967295",
+            "sqrt:8x4294967295",
+            "quadform:8x4294967295",
+            "random:8x4294967295",
+        ] {
+            let args = args(&["--circuit", spec, "--capacity", "4294967295"]);
+            for err in [
+                cmd_compile(&args),
+                cmd_simulate(&args),
+                cmd_sweep(&args),
+                explain::cmd_explain(&args),
+            ] {
+                let err = err.unwrap_err();
+                assert!(
+                    err.contains("above the maximum of 16777216"),
+                    "`{spec}` → `{err}`"
+                );
+            }
+        }
+        assert!(USAGE.contains(&format!("at most {}", spec::MAX_GATES)));
     }
 
     /// A trap capacity of `u32::MAX` compiles under every router and both

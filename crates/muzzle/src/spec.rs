@@ -5,6 +5,12 @@ use qccd_circuit::parser::parse_program;
 use qccd_circuit::Circuit;
 use qccd_machine::{MachineSpec, TrapTopology, ZoneLayout};
 
+/// The most gates a generated circuit may have: 2^24 = 16 777 216, about
+/// 250× the largest circuit in the paper-scale workloads. Larger specs are
+/// usage errors, rejected before generating, instead of allocation
+/// failures.
+pub const MAX_GATES: u64 = 1 << 24;
+
 /// A parsed `--circuit` argument: the circuit plus a display name.
 pub struct CircuitSpec {
     /// Canonical display name (e.g. `qft:16`).
@@ -29,8 +35,9 @@ pub struct CircuitSpec {
 /// | `file:prog.txt` | program text in the paper's listing format |
 ///
 /// A circuit with more qubits than `max_qubits` (the machine's ion
-/// capacity) is rejected before anything is generated, so an oversized
-/// spec is a usage error rather than an allocation failure.
+/// capacity) or more than [`MAX_GATES`] gates is rejected before anything
+/// is generated, so an oversized spec is a usage error rather than an
+/// allocation failure.
 pub fn parse_circuit(
     spec: &str,
     file_qubits: Option<u32>,
@@ -125,9 +132,21 @@ pub fn parse_circuit(
         fits(qubits)?;
     }
 
+    // Then the gate count, in u64, against `MAX_GATES`.
+    let bounded = |gates: u64| -> Result<(), String> {
+        if gates <= MAX_GATES {
+            Ok(())
+        } else {
+            Err(format!(
+                "circuit `{spec}` has {gates} gates, above the maximum of {MAX_GATES}"
+            ))
+        }
+    };
+
     let circuit = match family {
         "qft" => {
             expect(1)?;
+            bounded(gate_count(family, &dims))?;
             qft(dims[0] as u32)
         }
         "qaoa" => {
@@ -136,25 +155,30 @@ pub fn parse_circuit(
                 dims[0] >= 4 && dims[0].is_multiple_of(2),
                 "an even qubit count of at least 4 (a 3-regular graph)",
             )?;
+            bounded(gate_count(family, &dims))?;
             qaoa(dims[0] as u32, dims[1] as u32, seed.unwrap_or(0xA0A0))
         }
         "supremacy" => {
             expect(3)?;
+            bounded(gate_count(family, &dims))?;
             supremacy(dims[0] as u32, dims[1] as u32, dims[2] as u32)
         }
         "sqrt" => {
             expect(2)?;
             require(dims[0] >= 4, "at least 4 qubits")?;
+            bounded(gate_count(family, &dims))?;
             square_root(dims[0] as u32, dims[1] as u32)
         }
         "quadform" => {
             expect(2)?;
             require(dims[0] >= 2, "at least 2 qubits")?;
+            bounded(gate_count(family, &dims))?;
             quadratic_form(dims[0] as u32, dims[1] as usize)
         }
         "random" => {
             expect(2)?;
             require(dims[0] >= 2, "at least 2 qubits")?;
+            bounded(gate_count(family, &dims))?;
             random_circuit(dims[0] as u32, dims[1] as usize, seed.unwrap_or(7))
         }
         other => {
@@ -168,6 +192,46 @@ pub fn parse_circuit(
         name: spec.to_owned(),
         circuit,
     })
+}
+
+/// The number of gates a generator family emits for `dims`, computed in
+/// u64 (saturating) without generating. Exact for every family except
+/// `sqrt:78x9`, which the generator trims to the paper's 1028 two-qubit
+/// gates; there it is an upper bound. `dims` has the family's arity and
+/// meets its structural minimum.
+fn gate_count(family: &str, dims: &[u64]) -> u64 {
+    match (family, dims) {
+        // H on every qubit, two MS per ordered pair: n + n(n − 1).
+        ("qft", &[n]) => n.saturating_mul(n),
+        // Per round: a ZZ on each of the 3n/2 cubic-graph edges, then an
+        // RX on every qubit.
+        ("qaoa", &[n, rounds]) => rounds.saturating_mul(n / 2 * 3 + n),
+        // Per cycle: an RX on every qubit, then one of four brick layers.
+        ("supremacy", &[rows, cols, cycles]) => {
+            let bricks = [
+                rows * (cols / 2),
+                (rows / 2) * cols,
+                rows * (cols.saturating_sub(1) / 2),
+                (rows.saturating_sub(1) / 2) * cols,
+            ];
+            let two_qubit = (0..4u64).fold(0u64, |sum, k| {
+                let times = cycles / 4 + u64::from(k < cycles % 4);
+                sum.saturating_add(bricks[k as usize].saturating_mul(times))
+            });
+            cycles.saturating_mul(rows * cols).saturating_add(two_qubit)
+        }
+        // Per block: H on half the qubits, then two chains and the cross
+        // edges between them.
+        ("sqrt", &[n, blocks]) => {
+            let half = n / 2;
+            let per_block = half + (half - 1) + half + (n - half - 1);
+            blocks.saturating_mul(per_block)
+        }
+        // H on every qubit, then exactly the requested two-qubit gates.
+        ("quadform", &[n, gates]) => n.saturating_add(gates),
+        ("random", &[_, gates]) => gates,
+        _ => unreachable!("gate_count is called with a family's checked dimensions"),
+    }
 }
 
 /// Machine-shape options shared by every subcommand. Defaults to the
@@ -402,6 +466,68 @@ mod tests {
         assert!(err.contains("needs 91 qubits"), "{err}");
         // At the limit the spec still generates.
         assert!(parse_circuit("qft:90", None, l6).is_ok());
+    }
+
+    /// The predicted gate count is the generated one (an upper bound for
+    /// the trimmed `sqrt:78x9`), so the bound rejects exactly the specs
+    /// that would generate too many gates.
+    #[test]
+    fn gate_count_predicts_every_generator() {
+        for spec in [
+            "qft:1",
+            "qft:7",
+            "qaoa:4x0",
+            "qaoa:10x3",
+            "supremacy:1x1x5",
+            "supremacy:2x1x3",
+            "supremacy:3x4x9",
+            "supremacy:5x3x14",
+            "sqrt:4x0",
+            "sqrt:9x3",
+            "quadform:2x5",
+            "quadform:7x40",
+            "random:3x0",
+            "random:9x31",
+        ] {
+            let c = parse_circuit(spec, None, u32::MAX).unwrap();
+            let (family, rest) = spec.split_once(':').unwrap();
+            let dims: Vec<u64> = rest.split('x').map(|d| d.parse().unwrap()).collect();
+            assert_eq!(gate_count(family, &dims), c.circuit.len() as u64, "{spec}");
+        }
+        let paper = parse_circuit("sqrt:78x9", None, u32::MAX).unwrap();
+        assert!(gate_count("sqrt", &[78, 9]) >= paper.circuit.len() as u64);
+    }
+
+    /// Gate-count dimensions that fit the machine's qubits but would
+    /// generate more than `MAX_GATES` gates are rejected before
+    /// generating (they used to abort on allocation), one per family.
+    #[test]
+    fn rejects_circuits_above_the_gate_bound_before_generating() {
+        for (spec, gates) in [
+            ("qft:4097", 4097u64 * 4097),
+            ("qaoa:8x4294967295", 20 * 4294967295),
+            ("qaoa:8x100000000", 2_000_000_000),
+            // 16 RX per cycle plus 8, 8, 4, 4 MS in the four brick layers.
+            ("supremacy:4x4x4294967295", 94_489_280_492),
+            ("sqrt:8x4294967295", 14 * 4294967295),
+            ("quadform:8x4294967295", 4294967303),
+            ("random:8x4294967295", 4294967295),
+            ("random:8x16777217", 16777217),
+        ] {
+            let err = parse_circuit(spec, None, u32::MAX)
+                .err()
+                .unwrap_or_else(|| panic!("{spec}"));
+            assert_eq!(
+                err,
+                format!("circuit `{spec}` has {gates} gates, above the maximum of 16777216"),
+            );
+        }
+        assert_eq!(gate_count("random", &[2, 1 << 24]), MAX_GATES);
+        // The qubit bound is checked first.
+        let err = parse_circuit("qaoa:100x4294967295", None, 90)
+            .err()
+            .unwrap();
+        assert!(err.contains("at most 90 ions"), "{err}");
     }
 
     #[test]

@@ -327,19 +327,23 @@ impl TransportSchedule {
         };
         let ops = &schedule.operations;
         let mut round_idx = 0usize;
+        // The current gate-free run as a multiset, reused across runs.
+        let mut remaining: Vec<Option<ShuttleMove>> = Vec::new();
         let mut i = 0usize;
         while i < ops.len() {
             match ops[i] {
                 Operation::Gate { .. } => i += 1,
                 Operation::Shuttle { .. } => {
-                    // The gate-free run starting here, as a multiset.
                     let run_start = i;
-                    let mut remaining: Vec<Option<ShuttleMove>> = Vec::new();
+                    remaining.clear();
                     while let Some(&Operation::Shuttle { ion, from, to }) = ops.get(i) {
                         remaining.push(Some(ShuttleMove { ion, from, to }));
                         serial.shuttle(ion, to).map_err(TransportError::Machine)?;
                         i += 1;
                     }
+                    // Every slot before `live` is taken, so the search
+                    // skips the run's consumed prefix.
+                    let mut live = 0usize;
                     let mut outstanding = remaining.len();
                     while outstanding > 0 {
                         let round = self.rounds.get(round_idx).ok_or_else(count_mismatch)?;
@@ -352,14 +356,17 @@ impl TransportSchedule {
                         let run_len = remaining.len();
                         for m in &round.moves {
                             let consumed = run_len - outstanding;
-                            let slot = remaining
+                            let slot = remaining[live..]
                                 .iter_mut()
                                 .find(|slot| slot.as_ref() == Some(m))
                                 .ok_or(TransportError::MoveMismatch {
-                                op_index: run_start + consumed,
-                            })?;
+                                    op_index: run_start + consumed,
+                                })?;
                             *slot = None;
                             outstanding -= 1;
+                            while remaining.get(live) == Some(&None) {
+                                live += 1;
+                            }
                         }
                         state
                             .apply_round(&round.moves)

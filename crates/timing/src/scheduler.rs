@@ -17,6 +17,9 @@ use qccd_route::{TransportRound, TransportSchedule};
 use std::error::Error;
 use std::fmt;
 
+/// One shuttle hop: ion, source trap, destination trap.
+type Move = (IonId, TrapId, TrapId);
+
 /// Lowers a compiled `schedule` into a validated ASAP [`Timeline`] under
 /// `model`.
 ///
@@ -234,6 +237,11 @@ impl LowerState {
         let topology = spec.topology();
         let model = self.model;
         let mut round_idx = 0usize;
+        // Move buffers reused by every round of the call.
+        let mut run: Vec<Option<Move>> = Vec::new();
+        let mut members: Vec<Move> = Vec::new();
+        let mut pending: Vec<Move> = Vec::new();
+        let mut still: Vec<Move> = Vec::new();
         let mut i = 0usize;
         while i < ops.len() {
             match ops[i] {
@@ -299,32 +307,27 @@ impl LowerState {
                     i += 1;
                 }
                 Operation::Shuttle { .. } => {
-                    // The gate-free run of consecutive shuttle ops starting here.
+                    // The gate-free run of consecutive shuttle ops starting
+                    // here, as the multiset of moves still awaiting a round.
                     let run_start = i;
-                    let mut run_len = 0usize;
-                    while matches!(
-                        ops.get(run_start + run_len),
-                        Some(Operation::Shuttle { .. })
-                    ) {
-                        run_len += 1;
+                    run.clear();
+                    while let Some(&Operation::Shuttle { ion, from, to }) = ops.get(i) {
+                        run.push(Some((ion, from, to)));
+                        i += 1;
                     }
-                    // Multiset of the run's moves still awaiting a round.
-                    let mut remaining: Vec<Option<(IonId, TrapId, TrapId)>> = ops
-                        [run_start..run_start + run_len]
-                        .iter()
-                        .map(|op| match *op {
-                            Operation::Shuttle { ion, from, to } => Some((ion, from, to)),
-                            Operation::Gate { .. } => unreachable!("run members are shuttles"),
-                        })
-                        .collect();
+                    let run_len = run.len();
+                    // Every slot before `live` is taken: rounds mostly draw
+                    // moves in run order, so the search starts here instead
+                    // of rescanning the run's consumed prefix.
+                    let mut live = 0usize;
                     let mut consumed = 0usize;
                     while consumed < run_len {
                         // This round's member moves: from the transport
                         // schedule, or one synthetic single-hop round.
-                        let members: Vec<(IonId, TrapId, TrapId)> = match transport {
+                        members.clear();
+                        match transport {
                             None => {
-                                let m = remaining[consumed].take().expect("consumed in order");
-                                vec![m]
+                                members.push(run[consumed].take().expect("consumed in order"));
                             }
                             Some(rounds) => {
                                 let round =
@@ -337,21 +340,22 @@ impl LowerState {
                                     });
                                 }
                                 round_idx += 1;
-                                let mut taken = Vec::with_capacity(round.moves.len());
                                 for m in &round.moves {
                                     let want = (m.ion, m.from, m.to);
-                                    let slot = remaining
+                                    let slot = run[live..]
                                         .iter_mut()
                                         .find(|slot| **slot == Some(want))
                                         .ok_or(LowerError::TransportMismatch {
                                             op_index: run_start + consumed,
                                         })?;
                                     *slot = None;
-                                    taken.push(want);
+                                    members.push(want);
+                                    while run.get(live) == Some(&None) {
+                                        live += 1;
+                                    }
                                 }
-                                taken
                             }
-                        };
+                        }
 
                         // Apply the members with departures-first retry: a move
                         // blocked by a full trap waits for a same-round
@@ -359,11 +363,12 @@ impl LowerState {
                         // packers) always apply on the first pass, preserving
                         // the historical per-move occupancy reads.
                         let mut timed: Vec<TimedMove> = Vec::with_capacity(members.len());
-                        let mut pending: Vec<(IonId, TrapId, TrapId)> = members.clone();
+                        pending.clear();
+                        pending.extend_from_slice(&members);
                         while !pending.is_empty() {
                             let mut progressed = false;
-                            let mut still: Vec<(IonId, TrapId, TrapId)> = Vec::new();
-                            for (ion, from, to) in pending {
+                            still.clear();
+                            for &(ion, from, to) in &pending {
                                 let src_occupancy = self.state.occupancy(from);
                                 match self.state.shuttle(ion, to) {
                                     Ok(()) => {
@@ -390,15 +395,15 @@ impl LowerState {
                                     round: self.shuttle_depth,
                                 });
                             }
-                            pending = still;
+                            std::mem::swap(&mut pending, &mut still);
                         }
 
                         // ASAP timing: the round starts when every member trap
                         // is free and every member ion's dependencies resolved;
                         // it lasts its critical-path hop.
-                        let mut involved: Vec<usize> = Vec::with_capacity(2 * members.len());
+                        let mut involved: Vec<TrapId> = Vec::with_capacity(2 * members.len());
                         for &(_, from, to) in &members {
-                            for t in [from.index(), to.index()] {
+                            for t in [from, to] {
                                 if !involved.contains(&t) {
                                     involved.push(t);
                                 }
@@ -411,26 +416,25 @@ impl LowerState {
                         let start = members
                             .iter()
                             .map(|&(ion, _, _)| self.avail[ion.index()])
-                            .chain(involved.iter().map(|&t| self.clock[t]))
+                            .chain(involved.iter().map(|t| self.clock[t.index()]))
                             .fold(0.0f64, f64::max);
                         let end = start + tau;
                         for &(ion, _, _) in &members {
                             self.avail[ion.index()] = end;
                         }
-                        for &t in &involved {
-                            self.clock[t] = end;
+                        for t in &involved {
+                            self.clock[t.index()] = end;
                         }
                         self.shuttles += members.len();
                         self.shuttle_depth += 1;
                         consumed += members.len();
                         events.push(TimelineEvent::TransportRound {
                             moves: timed,
-                            involved: involved.into_iter().map(|t| TrapId(t as u32)).collect(),
+                            involved,
                             start_us: start,
                             end_us: end,
                         });
                     }
-                    i = run_start + run_len;
                 }
             }
         }
