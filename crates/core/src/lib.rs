@@ -36,6 +36,7 @@
 //! ```
 
 mod analysis;
+mod batch;
 mod config;
 mod error;
 mod mapping;

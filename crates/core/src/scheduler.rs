@@ -1,6 +1,7 @@
 //! The compile loop: earliest-ready-gate-first scheduling with pluggable
 //! shuttle-direction, re-ordering, and re-balancing policies.
 
+use crate::batch::{legalize, overfills};
 use crate::config::{CompilerConfig, Objective, RebalancePolicy};
 use crate::error::CompileError;
 use crate::mapping::initial_mapping;
@@ -19,6 +20,11 @@ use std::collections::VecDeque;
 /// Open decisions the clock objective re-decided on projected makespan
 /// (both [`decide`](Scheduler::decide) and eviction-side ties).
 static CLOCK_TIES: qccd_obs::Counter = qccd_obs::Counter::new("core.clock_ties");
+/// Batched layers rejected before their flow solve because they can never
+/// commit: fewer than two movers with a full-free path, or a final
+/// placement that overfills a trap.
+static BATCH_CAPACITY_REJECTS: qccd_obs::Counter =
+    qccd_obs::Counter::new("core.batch_capacity_rejects");
 
 /// A compiled program plus its compile-time statistics.
 #[derive(Debug, Clone)]
@@ -492,6 +498,15 @@ impl Scheduler<'_> {
     /// objective, fewer than two unblocked movers, or a rewrite that does
     /// not replay legally — the one-move-at-a-time path with its eviction
     /// machinery is the fallback.
+    ///
+    /// Batches that can never commit are rejected before the flow solve,
+    /// exactly. The walkers — movers that get a walk — are exactly the
+    /// movers with a full-free path (interior traps not full): a routed
+    /// path is kept only when full-free, which implies such a path, and
+    /// otherwise that path is the walk. A legal replay ends with each
+    /// walker at its destination and never overfills a trap, so when the
+    /// walkers' final occupancy ([`overfills`]) exceeds capacity anywhere,
+    /// or fewer than two walkers remain, the replay could only fail.
     fn try_batched_move(
         &mut self,
         pos: usize,
@@ -574,9 +589,36 @@ impl Scheduler<'_> {
             return Ok(false);
         }
 
+        // Walkers: the movers with a full-free path (interior traps not
+        // full). Exactly these end up with a walk below, since a full-free
+        // flow route implies such a path; it is also their post-flow
+        // fallback. The active mover without one aborts the whole batch —
+        // its evictions belong to the solo machinery.
+        let fallbacks: Vec<Option<Vec<TrapId>>> = movers
+            .iter()
+            .map(|&(_, from, to)| {
+                topology.shortest_path_filtered(from, to, |t| t == to || !self.state.is_full(t))
+            })
+            .collect();
+        if fallbacks[0].is_none() {
+            return Ok(false);
+        }
+        let capacity = self.state.spec().total_capacity();
+        let ends: Vec<(TrapId, TrapId)> = movers
+            .iter()
+            .zip(&fallbacks)
+            .filter(|(_, path)| path.is_some())
+            .map(|(&(_, from, to), _)| (from, to))
+            .collect();
+        if ends.len() < 2 || overfills(|t| self.state.occupancy(t), capacity, &ends) {
+            BATCH_CAPACITY_REJECTS.incr();
+            return Ok(false);
+        }
+
         // Joint plan: pairwise edge-disjoint paths over timed edge costs
         // (junction-aware), full destinations surcharged to steer the
-        // capacity-blind flow away from likely-illegal corridors.
+        // capacity-blind flow away from likely-illegal corridors. Every
+        // mover stays a commodity: the routes are solved in sequence.
         let commodities: Vec<Commodity> = movers
             .iter()
             .map(|&(_, a, b)| Commodity {
@@ -594,62 +636,32 @@ impl Scheduler<'_> {
         };
         let routed = route_commodities(topology.adjacency(), &commodities, cost);
 
-        // Per-commodity fallback to the full-free shortest path; a mover
-        // with no full-free route is dropped (the active mover aborts the
-        // whole batch — its evictions belong to the solo machinery).
+        // Each walker takes its routed path when that is full-free, else
+        // its fallback.
         let full_free = |path: &[TrapId], to: TrapId| {
             path.iter()
                 .all(|&t| t == to || t == path[0] || !self.state.is_full(t))
         };
-        let mut walks: Vec<(IonId, Vec<TrapId>)> = Vec::with_capacity(movers.len());
-        for (k, route) in routed.into_iter().enumerate() {
-            let (ion, from, to) = movers[k];
-            let path = route
-                .map(|p| p.into_iter().map(|t| TrapId(t as u32)).collect::<Vec<_>>())
-                .filter(|p| full_free(p, to))
-                .or_else(|| {
-                    topology.shortest_path_filtered(from, to, |t| t == to || !self.state.is_full(t))
-                });
-            match path {
-                Some(p) => walks.push((ion, p)),
-                None if k == 0 => return Ok(false),
-                None => {}
-            }
-        }
-        if walks.len() < 2 {
-            return Ok(false);
-        }
+        let walks: Vec<(IonId, Vec<TrapId>)> = routed
+            .into_iter()
+            .zip(&movers)
+            .zip(fallbacks)
+            .filter_map(|((route, &(ion, _, to)), fallback)| {
+                let fallback = fallback?;
+                let path = route
+                    .map(|p| p.into_iter().map(|t| TrapId(t as u32)).collect::<Vec<_>>())
+                    .filter(|p| full_free(p, to))
+                    .unwrap_or(fallback);
+                Some((ion, path))
+            })
+            .collect();
 
-        // Legalize by replay on a scratch state: sweep layer by layer,
-        // each walk advancing one hop per sweep where capacity allows
-        // (an eviction-shaped interleave resolves itself this way). A
-        // sweep without progress means the rewrite cannot be serialized —
-        // abort with nothing emitted.
-        let mut replay = self.state.clone();
-        let mut cursor = vec![0usize; walks.len()];
-        let mut emitted: Vec<(IonId, TrapId)> = Vec::new();
-        loop {
-            let mut progressed = false;
-            let mut outstanding = false;
-            for (c, (ion, path)) in walks.iter().enumerate() {
-                if cursor[c] + 1 >= path.len() {
-                    continue;
-                }
-                outstanding = true;
-                let to = path[cursor[c] + 1];
-                if replay.shuttle(*ion, to).is_ok() {
-                    emitted.push((*ion, to));
-                    cursor[c] += 1;
-                    progressed = true;
-                }
-            }
-            if !outstanding {
-                break;
-            }
-            if !progressed {
-                return Ok(false);
-            }
-        }
+        // Legalize on an occupancy array: a sweep without progress means
+        // the rewrite cannot be serialized — abort with nothing emitted.
+        let mut occupancy: Vec<u32> = topology.traps().map(|t| self.state.occupancy(t)).collect();
+        let Some(emitted) = legalize(&mut occupancy, capacity, &walks) else {
+            return Ok(false);
+        };
 
         // Commit through the normal hop path (stats, edge load, fold).
         self.stats.batched_layers += 1;

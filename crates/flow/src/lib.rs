@@ -13,7 +13,7 @@
 //!   uses: a single shortest-path search, one augmentation, and the node
 //!   path read off the predecessor chain. The priced planner, its
 //!   evictions, the baseline re-balancer and the batched layers together
-//!   make about 200k of these solves per `grid_clock` benchmark pass.
+//!   make about 128k of these solves per `grid_clock` benchmark pass.
 //! * [`route_commodities`] — sequential multi-commodity routing over
 //!   shared unit edge capacities: pairwise edge-disjoint paths (so a whole
 //!   layer of moves can share transport rounds), with a per-commodity

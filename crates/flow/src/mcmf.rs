@@ -12,7 +12,7 @@
 //! [`min_cost_unit_path`] runs a single SPFA, applies that augmentation and
 //! returns the node path straight from the predecessor chain. The traffic
 //! is not small: one `grid_clock` benchmark pass (three 8000-gate circuits
-//! on a 4×4 grid through the clock pipeline) makes about 200k one-unit
+//! on a 4×4 grid through the clock pipeline) makes about 128k one-unit
 //! solves, so the network is flat — one edge vector with each forward edge
 //! `id` paired with its residual reverse `id ^ 1`, and per-node edge lists
 //! threaded through it in insertion order — and a solve allocates its SPFA

@@ -85,6 +85,31 @@ fn mini_suite() -> Vec<BenchmarkCircuit> {
     ]
 }
 
+/// The most gates one random-suite circuit can have: the suite samples
+/// `1438 + 413 × 1.7 × (a + b − 1)` gates with `a + b < 2`, rounded.
+const RANDOM_SUITE_CIRCUIT_GATES: u64 = 2140;
+
+/// The largest `--per-size`: the random suite (four sizes, `per_size`
+/// circuits each) must stay within [`spec::MAX_GATES`](crate::spec::MAX_GATES)
+/// gates in the worst case.
+const MAX_PER_SIZE: u64 = crate::spec::MAX_GATES / (4 * RANDOM_SUITE_CIRCUIT_GATES);
+
+/// Parses `--per-size`, rejecting 0 (a vacuous report over no circuits)
+/// and values above [`MAX_PER_SIZE`] before generating anything.
+fn parse_per_size(v: &str) -> Result<usize, String> {
+    let n: u64 = v
+        .parse()
+        .map_err(|_| format!("--per-size: `{v}` is not a valid number"))?;
+    if n == 0 || n > MAX_PER_SIZE {
+        return Err(format!(
+            "--per-size must be between 1 and {MAX_PER_SIZE} (the random suite may hold at \
+             most {} gates), got {n}",
+            crate::spec::MAX_GATES
+        ));
+    }
+    Ok(n as usize)
+}
+
 /// Entry point for `muzzle eval`.
 pub fn cmd_eval(args: &[String]) -> Result<(), String> {
     let opts = parse_common(args, &["--suite", "--per-size"], &["--verbose", "--quiet"])?;
@@ -114,10 +139,8 @@ pub fn cmd_eval(args: &[String]) -> Result<(), String> {
         .find(|(k, _)| k == "--suite")
         .map(|(_, v)| v.clone())
         .unwrap_or_else(|| "paper".to_owned());
-    let per_size: usize = match opts.extra_values.iter().find(|(k, _)| k == "--per-size") {
-        Some((_, v)) => v
-            .parse()
-            .map_err(|_| format!("--per-size: `{v}` is not a valid number"))?,
+    let per_size = match opts.extra_values.iter().find(|(k, _)| k == "--per-size") {
+        Some((_, v)) => parse_per_size(v)?,
         None => 5,
     };
 
@@ -551,4 +574,34 @@ fn render_json(
     let mut text = value.to_string();
     text.push('\n');
     text
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `--per-size` of 0 or above the gate bound is a usage error raised
+    /// before the suite is generated (those once reported on zero
+    /// circuits, aborted on allocation, or overflowed the suite's size).
+    #[test]
+    fn per_size_outside_the_bound_is_a_usage_error() {
+        assert_eq!(MAX_PER_SIZE, 1959);
+        assert_eq!(parse_per_size("1959"), Ok(1959));
+        for v in ["0", "1960", "100000000", "18446744073709551615"] {
+            let err = parse_per_size(v).unwrap_err();
+            assert!(err.contains("between 1 and 1959"), "{v} → `{err}`");
+            let args: Vec<String> = ["--suite", "random", "--per-size", v]
+                .map(str::to_owned)
+                .to_vec();
+            assert_eq!(cmd_eval(&args).unwrap_err(), err);
+        }
+        assert!(crate::USAGE.contains("1 to 1959"));
+    }
+
+    #[test]
+    fn random_suite_circuits_stay_within_the_per_circuit_bound() {
+        let suite = random_suite(100, RANDOM_SUITE_SEED ^ 0x5EED);
+        let most = suite.iter().map(|b| b.circuit.len()).max().unwrap();
+        assert!(most as u64 <= RANDOM_SUITE_CIRCUIT_GATES, "{most}");
+    }
 }

@@ -54,6 +54,8 @@ CIRCUIT / MACHINE OPTIONS (compile, simulate, sweep):
                         gates; larger specs exit 2)
     --qubits N          qubit count for file: circuits
     --traps N           number of traps            [default: 6]
+                        (machines may have at most 8192 traps, sized
+                        --topology forms included; larger ones exit 2)
     --capacity N        total per-trap capacity    [default: 17]
     --comm N            communication capacity     [default: 2]
     --topology T        linear[:N] | ring[:N] | grid:RxC   [default: linear]
@@ -123,6 +125,9 @@ COMMAND-SPECIFIC:
               --values A,B,C      swept values
     eval      --suite S           paper | mini | random   [default: paper]
               --per-size N        random-suite circuits per size [default: 5]
+                                  (1 to 1959: four sizes of at most 2140
+                                  gates each stay within 16777216 gates;
+                                  other values exit 2)
     explain   --top K             bottleneck traps/edges to list [default: 5]
               --gantt PATH        write a per-trap Gantt chart of the
                                   schedule as Chrome-trace JSON to PATH
@@ -1227,6 +1232,45 @@ mod tests {
             }
         }
         assert!(USAGE.contains(&format!("at most {}", spec::MAX_GATES)));
+    }
+
+    /// Machines above `MAX_TRAPS` traps are usage errors raised before the
+    /// machine is built (they used to abort allocating its adjacency), on
+    /// every subcommand that builds one.
+    #[test]
+    fn oversized_machines_are_usage_errors() {
+        for machine in [
+            ["--traps", "4294967295"],
+            ["--topology", "ring:4294967295"],
+            ["--topology", "grid:65536x65536"],
+            ["--traps", "8193"],
+        ] {
+            let args = args(&["--circuit", "qft:8", machine[0], machine[1]]);
+            for err in [
+                cmd_compile(&args),
+                cmd_simulate(&args),
+                cmd_sweep(&args),
+                explain::cmd_explain(&args),
+            ] {
+                let err = err.unwrap_err();
+                assert!(
+                    err.contains("above the maximum of 8192"),
+                    "{machine:?} → `{err}`"
+                );
+            }
+        }
+        let sweep = args(&[
+            "--circuit",
+            "qft:8",
+            "--param",
+            "traps",
+            "--values",
+            "2,8193",
+        ]);
+        assert!(cmd_sweep(&sweep)
+            .unwrap_err()
+            .contains("above the maximum of 8192"));
+        assert!(USAGE.contains(&format!("at most {} traps", spec::MAX_TRAPS)));
     }
 
     /// A trap capacity of `u32::MAX` compiles under every router and both

@@ -11,6 +11,13 @@ use qccd_machine::{MachineSpec, TrapTopology, ZoneLayout};
 /// failures.
 pub const MAX_GATES: u64 = 1 << 24;
 
+/// The most traps a machine may have: 2^13 = 8192. Shortest-path queries
+/// build BFS rows lazily, one per source trap, so they can reach
+/// traps² × 8 B — 512 MiB at this bound. Larger machines are usage
+/// errors, rejected before building anything, instead of allocation
+/// failures.
+pub const MAX_TRAPS: u64 = 1 << 13;
+
 /// A parsed `--circuit` argument: the circuit plus a display name.
 pub struct CircuitSpec {
     /// Canonical display name (e.g. `qft:16`).
@@ -309,12 +316,14 @@ fn parse_topology(spec: &str, default_traps: u32) -> Result<TrapTopology, String
         None => (spec, None),
     };
     let sized = |text: Option<&str>| -> Result<u32, String> {
-        match text {
-            None => Ok(default_traps),
+        let n = match text {
+            None => default_traps,
             Some(t) => t
                 .parse::<u32>()
-                .map_err(|_| format!("bad trap count `{t}` in topology `{spec}`")),
-        }
+                .map_err(|_| format!("bad trap count `{t}` in topology `{spec}`"))?,
+        };
+        within_trap_bound(u64::from(n), spec)?;
+        Ok(n)
     };
     match family {
         "linear" => {
@@ -347,11 +356,23 @@ fn parse_topology(spec: &str, default_traps: u32) -> Result<TrapTopology, String
                     "grid dimensions must be at least 1x1, got {rows}x{cols} (in `{spec}`)"
                 ));
             }
+            within_trap_bound(u64::from(rows) * u64::from(cols), spec)?;
             Ok(TrapTopology::grid(rows, cols))
         }
         other => Err(format!(
             "unknown topology `{other}` (expected linear[:N], ring[:N], or grid:RxC)"
         )),
+    }
+}
+
+/// Rejects machines with more than [`MAX_TRAPS`] traps.
+fn within_trap_bound(traps: u64, spec: &str) -> Result<(), String> {
+    if traps <= MAX_TRAPS {
+        Ok(())
+    } else {
+        Err(format!(
+            "topology `{spec}` has {traps} traps, above the maximum of {MAX_TRAPS}"
+        ))
     }
 }
 
@@ -592,6 +613,24 @@ mod tests {
     }
 
     #[test]
+    fn trap_counts_above_the_bound_are_rejected_before_building() {
+        let mut opts = MachineOptions {
+            traps: 8192,
+            ..MachineOptions::default()
+        };
+        assert_eq!(opts.build().unwrap().num_traps(), 8192);
+        for (traps, topology) in [(8193, "linear"), (u32::MAX, "linear"), (u32::MAX, "ring")] {
+            opts.traps = traps;
+            opts.topology = topology.to_owned();
+            let err = opts.build().unwrap_err();
+            assert!(
+                err.contains("above the maximum of 8192"),
+                "{traps} → `{err}`"
+            );
+        }
+    }
+
+    #[test]
     fn malformed_topology_specs_are_rejected() {
         let base = MachineOptions::default;
         for (spec, needle) in [
@@ -605,6 +644,10 @@ mod tests {
             ("grid:3", "grid:RxC"),
             ("grid", "grid:RxC"),
             ("moebius:4", "unknown topology"),
+            ("linear:8193", "above the maximum of 8192"),
+            ("ring:4294967295", "above the maximum of 8192"),
+            ("grid:65536x65536", "has 4294967296 traps"),
+            ("grid:91x91", "above the maximum of 8192"),
         ] {
             let mut opts = base();
             opts.topology = spec.to_owned();

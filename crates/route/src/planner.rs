@@ -15,46 +15,72 @@ const LOAD_CAP: u32 = 15;
 ///
 /// Counters saturate at an internal cap and halve on every [`decay`]
 /// (called once per executed gate), so only *recent* traffic is priced.
+/// There is one counter per directed segment, in the planner's segment
+/// order (trap by trap, neighbours in topology order), plus the list of
+/// nonzero ones: a counter is 0 after four halvings from its cap, so
+/// [`decay`] touches a handful of counters, not the whole machine.
 /// Everything is deterministic.
 ///
 /// [`decay`]: EdgeLoad::decay
 #[derive(Debug, Clone)]
 struct EdgeLoad {
-    n: usize,
+    /// Trap `t`'s outgoing segments are `heads[offsets[t]..offsets[t + 1]]`.
+    offsets: Vec<usize>,
+    heads: Vec<TrapId>,
     counts: Vec<u32>,
+    /// Segments with a nonzero counter, each once.
+    hot: Vec<usize>,
 }
 
 impl EdgeLoad {
-    /// A zero-load table for a machine with `num_traps` traps.
-    fn new(num_traps: usize) -> Self {
-        EdgeLoad {
-            n: num_traps,
-            counts: vec![0; num_traps * num_traps],
+    /// A zero-load table over `topology`'s directed segments.
+    fn new(topology: &TrapTopology) -> Self {
+        let mut offsets = vec![0];
+        let mut heads = Vec::new();
+        for t in topology.traps() {
+            heads.extend(topology.neighbors(t));
+            offsets.push(heads.len());
         }
+        EdgeLoad {
+            offsets,
+            counts: vec![0; heads.len()],
+            heads,
+            hot: Vec::new(),
+        }
+    }
+
+    /// The segment index of `from → to`, if that is a segment.
+    fn segment(&self, from: TrapId, to: TrapId) -> Option<usize> {
+        let lo = *self.offsets.get(from.index())?;
+        let hi = *self.offsets.get(from.index() + 1)?;
+        let k = self.heads[lo..hi].iter().position(|&h| h == to)?;
+        Some(lo + k)
     }
 
     /// Records one shuttle traversing `from → to`.
     fn record(&mut self, from: TrapId, to: TrapId) {
-        if from.index() < self.n && to.index() < self.n {
-            let c = &mut self.counts[from.index() * self.n + to.index()];
-            *c = (*c + 1).min(LOAD_CAP);
+        if let Some(k) = self.segment(from, to) {
+            if self.counts[k] == 0 {
+                self.hot.push(k);
+            }
+            self.counts[k] = (self.counts[k] + 1).min(LOAD_CAP);
         }
     }
 
-    /// Current surcharge for `from → to`, in `[0, LOAD_CAP]`.
+    /// Current surcharge for `from → to`, in `[0, LOAD_CAP]` (0 off the
+    /// topology's segments).
+    #[cfg(test)]
     fn load(&self, from: TrapId, to: TrapId) -> u32 {
-        if from.index() < self.n && to.index() < self.n {
-            self.counts[from.index() * self.n + to.index()]
-        } else {
-            0
-        }
+        self.segment(from, to).map_or(0, |k| self.counts[k])
     }
 
     /// Halves every counter.
     fn decay(&mut self) {
-        for c in &mut self.counts {
-            *c /= 2;
-        }
+        let counts = &mut self.counts;
+        self.hot.retain(|&k| {
+            counts[k] /= 2;
+            counts[k] > 0
+        });
     }
 }
 
@@ -170,7 +196,7 @@ impl RoutePlanner {
             .collect();
         let entries = (0..n).map(|t| net.add_edge(2 * n, 2 * t, 0, 0)).collect();
         RoutePlanner {
-            load: EdgeLoad::new(n),
+            load: EdgeLoad::new(topology),
             net,
             internal,
             segments,
@@ -337,9 +363,10 @@ impl RoutePlanner {
             };
             self.net.set_edge(id, 1, cost);
         }
-        for &(a, b, id) in &self.segments {
+        // `segments` and the load table list segments in the same order.
+        for (k, &(a, b, id)) in self.segments.iter().enumerate() {
             let units = weight.map_or(1, |w| i64::from(w(a, b).max(1)));
-            let cost = units * self.hop_scale + i64::from(self.load.load(a, b));
+            let cost = units * self.hop_scale + i64::from(self.load.counts[k]);
             self.net.set_edge(id, 1, cost);
         }
         for &id in self.exits.iter().chain(&self.entries) {
@@ -502,7 +529,7 @@ mod tests {
 
     #[test]
     fn edge_load_decays_and_saturates() {
-        let mut load = EdgeLoad::new(3);
+        let mut load = EdgeLoad::new(&TrapTopology::linear(3));
         for _ in 0..100 {
             load.record(TrapId(0), TrapId(1));
         }
@@ -739,6 +766,77 @@ mod property_tests {
         }
     }
 
+    /// The dense `traps × traps` table the per-segment counters replaced,
+    /// kept as the oracle.
+    struct DenseLoad {
+        n: usize,
+        counts: Vec<u32>,
+    }
+
+    impl DenseLoad {
+        fn record(&mut self, from: TrapId, to: TrapId) {
+            if from.index() < self.n && to.index() < self.n {
+                let c = &mut self.counts[from.index() * self.n + to.index()];
+                *c = (*c + 1).min(LOAD_CAP);
+            }
+        }
+
+        fn load(&self, from: TrapId, to: TrapId) -> u32 {
+            self.counts[from.index() * self.n + to.index()]
+        }
+
+        fn decay(&mut self) {
+            for c in &mut self.counts {
+                *c /= 2;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random record/decay sequences: every directed segment reads the
+        /// dense table's load after every step, records of non-segment
+        /// pairs (the planner prices only segments) change nothing, and
+        /// the nonzero list names exactly the nonzero counters.
+        #[test]
+        fn edge_load_matches_dense_table(
+            kind in 0u32..4,
+            size in 3u32..9,
+            ops in proptest::collection::vec((0u32..4, 0u32..10, 0u32..10), 1..200),
+        ) {
+            let topo = topology(kind, size);
+            let n = topo.num_traps() as usize;
+            let mut load = EdgeLoad::new(&topo);
+            let mut dense = DenseLoad { n, counts: vec![0; n * n] };
+            for (op, a, b) in ops {
+                let (a, b) = (TrapId(a), TrapId(b));
+                if op == 0 {
+                    load.decay();
+                    dense.decay();
+                } else {
+                    load.record(a, b);
+                    dense.record(a, b);
+                }
+                for t in topo.traps() {
+                    for nb in topo.neighbors(t) {
+                        prop_assert_eq!(load.load(t, nb), dense.load(t, nb));
+                    }
+                    for u in topo.traps() {
+                        if !topo.are_adjacent(t, u) {
+                            prop_assert_eq!(load.load(t, u), 0);
+                        }
+                    }
+                }
+                let mut hot = load.hot.clone();
+                hot.sort_unstable();
+                let nonzero: Vec<usize> =
+                    (0..load.counts.len()).filter(|&k| load.counts[k] > 0).collect();
+                prop_assert_eq!(hot, nonzero);
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -761,7 +859,7 @@ mod property_tests {
             let mut state = MachineState::with_mapping(&spec, &mapping).unwrap();
             let ions = mapping.num_ions() as usize;
             let mut planner = RoutePlanner::new(spec.topology());
-            let mut load = EdgeLoad::new(n as usize);
+            let mut load = EdgeLoad::new(spec.topology());
             let skew = |a: TrapId, b: TrapId| 1 + (a.0 * 3 + b.0) % 4;
             let weight: Option<&EdgeWeightFn> = if weighted { Some(&skew) } else { None };
             let trap = |i: usize| TrapId((i % n as usize) as u32);

@@ -4,7 +4,9 @@
 //! primitive must reproduce them bit for bit:
 //!
 //! * the clock pipeline on a 4×4 grid — priced routes, priced evictions
-//!   and batched multi-commodity layers, plus the flow work counters;
+//!   and batched multi-commodity layers, plus the flow work counters
+//!   (which count only the batches the exact capacity check lets
+//!   through);
 //! * a congestion-router compile on the paper's L6 machine — priced
 //!   routes and evictions under the shuttle objective;
 //! * the baseline compiler (`FromTrapZero` re-balancing) on L6 — the
@@ -81,7 +83,8 @@ fn clock_pipeline_on_grid_matches_recorded_flow_routes() {
             improved: true,
         }
     );
-    assert_eq!(counters, [14566, 11853, 7790, 2713]);
+    // Batched layers that can never commit skip their flow solve.
+    assert_eq!(counters, [9882, 8975, 3106, 907]);
 }
 
 #[test]
