@@ -207,19 +207,6 @@ pub fn compare_timed(
     params: &SimParams,
     model: &TimingModel,
 ) -> ComparisonRow {
-    compare_timed_jobs(bench, spec, params, model, 1)
-}
-
-/// [`compare_timed`] with a worker-pool width for the packed/clock
-/// stacks (`--jobs`). Every width returns bit-for-bit identical rows —
-/// only the `*_compile_s` wall-clock fields may differ.
-pub fn compare_timed_jobs(
-    bench: &BenchmarkCircuit,
-    spec: &MachineSpec,
-    params: &SimParams,
-    model: &TimingModel,
-    jobs: usize,
-) -> ComparisonRow {
     let (base, base_t) = timed_compile(&bench.circuit, spec, &CompilerConfig::baseline());
     let (opt, opt_t) = timed_compile(&bench.circuit, spec, &CompilerConfig::optimized());
     let (cong, _) = timed_compile(
@@ -232,8 +219,7 @@ pub fn compare_timed_jobs(
         spec,
         &CompilerConfig::optimized()
             .with_router(RouterPolicy::congestion())
-            .with_timing(*model)
-            .with_jobs(jobs),
+            .with_timing(*model),
     )
     .expect("benchmark circuits compile and pack on the paper machine");
     // Race the clock objective against the packed result already computed
@@ -242,9 +228,7 @@ pub fn compare_timed_jobs(
         packed.clone(),
         &bench.circuit,
         spec,
-        &CompilerConfig::optimized()
-            .with_timing(*model)
-            .with_jobs(jobs),
+        &CompilerConfig::optimized().with_timing(*model),
     )
     .expect("benchmark circuits compile under the clock objective");
     // Time the clock-objective *compile loop* under both score modes —
@@ -254,8 +238,7 @@ pub fn compare_timed_jobs(
     // delta`, not here.
     let clock_config = CompilerConfig::optimized()
         .with_timing(*model)
-        .with_objective(Objective::Clock)
-        .with_jobs(jobs);
+        .with_objective(Objective::Clock);
     let clock_compile_s = min_compile_seconds(&bench.circuit, spec, &clock_config, TIMING_RUNS);
     let clock_full_compile_s = min_compile_seconds(
         &bench.circuit,

@@ -178,11 +178,10 @@ pub struct CompilerConfig {
     /// reference. Ignored under [`Objective::Shuttles`].
     #[serde(default)]
     pub score_mode: ScoreMode,
-    /// Worker threads for speculative candidate scoring (`--jobs`). 1
-    /// (the default) scores sequentially; any width produces bit-for-bit
-    /// identical output — candidates shard over fixed index ranges and
-    /// reduce in candidate-index order, never completion order. Only the
-    /// clock objective and the pack pipeline spawn workers.
+    /// Threads for `compile_clock` (`--jobs`): at 2 or more its two arms
+    /// compile concurrently, at 1 (the default) one after the other. Each
+    /// arm is an independent deterministic compile, so every width gives
+    /// bit-for-bit identical output. Nothing else reads it.
     #[serde(default = "default_jobs")]
     pub jobs: usize,
 }
@@ -270,9 +269,9 @@ impl CompilerConfig {
         CompilerConfig { score_mode, ..self }
     }
 
-    /// The given configuration with a different scoring-pool width
-    /// (`--jobs`; 0 is normalized to 1). Output is bit-for-bit identical
-    /// at every width.
+    /// The given configuration with a different [`jobs`](Self::jobs)
+    /// width (`--jobs`; 0 is normalized to 1). Output is bit-for-bit
+    /// identical at every width.
     pub fn with_jobs(self, jobs: usize) -> Self {
         CompilerConfig {
             jobs: jobs.max(1),

@@ -25,46 +25,36 @@
 use crate::config::ScoreMode;
 use qccd_circuit::Circuit;
 use qccd_machine::{InitialMapping, IonId, MachineSpec, Operation, TrapId, TrapTopology};
-use qccd_timing::{DeltaScorer, LowerError, ScoreArena, TimingModel, WorkerPool};
+use qccd_timing::{DeltaScorer, LowerError, TimingModel};
 
-/// Candidate walks priced by [`ClockScorer::score_walk`] /
-/// [`ClockScorer::score_walks`] across all compiles (every speculative
-/// advance, both score modes).
+/// Candidate walks priced by [`ClockScorer::score_walk`] across all
+/// compiles (every speculative advance, both score modes).
 static CANDIDATES_SCORED: qccd_obs::Counter = qccd_obs::Counter::new("core.candidates_scored");
 
-thread_local! {
-    /// Per-thread overlay arena: the sequential path and every pool
-    /// worker reuse their own, keeping batch scoring allocation-free
-    /// without sharing any mutable state between workers.
-    static SCORE_ARENA: std::cell::RefCell<ScoreArena> =
-        std::cell::RefCell::new(ScoreArena::new());
-}
-
-/// The threaded fold plus the timing model, scoring mode and worker pool
-/// it runs under.
+/// The threaded fold plus the timing model and scoring mode it runs
+/// under.
 #[derive(Debug, Clone)]
 pub(crate) struct ClockScorer {
     delta: DeltaScorer,
     model: TimingModel,
     mode: ScoreMode,
-    pool: WorkerPool,
+    /// Reused buffer for one candidate walk's shuttle ops.
+    ops: Vec<Operation>,
 }
 
 impl ClockScorer {
-    /// Starts the fold at time zero over `mapping`. `jobs` is the
-    /// scoring-pool width (`--jobs`; 1 = sequential).
+    /// Starts the fold at time zero over `mapping`.
     pub fn new(
         mapping: &InitialMapping,
         spec: &MachineSpec,
         model: &TimingModel,
         mode: ScoreMode,
-        jobs: usize,
     ) -> Result<Self, LowerError> {
         Ok(ClockScorer {
             delta: DeltaScorer::new(mapping, spec, model)?,
             model: *model,
             mode,
-            pool: WorkerPool::new(jobs),
+            ops: Vec::new(),
         })
     }
 
@@ -98,10 +88,7 @@ impl ClockScorer {
     /// Projected makespan after speculatively walking `ion` along the
     /// inclusive trap path `path` from the live checkpoint. `None` when
     /// the walk is illegal from here (e.g. a full trap on the way) — the
-    /// candidate needs evictions this score cannot price. The sequential
-    /// reference the batch path is tested against; the compile loop
-    /// itself always goes through [`score_walks`](Self::score_walks).
-    #[cfg(test)]
+    /// candidate needs evictions this score cannot price.
     pub fn score_walk(
         &mut self,
         ion: IonId,
@@ -109,62 +96,18 @@ impl ClockScorer {
         circuit: &Circuit,
         spec: &MachineSpec,
     ) -> Option<f64> {
-        self.delta.note_speculations(1);
-        score_one(&self.delta, self.mode, ion, path, circuit, spec)
-    }
-
-    /// Prices a batch of candidate walks, one projection per walk in
-    /// **candidate-index order** — the batch analogue of calling
-    /// [`score_walk`](Self::score_walk) in a loop, bit-for-bit. Batches
-    /// at or above the pool's sequential cutoff shard across the worker
-    /// pool; each worker reads the fold immutably and prices with its own
-    /// thread-local arena, and shard results are concatenated in index
-    /// order, never completion order — so `--jobs N` and `--jobs 1`
-    /// produce identical projections, stats and counters.
-    pub fn score_walks(
-        &mut self,
-        walks: &[(IonId, Vec<TrapId>)],
-        circuit: &Circuit,
-        spec: &MachineSpec,
-    ) -> Vec<Option<f64>> {
-        // Account for the whole batch up front so the speculation stat is
-        // independent of sharding.
-        self.delta.note_speculations(walks.len());
-        let delta = &self.delta;
-        let mode = self.mode;
-        self.pool
-            .map_indexed(walks.len(), qccd_timing::SEQUENTIAL_CUTOFF, |i| {
-                let (ion, path) = &walks[i];
-                score_one(delta, mode, *ion, path, circuit, spec)
-            })
-    }
-}
-
-/// One candidate-walk pricing: the shared per-walk body of the sequential
-/// and batch paths (identical float-op sequence in both — the
-/// determinism contract).
-fn score_one(
-    delta: &DeltaScorer,
-    mode: ScoreMode,
-    ion: IonId,
-    path: &[TrapId],
-    circuit: &Circuit,
-    spec: &MachineSpec,
-) -> Option<f64> {
-    let _phase = qccd_obs::span("scoring");
-    CANDIDATES_SCORED.incr();
-    let ops: Vec<Operation> = path
-        .windows(2)
-        .map(|w| Operation::Shuttle {
+        let _phase = qccd_obs::span("scoring");
+        CANDIDATES_SCORED.incr();
+        self.ops.clear();
+        self.ops.extend(path.windows(2).map(|w| Operation::Shuttle {
             ion,
             from: w[0],
             to: w[1],
-        })
-        .collect();
-    match mode {
-        ScoreMode::Full => delta.score_ops_full_in(&ops, circuit, spec),
-        ScoreMode::Delta => SCORE_ARENA
-            .with(|arena| delta.score_ops_in(&ops, circuit, spec, &mut arena.borrow_mut())),
+        }));
+        match self.mode {
+            ScoreMode::Full => self.delta.score_ops_full(&self.ops, circuit, spec),
+            ScoreMode::Delta => self.delta.score_ops(&self.ops, circuit, spec),
+        }
     }
 }
 
@@ -217,7 +160,7 @@ mod tests {
         let circuit = Circuit::new(6);
         let model = TimingModel::realistic();
         for mode in [ScoreMode::Delta, ScoreMode::Full] {
-            let mut scorer = ClockScorer::new(&mapping, &spec, &model, mode, 1).unwrap();
+            let mut scorer = ClockScorer::new(&mapping, &spec, &model, mode).unwrap();
             assert_eq!(scorer.makespan_us(), 0.0);
 
             // Speculate a 2-hop walk, twice: identical projections, no
@@ -258,8 +201,8 @@ mod tests {
         let mapping = InitialMapping::round_robin(&spec, 10).unwrap();
         let circuit = Circuit::new(10);
         let model = TimingModel::realistic();
-        let mut delta = ClockScorer::new(&mapping, &spec, &model, ScoreMode::Delta, 1).unwrap();
-        let mut full = ClockScorer::new(&mapping, &spec, &model, ScoreMode::Full, 1).unwrap();
+        let mut delta = ClockScorer::new(&mapping, &spec, &model, ScoreMode::Delta).unwrap();
+        let mut full = ClockScorer::new(&mapping, &spec, &model, ScoreMode::Full).unwrap();
         // round_robin fills sequentially (3 per trap): ions 0-2 in T0,
         // 3-5 in T1, 6-8 in T2, 9 in T3.
         let walks: Vec<(IonId, Vec<TrapId>)> = vec![

@@ -158,14 +158,8 @@ pub fn compile_with_mapping(
         // by a speculative advance from this state — O(delta) by default,
         // O(suffix) under the `ScoreMode::Full` differential oracle.
         Objective::Clock => Some(
-            ClockScorer::new(
-                &mapping,
-                spec,
-                &config.timing,
-                config.score_mode,
-                config.jobs,
-            )
-            .map_err(CompileError::InternalTimeline)?,
+            ClockScorer::new(&mapping, spec, &config.timing, config.score_mode)
+                .map_err(CompileError::InternalTimeline)?,
         ),
     };
     let mut scheduler = Scheduler {
@@ -296,6 +290,7 @@ impl Scheduler<'_> {
     /// Gated on the re-ordering heuristic: the baseline compiler executes
     /// strictly in plan order.
     fn drain_local_ready_gates(&mut self) -> Result<(), CompileError> {
+        let _phase = qccd_obs::span("drain");
         // One forward pass suffices: local gates move no ions (locality
         // never changes during the drain), and the queue is topologically
         // ordered, so any gate a drain execution makes ready sits at a
@@ -460,16 +455,12 @@ impl Scheduler<'_> {
             }
             Some((d.ion, plan.path))
         };
-        // Candidate collection decoupled from scoring: plan both
-        // orientations first (planner call order unchanged), then price
-        // the plannable walks as one batch reduced in candidate-index
-        // order — identical projections at any `--jobs` width.
+        // Plan both orientations first (planner call order unchanged),
+        // then price the plannable walks.
         let planned = [plan_walk(&choice.decision), plan_walk(&alt)];
-        let walks: Vec<(IonId, Vec<TrapId>)> = planned.iter().flatten().cloned().collect();
-        let mut scores = clock
-            .score_walks(&walks, self.circuit, self.state.spec())
-            .into_iter();
-        let [score_keep, score_alt] = planned.map(|p| p.and_then(|_| scores.next().flatten()));
+        let [score_keep, score_alt] = planned.map(|p| {
+            p.and_then(|(ion, path)| clock.score_walk(ion, &path, self.circuit, self.state.spec()))
+        });
         let decided = match (score_keep, score_alt) {
             (Some(a), Some(b)) if b < a => Some(alt),
             (None, Some(_)) => Some(alt),
@@ -516,6 +507,12 @@ impl Scheduler<'_> {
         let Some(clock) = self.clock.as_ref() else {
             return Ok(false);
         };
+        // Evictions that made room at `decision.to` may have shifted the
+        // mover itself; its walk would start from the wrong trap. The solo
+        // path re-plans from wherever the ion is now.
+        if self.state.trap_of(decision.ion) != decision.from {
+            return Ok(false);
+        }
         let _phase = qccd_obs::span("batching");
         let model = clock.model();
         let topology = self.state.spec().topology();
@@ -877,52 +874,30 @@ impl Scheduler<'_> {
             return None;
         }
         let topology = self.state.spec().topology();
-        // Candidate collection decoupled from scoring: gather every
-        // destination's (ion, route) up to the first unroutable candidate
-        // — which still aborts the whole tie-break, exactly as the
-        // sequential interleaving did, but only after the collected
-        // prefix is priced (the prefix was scored before the abort in
-        // the old loop too, so stats and counters stay bit-for-bit).
-        let mut collected: Vec<(TrapId, Vec<TrapId>)> = Vec::new();
-        let mut walks: Vec<(IonId, Vec<TrapId>)> = Vec::new();
-        let mut aborted = false;
+        // Destinations are priced in candidate order up to the first
+        // unroutable one, which aborts the whole tie-break; strict `<`
+        // keeps the first of equal minimums.
+        let mut best: Option<(f64, TrapId, Vec<TrapId>)> = None;
         for dest in candidates {
-            let Some(ion) = choose_ion(
+            let ion = choose_ion(
                 self.config.ion_selection,
                 &self.state,
                 &self.remaining,
                 blocked,
                 dest,
                 keep,
-            ) else {
-                aborted = true;
-                break;
-            };
-            let Some(route) = topology
+            )?;
+            let route = topology
                 .shortest_path_filtered(blocked, dest, |t| t == dest || !self.state.is_full(t))
-                .or_else(|| eviction_route(self.config.rebalance, topology, blocked, dest))
-            else {
-                aborted = true;
-                break;
+                .or_else(|| eviction_route(self.config.rebalance, topology, blocked, dest))?;
+            let Some(score) = clock.score_walk(ion, &route, self.circuit, self.state.spec()) else {
+                continue;
             };
-            walks.push((ion, route.clone()));
-            collected.push((dest, route));
-        }
-        let scores = clock.score_walks(&walks, self.circuit, self.state.spec());
-        if aborted {
-            return None;
-        }
-        // Reduce in candidate-index order; strict `<` keeps the first of
-        // equal minimums, matching the sequential fold.
-        let mut best: Option<(f64, usize)> = None;
-        for (i, score) in scores.into_iter().enumerate() {
-            let Some(score) = score else { continue };
-            if best.is_none_or(|(b, _)| score < b) {
-                best = Some((score, i));
+            if best.as_ref().is_none_or(|(b, ..)| score < *b) {
+                best = Some((score, dest, route));
             }
         }
-        let (_, idx) = best?;
-        let (dest, route) = collected.swap_remove(idx);
+        let (_, dest, route) = best?;
         self.stats.clock_ties += 1;
         CLOCK_TIES.incr();
         Some((dest, route))
@@ -1012,6 +987,7 @@ impl Scheduler<'_> {
     /// layer (serial circuits have singleton layers and would never find a
     /// candidate); the window bounds compile time.
     fn find_reorder_candidate(&self, active_pos: usize, old_destination: TrapId) -> Option<usize> {
+        let _phase = qccd_obs::span("reorder-scan");
         let end = (active_pos + 1 + Self::REORDER_WINDOW).min(self.pending.len());
         for pos in (active_pos + 1)..end {
             let gid = self.pending[pos];
@@ -1427,5 +1403,26 @@ mod tests {
             opt.stats.shuttles,
             base.stats.shuttles
         );
+    }
+
+    /// Evictions that make room at a full destination can shift the mover
+    /// itself. The batched layer must not walk it from its old trap: these
+    /// compiles once failed with a non-adjacent hop (T1 → T3 on a line).
+    #[test]
+    fn batched_layer_never_walks_a_mover_the_evictions_shifted() {
+        use qccd_circuit::generators::random_circuit;
+        use qccd_timing::TimingModel;
+        let spec = MachineSpec::linear(4, 6, 2).unwrap();
+        let config = CompilerConfig::optimized()
+            .with_router(RouterPolicy::congestion())
+            .with_lookahead(true)
+            .with_timing(TimingModel::realistic())
+            .with_objective(Objective::Clock);
+        for (seed, gates) in [(0u64, 199usize), (1, 100), (26, 60), (30, 100), (31, 199)] {
+            let c = random_circuit(14, gates, seed);
+            let result = compile(&c, &spec, &config)
+                .unwrap_or_else(|e| panic!("random:14x{gates}@{seed}: {e}"));
+            result.schedule.validate(&c, &spec).unwrap();
+        }
     }
 }

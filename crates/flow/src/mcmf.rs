@@ -15,8 +15,9 @@
 //! on a 4×4 grid through the clock pipeline) makes about 128k one-unit
 //! solves, so the network is flat — one edge vector with each forward edge
 //! `id` paired with its residual reverse `id ^ 1`, and per-node edge lists
-//! threaded through it in insertion order — and a solve allocates its SPFA
-//! scratch once.
+//! threaded through it in insertion order — and it owns its SPFA scratch
+//! and path buffer, so a solve on a network built once allocates nothing
+//! but the returned path.
 
 use std::collections::VecDeque;
 
@@ -69,6 +70,10 @@ pub struct FlowNetwork {
     /// First and last edge id of each node's list.
     head: Vec<usize>,
     tail: Vec<usize>,
+    /// Shortest-path scratch, kept across solves.
+    spfa: Spfa,
+    /// The last unit path, kept across solves.
+    path: Vec<usize>,
 }
 
 impl FlowNetwork {
@@ -78,6 +83,8 @@ impl FlowNetwork {
             edges: Vec::new(),
             head: vec![NONE; n],
             tail: vec![NONE; n],
+            spfa: Spfa::new(n),
+            path: Vec::new(),
         }
     }
 
@@ -193,8 +200,9 @@ pub struct FlowResult {
     pub cost: i64,
 }
 
-/// Shortest-path scratch for one solve: allocated once, reused by every
-/// augmentation of that solve.
+/// Shortest-path scratch: allocated with the network, reused by every
+/// augmentation of every solve.
+#[derive(Debug, Clone)]
 struct Spfa {
     dist: Vec<i64>,
     /// Id of the edge each node was last relaxed through, or [`NONE`].
@@ -289,7 +297,7 @@ pub fn min_cost_max_flow(net: &mut FlowNetwork, source: usize, sink: usize) -> F
     assert!(source < net.len() && sink < net.len(), "node out of range");
     assert_ne!(source, sink, "source and sink must differ");
     FLOW_SOLVES.incr();
-    let mut spfa = Spfa::new(net.len());
+    let mut spfa = std::mem::replace(&mut net.spfa, Spfa::new(0));
     let mut total_flow = 0i64;
     let mut total_cost = 0i64;
     loop {
@@ -303,6 +311,7 @@ pub fn min_cost_max_flow(net: &mut FlowNetwork, source: usize, sink: usize) -> F
         total_flow += bottleneck;
         total_cost += bottleneck * spfa.dist[sink];
     }
+    net.spfa = spfa;
     FlowResult {
         flow: total_flow,
         cost: total_cost,
@@ -339,17 +348,29 @@ pub fn min_cost_max_flow(net: &mut FlowNetwork, source: usize, sink: usize) -> F
 pub fn min_cost_unit_path(net: &mut FlowNetwork, source: usize, sink: usize) -> Option<Vec<usize>> {
     assert!(source < net.len() && sink < net.len(), "node out of range");
     assert_ne!(source, sink, "source and sink must differ");
-    FLOW_SOLVES.incr();
-    let mut spfa = Spfa::new(net.len());
-    spfa.run(net, source);
-    if spfa.dist[sink] == i64::MAX {
-        return None;
+    net.unit_path(source, sink).map(<[usize]>::to_vec)
+}
+
+impl FlowNetwork {
+    /// [`min_cost_unit_path`] into the network's own path buffer: the
+    /// returned slice lives until the next solve.
+    pub(crate) fn unit_path(&mut self, source: usize, sink: usize) -> Option<&[usize]> {
+        FLOW_SOLVES.incr();
+        let mut spfa = std::mem::replace(&mut self.spfa, Spfa::new(0));
+        spfa.run(self, source);
+        let found = spfa.dist[sink] != i64::MAX;
+        if found {
+            FLOW_AUGMENTING_PATHS.incr();
+            let mut path = std::mem::take(&mut self.path);
+            path.clear();
+            path.push(sink);
+            spfa.augment(self, sink, 1, |v| path.push(v));
+            path.reverse();
+            self.path = path;
+        }
+        self.spfa = spfa;
+        found.then_some(&self.path[..])
     }
-    FLOW_AUGMENTING_PATHS.incr();
-    let mut path = vec![sink];
-    spfa.augment(net, sink, 1, |v| path.push(v));
-    path.reverse();
-    Some(path)
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! routes it alone.
 
 use crate::adjacency::Adjacency;
-use crate::mcmf::{min_cost_unit_path, FlowNetwork};
+use crate::mcmf::FlowNetwork;
 
 /// Commodities handed to [`route_commodities`] across all calls.
 static FLOW_COMMODITIES: qccd_obs::Counter = qccd_obs::Counter::new("flow.commodities_routed");
@@ -40,7 +40,7 @@ pub struct Commodity {
 /// Each undirected edge of `graph` may carry at most one commodity in
 /// total (either direction), and each returned path is simple. Commodities
 /// are processed in the given order; each is routed as one unit of
-/// min-cost flow ([`min_cost_unit_path`]) over the remaining capacities
+/// min-cost flow ([`min_cost_unit_path`](crate::min_cost_unit_path)) over the remaining capacities
 /// with `edge_cost(a, b)` pricing the hop `a → b` (costs must be
 /// non-negative). The entry for a commodity is `None` when the shared
 /// network has no path left for it — the flows conflict — and the caller
@@ -100,18 +100,19 @@ pub fn route_commodities(
                 return Some(vec![c.source]);
             }
             net.reset_edge(entries[c.source], 1);
-            let routed = min_cost_unit_path(&mut net, source, 2 * c.sink + 1);
+            // The out-halves the unit passes spell the trap path.
+            let path: Option<Vec<usize>> = net.unit_path(source, 2 * c.sink + 1).map(|nodes| {
+                nodes
+                    .iter()
+                    .filter(|&&v| v % 2 == 1 && v < source)
+                    .map(|&v| v / 2)
+                    .collect()
+            });
             net.reset_edge(entries[c.source], 0);
-            let Some(nodes) = routed else {
+            let Some(path) = path else {
                 FLOW_COMMODITY_FALLBACKS.incr();
                 return None;
             };
-            // The out-halves the unit passes spell the trap path.
-            let path: Vec<usize> = nodes
-                .into_iter()
-                .filter(|&v| v % 2 == 1 && v < source)
-                .map(|v| v / 2)
-                .collect();
             // Re-open the traps the unit crossed; spend its segments in
             // both directions.
             for &a in &path {

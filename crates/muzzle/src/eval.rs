@@ -9,7 +9,7 @@
 
 use crate::output::{csv_row, Json};
 use crate::{emit, parse_common};
-use qccd_bench::{compare_timed_jobs, ComparisonRow, RANDOM_SUITE_SEED};
+use qccd_bench::{compare_timed, ComparisonRow, RANDOM_SUITE_SEED};
 use qccd_circuit::generators::{paper_suite, random_suite, BenchmarkCircuit};
 use qccd_circuit::parser::parse_program;
 use qccd_core::{compile_with_mapping, CompilerConfig};
@@ -174,7 +174,7 @@ pub fn cmd_eval(args: &[String]) -> Result<(), String> {
         .iter()
         .map(|bench| {
             qccd_obs::info("eval", || format!("  {}", bench.name));
-            compare_timed_jobs(bench, &machine, &params, &model, opts.jobs)
+            compare_timed(bench, &machine, &params, &model)
         })
         .collect();
     let all_leq = rows

@@ -91,12 +91,10 @@ POLICY OPTIONS:
                         candidates: delta touches only the candidate's
                         resources with O(1) undo; full clones and re-lowers
                         the suffix — the bit-for-bit differential oracle)
-    --jobs N            worker threads for speculative candidate scoring,
-                        pack-candidate lowering, and the clock race
-                        [default: 1]
-                        (results are bit-for-bit identical at every width:
-                        candidates shard on fixed index boundaries and
-                        reduce in candidate order, never finish order)
+    --jobs N            threads for --objective clock [default: 1]
+                        (≥ 2 races the clock objective's two arms on two
+                        threads; results are bit-for-bit identical at
+                        every width)
 
 OUTPUT OPTIONS:
     --format F          text | json | csv          [default: text]

@@ -110,24 +110,21 @@ pub(crate) fn pack_cross_gate(
     // creation point. Under the no-credit rule any within-round order
     // replays serially, so insertion order is kept (it matches the strict
     // transport validator's in-order expectation by construction).
-    let rounds = bf.into_rounds();
+    let mut rounds = bf.into_rounds();
     let mut ops = Vec::with_capacity(schedule.operations.len());
     let mut transport_rounds = Vec::with_capacity(rounds.len());
     for ev in events {
         match ev {
             Ev::Gate { op } => ops.push(op),
             Ev::Round(idx) => {
-                let moves = &rounds[idx];
-                for m in moves {
-                    ops.push(Operation::Shuttle {
-                        ion: m.ion,
-                        from: m.from,
-                        to: m.to,
-                    });
-                }
-                transport_rounds.push(TransportRound {
-                    moves: moves.clone(),
-                });
+                // Each round is emitted once, at its creation point.
+                let moves = std::mem::take(&mut rounds[idx]);
+                ops.extend(moves.iter().map(|m| Operation::Shuttle {
+                    ion: m.ion,
+                    from: m.from,
+                    to: m.to,
+                }));
+                transport_rounds.push(TransportRound { moves });
             }
         }
     }

@@ -24,7 +24,7 @@ use qccd_circuit::Circuit;
 use qccd_flow::{route_commodities, Commodity};
 use qccd_machine::{IonId, MachineSpec, MachineState, Operation, Schedule, TrapId};
 use qccd_route::TransportSchedule;
-use qccd_timing::{LowerState, TimelineEvent, TimingModel, WorkerPool, SEQUENTIAL_CUTOFF};
+use qccd_timing::{LowerState, TimelineEvent, TimingModel};
 
 /// Result of the batched layer-planning pass.
 pub(crate) struct LayerPlanned {
@@ -44,58 +44,40 @@ const FULL_TRAP_COST: i64 = 6_000;
 /// One ion's net displacement across a run: `(ion, first from, last to)`.
 type Mover = (IonId, TrapId, TrapId);
 
-/// A gate-free run located by the discovery pass: its slice of the
-/// operation stream and transport rounds, plus — only when the run is
-/// worth re-planning — its movers and the machine occupancy snapshot its
-/// flow plan prices against.
-struct Run {
-    start: usize,
-    end: usize,
-    rounds_start: usize,
-    rounds_end: usize,
-    plan: Option<(Vec<Mover>, MachineState)>,
-}
-
 /// Re-plans every gate-free run of `schedule` as a multi-commodity flow,
 /// keeping a rewrite only when it replays legally and strictly lowers the
 /// run's clock under `model`. `transport` must be the schedule's validated
 /// rounds (they time the original runs during scoring).
 ///
-/// Three passes. **Discovery** walks the stream once with a plain machine
-/// replay, snapshotting the machine at the start of every run worth
-/// re-planning ([`movers`]; most runs are not, and pay no clone) — run
-/// checkpoints are natural shard boundaries because a kept rewrite
-/// preserves each run's final mapping, so the snapshot is independent of
-/// which earlier rewrites get adopted. **Planning** then flow-plans every
-/// run's candidate rewrite on `pool`, reduced in run-index order (never
-/// completion order). **Adoption** replays the timed fold sequentially,
-/// scoring each precomputed rewrite from its live [`LowerState`]
-/// checkpoint exactly as the single-pass loop did — so any pool width is
-/// bit-for-bit identical to sequential planning.
+/// One pass over the stream, advancing the timed fold ([`LowerState`]).
+/// At the start of every run worth re-planning ([`movers`]; most runs are
+/// not) the rewrite is flow-planned against the fold's live machine, then
+/// both variants are scored from that checkpoint and the fold advances
+/// through the winner. A kept rewrite preserves the run's final mapping,
+/// and the planner reads only ion positions and occupancy, so the plan is
+/// the same one a shuttles-only replay of the input would price.
 pub(crate) fn plan_layers(
     schedule: &Schedule,
     transport: &TransportSchedule,
     circuit: &Circuit,
     spec: &MachineSpec,
     model: &TimingModel,
-    pool: &WorkerPool,
 ) -> Result<LayerPlanned, PackError> {
     let _phase = qccd_obs::span("pack-layers");
     let stream = &schedule.operations;
     let rounds = &transport.rounds;
-
-    // Pass 1 — discovery: locate runs, their round slices, and the
-    // machine at each run's start. Gates never move ions between traps
-    // (zone promotion is intra-trap) and the planner reads only
-    // occupancy and shuttle legality, so a shuttles-only replay prices
-    // identically to the timed fold's machine.
-    let mut runs: Vec<Run> = Vec::new();
-    let mut replay = MachineState::with_mapping(spec, &schedule.initial_mapping)
-        .map_err(|e| PackError::InvalidPacked(e.to_string()))?;
+    let mut lower = LowerState::new(&schedule.initial_mapping, spec, model)?;
+    let mut scratch: Vec<TimelineEvent> = Vec::new();
+    let mut ops: Vec<Operation> = Vec::with_capacity(stream.len());
+    let mut replanned_runs = 0usize;
+    let mut dropped_hops = 0usize;
     let mut round_cursor = 0usize;
     let mut i = 0usize;
     while i < stream.len() {
         if let Operation::Gate { .. } = stream[i] {
+            scratch.clear();
+            lower.advance(&stream[i..i + 1], Some(&[]), circuit, spec, &mut scratch)?;
+            ops.push(stream[i]);
             i += 1;
             continue;
         }
@@ -116,61 +98,23 @@ pub(crate) fn plan_layers(
             covered += round.moves.len();
             round_cursor += 1;
         }
-        let plan = movers(&stream[run_start..i]).map(|m| (m, replay.clone()));
-        for op in &stream[run_start..i] {
-            if let Operation::Shuttle { ion, to, .. } = *op {
-                replay
-                    .shuttle(ion, to)
-                    .map_err(|e| PackError::InvalidPacked(e.to_string()))?;
-            }
-        }
-        runs.push(Run {
-            start: run_start,
-            end: i,
-            rounds_start,
-            rounds_end: round_cursor,
-            plan,
-        });
-    }
-
-    // Pass 2 — planning: the flow solves (the expensive part) fan out on
-    // the pool, one run per task, reduced in run-index order.
-    let rewrites: Vec<Option<Vec<Operation>>> =
-        pool.map_indexed(runs.len(), SEQUENTIAL_CUTOFF, |k| {
-            let run = &runs[k];
-            let (movers, machine) = run.plan.as_ref()?;
-            rewrite_run(movers, machine, spec).filter(|n| n.len() <= run.end - run.start)
-        });
-
-    // Pass 3 — adoption: the sequential timed fold, scoring each
-    // precomputed rewrite from the live checkpoint.
-    let mut lower = LowerState::new(&schedule.initial_mapping, spec, model)?;
-    let mut scratch: Vec<TimelineEvent> = Vec::new();
-    let mut ops: Vec<Operation> = Vec::with_capacity(stream.len());
-    let mut replanned_runs = 0usize;
-    let mut dropped_hops = 0usize;
-    let mut i = 0usize;
-    for (run, rewrite) in runs.iter().zip(&rewrites) {
-        while i < run.start {
-            scratch.clear();
-            lower.advance(&stream[i..i + 1], Some(&[]), circuit, spec, &mut scratch)?;
-            ops.push(stream[i]);
-            i += 1;
-        }
-        let run_ops = &stream[run.start..run.end];
-        let run_rounds = &rounds[run.rounds_start..run.rounds_end];
+        let run_ops = &stream[run_start..i];
+        let run_rounds = &rounds[rounds_start..round_cursor];
+        let rewrite = movers(run_ops)
+            .and_then(|m| rewrite_run(&m, lower.machine(), spec))
+            .filter(|n| n.len() <= run_ops.len());
         if let Some(new_ops) = rewrite {
-            // Score both variants from the same checkpoint; the
-            // rewrite must strictly win on the clock to be kept.
+            // Score both variants from the same checkpoint; the rewrite
+            // must strictly win on the clock to be kept.
             let mut orig = lower.clone();
             scratch.clear();
             orig.advance(run_ops, Some(run_rounds), circuit, spec, &mut scratch)?;
-            match score_rewrite(&lower, new_ops, circuit, spec) {
+            match score_rewrite(&lower, &new_ops, circuit, spec) {
                 Some(new_state) if beats(&new_state, &orig) => {
                     replanned_runs += 1;
                     dropped_hops += run_ops.len() - new_ops.len();
                     lower = new_state;
-                    ops.extend_from_slice(new_ops);
+                    ops.extend_from_slice(&new_ops);
                 }
                 _ => {
                     lower = orig;
@@ -178,19 +122,11 @@ pub(crate) fn plan_layers(
                 }
             }
         } else {
-            // No candidate rewrite: the committed fold just advances in
-            // place — no checkpoint clone needed.
+            // No candidate rewrite: the fold just advances in place.
             scratch.clear();
             lower.advance(run_ops, Some(run_rounds), circuit, spec, &mut scratch)?;
             ops.extend_from_slice(run_ops);
         }
-        i = run.end;
-    }
-    while i < stream.len() {
-        scratch.clear();
-        lower.advance(&stream[i..i + 1], Some(&[]), circuit, spec, &mut scratch)?;
-        ops.push(stream[i]);
-        i += 1;
     }
     Ok(LayerPlanned {
         ops,
@@ -375,7 +311,6 @@ mod tests {
             &circuit,
             &spec,
             &TimingModel::realistic(),
-            &WorkerPool::new(1),
         )
         .unwrap();
         assert_eq!(planned.replanned_runs, 1);
@@ -405,7 +340,6 @@ mod tests {
             &circuit,
             &spec,
             &TimingModel::realistic(),
-            &WorkerPool::new(1),
         )
         .unwrap();
         // Both ions still end in T2 and the rewrite (if adopted) stays
@@ -447,7 +381,6 @@ mod tests {
             &circuit,
             &spec,
             &TimingModel::realistic(),
-            &WorkerPool::new(1),
         )
         .unwrap();
         // Whatever the planner chose, the result replays legally and ends
@@ -462,43 +395,185 @@ mod tests {
         assert_eq!(state.trap_of(IonId(1)), TrapId(2));
     }
 
-    #[test]
-    fn pool_width_never_changes_the_plan() {
-        // Many gate-free runs (shuttles separated by gates) so the
-        // planning pass actually shards; every pool width must emit the
-        // identical op stream and stats.
-        use qccd_circuit::generators::random_circuit;
-        use qccd_core::{compile, CompilerConfig, RouterPolicy};
+    /// The three-pass `plan_layers` the one-pass version replaced, kept
+    /// as its oracle: discovery snapshots the machine at every run worth
+    /// re-planning from a shuttles-only replay of the input, planning
+    /// rewrites each snapshot, adoption scores the rewrites in order.
+    fn three_pass_plan_layers(
+        schedule: &Schedule,
+        transport: &TransportSchedule,
+        circuit: &Circuit,
+        spec: &MachineSpec,
+        model: &TimingModel,
+    ) -> LayerPlanned {
+        struct Run {
+            start: usize,
+            end: usize,
+            rounds_start: usize,
+            rounds_end: usize,
+            plan: Option<(Vec<Mover>, MachineState)>,
+        }
+        let stream = &schedule.operations;
+        let rounds = &transport.rounds;
+        let mut runs: Vec<Run> = Vec::new();
+        let mut replay = MachineState::with_mapping(spec, &schedule.initial_mapping).unwrap();
+        let mut round_cursor = 0usize;
+        let mut i = 0usize;
+        while i < stream.len() {
+            if let Operation::Gate { .. } = stream[i] {
+                i += 1;
+                continue;
+            }
+            let run_start = i;
+            while matches!(stream.get(i), Some(Operation::Shuttle { .. })) {
+                i += 1;
+            }
+            let rounds_start = round_cursor;
+            let mut covered = 0usize;
+            while covered < i - run_start {
+                covered += rounds[round_cursor].moves.len();
+                round_cursor += 1;
+            }
+            let plan = movers(&stream[run_start..i]).map(|m| (m, replay.clone()));
+            for op in &stream[run_start..i] {
+                if let Operation::Shuttle { ion, to, .. } = *op {
+                    replay.shuttle(ion, to).unwrap();
+                }
+            }
+            runs.push(Run {
+                start: run_start,
+                end: i,
+                rounds_start,
+                rounds_end: round_cursor,
+                plan,
+            });
+        }
+        let rewrites: Vec<Option<Vec<Operation>>> = runs
+            .iter()
+            .map(|run| {
+                let (movers, machine) = run.plan.as_ref()?;
+                rewrite_run(movers, machine, spec).filter(|n| n.len() <= run.end - run.start)
+            })
+            .collect();
+        let mut lower = LowerState::new(&schedule.initial_mapping, spec, model).unwrap();
+        let mut scratch: Vec<TimelineEvent> = Vec::new();
+        let mut ops: Vec<Operation> = Vec::with_capacity(stream.len());
+        let mut replanned_runs = 0usize;
+        let mut dropped_hops = 0usize;
+        let mut i = 0usize;
+        let mut advance = |lower: &mut LowerState, ops: &[Operation], rounds| {
+            scratch.clear();
+            lower
+                .advance(ops, Some(rounds), circuit, spec, &mut scratch)
+                .unwrap();
+        };
+        for (run, rewrite) in runs.iter().zip(&rewrites) {
+            while i < run.start {
+                advance(&mut lower, &stream[i..i + 1], &[]);
+                ops.push(stream[i]);
+                i += 1;
+            }
+            let run_ops = &stream[run.start..run.end];
+            let run_rounds = &rounds[run.rounds_start..run.rounds_end];
+            if let Some(new_ops) = rewrite {
+                let mut orig = lower.clone();
+                advance(&mut orig, run_ops, run_rounds);
+                match score_rewrite(&lower, new_ops, circuit, spec) {
+                    Some(new_state) if beats(&new_state, &orig) => {
+                        replanned_runs += 1;
+                        dropped_hops += run_ops.len() - new_ops.len();
+                        lower = new_state;
+                        ops.extend_from_slice(new_ops);
+                    }
+                    _ => {
+                        lower = orig;
+                        ops.extend_from_slice(run_ops);
+                    }
+                }
+            } else {
+                advance(&mut lower, run_ops, run_rounds);
+                ops.extend_from_slice(run_ops);
+            }
+            i = run.end;
+        }
+        while i < stream.len() {
+            advance(&mut lower, &stream[i..i + 1], &[]);
+            ops.push(stream[i]);
+            i += 1;
+        }
+        LayerPlanned {
+            ops,
+            replanned_runs,
+            dropped_hops,
+        }
+    }
 
-        let spec = MachineSpec::linear(3, 8, 2).unwrap();
-        let circuit = random_circuit(12, 80, 7);
+    /// A lookahead-packed clock-objective compile of a random circuit on
+    /// a linear, ring or grid machine: the input `compile_clock`'s clock
+    /// arm hands `plan_layers` (the shuttle objective rarely leaves a
+    /// run worth re-planning).
+    fn compiled(
+        topology: usize,
+        seed: u64,
+        gates: usize,
+    ) -> (Circuit, MachineSpec, qccd_core::CompileResult) {
+        use qccd_circuit::generators::random_circuit;
+        use qccd_core::{compile, CompilerConfig, Objective, RouterPolicy};
+        use qccd_machine::TrapTopology;
+
+        let spec = match topology {
+            0 => MachineSpec::linear(4, 6, 2),
+            1 => MachineSpec::new(TrapTopology::ring(5), 6, 2),
+            _ => MachineSpec::new(TrapTopology::grid(2, 3), 6, 2),
+        }
+        .unwrap();
+        let circuit = random_circuit(14, gates, seed);
         let config = CompilerConfig::optimized()
             .with_router(RouterPolicy::congestion())
-            .with_lookahead(true);
+            .with_lookahead(true)
+            .with_timing(TimingModel::realistic())
+            .with_objective(Objective::Clock);
         let result = compile(&circuit, &spec, &config).unwrap();
-        let model = TimingModel::realistic();
-        let base = plan_layers(
-            &result.schedule,
-            &result.transport,
-            &circuit,
-            &spec,
-            &model,
-            &WorkerPool::new(1),
-        )
-        .unwrap();
-        for jobs in [2usize, 4, 8] {
-            let wide = plan_layers(
-                &result.schedule,
-                &result.transport,
-                &circuit,
-                &spec,
-                &model,
-                &WorkerPool::new(jobs),
-            )
-            .unwrap();
-            assert_eq!(wide.ops, base.ops, "jobs={jobs}");
-            assert_eq!(wide.replanned_runs, base.replanned_runs, "jobs={jobs}");
-            assert_eq!(wide.dropped_hops, base.dropped_hops, "jobs={jobs}");
+        (circuit, spec, result)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+        /// The one-pass planner emits exactly the three-pass oracle's
+        /// stream and stats on compiled linear, ring and grid schedules.
+        #[test]
+        fn one_pass_matches_three_pass_oracle(
+            topology in 0usize..3,
+            seed in 0u64..1_000_000,
+            gates in 60usize..200,
+        ) {
+            let (circuit, spec, result) = compiled(topology, seed, gates);
+            let model = TimingModel::realistic();
+            let got = plan_layers(&result.schedule, &result.transport, &circuit, &spec, &model)
+                .unwrap();
+            let want =
+                three_pass_plan_layers(&result.schedule, &result.transport, &circuit, &spec, &model);
+            proptest::prop_assert_eq!(&got.ops, &want.ops);
+            proptest::prop_assert_eq!(got.replanned_runs, want.replanned_runs);
+            proptest::prop_assert_eq!(got.dropped_hops, want.dropped_hops);
+        }
+    }
+
+    /// The oracle comparison has teeth only if the sampled schedules
+    /// actually adopt rewrites.
+    #[test]
+    fn sampled_schedules_adopt_rewrites_on_every_topology() {
+        for topology in 0..3 {
+            let adopted: usize = (0..8u64)
+                .map(|seed| {
+                    let (circuit, spec, result) = compiled(topology, seed, 120);
+                    let model = TimingModel::realistic();
+                    plan_layers(&result.schedule, &result.transport, &circuit, &spec, &model)
+                        .unwrap()
+                        .replanned_runs
+                })
+                .sum();
+            assert!(adopted > 0, "topology {topology}: no run re-planned");
         }
     }
 }

@@ -63,8 +63,9 @@ use qccd_route::{TransportError, TransportSchedule};
 static PACK_CANDIDATES: qccd_obs::Counter = qccd_obs::Counter::new("pack.candidates_tried");
 /// Candidates that strictly beat the input on the clock and were adopted.
 static PACK_ADOPTED: qccd_obs::Counter = qccd_obs::Counter::new("pack.candidates_adopted");
-use qccd_timing::{lower, LowerError, Timeline, TimingModel, WorkerPool, SEQUENTIAL_CUTOFF};
+use qccd_timing::{lower, LowerError, Timeline, TimingModel};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -84,16 +85,6 @@ pub struct PackConfig {
     /// the packer at O(schedule × window); the default comfortably covers
     /// every gap the paper workloads exhibit.
     pub window: usize,
-    /// Worker-pool width for candidate lowering and per-run flow
-    /// planning (`--jobs`; 1 = sequential). Any width produces
-    /// bit-for-bit identical results — candidates shard on fixed index
-    /// boundaries and reduce in index order, never completion order.
-    #[serde(default = "default_jobs")]
-    pub jobs: usize,
-}
-
-fn default_jobs() -> usize {
-    1
 }
 
 impl PackConfig {
@@ -105,22 +96,22 @@ impl PackConfig {
         }
     }
 
-    /// Sets the worker-pool width (normalized to at least 1).
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
+    /// Returns `self` unchanged. Packing runs on the calling thread;
+    /// the only concurrency is [`compile_clock`]'s two-arm race, set by
+    /// [`CompilerConfig::jobs`]. Kept so existing callers still build.
+    pub fn with_jobs(self, _jobs: usize) -> Self {
         self
     }
 }
 
 impl Default for PackConfig {
-    /// Both passes, realistic device timing, window 96, sequential.
+    /// Both passes, realistic device timing, window 96.
     fn default() -> Self {
         PackConfig {
             model: TimingModel::realistic(),
             cross_gate: true,
             batch_layers: true,
             window: 96,
-            jobs: default_jobs(),
         }
     }
 }
@@ -162,9 +153,10 @@ pub struct Packed {
 /// Packs `result` into an equivalent program with minimal timed makespan
 /// under `config.model`.
 ///
-/// Candidates (cross-gate packings of the input and of its layer-planned
-/// rewrite, under both join policies) are scored with full timed
-/// lowerings; the best strict improvement wins, otherwise the input is
+/// Candidates (the greedy in-run repack, then cross-gate packings of the
+/// input and of its layer-planned rewrite, under both join policies) are
+/// each lowered right after they are built; only the running best is
+/// kept. The best strict improvement wins, otherwise the input is
 /// returned unchanged (`stats.improved == false`). The winner is fully
 /// validated: replay equivalence against the input schedule, strict
 /// transport-round validation, and timeline resource validation.
@@ -186,67 +178,31 @@ pub fn pack(
     // When the compile was lowered under the scoring model, its attached
     // timeline *is* the input lowering — skip the redundant O(n) re-lower.
     let input_timeline = if result.timing == config.model {
-        result.timeline.clone()
+        Cow::Borrowed(&result.timeline)
     } else {
-        lower(
+        Cow::Owned(lower(
             &result.schedule,
             Some(&result.transport),
             circuit,
             spec,
             &config.model,
-        )?
+        )?)
     };
 
-    // Candidate construction is decoupled from candidate *scoring*: the
-    // cheap rewrite passes below assemble `Prepared` programs first, then
-    // every timed lowering — the expensive O(n) part — runs on the worker
-    // pool in one batch. Timelines come back in candidate-index order
-    // (never completion order) and the first lowering error in index
-    // order is the one returned, so any `jobs` width is bit-for-bit
-    // identical to the sequential pass.
-    struct Prepared {
-        schedule: Schedule,
-        transport: TransportSchedule,
-        hoisted_hops: usize,
-        replanned_runs: usize,
-        dropped_hops: usize,
-    }
-    struct Candidate {
-        schedule: Schedule,
-        transport: TransportSchedule,
-        timeline: Timeline,
-        hoisted_hops: usize,
-        replanned_runs: usize,
-        dropped_hops: usize,
-    }
-    let pool = WorkerPool::new(config.jobs);
-    let cap = spec.total_capacity();
-    let num_traps = spec.num_traps() as usize;
-    let mut prepared: Vec<Prepared> = Vec::new();
-    let add_cross_gate = |base: &Schedule,
-                          replanned_runs: usize,
-                          dropped_hops: usize,
-                          prepared: &mut Vec<Prepared>| {
-        let mut prev: Option<CrossGatePacked> = None;
-        for share_only in [true, false] {
-            let packed = pack_cross_gate(base, cap, num_traps, config.window, share_only);
-            // The share-only and full passes frequently emit the same
-            // program; comparing ops+rounds is O(n) while re-lowering and
-            // carrying a duplicate candidate costs several O(n) passes.
-            // Identical candidates also tie on every selection key, so
-            // dropping the copy cannot change which result `best` picks.
-            if prev.as_ref() == Some(&packed) {
-                continue;
-            }
-            prev = Some(packed.clone());
-            prepared.push(Prepared {
-                schedule: Schedule::new(base.initial_mapping.clone(), packed.ops),
-                transport: packed.transport,
-                hoisted_hops: packed.hoisted_hops,
-                replanned_runs,
-                dropped_hops,
-            });
-        }
+    let mut best: Option<Candidate> = None;
+    let mut offer = |rewrite: Rewrite| -> Result<(), PackError> {
+        PACK_CANDIDATES.incr();
+        let timeline = lower(
+            &rewrite.schedule,
+            Some(&rewrite.transport),
+            circuit,
+            spec,
+            &config.model,
+        )?;
+        keep_faster(&mut best, Candidate { rewrite, timeline }, |c| {
+            c.timeline.makespan_us
+        });
+        Ok(())
     };
 
     // The greedy in-run repack rides along whenever any pass is enabled:
@@ -255,17 +211,13 @@ pub fn pack(
     // packed result must never lose to either in-run packer.
     if config.cross_gate || config.batch_layers {
         if let Ok(greedy) = TransportSchedule::pack_concurrent(&result.schedule, spec) {
-            prepared.push(Prepared {
-                schedule: result.schedule.clone(),
-                transport: greedy,
-                hoisted_hops: 0,
-                replanned_runs: 0,
-                dropped_hops: 0,
-            });
+            offer(Rewrite::of(result.schedule.clone(), greedy, 0))?;
         }
     }
     if config.cross_gate {
-        add_cross_gate(&result.schedule, 0, 0, &mut prepared);
+        for rewrite in cross_gate_rewrites(&result.schedule, spec, config.window) {
+            offer(rewrite)?;
+        }
     }
     if config.batch_layers {
         let planned = plan_layers(
@@ -274,65 +226,29 @@ pub fn pack(
             circuit,
             spec,
             &config.model,
-            &pool,
         )?;
         if planned.replanned_runs > 0 {
             let schedule = Schedule::new(result.schedule.initial_mapping.clone(), planned.ops);
-            if config.cross_gate {
-                add_cross_gate(
-                    &schedule,
-                    planned.replanned_runs,
-                    planned.dropped_hops,
-                    &mut prepared,
-                );
+            let rewrites = if config.cross_gate {
+                cross_gate_rewrites(&schedule, spec, config.window)
             } else {
                 let transport = TransportSchedule::pack_concurrent(&schedule, spec)
                     .map_err(PackError::Transport)?;
-                prepared.push(Prepared {
-                    schedule,
-                    transport,
-                    hoisted_hops: 0,
-                    replanned_runs: planned.replanned_runs,
-                    dropped_hops: planned.dropped_hops,
-                });
+                vec![Rewrite::of(schedule, transport, 0)]
+            };
+            for mut rewrite in rewrites {
+                rewrite.replanned_runs = planned.replanned_runs;
+                rewrite.dropped_hops = planned.dropped_hops;
+                offer(rewrite)?;
             }
         }
     }
 
-    PACK_CANDIDATES.add(prepared.len() as u64);
-    let timelines = pool.map_indexed(prepared.len(), SEQUENTIAL_CUTOFF, |i| {
-        let c = &prepared[i];
-        lower(
-            &c.schedule,
-            Some(&c.transport),
-            circuit,
-            spec,
-            &config.model,
-        )
-    });
-    let mut candidates: Vec<Candidate> = Vec::with_capacity(prepared.len());
-    for (c, timeline) in prepared.into_iter().zip(timelines) {
-        candidates.push(Candidate {
-            schedule: c.schedule,
-            transport: c.transport,
-            timeline: timeline?,
-            hoisted_hops: c.hoisted_hops,
-            replanned_runs: c.replanned_runs,
-            dropped_hops: c.dropped_hops,
-        });
-    }
-    let best = candidates
-        .into_iter()
-        .min_by(|a, b| {
-            a.timeline
-                .makespan_us
-                .partial_cmp(&b.timeline.makespan_us)
-                .expect("lowered makespans are finite")
-        })
-        .filter(|c| c.timeline.makespan_us < input_timeline.makespan_us);
-
-    match best {
-        Some(c) => {
+    match best.filter(|c| c.timeline.makespan_us < input_timeline.makespan_us) {
+        Some(Candidate {
+            rewrite: c,
+            timeline,
+        }) => {
             PACK_ADOPTED.incr();
             {
                 let _phase = qccd_obs::span("pack-validate");
@@ -340,7 +256,7 @@ pub fn pack(
                 c.transport
                     .validate(&c.schedule, spec)
                     .map_err(PackError::Transport)?;
-                c.timeline
+                timeline
                     .validate()
                     .map_err(|e| PackError::InvalidPacked(e.to_string()))?;
             }
@@ -348,7 +264,7 @@ pub fn pack(
                 input_depth: result.transport.depth(),
                 packed_depth: c.transport.depth(),
                 input_makespan_us: input_timeline.makespan_us,
-                packed_makespan_us: c.timeline.makespan_us,
+                packed_makespan_us: timeline.makespan_us,
                 hoisted_hops: c.hoisted_hops,
                 replanned_runs: c.replanned_runs,
                 dropped_hops: c.dropped_hops,
@@ -357,7 +273,7 @@ pub fn pack(
             Ok(Packed {
                 schedule: c.schedule,
                 transport: c.transport,
-                timeline: c.timeline,
+                timeline,
                 stats,
             })
         }
@@ -373,10 +289,72 @@ pub fn pack(
             Ok(Packed {
                 schedule: result.schedule.clone(),
                 transport: result.transport.clone(),
-                timeline: input_timeline,
+                timeline: input_timeline.into_owned(),
                 stats,
             })
         }
+    }
+}
+
+/// One rewrite of the input program, before it is lowered.
+struct Rewrite {
+    schedule: Schedule,
+    transport: TransportSchedule,
+    hoisted_hops: usize,
+    replanned_runs: usize,
+    dropped_hops: usize,
+}
+
+impl Rewrite {
+    fn of(schedule: Schedule, transport: TransportSchedule, hoisted_hops: usize) -> Self {
+        Rewrite {
+            schedule,
+            transport,
+            hoisted_hops,
+            replanned_runs: 0,
+            dropped_hops: 0,
+        }
+    }
+}
+
+/// A rewrite plus its timed lowering under the pack model.
+struct Candidate {
+    rewrite: Rewrite,
+    timeline: Timeline,
+}
+
+/// The share-only cross-gate packing of `base`, then the full one unless
+/// it emits the same program. The two frequently coincide; comparing
+/// ops+rounds is O(n) while lowering a duplicate costs several O(n)
+/// passes, and an identical candidate ties on every selection key, so
+/// dropping it cannot change which candidate wins.
+fn cross_gate_rewrites(base: &Schedule, spec: &MachineSpec, window: usize) -> Vec<Rewrite> {
+    let (cap, num_traps) = (spec.total_capacity(), spec.num_traps() as usize);
+    let share_only = pack_cross_gate(base, cap, num_traps, window, true);
+    let full = pack_cross_gate(base, cap, num_traps, window, false);
+    let full = (full != share_only).then_some(full);
+    [Some(share_only), full]
+        .into_iter()
+        .flatten()
+        .map(|p: CrossGatePacked| {
+            Rewrite::of(
+                Schedule::new(base.initial_mapping.clone(), p.ops),
+                p.transport,
+                p.hoisted_hops,
+            )
+        })
+        .collect()
+}
+
+/// Replaces the running `best` with `candidate` only when `candidate` is
+/// strictly faster, so the first of equal minimums stays — the element
+/// `Iterator::min_by` would pick over the same sequence.
+fn keep_faster<T>(best: &mut Option<T>, candidate: T, makespan: impl Fn(&T) -> f64) {
+    if best
+        .as_ref()
+        .is_none_or(|b| makespan(&candidate) < makespan(b))
+    {
+        *best = Some(candidate);
     }
 }
 
@@ -411,7 +389,7 @@ pub fn compile_packed(
         &result,
         circuit,
         spec,
-        &PackConfig::for_model(config.timing).with_jobs(config.jobs),
+        &PackConfig::for_model(config.timing),
     )
     .map_err(PackCompileError::Pack)?;
     let stats = packed.stats;
@@ -713,25 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn jobs_width_never_changes_the_clock_result() {
-        let spec = MachineSpec::linear(3, 8, 2).unwrap();
-        let circuit = random_circuit(14, 90, 11);
-        let config = CompilerConfig::optimized().with_timing(TimingModel::realistic());
-        let (base_result, base_stats) = compile_clock(&circuit, &spec, &config).unwrap();
-        for jobs in [2usize, 4] {
-            let (result, stats) = compile_clock(&circuit, &spec, &config.with_jobs(jobs)).unwrap();
-            assert_eq!(stats, base_stats, "jobs={jobs}");
-            assert_eq!(result.schedule, base_result.schedule, "jobs={jobs}");
-            assert_eq!(result.transport, base_result.transport, "jobs={jobs}");
-            assert_eq!(
-                result.timeline.makespan_us.to_bits(),
-                base_result.timeline.makespan_us.to_bits(),
-                "jobs={jobs}"
-            );
-        }
-    }
-
-    #[test]
     fn disabled_passes_return_the_input() {
         let spec = MachineSpec::linear(3, 8, 2).unwrap();
         let circuit = random_circuit(12, 60, 5);
@@ -745,5 +704,40 @@ mod tests {
         assert!(!packed.stats.improved);
         assert_eq!(packed.schedule, result.schedule);
         assert_eq!(packed.transport, result.transport);
+    }
+
+    /// The selection `pack` ran before it streamed: collect every
+    /// candidate, take the first minimum, keep it only when it beats the
+    /// input.
+    fn collect_min_by_filter(makespans: &[f64], input: f64) -> Option<usize> {
+        makespans
+            .iter()
+            .copied()
+            .enumerate()
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
+            .filter(|&(_, m)| m < input)
+            .map(|(i, _)| i)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+        /// Streaming `keep_faster` over the candidates, then the `< input`
+        /// filter, picks the oracle's candidate. Makespans come from a
+        /// handful of values so ties, with each other and with the input,
+        /// are common.
+        #[test]
+        fn streaming_selection_matches_collect_then_min_by(
+            makespans in proptest::collection::vec(0u8..5, 0..8),
+            input in 0u8..6,
+        ) {
+            let makespans: Vec<f64> = makespans.into_iter().map(f64::from).collect();
+            let input = f64::from(input);
+            let mut best: Option<(usize, f64)> = None;
+            for (i, &m) in makespans.iter().enumerate() {
+                keep_faster(&mut best, (i, m), |c| c.1);
+            }
+            let streamed = best.filter(|&(_, m)| m < input).map(|(i, _)| i);
+            proptest::prop_assert_eq!(streamed, collect_min_by_filter(&makespans, input));
+        }
     }
 }

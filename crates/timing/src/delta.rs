@@ -41,13 +41,9 @@
 //! to the clone-based oracle; the compile loop's speculative candidates
 //! are pure shuttle walks, so the fallback never fires on the hot path.
 //!
-//! The overlay itself is the free function [`score_shuttles_overlay`]: it
-//! reads the fold immutably and keeps every speculative write in a
-//! caller-supplied [`ScoreArena`], so many candidates can be priced
-//! concurrently against one shared checkpoint — each worker owns an
-//! arena, nobody mutates the fold, and the float-op sequence per
-//! candidate is identical to the sequential path (the `--jobs N`
-//! bit-for-bit determinism contract rests on exactly that).
+//! The overlay reads the fold immutably and keeps every speculative write
+//! in a private arena the scorer reuses across candidates, so rolling a
+//! candidate back is clearing four short vectors.
 //!
 //! [`DeltaScorer::score_ops_full`] is the other end of the spectrum: the
 //! **full re-lower oracle** behind `--score-mode full`, which prices every
@@ -75,11 +71,9 @@ static DELTA_APPLIES: qccd_obs::Counter = qccd_obs::Counter::new("timing.delta_a
 static DELTA_UNDOS: qccd_obs::Counter = qccd_obs::Counter::new("timing.delta_undos");
 
 /// Per-candidate speculative write-set, reused across candidates to keep
-/// the hot path allocation-free. One arena per scoring thread: the fold
-/// itself is never mutated, so any number of workers can price candidates
-/// against the same [`LowerState`] checkpoint concurrently.
+/// the hot path allocation-free.
 #[derive(Debug, Clone, Default)]
-pub struct ScoreArena {
+struct ScoreArena {
     /// Shadow position overrides: latest entry for an ion wins.
     moved: Vec<(IonId, TrapId)>,
     /// Shadow per-trap occupancy deltas.
@@ -91,11 +85,6 @@ pub struct ScoreArena {
 }
 
 impl ScoreArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        ScoreArena::default()
-    }
-
     fn reset(&mut self) {
         self.moved.clear();
         self.occ_delta.clear();
@@ -157,12 +146,11 @@ impl ScoreArena {
 /// Prices a shuttle-only candidate against `state` without touching it:
 /// the projected makespan after `ops` from the committed `base_makespan`,
 /// or `None` on the first illegal op. All speculative writes live in
-/// `arena` (reset on entry), so the fold can be shared immutably across
-/// any number of concurrent scorers — and the arithmetic is the same
-/// float-op sequence as [`LowerState::advance`]'s transport-less
+/// `arena` (reset on entry) and the arithmetic is the same float-op
+/// sequence as [`LowerState::advance`]'s transport-less
 /// synthetic-round path, bit-for-bit (see the module docs for the
 /// legality/claimed-endpoint contract).
-pub fn score_shuttles_overlay(
+fn score_shuttles_overlay(
     state: &LowerState,
     base_makespan: f64,
     ops: &[Operation],
@@ -238,8 +226,7 @@ pub struct DeltaScorer {
     /// Cached `state.makespan_us()`, refreshed on every commit so each
     /// speculation starts from a scalar instead of re-folding the clocks.
     makespan: f64,
-    /// Reused overlay arena for this scorer's own sequential
-    /// speculations (workers bring their own).
+    /// Reused overlay arena for this scorer's speculations.
     arena: ScoreArena,
     /// Scratch event buffer for commits (events are discarded).
     scratch: Vec<TimelineEvent>,
@@ -269,7 +256,7 @@ impl DeltaScorer {
         Ok(DeltaScorer {
             state,
             makespan,
-            arena: ScoreArena::new(),
+            arena: ScoreArena::default(),
             scratch: Vec::new(),
             speculations: 0,
             mapping: mapping.clone(),
@@ -341,34 +328,6 @@ impl DeltaScorer {
         score_shuttles_overlay(&self.state, self.makespan, ops, spec, &mut self.arena)
     }
 
-    /// [`score_ops`](Self::score_ops) for concurrent batch pricing: the
-    /// fold is read immutably and all speculative state lives in the
-    /// caller's `arena` (one per worker), so any number of these can run
-    /// at once against one scorer. Does **not** bump the speculation
-    /// count — batch callers account for the whole batch up front via
-    /// [`note_speculations`](Self::note_speculations) so the stat is
-    /// independent of how the batch was sharded.
-    pub fn score_ops_in(
-        &self,
-        ops: &[Operation],
-        circuit: &Circuit,
-        spec: &MachineSpec,
-        arena: &mut ScoreArena,
-    ) -> Option<f64> {
-        if ops.iter().any(|op| matches!(op, Operation::Gate { .. })) {
-            CLONE_FALLBACKS.incr();
-            return self.state.score_ops(ops, circuit, spec);
-        }
-        DELTA_HITS.incr();
-        score_shuttles_overlay(&self.state, self.makespan, ops, spec, arena)
-    }
-
-    /// Records `n` speculations scored outside [`score_ops`]'s own
-    /// bookkeeping (the batch paths).
-    pub fn note_speculations(&mut self, n: usize) {
-        self.speculations += n;
-    }
-
     /// Scores a candidate suffix on the **full re-lower oracle**
     /// (`--score-mode full`): replays the entire committed schedule plus
     /// the candidate from the initial mapping through [`lower`] — O(n)
@@ -388,20 +347,6 @@ impl DeltaScorer {
         spec: &MachineSpec,
     ) -> Option<f64> {
         self.speculations += 1;
-        self.score_ops_full_in(ops, circuit, spec)
-    }
-
-    /// [`score_ops_full`](Self::score_ops_full) without the speculation
-    /// bookkeeping: `&self`, so batch callers can replay candidates
-    /// concurrently (each replay clones the mapping and committed prefix
-    /// itself). Pair with
-    /// [`note_speculations`](Self::note_speculations).
-    pub fn score_ops_full_in(
-        &self,
-        ops: &[Operation],
-        circuit: &Circuit,
-        spec: &MachineSpec,
-    ) -> Option<f64> {
         FULL_SCORES.incr();
         let mut all = Vec::with_capacity(self.committed.len() + ops.len());
         all.extend_from_slice(&self.committed);
@@ -550,49 +495,6 @@ mod tests {
             s.commit(op, &circuit, &spec).unwrap();
         }
         assert_eq!(s.makespan_us(), first, "commit lands on the projection");
-    }
-
-    /// The `&self` batch entry point with a caller-owned arena must price
-    /// identically to the sequential `score_ops` path — including from
-    /// other threads sharing one scorer.
-    #[test]
-    fn worker_arena_scoring_matches_sequential_path() {
-        let spec = MachineSpec::linear(3, 4, 1).unwrap();
-        let circuit = Circuit::new(6);
-        let mut s = scorer(&spec, 6, &TimingModel::realistic());
-        let candidates: Vec<Vec<Operation>> = vec![
-            vec![sh(0, 0, 1)],
-            vec![sh(0, 0, 1), sh(0, 1, 2)],
-            vec![sh(5, 1, 2), sh(0, 0, 1)],
-            vec![sh(0, 0, 2)], // illegal: not adjacent
-        ];
-        let sequential: Vec<Option<f64>> = candidates
-            .iter()
-            .map(|ops| s.score_ops(ops, &circuit, &spec))
-            .collect();
-        // Same scorer, shared immutably across threads, worker arenas.
-        let shared = &s;
-        let circuit_ref = &circuit;
-        let spec_ref = &spec;
-        let threaded: Vec<Option<f64>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = candidates
-                .iter()
-                .map(|ops| {
-                    scope.spawn(move || {
-                        let mut arena = ScoreArena::new();
-                        shared.score_ops_in(ops, circuit_ref, spec_ref, &mut arena)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(sequential, threaded);
-        s.note_speculations(candidates.len());
-        assert_eq!(s.speculations(), 2 * candidates.len());
-        // Full-oracle batch variant agrees with its sequential wrapper.
-        let full_seq = s.score_ops_full(&candidates[0], &circuit, &spec);
-        let full_batch = s.score_ops_full_in(&candidates[0], &circuit, &spec);
-        assert_eq!(full_seq, full_batch);
     }
 
     /// Gate-containing candidates take the oracle fallback and still

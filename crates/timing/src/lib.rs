@@ -71,16 +71,14 @@
 mod delta;
 mod explain;
 mod model;
-mod pool;
 mod scheduler;
 mod timeline;
 
-pub use delta::{score_shuttles_overlay, DeltaScorer, ScoreArena};
+pub use delta::DeltaScorer;
 pub use explain::{
     attribute_makespan, attribute_path, critical_path, edge_reports, trap_reports, Blame,
     CriticalPath, CriticalPathStep, EdgeReport, MakespanAttribution, TrapReport,
 };
 pub use model::TimingModel;
-pub use pool::{WorkerPool, SEQUENTIAL_CUTOFF};
 pub use scheduler::{lower, LowerError, LowerState};
 pub use timeline::{TimedMove, Timeline, TimelineError, TimelineEvent};

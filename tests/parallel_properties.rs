@@ -1,29 +1,20 @@
-//! Determinism properties of the `--jobs N` worker pool: parallel
-//! speculative scoring must be a pure wall-clock optimization.
+//! The `--jobs N` contract: the only concurrency is `compile_clock`'s
+//! two-arm race, and it is a pure wall-clock optimization.
 //!
-//! Invariants checked:
+//! At `jobs >= 2` the default-objective arm compiles on a scoped thread
+//! while the clock-objective arm compiles on the caller's. Each arm is an
+//! independent deterministic compile and the race compares finished
+//! results, so `compile_clock` at jobs ∈ {1, 2, 8} must return the same
+//! schedule, transport rounds, [`ClockStats`] and makespan bits on
+//! {linear, ring, grid} topologies under both timing models.
 //!
-//! 1. **Core compile parity** — `compile` under the clock objective
-//!    (speculative candidate scoring through
-//!    [`WorkerPool::map_indexed`]) produces bit-for-bit identical
-//!    schedules, transport and stats at every pool width, on
-//!    {linear, ring, grid} topologies under both timing models.
-//! 2. **Full pipeline parity** — `compile_clock` (pooled candidate
-//!    lowering in the packer, pooled run re-planning, and the two
-//!    pipeline arms raced on scoped threads) is bit-for-bit identical
-//!    at jobs ∈ {1, 2, 8}, including the chosen timeline's makespan
-//!    bits.
-//! 3. **Threaded fold parity** — `map_indexed` itself concatenates
-//!    shard outputs in index order, bit-for-bit equal to the
-//!    sequential fold, stressed with far more tasks than workers and
-//!    with fewer tasks than workers (the `n < cutoff` sequential
-//!    fallback).
+//! [`ClockStats`]: muzzle_shuttle::pack::ClockStats
 
 use muzzle_shuttle::circuit::generators::random_circuit;
-use muzzle_shuttle::compiler::{compile, CompilerConfig, Objective};
+use muzzle_shuttle::compiler::CompilerConfig;
 use muzzle_shuttle::machine::{MachineSpec, TrapTopology};
 use muzzle_shuttle::pack::compile_clock;
-use muzzle_shuttle::timing::{TimingModel, WorkerPool, SEQUENTIAL_CUTOFF};
+use muzzle_shuttle::timing::TimingModel;
 
 /// The three paper topologies at a size where shuttling is forced.
 fn specs() -> Vec<(&'static str, MachineSpec)> {
@@ -50,30 +41,8 @@ fn models() -> [(&'static str, TimingModel); 2] {
     ]
 }
 
-#[test]
-fn core_clock_compile_is_bit_identical_at_every_pool_width() {
-    for (topo, spec) in specs() {
-        let circuit = random_circuit(10, 50, 0x9e37);
-        for (timing, model) in models() {
-            let config = CompilerConfig::optimized()
-                .with_timing(model)
-                .with_objective(Objective::Clock);
-            let base = compile(&circuit, &spec, &config)
-                .unwrap_or_else(|e| panic!("{topo}/{timing}: sequential compile failed: {e}"));
-            for jobs in [2usize, 8] {
-                let wide = compile(&circuit, &spec, &config.with_jobs(jobs))
-                    .unwrap_or_else(|e| panic!("{topo}/{timing}: jobs={jobs} compile failed: {e}"));
-                assert_eq!(wide.stats, base.stats, "{topo}/{timing} jobs={jobs}");
-                assert_eq!(wide.schedule, base.schedule, "{topo}/{timing} jobs={jobs}");
-                assert_eq!(
-                    wide.transport, base.transport,
-                    "{topo}/{timing} jobs={jobs}"
-                );
-            }
-        }
-    }
-}
-
+/// "Pool width" is the `--jobs` value: 1 runs the arms one after the
+/// other, 2 and 8 race them.
 #[test]
 fn clock_pipeline_is_bit_identical_at_every_pool_width() {
     for (topo, spec) in specs() {
@@ -87,64 +56,21 @@ fn clock_pipeline_is_bit_identical_at_every_pool_width() {
                     .unwrap_or_else(|e| {
                         panic!("{topo}/{timing}: jobs={jobs} pipeline failed: {e}")
                     });
-                assert_eq!(wide_stats, base_stats, "{topo}/{timing} jobs={jobs}");
-                assert_eq!(wide.schedule, base.schedule, "{topo}/{timing} jobs={jobs}");
+                let at = format!("{topo}/{timing} jobs={jobs}");
+                assert_eq!(wide_stats, base_stats, "{at}");
                 assert_eq!(
-                    wide.transport, base.transport,
-                    "{topo}/{timing} jobs={jobs}"
+                    wide_stats.chosen_makespan_us.to_bits(),
+                    base_stats.chosen_makespan_us.to_bits(),
+                    "{at}"
                 );
+                assert_eq!(wide.schedule, base.schedule, "{at}");
+                assert_eq!(wide.transport, base.transport, "{at}");
                 assert_eq!(
                     wide.timeline.makespan_us.to_bits(),
                     base.timeline.makespan_us.to_bits(),
-                    "{topo}/{timing} jobs={jobs}"
+                    "{at}"
                 );
             }
-        }
-    }
-}
-
-/// A float chain whose result depends on evaluation order: summing a
-/// shard in any other order (or folding shards in completion order)
-/// changes the rounding, so bitwise equality certifies index order.
-fn order_sensitive(i: usize) -> f64 {
-    let x = (i as f64).mul_add(0.1, 1.0);
-    (x.sin() + 1.0) / (x.sqrt() + 0.3)
-}
-
-#[test]
-fn threaded_fold_matches_sequential_with_more_tasks_than_workers() {
-    let n = 1000;
-    let sequential: Vec<f64> = (0..n).map(order_sensitive).collect();
-    for jobs in [2usize, 3, 8, 64] {
-        let pool = WorkerPool::new(jobs);
-        let parallel = pool.map_indexed(n, SEQUENTIAL_CUTOFF, order_sensitive);
-        assert_eq!(parallel.len(), sequential.len(), "jobs={jobs}");
-        for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
-            assert_eq!(p.to_bits(), s.to_bits(), "jobs={jobs} index {i}");
-        }
-        // Folding left-to-right over the concatenated shards must equal
-        // the sequential left-to-right fold, bit for bit.
-        let fold = |v: &[f64]| v.iter().fold(0.0f64, |acc, x| acc + x);
-        assert_eq!(
-            fold(&parallel).to_bits(),
-            fold(&sequential).to_bits(),
-            "jobs={jobs}"
-        );
-    }
-}
-
-#[test]
-fn threaded_fold_matches_sequential_with_fewer_tasks_than_workers() {
-    // Below the cutoff the pool must fall back to the calling thread and
-    // still return index order; above it, workers outnumber tasks and
-    // every shard is a single index.
-    for n in [0usize, 1, SEQUENTIAL_CUTOFF - 1, SEQUENTIAL_CUTOFF, 7] {
-        let sequential: Vec<f64> = (0..n).map(order_sensitive).collect();
-        let pool = WorkerPool::new(16);
-        let parallel = pool.map_indexed(n, SEQUENTIAL_CUTOFF, order_sensitive);
-        assert_eq!(parallel.len(), n);
-        for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
-            assert_eq!(p.to_bits(), s.to_bits(), "n={n} index {i}");
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The fixed per-compile passes each report under their own `--profile`
 //! phase: DAG build, schedule validation, transport packing and strict
-//! transport validation, beside the existing lowering span. This file
+//! transport validation, beside the existing lowering span. So do the
+//! optimized loop's local-gate drain and §III-B reorder scan. This file
 //! holds one test because telemetry is process-global.
 
 use muzzle_shuttle::circuit::generators::qft;
@@ -33,5 +34,25 @@ fn fixed_passes_have_their_own_phase_spans() {
             let count = phases.iter().find(|p| p.name == name).map(|p| p.count);
             assert_eq!(count, Some(1), "{name} in {:?}", config.router);
         }
+    }
+
+    // QFT-64 on the paper's L6 machine hits full destinations, so the
+    // optimized loop scans for reorder candidates as well as draining.
+    obs::reset();
+    obs::enable();
+    compile(
+        &qft(64),
+        &MachineSpec::paper_l6(),
+        &CompilerConfig::optimized(),
+    )
+    .unwrap();
+    obs::disable();
+    let phases = obs::phase_stats();
+    for name in ["drain", "reorder-scan"] {
+        let count = phases
+            .iter()
+            .find(|p| p.name == name)
+            .map_or(0, |p| p.count);
+        assert!(count > 0, "{name} never ran");
     }
 }
