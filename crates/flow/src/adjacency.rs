@@ -99,19 +99,34 @@ impl Memo {
 }
 
 impl Row {
-    /// The tree path from the row's source to `to` inclusive.
-    fn path_to(&self, to: usize) -> Option<Vec<usize>> {
+    /// The tree path from the row's source to `to` inclusive, each node
+    /// mapped through `node`, in one allocation.
+    fn path_to<T>(&self, to: usize, node: impl Fn(usize) -> T) -> Option<Vec<T>> {
         let hops = self.dist[to];
         if hops == NONE {
             return None;
         }
-        let mut path = vec![0; hops as usize + 1];
+        let mut path = Vec::with_capacity(hops as usize + 1);
         let mut cur = to;
-        for slot in path.iter_mut().rev() {
-            *slot = cur;
+        for _ in 0..=hops {
+            path.push(node(cur));
             cur = self.parent[cur] as usize;
         }
+        path.reverse();
         Some(path)
+    }
+
+    /// `true` when every interior node of the tree path to `to` (a
+    /// reachable node) satisfies `allowed`, walking parent links.
+    fn interior_allowed(&self, to: usize, allowed: impl Fn(usize) -> bool) -> bool {
+        let mut cur = to;
+        for _ in 1..self.dist[to] {
+            cur = self.parent[cur] as usize;
+            if !allowed(cur) {
+                return false;
+            }
+        }
+        true
     }
 }
 
@@ -225,7 +240,19 @@ impl Adjacency {
     /// A shortest path from `from` to `to` inclusive, or `None` if
     /// disconnected. Ties are broken toward lower-indexed neighbours.
     pub fn shortest_path(&self, from: usize, to: usize) -> Option<Vec<usize>> {
-        self.row(from, to)?.path_to(to)
+        self.shortest_path_with(from, to, |v| v)
+    }
+
+    /// [`shortest_path`](Adjacency::shortest_path) with every node mapped
+    /// through `node`, built straight from the memoized row in one
+    /// allocation.
+    pub fn shortest_path_with<T>(
+        &self,
+        from: usize,
+        to: usize,
+        node: impl Fn(usize) -> T,
+    ) -> Option<Vec<T>> {
+        self.row(from, to)?.path_to(to, node)
     }
 
     /// A shortest path whose *interior* nodes all satisfy `allowed`
@@ -237,12 +264,28 @@ impl Adjacency {
         to: usize,
         allowed: impl Fn(usize) -> bool,
     ) -> Option<Vec<usize>> {
-        let path = self.shortest_path(from, to)?;
-        let interior = path.len().saturating_sub(2);
-        if path.iter().skip(1).take(interior).all(|&v| allowed(v)) {
-            return Some(path);
+        self.shortest_path_filtered_with(from, to, allowed, |v| v)
+    }
+
+    /// [`shortest_path_filtered`](Adjacency::shortest_path_filtered) with
+    /// every node mapped through `node`. When the memoized tree path is
+    /// allowed (checked along its parent links) this is one allocation.
+    pub fn shortest_path_filtered_with<T>(
+        &self,
+        from: usize,
+        to: usize,
+        allowed: impl Fn(usize) -> bool,
+        node: impl Fn(usize) -> T,
+    ) -> Option<Vec<T>> {
+        let row = self.row(from, to)?;
+        if row.dist[to] == NONE {
+            return None;
         }
-        self.bfs_filtered(from, to, &allowed)
+        if row.interior_allowed(to, &allowed) {
+            return row.path_to(to, node);
+        }
+        let path = self.bfs_filtered(from, to, &allowed)?;
+        Some(path.into_iter().map(node).collect())
     }
 
     fn memo(&self) -> &Memo {
@@ -552,26 +595,45 @@ mod oracle {
             })
     }
 
-    /// Every query for every ordered pair (and one out-of-range node).
+    /// A path with its nodes mapped the way `TrapTopology` maps them.
+    fn mapped(path: Option<Vec<usize>>) -> Option<Vec<u32>> {
+        path.map(|p| p.into_iter().map(|v| v as u32).collect())
+    }
+
+    /// Every query for every ordered pair (and one out-of-range node),
+    /// plain and mapped.
     fn check_all(g: &Adjacency, masks: &[u32]) -> Result<usize, String> {
         let mut queries = 0;
         for from in 0..=g.len() {
             for to in 0..=g.len() {
                 let want = reference(g, from, to, &|_| true);
                 prop_assert_eq!(g.shortest_path(from, to), want.clone());
+                prop_assert_eq!(
+                    g.shortest_path_with(from, to, |v| v as u32),
+                    mapped(want.clone())
+                );
                 prop_assert_eq!(g.distance(from, to), want.map(|p| p.len() - 1));
                 for &mask in masks {
                     let allowed = |v: usize| mask >> v & 1 == 1;
+                    let want = reference(g, from, to, &allowed);
                     prop_assert_eq!(
                         g.shortest_path_filtered(from, to, allowed),
-                        reference(g, from, to, &allowed),
+                        want.clone(),
                         "{} -> {} under mask {:#b}",
                         from,
                         to,
                         mask
                     );
+                    prop_assert_eq!(
+                        g.shortest_path_filtered_with(from, to, allowed, |v| v as u32),
+                        mapped(want),
+                        "mapped {} -> {} under mask {:#b}",
+                        from,
+                        to,
+                        mask
+                    );
                 }
-                queries += 2 + masks.len();
+                queries += 3 + 2 * masks.len();
             }
         }
         Ok(queries)

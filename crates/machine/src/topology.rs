@@ -5,6 +5,7 @@ use crate::ids::TrapId;
 use qccd_flow::Adjacency;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// How traps are interconnected by shuttle paths.
 ///
@@ -12,19 +13,23 @@ use std::fmt;
 /// (Fig. 7) — built by [`TrapTopology::linear`]`(6)`. Ring and grid
 /// variants are provided for architecture exploration (Murali et al.
 /// study G-shaped topologies too).
+///
+/// The adjacency lists sit behind an [`Arc`], like the BFS memo inside
+/// them: cloning a topology (and so every `MachineSpec` and
+/// `MachineState`) shares them instead of copying one list per trap.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrapTopology {
     kind: TopologyKind,
     #[serde(skip, default = "empty_adjacency")]
-    adj: Adjacency,
+    adj: Arc<Adjacency>,
 }
 
-// Referenced by the `#[serde(default = "...")]` attribute below; the
+// Referenced by the `#[serde(default = "...")]` attribute above; the
 // vendored serde stub ignores field attributes, so without this allow the
 // compiler sees no non-test use.
 #[allow(dead_code)]
-fn empty_adjacency() -> Adjacency {
-    Adjacency::new(0)
+fn empty_adjacency() -> Arc<Adjacency> {
+    Arc::new(Adjacency::new(0))
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -40,7 +45,7 @@ impl TrapTopology {
     pub fn linear(n: u32) -> Self {
         TrapTopology {
             kind: TopologyKind::Linear { n },
-            adj: Adjacency::line(n as usize),
+            adj: Arc::new(Adjacency::line(n as usize)),
         }
     }
 
@@ -52,7 +57,7 @@ impl TrapTopology {
     pub fn ring(n: u32) -> Self {
         TrapTopology {
             kind: TopologyKind::Ring { n },
-            adj: Adjacency::ring(n as usize),
+            adj: Arc::new(Adjacency::ring(n as usize)),
         }
     }
 
@@ -60,7 +65,7 @@ impl TrapTopology {
     pub fn grid(rows: u32, cols: u32) -> Self {
         TrapTopology {
             kind: TopologyKind::Grid { rows, cols },
-            adj: Adjacency::grid(rows as usize, cols as usize),
+            adj: Arc::new(Adjacency::grid(rows as usize, cols as usize)),
         }
     }
 
@@ -111,7 +116,7 @@ impl TrapTopology {
                 n,
                 edges: edges.to_vec(),
             },
-            adj,
+            adj: Arc::new(adj),
         })
     }
 
@@ -119,9 +124,10 @@ impl TrapTopology {
     ///
     /// Serde skips the derived adjacency lists (they are pure functions of
     /// the topology kind); call this once on a deserialised value before
-    /// issuing path queries.
+    /// issuing path queries. Swaps in a fresh shared list, so clones taken
+    /// before keep theirs.
     pub fn rebuild_adjacency(&mut self) {
-        self.adj = match &self.kind {
+        self.adj = Arc::new(match &self.kind {
             TopologyKind::Linear { n } => Adjacency::line(*n as usize),
             TopologyKind::Ring { n } => Adjacency::ring(*n as usize),
             TopologyKind::Grid { rows, cols } => Adjacency::grid(*rows as usize, *cols as usize),
@@ -132,7 +138,7 @@ impl TrapTopology {
                 }
                 adj
             }
-        };
+        });
     }
 
     /// Number of traps.
@@ -177,8 +183,7 @@ impl TrapTopology {
     /// disconnected.
     pub fn shortest_path(&self, from: TrapId, to: TrapId) -> Option<Vec<TrapId>> {
         self.adj
-            .shortest_path(from.index(), to.index())
-            .map(|p| p.into_iter().map(|i| TrapId(i as u32)).collect())
+            .shortest_path_with(from.index(), to.index(), |i| TrapId(i as u32))
     }
 
     /// Shortest path whose interior traps all satisfy `allowed` — used to
@@ -189,9 +194,12 @@ impl TrapTopology {
         to: TrapId,
         allowed: impl Fn(TrapId) -> bool,
     ) -> Option<Vec<TrapId>> {
-        self.adj
-            .shortest_path_filtered(from.index(), to.index(), |i| allowed(TrapId(i as u32)))
-            .map(|p| p.into_iter().map(|i| TrapId(i as u32)).collect())
+        self.adj.shortest_path_filtered_with(
+            from.index(),
+            to.index(),
+            |i| allowed(TrapId(i as u32)),
+            |i| TrapId(i as u32),
+        )
     }
 
     /// All trap ids.
@@ -358,5 +366,19 @@ mod tests {
         assert_eq!(t.distance(TrapId(0), TrapId(5)), None);
         t.rebuild_adjacency();
         assert_eq!(t.distance(TrapId(0), TrapId(5)), Some(5));
+    }
+
+    #[test]
+    fn clones_share_adjacency_until_rebuilt() {
+        let t = TrapTopology::grid(4, 4);
+        let mut twin = t.clone();
+        assert!(std::ptr::eq(t.adjacency(), twin.adjacency()));
+        twin.rebuild_adjacency();
+        assert!(!std::ptr::eq(t.adjacency(), twin.adjacency()));
+        assert_eq!(t, twin);
+        assert_eq!(
+            twin.shortest_path(TrapId(0), TrapId(15)),
+            t.shortest_path(TrapId(0), TrapId(15))
+        );
     }
 }

@@ -24,8 +24,8 @@ use crate::output::Json;
 use crate::{emit, parse_common, CommonOptions};
 use qccd_sim::{FidelityAttribution, LossTerm};
 use qccd_timing::{
-    attribute_path, critical_path, edge_reports, trap_reports, CriticalPath, EdgeReport,
-    MakespanAttribution, Timeline, TimelineEvent, TrapReport,
+    attribute_path, critical_path, edge_reports, trap_reports, CriticalPath, EdgeReport, EventRef,
+    MakespanAttribution, Timeline, TrapReport,
 };
 
 /// Width of the text heatmap bars, characters.
@@ -214,21 +214,21 @@ fn gantt_trace(
         .map(|t| (t, format!("trap T{t}")))
         .collect();
     let mut spans = Vec::new();
-    for event in &timeline.events {
+    for event in timeline.iter() {
         match event {
-            TimelineEvent::Gate { gate, trap, .. } => spans.push(qccd_obs::LaneSpan {
+            EventRef::Gate { gate, trap, .. } => spans.push(qccd_obs::LaneSpan {
                 tid: trap.index() as u64,
                 name: format!("gate {gate}"),
                 start_us: event.start_us(),
                 end_us: event.end_us(),
             }),
-            TimelineEvent::ZoneMove { ion, trap, .. } => spans.push(qccd_obs::LaneSpan {
+            EventRef::ZoneMove { ion, trap, .. } => spans.push(qccd_obs::LaneSpan {
                 tid: trap.index() as u64,
                 name: format!("zone-move {ion}"),
                 start_us: event.start_us(),
                 end_us: event.end_us(),
             }),
-            TimelineEvent::TransportRound {
+            EventRef::TransportRound {
                 moves, involved, ..
             } => {
                 for trap in involved {

@@ -24,7 +24,7 @@ use qccd_circuit::Circuit;
 use qccd_flow::{route_commodities, Commodity};
 use qccd_machine::{IonId, MachineSpec, MachineState, Operation, Schedule, TrapId};
 use qccd_route::TransportSchedule;
-use qccd_timing::{LowerState, TimelineEvent, TimingModel};
+use qccd_timing::{LowerState, TimingModel};
 
 /// Result of the batched layer-planning pass.
 pub(crate) struct LayerPlanned {
@@ -67,7 +67,6 @@ pub(crate) fn plan_layers(
     let stream = &schedule.operations;
     let rounds = &transport.rounds;
     let mut lower = LowerState::new(&schedule.initial_mapping, spec, model)?;
-    let mut scratch: Vec<TimelineEvent> = Vec::new();
     let mut ops: Vec<Operation> = Vec::with_capacity(stream.len());
     let mut replanned_runs = 0usize;
     let mut dropped_hops = 0usize;
@@ -75,8 +74,7 @@ pub(crate) fn plan_layers(
     let mut i = 0usize;
     while i < stream.len() {
         if let Operation::Gate { .. } = stream[i] {
-            scratch.clear();
-            lower.advance(&stream[i..i + 1], Some(&[]), circuit, spec, &mut scratch)?;
+            lower.advance(&stream[i..i + 1], Some(&[]), circuit, spec, &mut |_| {})?;
             ops.push(stream[i]);
             i += 1;
             continue;
@@ -107,8 +105,7 @@ pub(crate) fn plan_layers(
             // Score both variants from the same checkpoint; the rewrite
             // must strictly win on the clock to be kept.
             let mut orig = lower.clone();
-            scratch.clear();
-            orig.advance(run_ops, Some(run_rounds), circuit, spec, &mut scratch)?;
+            orig.advance(run_ops, Some(run_rounds), circuit, spec, &mut |_| {})?;
             match score_rewrite(&lower, &new_ops, circuit, spec) {
                 Some(new_state) if beats(&new_state, &orig) => {
                     replanned_runs += 1;
@@ -123,8 +120,7 @@ pub(crate) fn plan_layers(
             }
         } else {
             // No candidate rewrite: the fold just advances in place.
-            scratch.clear();
-            lower.advance(run_ops, Some(run_rounds), circuit, spec, &mut scratch)?;
+            lower.advance(run_ops, Some(run_rounds), circuit, spec, &mut |_| {})?;
             ops.extend_from_slice(run_ops);
         }
     }
@@ -276,9 +272,8 @@ fn score_rewrite(
     let packed =
         TransportSchedule::pack_concurrent_from(checkpoint.machine().clone(), new_ops).ok()?;
     let mut state = checkpoint.clone();
-    let mut scratch = Vec::new();
     state
-        .advance(new_ops, Some(&packed.rounds), circuit, spec, &mut scratch)
+        .advance(new_ops, Some(&packed.rounds), circuit, spec, &mut |_| {})
         .ok()?;
     Some(state)
 }
@@ -456,15 +451,13 @@ mod tests {
             })
             .collect();
         let mut lower = LowerState::new(&schedule.initial_mapping, spec, model).unwrap();
-        let mut scratch: Vec<TimelineEvent> = Vec::new();
         let mut ops: Vec<Operation> = Vec::with_capacity(stream.len());
         let mut replanned_runs = 0usize;
         let mut dropped_hops = 0usize;
         let mut i = 0usize;
-        let mut advance = |lower: &mut LowerState, ops: &[Operation], rounds| {
-            scratch.clear();
+        let advance = |lower: &mut LowerState, ops: &[Operation], rounds| {
             lower
-                .advance(ops, Some(rounds), circuit, spec, &mut scratch)
+                .advance(ops, Some(rounds), circuit, spec, &mut |_| {})
                 .unwrap();
         };
         for (run, rewrite) in runs.iter().zip(&rewrites) {

@@ -39,7 +39,7 @@ use crate::error::SimError;
 use crate::fidelity::chain_scaling_factor;
 use crate::params::SimParams;
 use crate::report::SimReport;
-use crate::simulator::{simulate_inner, OpObserver};
+use crate::simulator::{device_model, simulate_inner, OpObserver};
 use qccd_circuit::{Circuit, GateId, GateQubits};
 use qccd_machine::{IonId, MachineSpec, Schedule, TrapId};
 use qccd_route::TransportSchedule;
@@ -662,21 +662,7 @@ fn attribute_inner(
 
     // The same default-model fallback the replay applied: τ below must be
     // the duration the fidelity model charged.
-    let default_model;
-    let model = match model {
-        Some(m) => m,
-        None => {
-            default_model = TimingModel::ideal_from(
-                params.one_qubit_gate_us,
-                params.two_qubit_gate_base_us,
-                params.gate_chain_slowdown,
-                params.split_us,
-                params.merge_us,
-                params.move_us,
-            );
-            &default_model
-        }
-    };
+    let model = &device_model(params, model);
 
     let shuttle_hop_loss = -(1.0 - params.shuttle_infidelity).ln();
     let mut terms = Vec::with_capacity(events.len());

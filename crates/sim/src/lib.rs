@@ -43,6 +43,8 @@ mod attribution;
 mod error;
 mod fidelity;
 mod params;
+#[cfg(test)]
+mod replay_oracle;
 mod report;
 mod simulator;
 mod trace;

@@ -1,11 +1,11 @@
 //! Schedule replay: timed event timelines, chain heating, program fidelity.
 //!
 //! Since the `qccd-timing` subsystem landed, the simulator no longer keeps
-//! its own ad-hoc clock arithmetic: the schedule is first lowered into a
-//! validated ASAP [`Timeline`](qccd_timing::Timeline) (per-trap and
-//! per-edge resource intervals, critical-path round durations, synthesized
-//! zone moves), and the physics replay walks the timeline's events to
-//! accumulate heating and fidelity.
+//! its own ad-hoc clock arithmetic: it drives the ASAP lowering fold
+//! ([`LowerState`]: per-trap and per-ion frontiers, critical-path round
+//! durations, synthesized zone moves) once over the schedule, and the
+//! physics replay accumulates heating and fidelity on each timed event as
+//! the fold emits it. No [`Timeline`](qccd_timing::Timeline) is stored.
 
 use crate::attribution::LedgerRecorder;
 use crate::error::SimError;
@@ -15,7 +15,7 @@ use crate::report::SimReport;
 use qccd_circuit::{Circuit, GateId, GateQubits};
 use qccd_machine::{IonId, MachineSpec, Schedule, TrapId};
 use qccd_route::TransportSchedule;
-use qccd_timing::{LowerError, TimelineEvent, TimingModel};
+use qccd_timing::{EventRef, LowerError, LowerState, TimingModel};
 
 /// Distribution of `1 − F` per replayed gate, in parts per billion
 /// (`--profile` surfaces count/mean/p50/p99).
@@ -171,6 +171,9 @@ pub fn simulate_timed(
 /// [`attribute_fidelity`](crate::attribute_fidelity). Returns the report
 /// plus the final per-trap motional modes.
 ///
+/// The schedule is validated first; the lowering fold then runs once, and
+/// every event it emits is replayed immediately, in schedule order.
+///
 /// When `ledger` is given, every `n̄` update is additionally recorded as a
 /// tagged heat deposit. The recording is a pure side channel — the replay
 /// arithmetic is identical with or without it, so reports stay bit for
@@ -193,30 +196,9 @@ pub(crate) fn simulate_inner(
         .validate(circuit, spec)
         .map_err(SimError::InvalidSchedule)?;
 
-    // The device clock: lower the schedule onto a validated ASAP timeline.
-    // Without an explicit model this is the uniform-hop model carrying the
-    // params' historical duration fields.
-    let default_model;
-    let model = match model {
-        Some(m) => m,
-        None => {
-            default_model = TimingModel::ideal_from(
-                params.one_qubit_gate_us,
-                params.two_qubit_gate_base_us,
-                params.gate_chain_slowdown,
-                params.split_us,
-                params.merge_us,
-                params.move_us,
-            );
-            &default_model
-        }
-    };
-    let timeline =
-        qccd_timing::lower(schedule, transport, circuit, spec, model).map_err(|e| match e {
-            LowerError::TransportMismatch { op_index } => SimError::TransportMismatch { op_index },
-            LowerError::InvalidModel => SimError::InvalidParams,
-            other => SimError::Timing(other),
-        })?;
+    let model = &device_model(params, model);
+    let mut fold =
+        LowerState::new(&schedule.initial_mapping, spec, model).map_err(sim_lower_error)?;
 
     let num_traps = spec.num_traps() as usize;
     let mut clock = vec![0.0f64; num_traps]; // µs, per trap
@@ -240,48 +222,54 @@ pub(crate) fn simulate_inner(
     let mut shuttle_depth = 0usize;
     let heat_rate_per_us = params.background_heating_quanta_per_s * 1e-6;
 
-    for event in &timeline.events {
-        match event {
-            TimelineEvent::Gate {
+    // The device clock: the ASAP lowering fold emits every timed event in
+    // schedule order, and the physics runs on each one as it arrives.
+    fold.advance(
+        &schedule.operations,
+        transport.map(|t| t.rounds.as_slice()),
+        circuit,
+        spec,
+        &mut |event| match event {
+            EventRef::Gate {
                 gate,
                 trap,
                 chain_len,
                 start_us,
                 end_us,
             } => {
-                let g = circuit.gate(*gate);
+                let g = circuit.gate(gate);
                 let t = trap.index();
                 let tau = match g.qubits {
                     GateQubits::One(_) => model.one_qubit_gate_us(),
-                    GateQubits::Two(_, _) => model.two_qubit_gate_us(*chain_len),
+                    GateQubits::Two(_, _) => model.two_qubit_gate_us(chain_len),
                 };
                 // Background heating for the idle + busy interval, then
                 // the fidelity sampled at the heated n̄.
                 let heat = heat_rate_per_us * (end_us - clock[t]).max(0.0);
                 n_bar[t] += heat;
                 if let Some(lr) = ledger.as_deref_mut() {
-                    lr.background(t, heat, *end_us);
+                    lr.background(t, heat, end_us);
                     lr.note_gate(t);
                 }
                 let fidelity = match g.qubits {
                     GateQubits::One(_) => one_qubit_gate_fidelity(params, tau),
                     GateQubits::Two(_, _) => {
-                        two_qubit_gate_fidelity(params, tau, n_bar[t], *chain_len)
+                        two_qubit_gate_fidelity(params, tau, n_bar[t], chain_len)
                     }
                 };
-                clock[t] = *end_us;
+                clock[t] = end_us;
                 if qccd_obs::is_enabled() {
                     GATE_INFIDELITY.record(((1.0 - fidelity) * 1e9) as u64);
                     GATE_NBAR.record((n_bar[t] * 1e3) as u64);
                 }
                 observer(OpObserver::Gate {
                     gate: g.id,
-                    trap: *trap,
-                    start_us: *start_us,
-                    end_us: *end_us,
+                    trap,
+                    start_us,
+                    end_us,
                     fidelity,
                     n_bar: n_bar[t],
-                    chain_len: *chain_len,
+                    chain_len,
                 });
                 gates += 1;
                 min_gate_fidelity = min_gate_fidelity.min(fidelity);
@@ -291,7 +279,7 @@ pub(crate) fn simulate_inner(
                     fidelity_log_sum += fidelity.ln();
                 }
             }
-            TimelineEvent::TransportRound {
+            EventRef::TransportRound {
                 moves,
                 involved,
                 start_us,
@@ -304,7 +292,7 @@ pub(crate) fn simulate_inner(
                     let heat = heat_rate_per_us * (end_us - clock[t]).max(0.0);
                     n_bar[t] += heat;
                     if let Some(lr) = ledger.as_deref_mut() {
-                        lr.background(t, heat, *end_us);
+                        lr.background(t, heat, end_us);
                     }
                 }
                 for m in moves {
@@ -325,13 +313,13 @@ pub(crate) fn simulate_inner(
                     n_bar[ti] += carried[m.ion.index()] + params.merge_heating_quanta;
                     carried[m.ion.index()] = 0.0;
                     if let Some(lr) = ledger.as_deref_mut() {
-                        lr.split(fi, share, params.split_heating_quanta, *end_us, m.ion);
+                        lr.split(fi, share, params.split_heating_quanta, end_us, m.ion);
                         lr.merge(
                             ti,
                             share,
                             params.move_heating_quanta,
                             params.merge_heating_quanta,
-                            *end_us,
+                            end_us,
                             m.ion,
                         );
                     }
@@ -343,17 +331,17 @@ pub(crate) fn simulate_inner(
                         ion: m.ion,
                         from: m.from,
                         to: m.to,
-                        start_us: *start_us,
-                        end_us: *end_us,
+                        start_us,
+                        end_us,
                         dest_n_bar_after: n_bar[ti],
                     });
                     shuttles += 1;
                 }
                 for t in involved {
-                    clock[t.index()] = *end_us;
+                    clock[t.index()] = end_us;
                 }
             }
-            TimelineEvent::ZoneMove {
+            EventRef::ZoneMove {
                 ion,
                 trap,
                 start_us,
@@ -365,18 +353,19 @@ pub(crate) fn simulate_inner(
                 let heat = heat_rate_per_us * (end_us - clock[t]).max(0.0);
                 n_bar[t] += heat + params.zone_move_heating_quanta;
                 if let Some(lr) = ledger.as_deref_mut() {
-                    lr.zone(t, heat, params.zone_move_heating_quanta, *end_us, *ion);
+                    lr.zone(t, heat, params.zone_move_heating_quanta, end_us, ion);
                 }
-                clock[t] = *end_us;
+                clock[t] = end_us;
                 observer(OpObserver::ZoneMove {
-                    ion: *ion,
-                    trap: *trap,
-                    start_us: *start_us,
-                    end_us: *end_us,
+                    ion,
+                    trap,
+                    start_us,
+                    end_us,
                 });
             }
-        }
-    }
+        },
+    )
+    .map_err(sim_lower_error)?;
 
     let (program_fidelity, log_program_fidelity) = if zero_fidelity {
         (0.0, f64::NEG_INFINITY)
@@ -409,18 +398,42 @@ pub(crate) fn simulate_inner(
             program_fidelity,
             log_program_fidelity,
             makespan_us,
-            timed_makespan_us: timeline.makespan_us,
+            timed_makespan_us: fold.makespan_us(),
             shuttles,
             shuttle_depth,
             gates,
-            zone_moves: timeline.zone_moves,
-            junction_crossings: timeline.junction_crossings,
+            zone_moves: fold.zone_moves(),
+            junction_crossings: fold.junction_crossings(),
             final_mean_motional_mode,
             final_mean_motional_mode_occupied,
             min_gate_fidelity,
         },
         n_bar,
     ))
+}
+
+/// The device clock the replay runs on: `model`, or without one the
+/// uniform-hop model carrying the params' historical duration fields.
+pub(crate) fn device_model(params: &SimParams, model: Option<&TimingModel>) -> TimingModel {
+    model.copied().unwrap_or_else(|| {
+        TimingModel::ideal_from(
+            params.one_qubit_gate_us,
+            params.two_qubit_gate_base_us,
+            params.gate_chain_slowdown,
+            params.split_us,
+            params.merge_us,
+            params.move_us,
+        )
+    })
+}
+
+/// Maps a lowering failure onto the simulator's error type.
+fn sim_lower_error(e: LowerError) -> SimError {
+    match e {
+        LowerError::TransportMismatch { op_index } => SimError::TransportMismatch { op_index },
+        LowerError::InvalidModel => SimError::InvalidParams,
+        other => SimError::Timing(other),
+    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! touched resource plus shadow position/occupancy overlays for the
 //! machine state, and rolls everything back after reading the projected
 //! makespan. No allocation-per-candidate, no `MachineState` clone, no
-//! event buffer.
+//! event buffer: commits advance the fold with a no-op event sink.
 //!
 //! The arithmetic is a transcription of [`LowerState::advance`]'s
 //! transport-less synthetic-round path, kept **bit-for-bit** equal to the
@@ -54,7 +54,6 @@
 
 use crate::model::TimingModel;
 use crate::scheduler::{LowerError, LowerState};
-use crate::timeline::TimelineEvent;
 use qccd_circuit::Circuit;
 use qccd_machine::{InitialMapping, IonId, MachineSpec, Operation, Schedule, TrapId};
 
@@ -228,8 +227,6 @@ pub struct DeltaScorer {
     makespan: f64,
     /// Reused overlay arena for this scorer's speculations.
     arena: ScoreArena,
-    /// Scratch event buffer for commits (events are discarded).
-    scratch: Vec<TimelineEvent>,
     /// Candidates scored since construction (delta and fallback paths).
     speculations: usize,
     /// The initial mapping the fold started from — the replay origin for
@@ -257,7 +254,6 @@ impl DeltaScorer {
             state,
             makespan,
             arena: ScoreArena::default(),
-            scratch: Vec::new(),
             speculations: 0,
             mapping: mapping.clone(),
             committed: Vec::new(),
@@ -292,14 +288,8 @@ impl DeltaScorer {
         circuit: &Circuit,
         spec: &MachineSpec,
     ) -> Result<(), LowerError> {
-        self.scratch.clear();
-        self.state.advance(
-            std::slice::from_ref(op),
-            None,
-            circuit,
-            spec,
-            &mut self.scratch,
-        )?;
+        self.state
+            .advance(std::slice::from_ref(op), None, circuit, spec, &mut |_| {})?;
         self.committed.push(*op);
         self.makespan = self.state.makespan_us();
         Ok(())

@@ -27,7 +27,7 @@
 //! adding it back reproduces `makespan_us` exactly.
 
 use crate::model::TimingModel;
-use crate::timeline::{Timeline, TimelineEvent};
+use crate::timeline::{EventRef, Timeline, TimelineEvent};
 use qccd_circuit::Circuit;
 use qccd_machine::TrapId;
 
@@ -235,30 +235,17 @@ impl Binder {
 
 /// Largest trap index + 1 and largest ion index + 1 any event references.
 fn resource_bounds(timeline: &Timeline, circuit: &Circuit) -> (usize, usize) {
-    let mut traps = 0usize;
-    let mut ions = circuit.num_qubits() as usize;
-    for event in &timeline.events {
-        match event {
-            TimelineEvent::Gate { trap, .. } | TimelineEvent::ZoneMove { trap, .. } => {
-                traps = traps.max(trap.index() + 1);
-            }
-            TimelineEvent::TransportRound {
-                moves, involved, ..
-            } => {
-                for t in involved {
-                    traps = traps.max(t.index() + 1);
-                }
-                for m in moves {
-                    ions = ions.max(m.ion.index() + 1);
-                }
-            }
-        }
-    }
-    for event in &timeline.events {
-        if let TimelineEvent::ZoneMove { ion, .. } = event {
-            ions = ions.max(ion.index() + 1);
-        }
-    }
+    let traps = timeline.trap_span(0);
+    let moved = timeline
+        .moves
+        .iter()
+        .fold(circuit.num_qubits() as usize, |acc, m| {
+            acc.max(m.ion.index() + 1)
+        });
+    let ions = timeline.events.iter().fold(moved, |acc, e| match e {
+        TimelineEvent::ZoneMove { ion, .. } => acc.max(ion.index() + 1),
+        _ => acc,
+    });
     (traps, ions)
 }
 
@@ -278,27 +265,27 @@ pub fn critical_path(timeline: &Timeline, circuit: &Circuit) -> CriticalPath {
     let mut clock = vec![FREE; num_traps];
     let mut avail = vec![FREE; num_ions];
     let mut blames: Vec<(Blame, Option<usize>)> = Vec::with_capacity(timeline.events.len());
-    for (idx, event) in timeline.events.iter().enumerate() {
+    for (idx, event) in timeline.iter().enumerate() {
         let done = Frontier {
             end_us: event.end_us(),
             setter: Some(idx),
         };
         match event {
-            TimelineEvent::Gate { gate, trap, .. } => {
+            EventRef::Gate { gate, trap, .. } => {
                 // Fold order: the trap clock seeds the fold, operand
                 // availabilities challenge it (scheduler: `fold(clock[t], max)`).
                 let t = trap.index();
                 let mut binder = Binder::new(Resource::Trap, clock[t]);
-                for q in circuit.gate(*gate).qubits.iter() {
+                for q in circuit.gate(gate).qubits.iter() {
                     binder.challenge(Resource::Ion, avail[q.index()]);
                 }
                 blames.push(binder.classify(timeline));
                 clock[t] = done;
-                for q in circuit.gate(*gate).qubits.iter() {
+                for q in circuit.gate(gate).qubits.iter() {
                     avail[q.index()] = done;
                 }
             }
-            TimelineEvent::TransportRound {
+            EventRef::TransportRound {
                 moves, involved, ..
             } => {
                 // Fold order: member ion availabilities, then involved
@@ -318,7 +305,7 @@ pub fn critical_path(timeline: &Timeline, circuit: &Circuit) -> CriticalPath {
                     clock[t.index()] = done;
                 }
             }
-            TimelineEvent::ZoneMove { ion, trap, .. } => {
+            EventRef::ZoneMove { ion, trap, .. } => {
                 let t = trap.index();
                 let mut binder = Binder::new(Resource::Trap, clock[t]);
                 binder.challenge(Resource::Ion, avail[ion.index()]);
@@ -379,10 +366,12 @@ pub fn attribute_path(
     let mut zone_move_us = 0.0f64;
     for step in &path.steps {
         let dur = step.end_us - step.start_us;
-        match &timeline.events[step.event] {
+        let event = &timeline.events[step.event];
+        match event {
             TimelineEvent::Gate { .. } => gate_us += dur,
             TimelineEvent::ZoneMove { .. } => zone_move_us += dur,
-            TimelineEvent::TransportRound { moves, .. } => {
+            TimelineEvent::TransportRound { .. } => {
+                let moves = timeline.round_moves(event);
                 // The round lasts its slowest member hop; mirror the
                 // scheduler's fold (ties keep the earlier member).
                 let mut junctions = 0u32;
@@ -469,22 +458,14 @@ pub struct EdgeReport {
 /// events, covering `num_traps` traps (plus any higher trap index an
 /// event references). Reports are ordered by trap index.
 pub fn trap_reports(timeline: &Timeline, num_traps: usize) -> Vec<TrapReport> {
-    let span = timeline.events.iter().fold(num_traps, |acc, e| match e {
-        TimelineEvent::Gate { trap, .. } | TimelineEvent::ZoneMove { trap, .. } => {
-            acc.max(trap.index() + 1)
-        }
-        TimelineEvent::TransportRound { involved, .. } => {
-            involved.iter().fold(acc, |acc, t| acc.max(t.index() + 1))
-        }
-    });
-    let mut intervals: Vec<Vec<(f64, f64)>> = vec![Vec::new(); span];
-    for event in &timeline.events {
+    let mut intervals: Vec<Vec<(f64, f64)>> = vec![Vec::new(); timeline.trap_span(num_traps)];
+    for event in timeline.iter() {
         let window = (event.start_us(), event.end_us());
         match event {
-            TimelineEvent::Gate { trap, .. } | TimelineEvent::ZoneMove { trap, .. } => {
+            EventRef::Gate { trap, .. } | EventRef::ZoneMove { trap, .. } => {
                 intervals[trap.index()].push(window);
             }
-            TimelineEvent::TransportRound { involved, .. } => {
+            EventRef::TransportRound { involved, .. } => {
                 for t in involved {
                     intervals[t.index()].push(window);
                 }
@@ -533,8 +514,8 @@ pub fn trap_reports(timeline: &Timeline, num_traps: usize) -> Vec<TrapReport> {
 /// rounds, ordered by canonical `(a, b)` endpoint pair.
 pub fn edge_reports(timeline: &Timeline) -> Vec<EdgeReport> {
     let mut edges: Vec<((TrapId, TrapId), f64, usize)> = Vec::new();
-    for event in &timeline.events {
-        if let TimelineEvent::TransportRound { moves, .. } = event {
+    for event in timeline.iter() {
+        if let EventRef::TransportRound { moves, .. } = event {
             let dur = event.end_us() - event.start_us();
             // One booking per distinct segment per round, matching the
             // validator's edge intervals.
@@ -654,15 +635,7 @@ mod tests {
 
     #[test]
     fn empty_timeline_attributes_to_zero() {
-        let timeline = Timeline {
-            events: Vec::new(),
-            makespan_us: 0.0,
-            gates: 0,
-            shuttles: 0,
-            shuttle_depth: 0,
-            zone_moves: 0,
-            junction_crossings: 0,
-        };
+        let timeline = Timeline::default();
         let circuit = Circuit::new(2);
         let path = critical_path(&timeline, &circuit);
         assert!(path.steps.is_empty());

@@ -21,7 +21,10 @@
 //! * [`LowerState`] — the same fold, resumable: checkpoint (clone) the
 //!   state at a chunk boundary and re-lower only a perturbed suffix, so a
 //!   transport optimizer scoring many candidate rewrites pays O(suffix)
-//!   per candidate instead of a full O(n) `lower` each time.
+//!   per candidate instead of a full O(n) `lower` each time. The fold
+//!   streams: it hands every event to a caller-supplied sink as an
+//!   [`EventRef`], so callers that only need the physics or the makespan
+//!   never store events.
 //! * [`DeltaScorer`] — the fold with O(delta) speculative scoring on top:
 //!   a candidate shuttle walk is priced by touching only the clocks of the
 //!   traps it visits and the one moved ion's availability, with a small
@@ -30,10 +33,11 @@
 //!   harness pins the equality).
 //! * [`Timeline`] — the result: timed events with resource intervals and a
 //!   [`validate`](Timeline::validate) pass proving no trap or shuttle-path
-//!   segment is ever double-booked.
+//!   segment is ever double-booked. Round members are stored flat, in two
+//!   arrays shared by all rounds.
 //!
-//! `qccd-sim` consumes the timeline for makespan/heating/fidelity;
-//! `qccd-core` attaches one to every compile result.
+//! `qccd-core` attaches a timeline to every compile result; `qccd-sim`
+//! drives the fold itself and runs its physics on the streamed events.
 //!
 //! # Example
 //!
@@ -70,6 +74,8 @@
 
 mod delta;
 mod explain;
+#[cfg(test)]
+mod lower_oracle;
 mod model;
 mod scheduler;
 mod timeline;
@@ -81,4 +87,4 @@ pub use explain::{
 };
 pub use model::TimingModel;
 pub use scheduler::{lower, LowerError, LowerState};
-pub use timeline::{TimedMove, Timeline, TimelineError, TimelineEvent};
+pub use timeline::{EventRef, TimedMove, Timeline, TimelineError, TimelineEvent};

@@ -8,7 +8,7 @@
 //! instead of paying a full O(n) `lower` per candidate.
 
 use crate::model::TimingModel;
-use crate::timeline::{TimedMove, Timeline, TimelineEvent};
+use crate::timeline::{EventRef, TimedMove, Timeline};
 use qccd_circuit::{Circuit, GateQubits};
 use qccd_machine::{
     InitialMapping, IonId, MachineError, MachineSpec, MachineState, Operation, Schedule, TrapId,
@@ -66,15 +66,22 @@ pub fn lower(
 ) -> Result<Timeline, LowerError> {
     let _phase = qccd_obs::span("lowering");
     let mut state = LowerState::new(&schedule.initial_mapping, spec, model)?;
-    let mut events: Vec<TimelineEvent> = Vec::with_capacity(schedule.operations.len());
+    // Every shuttle op is exactly one round member and involves at most
+    // two traps; rounds and zone moves aside, every op is one event.
+    let shuttles = schedule
+        .operations
+        .iter()
+        .filter(|op| matches!(op, Operation::Shuttle { .. }))
+        .count();
+    let mut timeline = Timeline::with_capacity(schedule.operations.len(), shuttles, 2 * shuttles);
     state.advance(
         &schedule.operations,
         transport.map(|t| t.rounds.as_slice()),
         circuit,
         spec,
-        &mut events,
+        &mut |event| timeline.push(event),
     )?;
-    Ok(state.finish(events))
+    Ok(state.finish(timeline))
 }
 
 /// The resumable ASAP-lowering fold behind [`lower`].
@@ -82,9 +89,12 @@ pub fn lower(
 /// `LowerState` carries everything the lowering loop threads between
 /// operations — the replayed [`MachineState`], the per-trap device clocks,
 /// the per-qubit availability times, and the event counters — but **not**
-/// the accumulated events, which the caller owns. This makes a checkpoint a
-/// cheap `clone()` (O(ions + traps), independent of how many events the
-/// prefix produced), so a transport optimizer can:
+/// the events: [`advance`](LowerState::advance) hands each one to a
+/// caller-supplied sink as it is emitted. [`lower`] collects them into a
+/// [`Timeline`]; scoring callers pass a no-op sink and store nothing. This
+/// makes a checkpoint a cheap `clone()` (O(ions + traps), independent of
+/// how many events the prefix produced; the per-round working buffers are
+/// not copied), so a transport optimizer can:
 ///
 /// 1. [`advance`](LowerState::advance) through the accepted prefix once,
 /// 2. clone the state at a candidate's chunk boundary,
@@ -110,6 +120,33 @@ pub struct LowerState {
     shuttle_depth: usize,
     zone_moves: usize,
     junction_crossings: usize,
+    buffers: RoundBuffers,
+}
+
+/// The per-round working buffers of [`LowerState::advance`], cleared and
+/// reused by every round. A clone starts empty: the buffers carry nothing
+/// between rounds, so a checkpoint need not copy them.
+#[derive(Debug, Default)]
+struct RoundBuffers {
+    /// The current gate-free run, as the multiset of moves still awaiting
+    /// a round (`None` once taken).
+    run: Vec<Option<Move>>,
+    /// The round's member moves, in transport order.
+    members: Vec<Move>,
+    /// Members not yet applied by the departures-first retry.
+    pending: Vec<Move>,
+    /// Members a retry pass found blocked.
+    still: Vec<Move>,
+    /// The applied members, in application order.
+    timed: Vec<TimedMove>,
+    /// The round's involved traps, deduplicated.
+    involved: Vec<TrapId>,
+}
+
+impl Clone for RoundBuffers {
+    fn clone(&self) -> Self {
+        RoundBuffers::default()
+    }
 }
 
 impl LowerState {
@@ -141,6 +178,7 @@ impl LowerState {
             shuttle_depth: 0,
             zone_moves: 0,
             junction_crossings: 0,
+            buffers: RoundBuffers::default(),
         })
     }
 
@@ -201,8 +239,7 @@ impl LowerState {
         spec: &MachineSpec,
     ) -> Option<f64> {
         let mut copy = self.checkpoint();
-        let mut scratch = Vec::new();
-        copy.advance(ops, None, circuit, spec, &mut scratch).ok()?;
+        copy.advance(ops, None, circuit, spec, &mut |_| {}).ok()?;
         Some(copy.makespan_us())
     }
 
@@ -211,8 +248,20 @@ impl LowerState {
         self.shuttle_depth
     }
 
-    /// Advances the fold through one chunk of operations, appending the
-    /// timed events to `events`.
+    /// Zone reorders synthesized so far.
+    pub fn zone_moves(&self) -> usize {
+        self.zone_moves
+    }
+
+    /// Junction endpoints crossed by every move lowered so far.
+    pub fn junction_crossings(&self) -> usize {
+        self.junction_crossings
+    }
+
+    /// Advances the fold through one chunk of operations, handing every
+    /// timed event to `sink` as it is emitted, in schedule order. A
+    /// round's member slices borrow the fold's reused buffers and are
+    /// valid only for the call.
     ///
     /// With `Some(rounds)`, the chunk's shuttle operations are grouped into
     /// exactly those rounds (in order, none spanning a gate, none left
@@ -220,7 +269,8 @@ impl LowerState {
     /// round. A gate-free run must not be split across `advance` calls
     /// mid-round; splitting at round boundaries is fine.
     ///
-    /// On error the state is left partially advanced and must be discarded.
+    /// On error the state is left partially advanced and must be discarded;
+    /// the events emitted before the error have already reached `sink`.
     ///
     /// # Errors
     ///
@@ -232,16 +282,12 @@ impl LowerState {
         transport: Option<&[TransportRound]>,
         circuit: &Circuit,
         spec: &MachineSpec,
-        events: &mut Vec<TimelineEvent>,
+        sink: &mut impl FnMut(EventRef<'_>),
     ) -> Result<(), LowerError> {
         let topology = spec.topology();
         let model = self.model;
+        let buf = &mut self.buffers;
         let mut round_idx = 0usize;
-        // Move buffers reused by every round of the call.
-        let mut run: Vec<Option<Move>> = Vec::new();
-        let mut members: Vec<Move> = Vec::new();
-        let mut pending: Vec<Move> = Vec::new();
-        let mut still: Vec<Move> = Vec::new();
         let mut i = 0usize;
         while i < ops.len() {
             match ops[i] {
@@ -267,7 +313,7 @@ impl LowerState {
                                     self.clock[t] = end;
                                     self.avail[ion.index()] = end;
                                     self.zone_moves += 1;
-                                    events.push(TimelineEvent::ZoneMove {
+                                    sink(EventRef::ZoneMove {
                                         ion,
                                         trap,
                                         start_us: start,
@@ -297,7 +343,7 @@ impl LowerState {
                         self.avail[q.index()] = end;
                     }
                     self.gates += 1;
-                    events.push(TimelineEvent::Gate {
+                    sink(EventRef::Gate {
                         gate,
                         trap,
                         chain_len,
@@ -310,12 +356,12 @@ impl LowerState {
                     // The gate-free run of consecutive shuttle ops starting
                     // here, as the multiset of moves still awaiting a round.
                     let run_start = i;
-                    run.clear();
+                    buf.run.clear();
                     while let Some(&Operation::Shuttle { ion, from, to }) = ops.get(i) {
-                        run.push(Some((ion, from, to)));
+                        buf.run.push(Some((ion, from, to)));
                         i += 1;
                     }
-                    let run_len = run.len();
+                    let run_len = buf.run.len();
                     // Every slot before `live` is taken: rounds mostly draw
                     // moves in run order, so the search starts here instead
                     // of rescanning the run's consumed prefix.
@@ -324,10 +370,11 @@ impl LowerState {
                     while consumed < run_len {
                         // This round's member moves: from the transport
                         // schedule, or one synthetic single-hop round.
-                        members.clear();
+                        buf.members.clear();
                         match transport {
                             None => {
-                                members.push(run[consumed].take().expect("consumed in order"));
+                                let hop = buf.run[consumed].take().expect("consumed in order");
+                                buf.members.push(hop);
                             }
                             Some(rounds) => {
                                 let round =
@@ -342,15 +389,15 @@ impl LowerState {
                                 round_idx += 1;
                                 for m in &round.moves {
                                     let want = (m.ion, m.from, m.to);
-                                    let slot = run[live..]
+                                    let slot = buf.run[live..]
                                         .iter_mut()
                                         .find(|slot| **slot == Some(want))
                                         .ok_or(LowerError::TransportMismatch {
                                             op_index: run_start + consumed,
                                         })?;
                                     *slot = None;
-                                    members.push(want);
-                                    while run.get(live) == Some(&None) {
+                                    buf.members.push(want);
+                                    while buf.run.get(live) == Some(&None) {
                                         live += 1;
                                     }
                                 }
@@ -362,20 +409,20 @@ impl LowerState {
                         // departure to free it. In-order rounds (the strict
                         // packers) always apply on the first pass, preserving
                         // the historical per-move occupancy reads.
-                        let mut timed: Vec<TimedMove> = Vec::with_capacity(members.len());
-                        pending.clear();
-                        pending.extend_from_slice(&members);
-                        while !pending.is_empty() {
+                        buf.timed.clear();
+                        buf.pending.clear();
+                        buf.pending.extend_from_slice(&buf.members);
+                        while !buf.pending.is_empty() {
                             let mut progressed = false;
-                            still.clear();
-                            for &(ion, from, to) in &pending {
+                            buf.still.clear();
+                            for &(ion, from, to) in &buf.pending {
                                 let src_occupancy = self.state.occupancy(from);
                                 match self.state.shuttle(ion, to) {
                                     Ok(()) => {
                                         let junctions =
                                             TimingModel::junctions_crossed(topology, from, to);
                                         self.junction_crossings += junctions as usize;
-                                        timed.push(TimedMove {
+                                        buf.timed.push(TimedMove {
                                             ion,
                                             from,
                                             to,
@@ -385,7 +432,7 @@ impl LowerState {
                                         progressed = true;
                                     }
                                     Err(MachineError::TrapFull { .. }) => {
-                                        still.push((ion, from, to))
+                                        buf.still.push((ion, from, to))
                                     }
                                     Err(e) => return Err(LowerError::Machine(e)),
                                 }
@@ -395,42 +442,44 @@ impl LowerState {
                                     round: self.shuttle_depth,
                                 });
                             }
-                            std::mem::swap(&mut pending, &mut still);
+                            std::mem::swap(&mut buf.pending, &mut buf.still);
                         }
 
                         // ASAP timing: the round starts when every member trap
                         // is free and every member ion's dependencies resolved;
                         // it lasts its critical-path hop.
-                        let mut involved: Vec<TrapId> = Vec::with_capacity(2 * members.len());
-                        for &(_, from, to) in &members {
+                        buf.involved.clear();
+                        for &(_, from, to) in &buf.members {
                             for t in [from, to] {
-                                if !involved.contains(&t) {
-                                    involved.push(t);
+                                if !buf.involved.contains(&t) {
+                                    buf.involved.push(t);
                                 }
                             }
                         }
-                        let tau = timed
+                        let tau = buf
+                            .timed
                             .iter()
                             .map(|m| model.hop_us(m.junctions))
                             .fold(0.0f64, f64::max);
-                        let start = members
+                        let start = buf
+                            .members
                             .iter()
                             .map(|&(ion, _, _)| self.avail[ion.index()])
-                            .chain(involved.iter().map(|t| self.clock[t.index()]))
+                            .chain(buf.involved.iter().map(|t| self.clock[t.index()]))
                             .fold(0.0f64, f64::max);
                         let end = start + tau;
-                        for &(ion, _, _) in &members {
+                        for &(ion, _, _) in &buf.members {
                             self.avail[ion.index()] = end;
                         }
-                        for t in &involved {
+                        for t in &buf.involved {
                             self.clock[t.index()] = end;
                         }
-                        self.shuttles += members.len();
+                        self.shuttles += buf.members.len();
                         self.shuttle_depth += 1;
-                        consumed += members.len();
-                        events.push(TimelineEvent::TransportRound {
-                            moves: timed,
-                            involved,
+                        consumed += buf.members.len();
+                        sink(EventRef::TransportRound {
+                            moves: &buf.timed,
+                            involved: &buf.involved,
                             start_us: start,
                             end_us: end,
                         });
@@ -448,18 +497,17 @@ impl LowerState {
         Ok(())
     }
 
-    /// Finishes the fold, packaging the accumulated `events` and counters
-    /// into a [`Timeline`].
-    pub fn finish(self, events: Vec<TimelineEvent>) -> Timeline {
-        let makespan_us = self.makespan_us();
+    /// Finishes the fold: stamps its makespan and counters onto
+    /// `timeline`, the events collected from its sink.
+    pub fn finish(self, timeline: Timeline) -> Timeline {
         Timeline {
-            events,
-            makespan_us,
+            makespan_us: self.makespan_us(),
             gates: self.gates,
             shuttles: self.shuttles,
             shuttle_depth: self.shuttle_depth,
             zone_moves: self.zone_moves,
             junction_crossings: self.junction_crossings,
+            ..timeline
         }
     }
 }
@@ -579,10 +627,12 @@ mod tests {
         // Advance one operation at a time — the finest legal chunking for
         // synthetic single-hop rounds.
         let mut state = LowerState::new(&schedule.initial_mapping, &spec, &model).unwrap();
-        let mut events = Vec::new();
+        let mut events = Timeline::default();
         for op in &schedule.operations {
             state
-                .advance(std::slice::from_ref(op), None, &c, &spec, &mut events)
+                .advance(std::slice::from_ref(op), None, &c, &spec, &mut |e| {
+                    events.push(e)
+                })
                 .unwrap();
         }
         let chunked = state.finish(events);
@@ -594,23 +644,29 @@ mod tests {
         let (c, spec, schedule) = two_trap_fixture();
         let model = TimingModel::ideal();
         let mut state = LowerState::new(&schedule.initial_mapping, &spec, &model).unwrap();
-        let mut events = Vec::new();
+        let mut events = Timeline::default();
         // Advance through the first two gates, checkpoint, then lower the
         // suffix twice from the same checkpoint.
         state
-            .advance(&schedule.operations[..2], None, &c, &spec, &mut events)
+            .advance(&schedule.operations[..2], None, &c, &spec, &mut |e| {
+                events.push(e)
+            })
             .unwrap();
         let checkpoint = state.clone();
         let prefix_events = events.clone();
 
         let mut a = checkpoint.clone();
         let mut ev_a = prefix_events.clone();
-        a.advance(&schedule.operations[2..], None, &c, &spec, &mut ev_a)
-            .unwrap();
+        a.advance(&schedule.operations[2..], None, &c, &spec, &mut |e| {
+            ev_a.push(e)
+        })
+        .unwrap();
         let mut b = checkpoint;
         let mut ev_b = prefix_events;
-        b.advance(&schedule.operations[2..], None, &c, &spec, &mut ev_b)
-            .unwrap();
+        b.advance(&schedule.operations[2..], None, &c, &spec, &mut |e| {
+            ev_b.push(e)
+        })
+        .unwrap();
         let full = lower(&schedule, None, &c, &spec, &model).unwrap();
         assert_eq!(a.finish(ev_a), full);
         assert_eq!(b.finish(ev_b), full);
@@ -621,9 +677,8 @@ mod tests {
         let (c, spec, schedule) = two_trap_fixture();
         let model = TimingModel::realistic();
         let mut state = LowerState::new(&schedule.initial_mapping, &spec, &model).unwrap();
-        let mut events = Vec::new();
         state
-            .advance(&schedule.operations[..2], None, &c, &spec, &mut events)
+            .advance(&schedule.operations[..2], None, &c, &spec, &mut |_| {})
             .unwrap();
         let before = state.checkpoint();
         // Scoring the real suffix matches committing it on a copy...
@@ -787,13 +842,10 @@ mod tests {
         timeline.validate().unwrap();
         assert_eq!(timeline.shuttle_depth, 1);
         // Application order is departures-first: ion 2 out, then ion 0 in.
-        match &timeline.events[0] {
-            TimelineEvent::TransportRound { moves, .. } => {
-                assert_eq!(moves[0].ion, IonId(2));
-                assert_eq!(moves[1].ion, IonId(0));
-            }
-            other => panic!("expected a round, got {other:?}"),
-        }
+        let moves = timeline.round_moves(&timeline.events[0]);
+        assert_eq!(moves.len(), 2);
+        assert_eq!(moves[0].ion, IonId(2));
+        assert_eq!(moves[1].ion, IonId(0));
     }
 
     #[test]
@@ -875,9 +927,8 @@ mod tests {
         let model = TimingModel::realistic();
         let mut state = LowerState::new(&schedule.initial_mapping, &spec, &model).unwrap();
         assert_eq!(state.score_ops(&[], &c, &spec), Some(0.0));
-        let mut events = Vec::new();
         state
-            .advance(&schedule.operations, None, &c, &spec, &mut events)
+            .advance(&schedule.operations, None, &c, &spec, &mut |_| {})
             .unwrap();
         let committed = state.makespan_us();
         assert_eq!(state.score_ops(&[], &c, &spec), Some(committed));

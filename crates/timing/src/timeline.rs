@@ -3,9 +3,9 @@
 use qccd_circuit::GateId;
 use qccd_machine::{IonId, TrapId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// One shuttle move as a member of a timed transport round.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -36,6 +36,12 @@ impl TimedMove {
 }
 
 /// One event on the device timeline.
+///
+/// A transport round's member moves and involved traps live in the owning
+/// [`Timeline`]'s flat [`moves`](Timeline::moves) and
+/// [`involved`](Timeline::involved) arrays; the event holds index ranges
+/// into them. [`Timeline::iter`] yields every event with its slices
+/// resolved.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TimelineEvent {
     /// A gate execution occupying its trap for `[start_us, end_us)`.
@@ -56,10 +62,12 @@ pub enum TimelineEvent {
     /// segment and both endpoint traps. The round's duration is its
     /// critical path — the slowest member hop.
     TransportRound {
-        /// Member moves in application (departures-first) order.
-        moves: Vec<TimedMove>,
-        /// Every trap the round occupies, deduplicated.
-        involved: Vec<TrapId>,
+        /// Member moves in application (departures-first) order, as a
+        /// range of [`Timeline::moves`].
+        moves: Range<u32>,
+        /// Every trap the round occupies, deduplicated, as a range of
+        /// [`Timeline::involved`].
+        involved: Range<u32>,
         /// Start time, µs.
         start_us: f64,
         /// End time, µs.
@@ -98,16 +106,84 @@ impl TimelineEvent {
     }
 }
 
+/// One timeline event with a round's member slices borrowed: what the
+/// lowering fold ([`LowerState::advance`](crate::LowerState::advance))
+/// hands its event sink, and what [`Timeline::iter`] yields.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EventRef<'a> {
+    /// See [`TimelineEvent::Gate`].
+    Gate {
+        /// The circuit gate.
+        gate: GateId,
+        /// The trap it runs in.
+        trap: TrapId,
+        /// Ions in the chain when the gate runs.
+        chain_len: u32,
+        /// Start time, µs.
+        start_us: f64,
+        /// End time, µs.
+        end_us: f64,
+    },
+    /// See [`TimelineEvent::TransportRound`].
+    TransportRound {
+        /// Member moves in application (departures-first) order.
+        moves: &'a [TimedMove],
+        /// Every trap the round occupies, deduplicated.
+        involved: &'a [TrapId],
+        /// Start time, µs.
+        start_us: f64,
+        /// End time, µs.
+        end_us: f64,
+    },
+    /// See [`TimelineEvent::ZoneMove`].
+    ZoneMove {
+        /// The reordered ion.
+        ion: IonId,
+        /// The trap it happens in.
+        trap: TrapId,
+        /// Start time, µs.
+        start_us: f64,
+        /// End time, µs.
+        end_us: f64,
+    },
+}
+
+impl EventRef<'_> {
+    /// Start time of the event, µs.
+    pub fn start_us(&self) -> f64 {
+        match *self {
+            EventRef::Gate { start_us, .. }
+            | EventRef::TransportRound { start_us, .. }
+            | EventRef::ZoneMove { start_us, .. } => start_us,
+        }
+    }
+
+    /// End time of the event, µs.
+    pub fn end_us(&self) -> f64 {
+        match *self {
+            EventRef::Gate { end_us, .. }
+            | EventRef::TransportRound { end_us, .. }
+            | EventRef::ZoneMove { end_us, .. } => end_us,
+        }
+    }
+}
+
 /// A compiled program lowered onto the device clock: every gate, transport
 /// round and zone move with explicit start/end times, ASAP-scheduled under
 /// a [`TimingModel`](crate::TimingModel).
 ///
-/// Produced by [`lower`](crate::lower); consumed by `qccd-sim` for
-/// makespan/heating/fidelity and by reporting layers for timed columns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Produced by [`lower`](crate::lower); consumed by reporting layers for
+/// timed columns and by the explanation layer. Round members are stored
+/// flat: all rounds' moves in one array, all their involved traps in
+/// another, each round holding its two index ranges.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Timeline {
     /// Events in schedule order.
     pub events: Vec<TimelineEvent>,
+    /// Every round's member moves, round after round.
+    pub moves: Vec<TimedMove>,
+    /// Every round's involved traps, round after round.
+    pub involved: Vec<TrapId>,
     /// End-to-end execution time: the latest event end, µs.
     pub makespan_us: f64,
     /// Gate events.
@@ -123,18 +199,142 @@ pub struct Timeline {
 }
 
 impl Timeline {
+    /// An empty timeline with room for `events` events, `moves` round
+    /// members and `involved` round traps; counters and makespan are zero.
+    pub fn with_capacity(events: usize, moves: usize, involved: usize) -> Timeline {
+        Timeline {
+            events: Vec::with_capacity(events),
+            moves: Vec::with_capacity(moves),
+            involved: Vec::with_capacity(involved),
+            ..Timeline::default()
+        }
+    }
+
+    /// Appends one emitted event, copying a round's member slices into the
+    /// flat arrays. Counters and makespan are left alone (the fold stamps
+    /// them in [`LowerState::finish`](crate::LowerState::finish)).
+    pub fn push(&mut self, event: EventRef<'_>) {
+        self.events.push(match event {
+            EventRef::Gate {
+                gate,
+                trap,
+                chain_len,
+                start_us,
+                end_us,
+            } => TimelineEvent::Gate {
+                gate,
+                trap,
+                chain_len,
+                start_us,
+                end_us,
+            },
+            EventRef::TransportRound {
+                moves,
+                involved,
+                start_us,
+                end_us,
+            } => TimelineEvent::TransportRound {
+                moves: append(&mut self.moves, moves),
+                involved: append(&mut self.involved, involved),
+                start_us,
+                end_us,
+            },
+            EventRef::ZoneMove {
+                ion,
+                trap,
+                start_us,
+                end_us,
+            } => TimelineEvent::ZoneMove {
+                ion,
+                trap,
+                start_us,
+                end_us,
+            },
+        });
+    }
+
+    /// A round's member moves in application order; empty for any other
+    /// event.
+    pub fn round_moves(&self, event: &TimelineEvent) -> &[TimedMove] {
+        match event {
+            TimelineEvent::TransportRound { moves, .. } => {
+                &self.moves[moves.start as usize..moves.end as usize]
+            }
+            _ => &[],
+        }
+    }
+
+    /// A round's involved traps; empty for any other event.
+    pub fn round_involved(&self, event: &TimelineEvent) -> &[TrapId] {
+        match event {
+            TimelineEvent::TransportRound { involved, .. } => {
+                &self.involved[involved.start as usize..involved.end as usize]
+            }
+            _ => &[],
+        }
+    }
+
+    /// Every event in schedule order, with round slices resolved.
+    pub fn iter(&self) -> impl Iterator<Item = EventRef<'_>> {
+        self.events.iter().map(|event| match *event {
+            TimelineEvent::Gate {
+                gate,
+                trap,
+                chain_len,
+                start_us,
+                end_us,
+            } => EventRef::Gate {
+                gate,
+                trap,
+                chain_len,
+                start_us,
+                end_us,
+            },
+            TimelineEvent::TransportRound {
+                start_us, end_us, ..
+            } => EventRef::TransportRound {
+                moves: self.round_moves(event),
+                involved: self.round_involved(event),
+                start_us,
+                end_us,
+            },
+            TimelineEvent::ZoneMove {
+                ion,
+                trap,
+                start_us,
+                end_us,
+            } => EventRef::ZoneMove {
+                ion,
+                trap,
+                start_us,
+                end_us,
+            },
+        })
+    }
+
     /// Checks the timeline's resource intervals: on every trap and every
     /// shuttle-path segment, event intervals must be non-overlapping (they
     /// may touch), and every event must have a non-negative duration no
     /// later than the recorded makespan.
     ///
+    /// Overlaps are reported deterministically: the lowest double-booked
+    /// trap first, then the lowest double-booked segment, each with its
+    /// first clash in start order. The check keeps one running lane per
+    /// trap and per segment, so it needs memory for the resources only,
+    /// not for the bookings (lowered timelines book every resource in
+    /// start order; a lane booked out of order is re-read and sorted).
+    ///
     /// # Errors
     ///
     /// The first violated rule, as a [`TimelineError`].
     pub fn validate(&self) -> Result<(), TimelineError> {
-        let mut trap_busy: HashMap<TrapId, Vec<(f64, f64)>> = HashMap::new();
-        let mut edge_busy: HashMap<(TrapId, TrapId), Vec<(f64, f64)>> = HashMap::new();
-        for (index, event) in self.events.iter().enumerate() {
+        let span = self.moves.iter().fold(self.trap_span(0), |acc, m| {
+            acc.max(m.from.index().max(m.to.index()) + 1)
+        });
+        let mut traps = vec![Lane::default(); span];
+        // Segment lanes by their low endpoint, each keyed by the high one.
+        let mut segments: Vec<Vec<(TrapId, Lane)>> = vec![Vec::new(); span];
+        for (index, event) in self.iter().enumerate() {
             let (start, end) = (event.start_us(), event.end_us());
             if !(start.is_finite() && end.is_finite()) || end < start {
                 return Err(TimelineError::BadInterval { index });
@@ -143,41 +343,81 @@ impl Timeline {
                 return Err(TimelineError::EventPastMakespan { index });
             }
             match event {
-                TimelineEvent::Gate { trap, .. } | TimelineEvent::ZoneMove { trap, .. } => {
-                    trap_busy.entry(*trap).or_default().push((start, end));
+                EventRef::Gate { trap, .. } | EventRef::ZoneMove { trap, .. } => {
+                    traps[trap.index()].book(start, end);
                 }
-                TimelineEvent::TransportRound {
+                EventRef::TransportRound {
                     moves, involved, ..
                 } => {
                     for t in involved {
-                        trap_busy.entry(*t).or_default().push((start, end));
+                        traps[t.index()].book(start, end);
                     }
                     for m in moves {
-                        edge_busy.entry(m.segment()).or_default().push((start, end));
+                        let (a, b) = m.segment();
+                        let lanes = &mut segments[a.index()];
+                        let k = match lanes.iter().position(|(hi, _)| *hi == b) {
+                            Some(k) => k,
+                            None => {
+                                lanes.push((b, Lane::default()));
+                                lanes.len() - 1
+                            }
+                        };
+                        lanes[k].1.book(start, end);
                     }
                 }
             }
         }
-        for (trap, intervals) in &mut trap_busy {
-            if let Some((first_end_us, second_start_us)) = find_overlap(intervals) {
+        for (t, lane) in traps.iter().enumerate() {
+            let trap = TrapId(t as u32);
+            let clash = lane.first_clash(|| {
+                self.bookings(|e| match e {
+                    EventRef::Gate { trap: at, .. } | EventRef::ZoneMove { trap: at, .. } => {
+                        usize::from(*at == trap)
+                    }
+                    EventRef::TransportRound { involved, .. } => {
+                        involved.iter().filter(|&&at| at == trap).count()
+                    }
+                })
+            });
+            if let Some((first_end_us, second_start_us)) = clash {
                 return Err(TimelineError::TrapOverlap {
-                    trap: *trap,
+                    trap,
                     first_end_us,
                     second_start_us,
                 });
             }
         }
-        for (&(a, b), intervals) in &mut edge_busy {
-            if let Some((first_end_us, second_start_us)) = find_overlap(intervals) {
-                return Err(TimelineError::EdgeOverlap {
-                    a,
-                    b,
-                    first_end_us,
-                    second_start_us,
+        for (low, lanes) in segments.iter_mut().enumerate() {
+            let a = TrapId(low as u32);
+            lanes.sort_by_key(|&(b, _)| b);
+            for &(b, lane) in lanes.iter() {
+                let clash = lane.first_clash(|| {
+                    self.bookings(|e| match e {
+                        EventRef::TransportRound { moves, .. } => {
+                            moves.iter().filter(|m| m.segment() == (a, b)).count()
+                        }
+                        _ => 0,
+                    })
                 });
+                if let Some((first_end_us, second_start_us)) = clash {
+                    return Err(TimelineError::EdgeOverlap {
+                        a,
+                        b,
+                        first_end_us,
+                        second_start_us,
+                    });
+                }
             }
         }
         Ok(())
+    }
+
+    /// Every event's `(start, end)` window, repeated `times(event)` times,
+    /// in event order.
+    fn bookings(&self, times: impl Fn(&EventRef<'_>) -> usize) -> Vec<(f64, f64)> {
+        self.iter()
+            .flat_map(|e| std::iter::repeat_n((e.start_us(), e.end_us()), times(&e)))
+            .collect()
     }
 
     /// Total time a given trap is busy (gates + transport + zone moves), µs.
@@ -186,13 +426,10 @@ impl Timeline {
     /// the single-pass [`trap_busy_all`](Timeline::trap_busy_all) instead
     /// (a unit test pins the two paths equal bit-for-bit).
     pub fn trap_busy_us(&self, trap: TrapId) -> f64 {
-        self.events
-            .iter()
+        self.iter()
             .filter(|e| match e {
-                TimelineEvent::Gate { trap: t, .. } | TimelineEvent::ZoneMove { trap: t, .. } => {
-                    *t == trap
-                }
-                TimelineEvent::TransportRound { involved, .. } => involved.contains(&trap),
+                EventRef::Gate { trap: t, .. } | EventRef::ZoneMove { trap: t, .. } => *t == trap,
+                EventRef::TransportRound { involved, .. } => involved.contains(&trap),
             })
             .map(|e| e.end_us() - e.start_us())
             .sum()
@@ -204,22 +441,14 @@ impl Timeline {
     /// [`trap_busy_us`](Timeline::trap_busy_us) bit-for-bit: events are
     /// accumulated in the same order that path visits them.
     pub fn trap_busy_all(&self, num_traps: usize) -> Vec<f64> {
-        let span = self.events.iter().fold(num_traps, |acc, e| match e {
-            TimelineEvent::Gate { trap, .. } | TimelineEvent::ZoneMove { trap, .. } => {
-                acc.max(trap.index() + 1)
-            }
-            TimelineEvent::TransportRound { involved, .. } => {
-                involved.iter().fold(acc, |acc, t| acc.max(t.index() + 1))
-            }
-        });
-        let mut busy = vec![0.0f64; span];
-        for event in &self.events {
+        let mut busy = vec![0.0f64; self.trap_span(num_traps)];
+        for event in self.iter() {
             let dur = event.end_us() - event.start_us();
             match event {
-                TimelineEvent::Gate { trap, .. } | TimelineEvent::ZoneMove { trap, .. } => {
+                EventRef::Gate { trap, .. } | EventRef::ZoneMove { trap, .. } => {
                     busy[trap.index()] += dur;
                 }
-                TimelineEvent::TransportRound { involved, .. } => {
+                EventRef::TransportRound { involved, .. } => {
                     for t in involved {
                         busy[t.index()] += dur;
                     }
@@ -228,16 +457,68 @@ impl Timeline {
         }
         busy
     }
+
+    /// `num_traps`, raised to cover the highest trap index any event
+    /// references.
+    pub(crate) fn trap_span(&self, num_traps: usize) -> usize {
+        let gated = self.events.iter().fold(num_traps, |acc, e| match e {
+            TimelineEvent::Gate { trap, .. } | TimelineEvent::ZoneMove { trap, .. } => {
+                acc.max(trap.index() + 1)
+            }
+            TimelineEvent::TransportRound { .. } => acc,
+        });
+        self.involved
+            .iter()
+            .fold(gated, |acc, t| acc.max(t.index() + 1))
+    }
 }
 
-/// Finds the first pair of strictly overlapping intervals after sorting by
-/// start; returns `(earlier end, later start)` of the clash.
-fn find_overlap(intervals: &mut [(f64, f64)]) -> Option<(f64, f64)> {
-    intervals.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("validated finite"));
-    intervals
-        .windows(2)
-        .find(|w| w[1].0 < w[0].1)
-        .map(|w| (w[0].1, w[1].0))
+/// Appends `items` to `flat` and returns their index range.
+fn append<T: Copy>(flat: &mut Vec<T>, items: &[T]) -> Range<u32> {
+    let start = flat.len() as u32;
+    flat.extend_from_slice(items);
+    start..flat.len() as u32
+}
+
+/// One resource's bookings as [`Timeline::validate`] streams them, in
+/// event order. While starts never decrease, sorting the bookings by start
+/// (ties keeping event order) changes nothing, so the first clash in start
+/// order is the first booking that starts before its predecessor ends.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lane {
+    /// The latest booking, `(start, end)`.
+    last: Option<(f64, f64)>,
+    /// The first clash seen, `(earlier end, later start)`.
+    clash: Option<(f64, f64)>,
+    /// A booking started before its predecessor.
+    unsorted: bool,
+}
+
+impl Lane {
+    fn book(&mut self, start: f64, end: f64) {
+        if let Some((last_start, last_end)) = self.last {
+            if start < last_start {
+                self.unsorted = true;
+            } else if self.clash.is_none() && start < last_end {
+                self.clash = Some((last_end, start));
+            }
+        }
+        self.last = Some((start, end));
+    }
+
+    /// The lane's first clash in start order, `(earlier end, later
+    /// start)`; an unsorted lane re-reads its bookings and sorts them.
+    fn first_clash(&self, bookings: impl FnOnce() -> Vec<(f64, f64)>) -> Option<(f64, f64)> {
+        if !self.unsorted {
+            return self.clash;
+        }
+        let mut windows = bookings();
+        windows.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("validated finite"));
+        windows
+            .windows(2)
+            .find(|w| w[1].0 < w[0].1)
+            .map(|w| (w[0].1, w[1].0))
+    }
 }
 
 /// A violated timeline invariant, reported by [`Timeline::validate`].
@@ -311,42 +592,49 @@ impl Error for TimelineError {}
 mod tests {
     use super::*;
 
-    fn gate(trap: u32, start: f64, end: f64) -> TimelineEvent {
-        TimelineEvent::Gate {
-            gate: GateId(0),
-            trap: TrapId(trap),
-            chain_len: 2,
-            start_us: start,
-            end_us: end,
-        }
+    /// A hand-built event, before the flat layout: rounds carry their own
+    /// member vectors.
+    enum Ev {
+        Gate(u32, f64, f64),
+        Round(Vec<TimedMove>, Vec<TrapId>, f64, f64),
     }
 
-    fn round(from: u32, to: u32, start: f64, end: f64) -> TimelineEvent {
-        TimelineEvent::TransportRound {
-            moves: vec![TimedMove {
-                ion: IonId(0),
-                from: TrapId(from),
-                to: TrapId(to),
-                src_occupancy: 1,
-                junctions: 0,
-            }],
-            involved: vec![TrapId(from), TrapId(to)],
-            start_us: start,
-            end_us: end,
-        }
+    fn gate(trap: u32, start: f64, end: f64) -> Ev {
+        Ev::Gate(trap, start, end)
     }
 
-    fn timeline(events: Vec<TimelineEvent>) -> Timeline {
-        let makespan_us = events.iter().map(|e| e.end_us()).fold(0.0, f64::max);
-        Timeline {
-            events,
-            makespan_us,
-            gates: 0,
-            shuttles: 0,
-            shuttle_depth: 0,
-            zone_moves: 0,
-            junction_crossings: 0,
+    fn round(from: u32, to: u32, start: f64, end: f64) -> Ev {
+        let hop = TimedMove {
+            ion: IonId(0),
+            from: TrapId(from),
+            to: TrapId(to),
+            src_occupancy: 1,
+            junctions: 0,
+        };
+        Ev::Round(vec![hop], vec![TrapId(from), TrapId(to)], start, end)
+    }
+
+    fn timeline(events: Vec<Ev>) -> Timeline {
+        let mut t = Timeline::default();
+        for ev in &events {
+            t.push(match ev {
+                &Ev::Gate(trap, start_us, end_us) => EventRef::Gate {
+                    gate: GateId(0),
+                    trap: TrapId(trap),
+                    chain_len: 2,
+                    start_us,
+                    end_us,
+                },
+                Ev::Round(moves, involved, start_us, end_us) => EventRef::TransportRound {
+                    moves,
+                    involved,
+                    start_us: *start_us,
+                    end_us: *end_us,
+                },
+            });
         }
+        t.makespan_us = t.iter().map(|e| e.end_us()).fold(0.0, f64::max);
+        t
     }
 
     #[test]
@@ -363,6 +651,28 @@ mod tests {
     }
 
     #[test]
+    fn rounds_store_their_members_flat() {
+        let t = timeline(vec![
+            round(0, 1, 0.0, 165.0),
+            gate(1, 165.0, 265.0),
+            round(1, 2, 265.0, 430.0),
+        ]);
+        assert_eq!(t.moves.len(), 2);
+        assert_eq!(t.involved, vec![TrapId(0), TrapId(1), TrapId(1), TrapId(2)]);
+        assert_eq!(t.round_moves(&t.events[2])[0].to, TrapId(2));
+        assert_eq!(t.round_involved(&t.events[2]), &[TrapId(1), TrapId(2)]);
+        assert!(t.round_moves(&t.events[1]).is_empty());
+        assert!(t.round_involved(&t.events[1]).is_empty());
+        // Pushing what `iter` yields rebuilds the same timeline.
+        let mut copy = Timeline::default();
+        for event in t.iter() {
+            copy.push(event);
+        }
+        copy.makespan_us = t.makespan_us;
+        assert_eq!(copy, t);
+    }
+
+    #[test]
     fn trap_overlap_detected() {
         let t = timeline(vec![gate(0, 0.0, 100.0), gate(0, 99.0, 150.0)]);
         assert_eq!(
@@ -376,11 +686,136 @@ mod tests {
     }
 
     #[test]
+    fn overlap_report_is_deterministic_and_names_the_lowest_trap() {
+        // Overlapping gates on eight traps, booked highest trap first:
+        // every validation must report the same, lowest clash.
+        let events = (0..8u32)
+            .rev()
+            .flat_map(|trap| {
+                let offset = f64::from(trap);
+                [
+                    gate(trap, offset, offset + 100.0),
+                    gate(trap, offset + 50.0, offset + 150.0),
+                ]
+            })
+            .collect();
+        let t = timeline(events);
+        let mut errors: Vec<TimelineError> = Vec::new();
+        for _ in 0..100 {
+            let err = t.validate().unwrap_err();
+            if !errors.contains(&err) {
+                errors.push(err);
+            }
+        }
+        assert_eq!(
+            errors,
+            vec![TimelineError::TrapOverlap {
+                trap: TrapId(0),
+                first_end_us: 100.0,
+                second_start_us: 50.0
+            }]
+        );
+    }
+
+    #[test]
+    fn out_of_order_bookings_report_the_first_clash_in_start_order() {
+        // Booked late-first: sorted by start, (0, 150) precedes (100, 200),
+        // so the clash is "ends at 150, next starts at 100".
+        let t = timeline(vec![gate(0, 100.0, 200.0), gate(0, 0.0, 150.0)]);
+        assert_eq!(
+            t.validate().unwrap_err(),
+            TimelineError::TrapOverlap {
+                trap: TrapId(0),
+                first_end_us: 150.0,
+                second_start_us: 100.0
+            }
+        );
+    }
+
+    /// The validator before lanes: every booking collected, stably sorted
+    /// by resource then start, the first consecutive clash of the lowest
+    /// clashing trap, then of the lowest clashing segment.
+    fn sorted_reference(t: &Timeline) -> Result<(), TimelineError> {
+        fn first<K: Ord + Copy>(mut b: Vec<(K, f64, f64)>) -> Option<(K, f64, f64)> {
+            b.sort_by(|x, y| x.0.cmp(&y.0).then(x.1.partial_cmp(&y.1).unwrap()));
+            b.windows(2)
+                .find(|w| w[0].0 == w[1].0 && w[1].1 < w[0].2)
+                .map(|w| (w[0].0, w[0].2, w[1].1))
+        }
+        let mut traps = Vec::new();
+        let mut edges = Vec::new();
+        for e in t.iter() {
+            let (s, f) = (e.start_us(), e.end_us());
+            match e {
+                EventRef::Gate { trap, .. } | EventRef::ZoneMove { trap, .. } => {
+                    traps.push((trap, s, f))
+                }
+                EventRef::TransportRound {
+                    moves, involved, ..
+                } => {
+                    traps.extend(involved.iter().map(|&x| (x, s, f)));
+                    edges.extend(moves.iter().map(|m| (m.segment(), s, f)));
+                }
+            }
+        }
+        if let Some((trap, first_end_us, second_start_us)) = first(traps) {
+            return Err(TimelineError::TrapOverlap {
+                trap,
+                first_end_us,
+                second_start_us,
+            });
+        }
+        if let Some(((a, b), first_end_us, second_start_us)) = first(edges) {
+            return Err(TimelineError::EdgeOverlap {
+                a,
+                b,
+                first_end_us,
+                second_start_us,
+            });
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Lanes report exactly what sorting every booking reports, on
+        /// hand-built timelines booked in any order, with or without
+        /// clashes, including rounds whose involved traps are not their
+        /// segment endpoints.
+        #[test]
+        fn lanes_match_the_sorted_reference(
+            raw in proptest::collection::vec(
+                (0u32..3, 0u32..4, 0u32..4, 0u32..40, 1u32..12, proptest::prelude::any::<bool>()),
+                1..24,
+            ),
+        ) {
+            let events = raw
+                .into_iter()
+                .map(|(kind, a, b, start, len, detach)| {
+                    let (start, end) = (f64::from(start), f64::from(start + len));
+                    if kind == 0 || a == b {
+                        gate(a, start, end)
+                    } else {
+                        let mut r = round(a, b, start, end);
+                        if detach {
+                            if let Ev::Round(_, involved, ..) = &mut r {
+                                *involved = vec![TrapId(4 + a)];
+                            }
+                        }
+                        r
+                    }
+                })
+                .collect();
+            let t = timeline(events);
+            proptest::prop_assert_eq!(t.validate(), sorted_reference(&t));
+        }
+    }
+
+    #[test]
     fn edge_overlap_detected() {
-        // Rounds on the same segment at overlapping times, sharing no trap
-        // booking mistake... they do share traps too, so test edges via
-        // distinct trap sets is impossible — assert the error mentions a
-        // resource clash at all.
+        // Rounds on the same segment at overlapping times also share
+        // their endpoint traps, so some resource clash must be reported.
         let t = timeline(vec![round(0, 1, 0.0, 165.0), round(1, 0, 100.0, 265.0)]);
         assert!(t.validate().is_err());
     }
@@ -390,16 +825,20 @@ mod tests {
         // Overlapping rounds normally trip the trap check first (a
         // segment's endpoints are always involved traps), so hand-build
         // rounds that share segment (0, 1) while booking disjoint traps:
-        // only the edge check can fire.
-        let mut a = round(0, 1, 0.0, 165.0);
-        let mut b = round(1, 0, 100.0, 265.0);
-        if let TimelineEvent::TransportRound { involved, .. } = &mut a {
-            *involved = vec![TrapId(2)];
+        // only the edge check can fire. A second clash on the higher
+        // segment (2, 3) must not be the one reported.
+        let mut events = vec![
+            round(3, 2, 0.0, 165.0),
+            round(2, 3, 100.0, 265.0),
+            round(0, 1, 0.0, 165.0),
+            round(1, 0, 100.0, 265.0),
+        ];
+        for (k, ev) in events.iter_mut().enumerate() {
+            if let Ev::Round(_, involved, ..) = ev {
+                *involved = vec![TrapId(4 + k as u32)];
+            }
         }
-        if let TimelineEvent::TransportRound { involved, .. } = &mut b {
-            *involved = vec![TrapId(3)];
-        }
-        let t = timeline(vec![a, b]);
+        let t = timeline(events);
         assert_eq!(
             t.validate().unwrap_err(),
             TimelineError::EdgeOverlap {

@@ -1,0 +1,151 @@
+//! Allocation counts of the lowering fold, under a counting global
+//! allocator:
+//!
+//! 1. **`lower` is O(log n) in allocations.** Round members go into the
+//!    timeline's two flat arrays and the fold reuses its per-round
+//!    buffers, so doubling a schedule's round count adds at most a few
+//!    regrowths, never one allocation per round.
+//! 2. **`DeltaScorer::commit` allocates nothing in steady state.** A
+//!    commit advances the fold with a no-op event sink; only the scorer's
+//!    operation log can regrow, amortized.
+//!
+//! Counts are per thread, so the harness's other test threads do not
+//! leak into a measurement.
+
+use muzzle_shuttle::circuit::{Circuit, GateId, Opcode, Qubit};
+use muzzle_shuttle::machine::{InitialMapping, IonId, MachineSpec, Operation, Schedule, TrapId};
+use muzzle_shuttle::route::TransportSchedule;
+use muzzle_shuttle::timing::{lower, DeltaScorer, TimingModel};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: the slot may already be gone while a thread exits.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// only addition is a thread-local counter bump, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (including regrowths) `f` makes on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    let after = ALLOCATIONS.with(Cell::get);
+    drop(out);
+    after - before
+}
+
+fn sh(ion: u32, from: u32, to: u32) -> Operation {
+    Operation::Shuttle {
+        ion: IonId(ion),
+        from: TrapId(from),
+        to: TrapId(to),
+    }
+}
+
+/// L3, ions 0–1 in T0, ion 2 in T1, ion 3 in T2: `periods` repetitions of
+/// a gate in T0 followed by a two-move swap of ions 2 and 3 across the
+/// T1–T2 segment and back.
+fn periodic(periods: usize) -> (Circuit, MachineSpec, Schedule) {
+    let mut circuit = Circuit::new(4);
+    circuit
+        .push_two_qubit(Opcode::Ms, Qubit(0), Qubit(1))
+        .unwrap();
+    let spec = MachineSpec::linear(3, 4, 1).unwrap();
+    let mapping =
+        InitialMapping::from_traps(&spec, vec![TrapId(0), TrapId(0), TrapId(1), TrapId(2)])
+            .unwrap();
+    let gate = Operation::Gate {
+        gate: GateId(0),
+        trap: TrapId(0),
+    };
+    let mut ops = Vec::new();
+    for _ in 0..periods {
+        ops.extend([
+            gate,
+            sh(2, 1, 2),
+            sh(3, 2, 1),
+            gate,
+            sh(2, 2, 1),
+            sh(3, 1, 2),
+        ]);
+    }
+    (circuit, spec, Schedule::new(mapping, ops))
+}
+
+#[test]
+fn doubling_the_rounds_adds_only_logarithmic_allocations_to_lower() {
+    let model = TimingModel::realistic();
+    let measure = |periods: usize, concurrent: bool| {
+        let (circuit, spec, schedule) = periodic(periods);
+        let transport = if concurrent {
+            TransportSchedule::pack_concurrent(&schedule, &spec).unwrap()
+        } else {
+            TransportSchedule::pack_serial(&schedule)
+        };
+        let depth = transport.depth();
+        let count =
+            allocations(|| lower(&schedule, Some(&transport), &circuit, &spec, &model).unwrap());
+        (depth, count)
+    };
+    for concurrent in [false, true] {
+        let (small_depth, small) = measure(2_000, concurrent);
+        let (large_depth, large) = measure(4_000, concurrent);
+        assert_eq!(large_depth, 2 * small_depth);
+        assert!(
+            large <= small + 8,
+            "doubling {small_depth} rounds grew lower's allocations from {small} to {large}"
+        );
+    }
+}
+
+#[test]
+fn delta_scorer_commit_allocates_nothing_in_steady_state() {
+    let (circuit, spec, schedule) = periodic(200);
+    let mut scorer =
+        DeltaScorer::new(&schedule.initial_mapping, &spec, &TimingModel::realistic()).unwrap();
+    let (warm, steady) = schedule.operations.split_at(1_000);
+    for op in warm {
+        scorer.commit(op, &circuit, &spec).unwrap();
+    }
+    let count = allocations(|| {
+        for op in &steady[..24] {
+            scorer.commit(op, &circuit, &spec).unwrap();
+        }
+    });
+    // At most one amortized regrowth of the scorer's operation log.
+    assert!(
+        count <= 1,
+        "24 steady-state commits allocated {count} times"
+    );
+}

@@ -24,7 +24,7 @@ use muzzle_shuttle::compiler::{compile, CompilerConfig, RouterPolicy};
 use muzzle_shuttle::machine::{MachineSpec, Operation, TrapTopology};
 use muzzle_shuttle::pack::{pack, validate_equivalent, PackConfig};
 use muzzle_shuttle::route::TransportSchedule;
-use muzzle_shuttle::timing::{lower, LowerState, TimingModel};
+use muzzle_shuttle::timing::{lower, LowerState, Timeline, TimingModel};
 use proptest::prelude::*;
 
 fn topology_strategy() -> impl Strategy<Value = TrapTopology> {
@@ -178,9 +178,11 @@ proptest! {
         // perturbed suffix from the clone.
         let mut state = LowerState::new(&schedule.initial_mapping, &spec, &model)
             .expect("valid model");
-        let mut events = Vec::new();
+        let mut events = Timeline::default();
         state
-            .advance(&ops[..split], Some(prefix_rounds), &circuit, &spec, &mut events)
+            .advance(&ops[..split], Some(prefix_rounds), &circuit, &spec, &mut |e| {
+                events.push(e)
+            })
             .expect("prefix advances");
         let checkpoint = state.clone();
         let mut resumed = checkpoint.clone();
@@ -190,7 +192,7 @@ proptest! {
                 Some(&suffix_serial.rounds),
                 &circuit,
                 &spec,
-                &mut events,
+                &mut |e| events.push(e),
             )
             .expect("suffix advances");
         let incremental = resumed.finish(events);
