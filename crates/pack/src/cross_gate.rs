@@ -61,7 +61,8 @@ enum Ev {
 /// compatible round within the window accepts.
 ///
 /// `window` bounds how far back (in rounds) the first-fit scan looks,
-/// keeping the packer linear in schedule length.
+/// keeping the packer linear in schedule length and its backfill state at
+/// O(window × traps) rows.
 pub(crate) fn pack_cross_gate(
     schedule: &Schedule,
     cap: u32,

@@ -50,6 +50,8 @@
 
 mod cross_gate;
 mod layers;
+#[cfg(test)]
+mod pack_oracle;
 mod validate;
 
 use cross_gate::{pack_cross_gate, CrossGatePacked};
@@ -63,7 +65,7 @@ use qccd_route::{TransportError, TransportSchedule};
 static PACK_CANDIDATES: qccd_obs::Counter = qccd_obs::Counter::new("pack.candidates_tried");
 /// Candidates that strictly beat the input on the clock and were adopted.
 static PACK_ADOPTED: qccd_obs::Counter = qccd_obs::Counter::new("pack.candidates_adopted");
-use qccd_timing::{lower, LowerError, Timeline, TimingModel};
+use qccd_timing::{lower, LowerError, LowerState, Timeline, TimingModel};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::error::Error;
@@ -82,8 +84,9 @@ pub struct PackConfig {
     /// Enable batched multi-commodity layer planning.
     pub batch_layers: bool,
     /// How many rounds back the cross-gate first-fit scan looks. Bounds
-    /// the packer at O(schedule × window); the default comfortably covers
-    /// every gap the paper workloads exhibit.
+    /// the packer at O(schedule × window) time and O(window × traps)
+    /// backfill rows; the default comfortably covers every gap the paper
+    /// workloads exhibit.
     pub window: usize,
 }
 
@@ -155,11 +158,13 @@ pub struct Packed {
 ///
 /// Candidates (the greedy in-run repack, then cross-gate packings of the
 /// input and of its layer-planned rewrite, under both join policies) are
-/// each lowered right after they are built; only the running best is
-/// kept. The best strict improvement wins, otherwise the input is
-/// returned unchanged (`stats.improved == false`). The winner is fully
-/// validated: replay equivalence against the input schedule, strict
-/// transport-round validation, and timeline resource validation.
+/// each scored right after they are built, by folding the timed lowering
+/// for its makespan without storing a single event; only the running best
+/// is kept. The best strict improvement wins, otherwise the input is
+/// returned unchanged (`stats.improved == false`). Only the winner is
+/// lowered into a [`Timeline`], once, and it is fully validated: replay
+/// equivalence against the input schedule, strict transport-round
+/// validation, and timeline resource validation.
 ///
 /// # Errors
 ///
@@ -192,16 +197,15 @@ pub fn pack(
     let mut best: Option<Candidate> = None;
     let mut offer = |rewrite: Rewrite| -> Result<(), PackError> {
         PACK_CANDIDATES.incr();
-        let timeline = lower(
-            &rewrite.schedule,
-            Some(&rewrite.transport),
-            circuit,
-            spec,
-            &config.model,
-        )?;
-        keep_faster(&mut best, Candidate { rewrite, timeline }, |c| {
-            c.timeline.makespan_us
-        });
+        let makespan_us = rewrite.makespan_us(circuit, spec, &config.model)?;
+        keep_faster(
+            &mut best,
+            Candidate {
+                rewrite,
+                makespan_us,
+            },
+            |c| c.makespan_us,
+        );
         Ok(())
     };
 
@@ -227,7 +231,10 @@ pub fn pack(
             spec,
             &config.model,
         )?;
-        if planned.replanned_runs > 0 {
+        // A plan that changed no op yields the input's own cross-gate
+        // rewrites, already offered above: they tie, so they never win.
+        let unchanged = config.cross_gate && planned.ops == result.schedule.operations;
+        if planned.replanned_runs > 0 && !unchanged {
             let schedule = Schedule::new(result.schedule.initial_mapping.clone(), planned.ops);
             let rewrites = if config.cross_gate {
                 cross_gate_rewrites(&schedule, spec, config.window)
@@ -244,12 +251,22 @@ pub fn pack(
         }
     }
 
-    match best.filter(|c| c.timeline.makespan_us < input_timeline.makespan_us) {
+    match best.filter(|c| c.makespan_us < input_timeline.makespan_us) {
         Some(Candidate {
             rewrite: c,
-            timeline,
+            makespan_us,
         }) => {
             PACK_ADOPTED.incr();
+            // Only the winner is lowered into a timeline; its fold ends on
+            // the clocks the scoring fold ended on.
+            let timeline = lower(
+                &c.schedule,
+                Some(&c.transport),
+                circuit,
+                spec,
+                &config.model,
+            )?;
+            debug_assert_eq!(timeline.makespan_us.to_bits(), makespan_us.to_bits());
             {
                 let _phase = qccd_obs::span("pack-validate");
                 validate_equivalent(&result.schedule, &c.schedule, circuit, spec)?;
@@ -306,6 +323,27 @@ struct Rewrite {
 }
 
 impl Rewrite {
+    /// The rewrite's timed makespan under `model`, folded through a no-op
+    /// sink: it stores no event, and equals the makespan of its
+    /// [`lower`]ed timeline bit for bit.
+    fn makespan_us(
+        &self,
+        circuit: &Circuit,
+        spec: &MachineSpec,
+        model: &TimingModel,
+    ) -> Result<f64, LowerError> {
+        let _phase = qccd_obs::span("lowering");
+        let mut fold = LowerState::new(&self.schedule.initial_mapping, spec, model)?;
+        fold.advance(
+            &self.schedule.operations,
+            Some(&self.transport.rounds),
+            circuit,
+            spec,
+            &mut |_| {},
+        )?;
+        Ok(fold.makespan_us())
+    }
+
     fn of(schedule: Schedule, transport: TransportSchedule, hoisted_hops: usize) -> Self {
         Rewrite {
             schedule,
@@ -317,10 +355,10 @@ impl Rewrite {
     }
 }
 
-/// A rewrite plus its timed lowering under the pack model.
+/// A rewrite plus its timed makespan under the pack model.
 struct Candidate {
     rewrite: Rewrite,
-    timeline: Timeline,
+    makespan_us: f64,
 }
 
 /// The share-only cross-gate packing of `base`, then the full one unless

@@ -32,11 +32,21 @@
 //! (found by binary search), so across the scan it reads each of them at
 //! most once per candidate. Accepting the hop updates the two traps'
 //! columns of the occupancy rows after the chosen round and inserts into
-//! one sorted arrival list. Occupancies, arrivals and departures live in
-//! flat row-major `rounds × traps` vectors, so opening a round appends a
-//! row and allocates nothing per round beyond its move list. The
-//! `route.backfill_scan` counter adds up the candidate rounds and
-//! downstream entries each placement reads.
+//! one sorted arrival list. The `route.backfill_scan` counter adds up the
+//! candidate rounds and downstream entries each placement reads.
+//!
+//! Storage: occupancies, arrivals and departures live in flat row-major
+//! `rounds × traps` vectors that hold only the rounds a placement can
+//! still read. The scan never looks below `rounds − window`, the
+//! downstream re-check reads only rounds after the candidate, and
+//! accepting a hop writes only rows after the chosen round, so rows (and
+//! arrival-list entries) older than `rounds − window` are dead. Once
+//! `max(window, 64)` of them have accumulated they are drained from the
+//! front in one amortized O(traps)-per-row move that keeps the live rows
+//! contiguous. The state is therefore O(window × traps) plus the placed
+//! moves, instead of O(rounds × traps); an unbounded window
+//! (`usize::MAX`) never drops a row. Opening a round appends a row and
+//! allocates nothing per round beyond its move list.
 
 use qccd_machine::{ShuttleMove, TrapId};
 
@@ -107,15 +117,20 @@ pub struct RoundBackfill {
     cap: u32,
     num_traps: usize,
     rounds: Vec<RoundSlot>,
-    /// Row-major `(rounds + 1) × traps`: row `r` holds the trap
-    /// occupancies entering round `r`; the extra last row is "after the
-    /// last round".
+    /// The oldest round whose rows are still stored; every earlier round
+    /// lies behind the scan window for good.
+    base: usize,
+    /// Row-major `(rounds − base + 1) × traps`: row `r − base` holds the
+    /// trap occupancies entering round `r`; the extra last row is "after
+    /// the last round".
     occ_before: Vec<u32>,
-    /// Row-major `rounds × traps`: merges into each trap per round.
+    /// Row-major `(rounds − base) × traps`: merges into each trap per
+    /// round.
     arrivals: Vec<u32>,
-    /// Row-major `rounds × traps`: splits out of each trap per round.
+    /// Row-major `(rounds − base) × traps`: splits out of each trap per
+    /// round.
     departures: Vec<u32>,
-    /// Rounds with an arrival at each trap, ascending.
+    /// Rounds `≥ base` with an arrival at each trap, ascending.
     arrival_rounds: Vec<Vec<usize>>,
     /// A hop touching trap `t` may not join a round older than
     /// `min_join[t]` (set by every gate noted in `t`).
@@ -136,6 +151,7 @@ impl RoundBackfill {
             cap,
             num_traps,
             rounds: Vec::new(),
+            base: 0,
             occ_before: occ0,
             arrivals: Vec::new(),
             departures: Vec::new(),
@@ -144,6 +160,24 @@ impl RoundBackfill {
             ion_fence: Vec::new(),
             gates_noted: 0,
         }
+    }
+
+    /// Empties the backfill for a fresh start from the occupancies
+    /// `occ0`, under the same traps, capacity and rules: equivalent to
+    /// [`new`](Self::new), but it keeps the row, round and arrival-list
+    /// allocations. Drain the rounds first; any left are dropped.
+    pub fn reset(&mut self, occ0: impl IntoIterator<Item = u32>) {
+        self.rounds.clear();
+        self.base = 0;
+        self.occ_before.clear();
+        self.occ_before.extend(occ0);
+        debug_assert_eq!(self.occ_before.len(), self.num_traps);
+        self.arrivals.clear();
+        self.departures.clear();
+        self.arrival_rounds.iter_mut().for_each(Vec::clear);
+        self.min_join.fill(0);
+        self.ion_fence.clear();
+        self.gates_noted = 0;
     }
 
     /// Notes a gate executing in `trap`: hops touching it may no longer
@@ -160,12 +194,37 @@ impl RoundBackfill {
     /// round's own departures open. Summed in u64, so a capacity near
     /// `u32::MAX` cannot wrap.
     fn fits(&self, r: usize, t: usize, extra: u32) -> bool {
-        let k = r * self.num_traps + t;
+        let k = self.row(r) + t;
         let credit = match self.rules.credit {
             CreditRule::DepartureCredit => self.departures[k],
             CreditRule::NoCredit => 0,
         };
         u64::from(self.occ_before[k]) + u64::from(extra) <= u64::from(self.cap) + u64::from(credit)
+    }
+
+    /// Offset of round `r`'s row in the flat row-major vectors.
+    fn row(&self, r: usize) -> usize {
+        debug_assert!(r >= self.base, "round {r} was trimmed (base {})", self.base);
+        (r - self.base) * self.num_traps
+    }
+
+    /// Drops the rows and arrival-list entries the scan window has left
+    /// behind, once at least `max(window, 64)` of them have gone stale.
+    fn trim(&mut self) {
+        let live = self.rounds.len().saturating_sub(self.rules.window);
+        let stale = live - self.base;
+        if stale < self.rules.window.max(64) {
+            return;
+        }
+        let cells = stale * self.num_traps;
+        self.occ_before.drain(..cells);
+        self.arrivals.drain(..cells);
+        self.departures.drain(..cells);
+        for list in &mut self.arrival_rounds {
+            let dead = list.partition_point(|&s| s < live);
+            list.drain(..dead);
+        }
+        self.base = live;
     }
 
     /// First-fit places `m` into the earliest legal round, opening a new
@@ -183,7 +242,7 @@ impl RoundBackfill {
         for r in lo..self.rounds.len() {
             scanned += 1;
             let moves = &self.rounds[r].moves;
-            let row = r * nt;
+            let row = self.row(r);
             if self.departures[row + fi] > 0
                 || self.arrivals[row + ti] > 0
                 || !self.fits(r, ti, 1)
@@ -236,12 +295,13 @@ impl RoundBackfill {
         };
         let hoisted = self.rounds[chosen].gates_at_creation < self.gates_noted;
         self.rounds[chosen].moves.push(m);
-        self.departures[chosen * nt + fi] += 1;
-        self.arrivals[chosen * nt + ti] += 1;
+        let row = self.row(chosen);
+        self.departures[row + fi] += 1;
+        self.arrivals[row + ti] += 1;
         let list = &mut self.arrival_rounds[ti];
         let pos = list.partition_point(|&s| s < chosen);
         list.insert(pos, chosen);
-        for occ in self.occ_before[(chosen + 1) * nt..].chunks_exact_mut(nt) {
+        for occ in self.occ_before[row + nt..].chunks_exact_mut(nt) {
             occ[fi] -= 1;
             occ[ti] += 1;
         }
@@ -251,7 +311,9 @@ impl RoundBackfill {
         }
         self.ion_fence[ion] = chosen + 1;
         BACKFILL_PLACEMENTS.incr();
-        if !opened {
+        if opened {
+            self.trim();
+        } else {
             BACKFILL_JOINS.incr();
         }
         if hoisted {
@@ -269,9 +331,28 @@ impl RoundBackfill {
         self.rounds.iter().map(|r| r.moves.as_slice())
     }
 
+    /// Whether the backfill holds no round.
+    pub fn is_empty(&self) -> bool {
+        self.rounds.is_empty()
+    }
+
+    /// Takes each round's moves out in order, keeping the round list's
+    /// allocation. The backfill must be [`reset`](Self::reset) before it
+    /// places another hop.
+    pub fn drain_rounds(&mut self) -> impl Iterator<Item = Vec<ShuttleMove>> + '_ {
+        self.rounds.drain(..).map(|r| r.moves)
+    }
+
     /// Consumes the backfill, returning each round's moves in order.
     pub fn into_rounds(self) -> Vec<Vec<ShuttleMove>> {
         self.rounds.into_iter().map(|r| r.moves).collect()
+    }
+
+    /// Rounds whose occupancy rows are still stored, counting the
+    /// "after the last round" row.
+    #[cfg(test)]
+    fn retained_rows(&self) -> usize {
+        self.occ_before.len() / self.num_traps
     }
 }
 
@@ -351,6 +432,41 @@ mod tests {
             assert_eq!(bf.place(mv(3, 3, 2)).round, 1, "{credit:?}");
             assert_eq!(bf.into_rounds().len(), 2);
         }
+    }
+
+    #[test]
+    fn bounded_window_keeps_bounded_rows() {
+        // Two ions hop round 16 traps: per-ion order opens a round for
+        // every other hop, so the rounds outgrow the window many times
+        // over.
+        let window = 96;
+        let mut bf = RoundBackfill::new(
+            16,
+            4,
+            {
+                let mut occ = vec![1; 16];
+                occ[0] = 2;
+                occ
+            },
+            BackfillRules {
+                credit: CreditRule::NoCredit,
+                share_only: false,
+                window,
+            },
+        );
+        let mut at = [0u32, 0];
+        for i in 0..20_000u32 {
+            let ion = i % 2;
+            let from = at[ion as usize];
+            let to = (from + 1 + ion) % 16;
+            at[ion as usize] = to;
+            bf.place(mv(ion, from, to));
+            assert!(bf.retained_rows() <= 2 * (window + 1) + 64);
+        }
+        assert!(
+            bf.rounds().count() > 50 * window,
+            "trimming fired many times"
+        );
     }
 
     #[test]
@@ -519,6 +635,87 @@ mod property_tests {
     use proptest::prelude::*;
     use qccd_machine::IonId;
 
+    #[derive(Clone, Copy)]
+    enum Event {
+        Gate(TrapId),
+        Hop(ShuttleMove),
+    }
+
+    /// A machine-consistent event stream: `(0, t, _)` notes a gate in
+    /// trap `t`; `(_, i, k)` hops ion `i` to the `k`-th other trap, out of
+    /// the trap it is in. Capacity is deliberately not respected, so the
+    /// capacity checks see both outcomes. Returns the initial occupancies
+    /// and the events.
+    fn stream(
+        num_traps: usize,
+        placement: &[usize],
+        events: &[(u32, usize, usize)],
+    ) -> (Vec<u32>, Vec<Event>) {
+        let mut trap_of: Vec<usize> = placement.iter().map(|&t| t % num_traps).collect();
+        let mut occ0 = vec![0u32; num_traps];
+        for &t in &trap_of {
+            occ0[t] += 1;
+        }
+        let events = events
+            .iter()
+            .map(|&(kind, a, b)| {
+                if kind == 0 {
+                    return Event::Gate(TrapId((a % num_traps) as u32));
+                }
+                let ion = a % trap_of.len();
+                let from = trap_of[ion];
+                let to = (from + 1 + b % (num_traps - 1)) % num_traps;
+                trap_of[ion] = to;
+                Event::Hop(ShuttleMove {
+                    ion: IonId(ion as u32),
+                    from: TrapId(from as u32),
+                    to: TrapId(to as u32),
+                })
+            })
+            .collect();
+        (occ0, events)
+    }
+
+    fn rules_of(credit: bool, share_only: bool, window: usize) -> BackfillRules {
+        BackfillRules {
+            credit: if credit {
+                CreditRule::DepartureCredit
+            } else {
+                CreditRule::NoCredit
+            },
+            share_only,
+            window,
+        }
+    }
+
+    /// Feeds `events` to the flat backfill and the oracle side by side:
+    /// every placement and the final rounds must agree, and a bounded
+    /// window must keep at most `window + 1 + max(window, 64)` rows.
+    fn check_against_oracle(
+        num_traps: usize,
+        cap: u32,
+        rules: BackfillRules,
+        occ0: Vec<u32>,
+        events: &[Event],
+    ) -> Result<(), String> {
+        let mut flat = RoundBackfill::new(num_traps, cap, occ0.clone(), rules);
+        let mut oracle = OracleBackfill::new(num_traps, cap, occ0, rules);
+        for &ev in events {
+            match ev {
+                Event::Gate(trap) => {
+                    flat.note_gate(trap);
+                    oracle.note_gate(trap);
+                }
+                Event::Hop(m) => prop_assert_eq!(flat.place(m), oracle.place(m)),
+            }
+            if rules.window != usize::MAX {
+                prop_assert!(flat.retained_rows() <= rules.window + 1 + rules.window.max(64));
+            }
+        }
+        prop_assert_eq!(flat.into_rounds(), oracle.into_rounds());
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -530,44 +727,73 @@ mod property_tests {
             credit in any::<bool>(),
             share_only in any::<bool>(),
             window in 0usize..4,
-            // `(0, t, _)` notes a gate in trap `t`; `(_, i, k)` hops ion `i`
-            // to the `k`-th other trap.
             events in proptest::collection::vec((0u32..5, 0usize..64, 0usize..8), 0..160),
         ) {
-            let rules = BackfillRules {
-                credit: if credit { CreditRule::DepartureCredit } else { CreditRule::NoCredit },
-                share_only,
-                window: [1, 4, 96, usize::MAX][window],
-            };
-            // A machine-consistent stream: each hop leaves the trap its
-            // ion is in. Capacity is deliberately not respected, so the
-            // capacity checks see both outcomes.
-            let mut trap_of: Vec<usize> = placement.iter().map(|&t| t % num_traps).collect();
-            let mut occ0 = vec![0u32; num_traps];
-            for &t in &trap_of {
-                occ0[t] += 1;
-            }
-            let mut flat = RoundBackfill::new(num_traps, cap, occ0.clone(), rules);
-            let mut oracle = OracleBackfill::new(num_traps, cap, occ0, rules);
-            for (kind, a, b) in events {
-                if kind == 0 {
-                    let trap = TrapId((a % num_traps) as u32);
-                    flat.note_gate(trap);
-                    oracle.note_gate(trap);
-                    continue;
+            let rules = rules_of(credit, share_only, [1, 4, 96, usize::MAX][window]);
+            let (occ0, events) = stream(num_traps, &placement, &events);
+            check_against_oracle(num_traps, cap, rules, occ0, &events)?;
+        }
+
+        /// Reset keeps only allocations: placing a stream after `reset`
+        /// matches a fresh backfill over the same occupancies.
+        #[test]
+        fn reset_then_place_equals_fresh_then_place(
+            num_traps in 2usize..7,
+            cap in 1u32..6,
+            placement in proptest::collection::vec(0usize..8, 1..24),
+            credit in any::<bool>(),
+            share_only in any::<bool>(),
+            window in 0usize..4,
+            before in proptest::collection::vec((0u32..5, 0usize..64, 0usize..8), 0..160),
+            after in proptest::collection::vec((0u32..5, 0usize..64, 0usize..8), 0..160),
+        ) {
+            let rules = rules_of(credit, share_only, [1, 4, 96, usize::MAX][window]);
+            let (occ_a, before) = stream(num_traps, &placement, &before);
+            let shifted: Vec<usize> = placement.iter().map(|&t| t + 1).collect();
+            let (occ_b, after) = stream(num_traps, &shifted, &after);
+            let mut reused = RoundBackfill::new(num_traps, cap, occ_a, rules);
+            for ev in before {
+                match ev {
+                    Event::Gate(trap) => reused.note_gate(trap),
+                    Event::Hop(m) => {
+                        reused.place(m);
+                    }
                 }
-                let ion = a % trap_of.len();
-                let from = trap_of[ion];
-                let to = (from + 1 + b % (num_traps - 1)) % num_traps;
-                trap_of[ion] = to;
-                let m = ShuttleMove {
-                    ion: IonId(ion as u32),
-                    from: TrapId(from as u32),
-                    to: TrapId(to as u32),
-                };
-                prop_assert_eq!(flat.place(m), oracle.place(m));
             }
-            prop_assert_eq!(flat.into_rounds(), oracle.into_rounds());
+            let _ = reused.drain_rounds().count();
+            reused.reset(occ_b.iter().copied());
+            let mut fresh = RoundBackfill::new(num_traps, cap, occ_b, rules);
+            for ev in after {
+                match ev {
+                    Event::Gate(trap) => {
+                        reused.note_gate(trap);
+                        fresh.note_gate(trap);
+                    }
+                    Event::Hop(m) => prop_assert_eq!(reused.place(m), fresh.place(m)),
+                }
+            }
+            prop_assert_eq!(reused.into_rounds(), fresh.into_rounds());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Streams long enough that the bounded windows drop stale rows
+        /// many times over.
+        #[test]
+        fn long_windowed_streams_match_the_oracle(
+            num_traps in 2usize..7,
+            cap in 1u32..6,
+            placement in proptest::collection::vec(0usize..8, 1..12),
+            credit in any::<bool>(),
+            share_only in any::<bool>(),
+            window in 0usize..3,
+            events in proptest::collection::vec((0u32..5, 0usize..64, 0usize..8), 1000..3000),
+        ) {
+            let rules = rules_of(credit, share_only, [1, 4, 96][window]);
+            let (occ0, events) = stream(num_traps, &placement, &events);
+            check_against_oracle(num_traps, cap, rules, occ0, &events)?;
         }
     }
 }

@@ -255,19 +255,34 @@ impl TransportSchedule {
         // Current gate-free run, as one shared-core backfill seeded with
         // the live occupancies: departure-credit capacity (rounds replay
         // atomically via `apply_round`), no gate fences (the run resets at
-        // every gate), unbounded window.
-        let mut run: Option<RoundBackfill> = None;
+        // every gate), unbounded window. One backfill serves every run:
+        // closing a run drains its rounds and resets it in place.
+        fn occupancies(state: &MachineState) -> impl Iterator<Item = u32> + '_ {
+            (0..state.spec().num_traps()).map(|t| state.occupancy(TrapId(t)))
+        }
+        let mut run = RoundBackfill::new(
+            num_traps,
+            cap,
+            occupancies(&state).collect(),
+            BackfillRules {
+                credit: CreditRule::DepartureCredit,
+                share_only: false,
+                window: usize::MAX,
+            },
+        );
         let close_run = |state: &mut MachineState,
                          rounds: &mut Vec<TransportRound>,
-                         run: &mut Option<RoundBackfill>|
+                         run: &mut RoundBackfill|
          -> Result<(), TransportError> {
-            if let Some(bf) = run.take() {
-                for moves in bf.into_rounds() {
-                    state.apply_round(&moves).map_err(TransportError::Machine)?;
-                    ROUND_WIDTH.record(moves.len() as u64);
-                    rounds.push(TransportRound { moves });
-                }
+            if run.is_empty() {
+                return Ok(());
             }
+            for moves in run.drain_rounds() {
+                state.apply_round(&moves).map_err(TransportError::Machine)?;
+                ROUND_WIDTH.record(moves.len() as u64);
+                rounds.push(TransportRound { moves });
+            }
+            run.reset(occupancies(state));
             Ok(())
         };
 
@@ -275,22 +290,7 @@ impl TransportSchedule {
             match *op {
                 Operation::Gate { .. } => close_run(&mut state, &mut rounds, &mut run)?,
                 Operation::Shuttle { ion, from, to } => {
-                    let bf = match run.as_mut() {
-                        Some(bf) => bf,
-                        None => run.insert(RoundBackfill::new(
-                            num_traps,
-                            cap,
-                            (0..num_traps)
-                                .map(|t| state.occupancy(TrapId(t as u32)))
-                                .collect(),
-                            BackfillRules {
-                                credit: CreditRule::DepartureCredit,
-                                share_only: false,
-                                window: usize::MAX,
-                            },
-                        )),
-                    };
-                    bf.place(ShuttleMove { ion, from, to });
+                    run.place(ShuttleMove { ion, from, to });
                 }
             }
         }

@@ -151,13 +151,7 @@ fn packed(
         .with_timing(TimingModel::realistic());
     let result = compile(circuit, spec, &config).unwrap();
     let model = TimingModel::realistic();
-    let p = pack(
-        &result,
-        circuit,
-        spec,
-        &PackConfig::for_model(model).with_jobs(2),
-    )
-    .unwrap();
+    let p = pack(&result, circuit, spec, &PackConfig::for_model(model)).unwrap();
     (
         p.schedule.operations.len(),
         ops_digest(&p.schedule.operations),
