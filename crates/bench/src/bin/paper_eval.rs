@@ -6,21 +6,22 @@
 //!
 //! Subcommands: `table2`, `fig8`, `table3`, `ablation`, `proximity`,
 //! `mapping`, `routers`, `timing`, `lookahead`, `pack`, `objective`,
-//! `delta`, `profile`, `explain`, `fidelity`, `jobs`, `all`, plus the
-//! snapshot differ
+//! `all`, the `snapshot` gate (writes `BENCH.json` when absent, else
+//! checks a fresh run against it), and the snapshot differ
 //! `diff OLD.json NEW.json [--rel-tol X] [--json]` (exits 1 on any
 //! quality regression).
 
 use qccd_bench::{
-    aggregate_random, delta_parity, lookahead_packing_gains, objective_gains, pack_gains,
-    run_nisq_suite, run_random_suite, run_timing_sweep, run_topology_router_sweep,
-    standard_topologies, timed_compile, ComparisonRow, RANDOM_SUITE_SEED,
+    aggregate_random, lookahead_packing_gains, objective_gains, pack_gains, run_nisq_suite,
+    run_random_suite, run_timing_sweep, run_topology_router_sweep, standard_topologies,
+    timed_compile, ComparisonRow, RANDOM_SUITE_SEED,
 };
 use qccd_circuit::generators::{paper_suite, random_suite};
 use qccd_core::{
     compile, CompilerConfig, DirectionPolicy, IonSelection, MappingPolicy, RebalancePolicy,
 };
 use qccd_machine::MachineSpec;
+use qccd_obs::json::Json;
 use qccd_sim::SimParams;
 
 fn main() {
@@ -37,15 +38,14 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--per-size" => {
-                per_size = args
+                let value = args
                     .get(i + 1)
-                    .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage("--per-size needs a number"));
+                per_size = qccd_bench::parse_per_size(value).unwrap_or_else(|e| usage(&e));
                 i += 2;
             }
             "table2" | "fig8" | "table3" | "ablation" | "proximity" | "mapping" | "routers"
-            | "timing" | "lookahead" | "pack" | "objective" | "delta" | "profile" | "explain"
-            | "fidelity" | "jobs" | "all" => {
+            | "timing" | "lookahead" | "pack" | "objective" | "snapshot" | "all" => {
                 command = args[i].clone();
                 i += 1;
             }
@@ -86,11 +86,7 @@ fn main() {
         "lookahead" => lookahead(&spec),
         "pack" => pack(&spec),
         "objective" => objective(&spec),
-        "delta" => delta(&spec),
-        "profile" => profile(&spec, &params),
-        "explain" => explain(&spec, &params),
-        "fidelity" => fidelity(&spec, &params),
-        "jobs" => jobs_determinism(&spec, &params),
+        "snapshot" => snapshot(&spec, &params),
         "all" => {
             table2(&nisq, &random);
             fig8(&nisq, &random);
@@ -103,7 +99,6 @@ fn main() {
             lookahead(&spec);
             pack(&spec);
             objective(&spec);
-            delta(&spec);
         }
         _ => unreachable!("validated above"),
     }
@@ -112,7 +107,7 @@ fn main() {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: paper_eval [table2|fig8|table3|ablation|proximity|mapping|routers|timing|lookahead|pack|objective|delta|profile|explain|fidelity|jobs|all] [--per-size N]\n       paper_eval diff OLD.json NEW.json [--rel-tol X] [--json]"
+        "usage: paper_eval [table2|fig8|table3|ablation|proximity|mapping|routers|timing|lookahead|pack|objective|snapshot|all] [--per-size N]\n       paper_eval diff OLD.json NEW.json [--rel-tol X] [--json]"
     );
     std::process::exit(2);
 }
@@ -120,7 +115,7 @@ fn usage(msg: &str) -> ! {
 /// `paper_eval diff OLD.json NEW.json`: schema-aware comparison of two
 /// BENCH snapshots. Quality metrics are classified by direction
 /// (regression / improvement / unchanged); wall-clock and `profile` /
-/// `explain` data is informational. Exits 1 iff the diff contains at
+/// `explain` / `fidelity` data is informational. Exits 1 iff the diff contains at
 /// least one quality regression.
 fn diff_cmd(args: &[String]) {
     let mut files: Vec<String> = Vec::new();
@@ -163,7 +158,7 @@ fn diff_cmd(args: &[String]) {
             eprintln!("error: cannot read `{path}`: {e}");
             std::process::exit(2);
         });
-        qccd_bench::json::parse(&text).unwrap_or_else(|e| {
+        qccd_obs::json::parse(&text).unwrap_or_else(|e| {
             eprintln!("error: `{path}` is not valid JSON: {e}");
             std::process::exit(2);
         })
@@ -188,83 +183,12 @@ fn diff_cmd(args: &[String]) {
     }
 }
 
-/// Schedule explanation over the paper suite: profiles every benchmark
-/// (asserting the observes-never-decides parity `profile` asserts),
-/// recompiles the clock pipeline's chosen schedule, attributes its
-/// makespan along the critical path, and snapshots everything into
-/// `BENCH_pr8.json`. Two identities gate the write: the attribution
-/// segments must sum bit-for-bit to the timeline's makespan on every
-/// benchmark, and the snapshot's quality rows (everything outside
-/// `profile` / `explain` / `compile_seconds*`) must be bit-for-bit equal
-/// to the committed `BENCH_pr7.json`.
-fn explain(spec: &MachineSpec, params: &SimParams) {
-    use qccd_bench::json::{parse, strip_keys, Json};
-
-    println!("## Schedule explanation (paper suite, realistic timing)");
-    qccd_obs::info("paper_eval", || "profiling paper suite...".to_owned());
-    let model = qccd_core::TimingModel::realistic();
-    let profiles = qccd_bench::profile::profile_paper_suite(spec, params, &model);
-    println!(
-        "{:<16} {:>13} {:>11} {:>11} {:>11} {:>10} {:>10} {:>10} {:>6}",
-        "Benchmark",
-        "Makespan(us)",
-        "Gate(us)",
-        "Flight(us)",
-        "SplitM(us)",
-        "Junc(us)",
-        "Zone(us)",
-        "Idle(us)",
-        "Steps"
-    );
-    let mut explains: Vec<Json> = Vec::new();
-    for (bench, p) in paper_suite().iter().zip(&profiles) {
-        let explained = explain_benchmark(bench, p.row.clock_timed_makespan_us, spec, &model);
-        let attribution = &explained.attribution;
-        println!(
-            "{:<16} {:>13.1} {:>11.1} {:>11.1} {:>11.1} {:>10.1} {:>10.1} {:>10.1} {:>6}",
-            bench.name,
-            attribution.makespan_us,
-            attribution.gate_us,
-            attribution.flight_us,
-            attribution.split_merge_us,
-            attribution.junction_us,
-            attribution.zone_move_us,
-            attribution.idle_wait_us,
-            explained.steps
-        );
-        explains.push(explained.json);
-    }
-
-    let snapshot =
-        qccd_bench::profile::render_snapshot_with(spec, "realistic", &profiles, &explains);
-    // Parity gate: the explain snapshot only *adds* — its quality rows
-    // must be bit-for-bit what the committed PR 7 trajectory pinned.
-    let committed = std::fs::read_to_string("BENCH_pr7.json")
-        .expect("BENCH_pr7.json is committed at the repo root (run from there)");
-    let drop = |k: &str| k == "profile" || k == "explain" || k.starts_with("compile_seconds");
-    let old = strip_keys(
-        &parse(&committed).expect("committed BENCH_pr7.json parses"),
-        &drop,
-    );
-    let new = strip_keys(&parse(&snapshot).expect("the fresh snapshot parses"), &drop);
-    assert!(
-        old == new,
-        "BENCH_pr8.json quality rows diverged from the committed BENCH_pr7.json \
-         (explain observes, never decides — this is a regression)"
-    );
-    std::fs::write("BENCH_pr8.json", &snapshot).expect("can write BENCH_pr8.json");
-    println!("\nquality rows bit-for-bit equal to BENCH_pr7.json: yes");
-    println!("wrote BENCH_pr8.json ({} bytes)", snapshot.len());
-    println!();
-}
-
 /// One benchmark's recompiled clock artifact plus its critical-path
-/// explanation, shared by the `explain` and `fidelity` subcommands.
+/// explanation.
 struct ExplainedBenchmark {
     chosen: qccd_core::CompileResult,
-    attribution: qccd_timing::MakespanAttribution,
     steps: usize,
-    json: qccd_bench::json::Json,
+    json: Json,
 }
 
 /// Reproduces the clock pipeline's chosen schedule exactly as
@@ -276,14 +200,13 @@ struct ExplainedBenchmark {
 ///
 /// Panics if the recompiled timeline diverges from the profiled row, if
 /// the attribution segments do not sum bit-for-bit to the makespan, or if
-/// the critical path is not contiguous.
+/// the critical path is empty or not contiguous.
 fn explain_benchmark(
     bench: &qccd_circuit::generators::BenchmarkCircuit,
     row_makespan_us: f64,
     spec: &MachineSpec,
     model: &qccd_core::TimingModel,
 ) -> ExplainedBenchmark {
-    use qccd_bench::json::Json;
     use qccd_timing::{attribute_path, critical_path};
 
     let (packed, _) = qccd_pack::compile_packed(
@@ -319,8 +242,8 @@ fn explain_benchmark(
         chosen.timeline.makespan_us
     );
     assert!(
-        path.is_contiguous(),
-        "{}: critical path is not contiguous",
+        !path.steps.is_empty() && path.is_contiguous(),
+        "{}: critical path is empty or not contiguous",
         bench.name
     );
     let json = Json::obj(vec![
@@ -356,7 +279,6 @@ fn explain_benchmark(
     ]);
     ExplainedBenchmark {
         chosen,
-        attribution,
         steps: path.steps.len(),
         json,
     }
@@ -365,8 +287,7 @@ fn explain_benchmark(
 /// The per-benchmark `"fidelity"` snapshot value: the loss-decomposition
 /// totals, the duration/motional shares, and the top-3 worst gates and
 /// hottest traps by blamed heat loss.
-fn fidelity_json(attr: &qccd_sim::FidelityAttribution) -> qccd_bench::json::Json {
-    use qccd_bench::json::Json;
+fn fidelity_json(attr: &qccd_sim::FidelityAttribution) -> Json {
     Json::obj(vec![
         (
             "log_program_fidelity",
@@ -423,134 +344,58 @@ fn fidelity_json(attr: &qccd_sim::FidelityAttribution) -> qccd_bench::json::Json
     ])
 }
 
-/// Fidelity attribution over the paper suite: profiles every benchmark
-/// (asserting the observes-never-decides parity `profile` asserts),
-/// recompiles the clock pipeline's chosen schedule, replays it under the
-/// heat-provenance ledger, decomposes `log_program_fidelity` into
-/// per-gate duration vs motional loss terms, and snapshots everything
-/// into `BENCH_pr9.json`. Three identities gate the write on every
-/// benchmark: the schedule-explain identity `explain` asserts, the
-/// fidelity identity (loss terms and ledger reproduce
-/// `log_program_fidelity` and every sampled n̄ bit for bit), and the
-/// snapshot parity (quality rows outside `profile` / `explain` /
-/// `fidelity` / `compile_seconds*` must be bit-for-bit equal to the
-/// committed `BENCH_pr8.json`).
-fn fidelity(spec: &MachineSpec, params: &SimParams) {
-    use qccd_bench::json::{parse, strip_keys, Json};
+/// The committed snapshot `paper_eval snapshot` checks (run from the
+/// repository root), and where it writes the fresh run when one exists.
+const SNAPSHOT: &str = "BENCH.json";
+const FRESH_SNAPSHOT: &str = "BENCH.new.json";
 
-    println!("## Fidelity attribution (paper suite, realistic timing)");
-    qccd_obs::info("paper_eval", || "profiling paper suite...".to_owned());
-    let model = qccd_core::TimingModel::realistic();
-    let profiles = qccd_bench::profile::profile_paper_suite(spec, params, &model);
-    println!(
-        "{:<16} {:>12} {:>11} {:>11} {:>11} {:>11} {:>6} {:>6} {:>8}",
-        "Benchmark", "-lnF", "Dur(Gt)", "Motional", "Heat", "Shuttle", "Dur%", "Mot%", "Identity"
-    );
-    let mut explains: Vec<Json> = Vec::new();
-    let mut fidelities: Vec<Json> = Vec::new();
-    for (bench, p) in paper_suite().iter().zip(&profiles) {
-        let explained = explain_benchmark(bench, p.row.clock_timed_makespan_us, spec, &model);
-        let attr = qccd_sim::attribute_fidelity_timed(
-            &explained.chosen.schedule,
-            &explained.chosen.transport,
-            &bench.circuit,
-            spec,
-            params,
-            &model,
-        )
-        .expect("benchmark schedules replay under the physics model");
-        assert!(
-            attr.identity_holds(),
-            "{}: fidelity attribution identity violated (the loss terms and \
-             heat ledger do not reproduce log_program_fidelity = {} bit for bit)",
-            bench.name,
-            attr.report.log_program_fidelity
-        );
-        assert!(
-            attr.report.program_fidelity.to_bits() == p.row.clock_sim.program_fidelity.to_bits(),
-            "{}: attribution replay diverged from the profiled clock row \
-             ({} vs {})",
-            bench.name,
-            attr.report.program_fidelity,
-            p.row.clock_sim.program_fidelity
-        );
-        println!(
-            "{:<16} {:>12.4e} {:>11.4e} {:>11.4e} {:>11.4e} {:>11.4e} {:>5.1}% {:>5.1}% {:>8}",
-            bench.name,
-            attr.total_loss(),
-            attr.gate_duration_loss,
-            attr.gate_motional_loss,
-            attr.gate_heat_loss,
-            attr.shuttle_pulse_loss,
-            100.0 * attr.duration_share(),
-            100.0 * attr.motional_share(),
-            "yes"
-        );
-        explains.push(explained.json);
-        fidelities.push(fidelity_json(&attr));
-    }
-
-    let snapshot = qccd_bench::profile::render_snapshot_full(
-        spec,
-        "realistic",
-        &profiles,
-        &explains,
-        &fidelities,
-    );
-    // Parity gate: the fidelity snapshot only *adds* — its quality rows
-    // must be bit-for-bit what the committed PR 8 trajectory pinned.
-    let committed = std::fs::read_to_string("BENCH_pr8.json")
-        .expect("BENCH_pr8.json is committed at the repo root (run from there)");
-    let drop = |k: &str| {
-        k == "profile" || k == "explain" || k == "fidelity" || k.starts_with("compile_seconds")
-    };
-    let old = strip_keys(
-        &parse(&committed).expect("committed BENCH_pr8.json parses"),
-        &drop,
-    );
-    let new = strip_keys(&parse(&snapshot).expect("the fresh snapshot parses"), &drop);
-    assert!(
-        old == new,
-        "BENCH_pr9.json quality rows diverged from the committed BENCH_pr8.json \
-         (fidelity attribution observes, never decides — this is a regression)"
-    );
-    std::fs::write("BENCH_pr9.json", &snapshot).expect("can write BENCH_pr9.json");
-    println!(
-        "\nfidelity identity holds on all {} benchmarks",
-        profiles.len()
-    );
-    println!("quality rows bit-for-bit equal to BENCH_pr8.json: yes");
-    println!("wrote BENCH_pr9.json ({} bytes)", snapshot.len());
-    println!();
-}
-
-/// Parallel speculative scoring over the paper suite: every benchmark is
-/// compiled through the clock pipeline at `--jobs` widths 1, 4 and 8, and
-/// the quality figures (chosen makespan bits, clock stats, schedule,
-/// transport) must be bit-for-bit identical at every width. Wall-clock
-/// compile times (min over three runs) at jobs 1 and 4 ride into
-/// `BENCH_pr10.json` per benchmark, gated on quality parity with the
-/// committed `BENCH_pr9.json`.
+/// `paper_eval snapshot`: builds the whole `BENCH.json` document and
+/// gates it. Every identity is asserted in-run, on every paper
+/// benchmark:
 ///
-/// The recorded speedup is whatever this host actually measures — the
-/// `compile_seconds*` keys are informational by prefix, so single-core
-/// machines record an honest ~1x rather than an aspirational figure.
-fn jobs_determinism(spec: &MachineSpec, params: &SimParams) {
-    use qccd_bench::json::{parse, strip_keys, Json};
+/// * the clock pipeline at `--jobs` 1, 4 and 8 is bit-for-bit identical
+///   (chosen makespan bits, clock stats, schedule, transport);
+/// * instrumentation observes, never decides, and the delta scorer
+///   serves every candidate ([`qccd_bench::profile::profile_suite`]);
+/// * the critical-path attribution sums bit-for-bit to the makespan over
+///   a non-empty path;
+/// * the fidelity attribution reproduces `log_program_fidelity` bit for
+///   bit, with a positive total loss, duration and motional shares in
+///   `[0, 1]` summing to at most 1, and non-empty worst-gate and
+///   hottest-trap lists.
+///
+/// With no `BENCH.json` present the run writes it (a deliberate re-pin,
+/// which the change's diff then shows). Otherwise it writes
+/// `BENCH.new.json` and panics, naming the paths, unless the two agree
+/// bit for bit outside the wall-clock keys
+/// ([`qccd_bench::diff::snapshot_mismatches`]).
+fn snapshot(spec: &MachineSpec, params: &SimParams) {
+    use qccd_bench::profile::{render_snapshot, SnapshotRow};
     use std::time::Instant;
 
     const TIMING_RUNS: usize = 3;
 
-    println!("## Parallel speculative scoring (--jobs): determinism + wall clock");
+    println!("## BENCH.json snapshot (paper suite, realistic timing)");
     let model = qccd_core::TimingModel::realistic();
     let clock_config = CompilerConfig::optimized().with_timing(model);
     println!(
-        "{:<16} {:>14} {:>5} {:>11} {:>11} {:>8} {:>14}",
-        "Benchmark", "Makespan(us)", "Ties", "jobs=1 (s)", "jobs=4 (s)", "Speedup", "Deterministic"
+        "{:<16} {:>14} {:>5} {:>11} {:>11} {:>8} {:>6} {:>12} {:>6} {:>6}",
+        "Benchmark",
+        "Makespan(us)",
+        "Ties",
+        "jobs=1 (s)",
+        "jobs=4 (s)",
+        "Speedup",
+        "Steps",
+        "-lnF",
+        "Dur%",
+        "Mot%"
     );
-    let mut jobs_values: Vec<Json> = Vec::new();
-    let mut chosen_makespans: Vec<f64> = Vec::new();
-    for bench in paper_suite().iter() {
+    let suite = paper_suite();
+    qccd_obs::info("paper_eval", || "profiling paper suite...".to_owned());
+    let profiles = qccd_bench::profile::profile_suite(&suite, spec, params, &model);
+    let mut rows: Vec<SnapshotRow> = Vec::new();
+    for (bench, profile) in suite.iter().zip(profiles) {
         let run = |jobs: usize, runs: usize| {
             let config = clock_config.with_jobs(jobs);
             let mut best = f64::INFINITY;
@@ -586,38 +431,14 @@ fn jobs_determinism(spec: &MachineSpec, params: &SimParams) {
                 bench.name
             );
         }
-        println!(
-            "{:<16} {:>14.1} {:>5} {:>11.3} {:>11.3} {:>7.2}x {:>14}",
-            bench.name,
-            chosen.timeline.makespan_us,
-            stats.clock_ties,
-            secs1,
-            secs4,
-            secs1 / secs4,
-            "yes"
-        );
-        jobs_values.push(Json::obj(vec![
-            ("compile_seconds_jobs1", Json::Num(secs1)),
-            ("compile_seconds_jobs4", Json::Num(secs4)),
-            ("compile_seconds_speedup_jobs4", Json::Num(secs1 / secs4)),
-        ]));
-        chosen_makespans.push(chosen.timeline.makespan_us);
-    }
-
-    qccd_obs::info("paper_eval", || "profiling paper suite...".to_owned());
-    let profiles = qccd_bench::profile::profile_paper_suite(spec, params, &model);
-    let mut explains: Vec<Json> = Vec::new();
-    let mut fidelities: Vec<Json> = Vec::new();
-    for ((bench, p), makespan) in paper_suite().iter().zip(&profiles).zip(&chosen_makespans) {
+        let explained = explain_benchmark(bench, chosen.timeline.makespan_us, spec, &model);
         assert!(
-            p.row.clock_timed_makespan_us.to_bits() == makespan.to_bits(),
-            "{}: profiled clock row diverged from the jobs determinism sweep \
-             ({} vs {})",
+            profile.row.clock_timed_makespan_us.to_bits() == chosen.timeline.makespan_us.to_bits(),
+            "{}: profiled clock row diverged from the jobs determinism sweep ({} vs {})",
             bench.name,
-            p.row.clock_timed_makespan_us,
-            makespan
+            profile.row.clock_timed_makespan_us,
+            chosen.timeline.makespan_us
         );
-        let explained = explain_benchmark(bench, p.row.clock_timed_makespan_us, spec, &model);
         let attr = qccd_sim::attribute_fidelity_timed(
             &explained.chosen.schedule,
             &explained.chosen.transport,
@@ -627,54 +448,98 @@ fn jobs_determinism(spec: &MachineSpec, params: &SimParams) {
             &model,
         )
         .expect("benchmark schedules replay under the physics model");
-        assert!(
-            attr.identity_holds(),
-            "{}: fidelity attribution identity violated",
-            bench.name
+        check_fidelity(&bench.name, &attr);
+        println!(
+            "{:<16} {:>14.1} {:>5} {:>11.3} {:>11.3} {:>7.2}x {:>6} {:>12.4e} {:>5.1}% {:>5.1}%",
+            bench.name,
+            chosen.timeline.makespan_us,
+            stats.clock_ties,
+            secs1,
+            secs4,
+            secs1 / secs4,
+            explained.steps,
+            attr.total_loss(),
+            100.0 * attr.duration_share(),
+            100.0 * attr.motional_share()
         );
-        explains.push(explained.json);
-        fidelities.push(fidelity_json(&attr));
+        rows.push(SnapshotRow {
+            profile,
+            explain: explained.json,
+            fidelity: fidelity_json(&attr),
+            jobs: Json::obj(vec![
+                ("compile_seconds_jobs1", Json::Num(secs1)),
+                ("compile_seconds_jobs4", Json::Num(secs4)),
+                ("compile_seconds_speedup_jobs4", Json::Num(secs1 / secs4)),
+            ]),
+        });
     }
-
-    let snapshot = qccd_bench::profile::render_snapshot_jobs(
-        spec,
-        "realistic",
-        &profiles,
-        &explains,
-        &fidelities,
-        &jobs_values,
-        Some(true),
-    );
-    // Parity gate: the jobs snapshot only *adds* — its quality rows must
-    // be bit-for-bit what the committed PR 9 trajectory pinned.
-    let committed = std::fs::read_to_string("BENCH_pr9.json")
-        .expect("BENCH_pr9.json is committed at the repo root (run from there)");
-    let drop = |k: &str| {
-        k == "profile"
-            || k == "explain"
-            || k == "fidelity"
-            || k == "jobs"
-            || k == "all_jobs_deterministic"
-            || k.starts_with("compile_seconds")
-    };
-    let old = strip_keys(
-        &parse(&committed).expect("committed BENCH_pr9.json parses"),
-        &drop,
-    );
-    let new = strip_keys(&parse(&snapshot).expect("the fresh snapshot parses"), &drop);
-    assert!(
-        old == new,
-        "BENCH_pr10.json quality rows diverged from the committed BENCH_pr9.json \
-         (parallel scoring is a pure wall-clock change — this is a regression)"
-    );
-    std::fs::write("BENCH_pr10.json", &snapshot).expect("can write BENCH_pr10.json");
     println!(
-        "\nall {} benchmarks bit-for-bit identical at jobs 1, 4 and 8",
-        profiles.len()
+        "\nall {} benchmarks bit-for-bit identical at jobs 1, 4 and 8; every identity holds",
+        rows.len()
     );
-    println!("quality rows bit-for-bit equal to BENCH_pr9.json: yes");
-    println!("wrote BENCH_pr10.json ({} bytes)", snapshot.len());
+
+    let fresh = render_snapshot(spec, "realistic", &rows, true);
+    let committed = match std::fs::read_to_string(SNAPSHOT) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            std::fs::write(SNAPSHOT, &fresh).expect("can write BENCH.json");
+            println!(
+                "no {SNAPSHOT} to check against: wrote it ({} bytes)",
+                fresh.len()
+            );
+            return;
+        }
+        Err(e) => panic!("cannot read {SNAPSHOT}: {e}"),
+    };
+    std::fs::write(FRESH_SNAPSHOT, &fresh).expect("can write BENCH.new.json");
+    println!("wrote {FRESH_SNAPSHOT} ({} bytes)", fresh.len());
+    let mismatches = qccd_bench::diff::snapshot_mismatches(
+        &qccd_obs::json::parse(&committed).expect("the committed BENCH.json parses"),
+        &qccd_obs::json::parse(&fresh).expect("the fresh snapshot parses"),
+    );
+    assert!(
+        mismatches.is_empty(),
+        "{FRESH_SNAPSHOT} diverged from the committed {SNAPSHOT} outside the wall-clock keys \
+         at {} path(s): {}\n(re-pin on purpose by replacing {SNAPSHOT} with {FRESH_SNAPSHOT})",
+        mismatches.len(),
+        mismatches.join(", ")
+    );
+    println!("bit-for-bit equal to {SNAPSHOT} outside the wall-clock keys: yes");
     println!();
+}
+
+/// The fidelity attribution's sanity bounds on one benchmark.
+///
+/// # Panics
+///
+/// Panics if the loss terms and heat ledger do not reproduce
+/// `log_program_fidelity` bit for bit, if the total loss is not positive,
+/// if a share leaves `[0, 1]` or the two shares sum above 1, or if no
+/// worst gate or hottest trap is blamed.
+fn check_fidelity(name: &str, attr: &qccd_sim::FidelityAttribution) {
+    let (duration, motional) = (attr.duration_share(), attr.motional_share());
+    assert!(
+        attr.identity_holds(),
+        "{name}: fidelity attribution identity violated"
+    );
+    assert!(
+        attr.total_loss() > 0.0,
+        "{name}: total log loss {} is not positive",
+        attr.total_loss()
+    );
+    assert!(
+        (0.0..=1.0).contains(&duration)
+            && (0.0..=1.0).contains(&motional)
+            && duration + motional <= 1.0 + 1e-12,
+        "{name}: loss shares out of range (duration {duration}, motional {motional})"
+    );
+    assert!(
+        attr.worst_gates(3)
+            .iter()
+            .any(|t| matches!(t, qccd_sim::LossTerm::Gate { .. }))
+            && !attr.hottest_traps(3).is_empty(),
+        "{name}: no worst gate or hottest trap blamed"
+    );
 }
 
 /// Topology × router sweep: the paper benchmarks on the L6-class machine
@@ -830,108 +695,6 @@ fn objective(spec: &MachineSpec) {
         rows.iter().any(|r| r.improved),
         "the clock objective must strictly beat the packed stack on at least one benchmark"
     );
-    println!();
-}
-
-/// Score-mode parity: the clock pipeline under the delta scorer against
-/// the same pipeline under the O(suffix) re-lower oracle. This is the
-/// PR 6 acceptance gate — every quality figure must match bit-for-bit on
-/// every paper benchmark; the compile-second columns show what the delta
-/// scorer buys.
-fn delta(spec: &MachineSpec) {
-    println!("## Score-mode parity — delta scorer vs full re-lower oracle (realistic timing)");
-    println!(
-        "{:<16} {:>12} {:>12} {:>6} {:>7} {:>9} {:>9} {:>8} {:>7}",
-        "Benchmark",
-        "DeltaMk(us)",
-        "FullMk(us)",
-        "Ties",
-        "Batch",
-        "Delta(s)",
-        "Full(s)",
-        "Speedup",
-        "Match"
-    );
-    qccd_obs::info("paper_eval", || "score-mode parity...".to_owned());
-    let rows = delta_parity(&paper_suite(), spec);
-    for r in &rows {
-        println!(
-            "{:<16} {:>12.1} {:>12.1} {:>6} {:>7} {:>9.3} {:>9.3} {:>7.1}x {:>7}",
-            r.name,
-            r.delta_makespan_us,
-            r.full_makespan_us,
-            r.delta_ties,
-            r.delta_batched_layers,
-            r.delta_compile_s,
-            r.full_compile_s,
-            r.speedup(),
-            r.matches()
-        );
-        assert!(
-            r.matches(),
-            "{}: delta and full scoring diverged (delta {:?} vs full {:?} makespan, \
-             {}/{} shuttles, {}/{} depth, {}/{} ties, {}/{} layers, {}/{} hops)",
-            r.name,
-            r.delta_makespan_us,
-            r.full_makespan_us,
-            r.delta_shuttles,
-            r.full_shuttles,
-            r.delta_depth,
-            r.full_depth,
-            r.delta_ties,
-            r.full_ties,
-            r.delta_batched_layers,
-            r.full_batched_layers,
-            r.delta_batched_hops,
-            r.full_batched_hops
-        );
-    }
-    println!();
-}
-
-/// Profiled BENCH trajectory: runs the paper suite under the realistic
-/// timing model with the `qccd-obs` recorder on, asserts every quality
-/// figure is bit-for-bit equal to an uninstrumented reference run, and
-/// snapshots the rows plus per-phase breakdowns and hot-path counters
-/// into `BENCH_pr7.json`.
-fn profile(spec: &MachineSpec, params: &SimParams) {
-    println!("## Profiled compile trajectory (paper suite, realistic timing)");
-    qccd_obs::info("paper_eval", || "profiling paper suite...".to_owned());
-    let model = qccd_core::TimingModel::realistic();
-    let profiles = qccd_bench::profile::profile_paper_suite(spec, params, &model);
-    println!(
-        "{:<16} {:>12} {:>14} {:>16} {:>10} {:>10}",
-        "Benchmark", "Wall(ms)", "Hottest phase", "Cand. scored", "DeltaHit%", "Backfills"
-    );
-    for p in &profiles {
-        let hottest = p
-            .phases
-            .first()
-            .map_or("-", |ph| ph.name.as_str())
-            .to_owned();
-        let scored = p
-            .counters
-            .iter()
-            .find(|(n, _)| n == "core.candidates_scored")
-            .map_or(0, |&(_, v)| v);
-        let backfills = p
-            .counters
-            .iter()
-            .find(|(n, _)| n == "route.backfill_attempts")
-            .map_or(0, |&(_, v)| v);
-        println!(
-            "{:<16} {:>12.1} {:>14} {:>16} {:>9.1}% {:>10}",
-            p.row.name,
-            p.wall_us / 1_000.0,
-            hottest,
-            scored,
-            100.0 * p.delta_hit_rate,
-            backfills
-        );
-    }
-    let snapshot = qccd_bench::profile::render_snapshot(spec, "realistic", &profiles);
-    std::fs::write("BENCH_pr7.json", &snapshot).expect("can write BENCH_pr7.json");
-    println!("\nwrote BENCH_pr7.json ({} bytes)", snapshot.len());
     println!();
 }
 

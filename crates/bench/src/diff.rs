@@ -1,25 +1,31 @@
-//! `paper_eval diff` — schema-aware comparison of two BENCH snapshots.
+//! Snapshot comparison: the `paper_eval snapshot` parity gate and the
+//! schema-aware `paper_eval diff`.
 //!
-//! The BENCH trajectory (`BENCH_pr2.json` … `BENCH_pr8.json`) carries
-//! three kinds of leaves, and a useful differ must not treat them alike:
+//! The committed `BENCH.json` carries three kinds of leaves:
 //!
 //! * **quality metrics** (shuttle counts, makespans, fidelities, the
 //!   suite-level acceptance flags) — the values this repo pins
 //!   bit-for-bit; any drift in the *bad* direction is a regression.
-//! * **wall-clock figures** (`compile_seconds*`, the `profile` subtree's
-//!   phase times and counters, `wall_us`) — machine-dependent noise;
-//!   reported but never gating.
-//! * **structure** (names, key sets) — a key present on one side only is
-//!   surfaced so schema evolution is visible instead of silently skipped.
+//! * **deterministic observability** (the `profile` subtree's work
+//!   counters and histograms, the `explain` and `fidelity`
+//!   attributions) — the same on every run of the same code.
+//! * **wall-clock figures** (`compile_seconds*`, `wall_us`, the
+//!   `profile.phases` times, the `jobs` subtree) — machine-dependent
+//!   noise.
 //!
-//! [`diff_snapshots`] walks two parsed documents in parallel, classifies
-//! every shared numeric/boolean leaf by the direction inferred from its
-//! key name, and returns a [`DiffReport`] renderable as markdown or JSON.
-//! `paper_eval diff OLD NEW` exits non-zero iff the report contains a
-//! quality regression — the structured replacement for the hand-written
-//! per-PR CI asserts.
+//! [`snapshot_mismatches`] is the gate: after stripping the wall-clock
+//! keys ([`is_wall_clock_key`]) two snapshots of the same code must be
+//! equal bit for bit, observability included, and any difference is
+//! named by path.
+//!
+//! [`diff_snapshots`] is the review aid: it walks two parsed documents in
+//! parallel, classifies every shared numeric/boolean leaf by the
+//! direction inferred from its key name (observability and wall-clock
+//! leaves are informational), and returns a [`DiffReport`] renderable as
+//! markdown or JSON. `paper_eval diff OLD NEW` exits non-zero iff the
+//! report contains a quality regression.
 
-use crate::json::Json;
+use qccd_obs::json::{strip_keys, Json};
 
 /// How a changed metric is judged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -407,6 +413,39 @@ fn walk(path: &str, old: &Json, new: &Json, rel_tol: f64, report: &mut DiffRepor
     }
 }
 
+/// `true` for the snapshot keys whose values are wall-clock measurements:
+/// `compile_seconds*`, `wall_us`, `phases` (the `profile` subtree's
+/// per-phase times) and `jobs` (the `--jobs` timings).
+pub fn is_wall_clock_key(key: &str) -> bool {
+    key.starts_with("compile_seconds") || matches!(key, "wall_us" | "phases" | "jobs")
+}
+
+/// The paths at which `fresh` differs from `committed` once both are
+/// stripped of wall-clock keys; empty iff the two snapshots agree bit for
+/// bit on everything else, work counters and histograms included.
+pub fn snapshot_mismatches(committed: &Json, fresh: &Json) -> Vec<String> {
+    let old = strip_keys(committed, &is_wall_clock_key);
+    let new = strip_keys(fresh, &is_wall_clock_key);
+    if old == new {
+        return Vec::new();
+    }
+    let report = diff_snapshots(&old, &new, 0.0);
+    let mut paths: Vec<String> = report
+        .metrics
+        .iter()
+        .filter(|m| m.old.to_bits() != m.new.to_bits())
+        .map(|m| m.path.clone())
+        .chain(report.removed.iter().map(|p| format!("{p} (removed)")))
+        .chain(report.added.iter().map(|p| format!("{p} (added)")))
+        .chain(report.strings_changed.iter().map(|(p, _, _)| p.clone()))
+        .collect();
+    if paths.is_empty() {
+        // Same leaves under a different order: still not the same document.
+        paths.push("(element order)".to_owned());
+    }
+    paths
+}
+
 /// Compares two parsed snapshots. `rel_tol` is the relative tolerance
 /// under which a quality metric counts as unchanged — 0 demands the
 /// repo's usual bit-for-bit equality.
@@ -419,7 +458,7 @@ pub fn diff_snapshots(old: &Json, new: &Json, rel_tol: f64) -> DiffReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use qccd_obs::json::parse;
 
     fn snapshot(makespan: f64, fidelity: f64, compile_s: f64) -> Json {
         Json::obj(vec![
@@ -626,6 +665,91 @@ mod tests {
         }
         let report = diff_snapshots(&old, &cleared, 0.0);
         assert_eq!(report.regressions().len(), 1, "true→false on an all_ flag");
+    }
+
+    /// Sets the leaf at `path` (object keys, or array indices) to `value`.
+    fn set(doc: &mut Json, path: &[&str], value: Json) {
+        let Some((head, rest)) = path.split_first() else {
+            *doc = value;
+            return;
+        };
+        let child = match doc {
+            Json::Obj(pairs) => pairs
+                .iter_mut()
+                .find(|(k, _)| k == head)
+                .map(|(_, v)| v)
+                .unwrap_or_else(|| panic!("no key {head}")),
+            Json::Arr(items) => &mut items[head.parse::<usize>().expect("array index")],
+            _ => panic!("{head}: not a container"),
+        };
+        set(child, rest, value);
+    }
+
+    /// The `paper_eval snapshot` gate on a real rendered snapshot: editing
+    /// one work counter or one quality leaf fails it and names the path;
+    /// editing only wall-clock leaves passes.
+    #[test]
+    fn snapshot_parity_gates_counters_and_quality_but_not_wall_clock() {
+        use crate::profile::{profile_suite, render_snapshot, SnapshotRow};
+        use qccd_circuit::generators::{random_circuit, BenchmarkCircuit};
+        use qccd_machine::MachineSpec;
+        use qccd_sim::SimParams;
+        use qccd_timing::TimingModel;
+
+        let spec = MachineSpec::linear(3, 8, 2).unwrap();
+        let bench = BenchmarkCircuit {
+            name: "tiny".into(),
+            circuit: random_circuit(12, 80, 3),
+        };
+        let model = TimingModel::realistic();
+        let profile = profile_suite(&[bench], &spec, &SimParams::default(), &model)
+            .pop()
+            .expect("one profile per benchmark");
+        let counter = profile.counters[0].0.clone();
+        let row = SnapshotRow {
+            profile,
+            explain: Json::obj(vec![("critical_path_steps", Json::int(7))]),
+            fidelity: Json::obj(vec![("identity", Json::Bool(true))]),
+            jobs: Json::obj(vec![("compile_seconds_jobs1", Json::Num(0.5))]),
+        };
+        let committed = parse(&render_snapshot(&spec, "realistic", &[row], true)).unwrap();
+        assert!(snapshot_mismatches(&committed, &committed).is_empty());
+
+        let gated: [(&[&str], &str); 3] = [
+            (
+                &["benchmarks", "0", "profile", "counters", &counter],
+                "profile.counters.",
+            ),
+            (
+                &["benchmarks", "0", "clock", "clock_timed_makespan_us"],
+                "clock.clock_timed_makespan_us",
+            ),
+            (
+                &["benchmarks", "0", "explain", "critical_path_steps"],
+                "explain.",
+            ),
+        ];
+        for (path, needle) in gated {
+            let mut fresh = committed.clone();
+            set(&mut fresh, path, Json::Num(1e9));
+            let mismatches = snapshot_mismatches(&committed, &fresh);
+            assert_eq!(mismatches.len(), 1, "{path:?}: {mismatches:?}");
+            assert!(mismatches[0].contains(needle), "{mismatches:?}");
+        }
+
+        let wall_clock: [&[&str]; 5] = [
+            &["benchmarks", "0", "clock", "compile_seconds"],
+            &["benchmarks", "0", "baseline", "compile_seconds"],
+            &["benchmarks", "0", "profile", "phases"],
+            &["benchmarks", "0", "profile", "wall_us"],
+            &["benchmarks", "0", "jobs"],
+        ];
+        let mut fresh = committed.clone();
+        for path in wall_clock {
+            set(&mut fresh, path, Json::Num(1e9));
+        }
+        assert_ne!(fresh, committed);
+        assert!(snapshot_mismatches(&committed, &fresh).is_empty());
     }
 
     #[test]

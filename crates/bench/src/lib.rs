@@ -14,17 +14,18 @@
 //! | `ablation`  | per-heuristic contribution (§III design choices) |
 //! | `proximity` | §III-A3 proximity design-parameter sweep |
 //! | `all`       | everything above |
+//! | `snapshot`  | writes or checks `BENCH.json` (see [`profile`]) |
 //!
 //! Random-suite size defaults to the paper's 30 circuits per qubit count
-//! (120 total); pass `--per-size N` to shrink it for quick runs.
+//! (120 total); pass `--per-size N` (1 to [`MAX_PER_SIZE`]) to shrink it
+//! for quick runs.
 
 pub mod diff;
-pub mod json;
 pub mod profile;
 
 use qccd_circuit::generators::{paper_suite, random_suite, BenchmarkCircuit};
 use qccd_circuit::Circuit;
-use qccd_core::{compile, CompileResult, CompilerConfig, Objective, RouterPolicy, ScoreMode};
+use qccd_core::{compile, CompileResult, CompilerConfig, Objective, RouterPolicy};
 use qccd_machine::{MachineSpec, TrapTopology};
 use qccd_route::TransportSchedule;
 use qccd_sim::{attribute_fidelity_timed, simulate_timed, simulate_traced, SimParams, SimReport};
@@ -36,6 +37,40 @@ pub const RANDOM_SUITE_SEED: u64 = 0xDA7E_2022;
 
 /// Samples per compile-seconds measurement (see [`min_compile_seconds`]).
 pub const TIMING_RUNS: usize = 3;
+
+/// The most gates a generated circuit or suite may have: 2^24 =
+/// 16 777 216, about 250× the largest circuit in the paper-scale
+/// workloads. Larger requests are usage errors, rejected before
+/// generating, instead of allocation failures.
+pub const MAX_GATES: u64 = 1 << 24;
+
+/// The most gates one random-suite circuit can have: the suite samples
+/// `1438 + 413 × 1.7 × (a + b − 1)` gates with `a + b < 2`, rounded.
+pub const RANDOM_SUITE_CIRCUIT_GATES: u64 = 2140;
+
+/// The largest `--per-size`: the random suite (four sizes, `per_size`
+/// circuits each) must stay within [`MAX_GATES`] gates in the worst case.
+pub const MAX_PER_SIZE: u64 = MAX_GATES / (4 * RANDOM_SUITE_CIRCUIT_GATES);
+
+/// Parses a `--per-size` value, rejecting 0 (a vacuous report over no
+/// circuits) and values above [`MAX_PER_SIZE`] before generating
+/// anything.
+///
+/// # Errors
+///
+/// Returns the usage message for a non-number or an out-of-range value.
+pub fn parse_per_size(v: &str) -> Result<usize, String> {
+    let n: u64 = v
+        .parse()
+        .map_err(|_| format!("--per-size: `{v}` is not a valid number"))?;
+    if n == 0 || n > MAX_PER_SIZE {
+        return Err(format!(
+            "--per-size must be between 1 and {MAX_PER_SIZE} (the random suite may hold at \
+             most {MAX_GATES} gates), got {n}"
+        ));
+    }
+    Ok(n as usize)
+}
 
 /// One benchmark compiled under both configurations.
 #[derive(Debug, Clone)]
@@ -90,17 +125,11 @@ pub struct ComparisonRow {
     pub clock_stats: qccd_pack::ClockStats,
     /// Simulation of the clock pipeline's chosen schedule.
     pub clock_sim: SimReport,
-    /// Wall-clock seconds of the clock-objective compile loop under the
-    /// default delta scorer (`--score-mode delta`). Like
+    /// Wall-clock seconds of the clock-objective compile loop. Like
     /// `baseline_compile_s`/`optimized_compile_s` this times
     /// [`qccd_core::compile`] — the loop where candidate scoring lives —
-    /// not the mode-independent post-compile pack passes.
+    /// not the post-compile pack passes.
     pub clock_compile_s: f64,
-    /// Wall-clock seconds of the same compile loop under the full
-    /// re-lower oracle (`--score-mode full`, which replays the whole
-    /// committed schedule per candidate) — the figure the delta scorer's
-    /// speed-up is measured against.
-    pub clock_full_compile_s: f64,
     /// Idle fraction of the machine over the optimized schedule's traced
     /// replay ([`qccd_sim::simulate_traced`]): `1 − mean(trap busy) /
     /// makespan`, in `[0, 1]`.
@@ -231,21 +260,13 @@ pub fn compare_timed(
         &CompilerConfig::optimized().with_timing(*model),
     )
     .expect("benchmark circuits compile under the clock objective");
-    // Time the clock-objective *compile loop* under both score modes —
-    // the same section `baseline_compile_s`/`optimized_compile_s` time,
-    // and the one candidate scoring runs in. Bit-for-bit result parity
-    // between the modes is asserted by `delta_parity` / `paper_eval
-    // delta`, not here.
+    // Time the clock-objective *compile loop* — the same section
+    // `baseline_compile_s`/`optimized_compile_s` time, and the one
+    // candidate scoring runs in.
     let clock_config = CompilerConfig::optimized()
         .with_timing(*model)
         .with_objective(Objective::Clock);
     let clock_compile_s = min_compile_seconds(&bench.circuit, spec, &clock_config, TIMING_RUNS);
-    let clock_full_compile_s = min_compile_seconds(
-        &bench.circuit,
-        spec,
-        &clock_config.with_score_mode(ScoreMode::Full),
-        TIMING_RUNS,
-    );
     let baseline_sim = simulate_timed(
         &base.schedule,
         &base.transport,
@@ -341,7 +362,6 @@ pub fn compare_timed(
         clock_stats,
         clock_sim,
         clock_compile_s,
-        clock_full_compile_s,
         idle_fraction,
         hottest_trap,
         hottest_trap_busy_us,
@@ -707,123 +727,6 @@ pub fn objective_gains(benches: &[BenchmarkCircuit], spec: &MachineSpec) -> Vec<
         .collect()
 }
 
-/// One benchmark's clock pipeline run under both scoring modes — the
-/// delta scorer and the O(suffix) re-lower oracle — with every quality
-/// figure carried so parity can be asserted bit-for-bit.
-#[derive(Debug, Clone)]
-pub struct DeltaParityRow {
-    /// Benchmark name.
-    pub name: String,
-    /// Chosen timed makespan under `--score-mode delta`, µs.
-    pub delta_makespan_us: f64,
-    /// Chosen timed makespan under `--score-mode full`, µs.
-    pub full_makespan_us: f64,
-    /// Chosen shuttle hops under each mode.
-    pub delta_shuttles: usize,
-    /// See `delta_shuttles`.
-    pub full_shuttles: usize,
-    /// Chosen transport depth under each mode.
-    pub delta_depth: usize,
-    /// See `delta_depth`.
-    pub full_depth: usize,
-    /// Open decisions re-arbitrated on the clock under each mode.
-    pub delta_ties: usize,
-    /// See `delta_ties`.
-    pub full_ties: usize,
-    /// Batched gate-free layers planned under each mode.
-    pub delta_batched_layers: usize,
-    /// See `delta_batched_layers`.
-    pub full_batched_layers: usize,
-    /// Hops emitted by batched layers under each mode.
-    pub delta_batched_hops: usize,
-    /// See `delta_batched_hops`.
-    pub full_batched_hops: usize,
-    /// Wall-clock seconds of the clock-objective *compile loop*
-    /// ([`qccd_core::compile`], where candidate scoring runs) under each
-    /// mode — the post-compile pack passes are mode-independent and are
-    /// excluded so the ratio measures the scorer, not shared work.
-    pub delta_compile_s: f64,
-    /// See `delta_compile_s`.
-    pub full_compile_s: f64,
-}
-
-impl DeltaParityRow {
-    /// `true` when the two modes produced bit-for-bit identical results
-    /// (makespan compared by exact equality — the modes share every
-    /// floating-point operation, so any drift is a scorer bug).
-    pub fn matches(&self) -> bool {
-        self.delta_makespan_us == self.full_makespan_us
-            && self.delta_shuttles == self.full_shuttles
-            && self.delta_depth == self.full_depth
-            && self.delta_ties == self.full_ties
-            && self.delta_batched_layers == self.full_batched_layers
-            && self.delta_batched_hops == self.full_batched_hops
-    }
-
-    /// Compile-time speed-up of the delta scorer over the full oracle.
-    pub fn speedup(&self) -> f64 {
-        if self.delta_compile_s <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.full_compile_s / self.delta_compile_s
-    }
-}
-
-/// Runs the clock pipeline on every benchmark under both scoring modes
-/// (optimized policy stack, realistic timing — the objective acceptance
-/// configuration) and returns the paired rows. `paper_eval delta` gates
-/// CI on every row's [`DeltaParityRow::matches`].
-///
-/// # Panics
-///
-/// Panics if a benchmark does not fit `spec` or a pipeline fails its
-/// validators (never silent).
-pub fn delta_parity(benches: &[BenchmarkCircuit], spec: &MachineSpec) -> Vec<DeltaParityRow> {
-    let model = TimingModel::realistic();
-    benches
-        .iter()
-        .map(|bench| {
-            let run = |mode: ScoreMode| {
-                let config = CompilerConfig::optimized()
-                    .with_timing(model)
-                    .with_score_mode(mode);
-                let (chosen, stats) = qccd_pack::compile_clock(&bench.circuit, spec, &config)
-                    .expect("benchmark circuits compile under the clock objective");
-                // Time the compile loop itself (the section score-mode
-                // affects); the race/pack plumbing above is shared
-                // verbatim between the modes. Min-of-N to reject
-                // scheduler noise on millisecond-scale sections.
-                let secs = min_compile_seconds(
-                    &bench.circuit,
-                    spec,
-                    &config.with_objective(Objective::Clock),
-                    TIMING_RUNS,
-                );
-                (chosen, stats, secs)
-            };
-            let (d, d_stats, d_t) = run(ScoreMode::Delta);
-            let (f, f_stats, f_t) = run(ScoreMode::Full);
-            DeltaParityRow {
-                name: bench.name.clone(),
-                delta_makespan_us: d.timeline.makespan_us,
-                full_makespan_us: f.timeline.makespan_us,
-                delta_shuttles: d.stats.shuttles,
-                full_shuttles: f.stats.shuttles,
-                delta_depth: d.stats.transport_depth,
-                full_depth: f.stats.transport_depth,
-                delta_ties: d_stats.clock_ties,
-                full_ties: f_stats.clock_ties,
-                delta_batched_layers: d_stats.batched_layers,
-                full_batched_layers: f_stats.batched_layers,
-                delta_batched_hops: d_stats.batched_hops,
-                full_batched_hops: f_stats.batched_hops,
-                delta_compile_s: d_t,
-                full_compile_s: f_t,
-            }
-        })
-        .collect()
-}
-
 /// Mean and population standard deviation of a sample.
 pub fn mean_std(values: &[f64]) -> (f64, f64) {
     if values.is_empty() {
@@ -884,6 +787,29 @@ pub fn aggregate_random(rows: &[ComparisonRow]) -> RandomAggregate {
 mod tests {
     use super::*;
     use qccd_circuit::generators::random_circuit;
+
+    /// `--per-size` of 0 or above the gate bound is a usage error raised
+    /// before the suite is generated (those once reported on zero
+    /// circuits, aborted on allocation, or overflowed the suite's size).
+    #[test]
+    fn per_size_outside_the_bound_is_a_usage_error() {
+        assert_eq!(MAX_PER_SIZE, 1959);
+        assert_eq!(parse_per_size("1959"), Ok(1959));
+        for v in ["0", "1960", "100000000", "18446744073709551615"] {
+            let err = parse_per_size(v).unwrap_err();
+            assert!(err.contains("between 1 and 1959"), "{v} → `{err}`");
+        }
+        assert!(parse_per_size("x")
+            .unwrap_err()
+            .contains("not a valid number"));
+    }
+
+    #[test]
+    fn random_suite_circuits_stay_within_the_per_circuit_bound() {
+        let suite = random_suite(100, RANDOM_SUITE_SEED ^ 0x5EED);
+        let most = suite.iter().map(|b| b.circuit.len()).max().unwrap();
+        assert!(most as u64 <= RANDOM_SUITE_CIRCUIT_GATES, "{most}");
+    }
 
     #[test]
     fn mean_std_basics() {

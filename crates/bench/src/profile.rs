@@ -1,8 +1,10 @@
-//! The `paper_eval profile` snapshot: the paper suite's quality rows
-//! (the same values `muzzle eval --suite paper --timing realistic
-//! --format json` reports) plus a per-benchmark instrumentation profile
-//! recorded by `qccd-obs` — phase wall-time breakdowns, hot-path
-//! counters, and the delta-scorer hit rate.
+//! The `BENCH.json` snapshot that `paper_eval snapshot` writes and
+//! checks: the paper suite's quality rows (the same values `muzzle eval
+//! --suite paper --timing realistic --format json` reports) plus, per
+//! benchmark, an instrumentation profile recorded by `qccd-obs` (phase
+//! wall-time breakdowns, hot-path counters, histograms, the delta-scorer
+//! hit rate), the makespan and fidelity attributions, and the `--jobs`
+//! wall-clock figures.
 //!
 //! Instrumentation observes, never decides: every benchmark is compiled
 //! twice, once with the recorder off and once with it on, and every
@@ -10,12 +12,12 @@
 //! is written. A divergence is a bug in the instrumentation and panics
 //! rather than silently snapshotting tainted rows.
 
-use crate::json::Json;
 use crate::{compare_timed, ComparisonRow};
-use qccd_circuit::generators::paper_suite;
+use qccd_circuit::generators::BenchmarkCircuit;
 use qccd_circuit::parser::parse_program;
 use qccd_core::{compile_with_mapping, CompilerConfig};
 use qccd_machine::{InitialMapping, MachineSpec, TrapId};
+use qccd_obs::json::Json;
 use qccd_sim::SimParams;
 use qccd_timing::TimingModel;
 
@@ -85,22 +87,24 @@ fn quality_key(row: &ComparisonRow) -> Vec<(&'static str, f64)> {
     ]
 }
 
-/// Runs the full paper suite twice per benchmark — an uninstrumented
-/// reference pass and an instrumented pass — asserting quality parity,
-/// and returns the instrumented rows with their recorded profiles.
+/// Runs every benchmark twice — an uninstrumented reference pass and an
+/// instrumented pass — asserting quality parity, and returns the
+/// instrumented rows with their recorded profiles.
 ///
 /// # Panics
 ///
 /// Panics if instrumentation changed any quality figure (the
-/// observes-never-decides contract), or if any speculative candidate fell
+/// observes-never-decides contract), if any speculative candidate fell
 /// back to the clone oracle (`timing.clone_fallbacks`) — candidate walks
-/// are shuttle-only, so the delta scorer must serve 100% of them.
-pub fn profile_paper_suite(
+/// are shuttle-only, so the delta scorer must serve 100% of them — or if
+/// a run recorded no phase or no histogram.
+pub fn profile_suite(
+    benches: &[BenchmarkCircuit],
     spec: &MachineSpec,
     params: &SimParams,
     model: &TimingModel,
 ) -> Vec<BenchmarkProfile> {
-    paper_suite()
+    benches
         .iter()
         .map(|bench| {
             qccd_obs::info("profile", || format!("  {} (reference)", bench.name));
@@ -133,6 +137,11 @@ pub fn profile_paper_suite(
                  (candidate walks are shuttle-only)",
                 bench.name,
             );
+            assert!(
+                !phases.is_empty() && !histograms.is_empty(),
+                "{}: the instrumented run recorded no phase or no histogram",
+                bench.name,
+            );
             let delta_hit_rate = if hits + fallbacks == 0 {
                 1.0
             } else {
@@ -150,10 +159,11 @@ pub fn profile_paper_suite(
         .collect()
 }
 
-/// The Fig. 4 worked example's shuttle counts under both policies —
-/// replicated from the `muzzle eval` preamble so the snapshot carries the
-/// same header rows.
-fn fig4_worked_example() -> (usize, usize) {
+/// The Fig. 4 worked example's shuttle counts `(baseline, optimized)`:
+/// `MS q1,q2; MS q2,q3; MS q1,q2; MS q2,q4;` on two traps of capacity 4
+/// with ions 0-1 in T0 and 2-4 in T1. The `muzzle eval` preamble and the
+/// snapshot both carry it.
+pub fn fig4_worked_example() -> (usize, usize) {
     let circuit = parse_program(
         "MS q[1], q[2];\nMS q[2], q[3];\nMS q[1], q[2];\nMS q[2], q[4];",
         5,
@@ -234,81 +244,38 @@ fn profile_json(p: &BenchmarkProfile) -> Json {
     ])
 }
 
-/// Renders the `BENCH_pr7.json` snapshot: the `muzzle eval --suite paper
-/// --format json` report's exact structure and key order, with one extra
-/// trailing `"profile"` object per benchmark. (`muzzle eval`'s extra
-/// `"utilization"` object is intentionally omitted: snapshots pin the
-/// quality trajectory, and utilization is derived, not decided.)
+/// One benchmark's snapshot entry: its profiled quality row plus the
+/// subtrees that ride after it.
+pub struct SnapshotRow {
+    /// The profiled quality row.
+    pub profile: BenchmarkProfile,
+    /// The critical-path makespan attribution.
+    pub explain: Json,
+    /// The fidelity-loss attribution.
+    pub fidelity: Json,
+    /// Wall-clock `compile_seconds_jobs*` figures.
+    pub jobs: Json,
+}
+
+/// Renders the `BENCH.json` snapshot: the `muzzle eval --suite paper
+/// --format json` report's structure and key order, with trailing
+/// `"profile"`, `"explain"`, `"fidelity"` and `"jobs"` objects per
+/// benchmark and a top-level `"all_jobs_deterministic"` flag (an `all_`
+/// key, so a `true` → `false` flip gates as a regression). `muzzle
+/// eval`'s `"utilization"` object is omitted: the snapshot pins what the
+/// compiler decides, and utilization is derived.
 pub fn render_snapshot(
     machine: &MachineSpec,
     timing: &str,
-    profiles: &[BenchmarkProfile],
+    rows: &[SnapshotRow],
+    all_jobs_deterministic: bool,
 ) -> String {
-    render_snapshot_with(machine, timing, profiles, &[])
-}
-
-/// [`render_snapshot`] plus one trailing `"explain"` value per benchmark
-/// (`explains[i]` rides after `"profile"` in benchmark *i*). An empty
-/// slice reproduces the PR 7 document byte for byte — `paper_eval diff`
-/// then sees the explain subtree as purely additive.
-pub fn render_snapshot_with(
-    machine: &MachineSpec,
-    timing: &str,
-    profiles: &[BenchmarkProfile],
-    explains: &[Json],
-) -> String {
-    render_snapshot_full(machine, timing, profiles, explains, &[])
-}
-
-/// [`render_snapshot_with`] plus one trailing `"fidelity"` value per
-/// benchmark (`fidelities[i]` rides after `"explain"` in benchmark *i*).
-/// An empty slice reproduces the PR 8 document byte for byte — each
-/// snapshot generation stays purely additive over its predecessor.
-pub fn render_snapshot_full(
-    machine: &MachineSpec,
-    timing: &str,
-    profiles: &[BenchmarkProfile],
-    explains: &[Json],
-    fidelities: &[Json],
-) -> String {
-    render_snapshot_jobs(machine, timing, profiles, explains, fidelities, &[], None)
-}
-
-/// [`render_snapshot_full`] plus one trailing `"jobs"` value per benchmark
-/// (`jobs[i]` rides after `"fidelity"` in benchmark *i* — wall-clock
-/// `compile_seconds_jobs*` figures, informational by key prefix) and an
-/// optional top-level `"all_jobs_deterministic"` flag (an `all_` key, so a
-/// `true` → `false` flip gates as a regression). Empty slice + `None`
-/// reproduce the PR 9 document byte for byte.
-pub fn render_snapshot_jobs(
-    machine: &MachineSpec,
-    timing: &str,
-    profiles: &[BenchmarkProfile],
-    explains: &[Json],
-    fidelities: &[Json],
-    jobs: &[Json],
-    all_jobs_deterministic: Option<bool>,
-) -> String {
-    assert!(
-        jobs.is_empty() || jobs.len() == profiles.len(),
-        "one jobs value per benchmark, or none"
-    );
-    assert!(
-        explains.is_empty() || explains.len() == profiles.len(),
-        "one explain value per benchmark, or none"
-    );
-    assert!(
-        fidelities.is_empty() || fidelities.len() == profiles.len(),
-        "one fidelity value per benchmark, or none"
-    );
-    let rows: Vec<&ComparisonRow> = profiles.iter().map(|p| &p.row).collect();
     let (fig4_baseline, fig4_optimized) = fig4_worked_example();
-    let benchmarks = profiles
+    let benchmarks = rows
         .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let r = &p.row;
-            let mut fields = vec![
+        .map(|row| {
+            let r = &row.profile.row;
+            Json::obj(vec![
                 ("name", Json::str(&r.name)),
                 ("qubits", Json::int(r.qubits as usize)),
                 ("two_qubit_gates", Json::int(r.two_qubit_gates)),
@@ -396,24 +363,17 @@ pub fn render_snapshot_jobs(
                         ("batched_hops", Json::int(r.clock_stats.batched_hops)),
                         ("improved", Json::Bool(r.clock_stats.improved)),
                         ("compile_seconds", Json::Num(r.clock_compile_s)),
-                        ("compile_seconds_full", Json::Num(r.clock_full_compile_s)),
                         ("program_fidelity", Json::Num(r.clock_sim.program_fidelity)),
                     ]),
                 ),
-                ("profile", profile_json(p)),
-            ];
-            if let Some(explain) = explains.get(i) {
-                fields.push(("explain", explain.clone()));
-            }
-            if let Some(fidelity) = fidelities.get(i) {
-                fields.push(("fidelity", fidelity.clone()));
-            }
-            if let Some(job) = jobs.get(i) {
-                fields.push(("jobs", job.clone()));
-            }
-            Json::obj(fields)
+                ("profile", profile_json(&row.profile)),
+                ("explain", row.explain.clone()),
+                ("fidelity", row.fidelity.clone()),
+                ("jobs", row.jobs.clone()),
+            ])
         })
         .collect();
+    let rows: Vec<&ComparisonRow> = rows.iter().map(|row| &row.profile.row).collect();
 
     let all_leq = rows
         .iter()
@@ -441,7 +401,7 @@ pub fn render_snapshot_jobs(
         .all(|r| r.clock_timed_makespan_us <= r.packed_timed_makespan_us);
     let clock_strict_wins = rows.iter().filter(|r| r.clock_stats.improved).count();
 
-    let mut top = vec![
+    let value = Json::obj(vec![
         ("suite", Json::str("paper")),
         ("machine", Json::str(machine.to_string())),
         ("timing", Json::str(timing)),
@@ -464,11 +424,8 @@ pub fn render_snapshot_jobs(
         ("packed_strict_win_count", Json::int(packed_strict_wins)),
         ("all_clock_leq_packed", Json::Bool(clock_leq_packed)),
         ("clock_strict_win_count", Json::int(clock_strict_wins)),
-    ];
-    if let Some(deterministic) = all_jobs_deterministic {
-        top.push(("all_jobs_deterministic", Json::Bool(deterministic)));
-    }
-    let value = Json::obj(top);
+        ("all_jobs_deterministic", Json::Bool(all_jobs_deterministic)),
+    ]);
     let mut text = value.to_string();
     text.push('\n');
     text

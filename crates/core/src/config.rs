@@ -98,8 +98,9 @@ pub enum Objective {
 /// How the clock objective prices speculative candidates.
 ///
 /// Both modes are **bit-for-bit identical** in what they compute — the
-/// `delta_properties` differential harness and the `paper_eval delta` CI
-/// gate pin the equality — so the choice is purely a speed/oracle knob.
+/// `delta_properties` differential harness and the `delta_regression`
+/// pins hold the equality — so `Full` is only a test oracle; no CLI flag
+/// selects it.
 /// Meaningless under [`Objective::Shuttles`] (nothing is speculated).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ScoreMode {

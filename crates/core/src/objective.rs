@@ -15,11 +15,11 @@
 //! Speculation itself runs in one of two bit-for-bit identical modes
 //! ([`ScoreMode`]): the O(delta) path that touches only the candidate's
 //! resources with undo records, or the full re-lower oracle
-//! (`--score-mode full`) that replays the whole committed schedule plus
+//! (`ScoreMode::Full`) that replays the whole committed schedule plus
 //! the candidate from the initial mapping — O(n) per candidate, the
 //! naive baseline the delta engine replaces, kept as the differential
-//! reference. The `delta_properties` harness and the `paper_eval delta`
-//! CI gate pin the two modes to each other on every decision of every
+//! reference. The `delta_properties` harness and the `delta_regression`
+//! pins hold the two modes to each other on every decision and on every
 //! paper benchmark.
 
 use crate::config::ScoreMode;

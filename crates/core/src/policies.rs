@@ -58,7 +58,7 @@ pub(crate) enum ProximityMetric {
 /// compiler can re-arbitrate the tie on projected makespan instead. The
 /// re-arbitration prices each orientation's planned walk speculatively
 /// (O(delta) by default, the full re-lower oracle under
-/// `--score-mode full`; the two are pinned bit-for-bit identical), so
+/// `ScoreMode::Full`; the two are pinned bit-for-bit identical), so
 /// surfacing the alternative never changes what the configured policy
 /// alone would decide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

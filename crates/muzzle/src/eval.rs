@@ -7,49 +7,13 @@
 //! excess-capacity policy ping-pongs ion 2 for 4 shuttles while the
 //! future-ops policy moves ion 1 once.
 
-use crate::output::{csv_row, Json};
+use crate::output::csv_row;
 use crate::{emit, parse_common};
-use qccd_bench::{compare_timed, ComparisonRow, RANDOM_SUITE_SEED};
+use qccd_bench::{compare_timed, parse_per_size, ComparisonRow, RANDOM_SUITE_SEED};
 use qccd_circuit::generators::{paper_suite, random_suite, BenchmarkCircuit};
-use qccd_circuit::parser::parse_program;
-use qccd_core::{compile_with_mapping, CompilerConfig};
-use qccd_machine::{InitialMapping, MachineSpec, TrapId};
+use qccd_machine::MachineSpec;
+use qccd_obs::json::Json;
 use qccd_sim::SimParams;
-
-/// Shuttle counts of the Fig. 4 worked example under both policies.
-struct Fig4 {
-    baseline_shuttles: usize,
-    optimized_shuttles: usize,
-}
-
-/// Runs the paper's Fig. 4 worked example: `MS q1,q2; MS q2,q3; MS q1,q2;
-/// MS q2,q4;` on two traps of capacity 4 with ions 0-1 in T0 and 2-4 in T1.
-fn fig4_worked_example() -> Result<Fig4, String> {
-    let circuit = parse_program(
-        "MS q[1], q[2];\nMS q[2], q[3];\nMS q[1], q[2];\nMS q[2], q[4];",
-        5,
-    )
-    .map_err(|e| e.to_string())?;
-    let spec = MachineSpec::linear(2, 4, 1).map_err(|e| e.to_string())?;
-    let mapping = InitialMapping::from_traps(
-        &spec,
-        vec![TrapId(0), TrapId(0), TrapId(1), TrapId(1), TrapId(1)],
-    )
-    .map_err(|e| e.to_string())?;
-    let baseline = compile_with_mapping(
-        &circuit,
-        &spec,
-        &CompilerConfig::baseline(),
-        mapping.clone(),
-    )
-    .map_err(|e| e.to_string())?;
-    let optimized = compile_with_mapping(&circuit, &spec, &CompilerConfig::optimized(), mapping)
-        .map_err(|e| e.to_string())?;
-    Ok(Fig4 {
-        baseline_shuttles: baseline.stats.shuttles,
-        optimized_shuttles: optimized.stats.shuttles,
-    })
-}
 
 /// Scaled-down versions of the paper's benchmarks (the integration suite),
 /// for quick runs and CI smoke tests.
@@ -85,31 +49,6 @@ fn mini_suite() -> Vec<BenchmarkCircuit> {
     ]
 }
 
-/// The most gates one random-suite circuit can have: the suite samples
-/// `1438 + 413 × 1.7 × (a + b − 1)` gates with `a + b < 2`, rounded.
-const RANDOM_SUITE_CIRCUIT_GATES: u64 = 2140;
-
-/// The largest `--per-size`: the random suite (four sizes, `per_size`
-/// circuits each) must stay within [`spec::MAX_GATES`](crate::spec::MAX_GATES)
-/// gates in the worst case.
-const MAX_PER_SIZE: u64 = crate::spec::MAX_GATES / (4 * RANDOM_SUITE_CIRCUIT_GATES);
-
-/// Parses `--per-size`, rejecting 0 (a vacuous report over no circuits)
-/// and values above [`MAX_PER_SIZE`] before generating anything.
-fn parse_per_size(v: &str) -> Result<usize, String> {
-    let n: u64 = v
-        .parse()
-        .map_err(|_| format!("--per-size: `{v}` is not a valid number"))?;
-    if n == 0 || n > MAX_PER_SIZE {
-        return Err(format!(
-            "--per-size must be between 1 and {MAX_PER_SIZE} (the random suite may hold at \
-             most {} gates), got {n}",
-            crate::spec::MAX_GATES
-        ));
-    }
-    Ok(n as usize)
-}
-
 /// Entry point for `muzzle eval`.
 pub fn cmd_eval(args: &[String]) -> Result<(), String> {
     let opts = parse_common(args, &["--suite", "--per-size"], &["--verbose", "--quiet"])?;
@@ -126,7 +65,6 @@ pub fn cmd_eval(args: &[String]) -> Result<(), String> {
             "--proximity",
             "--router",
             "--objective",
-            "--score-mode",
         ],
         "each eval suite fixes its machine and circuits, and always runs \
          the baseline-vs-optimized policy pair under both routers plus the \
@@ -163,7 +101,7 @@ pub fn cmd_eval(args: &[String]) -> Result<(), String> {
         }
     };
 
-    let fig4 = fig4_worked_example()?;
+    let fig4 = qccd_bench::profile::fig4_worked_example();
     qccd_obs::info("eval", || {
         format!(
             "evaluating {} benchmarks on {machine} (policy comparison)...",
@@ -214,9 +152,9 @@ pub fn cmd_eval(args: &[String]) -> Result<(), String> {
     };
 
     let report = match opts.format.as_str() {
-        "json" => render_json(&suite_name, &machine, &opts.timing, &fig4, &rows, &checks),
+        "json" => render_json(&suite_name, &machine, &opts.timing, fig4, &rows, &checks),
         "csv" => render_csv(&opts.timing, &rows),
-        _ => render_text(&suite_name, &machine, &opts.timing, &fig4, &rows, &checks),
+        _ => render_text(&suite_name, &machine, &opts.timing, fig4, &rows, &checks),
     };
     emit(&report, &opts.out)
 }
@@ -250,7 +188,7 @@ fn render_text(
     suite: &str,
     machine: &MachineSpec,
     timing: &str,
-    fig4: &Fig4,
+    fig4: (usize, usize),
     rows: &[ComparisonRow],
     checks: &EvalChecks,
 ) -> String {
@@ -260,7 +198,7 @@ fn render_text(
     ));
     out.push_str(&format!(
         "Fig. 4 worked example: baseline {} shuttles, optimized {} shuttles (paper: 4 vs. 1)\n\n",
-        fig4.baseline_shuttles, fig4.optimized_shuttles
+        fig4.0, fig4.1
     ));
     out.push_str(&format!(
         "{:<16} {:>6} {:>9} {:>9} {:>10} {:>6} {:>8} {:>6} {:>6} {:>12} {:>12} {:>12} {:>12} {:>6} {:>5} {:>4} {:>12} {:>5} {:>5}\n",
@@ -370,7 +308,7 @@ fn render_csv(timing: &str, rows: &[ComparisonRow]) -> String {
          timing,serial_makespan_us,transport_makespan_us,serial_timed_makespan_us,\
          transport_timed_makespan_us,lookahead_timed_makespan_us,packed_timed_makespan_us,\
          clock_timed_makespan_us,zone_moves,junction_crossings,fidelity_improvement,\
-         baseline_compile_s,optimized_compile_s,clock_compile_s,clock_full_compile_s,\
+         baseline_compile_s,optimized_compile_s,clock_compile_s,\
          idle_fraction,hottest_trap,hottest_trap_busy_us,clock_duration_share,\
          clock_motional_share\n",
     );
@@ -401,7 +339,6 @@ fn render_csv(timing: &str, rows: &[ComparisonRow]) -> String {
             format!("{:.6}", r.baseline_compile_s),
             format!("{:.6}", r.optimized_compile_s),
             format!("{:.6}", r.clock_compile_s),
-            format!("{:.6}", r.clock_full_compile_s),
             format!("{:.4}", r.idle_fraction),
             r.hottest_trap.to_string(),
             format!("{:.3}", r.hottest_trap_busy_us),
@@ -417,7 +354,7 @@ fn render_json(
     suite: &str,
     machine: &MachineSpec,
     timing: &str,
-    fig4: &Fig4,
+    fig4: (usize, usize),
     rows: &[ComparisonRow],
     checks: &EvalChecks,
 ) -> String {
@@ -518,7 +455,6 @@ fn render_json(
                         ("batched_hops", Json::int(r.clock_stats.batched_hops)),
                         ("improved", Json::Bool(r.clock_stats.improved)),
                         ("compile_seconds", Json::Num(r.clock_compile_s)),
-                        ("compile_seconds_full", Json::Num(r.clock_full_compile_s)),
                         ("program_fidelity", Json::Num(r.clock_sim.program_fidelity)),
                         ("fidelity_duration_share", Json::Num(r.clock_duration_share)),
                         ("fidelity_motional_share", Json::Num(r.clock_motional_share)),
@@ -542,8 +478,8 @@ fn render_json(
         (
             "fig4_worked_example",
             Json::obj(vec![
-                ("baseline_shuttles", Json::int(fig4.baseline_shuttles)),
-                ("optimized_shuttles", Json::int(fig4.optimized_shuttles)),
+                ("baseline_shuttles", Json::int(fig4.0)),
+                ("optimized_shuttles", Json::int(fig4.1)),
             ]),
         ),
         ("benchmarks", Json::Arr(benchmarks)),
@@ -581,27 +517,16 @@ mod tests {
     use super::*;
 
     /// `--per-size` of 0 or above the gate bound is a usage error raised
-    /// before the suite is generated (those once reported on zero
-    /// circuits, aborted on allocation, or overflowed the suite's size).
+    /// before the suite is generated.
     #[test]
     fn per_size_outside_the_bound_is_a_usage_error() {
-        assert_eq!(MAX_PER_SIZE, 1959);
-        assert_eq!(parse_per_size("1959"), Ok(1959));
         for v in ["0", "1960", "100000000", "18446744073709551615"] {
             let err = parse_per_size(v).unwrap_err();
-            assert!(err.contains("between 1 and 1959"), "{v} → `{err}`");
             let args: Vec<String> = ["--suite", "random", "--per-size", v]
                 .map(str::to_owned)
                 .to_vec();
             assert_eq!(cmd_eval(&args).unwrap_err(), err);
         }
         assert!(crate::USAGE.contains("1 to 1959"));
-    }
-
-    #[test]
-    fn random_suite_circuits_stay_within_the_per_circuit_bound() {
-        let suite = random_suite(100, RANDOM_SUITE_SEED ^ 0x5EED);
-        let most = suite.iter().map(|b| b.circuit.len()).max().unwrap();
-        assert!(most as u64 <= RANDOM_SUITE_CIRCUIT_GATES, "{most}");
     }
 }

@@ -20,8 +20,8 @@
 //! costliest-shuttle rankings and, under `--gantt`, per-trap `n̄(t)`
 //! counter rows in the exported trace.
 
-use crate::output::Json;
 use crate::{emit, parse_common, CommonOptions};
+use qccd_obs::json::Json;
 use qccd_sim::{FidelityAttribution, LossTerm};
 use qccd_timing::{
     attribute_path, critical_path, edge_reports, trap_reports, CriticalPath, EdgeReport, EventRef,
@@ -66,7 +66,6 @@ pub fn cmd_explain(args: &[String]) -> Result<(), String> {
         &opts.router,
         &opts.timing,
         &opts.objective,
-        &opts.score_mode,
         opts.jobs,
     )?;
     let model = crate::parse_timing_model(&opts.timing);

@@ -20,12 +20,12 @@ mod explain;
 mod output;
 mod spec;
 
-use output::Json;
 use qccd_core::{
     compile, CompileResult, CompilerConfig, DirectionPolicy, Objective, RouterPolicy,
-    ScheduleAnalysis, ScoreMode, TimingModel,
+    ScheduleAnalysis, TimingModel,
 };
 use qccd_machine::MachineSpec;
+use qccd_obs::json::Json;
 use qccd_sim::{simulate_timed, SimParams, SimReport};
 use spec::{parse_circuit, CircuitSpec, MachineOptions};
 use std::process::ExitCode;
@@ -86,11 +86,6 @@ POLICY OPTIONS:
                         runs the packed transport stack on the result, and
                         keeps it only when it beats the default-objective
                         packed stack on the device clock — never regresses)
-    --score-mode M      delta | full               [default: delta]
-                        (how --objective clock prices speculative
-                        candidates: delta touches only the candidate's
-                        resources with O(1) undo; full clones and re-lowers
-                        the suffix — the bit-for-bit differential oracle)
     --jobs N            threads for --objective clock [default: 1]
                         (≥ 2 races the clock objective's two arms on two
                         threads; results are bit-for-bit identical at
@@ -178,7 +173,6 @@ pub struct CommonOptions {
     pub router: String,
     pub timing: String,
     pub objective: String,
-    pub score_mode: String,
     pub jobs: usize,
     pub format: String,
     pub out: Option<String>,
@@ -220,7 +214,6 @@ pub fn parse_common(
         router: "serial".to_owned(),
         timing: "ideal".to_owned(),
         objective: "shuttles".to_owned(),
-        score_mode: "delta".to_owned(),
         jobs: 1,
         format: "text".to_owned(),
         out: None,
@@ -281,13 +274,6 @@ pub fn parse_common(
                 }
                 opts.objective = o;
             }
-            "--score-mode" => {
-                let m = next(&mut i, arg)?;
-                if m != "delta" && m != "full" {
-                    return Err(format!("--score-mode must be delta or full, got `{m}`"));
-                }
-                opts.score_mode = m;
-            }
             "--jobs" => {
                 let v = next(&mut i, arg)?;
                 let jobs: usize = parse_num(&v, arg)?;
@@ -342,7 +328,6 @@ pub fn build_config(
     router: &str,
     timing: &str,
     objective: &str,
-    score_mode: &str,
     jobs: usize,
 ) -> Result<CompilerConfig, String> {
     let (router, lookahead) = match router {
@@ -357,10 +342,6 @@ pub fn build_config(
         "clock" => Objective::Clock,
         _ => Objective::Shuttles,
     };
-    let score_mode = match score_mode {
-        "full" => ScoreMode::Full,
-        _ => ScoreMode::Delta,
-    };
     if policy == "baseline" {
         if proximity.is_some() {
             return Err(
@@ -374,7 +355,6 @@ pub fn build_config(
             .with_lookahead(lookahead)
             .with_timing(timing)
             .with_objective(objective)
-            .with_score_mode(score_mode)
             .with_jobs(jobs));
     }
     let mut config = CompilerConfig::optimized()
@@ -382,7 +362,6 @@ pub fn build_config(
         .with_lookahead(lookahead)
         .with_timing(timing)
         .with_objective(objective)
-        .with_score_mode(score_mode)
         .with_jobs(jobs);
     if let Some(p) = proximity {
         config.direction = DirectionPolicy::FutureOps { proximity: p };
@@ -605,7 +584,6 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
         &opts.router,
         &opts.timing,
         &opts.objective,
-        &opts.score_mode,
         opts.jobs,
     )?;
     let trace = opts
@@ -798,7 +776,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             &opts.router,
             &opts.timing,
             &opts.objective,
-            &opts.score_mode,
             opts.jobs,
         )?)?;
         let (_, opt) = run(&build_config(
@@ -807,7 +784,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             &opts.router,
             &opts.timing,
             &opts.objective,
-            &opts.score_mode,
             opts.jobs,
         )?)?;
         if profile {
@@ -874,7 +850,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             &opts.router,
             &opts.timing,
             &opts.objective,
-            &opts.score_mode,
             opts.jobs,
         )?;
         let (_, sim) = run(&config)?;
@@ -1008,7 +983,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                     &opts.router,
                     &opts.timing,
                     &opts.objective,
-                    &opts.score_mode,
                     opts.jobs,
                 )?,
                 build_config(
@@ -1017,7 +991,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                     &opts.router,
                     &opts.timing,
                     &opts.objective,
-                    &opts.score_mode,
                     opts.jobs,
                 )?,
             ),
@@ -1029,7 +1002,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                     &opts.router,
                     &opts.timing,
                     &opts.objective,
-                    &opts.score_mode,
                     opts.jobs,
                 )?,
                 build_config(
@@ -1038,7 +1010,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                     &opts.router,
                     &opts.timing,
                     &opts.objective,
-                    &opts.score_mode,
                     opts.jobs,
                 )?,
             ),
@@ -1294,19 +1265,11 @@ mod tests {
         assert_eq!(opts.jobs, 1, "default is sequential");
         let opts = parse_common(&args(&["--jobs", "4"]), &[], &[]).unwrap();
         assert_eq!(opts.jobs, 4);
-        let config = build_config(
-            "optimized",
-            None,
-            "packed",
-            "realistic",
-            "clock",
-            "delta",
-            4,
-        )
-        .unwrap();
+        let config = build_config("optimized", None, "packed", "realistic", "clock", 4).unwrap();
         assert_eq!(config.jobs, 4);
-        let config =
-            build_config("baseline", None, "serial", "ideal", "shuttles", "delta", 2).unwrap();
+        let config = build_config("baseline", None, "serial", "ideal", "shuttles", 2).unwrap();
         assert_eq!(config.jobs, 2);
+        // The full re-lower oracle is a test oracle, not a CLI mode.
+        assert!(parse_common(&args(&["--score-mode", "full"]), &[], &[]).is_err());
     }
 }

@@ -1,139 +1,5 @@
-//! Report emission: a minimal JSON value tree and CSV row writer.
-//!
-//! The workspace's serde dependency is a vendored marker-trait stub (the
-//! container builds offline), so reports are rendered by hand here. The
-//! JSON produced is plain RFC 8259 output with stable key order.
-
-use std::fmt;
-
-/// A JSON value.
-#[derive(Debug, Clone)]
-#[allow(dead_code)] // `Null` is part of the value model even while unemitted
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any finite number; non-finite values render as `null`.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object from `(key, value)` pairs.
-    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-    }
-
-    /// String value.
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    /// Integer value (exact for |n| ≤ 2⁵³).
-    pub fn int(n: usize) -> Json {
-        Json::Num(n as f64)
-    }
-
-    /// This object extended with one more `(key, value)` pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not an object.
-    pub fn with_field(self, key: &str, value: Json) -> Json {
-        match self {
-            Json::Obj(mut pairs) => {
-                pairs.push((key.to_owned(), value));
-                Json::Obj(pairs)
-            }
-            _ => panic!("with_field requires an object"),
-        }
-    }
-}
-
-fn escape(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn render(value: &Json, indent: usize, out: &mut String) {
-    let pad = "  ".repeat(indent);
-    let inner_pad = "  ".repeat(indent + 1);
-    match value {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Num(n) => {
-            if !n.is_finite() {
-                out.push_str("null");
-            } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                out.push_str(&format!("{}", *n as i64));
-            } else {
-                out.push_str(&format!("{n}"));
-            }
-        }
-        Json::Str(s) => escape(s, out),
-        Json::Arr(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                out.push_str(&inner_pad);
-                render(item, indent + 1, out);
-                if i + 1 < items.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            out.push_str(&pad);
-            out.push(']');
-        }
-        Json::Obj(pairs) => {
-            if pairs.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push_str("{\n");
-            for (i, (k, v)) in pairs.iter().enumerate() {
-                out.push_str(&inner_pad);
-                escape(k, out);
-                out.push_str(": ");
-                render(v, indent + 1, out);
-                if i + 1 < pairs.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            out.push_str(&pad);
-            out.push('}');
-        }
-    }
-}
-
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        render(self, 0, &mut out);
-        f.write_str(&out)
-    }
-}
+//! Report emission: the CSV row writer. JSON reports use the workspace's
+//! one value tree, [`qccd_obs::json::Json`].
 
 /// Renders one CSV row, quoting fields that need it.
 pub fn csv_row(fields: &[String]) -> String {
@@ -153,33 +19,6 @@ pub fn csv_row(fields: &[String]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn renders_nested_object() {
-        let v = Json::obj(vec![
-            ("name", Json::str("QFT")),
-            ("shuttles", Json::int(42)),
-            ("ratio", Json::Num(0.5)),
-            ("rows", Json::Arr(vec![Json::int(1), Json::int(2)])),
-        ]);
-        let text = v.to_string();
-        assert!(text.contains("\"name\": \"QFT\""));
-        assert!(text.contains("\"shuttles\": 42"));
-        assert!(text.contains("\"ratio\": 0.5"));
-        assert!(text.starts_with('{') && text.ends_with('}'));
-    }
-
-    #[test]
-    fn escapes_strings() {
-        let v = Json::str("a\"b\\c\nd");
-        assert_eq!(v.to_string(), r#""a\"b\\c\nd""#);
-    }
-
-    #[test]
-    fn non_finite_numbers_become_null() {
-        assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
-        assert_eq!(Json::Num(f64::NAN).to_string(), "null");
-    }
 
     #[test]
     fn csv_quotes_when_needed() {

@@ -5,11 +5,7 @@ use qccd_circuit::parser::parse_program;
 use qccd_circuit::Circuit;
 use qccd_machine::{MachineSpec, TrapTopology, ZoneLayout};
 
-/// The most gates a generated circuit may have: 2^24 = 16 777 216, about
-/// 250× the largest circuit in the paper-scale workloads. Larger specs are
-/// usage errors, rejected before generating, instead of allocation
-/// failures.
-pub const MAX_GATES: u64 = 1 << 24;
+pub use qccd_bench::MAX_GATES;
 
 /// The most traps a machine may have: 2^13 = 8192. Shortest-path queries
 /// build BFS rows lazily, one per source trap, so they can reach

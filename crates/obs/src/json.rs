@@ -1,21 +1,19 @@
-//! A minimal JSON value tree for snapshot emission and re-reading.
+//! The workspace's one JSON value tree: rendering and parsing.
 //!
 //! The workspace's serde dependency is a vendored marker-trait stub (the
-//! container builds offline), so the `BENCH` snapshots are rendered by
-//! hand here — the same value model and formatting as the `muzzle`
-//! driver's reports (RFC 8259 output, stable key order, two-space
-//! indent, integral numbers printed without a fraction), so a profile
-//! snapshot's quality rows are byte-comparable against `muzzle eval`
-//! JSON output. [`parse`] reads any RFC 8259 document back into the same
-//! value model (Rust's shortest-roundtrip float formatting makes
-//! render-then-parse bit-exact), which is what `paper_eval diff` and the
-//! `paper_eval explain` parity gate walk.
+//! container builds offline), so every JSON document — `muzzle` reports,
+//! the `BENCH.json` snapshot, the Chrome-trace exports of this crate — is
+//! rendered by hand through this module: RFC 8259 output, stable key
+//! order, two-space indent, integral numbers printed without a fraction.
+//! [`parse`] reads any RFC 8259 document back into the same value model
+//! (Rust's shortest-roundtrip float formatting makes render-then-parse
+//! bit-exact), which is what `paper_eval diff` and the `paper_eval
+//! snapshot` gate walk.
 
 use std::fmt;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(dead_code)] // `Null` is part of the value model even while unemitted
 pub enum Json {
     /// `null`.
     Null,
@@ -46,9 +44,25 @@ impl Json {
     pub fn int(n: usize) -> Json {
         Json::Num(n as f64)
     }
+
+    /// This object extended with one more `(key, value)` pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is not an object.
+    pub fn with_field(self, key: &str, value: Json) -> Json {
+        match self {
+            Json::Obj(mut pairs) => {
+                pairs.push((key.to_owned(), value));
+                Json::Obj(pairs)
+            }
+            _ => panic!("with_field requires an object"),
+        }
+    }
 }
 
-fn escape(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted, escaped JSON string.
+pub(crate) fn escape(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -153,9 +167,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 /// `value` with every object entry whose key satisfies `drop` removed,
-/// recursively — how the `paper_eval explain` parity gate strips
-/// wall-clock and instrumentation fields before asserting two snapshots
-/// bit-for-bit equal.
+/// recursively — how the `paper_eval snapshot` gate strips wall-clock
+/// fields before asserting two snapshots bit-for-bit equal.
 pub fn strip_keys(value: &Json, drop: &dyn Fn(&str) -> bool) -> Json {
     match value {
         Json::Arr(items) => Json::Arr(items.iter().map(|v| strip_keys(v, drop)).collect()),

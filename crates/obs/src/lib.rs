@@ -22,7 +22,9 @@
 //! Exports: [`chrome_trace`] renders everything as Chrome trace-event JSON
 //! (loadable in `chrome://tracing` / Perfetto), [`summary_table`] renders
 //! the compact per-phase table, and [`phase_stats`] / [`counters`] expose
-//! the raw aggregates for harnesses like `paper_eval profile`.
+//! the raw aggregates for harnesses like `paper_eval snapshot`. The
+//! [`json`] module is the workspace's one JSON value type, shared by
+//! these exports and every crate that writes or reads a JSON document.
 //!
 //! # The zero-overhead contract
 //!
@@ -34,7 +36,7 @@
 //! [`enable`] to start recording. Crucially, instrumentation *observes,
 //! never decides*: no compiler decision reads any of this state, so
 //! compile results are bit-for-bit identical with telemetry on or off
-//! (the `paper_eval profile` harness asserts exactly that).
+//! (the `paper_eval snapshot` harness asserts exactly that).
 //!
 //! # Example
 //!
@@ -55,6 +57,8 @@
 //! obs::disable();
 //! obs::reset();
 //! ```
+
+pub mod json;
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -573,24 +577,6 @@ pub fn wall_us() -> f64 {
 // Exports
 // ---------------------------------------------------------------------------
 
-fn escape_json(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Renders everything recorded so far as Chrome trace-event JSON: spans
 /// as strictly-nested `B`/`E` pairs per thread (the closing `E` also
 /// carries the span's `dur`), [`info`]/[`debug`] diagnostics as `i`
@@ -617,7 +603,7 @@ pub fn chrome_trace() -> String {
         let mut stack: Vec<Open> = Vec::new();
         let close = |rec: &SpanRec, rows: &mut Vec<(f64, String)>| {
             let mut row = String::from("{\"name\":");
-            escape_json(rec.name, &mut row);
+            json::escape(rec.name, &mut row);
             let _ = write!(
                 row,
                 ",\"cat\":\"qccd\",\"ph\":\"E\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}}}",
@@ -636,7 +622,7 @@ pub fn chrome_trace() -> String {
                 close(&group[open.idx], &mut rows);
             }
             let mut row = String::from("{\"name\":");
-            escape_json(rec.name, &mut row);
+            json::escape(rec.name, &mut row);
             let _ = write!(
                 row,
                 ",\"cat\":\"qccd\",\"ph\":\"B\",\"pid\":1,\"tid\":{},\"ts\":{}}}",
@@ -652,14 +638,14 @@ pub fn chrome_trace() -> String {
     }
     for e in &events {
         let mut row = String::from("{\"name\":");
-        escape_json(e.target, &mut row);
+        json::escape(e.target, &mut row);
         let _ = write!(
             row,
             ",\"cat\":\"qccd\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{},\"args\":{{\"message\":",
             e.tid,
             ts(e.ts_ns)
         );
-        escape_json(&e.message, &mut row);
+        json::escape(&e.message, &mut row);
         row.push_str("}}");
         rows.push((ts(e.ts_ns), row));
     }
@@ -669,7 +655,7 @@ pub fn chrome_trace() -> String {
         .fold(0.0f64, f64::max);
     for (name, value) in counters() {
         let mut row = String::from("{\"name\":");
-        escape_json(&name, &mut row);
+        json::escape(&name, &mut row);
         let _ = write!(
             row,
             ",\"cat\":\"qccd\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{end_ts},\"args\":{{\"value\":{value}}}}}"
@@ -812,7 +798,7 @@ pub fn chrome_trace_lanes_with_counters(
     for (tid, label) in lanes {
         let mut row = String::from("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
         let _ = write!(row, "{tid},\"ts\":0,\"args\":{{\"name\":");
-        escape_json(label, &mut row);
+        json::escape(label, &mut row);
         row.push_str("}}");
         rows.push((f64::NEG_INFINITY, 0, *tid, row));
     }
@@ -822,7 +808,7 @@ pub fn chrome_trace_lanes_with_counters(
             continue;
         }
         let mut open = String::from("{\"name\":");
-        escape_json(&s.name, &mut open);
+        json::escape(&s.name, &mut open);
         let _ = write!(
             open,
             ",\"cat\":\"qccd\",\"ph\":\"B\",\"pid\":1,\"tid\":{},\"ts\":{}}}",
@@ -830,7 +816,7 @@ pub fn chrome_trace_lanes_with_counters(
         );
         rows.push((s.start_us, 1, s.tid, open));
         let mut close = String::from("{\"name\":");
-        escape_json(&s.name, &mut close);
+        json::escape(&s.name, &mut close);
         let _ = write!(
             close,
             ",\"cat\":\"qccd\",\"ph\":\"E\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}}}",
@@ -845,7 +831,7 @@ pub fn chrome_trace_lanes_with_counters(
             continue;
         }
         let mut row = String::from("{\"name\":");
-        escape_json(&c.name, &mut row);
+        json::escape(&c.name, &mut row);
         let _ = write!(
             row,
             ",\"cat\":\"qccd\",\"ph\":\"C\",\"pid\":1,\"tid\":{},\"ts\":{},\"args\":{{\"value\":{}}}}}",

@@ -17,7 +17,7 @@
 //! The arithmetic is a transcription of [`LowerState::advance`]'s
 //! transport-less synthetic-round path, kept **bit-for-bit** equal to the
 //! clone-based oracle (the invariant the `delta_properties` differential
-//! harness and the `paper_eval delta` CI gate enforce):
+//! harness and the `delta_regression` pins enforce):
 //!
 //! * **Legality** mirrors `MachineState::shuttle`'s check order exactly —
 //!   ion range, destination range, self-shuttle, adjacency, destination
@@ -46,7 +46,7 @@
 //! candidate back is clearing four short vectors.
 //!
 //! [`DeltaScorer::score_ops_full`] is the other end of the spectrum: the
-//! **full re-lower oracle** behind `--score-mode full`, which prices every
+//! **full re-lower oracle** behind `ScoreMode::Full`, which prices every
 //! candidate by replaying the entire committed schedule plus the candidate
 //! from the initial mapping — O(n) per candidate and quadratic over a
 //! compile loop, but the strongest differential reference because it also
@@ -62,7 +62,7 @@ static DELTA_HITS: qccd_obs::Counter = qccd_obs::Counter::new("timing.delta_hits
 /// Gate-bearing candidates priced on the clone-based oracle instead —
 /// never the compile loop's hot path (its candidates are pure walks).
 static CLONE_FALLBACKS: qccd_obs::Counter = qccd_obs::Counter::new("timing.clone_fallbacks");
-/// Full re-lower oracle invocations (`--score-mode full`).
+/// Full re-lower oracle invocations (`ScoreMode::Full`).
 static FULL_SCORES: qccd_obs::Counter = qccd_obs::Counter::new("timing.full_scores");
 /// Speculative shuttle applications to an overlay arena.
 static DELTA_APPLIES: qccd_obs::Counter = qccd_obs::Counter::new("timing.delta_applies");
@@ -319,7 +319,7 @@ impl DeltaScorer {
     }
 
     /// Scores a candidate suffix on the **full re-lower oracle**
-    /// (`--score-mode full`): replays the entire committed schedule plus
+    /// (`ScoreMode::Full`): replays the entire committed schedule plus
     /// the candidate from the initial mapping through [`lower`] — O(n)
     /// per candidate, quadratic over a compile loop. This is the
     /// strongest differential reference: it validates not just the

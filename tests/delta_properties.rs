@@ -14,8 +14,8 @@
 //!    under speculation; after the full replay the fold equals a fresh
 //!    transport-less [`lower`] of the whole schedule.
 //! 3. **Mode equivalence end to end** — a clock-objective compile under
-//!    `--score-mode delta` produces the *same schedule, stats and
-//!    threaded fold* as one under `--score-mode full`.
+//!    `ScoreMode::Delta` produces the *same schedule, stats and
+//!    threaded fold* as one under `ScoreMode::Full`.
 //!
 //! [`DeltaScorer`]: muzzle_shuttle::timing::DeltaScorer
 //! [`LowerState::score_ops`]: muzzle_shuttle::timing::LowerState::score_ops

@@ -1,11 +1,13 @@
 //! Regression pins for the delta scorer: the clock-objective pipeline
-//! under the default `--score-mode delta` must reproduce the
-//! `BENCH_pr5.json` clock rows *exactly* — timed makespans, ties broken,
-//! batched layers/hops and the strict-win flags were all produced by the
+//! under the default `ScoreMode::Delta` must reproduce the paper suite's
+//! clock rows *exactly* — timed makespans, ties broken, batched
+//! layers/hops and the strict-win flags were all first produced by the
 //! O(suffix) clone-and-re-lower scorer, so matching them bit-for-bit
 //! proves the O(delta) rewrite changed the cost of scoring and nothing
-//! else. The same pipeline under `--score-mode full` must match too (the
-//! oracle path survives the refactor unchanged).
+//! else. The same pipeline under the `ScoreMode::Full` oracle must match
+//! too, chosen shuttles and transport depth included. The pins are the
+//! clock rows recorded when the clock objective landed, verbatim; the
+//! committed `BENCH.json` carries the same values (`benchmarks[*].clock`).
 
 use muzzle_shuttle::compiler::{CompilerConfig, ScoreMode};
 use muzzle_shuttle::machine::MachineSpec;
@@ -20,17 +22,19 @@ use std::sync::Mutex;
 /// bump the counters the instrumented test measures) serializes here.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
-/// One benchmark's pinned `BENCH_pr5.json` clock row (realistic timing).
+/// One benchmark's pinned clock row (realistic timing).
 struct Pin {
     name: &'static str,
     clock_timed_makespan_us: f64,
     clock_ties: usize,
     batched_layers: usize,
     batched_hops: usize,
+    chosen_shuttles: usize,
+    chosen_depth: usize,
 }
 
-/// The `BENCH_pr5.json` clock rows, verbatim (every benchmark improved,
-/// so `candidate == chosen` makespan throughout).
+/// The clock rows, verbatim (every benchmark improved, so `candidate ==
+/// chosen` makespan throughout).
 const PINS: [Pin; 5] = [
     Pin {
         name: "Supremacy",
@@ -38,6 +42,8 @@ const PINS: [Pin; 5] = [
         clock_ties: 0,
         batched_layers: 26,
         batched_hops: 361,
+        chosen_shuttles: 361,
+        chosen_depth: 231,
     },
     Pin {
         name: "QAOA",
@@ -45,6 +51,8 @@ const PINS: [Pin; 5] = [
         clock_ties: 11,
         batched_layers: 74,
         batched_hops: 1432,
+        chosen_shuttles: 1435,
+        chosen_depth: 632,
     },
     Pin {
         name: "SquareRoot",
@@ -52,6 +60,8 @@ const PINS: [Pin; 5] = [
         clock_ties: 7,
         batched_layers: 24,
         batched_hops: 271,
+        chosen_shuttles: 523,
+        chosen_depth: 375,
     },
     Pin {
         name: "QFT",
@@ -59,6 +69,8 @@ const PINS: [Pin; 5] = [
         clock_ties: 9,
         batched_layers: 42,
         batched_hops: 94,
+        chosen_shuttles: 364,
+        chosen_depth: 339,
     },
     Pin {
         name: "QuadraticForm",
@@ -66,11 +78,13 @@ const PINS: [Pin; 5] = [
         clock_ties: 1,
         batched_layers: 63,
         batched_hops: 194,
+        chosen_shuttles: 490,
+        chosen_depth: 432,
     },
 ];
 
 /// Runs the clock pipeline (the same `compile_clock` path `muzzle eval`
-/// uses) under `mode` and pins every row against `BENCH_pr5.json`.
+/// uses) under `mode` and pins every row.
 fn assert_pr5_clock_rows(mode: ScoreMode) {
     let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let spec = MachineSpec::paper_l6();
@@ -104,6 +118,16 @@ fn assert_pr5_clock_rows(mode: ScoreMode) {
         assert_eq!(
             stats.batched_hops, pin.batched_hops,
             "{} ({mode:?}): batched hop count drifted",
+            pin.name
+        );
+        assert_eq!(
+            chosen.stats.shuttles, pin.chosen_shuttles,
+            "{} ({mode:?}): chosen shuttle count drifted",
+            pin.name
+        );
+        assert_eq!(
+            chosen.stats.transport_depth, pin.chosen_depth,
+            "{} ({mode:?}): chosen transport depth drifted",
             pin.name
         );
         assert!(

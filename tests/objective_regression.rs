@@ -1,5 +1,5 @@
 //! Regression pins for the default (shuttle-count) objective: the five
-//! paper benchmarks must reproduce the `BENCH_pr4.json` serial, congestion,
+//! paper benchmarks must reproduce the pinned serial, congestion,
 //! lookahead and packed rows *exactly* — shuttle counts, transport depths,
 //! and timed makespans under the realistic device model — so the timed
 //! compile-loop objective (PR 5) provably cannot perturb existing
@@ -13,7 +13,7 @@ use muzzle_shuttle::route::TransportSchedule;
 use muzzle_shuttle::timing::TimingModel;
 use qccd_circuit::generators::paper_suite;
 
-/// One benchmark's pinned `BENCH_pr4.json` row (realistic timing).
+/// One benchmark's pinned row (realistic timing).
 struct Pin {
     name: &'static str,
     baseline_shuttles: usize,
@@ -30,7 +30,8 @@ struct Pin {
     packed_makespan_us: f64,
 }
 
-/// The `BENCH_pr4.json` rows, verbatim.
+/// The rows recorded when packing landed, verbatim; the committed
+/// `BENCH.json` carries the same values.
 const PINS: [Pin; 5] = [
     Pin {
         name: "Supremacy",
@@ -110,7 +111,7 @@ const PINS: [Pin; 5] = [
 ];
 
 /// The default objective's serial, congestion, lookahead and packed rows
-/// are bit-for-bit the `BENCH_pr4.json` rows. This test failing means the
+/// are bit-for-bit the pinned rows. This test failing means the
 /// clock objective leaked into the default pipeline — exactly what it
 /// exists to catch. It also pins the shared round-backfill core: the
 /// lookahead packer (departure-credit rules) and the cross-gate packer
