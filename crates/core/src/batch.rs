@@ -1,8 +1,69 @@
-//! Occupancy arithmetic for the clock objective's batched layers: the
-//! exact final-occupancy test that rejects a batch before its flow solve,
-//! and the sweep that serializes the routed walks into legal single hops.
+//! Feasibility and occupancy arithmetic for the clock objective's batched
+//! layers: the component labels that tell which movers have a full-free
+//! path, the exact final-occupancy test that rejects a batch before its
+//! flow solve, and the sweep that serializes the routed walks into legal
+//! single hops.
 
+use qccd_flow::Adjacency;
 use qccd_machine::{IonId, TrapId};
+
+/// Label of a full trap in [`FreeComponents`].
+const FULL: u32 = u32::MAX;
+/// Label of a trap not yet reached by the labelling search.
+const UNSEEN: u32 = u32::MAX - 1;
+
+/// The connected components of the traps that are not full, labelled once
+/// per batch in O(traps + segments), so each mover's full-free-path test
+/// is a few label comparisons instead of a filtered path search.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FreeComponents {
+    /// Each trap's component, or [`FULL`].
+    label: Vec<u32>,
+    /// Reused search stack.
+    stack: Vec<usize>,
+}
+
+impl FreeComponents {
+    /// Labels the components of `graph` restricted to the traps for which
+    /// `full` is false.
+    pub(crate) fn label(&mut self, graph: &Adjacency, full: impl Fn(usize) -> bool) {
+        self.label.clear();
+        self.label
+            .extend((0..graph.len()).map(|t| if full(t) { FULL } else { UNSEEN }));
+        for root in 0..graph.len() {
+            if self.label[root] != UNSEEN {
+                continue;
+            }
+            let id = root as u32;
+            self.label[root] = id;
+            self.stack.push(root);
+            while let Some(u) = self.stack.pop() {
+                for &v in graph.neighbors(u) {
+                    if self.label[v] == UNSEEN {
+                        self.label[v] = id;
+                        self.stack.push(v);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whether `graph` has a path `from ..= to` whose interior traps are
+    /// all not full, as last [`label`](Self::label)led: exactly when
+    /// `shortest_path_filtered(from, to, |t| t == to || !full(t))` finds
+    /// one. Either `to` neighbours `from`, or some non-full neighbour of
+    /// `from` shares a component with some neighbour of `to` (a walk
+    /// between them through non-full traps shortcuts to a simple path).
+    pub(crate) fn connects(&self, graph: &Adjacency, from: usize, to: usize) -> bool {
+        let near_to = graph.neighbors(to);
+        from == to
+            || graph.neighbors(from).iter().any(|&u| {
+                u == to
+                    || (self.label[u] != FULL
+                        && near_to.iter().any(|&v| self.label[v] == self.label[u]))
+            })
+    }
+}
 
 /// Whether moving every walker `(from, to)` to its destination leaves some
 /// trap above `capacity`: `occupancy(t) + arrivals(t) − departures(t)`
@@ -226,6 +287,48 @@ mod oracle {
             seen.insert(label);
         }
         assert_eq!(seen.len(), 4, "outcomes hit: {seen:?}");
+    }
+
+    /// A line, ring, grid or disconnected graph (two lines) on 2–9 nodes.
+    fn graph(kind: u32, size: usize) -> Adjacency {
+        match kind {
+            0 => Adjacency::line(size),
+            1 => Adjacency::ring(size.max(3)),
+            2 => Adjacency::grid(2, size.div_ceil(2).max(2)),
+            _ => {
+                let mut g = Adjacency::new(size);
+                for a in (1..size).filter(|&a| a != size / 2) {
+                    g.add_edge(a - 1, a);
+                }
+                g
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The component-label test agrees with the filtered path search
+        /// it replaces on every ordered pair, under random trap fullness.
+        #[test]
+        fn component_labels_decide_full_free_paths_exactly(
+            kind in 0u32..4,
+            size in 2usize..10,
+            full_mask in any::<u32>(),
+        ) {
+            let g = graph(kind, size);
+            let full = |t: usize| full_mask >> t & 1 == 1;
+            let mut free = FreeComponents::default();
+            free.label(&g, full);
+            for from in 0..g.len() {
+                for to in 0..g.len() {
+                    let want = g
+                        .shortest_path_filtered(from, to, |t| t == to || !full(t))
+                        .is_some();
+                    prop_assert_eq!(free.connects(&g, from, to), want, "{} -> {}", from, to);
+                }
+            }
+        }
     }
 
     /// At capacity `u32::MAX` the sum cannot wrap: nothing overfills.

@@ -88,11 +88,13 @@ impl ClockScorer {
     /// Projected makespan after speculatively walking `ion` along the
     /// inclusive trap path `path` from the live checkpoint. `None` when
     /// the walk is illegal from here (e.g. a full trap on the way) — the
-    /// candidate needs evictions this score cannot price.
+    /// candidate needs evictions this score cannot price. `committed` is
+    /// every operation committed so far; only `ScoreMode::Full` reads it.
     pub fn score_walk(
         &mut self,
         ion: IonId,
         path: &[TrapId],
+        committed: &[Operation],
         circuit: &Circuit,
         spec: &MachineSpec,
     ) -> Option<f64> {
@@ -105,7 +107,9 @@ impl ClockScorer {
             to: w[1],
         }));
         match self.mode {
-            ScoreMode::Full => self.delta.score_ops_full(&self.ops, circuit, spec),
+            ScoreMode::Full => self
+                .delta
+                .score_ops_full(committed, &self.ops, circuit, spec),
             ScoreMode::Delta => self.delta.score_ops(&self.ops, circuit, spec),
         }
     }
@@ -167,8 +171,8 @@ mod tests {
             // drift.
             let ion = IonId(0);
             let path = [TrapId(0), TrapId(1), TrapId(2)];
-            let a = scorer.score_walk(ion, &path, &circuit, &spec).unwrap();
-            let b = scorer.score_walk(ion, &path, &circuit, &spec).unwrap();
+            let a = scorer.score_walk(ion, &path, &[], &circuit, &spec).unwrap();
+            let b = scorer.score_walk(ion, &path, &[], &circuit, &spec).unwrap();
             assert_eq!(a, b);
             assert_eq!(scorer.makespan_us(), 0.0, "speculation never commits");
 
@@ -210,9 +214,10 @@ mod tests {
             (IonId(9), vec![TrapId(3), TrapId(4)]),
             (IonId(3), vec![TrapId(1), TrapId(4), TrapId(5)]),
         ];
+        let mut committed = Vec::new();
         for (ion, path) in &walks {
-            let d = delta.score_walk(*ion, path, &circuit, &spec);
-            let f = full.score_walk(*ion, path, &circuit, &spec);
+            let d = delta.score_walk(*ion, path, &committed, &circuit, &spec);
+            let f = full.score_walk(*ion, path, &committed, &circuit, &spec);
             assert_eq!(d, f, "walk of ion {ion:?} along {path:?}");
             // Commit the first hop so later walks price from a moved fold.
             let op = Operation::Shuttle {
@@ -222,6 +227,7 @@ mod tests {
             };
             delta.commit(&op, &circuit, &spec).unwrap();
             full.commit(&op, &circuit, &spec).unwrap();
+            committed.push(op);
             assert_eq!(delta.makespan_us(), full.makespan_us());
         }
     }

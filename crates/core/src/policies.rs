@@ -3,7 +3,7 @@
 
 use crate::config::DirectionPolicy;
 use crate::remaining::{RemainingGates, SCAN_ENTRIES};
-use qccd_circuit::{Circuit, DependencyDag, GateId, Qubit};
+use qccd_circuit::{Circuit, GateId, Qubit};
 use qccd_machine::{IonId, MachineState, TrapId};
 
 /// The outcome of a shuttle-direction decision for a cross-trap gate.
@@ -87,12 +87,11 @@ pub struct DirectionChoice {
 pub(crate) fn decide_direction(
     policy: DirectionPolicy,
     circuit: &Circuit,
-    dag: &DependencyDag,
     state: &MachineState,
     remaining: &RemainingGates,
     active: GateId,
 ) -> MoveDecision {
-    decide_direction_open(policy, circuit, dag, state, remaining, active).decision
+    decide_direction_open(policy, circuit, state, remaining, active).decision
 }
 
 /// [`decide_direction`] with the tie surfaced: identical decision, plus
@@ -103,7 +102,6 @@ pub(crate) fn decide_direction(
 pub(crate) fn decide_direction_open(
     policy: DirectionPolicy,
     circuit: &Circuit,
-    dag: &DependencyDag,
     state: &MachineState,
     remaining: &RemainingGates,
     active: GateId,
@@ -117,9 +115,12 @@ pub(crate) fn decide_direction_open(
     assert_ne!(trap_a, trap_b, "gate operands are already co-located");
 
     let scored = |metric: ProximityMetric, proximity: u32| -> DirectionChoice {
-        let scores = move_scores(
-            circuit, dag, state, remaining, active, qa, qb, trap_a, trap_b, proximity, metric,
+        debug_assert_eq!(
+            remaining.of(qa).first().map(|e| e.rank),
+            Some(remaining.rank(active)),
+            "the active gate is ready, so it heads its operands' lists"
         );
+        let scores = move_scores(state, remaining, qa, qb, trap_a, trap_b, proximity, metric);
         if scores.a_to_b > scores.b_to_a {
             DirectionChoice {
                 decision: MoveDecision {
@@ -199,24 +200,26 @@ fn excess_capacity_direction(
     }
 }
 
-/// Computes the §III-A2 move scores for the active gate, honouring the
+/// Computes the §III-A2 move scores for the active gate on `qa`, `qb` —
+/// the gate heading both operands' remaining-gate lists — honouring the
 /// §III-A3 proximity cutoff.
 ///
 /// A gate is *relevant* if it involves `qa` or `qb`. The scan visits the
-/// relevant gates after `active` in plan order — the merge of the two
-/// operands' remaining-gate lists. When the gap since the previous relevant
-/// gate (measured per `metric`) exceeds `proximity`, the scan stops and all
-/// later gates are excluded. The pending queue is a subsequence of the
-/// layer-sorted plan, so a non-relevant gate past the cutoff is followed
-/// only by relevant gates past it too: visiting relevant gates alone gives
-/// exactly the scores of a walk over the whole queue.
+/// relevant gates after the active one in plan order — the merge of the
+/// two operands' remaining-gate lists. When the gap since the previous
+/// relevant gate (measured per `metric`) exceeds `proximity`, the scan
+/// stops and all later gates are excluded. The pending queue is a
+/// subsequence of the layer-sorted plan, so a non-relevant gate past the
+/// cutoff is followed only by relevant gates past it too: visiting
+/// relevant gates alone gives exactly the scores of a walk over the whole
+/// queue.
+///
+/// Each list entry carries its gate's rank, layer and partner qubit, so
+/// the merge reads nothing per gate but the partner's trap.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn move_scores(
-    circuit: &Circuit,
-    dag: &DependencyDag,
     state: &MachineState,
     remaining: &RemainingGates,
-    active: GateId,
     qa: Qubit,
     qb: Qubit,
     trap_a: TrapId,
@@ -226,58 +229,56 @@ pub(crate) fn move_scores(
 ) -> MoveScores {
     let (a, b) = (remaining.of(qa), remaining.of(qb));
     debug_assert!(
-        a.first() == Some(&active) && b.first() == Some(&active),
+        !a.is_empty() && b.first().map(|e| e.rank) == Some(a[0].rank),
         "the active gate is ready, so it heads both operands' lists"
     );
     let (mut i, mut j) = (1, 1);
     let mut scores = MoveScores::default();
-    let mut last = active;
+    let mut count = |partner: Qubit| {
+        let partner_trap = state.trap_of(IonId::from(partner));
+        if partner_trap == trap_b {
+            scores.a_to_b += 1;
+        } else if partner_trap == trap_a {
+            scores.b_to_a += 1;
+        }
+        // Partners in third traps influence neither direction.
+    };
+    let mut last = a[0];
     loop {
-        // Next relevant gate in plan order; a gate on both operands
-        // appears in both lists and is visited once.
-        let gid = match (a.get(i), b.get(j)) {
-            (Some(&x), Some(&y)) if x == y => {
+        // Next relevant gate in plan order. A gate on both operands sits
+        // in both lists (same rank) and is visited once, counting both
+        // entries' partners.
+        let (next, other) = match (a.get(i), b.get(j)) {
+            (Some(x), Some(y)) if x.rank == y.rank => {
                 i += 1;
                 j += 1;
-                x
+                (*x, Some(y.partner))
             }
-            (Some(&x), Some(&y)) if remaining.rank(x) < remaining.rank(y) => {
+            (Some(x), Some(y)) if x.rank < y.rank => {
                 i += 1;
-                x
+                (*x, None)
             }
-            (_, Some(&y)) => {
+            (_, Some(y)) => {
                 j += 1;
-                y
+                (*y, None)
             }
-            (Some(&x), None) => {
+            (Some(x), None) => {
                 i += 1;
-                x
+                (*x, None)
             }
             (None, None) => break,
         };
         let gap = match metric {
-            ProximityMetric::Layers => dag.layer_of(gid).saturating_sub(dag.layer_of(last)),
-            ProximityMetric::Gates => remaining.pending_between(last, gid),
+            ProximityMetric::Layers => next.layer.saturating_sub(last.layer),
+            ProximityMetric::Gates => remaining.pending_between(last.rank, next.rank),
         };
         if gap > proximity {
             break;
         }
-        last = gid;
-        let (x, y) = circuit
-            .gate(gid)
-            .two_qubit_operands()
-            .expect("the index lists only two-qubit gates");
-        for (p, partner) in [(x, y), (y, x)] {
-            if p != qa && p != qb {
-                continue;
-            }
-            let partner_trap = state.trap_of(IonId::from(partner));
-            if partner_trap == trap_b {
-                scores.a_to_b += 1;
-            } else if partner_trap == trap_a {
-                scores.b_to_a += 1;
-            }
-            // Partners in third traps influence neither direction.
+        last = next;
+        count(next.partner);
+        if let Some(partner) = other {
+            count(partner);
         }
     }
     SCAN_ENTRIES.add((i + j - 2) as u64);
@@ -288,7 +289,7 @@ pub(crate) fn move_scores(
 mod tests {
     use super::*;
     use crate::remaining::testing::random_walk;
-    use qccd_circuit::Opcode;
+    use qccd_circuit::{DependencyDag, Opcode};
     use qccd_machine::{InitialMapping, MachineSpec};
     use std::collections::VecDeque;
 
@@ -360,10 +361,7 @@ mod tests {
                     for metric in [ProximityMetric::Layers, ProximityMetric::Gates] {
                         for proximity in [0, 1, 2, 6, 50] {
                             assert_eq!(
-                                move_scores(
-                                    c, dag, state, remaining, gid, qa, qb, ta, tb, proximity,
-                                    metric
-                                ),
+                                move_scores(state, remaining, qa, qb, ta, tb, proximity, metric),
                                 queue_scan_scores(
                                     c, dag, state, pending, pos, ta, tb, proximity, metric
                                 ),
@@ -380,7 +378,7 @@ mod tests {
 
     /// Builds the Fig. 4 scenario: 2 traps of capacity 4; ions 0,1 in T0;
     /// ions 2,3,4 in T1. Gates A-D.
-    fn fig4() -> (Circuit, DependencyDag, MachineState, RemainingGates) {
+    fn fig4() -> (Circuit, MachineState, RemainingGates) {
         let mut c = Circuit::new(5);
         c.push_two_qubit(Opcode::Ms, Qubit(1), Qubit(2)).unwrap(); // A
         c.push_two_qubit(Opcode::Ms, Qubit(2), Qubit(3)).unwrap(); // B
@@ -394,22 +392,19 @@ mod tests {
         .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let remaining = RemainingGates::new(&c, &dag.topological_order());
-        (c, dag, state, remaining)
+        let remaining = RemainingGates::new(&c, &dag, &dag.topological_order());
+        (c, state, remaining)
     }
 
     #[test]
     fn paper_table1_move_score() {
         // Table I: ionA=1, ionB=2, trapA=T0, trapB=T1.
         // ionA(A→B) = 3 (Gate-C + Gates B,D), ionB(B→A) = 1 (Gate-C).
-        let (c, dag, state, remaining) = fig4();
+        let (_, state, remaining) = fig4();
         for metric in [ProximityMetric::Layers, ProximityMetric::Gates] {
             let scores = move_scores(
-                &c,
-                &dag,
                 &state,
                 &remaining,
-                GateId(0),
                 Qubit(1),
                 Qubit(2),
                 TrapId(0),
@@ -431,11 +426,10 @@ mod tests {
     #[test]
     fn future_ops_moves_ion1_to_t1() {
         // §III-A2: "ionA = 1 will move from trapA (T0) to trapB (T1)".
-        let (c, dag, state, remaining) = fig4();
+        let (c, state, remaining) = fig4();
         let d = decide_direction(
             DirectionPolicy::FutureOps { proximity: 6 },
             &c,
-            &dag,
             &state,
             &remaining,
             GateId(0),
@@ -453,11 +447,10 @@ mod tests {
     #[test]
     fn excess_capacity_moves_ion2_to_t0() {
         // Fig. 4: EC(T0)=2 > EC(T1)=1, so the baseline moves ion 2 into T0.
-        let (c, dag, state, remaining) = fig4();
+        let (c, state, remaining) = fig4();
         let d = decide_direction(
             DirectionPolicy::ExcessCapacity,
             &c,
-            &dag,
             &state,
             &remaining,
             GateId(0),
@@ -483,11 +476,10 @@ mod tests {
                 .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let remaining = RemainingGates::new(&c, &dag.topological_order());
+        let remaining = RemainingGates::new(&c, &dag, &dag.topological_order());
         let d = decide_direction(
             DirectionPolicy::ExcessCapacity,
             &c,
-            &dag,
             &state,
             &remaining,
             GateId(0),
@@ -498,7 +490,7 @@ mod tests {
 
     /// Builds the Fig. 5 scenario: relevant gates 1 and 3 are close; gate
     /// 11 is separated from gate 3 by a 7-gate (and 7-layer) filler chain.
-    fn fig5() -> (Circuit, DependencyDag, MachineState, RemainingGates) {
+    fn fig5() -> (Circuit, MachineState, RemainingGates) {
         let mut c = Circuit::new(10);
         let (a, b, cc, d) = (Qubit(0), Qubit(1), Qubit(2), Qubit(3));
         c.push_two_qubit(Opcode::Ms, a, b).unwrap(); // 1 (active)
@@ -533,22 +525,19 @@ mod tests {
         .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let remaining = RemainingGates::new(&c, &dag.topological_order());
-        (c, dag, state, remaining)
+        let remaining = RemainingGates::new(&c, &dag, &dag.topological_order());
+        (c, state, remaining)
     }
 
     #[test]
     fn proximity_excludes_distant_gates_both_metrics() {
         // Fig. 5: gate 3 is close (considered); the late (b,d) gate is
         // beyond the proximity-6 horizon under both metrics.
-        let (c, dag, state, remaining) = fig5();
+        let (_, state, remaining) = fig5();
         for metric in [ProximityMetric::Layers, ProximityMetric::Gates] {
             let near = move_scores(
-                &c,
-                &dag,
                 &state,
                 &remaining,
-                GateId(0),
                 Qubit(0),
                 Qubit(1),
                 TrapId(0),
@@ -566,11 +555,8 @@ mod tests {
             );
             // A generous proximity includes the distant gate too.
             let far = move_scores(
-                &c,
-                &dag,
                 &state,
                 &remaining,
-                GateId(0),
                 Qubit(0),
                 Qubit(1),
                 TrapId(0),
@@ -617,14 +603,11 @@ mod tests {
         let mapping = InitialMapping::from_traps(&spec, traps).unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let remaining = RemainingGates::new(&c, &dag.topological_order());
+        let remaining = RemainingGates::new(&c, &dag, &dag.topological_order());
 
         let layers = move_scores(
-            &c,
-            &dag,
             &state,
             &remaining,
-            GateId(0),
             Qubit(0),
             Qubit(1),
             TrapId(0),
@@ -641,11 +624,8 @@ mod tests {
         );
 
         let gates = move_scores(
-            &c,
-            &dag,
             &state,
             &remaining,
-            GateId(0),
             Qubit(0),
             Qubit(1),
             TrapId(0),
@@ -673,11 +653,10 @@ mod tests {
         .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let remaining = RemainingGates::new(&c, &dag.topological_order());
+        let remaining = RemainingGates::new(&c, &dag, &dag.topological_order());
         let d = decide_direction(
             DirectionPolicy::FutureOps { proximity: 6 },
             &c,
-            &dag,
             &state,
             &remaining,
             GateId(0),
@@ -700,11 +679,10 @@ mod tests {
         .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let remaining = RemainingGates::new(&c, &dag.topological_order());
+        let remaining = RemainingGates::new(&c, &dag, &dag.topological_order());
         let choice = decide_direction_open(
             DirectionPolicy::FutureOps { proximity: 6 },
             &c,
-            &dag,
             &state,
             &remaining,
             GateId(0),
@@ -716,11 +694,10 @@ mod tests {
 
         // A decisive score (the Fig. 4 setup) surfaces no alternative, and
         // the EC policy never does.
-        let (c, dag, state, remaining) = fig4();
+        let (c, state, remaining) = fig4();
         let decisive = decide_direction_open(
             DirectionPolicy::FutureOps { proximity: 6 },
             &c,
-            &dag,
             &state,
             &remaining,
             GateId(0),
@@ -729,7 +706,6 @@ mod tests {
         let ec = decide_direction_open(
             DirectionPolicy::ExcessCapacity,
             &c,
-            &dag,
             &state,
             &remaining,
             GateId(0),
@@ -757,13 +733,10 @@ mod tests {
         .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let remaining = RemainingGates::new(&c, &dag.topological_order());
+        let remaining = RemainingGates::new(&c, &dag, &dag.topological_order());
         let s = move_scores(
-            &c,
-            &dag,
             &state,
             &remaining,
-            GateId(0),
             Qubit(0),
             Qubit(1),
             TrapId(0),

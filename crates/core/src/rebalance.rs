@@ -294,7 +294,7 @@ mod tests {
         let mapping = InitialMapping::round_robin(&spec, 4).unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let c = Circuit::new(4);
-        let remaining = RemainingGates::new(&c, &[]);
+        let remaining = RemainingGates::new(&c, &c.dependency_dag(), &[]);
         // T0 chain = [0, 1, 2]; keep ion 2 → pick ion 1.
         let ion = choose_ion(
             IonSelection::ChainEnd,
@@ -320,7 +320,8 @@ mod tests {
             InitialMapping::from_traps(&spec, vec![TrapId(0), TrapId(0), TrapId(0), TrapId(1)])
                 .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
-        let remaining = RemainingGates::new(&c, &c.dependency_dag().topological_order());
+        let dag = c.dependency_dag();
+        let remaining = RemainingGates::new(&c, &dag, &dag.topological_order());
         let ion = choose_ion(
             IonSelection::MaxScore { wd: 0.5, ws: 0.5 },
             &state,
@@ -344,7 +345,8 @@ mod tests {
             InitialMapping::from_traps(&spec, vec![TrapId(0), TrapId(0), TrapId(0), TrapId(1)])
                 .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
-        let remaining = RemainingGates::new(&c, &c.dependency_dag().topological_order());
+        let dag = c.dependency_dag();
+        let remaining = RemainingGates::new(&c, &dag, &dag.topological_order());
         let ion = choose_ion(
             IonSelection::MaxScore { wd: 0.5, ws: 0.5 },
             &state,
@@ -365,7 +367,7 @@ mod tests {
         let mapping = InitialMapping::from_traps(&spec, vec![TrapId(0), TrapId(1)]).unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let c = Circuit::new(2);
-        let remaining = RemainingGates::new(&c, &[]);
+        let remaining = RemainingGates::new(&c, &c.dependency_dag(), &[]);
         assert_eq!(
             choose_ion(
                 IonSelection::ChainEnd,

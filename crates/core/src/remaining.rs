@@ -7,28 +7,48 @@
 //! of its executed prefix. The §III-A move score then visits only the gates
 //! of the active gate's two operands, never the whole pending queue.
 //!
+//! The lists hold [`Entry`] values, not gate ids: each entry carries the
+//! three things the move score reads about a gate — its plan rank, its
+//! dependency-graph layer and the operand's partner qubit — so the scan
+//! merges two flat slices without a circuit, DAG or rank lookup per gate.
+//! All lists share one exact-size array, cut by per-qubit offsets.
+//!
 //! Two more views serve the other scans: per-pair counts of the remaining
 //! two-qubit gates, which make the §III-C eviction score O(capacity²) per
 //! candidate set instead of a walk over every pending gate, and a Fenwick
 //! tree over plan ranks, which gives the gate-distance proximity metric
 //! the number of pending gates between two gates in O(log n).
 
-use qccd_circuit::{Circuit, GateId, GateQubits, Qubit};
+use qccd_circuit::{Circuit, DependencyDag, GateId, GateQubits, Qubit};
 use qccd_machine::IonId;
 
 /// Entries of the remaining-gate index and of the pending queue that the
 /// §III scans read: a deterministic measure of their work.
 pub(crate) static SCAN_ENTRIES: qccd_obs::Counter = qccd_obs::Counter::new("core.scan_entries");
 
+/// One two-qubit gate as seen from one of its operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Entry {
+    /// The gate's position in the initial plan (unique per gate).
+    pub(crate) rank: u32,
+    /// The gate's dependency-graph layer.
+    pub(crate) layer: u32,
+    /// The gate's other operand.
+    pub(crate) partner: Qubit,
+}
+
 /// Per-qubit remaining gates, remaining pair counts and pending ranks of
 /// one compile. Updated by [`mark_done`](Self::mark_done) exactly when the
 /// scheduler retires a gate from its pending queue.
 #[derive(Debug, Clone)]
 pub(crate) struct RemainingGates {
-    /// `by_qubit[q]`: qubit `q`'s two-qubit gates, in plan order.
-    by_qubit: Vec<Vec<GateId>>,
-    /// `executed[q]`: how many of `by_qubit[q]` have executed.
-    executed: Vec<usize>,
+    /// Qubit `q`'s two-qubit gates, in plan order, are
+    /// `entries[offsets[q]..offsets[q + 1]]`.
+    entries: Vec<Entry>,
+    offsets: Vec<usize>,
+    /// `next[q]`: index in `entries` of qubit `q`'s first gate not yet
+    /// executed.
+    next: Vec<usize>,
     /// `pairs[a * num_qubits + b]`: remaining two-qubit gates on `a`, `b`.
     pairs: Vec<u32>,
     num_qubits: usize,
@@ -40,29 +60,56 @@ pub(crate) struct RemainingGates {
 
 impl RemainingGates {
     /// The index for `circuit` with nothing executed; `plan` is the
-    /// initial execution order (a topological order of every gate).
-    pub(crate) fn new(circuit: &Circuit, plan: &[GateId]) -> Self {
+    /// initial execution order (a topological order of every gate) and
+    /// `dag` supplies each gate's layer.
+    pub(crate) fn new(circuit: &Circuit, dag: &DependencyDag, plan: &[GateId]) -> Self {
         let n = circuit.num_qubits() as usize;
-        let mut by_qubit = vec![Vec::new(); n];
         let mut pairs = vec![0u32; n * n];
         let mut rank = vec![0u32; plan.len()];
-        for (r, &g) in plan.iter().enumerate() {
-            rank[g.index()] = r as u32;
+        // Count each qubit's gates, then fill every list in plan order.
+        let mut offsets = vec![0usize; n + 1];
+        for &g in plan {
             if let Some((a, b)) = circuit.gate(g).two_qubit_operands() {
-                by_qubit[a.index()].push(g);
-                by_qubit[b.index()].push(g);
+                offsets[a.index() + 1] += 1;
+                offsets[b.index() + 1] += 1;
                 pairs[a.index() * n + b.index()] += 1;
                 pairs[b.index() * n + a.index()] += 1;
             }
         }
+        for q in 0..n {
+            offsets[q + 1] += offsets[q];
+        }
+        let mut next = offsets[..n].to_vec();
+        let placeholder = Entry {
+            rank: 0,
+            layer: 0,
+            partner: Qubit(0),
+        };
+        let mut entries = vec![placeholder; offsets[n]];
+        for (r, &g) in plan.iter().enumerate() {
+            rank[g.index()] = r as u32;
+            if let Some((a, b)) = circuit.gate(g).two_qubit_operands() {
+                let layer = dag.layer_of(g);
+                for (q, partner) in [(a, b), (b, a)] {
+                    entries[next[q.index()]] = Entry {
+                        rank: r as u32,
+                        layer,
+                        partner,
+                    };
+                    next[q.index()] += 1;
+                }
+            }
+        }
+        next.copy_from_slice(&offsets[..n]);
         // With every rank pending, Fenwick node i (1-based) covers
         // (i - lowbit(i), i], so it holds lowbit(i).
         let pending = (1..=plan.len())
             .map(|i| (i & i.wrapping_neg()) as u32)
             .collect();
         RemainingGates {
-            by_qubit,
-            executed: vec![0; n],
+            entries,
+            offsets,
+            next,
             pairs,
             num_qubits: n,
             rank,
@@ -71,8 +118,8 @@ impl RemainingGates {
     }
 
     /// Qubit `q`'s two-qubit gates not yet executed, in plan order.
-    pub(crate) fn of(&self, q: Qubit) -> &[GateId] {
-        &self.by_qubit[q.index()][self.executed[q.index()]..]
+    pub(crate) fn of(&self, q: Qubit) -> &[Entry] {
+        &self.entries[self.next[q.index()]..self.offsets[q.index() + 1]]
     }
 
     /// Remaining two-qubit gates between ions `a` and `b` (0 for an ion
@@ -91,10 +138,9 @@ impl RemainingGates {
         self.rank[g.index()]
     }
 
-    /// Pending gates strictly between `a` and `b` in plan order
-    /// (`a` before `b`).
-    pub(crate) fn pending_between(&self, a: GateId, b: GateId) -> u32 {
-        self.pending_before(self.rank(b) as usize) - self.pending_before(self.rank(a) as usize + 1)
+    /// Pending gates strictly between plan ranks `a` and `b` (`a < b`).
+    pub(crate) fn pending_between(&self, a: u32, b: u32) -> u32 {
+        self.pending_before(b as usize) - self.pending_before(a as usize + 1)
     }
 
     /// Pending gates with plan rank below `rank`.
@@ -111,8 +157,12 @@ impl RemainingGates {
     pub(crate) fn mark_done(&mut self, circuit: &Circuit, g: GateId) {
         if let GateQubits::Two(a, b) = circuit.gate(g).qubits {
             for q in [a, b] {
-                debug_assert_eq!(self.of(q).first(), Some(&g), "qubit gates run in order");
-                self.executed[q.index()] += 1;
+                debug_assert_eq!(
+                    self.of(q).first().map(|e| e.rank),
+                    Some(self.rank(g)),
+                    "qubit gates run in order"
+                );
+                self.next[q.index()] += 1;
             }
             let n = self.num_qubits;
             self.pairs[a.index() * n + b.index()] -= 1;
@@ -168,7 +218,7 @@ pub(crate) mod testing {
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = circuit.dependency_dag();
         let plan = dag.topological_order();
-        let mut remaining = RemainingGates::new(&circuit, &plan);
+        let mut remaining = RemainingGates::new(&circuit, &dag, &plan);
         let mut pending: VecDeque<GateId> = plan.into();
         let mut ready = dag.ready_set();
         let mut steps = Vec::new();
@@ -205,38 +255,55 @@ mod tests {
         c.push_single_qubit(Opcode::H, Qubit(2)).unwrap(); // g1
         c.push_two_qubit(Opcode::Ms, Qubit(1), Qubit(2)).unwrap(); // g2
         c.push_two_qubit(Opcode::Ms, Qubit(0), Qubit(1)).unwrap(); // g3
-        let plan = c.dependency_dag().topological_order();
+        let dag = c.dependency_dag();
+        let plan = dag.topological_order();
         assert_eq!(plan, vec![GateId(0), GateId(1), GateId(2), GateId(3)]);
-        let mut r = RemainingGates::new(&c, &plan);
-        assert_eq!(r.of(Qubit(1)), &[GateId(0), GateId(2), GateId(3)]);
+        let mut r = RemainingGates::new(&c, &dag, &plan);
+        let e = |rank, layer, partner| Entry {
+            rank,
+            layer,
+            partner: Qubit(partner),
+        };
+        assert_eq!(r.of(Qubit(1)), &[e(0, 0, 0), e(2, 1, 2), e(3, 2, 0)]);
         assert_eq!(r.pair_count(IonId(0), IonId(1)), 2);
         assert_eq!(r.pair_count(IonId(1), IonId(0)), 2);
         assert_eq!(r.pair_count(IonId(0), IonId(7)), 0, "ion without a qubit");
-        assert_eq!(r.pending_between(GateId(0), GateId(3)), 2);
+        assert_eq!(r.pending_between(0, 3), 2);
 
         r.mark_done(&c, GateId(0));
         r.mark_done(&c, GateId(1));
-        assert_eq!(r.of(Qubit(0)), &[GateId(3)]);
-        assert_eq!(r.of(Qubit(1)), &[GateId(2), GateId(3)]);
-        assert_eq!(r.of(Qubit(2)), &[GateId(2)]);
+        assert_eq!(r.of(Qubit(0)), &[e(3, 2, 1)]);
+        assert_eq!(r.of(Qubit(1)), &[e(2, 1, 2), e(3, 2, 0)]);
+        assert_eq!(r.of(Qubit(2)), &[e(2, 1, 1)]);
         assert_eq!(r.pair_count(IonId(0), IonId(1)), 1);
-        assert_eq!(r.pending_between(GateId(0), GateId(3)), 1);
-        assert_eq!(r.pending_between(GateId(2), GateId(3)), 0);
+        assert_eq!(r.pending_between(0, 3), 1);
+        assert_eq!(r.pending_between(2, 3), 0);
     }
 
     #[test]
     fn index_matches_the_pending_queue_at_every_step() {
         for seed in 0..30 {
             let walk = testing::random_walk(seed);
-            let c = &walk.circuit;
+            let (c, dag) = (&walk.circuit, &walk.dag);
             let n = c.num_qubits();
             for (pending, _, r) in &walk.steps {
                 let two_qubit = |g: &&GateId| c.gate(**g).two_qubit_operands();
                 for q in (0..n).map(Qubit) {
-                    let on_q: Vec<GateId> = pending
+                    let on_q: Vec<Entry> = pending
                         .iter()
-                        .filter(|g| two_qubit(g).is_some_and(|(a, b)| a == q || b == q))
-                        .copied()
+                        .filter_map(|g| {
+                            let (a, b) = two_qubit(&g)?;
+                            let partner = match q {
+                                _ if q == a => b,
+                                _ if q == b => a,
+                                _ => return None,
+                            };
+                            Some(Entry {
+                                rank: r.rank(*g),
+                                layer: dag.layer_of(*g),
+                                partner,
+                            })
+                        })
                         .collect();
                     assert_eq!(r.of(q), on_q, "seed {seed}");
                     for p in (0..n).map(Qubit) {
@@ -252,7 +319,8 @@ mod tests {
                 }
                 for (i, &a) in pending.iter().enumerate() {
                     for (j, &b) in pending.iter().enumerate().skip(i + 1) {
-                        assert_eq!(r.pending_between(a, b) as usize, j - i - 1, "seed {seed}");
+                        let between = r.pending_between(r.rank(a), r.rank(b));
+                        assert_eq!(between as usize, j - i - 1, "seed {seed}");
                     }
                 }
             }

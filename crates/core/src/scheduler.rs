@@ -1,7 +1,7 @@
 //! The compile loop: earliest-ready-gate-first scheduling with pluggable
 //! shuttle-direction, re-ordering, and re-balancing policies.
 
-use crate::batch::{legalize, overfills};
+use crate::batch::{legalize, overfills, FreeComponents};
 use crate::config::{CompilerConfig, Objective, RebalancePolicy};
 use crate::error::CompileError;
 use crate::mapping::initial_mapping;
@@ -11,9 +11,9 @@ use crate::rebalance::{choose_destination, choose_ion, destination_candidates, e
 use crate::remaining::{RemainingGates, SCAN_ENTRIES};
 use crate::stats::CompileStats;
 use qccd_circuit::{Circuit, DependencyDag, GateId, GateQubits, ReadySet};
-use qccd_flow::{route_commodities, Commodity};
+use qccd_flow::{Commodity, CommodityRouter};
 use qccd_machine::{InitialMapping, IonId, MachineSpec, MachineState, Operation, Schedule, TrapId};
-use qccd_route::{route_budget, EdgeWeightFn, RoutePlanner, RouterPolicy, TransportSchedule};
+use qccd_route::{route_budget, RoutePlanner, RouterPolicy, TransportSchedule};
 use qccd_timing::Timeline;
 use std::collections::VecDeque;
 
@@ -149,7 +149,7 @@ pub fn compile_with_mapping(
         (dag, plan)
     };
     let ready = dag.ready_set();
-    let remaining = RemainingGates::new(circuit, &plan);
+    let remaining = RemainingGates::new(circuit, &dag, &plan);
     let pending: VecDeque<GateId> = plan.into();
     let clock = match config.objective {
         Objective::Shuttles => None,
@@ -162,12 +162,27 @@ pub fn compile_with_mapping(
                 .map_err(CompileError::InternalTimeline)?,
         ),
     };
+    // The clock objective prices segments by their timed duration, which
+    // depends only on the timing model and the topology: weigh every
+    // segment once, here, for the planner and the batched layers alike.
+    let topology = spec.topology();
+    let (planner, router) = match &clock {
+        None => (RoutePlanner::new(topology), None),
+        Some(clock) => {
+            let model = clock.model();
+            let weight = |a, b| edge_weight(&model, topology, a, b);
+            let planner = RoutePlanner::with_weights(topology, &weight);
+            (planner, Some(CommodityRouter::new(topology.adjacency())))
+        }
+    };
     let mut scheduler = Scheduler {
         circuit,
         config,
         dag,
         ready,
-        planner: RoutePlanner::new(spec.topology()),
+        planner,
+        router,
+        free: FreeComponents::default(),
         state,
         pending,
         remaining,
@@ -177,12 +192,11 @@ pub fn compile_with_mapping(
         clock,
     };
     scheduler.run()?;
-    let clock_serial_makespan_us = scheduler.clock.as_ref().map(ClockScorer::makespan_us);
-    scheduler.stats.clock_speculations = scheduler
-        .clock
-        .as_ref()
-        .map_or(0, ClockScorer::speculations);
-    let schedule = Schedule::new(mapping, scheduler.ops);
+    // Only the operations and the counters outlive the loop: the DAG, the
+    // index, the queue, the planner and the scorer are dropped here,
+    // before validation, packing and lowering set the compile's peak.
+    let (ops, mut stats, clock_serial_makespan_us) = scheduler.into_output();
+    let schedule = Schedule::new(mapping, ops);
     {
         let _phase = qccd_obs::span("schedule-validate");
         schedule
@@ -216,7 +230,6 @@ pub fn compile_with_mapping(
     }
     let timeline = qccd_timing::lower(&schedule, Some(&transport), circuit, spec, &config.timing)
         .map_err(CompileError::InternalTimeline)?;
-    let mut stats = scheduler.stats;
     stats.transport_depth = transport.depth();
     Ok(CompileResult {
         schedule,
@@ -235,8 +248,15 @@ struct Scheduler<'a> {
     ready: ReadySet,
     /// The route planner, with its decaying per-segment traffic counters
     /// feeding the congestion router's edge pricing (ignored by the
-    /// serial router) and its one priced network for the whole compile.
+    /// serial router), its segment weights (timed under the clock
+    /// objective, unit otherwise) and its one priced network for the
+    /// whole compile.
     planner: RoutePlanner,
+    /// The batched layers' multi-commodity network, built once
+    /// ([`Objective::Clock`] only: no other objective batches).
+    router: Option<CommodityRouter>,
+    /// Reused component labels for the batched layers' feasibility test.
+    free: FreeComponents,
     state: MachineState,
     /// Planned execution order of not-yet-executed gates; front = active.
     /// Always a subsequence of the initial (layer, id)-sorted topological
@@ -254,6 +274,15 @@ struct Scheduler<'a> {
 }
 
 impl Scheduler<'_> {
+    /// The compiled operations, the counters, and the clock objective's
+    /// serial-round makespan; everything else is dropped.
+    fn into_output(self) -> (Vec<Operation>, CompileStats, Option<f64>) {
+        let mut stats = self.stats;
+        stats.clock_speculations = self.clock.as_ref().map_or(0, ClockScorer::speculations);
+        let makespan = self.clock.as_ref().map(ClockScorer::makespan_us);
+        (self.ops, stats, makespan)
+    }
+
     /// Maximum re-balancing recursion depth before declaring deadlock.
     fn depth_limit(&self) -> u32 {
         2 * self.state.spec().num_traps() + 4
@@ -431,7 +460,6 @@ impl Scheduler<'_> {
         let choice = decide_direction_open(
             self.config.direction,
             self.circuit,
-            &self.dag,
             &self.state,
             &self.remaining,
             self.pending[pos],
@@ -439,17 +467,10 @@ impl Scheduler<'_> {
         let (Some(alt), Some(clock)) = (choice.alternative, self.clock.as_mut()) else {
             return choice.decision;
         };
-        let model = clock.model();
         let mut plan_walk = |d: &MoveDecision| -> Option<(IonId, Vec<TrapId>)> {
-            let topology = self.state.spec().topology();
-            let weight = |a: TrapId, b: TrapId| edge_weight(&model, topology, a, b);
-            let plan = self.planner.plan_route(
-                self.config.router,
-                &self.state,
-                d.from,
-                d.to,
-                Some(&weight),
-            )?;
+            let plan = self
+                .planner
+                .plan_route(self.config.router, &self.state, d.from, d.to)?;
             if self.state.is_full(d.to) || plan.full_interior_traps > 0 {
                 return None; // needs evictions the walk cannot price
             }
@@ -459,7 +480,9 @@ impl Scheduler<'_> {
         // then price the plannable walks.
         let planned = [plan_walk(&choice.decision), plan_walk(&alt)];
         let [score_keep, score_alt] = planned.map(|p| {
-            p.and_then(|(ion, path)| clock.score_walk(ion, &path, self.circuit, self.state.spec()))
+            p.and_then(|(ion, path)| {
+                clock.score_walk(ion, &path, &self.ops, self.circuit, self.state.spec())
+            })
         });
         let decided = match (score_keep, score_alt) {
             (Some(a), Some(b)) if b < a => Some(alt),
@@ -481,7 +504,7 @@ impl Scheduler<'_> {
 
     /// Clock objective: plans the active move *together with* the
     /// favourable moves of other ready cross-trap gates in the window as
-    /// one multi-commodity flow ([`route_commodities`]) over timed edge
+    /// one multi-commodity flow ([`CommodityRouter`]) over timed edge
     /// costs, and emits the routed walks layer by layer — the k-th hops
     /// of all commodities side by side, exactly the shape the round
     /// packers turn into wide rounds. Returns `Ok(false)` (and changes
@@ -497,16 +520,19 @@ impl Scheduler<'_> {
     /// otherwise that path is the walk. A legal replay ends with each
     /// walker at its destination and never overfills a trap, so when the
     /// walkers' final occupancy ([`overfills`]) exceeds capacity anywhere,
-    /// or fewer than two walkers remain, the replay could only fail.
+    /// or fewer than two walkers remain, the replay could only fail. That
+    /// test needs only *whether* each mover has a full-free path, which
+    /// the non-full traps' component labels ([`FreeComponents`]) answer;
+    /// the paths themselves are built only for batches that pass.
     fn try_batched_move(
         &mut self,
         pos: usize,
         decision: MoveDecision,
         stationary: IonId,
     ) -> Result<bool, CompileError> {
-        let Some(clock) = self.clock.as_ref() else {
+        if self.clock.is_none() {
             return Ok(false);
-        };
+        }
         // Evictions that made room at `decision.to` may have shifted the
         // mover itself; its walk would start from the wrong trap. The solo
         // path re-plans from wherever the ion is now.
@@ -514,7 +540,6 @@ impl Scheduler<'_> {
             return Ok(false);
         }
         let _phase = qccd_obs::span("batching");
-        let model = clock.model();
         let topology = self.state.spec().topology();
 
         // The active mover plus every ready cross-trap gate in the window
@@ -525,52 +550,38 @@ impl Scheduler<'_> {
             vec![(decision.ion, decision.from, decision.to)];
         let mut claimed: Vec<IonId> = vec![decision.ion, stationary];
         let end = (pos + 1 + Self::REORDER_WINDOW).min(self.pending.len());
-        // Cheap feasibility precheck before any §III-A window arbitration:
-        // a gate can only join the batch if it is ready, cross-trap, and
-        // claims no already-claimed ion, and the loop below only ever
-        // *grows* `claimed` — so counting window gates that pass these
-        // filters against the initial claim set upper-bounds the movers
-        // the loop can accept. Zero such gates means the batch stays a
-        // solo move; skip the per-gate direction scoring entirely (the
-        // dominant cost of probing unbatchable windows).
-        let joinable = (pos + 1..end).any(|p| {
+        // A gate can join the batch only if it is ready, cross-trap, and
+        // claims no already-claimed ion. The loop below only ever *grows*
+        // `claimed`, so a gate that cannot join against the initial claim
+        // set never can: the scan starts at the first gate that can, and a
+        // window without one stays a solo move with no per-gate direction
+        // scoring at all (the dominant cost of probing unbatchable
+        // windows).
+        let joins = |p: usize, claimed: &[IonId]| -> Option<(GateId, IonId, IonId)> {
             let gid = self.pending[p];
             if !self.ready.is_ready(gid) {
-                return false;
+                return None;
             }
-            let Some((xa, xb)) = self.circuit.gate(gid).two_qubit_operands() else {
-                return false;
-            };
+            let (xa, xb) = self.circuit.gate(gid).two_qubit_operands()?;
             let (ja, jb) = (IonId::from(xa), IonId::from(xb));
-            self.state.trap_of(ja) != self.state.trap_of(jb)
+            let joins = self.state.trap_of(ja) != self.state.trap_of(jb)
                 && !claimed.contains(&ja)
-                && !claimed.contains(&jb)
-        });
-        if !joinable {
+                && !claimed.contains(&jb);
+            joins.then_some((gid, ja, jb))
+        };
+        let Some(first) = (pos + 1..end).find(|&p| joins(p, &claimed).is_some()) else {
             return Ok(false);
-        }
-        for p in (pos + 1)..end {
+        };
+        for p in first..end {
             if movers.len() >= Self::BATCH_LIMIT {
                 break;
             }
-            let gid = self.pending[p];
-            if !self.ready.is_ready(gid) {
-                continue;
-            }
-            let Some((xa, xb)) = self.circuit.gate(gid).two_qubit_operands() else {
+            let Some((gid, ja, jb)) = joins(p, &claimed) else {
                 continue;
             };
-            let (ja, jb) = (IonId::from(xa), IonId::from(xb));
-            if self.state.trap_of(ja) == self.state.trap_of(jb)
-                || claimed.contains(&ja)
-                || claimed.contains(&jb)
-            {
-                continue;
-            }
             let d = decide_direction(
                 self.config.direction,
                 self.circuit,
-                &self.dag,
                 &self.state,
                 &self.remaining,
                 gid,
@@ -591,26 +602,41 @@ impl Scheduler<'_> {
         // flow route implies such a path; it is also their post-flow
         // fallback. The active mover without one aborts the whole batch —
         // its evictions belong to the solo machinery.
-        let fallbacks: Vec<Option<Vec<TrapId>>> = movers
+        let graph = topology.adjacency();
+        self.free
+            .label(graph, |t| self.state.is_full(TrapId(t as u32)));
+        let walkers: Vec<bool> = movers
             .iter()
-            .map(|&(_, from, to)| {
-                topology.shortest_path_filtered(from, to, |t| t == to || !self.state.is_full(t))
-            })
+            .map(|&(_, from, to)| self.free.connects(graph, from.index(), to.index()))
             .collect();
-        if fallbacks[0].is_none() {
+        if !walkers[0] {
             return Ok(false);
         }
         let capacity = self.state.spec().total_capacity();
         let ends: Vec<(TrapId, TrapId)> = movers
             .iter()
-            .zip(&fallbacks)
-            .filter(|(_, path)| path.is_some())
+            .zip(&walkers)
+            .filter(|&(_, &walker)| walker)
             .map(|(&(_, from, to), _)| (from, to))
             .collect();
         if ends.len() < 2 || overfills(|t| self.state.occupancy(t), capacity, &ends) {
             BATCH_CAPACITY_REJECTS.incr();
             return Ok(false);
         }
+        let fallbacks: Vec<Option<Vec<TrapId>>> = movers
+            .iter()
+            .zip(&walkers)
+            .map(|(&(_, from, to), &walker)| {
+                let path = walker
+                    .then(|| {
+                        topology
+                            .shortest_path_filtered(from, to, |t| t == to || !self.state.is_full(t))
+                    })
+                    .flatten();
+                debug_assert_eq!(path.is_some(), walker, "labels decide full-free paths");
+                path
+            })
+            .collect();
 
         // Joint plan: pairwise edge-disjoint paths over timed edge costs
         // (junction-aware), full destinations surcharged to steer the
@@ -623,15 +649,17 @@ impl Scheduler<'_> {
                 sink: b.index(),
             })
             .collect();
+        let (planner, state) = (&self.planner, &self.state);
         let cost = |a: usize, b: usize| -> i64 {
             let (ta, tb) = (TrapId(a as u32), TrapId(b as u32));
-            let mut c = i64::from(edge_weight(&model, topology, ta, tb));
-            if self.state.is_full(tb) {
+            let mut c = i64::from(planner.weight(ta, tb));
+            if state.is_full(tb) {
                 c += 1_000;
             }
             c
         };
-        let routed = route_commodities(topology.adjacency(), &commodities, cost);
+        let router = self.router.as_mut().expect("clock compiles own a router");
+        let routed = router.route(&commodities, cost);
 
         // Each walker takes its routed path when that is full-free, else
         // its fallback.
@@ -707,15 +735,11 @@ impl Scheduler<'_> {
             // every detour costs more than the eviction.
             // Routes only come back `None` on a disconnected topology
             // (fullness never severs reachability, only prices it).
-            // The clock objective prices segments by timed duration
-            // (junction-aware) instead of unit hops.
-            let model = self.clock.as_ref().map(ClockScorer::model);
-            let topology = self.state.spec().topology();
-            let weight = model.map(|m| move |a: TrapId, b: TrapId| edge_weight(&m, topology, a, b));
-            let weight = weight.as_ref().map(|w| w as &EdgeWeightFn);
+            // The clock objective's planner prices segments by timed
+            // duration (junction-aware) instead of unit hops.
             let plan = self
                 .planner
-                .plan_route(self.config.router, &self.state, cur, dest, weight)
+                .plan_route(self.config.router, &self.state, cur, dest)
                 .ok_or(CompileError::Unreachable {
                     ion,
                     from: start,
@@ -797,21 +821,11 @@ impl Scheduler<'_> {
         let priced = match (self.config.router, self.config.rebalance) {
             _ if clock_pick.is_some() => clock_pick,
             (RouterPolicy::Congestion { full_trap_penalty }, RebalancePolicy::NearestNeighbor) => {
-                let weight_hook = self.clock.as_ref().map(ClockScorer::model);
-                let topology = self.state.spec().topology();
-                let weight = weight_hook
-                    .map(|model| move |a: TrapId, b: TrapId| edge_weight(&model, topology, a, b));
-                let weight = weight.as_ref().map(|w| w as &EdgeWeightFn);
                 self.planner
-                    .plan_eviction(&self.state, blocked, avoid, full_trap_penalty, weight)
+                    .plan_eviction(&self.state, blocked, avoid, full_trap_penalty)
                     .or_else(|| {
-                        self.planner.plan_eviction(
-                            &self.state,
-                            blocked,
-                            &[],
-                            full_trap_penalty,
-                            weight,
-                        )
+                        self.planner
+                            .plan_eviction(&self.state, blocked, &[], full_trap_penalty)
                     })
             }
             _ => None,
@@ -890,7 +904,8 @@ impl Scheduler<'_> {
             let route = topology
                 .shortest_path_filtered(blocked, dest, |t| t == dest || !self.state.is_full(t))
                 .or_else(|| eviction_route(self.config.rebalance, topology, blocked, dest))?;
-            let Some(score) = clock.score_walk(ion, &route, self.circuit, self.state.spec()) else {
+            let score = clock.score_walk(ion, &route, &self.ops, self.circuit, self.state.spec());
+            let Some(score) = score else {
                 continue;
             };
             if best.as_ref().is_none_or(|(b, ..)| score < *b) {
@@ -1013,7 +1028,6 @@ impl Scheduler<'_> {
             let dir = decide_direction(
                 self.config.direction,
                 self.circuit,
-                &self.dag,
                 &self.state,
                 &self.remaining,
                 gid,

@@ -14,11 +14,13 @@
 //!   path read off the predecessor chain. The priced planner, its
 //!   evictions, the baseline re-balancer and the batched layers together
 //!   make about 128k of these solves per `grid_clock` benchmark pass.
-//! * [`route_commodities`] — sequential multi-commodity routing over
+//! * [`CommodityRouter`] — sequential multi-commodity routing over
 //!   shared unit edge capacities: pairwise edge-disjoint paths (so a whole
 //!   layer of moves can share transport rounds), with a per-commodity
-//!   `None` fallback when the flows conflict. One network serves every
-//!   commodity of a call: spent segments drop to capacity 0.
+//!   `None` fallback when the flows conflict. The router builds its
+//!   node-split network once per graph and re-prices it in place for
+//!   every batch; spent segments drop to capacity 0.
+//!   [`route_commodities`] is the one-shot form on a fresh router.
 //!
 //! # Example
 //!
@@ -36,4 +38,4 @@ mod multicommodity;
 
 pub use adjacency::Adjacency;
 pub use mcmf::{min_cost_max_flow, min_cost_unit_path, FlowEdge, FlowNetwork, FlowResult};
-pub use multicommodity::{route_commodities, Commodity};
+pub use multicommodity::{route_commodities, Commodity, CommodityRouter};

@@ -2,23 +2,28 @@
 //! capacities.
 //!
 //! The congestion planner prices one move at a time; the batched layer
-//! planner in `qccd-pack` instead plans a whole *ready layer* of pending
-//! moves together, so a wide QAOA layer's shuttles share transport rounds
+//! planners (the clock objective's in-loop batches and `qccd-pack`'s
+//! layer pass) instead plan a whole *ready layer* of pending moves
+//! together, so a wide QAOA layer's shuttles share transport rounds
 //! deliberately. True minimum-cost multi-commodity flow is NP-hard in the
 //! integral case; this module implements the standard sequential
 //! relaxation on the MCMF substrate: commodities are routed one at a time
-//! through a *shared* residual network, built once per call, whose
-//! undirected edges carry unit capacity, so the routed paths are pairwise
-//! edge-disjoint — exactly the property that lets their k-th hops share
-//! the k-th transport round.
+//! through a *shared* residual network whose undirected edges carry unit
+//! capacity, so the routed paths are pairwise edge-disjoint — exactly the
+//! property that lets their k-th hops share the k-th transport round.
 //! When the shared network has no remaining path for a commodity (the
 //! flows conflict), that commodity falls back to `None` and the caller
 //! routes it alone.
+//!
+//! A [`CommodityRouter`] builds the node-split network once per graph and
+//! re-prices it in place for every batch, the way the route planner in
+//! `qccd-route` reuses its network: a compile that plans thousands of
+//! batches builds one network, not one per batch.
 
 use crate::adjacency::Adjacency;
 use crate::mcmf::FlowNetwork;
 
-/// Commodities handed to [`route_commodities`] across all calls.
+/// Commodities handed to [`CommodityRouter::route`] across all calls.
 static FLOW_COMMODITIES: qccd_obs::Counter = qccd_obs::Counter::new("flow.commodities_routed");
 /// Commodities the shared network had no path left for (`None` entries
 /// the caller must route alone).
@@ -34,27 +39,9 @@ pub struct Commodity {
     pub sink: usize,
 }
 
-/// Routes every commodity over `graph` with pairwise *edge-disjoint*
-/// paths, sequentially through a shared unit-capacity network.
-///
-/// Each undirected edge of `graph` may carry at most one commodity in
-/// total (either direction), and each returned path is simple. Commodities
-/// are processed in the given order; each is routed as one unit of
-/// min-cost flow ([`min_cost_unit_path`](crate::min_cost_unit_path)) over the remaining capacities
-/// with `edge_cost(a, b)` pricing the hop `a → b` (costs must be
-/// non-negative). The entry for a commodity is `None` when the shared
-/// network has no path left for it — the flows conflict — and the caller
-/// decides the fallback (typically routing it alone on the raw topology).
-///
-/// A zero-length commodity (`source == sink`) routes to the trivial
-/// one-node path and consumes no capacity.
-///
-/// The node-split network is built once per call: `edge_cost` is called
-/// exactly once per directed segment of `graph`, before any commodity is
-/// routed, so it must be pure — a cost may not depend on earlier
-/// routing. Segments a routed commodity spends drop to capacity 0, and
-/// the super-source has a closed entry edge into every node, opened only
-/// while that node's commodity is being routed.
+/// Routes every commodity over `graph` on a fresh [`CommodityRouter`]:
+/// see [`CommodityRouter::route`]. Callers that route many batches over
+/// one graph keep a router instead.
 ///
 /// # Panics
 ///
@@ -62,69 +49,158 @@ pub struct Commodity {
 pub fn route_commodities(
     graph: &Adjacency,
     commodities: &[Commodity],
-    mut edge_cost: impl FnMut(usize, usize) -> i64,
+    edge_cost: impl FnMut(usize, usize) -> i64,
 ) -> Vec<Option<Vec<usize>>> {
-    let _phase = qccd_obs::span("flow");
-    let n = graph.len();
-    // Node-split traps (in-half 2a, out-half 2a + 1, internal capacity 1)
-    // keep paths simple; node 2n is the super-source.
-    let source = 2 * n;
-    let mut net = FlowNetwork::new(2 * n + 1);
-    let mut internal = Vec::with_capacity(n);
-    // Edge id of the k-th directed segment out of `a` sits at
-    // `segments[first[a] + k]`, following `graph.neighbors(a)`.
-    let mut first = Vec::with_capacity(n);
-    let mut segments = Vec::new();
-    for a in 0..n {
-        internal.push(net.add_edge(2 * a, 2 * a + 1, 1, 0));
+    CommodityRouter::new(graph).route(commodities, edge_cost)
+}
+
+/// The node-split unit-capacity network of one graph, built once and
+/// re-priced in place by every [`route`](CommodityRouter::route) call.
+///
+/// Trap `a` is split into an in-half `2a` and an out-half `2a + 1` joined
+/// by an internal edge of capacity 1, which keeps paths simple; each
+/// directed segment `a → b` is an edge `2a + 1 → 2b`; node `2n` is a
+/// super-source with a closed entry edge into every in-half. Edges are
+/// inserted trap by trap (internal edge, then segments in neighbour
+/// order), then all entries.
+///
+/// Every call resets each edge through [`FlowNetwork::set_edge`], which
+/// also clears the previous call's flow. A closed (capacity-0) edge is
+/// never relaxed, so each call searches exactly like a network freshly
+/// built with the same edges in the same order: the same FIFO
+/// shortest-path searches, the same tie-breaks, the same routes.
+#[derive(Debug, Clone)]
+pub struct CommodityRouter {
+    net: FlowNetwork,
+    /// Trap `a`'s internal edge `2a → 2a + 1`.
+    internal: Vec<usize>,
+    /// Trap `a`'s segments are `segments[first[a]..first[a + 1]]`, in
+    /// `graph.neighbors(a)` order; `heads` holds each segment's head.
+    first: Vec<usize>,
+    segments: Vec<usize>,
+    heads: Vec<usize>,
+    /// Trap `a`'s closed entry `2n → 2a`.
+    entries: Vec<usize>,
+}
+
+impl CommodityRouter {
+    /// The network of `graph`, every edge closed until a call prices it.
+    pub fn new(graph: &Adjacency) -> Self {
+        let n = graph.len();
+        let mut net = FlowNetwork::new(2 * n + 1);
+        let mut internal = Vec::with_capacity(n);
+        let mut first = Vec::with_capacity(n + 1);
+        let mut segments = Vec::new();
+        let mut heads = Vec::new();
+        for a in 0..n {
+            internal.push(net.add_edge(2 * a, 2 * a + 1, 0, 0));
+            first.push(segments.len());
+            for &b in graph.neighbors(a) {
+                segments.push(net.add_edge(2 * a + 1, 2 * b, 0, 0));
+                heads.push(b);
+            }
+        }
         first.push(segments.len());
-        for &b in graph.neighbors(a) {
-            segments.push(net.add_edge(2 * a + 1, 2 * b, 1, edge_cost(a, b)));
+        let entries = (0..n).map(|a| net.add_edge(2 * n, 2 * a, 0, 0)).collect();
+        CommodityRouter {
+            net,
+            internal,
+            first,
+            segments,
+            heads,
+            entries,
         }
     }
-    let entries: Vec<usize> = (0..n).map(|a| net.add_edge(source, 2 * a, 0, 0)).collect();
-    let segment = |a: usize, b: usize| {
-        let k = graph.neighbors(a).iter().position(|&x| x == b);
-        segments[first[a] + k.expect("routed hops follow graph edges")]
-    };
 
-    commodities
-        .iter()
-        .map(|c| {
-            assert!(
-                c.source < n && c.sink < n,
-                "commodity endpoint out of range"
-            );
-            FLOW_COMMODITIES.incr();
-            if c.source == c.sink {
-                return Some(vec![c.source]);
+    /// Routes every commodity with pairwise *edge-disjoint* paths,
+    /// sequentially through the shared unit-capacity network.
+    ///
+    /// Each undirected edge of the graph may carry at most one commodity
+    /// in total (either direction), and each returned path is simple.
+    /// Commodities are processed in the given order; each is routed as one
+    /// unit of min-cost flow ([`min_cost_unit_path`](crate::min_cost_unit_path))
+    /// over the remaining capacities with `edge_cost(a, b)` pricing the hop
+    /// `a → b` (costs must be non-negative). The entry for a commodity is
+    /// `None` when the shared network has no path left for it — the flows
+    /// conflict — and the caller decides the fallback (typically routing
+    /// it alone on the raw topology).
+    ///
+    /// A zero-length commodity (`source == sink`) routes to the trivial
+    /// one-node path and consumes no capacity.
+    ///
+    /// `edge_cost` is called exactly once per directed segment of the
+    /// graph, before any commodity is routed, so it must be pure — a cost
+    /// may not depend on earlier routing. Segments a routed commodity
+    /// spends drop to capacity 0, and each entry edge is opened only while
+    /// its node's commodity is being routed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a commodity endpoint is out of range for the graph.
+    pub fn route(
+        &mut self,
+        commodities: &[Commodity],
+        mut edge_cost: impl FnMut(usize, usize) -> i64,
+    ) -> Vec<Option<Vec<usize>>> {
+        let _phase = qccd_obs::span("flow");
+        let n = self.internal.len();
+        let source = 2 * n;
+        for a in 0..n {
+            self.net.set_edge(self.internal[a], 1, 0);
+            for k in self.first[a]..self.first[a + 1] {
+                let cost = edge_cost(a, self.heads[k]);
+                self.net.set_edge(self.segments[k], 1, cost);
             }
-            net.reset_edge(entries[c.source], 1);
-            // The out-halves the unit passes spell the trap path.
-            let path: Option<Vec<usize>> = net.unit_path(source, 2 * c.sink + 1).map(|nodes| {
-                nodes
-                    .iter()
-                    .filter(|&&v| v % 2 == 1 && v < source)
-                    .map(|&v| v / 2)
-                    .collect()
-            });
-            net.reset_edge(entries[c.source], 0);
-            let Some(path) = path else {
-                FLOW_COMMODITY_FALLBACKS.incr();
-                return None;
-            };
-            // Re-open the traps the unit crossed; spend its segments in
-            // both directions.
-            for &a in &path {
-                net.reset_edge(internal[a], 1);
-            }
-            for w in path.windows(2) {
-                net.reset_edge(segment(w[0], w[1]), 0);
-                net.reset_edge(segment(w[1], w[0]), 0);
-            }
-            Some(path)
-        })
-        .collect()
+            self.net.set_edge(self.entries[a], 0, 0);
+        }
+        commodities
+            .iter()
+            .map(|c| {
+                assert!(
+                    c.source < n && c.sink < n,
+                    "commodity endpoint out of range"
+                );
+                FLOW_COMMODITIES.incr();
+                if c.source == c.sink {
+                    return Some(vec![c.source]);
+                }
+                self.net.reset_edge(self.entries[c.source], 1);
+                // The out-halves the unit passes spell the trap path.
+                let path: Option<Vec<usize>> =
+                    self.net.unit_path(source, 2 * c.sink + 1).map(|nodes| {
+                        nodes
+                            .iter()
+                            .filter(|&&v| v % 2 == 1 && v < source)
+                            .map(|&v| v / 2)
+                            .collect()
+                    });
+                self.net.reset_edge(self.entries[c.source], 0);
+                let Some(path) = path else {
+                    FLOW_COMMODITY_FALLBACKS.incr();
+                    return None;
+                };
+                // Re-open the traps the unit crossed; spend its segments in
+                // both directions.
+                for &a in &path {
+                    self.net.reset_edge(self.internal[a], 1);
+                }
+                for w in path.windows(2) {
+                    for (a, b) in [(w[0], w[1]), (w[1], w[0])] {
+                        let id = self.segment(a, b);
+                        self.net.reset_edge(id, 0);
+                    }
+                }
+                Some(path)
+            })
+            .collect()
+    }
+
+    /// Edge id of the directed segment `a → b`.
+    fn segment(&self, a: usize, b: usize) -> usize {
+        let (lo, hi) = (self.first[a], self.first[a + 1]);
+        let k = self.heads[lo..hi].iter().position(|&x| x == b);
+        self.segments[lo + k.expect("routed hops follow graph edges")]
+    }
 }
 
 #[cfg(test)]

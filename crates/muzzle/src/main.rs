@@ -942,6 +942,15 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             &["--traps"],
             "the traps sweep sets the trap count from --values",
         )?;
+        // A sized topology names its own trap count and would override
+        // every swept value, labelling one machine with many counts.
+        let topology = &opts.machine.topology;
+        if topology.contains(':') {
+            return Err(format!(
+                "the traps sweep sets the trap count from --values, but `--topology {topology}` \
+                 fixes it; use a bare form (`linear`, `ring`)"
+            ));
+        }
     }
 
     // The traps sweep keeps every machine option but the trap count.
@@ -1240,6 +1249,43 @@ mod tests {
             .unwrap_err()
             .contains("above the maximum of 8192"));
         assert!(USAGE.contains(&format!("at most {} traps", spec::MAX_TRAPS)));
+    }
+
+    /// A sized topology fixes the trap count, so a traps sweep over it
+    /// would compile one machine under several labels: a usage error
+    /// naming the bare forms. The bare forms still sweep.
+    #[test]
+    fn traps_sweep_rejects_sized_topologies() {
+        for topology in ["ring:4", "linear:5", "grid:2x2"] {
+            let sweep = args(&[
+                "--param",
+                "traps",
+                "--values",
+                "3,5",
+                "--circuit",
+                "qft:8",
+                "--topology",
+                topology,
+            ]);
+            let err = cmd_sweep(&sweep).unwrap_err();
+            assert!(
+                err.contains(topology) && err.contains("`linear`, `ring`"),
+                "{topology} → `{err}`"
+            );
+        }
+        for topology in ["ring", "linear"] {
+            let sweep = args(&[
+                "--param",
+                "traps",
+                "--values",
+                "3,5",
+                "--circuit",
+                "qft:8",
+                "--topology",
+                topology,
+            ]);
+            cmd_sweep(&sweep).unwrap_or_else(|e| panic!("{topology}: {e}"));
+        }
     }
 
     /// A trap capacity of `u32::MAX` compiles under every router and both

@@ -6,7 +6,8 @@
 //! This pass re-plans each gate-free run *jointly*: every ion that nets a
 //! displacement across the run becomes one commodity, the commodities are
 //! routed with pairwise edge-disjoint paths on `qccd-flow`'s shared MCMF
-//! network ([`route_commodities`]), and the run is re-emitted layer by
+//! network ([`CommodityRouter`], built once per pass), and the run is
+//! re-emitted layer by
 //! layer — the k-th hops of all commodities side by side, exactly the
 //! shape the round packers turn into one round each. Ions whose walk nets
 //! to nothing (eviction ping-pongs) drop out entirely.
@@ -21,7 +22,7 @@
 
 use crate::PackError;
 use qccd_circuit::Circuit;
-use qccd_flow::{route_commodities, Commodity};
+use qccd_flow::{Commodity, CommodityRouter};
 use qccd_machine::{IonId, MachineSpec, MachineState, Operation, Schedule, TrapId};
 use qccd_route::TransportSchedule;
 use qccd_timing::{LowerState, TimingModel};
@@ -67,6 +68,7 @@ pub(crate) fn plan_layers(
     let stream = &schedule.operations;
     let rounds = &transport.rounds;
     let mut lower = LowerState::new(&schedule.initial_mapping, spec, model)?;
+    let mut router = CommodityRouter::new(spec.topology().adjacency());
     let mut ops: Vec<Operation> = Vec::with_capacity(stream.len());
     let mut replanned_runs = 0usize;
     let mut dropped_hops = 0usize;
@@ -99,7 +101,7 @@ pub(crate) fn plan_layers(
         let run_ops = &stream[run_start..i];
         let run_rounds = &rounds[rounds_start..round_cursor];
         let rewrite = movers(run_ops)
-            .and_then(|m| rewrite_run(&m, lower.machine(), spec))
+            .and_then(|m| rewrite_run(&m, lower.machine(), spec, &mut router))
             .filter(|n| n.len() <= run_ops.len());
         if let Some(new_ops) = rewrite {
             // Score both variants from the same checkpoint; the rewrite
@@ -154,11 +156,12 @@ fn movers(run_ops: &[Operation]) -> Option<Vec<Mover>> {
 /// Builds the flow-planned rewrite of a run from its `movers`, or `None`
 /// when the rewrite cannot be serialized legally. The rewrite is
 /// round-major: layer k holds the k-th hop of every commodity still in
-/// flight.
+/// flight. `router` is the pass's network over `spec`'s topology.
 fn rewrite_run(
     movers: &[Mover],
     machine: &MachineState,
     spec: &MachineSpec,
+    router: &mut CommodityRouter,
 ) -> Option<Vec<Operation>> {
     let cap = spec.total_capacity();
     let commodities: Vec<Commodity> = movers
@@ -176,7 +179,7 @@ fn rewrite_run(
                 0
             }
     };
-    let routed = route_commodities(spec.topology().adjacency(), &commodities, cost);
+    let routed = router.route(&commodities, cost);
 
     // Conflicting commodities fall back to the raw shortest path — they
     // simply pack opportunistically instead of deliberately.
@@ -447,7 +450,9 @@ mod tests {
             .iter()
             .map(|run| {
                 let (movers, machine) = run.plan.as_ref()?;
-                rewrite_run(movers, machine, spec).filter(|n| n.len() <= run.end - run.start)
+                let mut router = CommodityRouter::new(spec.topology().adjacency());
+                rewrite_run(movers, machine, spec, &mut router)
+                    .filter(|n| n.len() <= run.end - run.start)
             })
             .collect();
         let mut lower = LowerState::new(&schedule.initial_mapping, spec, model).unwrap();

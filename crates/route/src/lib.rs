@@ -38,7 +38,7 @@
 //! let state = MachineState::with_mapping(&spec, &mapping)?;
 //! let mut planner = RoutePlanner::new(spec.topology());
 //! let route = planner
-//!     .plan_route(RouterPolicy::default(), &state, TrapId(0), TrapId(3), None)
+//!     .plan_route(RouterPolicy::default(), &state, TrapId(0), TrapId(3))
 //!     .expect("ring is connected");
 //! assert_eq!(route.path.first(), Some(&TrapId(0)));
 //! assert_eq!(route.path.last(), Some(&TrapId(3)));

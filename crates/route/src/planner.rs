@@ -132,17 +132,19 @@ pub fn route_budget(topology: &TrapTopology, from: TrapId, dest: TrapId) -> Opti
 }
 
 /// Per-segment weight hook for the priced planner: the relative cost of
-/// traversing `from → to`, in abstract units (≥ 1). `None` (or returning
-/// 1 everywhere) reproduces unit-hop pricing exactly; a timed-objective
-/// compiler passes the timing model's relative hop durations here so
-/// junction-heavy segments price by what the hardware actually pays.
-/// Weights are scaled above the congestion surcharge, so the cost order
-/// is: cheapest weighted distance (+ eviction penalties) first, colder
-/// edges second.
+/// traversing `from → to`, in abstract units (values below 1 count as 1).
+/// [`RoutePlanner::with_weights`] evaluates it once per directed segment;
+/// [`RoutePlanner::new`] (or a hook returning 1 everywhere) is unit-hop
+/// pricing. A timed-objective compiler passes the timing model's relative
+/// hop durations here so junction-heavy segments price by what the
+/// hardware actually pays. Weights are scaled above the congestion
+/// surcharge, so the cost order is: cheapest weighted distance
+/// (+ eviction penalties) first, colder edges second.
 pub type EdgeWeightFn<'a> = dyn Fn(TrapId, TrapId) -> u32 + 'a;
 
-/// The route planner of one compile: the decaying edge-load counters
-/// and one priced node-split flow network, built once from the topology.
+/// The route planner of one compile: the decaying edge-load counters,
+/// the segment weights, and one priced node-split flow network, all built
+/// once from the topology.
 ///
 /// Nodes `2t` / `2t+1` are trap `t`'s in/out halves, joined by an internal
 /// edge of capacity 1 (so routes are simple paths) that carries the
@@ -154,8 +156,9 @@ pub type EdgeWeightFn<'a> = dyn Fn(TrapId, TrapId) -> u32 + 'a;
 /// then all entries.
 ///
 /// Every call re-prices the internal and segment edges from the live
-/// state and loads and opens only the entries and exits it needs, through
-/// [`FlowNetwork::set_edge`]; that also clears the previous call's flow.
+/// state, the weights and the loads, and opens only the entries and exits
+/// it needs, through [`FlowNetwork::set_edge`]; that also clears the
+/// previous call's flow.
 /// A closed (capacity-0) edge is never relaxed, so each solve searches
 /// exactly like a network freshly built with only the open edges, in the
 /// same order — the same FIFO shortest-path search, the same tie-breaks,
@@ -166,8 +169,10 @@ pub struct RoutePlanner {
     net: FlowNetwork,
     /// Trap `t`'s internal edge `2t → 2t+1`.
     internal: Vec<usize>,
-    /// Every segment edge, with its directed trap pair, in insertion order.
-    segments: Vec<(TrapId, TrapId, usize)>,
+    /// Every segment edge, in the load table's segment order.
+    segments: Vec<usize>,
+    /// Each segment's weight (≥ 1), in the same order.
+    weights: Vec<u32>,
     /// Trap `t`'s closed exit `2t+1 → 2n+1`.
     exits: Vec<usize>,
     /// Trap `t`'s closed entry `2n → 2t`.
@@ -179,16 +184,26 @@ pub struct RoutePlanner {
 }
 
 impl RoutePlanner {
-    /// A planner with zero loads over `topology`.
+    /// A planner with zero loads and unit segment weights over
+    /// `topology`.
     pub fn new(topology: &TrapTopology) -> Self {
+        Self::with_weights(topology, &|_, _| 1)
+    }
+
+    /// A planner with zero loads over `topology` whose segments are
+    /// priced by `weight` (see [`EdgeWeightFn`]), evaluated once per
+    /// directed segment here and never again.
+    pub fn with_weights(topology: &TrapTopology, weight: &EdgeWeightFn) -> Self {
         let n = topology.num_traps() as usize;
         let mut net = FlowNetwork::new(2 * n + 2);
         let mut internal = Vec::with_capacity(n);
         let mut segments = Vec::new();
+        let mut weights = Vec::new();
         for t in topology.traps() {
             internal.push(net.add_edge(2 * t.index(), 2 * t.index() + 1, 0, 0));
             for nb in topology.neighbors(t) {
-                segments.push((t, nb, net.add_edge(2 * t.index() + 1, 2 * nb.index(), 0, 0)));
+                segments.push(net.add_edge(2 * t.index() + 1, 2 * nb.index(), 0, 0));
+                weights.push(weight(t, nb).max(1));
             }
         }
         let exits = (0..n)
@@ -200,6 +215,7 @@ impl RoutePlanner {
             net,
             internal,
             segments,
+            weights,
             exits,
             entries,
             // Any load sum is < n * (LOAD_CAP + 1); scale hop costs above it.
@@ -218,6 +234,16 @@ impl RoutePlanner {
         self.load.decay();
     }
 
+    /// The weight of the segment `from → to` (≥ 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from → to` is not a segment of the topology.
+    pub fn weight(&self, from: TrapId, to: TrapId) -> u32 {
+        let k = self.load.segment(from, to);
+        self.weights[k.expect("weights exist only for segments")]
+    }
+
     /// Plans a route for one ion currently in `from` toward `dest` over the
     /// live `state`.
     ///
@@ -226,9 +252,10 @@ impl RoutePlanner {
     ///   the unconditional shortest path (whose full traps the caller
     ///   re-balances).
     /// * [`RouterPolicy::Congestion`] — min-cost flow pricing over the
-    ///   node-split network: every segment costs one hop (or its `weight`,
-    ///   see [`EdgeWeightFn`]) plus the load surcharge, and a full interior
-    ///   trap costs `full_trap_penalty` extra hops. The cheapest route
+    ///   node-split network: every segment costs its weight (one hop
+    ///   unless built [`with_weights`](Self::with_weights)) plus the load
+    ///   surcharge, and a full interior trap costs `full_trap_penalty`
+    ///   extra hops. The cheapest route
     ///   wins; hop count strictly dominates the surcharge, so congestion
     ///   only arbitrates between otherwise-equal routes, and a full-free
     ///   detour is taken only while it beats evicting through the full
@@ -242,7 +269,6 @@ impl RoutePlanner {
         state: &MachineState,
         from: TrapId,
         dest: TrapId,
-        weight: Option<&EdgeWeightFn>,
     ) -> Option<PlannedRoute> {
         let topology = state.spec().topology();
         if from == dest {
@@ -266,7 +292,7 @@ impl RoutePlanner {
                         .shortest_path(from, dest)
                         .map(|p| PlannedRoute::from_path(state, p));
                 };
-                match self.priced_route(state, from, dest, full_trap_penalty, weight) {
+                match self.priced_route(state, from, dest, full_trap_penalty) {
                     Some(priced) => Some(priced),
                     // The flow found no route (cannot happen while BFS
                     // did; be safe): fall back to the full-free detour.
@@ -283,15 +309,15 @@ impl RoutePlanner {
     /// path.
     ///
     /// Every trap with excess capacity (other than `blocked` and the traps
-    /// in `avoid`) is a candidate sink; each physical segment costs one hop
-    /// (or its `weight`) plus its load surcharge, and crossing a *full*
-    /// interior trap costs `full_trap_penalty` extra hops. Hop count
-    /// strictly dominates the surcharge, so the destination is still a
-    /// nearest non-full trap — but ties break toward cold corridors and
-    /// routes never thread a full trap when an equal-cost detour exists.
-    /// The clock-objective compiler passes timed weights, steering
-    /// re-balancing traffic away from junction-heavy corridors that cost
-    /// more device time than their hop count suggests.
+    /// in `avoid`) is a candidate sink; each physical segment costs its
+    /// weight plus its load surcharge, and crossing a *full* interior trap
+    /// costs `full_trap_penalty` extra hops. Hop count strictly dominates
+    /// the surcharge, so the destination is still a nearest non-full trap —
+    /// but ties break toward cold corridors and routes never thread a full
+    /// trap when an equal-cost detour exists. The clock-objective compiler
+    /// builds the planner with timed weights, steering re-balancing traffic
+    /// away from junction-heavy corridors that cost more device time than
+    /// their hop count suggests.
     ///
     /// Returns the chosen destination and the inclusive trap path
     /// `blocked ..= destination`, or `None` when no candidate is reachable.
@@ -303,10 +329,9 @@ impl RoutePlanner {
         blocked: TrapId,
         avoid: &[TrapId],
         full_trap_penalty: u32,
-        weight: Option<&EdgeWeightFn>,
     ) -> Option<(TrapId, Vec<TrapId>)> {
         let _phase = qccd_obs::span("route-plan");
-        self.price(state, full_trap_penalty, |t| t != blocked, weight);
+        self.price(state, full_trap_penalty, |t| t != blocked);
         let mut candidates = 0usize;
         for t in state.spec().topology().traps() {
             if t != blocked && !avoid.contains(&t) && !state.is_full(t) {
@@ -332,10 +357,9 @@ impl RoutePlanner {
         from: TrapId,
         dest: TrapId,
         full_trap_penalty: u32,
-        weight: Option<&EdgeWeightFn>,
     ) -> Option<PlannedRoute> {
         let _phase = qccd_obs::span("route-plan");
-        self.price(state, full_trap_penalty, |t| t != from && t != dest, weight);
+        self.price(state, full_trap_penalty, |t| t != from && t != dest);
         self.net.set_edge(self.entries[from.index()], 1, 0);
         let n = self.internal.len();
         let nodes = min_cost_unit_path(&mut self.net, 2 * n, 2 * dest.index() + 1)?;
@@ -351,7 +375,6 @@ impl RoutePlanner {
         state: &MachineState,
         full_trap_penalty: u32,
         penalized: impl Fn(TrapId) -> bool,
-        weight: Option<&EdgeWeightFn>,
     ) {
         debug_assert_eq!(state.spec().num_traps() as usize, self.internal.len());
         for (t, &id) in self.internal.iter().enumerate() {
@@ -363,10 +386,10 @@ impl RoutePlanner {
             };
             self.net.set_edge(id, 1, cost);
         }
-        // `segments` and the load table list segments in the same order.
-        for (k, &(a, b, id)) in self.segments.iter().enumerate() {
-            let units = weight.map_or(1, |w| i64::from(w(a, b).max(1)));
-            let cost = units * self.hop_scale + i64::from(self.load.counts[k]);
+        // `segments`, `weights` and the load table list segments in the
+        // same order.
+        for (k, &id) in self.segments.iter().enumerate() {
+            let cost = i64::from(self.weights[k]) * self.hop_scale + i64::from(self.load.counts[k]);
             self.net.set_edge(id, 1, cost);
         }
         for &id in self.exits.iter().chain(&self.entries) {
@@ -426,7 +449,7 @@ mod tests {
         from: u32,
         dest: u32,
     ) -> Option<PlannedRoute> {
-        planner.plan_route(policy, state, TrapId(from), TrapId(dest), None)
+        planner.plan_route(policy, state, TrapId(from), TrapId(dest))
     }
 
     #[test]
@@ -507,7 +530,6 @@ mod tests {
         // planner counter-clockwise even with zero congestion — and a
         // unit-weight hook must reproduce the unweighted choice exactly.
         let state = ring_state(6, &[1, 1, 1, 1, 1, 1]);
-        let mut p = planner(&state);
         let heavy = |a: TrapId, b: TrapId| -> u32 {
             if (a, b) == (TrapId(0), TrapId(1)) || (a, b) == (TrapId(1), TrapId(0)) {
                 4
@@ -515,16 +537,20 @@ mod tests {
                 1
             }
         };
+        let topology = state.spec().topology();
+        let mut p = RoutePlanner::with_weights(topology, &heavy);
+        assert_eq!(p.weight(TrapId(1), TrapId(0)), 4);
+        assert_eq!(p.weight(TrapId(1), TrapId(2)), 1);
         let policy = RouterPolicy::congestion();
-        let r = p
-            .plan_route(policy, &state, TrapId(0), TrapId(3), Some(&heavy))
-            .unwrap();
+        let r = route(&mut p, policy, &state, 0, 3).unwrap();
         assert_eq!(r.hops(), 3);
         assert_eq!(r.path[1], TrapId(5), "weighted route avoids the 4x edge");
-        let unit = |_: TrapId, _: TrapId| 1u32;
-        let plain = route(&mut p, policy, &state, 0, 3);
-        let unitized = p.plan_route(policy, &state, TrapId(0), TrapId(3), Some(&unit));
-        assert_eq!(plain, unitized, "unit weights reproduce unweighted pricing");
+        let mut unitized = RoutePlanner::with_weights(topology, &|_, _| 0);
+        assert_eq!(
+            route(&mut planner(&state), policy, &state, 0, 3),
+            route(&mut unitized, policy, &state, 0, 3),
+            "unit weights (and weights below 1) reproduce unweighted pricing"
+        );
     }
 
     #[test]
@@ -547,7 +573,7 @@ mod tests {
         assert!(state.is_full(TrapId(0)));
         let mut p = planner(&state);
         p.record(TrapId(0), TrapId(1));
-        let (dest, route) = p.plan_eviction(&state, TrapId(0), &[], 6, None).unwrap();
+        let (dest, route) = p.plan_eviction(&state, TrapId(0), &[], 6).unwrap();
         assert_eq!(dest, TrapId(5), "cold neighbour wins the tie");
         assert_eq!(route, vec![TrapId(0), TrapId(5)]);
     }
@@ -566,14 +592,12 @@ mod tests {
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         assert!(state.is_full(TrapId(0)) && state.is_full(TrapId(1)));
         let mut p = planner(&state);
-        let (dest, route) = p
-            .plan_eviction(&state, TrapId(0), &[TrapId(7)], 6, None)
-            .unwrap();
+        let (dest, route) = p.plan_eviction(&state, TrapId(0), &[TrapId(7)], 6).unwrap();
         assert_eq!(dest, TrapId(6));
         assert_eq!(route, vec![TrapId(0), TrapId(7), TrapId(6)]);
         // No candidate at all: every other trap avoided.
         let all: Vec<TrapId> = (1..8).map(TrapId).collect();
-        assert_eq!(p.plan_eviction(&state, TrapId(0), &all, 6, None), None);
+        assert_eq!(p.plan_eviction(&state, TrapId(0), &all, 6), None);
     }
 
     #[test]
@@ -599,10 +623,10 @@ mod tests {
     }
 }
 
-/// The planner as it was before [`RoutePlanner`] kept one network per
-/// compile: every call builds its own priced network, with only the
-/// super-edges that call needs. The reused planner must agree with it on
-/// every call.
+/// The planner as it was before [`RoutePlanner`] kept one network and one
+/// weight table per compile: every call builds its own priced network,
+/// with only the super-edges that call needs, calling the weight hook for
+/// every segment. The reused planner must agree with it on every call.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -858,10 +882,13 @@ mod property_tests {
             let mapping = InitialMapping::from_traps(&spec, traps).unwrap();
             let mut state = MachineState::with_mapping(&spec, &mapping).unwrap();
             let ions = mapping.num_ions() as usize;
-            let mut planner = RoutePlanner::new(spec.topology());
-            let mut load = EdgeLoad::new(spec.topology());
-            let skew = |a: TrapId, b: TrapId| 1 + (a.0 * 3 + b.0) % 4;
+            let skew = |a: TrapId, b: TrapId| (a.0 * 3 + b.0) % 5;
             let weight: Option<&EdgeWeightFn> = if weighted { Some(&skew) } else { None };
+            let mut planner = match weight {
+                Some(w) => RoutePlanner::with_weights(spec.topology(), w),
+                None => RoutePlanner::new(spec.topology()),
+            };
+            let mut load = EdgeLoad::new(spec.topology());
             let trap = |i: usize| TrapId((i % n as usize) as u32);
             let neighbour = |t: TrapId, k: usize| {
                 let nbs = spec.topology().neighbors(t);
@@ -893,7 +920,7 @@ mod property_tests {
                             p => RouterPolicy::Congestion { full_trap_penalty: 2 * p },
                         };
                         let (from, dest) = (trap(from), trap(dest));
-                        let got = planner.plan_route(policy, &state, from, dest, weight);
+                        let got = planner.plan_route(policy, &state, from, dest);
                         let want = reference::plan_route(policy, &state, from, dest, &load, weight);
                         prop_assert_eq!(got, want);
                     }
@@ -901,7 +928,7 @@ mod property_tests {
                         let blocked = trap(blocked);
                         let avoid: Vec<TrapId> =
                             (0..n).filter(|t| avoid >> t & 1 == 1).map(TrapId).collect();
-                        let got = planner.plan_eviction(&state, blocked, &avoid, 6, weight);
+                        let got = planner.plan_eviction(&state, blocked, &avoid, 6);
                         let want = reference::plan_eviction(&state, blocked, &avoid, &load, 6, weight);
                         prop_assert_eq!(got, want);
                     }

@@ -232,9 +232,6 @@ pub struct DeltaScorer {
     /// The initial mapping the fold started from — the replay origin for
     /// the full re-lower oracle ([`score_ops_full`](Self::score_ops_full)).
     mapping: InitialMapping,
-    /// Every operation committed so far, in order. Only the full oracle
-    /// reads this; the delta path never walks it.
-    committed: Vec<Operation>,
 }
 
 impl DeltaScorer {
@@ -256,7 +253,6 @@ impl DeltaScorer {
             arena: ScoreArena::default(),
             speculations: 0,
             mapping: mapping.clone(),
-            committed: Vec::new(),
         })
     }
 
@@ -290,7 +286,6 @@ impl DeltaScorer {
     ) -> Result<(), LowerError> {
         self.state
             .advance(std::slice::from_ref(op), None, circuit, spec, &mut |_| {})?;
-        self.committed.push(*op);
         self.makespan = self.state.makespan_us();
         Ok(())
     }
@@ -321,7 +316,10 @@ impl DeltaScorer {
     /// Scores a candidate suffix on the **full re-lower oracle**
     /// (`ScoreMode::Full`): replays the entire committed schedule plus
     /// the candidate from the initial mapping through [`lower`] — O(n)
-    /// per candidate, quadratic over a compile loop. This is the
+    /// per candidate, quadratic over a compile loop. `committed` must be
+    /// every operation [`commit`](Self::commit)ted so far, in order; the
+    /// scorer keeps no copy of them, since its caller (the compile loop)
+    /// already holds exactly that prefix. This is the
     /// strongest differential reference: it validates not just the
     /// speculative overlay but the incremental maintenance of the
     /// committed fold itself, since any drift between the live frontiers
@@ -332,14 +330,15 @@ impl DeltaScorer {
     /// [`lower`]: crate::scheduler::lower
     pub fn score_ops_full(
         &mut self,
+        committed: &[Operation],
         ops: &[Operation],
         circuit: &Circuit,
         spec: &MachineSpec,
     ) -> Option<f64> {
         self.speculations += 1;
         FULL_SCORES.incr();
-        let mut all = Vec::with_capacity(self.committed.len() + ops.len());
-        all.extend_from_slice(&self.committed);
+        let mut all = Vec::with_capacity(committed.len() + ops.len());
+        all.extend_from_slice(committed);
         all.extend_from_slice(ops);
         let schedule = Schedule::new(self.mapping.clone(), all);
         crate::scheduler::lower(&schedule, None, circuit, spec, &self.state.model)

@@ -6,9 +6,10 @@
 //! 1. **Delta == oracle at every decision point** — replaying the
 //!    optimized compiler's own committed schedule through a
 //!    [`DeltaScorer`], every sampled candidate suffix (legal and illegal)
-//!    prices *bit-for-bit* identically on the O(delta) path and on the
+//!    prices *bit-for-bit* identically on the O(delta) path, on the
 //!    O(suffix) clone-and-re-lower oracle ([`LowerState::score_ops`] on
-//!    the committed fold).
+//!    the committed fold) and on the full re-lower oracle
+//!    ([`DeltaScorer::score_ops_full`], handed the committed prefix).
 //! 2. **apply+undo is traceless** — scoring a candidate twice returns the
 //!    identical projection, and the committed fold's makespan never moves
 //!    under speculation; after the full replay the fold equals a fresh
@@ -18,6 +19,7 @@
 //!    threaded fold* as one under `ScoreMode::Full`.
 //!
 //! [`DeltaScorer`]: muzzle_shuttle::timing::DeltaScorer
+//! [`DeltaScorer::score_ops_full`]: muzzle_shuttle::timing::DeltaScorer::score_ops_full
 //! [`LowerState::score_ops`]: muzzle_shuttle::timing::LowerState::score_ops
 //! [`lower`]: muzzle_shuttle::timing::lower
 
@@ -112,7 +114,8 @@ proptest! {
         .expect("random circuits fit the constructed machine");
         let mut scorer = DeltaScorer::new(&result.schedule.initial_mapping, &spec, &model)
             .expect("initial mappings lower");
-        for op in &result.schedule.operations {
+        let ops_all = &result.schedule.operations;
+        for (i, op) in ops_all.iter().enumerate() {
             let candidates = sample_candidates(&scorer, seed);
             let before = scorer.makespan_us();
             for ops in &candidates {
@@ -123,6 +126,13 @@ proptest! {
                     first.map(f64::to_bits),
                     oracle.map(f64::to_bits),
                     "candidate {:?} diverged from the oracle",
+                    ops
+                );
+                let full = scorer.score_ops_full(&ops_all[..i], ops, &circuit, &spec);
+                prop_assert_eq!(
+                    full.map(f64::to_bits),
+                    oracle.map(f64::to_bits),
+                    "candidate {:?} diverged on the full re-lower",
                     ops
                 );
                 // (2) apply+undo is traceless: identical re-score,

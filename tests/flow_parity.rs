@@ -85,6 +85,17 @@ fn clock_pipeline_on_grid_matches_recorded_flow_routes() {
     );
     // Batched layers that can never commit skip their flow solve.
     assert_eq!(counters, [9882, 8975, 3106, 907]);
+    // The scan, batching, scoring and backfill work of the same compile:
+    // the paper rows see a few hundred batch rejects at most, this grid
+    // pass sees thousands.
+    let work = [
+        "core.scan_entries",
+        "core.batch_capacity_rejects",
+        "core.candidates_scored",
+        "route.backfill_attempts",
+    ]
+    .map(obs::counter_value);
+    assert_eq!(work, [375420, 585, 539, 36188]);
 }
 
 #[test]
