@@ -13,8 +13,14 @@
 //! | `table3`    | Table III — compilation-time overhead |
 //! | `ablation`  | per-heuristic contribution (§III design choices) |
 //! | `proximity` | §III-A3 proximity design-parameter sweep |
+//! | `mapping`   | §IV-E3 initial-placement ablation |
+//! | `routers`   | topology × router sweep (line, ring, grid; serial, congestion) |
+//! | `timing`    | timing-model sweep (ideal vs realistic, both routers) |
+//! | `lookahead` | greedy vs lookahead transport depth |
+//! | `pack`      | greedy/lookahead/packed depth and timed makespan |
 //! | `all`       | everything above |
-//! | `snapshot`  | writes or checks `BENCH.json` (see [`profile`]) |
+//! | `snapshot`  | writes or checks `BENCH.json`: the [`report`] plus the [`profile`] subtrees |
+//! | `diff`      | `diff OLD.json NEW.json`: the schema-aware snapshot differ ([`diff`]) |
 //!
 //! Random-suite size defaults to the paper's 30 circuits per qubit count
 //! (120 total); pass `--per-size N` (1 to [`MAX_PER_SIZE`]) to shrink it
@@ -22,6 +28,7 @@
 
 pub mod diff;
 pub mod profile;
+pub mod report;
 
 use qccd_circuit::generators::{paper_suite, random_suite, BenchmarkCircuit};
 use qccd_circuit::Circuit;
@@ -659,69 +666,6 @@ pub fn pack_gains(benches: &[BenchmarkCircuit], spec: &MachineSpec) -> Vec<PackR
                 packed_makespan_us: packed.stats.packed_makespan_us,
                 hoisted_hops: packed.stats.hoisted_hops,
                 replanned_runs: packed.stats.replanned_runs,
-            }
-        })
-        .collect()
-}
-
-/// Before/after numbers for the timed compile-loop objective on one
-/// benchmark: the default-objective packed stack against the
-/// clock-objective pipeline (`qccd_pack::compile_clock`), under the
-/// realistic device model — the configuration the objective acceptance
-/// criteria are stated in.
-#[derive(Debug, Clone)]
-pub struct ObjectiveRow {
-    /// Benchmark name.
-    pub name: String,
-    /// Timed makespan of the default-objective packed stack, µs.
-    pub packed_makespan_us: f64,
-    /// Timed makespan of the clock-objective candidate, µs.
-    pub clock_makespan_us: f64,
-    /// Timed makespan of the chosen (never-regress) result, µs.
-    pub chosen_makespan_us: f64,
-    /// Open decisions re-arbitrated on the projected clock.
-    pub clock_ties: usize,
-    /// Gate-free layers planned as batched multi-commodity flows.
-    pub batched_layers: usize,
-    /// Hops emitted by those batched layers.
-    pub batched_hops: usize,
-    /// Shuttle hops of the chosen result.
-    pub chosen_shuttles: usize,
-    /// Transport depth of the chosen result.
-    pub chosen_depth: usize,
-    /// `true` when the clock candidate strictly beat the packed stack.
-    pub improved: bool,
-}
-
-/// Measures the clock compile-loop objective against the packed stack on
-/// every benchmark (optimized policy stack, realistic timing).
-///
-/// # Panics
-///
-/// Panics if a benchmark does not fit `spec` or a pipeline fails its
-/// validators (never silent).
-pub fn objective_gains(benches: &[BenchmarkCircuit], spec: &MachineSpec) -> Vec<ObjectiveRow> {
-    let model = TimingModel::realistic();
-    benches
-        .iter()
-        .map(|bench| {
-            let config = CompilerConfig::optimized().with_timing(model);
-            let (chosen, stats) = qccd_pack::compile_clock(&bench.circuit, spec, &config)
-                .expect("benchmark circuits compile under both objectives");
-            ObjectiveRow {
-                name: bench.name.clone(),
-                packed_makespan_us: stats.packed_makespan_us,
-                clock_makespan_us: stats.clock_makespan_us,
-                // Read off the *returned artifact*, not the race's own
-                // min(): the acceptance assertion downstream must catch a
-                // pipeline that hands back a regressed result.
-                chosen_makespan_us: chosen.timeline.makespan_us,
-                clock_ties: stats.clock_ties,
-                batched_layers: stats.batched_layers,
-                batched_hops: stats.batched_hops,
-                chosen_shuttles: chosen.stats.shuttles,
-                chosen_depth: chosen.stats.transport_depth,
-                improved: stats.improved,
             }
         })
         .collect()

@@ -6,13 +6,16 @@
 //! Fig. 4 worked example — the four-gate program on which the baseline's
 //! excess-capacity policy ping-pongs ion 2 for 4 shuttles while the
 //! future-ops policy moves ion 1 once.
+//!
+//! The JSON document and the suite checks come from
+//! [`qccd_bench::report`], whose rows `BENCH.json` pins as well.
 
 use crate::output::csv_row;
 use crate::{emit, parse_common};
+use qccd_bench::report::{fig4_worked_example, report_json, SuiteChecks};
 use qccd_bench::{compare_timed, parse_per_size, ComparisonRow, RANDOM_SUITE_SEED};
 use qccd_circuit::generators::{paper_suite, random_suite, BenchmarkCircuit};
 use qccd_machine::MachineSpec;
-use qccd_obs::json::Json;
 use qccd_sim::SimParams;
 
 /// Scaled-down versions of the paper's benchmarks (the integration suite),
@@ -65,11 +68,12 @@ pub fn cmd_eval(args: &[String]) -> Result<(), String> {
             "--proximity",
             "--router",
             "--objective",
+            "--jobs",
         ],
         "each eval suite fixes its machine and circuits, and always runs \
          the baseline-vs-optimized policy pair under both routers plus the \
-         packed and clock-objective stacks (use compile/simulate/sweep for \
-         custom setups; --timing composes)",
+         packed and clock-objective stacks, sequentially (use \
+         compile/simulate/sweep for custom setups; --timing composes)",
     )?;
     let suite_name = opts
         .extra_values
@@ -101,7 +105,6 @@ pub fn cmd_eval(args: &[String]) -> Result<(), String> {
         }
     };
 
-    let fig4 = qccd_bench::profile::fig4_worked_example();
     qccd_obs::info("eval", || {
         format!(
             "evaluating {} benchmarks on {machine} (policy comparison)...",
@@ -115,83 +118,20 @@ pub fn cmd_eval(args: &[String]) -> Result<(), String> {
             compare_timed(bench, &machine, &params, &model)
         })
         .collect();
-    let all_leq = rows
-        .iter()
-        .all(|r| r.optimized_shuttles <= r.baseline_shuttles);
-    let congestion_leq = rows
-        .iter()
-        .all(|r| r.congestion_shuttles <= r.optimized_shuttles);
-    let depth_wins = rows
-        .iter()
-        .filter(|r| r.transport_depth < r.optimized_shuttles)
-        .count();
-    let timed_makespan_wins = rows
-        .iter()
-        .filter(|r| r.transport_sim.timed_makespan_us <= r.optimized_sim.timed_makespan_us)
-        .count();
-    let packed_leq_lookahead = rows
-        .iter()
-        .all(|r| r.packed_timed_makespan_us <= r.lookahead_timed_makespan_us);
-    let packed_strict_wins = rows
-        .iter()
-        .filter(|r| r.packed_timed_makespan_us < r.lookahead_timed_makespan_us)
-        .count();
-    let clock_leq_packed = rows
-        .iter()
-        .all(|r| r.clock_timed_makespan_us <= r.packed_timed_makespan_us);
-    let clock_strict_wins = rows.iter().filter(|r| r.clock_stats.improved).count();
-    let checks = EvalChecks {
-        all_leq,
-        congestion_leq,
-        depth_wins,
-        timed_makespan_wins,
-        packed_leq_lookahead,
-        packed_strict_wins,
-        clock_leq_packed,
-        clock_strict_wins,
-    };
-
     let report = match opts.format.as_str() {
-        "json" => render_json(&suite_name, &machine, &opts.timing, fig4, &rows, &checks),
+        "json" => format!(
+            "{}\n",
+            report_json(&suite_name, &machine, &opts.timing, &rows)
+        ),
         "csv" => render_csv(&opts.timing, &rows),
-        _ => render_text(&suite_name, &machine, &opts.timing, fig4, &rows, &checks),
+        _ => render_text(&suite_name, &machine, &opts.timing, &rows),
     };
     emit(&report, &opts.out)
 }
 
-/// Suite-level acceptance flags reported alongside the per-benchmark rows.
-struct EvalChecks {
-    /// Optimized shuttle count ≤ baseline on every benchmark (Table II).
-    all_leq: bool,
-    /// Congestion-routed shuttle count ≤ serial on every benchmark.
-    congestion_leq: bool,
-    /// Benchmarks whose concurrent transport depth is strictly below the
-    /// serial shuttle count.
-    depth_wins: usize,
-    /// Benchmarks whose congestion-routed *timed* makespan (under the
-    /// selected timing model) is at or below the serial router's.
-    timed_makespan_wins: usize,
-    /// Packed timed makespan ≤ lookahead on every benchmark (the packer's
-    /// never-regress guarantee, re-checked end to end).
-    packed_leq_lookahead: bool,
-    /// Benchmarks where packing *strictly* beat lookahead on the clock.
-    packed_strict_wins: usize,
-    /// Clock-objective timed makespan ≤ packed on every benchmark (the
-    /// clock pipeline's never-regress guarantee, re-checked end to end).
-    clock_leq_packed: bool,
-    /// Benchmarks where the clock objective *strictly* beat the packed
-    /// stack on the device clock.
-    clock_strict_wins: usize,
-}
-
-fn render_text(
-    suite: &str,
-    machine: &MachineSpec,
-    timing: &str,
-    fig4: (usize, usize),
-    rows: &[ComparisonRow],
-    checks: &EvalChecks,
-) -> String {
+fn render_text(suite: &str, machine: &MachineSpec, timing: &str, rows: &[ComparisonRow]) -> String {
+    let fig4 = fig4_worked_example();
+    let checks = SuiteChecks::of(rows);
     let mut out = String::new();
     out.push_str(&format!(
         "# muzzle eval — suite `{suite}` on {machine} (timing {timing})\n\n"
@@ -350,168 +290,6 @@ fn render_csv(timing: &str, rows: &[ComparisonRow]) -> String {
     out
 }
 
-fn render_json(
-    suite: &str,
-    machine: &MachineSpec,
-    timing: &str,
-    fig4: (usize, usize),
-    rows: &[ComparisonRow],
-    checks: &EvalChecks,
-) -> String {
-    let benchmarks = rows
-        .iter()
-        .map(|r| {
-            Json::obj(vec![
-                ("name", Json::str(&r.name)),
-                ("qubits", Json::int(r.qubits as usize)),
-                ("two_qubit_gates", Json::int(r.two_qubit_gates)),
-                ("baseline_shuttles", Json::int(r.baseline_shuttles)),
-                ("optimized_shuttles", Json::int(r.optimized_shuttles)),
-                ("delta", Json::Num(r.delta() as f64)),
-                ("delta_percent", Json::Num(r.delta_percent())),
-                ("fidelity_improvement", Json::Num(r.fidelity_improvement())),
-                (
-                    "baseline",
-                    Json::obj(vec![
-                        (
-                            "program_fidelity",
-                            Json::Num(r.baseline_sim.program_fidelity),
-                        ),
-                        ("makespan_us", Json::Num(r.baseline_sim.makespan_us)),
-                        ("compile_seconds", Json::Num(r.baseline_compile_s)),
-                    ]),
-                ),
-                (
-                    "optimized",
-                    Json::obj(vec![
-                        (
-                            "program_fidelity",
-                            Json::Num(r.optimized_sim.program_fidelity),
-                        ),
-                        ("makespan_us", Json::Num(r.optimized_sim.makespan_us)),
-                        ("compile_seconds", Json::Num(r.optimized_compile_s)),
-                    ]),
-                ),
-                (
-                    "congestion_router",
-                    Json::obj(vec![
-                        ("shuttles", Json::int(r.congestion_shuttles)),
-                        ("transport_depth", Json::int(r.transport_depth)),
-                        ("depth_delta", Json::Num(r.depth_delta() as f64)),
-                        ("makespan_us", Json::Num(r.transport_sim.makespan_us)),
-                        (
-                            "program_fidelity",
-                            Json::Num(r.transport_sim.program_fidelity),
-                        ),
-                    ]),
-                ),
-                (
-                    "timed",
-                    Json::obj(vec![
-                        (
-                            "serial_makespan_us",
-                            Json::Num(r.optimized_sim.timed_makespan_us),
-                        ),
-                        (
-                            "congestion_makespan_us",
-                            Json::Num(r.transport_sim.timed_makespan_us),
-                        ),
-                        ("zone_moves", Json::int(r.transport_sim.zone_moves)),
-                        (
-                            "junction_crossings",
-                            Json::int(r.transport_sim.junction_crossings),
-                        ),
-                    ]),
-                ),
-                (
-                    "packed",
-                    Json::obj(vec![
-                        ("shuttles", Json::int(r.packed_shuttles)),
-                        ("transport_depth", Json::int(r.packed_depth)),
-                        (
-                            "lookahead_timed_makespan_us",
-                            Json::Num(r.lookahead_timed_makespan_us),
-                        ),
-                        (
-                            "packed_timed_makespan_us",
-                            Json::Num(r.packed_timed_makespan_us),
-                        ),
-                        ("program_fidelity", Json::Num(r.packed_sim.program_fidelity)),
-                    ]),
-                ),
-                (
-                    "clock",
-                    Json::obj(vec![
-                        (
-                            "clock_timed_makespan_us",
-                            Json::Num(r.clock_timed_makespan_us),
-                        ),
-                        (
-                            "candidate_makespan_us",
-                            Json::Num(r.clock_stats.clock_makespan_us),
-                        ),
-                        ("clock_ties", Json::int(r.clock_stats.clock_ties)),
-                        ("batched_layers", Json::int(r.clock_stats.batched_layers)),
-                        ("batched_hops", Json::int(r.clock_stats.batched_hops)),
-                        ("improved", Json::Bool(r.clock_stats.improved)),
-                        ("compile_seconds", Json::Num(r.clock_compile_s)),
-                        ("program_fidelity", Json::Num(r.clock_sim.program_fidelity)),
-                        ("fidelity_duration_share", Json::Num(r.clock_duration_share)),
-                        ("fidelity_motional_share", Json::Num(r.clock_motional_share)),
-                    ]),
-                ),
-                (
-                    "utilization",
-                    Json::obj(vec![
-                        ("idle_fraction", Json::Num(r.idle_fraction)),
-                        ("hottest_trap", Json::int(r.hottest_trap)),
-                        ("hottest_trap_busy_us", Json::Num(r.hottest_trap_busy_us)),
-                    ]),
-                ),
-            ])
-        })
-        .collect();
-    let value = Json::obj(vec![
-        ("suite", Json::str(suite)),
-        ("machine", Json::str(machine.to_string())),
-        ("timing", Json::str(timing)),
-        (
-            "fig4_worked_example",
-            Json::obj(vec![
-                ("baseline_shuttles", Json::int(fig4.0)),
-                ("optimized_shuttles", Json::int(fig4.1)),
-            ]),
-        ),
-        ("benchmarks", Json::Arr(benchmarks)),
-        ("all_optimized_leq_baseline", Json::Bool(checks.all_leq)),
-        (
-            "all_congestion_leq_serial",
-            Json::Bool(checks.congestion_leq),
-        ),
-        ("depth_strictly_lower_count", Json::int(checks.depth_wins)),
-        (
-            "timed_makespan_leq_serial_count",
-            Json::int(checks.timed_makespan_wins),
-        ),
-        (
-            "all_packed_leq_lookahead",
-            Json::Bool(checks.packed_leq_lookahead),
-        ),
-        (
-            "packed_strict_win_count",
-            Json::int(checks.packed_strict_wins),
-        ),
-        ("all_clock_leq_packed", Json::Bool(checks.clock_leq_packed)),
-        (
-            "clock_strict_win_count",
-            Json::int(checks.clock_strict_wins),
-        ),
-    ]);
-    let mut text = value.to_string();
-    text.push('\n');
-    text
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,5 +306,16 @@ mod tests {
             assert_eq!(cmd_eval(&args).unwrap_err(), err);
         }
         assert!(crate::USAGE.contains("1 to 1959"));
+    }
+
+    /// The suites always run sequentially, so `--jobs` is a usage error
+    /// rather than a flag that is accepted and then ignored.
+    #[test]
+    fn jobs_is_rejected_before_any_compile() {
+        let args: Vec<String> = ["--suite", "mini", "--jobs", "8"]
+            .map(str::to_owned)
+            .to_vec();
+        let err = cmd_eval(&args).unwrap_err();
+        assert!(err.starts_with("--jobs is not supported here"), "{err}");
     }
 }

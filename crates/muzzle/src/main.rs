@@ -66,15 +66,14 @@ CIRCUIT / MACHINE OPTIONS (compile, simulate, sweep):
 POLICY OPTIONS:
     --policy P          baseline | optimized       [default: optimized]
     --proximity N       future-ops proximity override (optimized only)
-    --router R          serial | congestion | lookahead | packed
-                        [default: serial]
+    --router R          serial | congestion | packed   [default: serial]
                         (congestion prices routes by trap fullness and edge
                         load, and schedules transport as concurrent rounds;
-                        lookahead additionally backfills hops into earlier
-                        compatible rounds; packed then runs the qccd-pack
-                        optimizer — cross-gate packing + batched layer
-                        planning, keeping the rewrite only when it lowers
-                        the timed makespan under the --timing model)
+                        packed also backfills hops into earlier compatible
+                        rounds, then runs the qccd-pack optimizer —
+                        cross-gate packing + batched layer planning,
+                        keeping the rewrite only when it lowers the timed
+                        makespan under the --timing model)
     --timing T          ideal | realistic          [default: ideal]
                         (ideal reproduces the uniform-hop numbers exactly;
                         realistic charges linear-segment speed, junction
@@ -253,9 +252,9 @@ pub fn parse_common(
             "--proximity" => opts.proximity = Some(parse_num(&next(&mut i, arg)?, arg)?),
             "--router" => {
                 let r = next(&mut i, arg)?;
-                if !["serial", "congestion", "lookahead", "packed"].contains(&r.as_str()) {
+                if !["serial", "congestion", "packed"].contains(&r.as_str()) {
                     return Err(format!(
-                        "--router must be serial, congestion, lookahead, or packed, got `{r}`"
+                        "--router must be serial, congestion, or packed, got `{r}`"
                     ));
                 }
                 opts.router = r;
@@ -332,9 +331,9 @@ pub fn build_config(
 ) -> Result<CompilerConfig, String> {
     let (router, lookahead) = match router {
         "congestion" => (RouterPolicy::congestion(), false),
-        // `packed` compiles exactly like `lookahead`; the qccd-pack passes
+        // `packed` compiles with lookahead backfill; the qccd-pack passes
         // run post-compile (see `timed`).
-        "lookahead" | "packed" => (RouterPolicy::congestion(), true),
+        "packed" => (RouterPolicy::congestion(), true),
         _ => (RouterPolicy::Serial, false),
     };
     let timing = parse_timing_model(timing);
@@ -1288,6 +1287,21 @@ mod tests {
         }
     }
 
+    /// `lookahead` is no router mode of its own: `packed` compiles with
+    /// the lookahead backfill, and the error names it.
+    #[test]
+    fn lookahead_router_is_a_usage_error_naming_packed() {
+        let err = parse_common(&args(&["--router", "lookahead"]), &[], &[])
+            .err()
+            .expect("lookahead is rejected");
+        assert_eq!(
+            err,
+            "--router must be serial, congestion, or packed, got `lookahead`"
+        );
+        let config = build_config("optimized", None, "packed", "ideal", "shuttles", 1).unwrap();
+        assert!(config.lookahead, "packed compiles with lookahead backfill");
+    }
+
     /// A trap capacity of `u32::MAX` compiles under every router and both
     /// objectives (round-capacity sums once wrapped u32 there).
     #[test]
@@ -1295,7 +1309,6 @@ mod tests {
         for stack in [
             &["--router", "serial"][..],
             &["--router", "congestion"],
-            &["--router", "lookahead"],
             &["--router", "packed"],
             &["--objective", "clock"],
         ] {

@@ -407,7 +407,10 @@ struct EventRec {
 
 fn emit_event(level: Verbosity, target: &'static str, msg: impl FnOnce() -> String) {
     let print = verbosity() >= level;
-    let record = is_enabled();
+    // Debug events are recorded only when they are also printed: a hot
+    // path may emit one per decision, and a `--profile` or `--trace` run
+    // must not pay a format and the `EVENTS` lock for each of them.
+    let record = is_enabled() && (level < Verbosity::Debug || print);
     if !print && !record {
         return;
     }
@@ -433,8 +436,9 @@ pub fn info(target: &'static str, msg: impl FnOnce() -> String) {
     emit_event(Verbosity::Info, target, msg);
 }
 
-/// A debug-level diagnostic: printed only at [`Verbosity::Debug`],
-/// recorded as a trace instant event whenever recording is on.
+/// A debug-level diagnostic: printed only at [`Verbosity::Debug`], and
+/// recorded as a trace instant event only then (when recording is on).
+/// At lower verbosity the message closure never runs.
 pub fn debug(target: &'static str, msg: impl FnOnce() -> String) {
     emit_event(Verbosity::Debug, target, msg);
 }
@@ -984,6 +988,26 @@ mod tests {
         info("test", || "recorded while quiet".to_owned());
         let trace = chrome_trace();
         assert!(trace.contains("recorded while quiet"));
+        disable();
+        set_verbosity(before);
+    }
+
+    #[test]
+    fn debug_events_are_recorded_only_when_printed() {
+        let _g = exclusive();
+        let before = verbosity();
+        set_verbosity(Verbosity::Info);
+        enable();
+        let mut ran = false;
+        debug("test", || {
+            ran = true;
+            "hot-path debug event".to_owned()
+        });
+        assert!(!ran, "recording alone must not format a debug event");
+        assert!(!chrome_trace().contains("hot-path debug event"));
+        set_verbosity(Verbosity::Debug);
+        debug("test", || "printed debug event".to_owned());
+        assert!(chrome_trace().contains("printed debug event"));
         disable();
         set_verbosity(before);
     }
