@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the substrates: DAG construction, flow routing,
-//! memoized topology paths, round backfill, and the replay passes every
-//! compile runs (schedule validation, transport validation, lowering).
+//! memoized topology paths and per-hop route queries, round backfill, and
+//! the replay passes every compile runs (schedule validation, transport
+//! validation, lowering).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qccd_circuit::generators::{qft, random_circuit};
@@ -8,8 +9,10 @@ use qccd_core::{compile, CompilerConfig};
 use qccd_flow::{
     min_cost_max_flow, min_cost_unit_path, route_commodities, Adjacency, Commodity, FlowNetwork,
 };
-use qccd_machine::{MachineSpec, Operation, ShuttleMove, TrapTopology};
-use qccd_route::{BackfillRules, CreditRule, RoundBackfill};
+use qccd_machine::{
+    InitialMapping, MachineSpec, MachineState, Operation, ShuttleMove, TrapId, TrapTopology,
+};
+use qccd_route::{BackfillRules, CreditRule, RoundBackfill, RoutePlanner, RouterPolicy};
 use std::hint::black_box;
 
 fn bench_dag_build(c: &mut Criterion) {
@@ -96,6 +99,29 @@ fn bench_flow(c: &mut Criterion) {
     group.bench_function("blocked_fallback", |b| {
         b.iter(|| black_box(&grid).shortest_path_filtered(0, 15, |t| t != 2))
     });
+    group.finish();
+    // The compile loop's per-hop query on the same corner-to-corner pair:
+    // the serial router's first hop, built from no path. Capacity 2 with
+    // no comm reserve makes the seeded traps full: trap 5 leaves the tree
+    // path usable, trap 2 forces the filtered BFS in the planner's buffers.
+    let mut group = c.benchmark_group("next_hop_grid4x4");
+    for (name, full) in [("tree_path", 5u32), ("blocked_fallback", 2)] {
+        let spec = MachineSpec::new(TrapTopology::grid(4, 4), 2, 0).expect("valid grid");
+        let mapping = InitialMapping::from_traps(&spec, vec![TrapId(full), TrapId(full)])
+            .expect("two ions fit one trap");
+        let state = MachineState::with_mapping(&spec, &mapping).expect("mapping fits");
+        let mut planner = RoutePlanner::new(spec.topology());
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                planner.next_hop(
+                    RouterPolicy::Serial,
+                    black_box(&state),
+                    TrapId(0),
+                    TrapId(15),
+                )
+            })
+        });
+    }
     group.finish();
 }
 

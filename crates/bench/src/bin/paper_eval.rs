@@ -181,55 +181,26 @@ fn diff_cmd(args: &[String]) {
     }
 }
 
-/// One benchmark's recompiled clock artifact plus its critical-path
-/// explanation.
+/// One benchmark's critical-path explanation.
 struct ExplainedBenchmark {
-    chosen: qccd_core::CompileResult,
     steps: usize,
     json: Json,
 }
 
-/// Reproduces the clock pipeline's chosen schedule exactly as
-/// `compare_timed` built it (same configs, same race), so the timeline
-/// being explained is the one the snapshot's quality row describes, then
-/// attributes its makespan along the critical path.
+/// Attributes the makespan of `chosen`, the clock pipeline's artifact
+/// for `bench`, along its critical path.
 ///
 /// # Panics
 ///
-/// Panics if the recompiled timeline diverges from the profiled row, if
-/// the attribution segments do not sum bit-for-bit to the makespan, or if
-/// the critical path is empty or not contiguous.
+/// Panics if the attribution segments do not sum bit-for-bit to the
+/// makespan, or if the critical path is empty or not contiguous.
 fn explain_benchmark(
     bench: &qccd_circuit::generators::BenchmarkCircuit,
-    row_makespan_us: f64,
-    spec: &MachineSpec,
+    chosen: &qccd_core::CompileResult,
     model: &qccd_core::TimingModel,
 ) -> ExplainedBenchmark {
     use qccd_timing::{attribute_path, critical_path};
 
-    let (packed, _) = qccd_pack::compile_packed(
-        &bench.circuit,
-        spec,
-        &CompilerConfig::optimized()
-            .with_router(qccd_core::RouterPolicy::congestion())
-            .with_timing(*model),
-    )
-    .expect("benchmark circuits compile and pack on the paper machine");
-    let (chosen, _) = qccd_pack::race_clock(
-        packed.clone(),
-        &bench.circuit,
-        spec,
-        &CompilerConfig::optimized().with_timing(*model),
-    )
-    .expect("benchmark circuits compile under the clock objective");
-    assert!(
-        chosen.timeline.makespan_us.to_bits() == row_makespan_us.to_bits(),
-        "{}: recompiled clock timeline diverged from the profiled row \
-         ({} vs {})",
-        bench.name,
-        chosen.timeline.makespan_us,
-        row_makespan_us
-    );
     let path = critical_path(&chosen.timeline, &bench.circuit);
     let attribution = attribute_path(&chosen.timeline, model, &path);
     assert!(
@@ -276,7 +247,6 @@ fn explain_benchmark(
         ),
     ]);
     ExplainedBenchmark {
-        chosen,
         steps: path.steps.len(),
         json,
     }
@@ -431,7 +401,7 @@ fn snapshot(spec: &MachineSpec, params: &SimParams) {
                 bench.name
             );
         }
-        let explained = explain_benchmark(bench, chosen.timeline.makespan_us, spec, &model);
+        let explained = explain_benchmark(bench, &chosen, &model);
         assert!(
             profile.row.clock_timed_makespan_us.to_bits() == chosen.timeline.makespan_us.to_bits(),
             "{}: profiled clock row diverged from the jobs determinism sweep ({} vs {})",
@@ -440,8 +410,8 @@ fn snapshot(spec: &MachineSpec, params: &SimParams) {
             chosen.timeline.makespan_us
         );
         let attr = qccd_sim::attribute_fidelity_timed(
-            &explained.chosen.schedule,
-            &explained.chosen.transport,
+            &chosen.schedule,
+            &chosen.transport,
             &bench.circuit,
             spec,
             params,

@@ -39,6 +39,7 @@ mod analysis;
 mod batch;
 mod config;
 mod error;
+mod frontier;
 mod mapping;
 mod objective;
 mod policies;

@@ -392,7 +392,7 @@ mod tests {
         .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let remaining = RemainingGates::new(&c, &dag, &dag.topological_order());
+        let remaining = RemainingGates::new(&c, &dag, dag.topological_order());
         (c, state, remaining)
     }
 
@@ -476,7 +476,7 @@ mod tests {
                 .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let remaining = RemainingGates::new(&c, &dag, &dag.topological_order());
+        let remaining = RemainingGates::new(&c, &dag, dag.topological_order());
         let d = decide_direction(
             DirectionPolicy::ExcessCapacity,
             &c,
@@ -525,7 +525,7 @@ mod tests {
         .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let remaining = RemainingGates::new(&c, &dag, &dag.topological_order());
+        let remaining = RemainingGates::new(&c, &dag, dag.topological_order());
         (c, state, remaining)
     }
 
@@ -603,7 +603,7 @@ mod tests {
         let mapping = InitialMapping::from_traps(&spec, traps).unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let remaining = RemainingGates::new(&c, &dag, &dag.topological_order());
+        let remaining = RemainingGates::new(&c, &dag, dag.topological_order());
 
         let layers = move_scores(
             &state,
@@ -653,7 +653,7 @@ mod tests {
         .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let remaining = RemainingGates::new(&c, &dag, &dag.topological_order());
+        let remaining = RemainingGates::new(&c, &dag, dag.topological_order());
         let d = decide_direction(
             DirectionPolicy::FutureOps { proximity: 6 },
             &c,
@@ -679,7 +679,7 @@ mod tests {
         .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let remaining = RemainingGates::new(&c, &dag, &dag.topological_order());
+        let remaining = RemainingGates::new(&c, &dag, dag.topological_order());
         let choice = decide_direction_open(
             DirectionPolicy::FutureOps { proximity: 6 },
             &c,
@@ -733,7 +733,7 @@ mod tests {
         .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let remaining = RemainingGates::new(&c, &dag, &dag.topological_order());
+        let remaining = RemainingGates::new(&c, &dag, dag.topological_order());
         let s = move_scores(
             &state,
             &remaining,

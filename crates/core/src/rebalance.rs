@@ -294,7 +294,7 @@ mod tests {
         let mapping = InitialMapping::round_robin(&spec, 4).unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let c = Circuit::new(4);
-        let remaining = RemainingGates::new(&c, &c.dependency_dag(), &[]);
+        let remaining = RemainingGates::new(&c, &c.dependency_dag(), Vec::new());
         // T0 chain = [0, 1, 2]; keep ion 2 → pick ion 1.
         let ion = choose_ion(
             IonSelection::ChainEnd,
@@ -321,7 +321,7 @@ mod tests {
                 .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let remaining = RemainingGates::new(&c, &dag, &dag.topological_order());
+        let remaining = RemainingGates::new(&c, &dag, dag.topological_order());
         let ion = choose_ion(
             IonSelection::MaxScore { wd: 0.5, ws: 0.5 },
             &state,
@@ -346,7 +346,7 @@ mod tests {
                 .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = c.dependency_dag();
-        let remaining = RemainingGates::new(&c, &dag, &dag.topological_order());
+        let remaining = RemainingGates::new(&c, &dag, dag.topological_order());
         let ion = choose_ion(
             IonSelection::MaxScore { wd: 0.5, ws: 0.5 },
             &state,
@@ -367,7 +367,7 @@ mod tests {
         let mapping = InitialMapping::from_traps(&spec, vec![TrapId(0), TrapId(1)]).unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let c = Circuit::new(2);
-        let remaining = RemainingGates::new(&c, &c.dependency_dag(), &[]);
+        let remaining = RemainingGates::new(&c, &c.dependency_dag(), Vec::new());
         assert_eq!(
             choose_ion(
                 IonSelection::ChainEnd,

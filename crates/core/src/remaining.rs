@@ -18,12 +18,20 @@
 //! candidate set instead of a walk over every pending gate, and a Fenwick
 //! tree over plan ranks, which gives the gate-distance proximity metric
 //! the number of pending gates between two gates in O(log n).
+//!
+//! The pending gates in plan order are the compile loop's queue: the
+//! Fenwick tree turns a rank into its queue position
+//! ([`pending_before`](RemainingGates::pending_before)) and a position
+//! into its rank ([`select`](RemainingGates::select)), both in O(log n).
 
 use qccd_circuit::{Circuit, DependencyDag, GateId, GateQubits, Qubit};
 use qccd_machine::IonId;
 
-/// Entries of the remaining-gate index and of the pending queue that the
-/// §III scans read: a deterministic measure of their work.
+/// The §III scans' reach, a deterministic measure of their work: the
+/// remaining-gate index entries the move and eviction scores read, plus,
+/// per re-ordering scan, the queue positions from the active gate to the
+/// hoisted candidate (or to the window's end when none qualifies) —
+/// whether the scan visits each position or skips to the ready ones.
 pub(crate) static SCAN_ENTRIES: qccd_obs::Counter = qccd_obs::Counter::new("core.scan_entries");
 
 /// One two-qubit gate as seen from one of its operands.
@@ -54,21 +62,25 @@ pub(crate) struct RemainingGates {
     num_qubits: usize,
     /// `rank[g]`: position of gate `g` in the initial plan.
     rank: Vec<u32>,
+    /// The initial plan: `plan[r]` is the gate of rank `r`.
+    plan: Vec<GateId>,
     /// Fenwick tree over plan ranks holding 1 per gate not yet executed.
     pending: Vec<u32>,
+    /// Gates not yet executed.
+    left: usize,
 }
 
 impl RemainingGates {
     /// The index for `circuit` with nothing executed; `plan` is the
     /// initial execution order (a topological order of every gate) and
     /// `dag` supplies each gate's layer.
-    pub(crate) fn new(circuit: &Circuit, dag: &DependencyDag, plan: &[GateId]) -> Self {
+    pub(crate) fn new(circuit: &Circuit, dag: &DependencyDag, plan: Vec<GateId>) -> Self {
         let n = circuit.num_qubits() as usize;
         let mut pairs = vec![0u32; n * n];
         let mut rank = vec![0u32; plan.len()];
         // Count each qubit's gates, then fill every list in plan order.
         let mut offsets = vec![0usize; n + 1];
-        for &g in plan {
+        for &g in &plan {
             if let Some((a, b)) = circuit.gate(g).two_qubit_operands() {
                 offsets[a.index() + 1] += 1;
                 offsets[b.index() + 1] += 1;
@@ -113,6 +125,8 @@ impl RemainingGates {
             pairs,
             num_qubits: n,
             rank,
+            left: plan.len(),
+            plan,
             pending,
         }
     }
@@ -120,6 +134,16 @@ impl RemainingGates {
     /// Qubit `q`'s two-qubit gates not yet executed, in plan order.
     pub(crate) fn of(&self, q: Qubit) -> &[Entry] {
         &self.entries[self.next[q.index()]..self.offsets[q.index() + 1]]
+    }
+
+    /// The first not yet executed two-qubit gate on the qubit ion `ion`
+    /// hosts (`None` for an ion that hosts no qubit of the circuit).
+    pub(crate) fn first_of(&self, ion: IonId) -> Option<&Entry> {
+        if ion.index() < self.num_qubits {
+            self.of(Qubit::from(ion)).first()
+        } else {
+            None
+        }
     }
 
     /// Remaining two-qubit gates between ions `a` and `b` (0 for an ion
@@ -138,19 +162,55 @@ impl RemainingGates {
         self.rank[g.index()]
     }
 
+    /// The gate of plan rank `rank`.
+    pub(crate) fn gate(&self, rank: u32) -> GateId {
+        self.plan[rank as usize]
+    }
+
+    /// Gates not yet executed.
+    pub(crate) fn len(&self) -> usize {
+        self.left
+    }
+
+    /// Whether every gate has executed.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.left == 0
+    }
+
     /// Pending gates strictly between plan ranks `a` and `b` (`a < b`).
     pub(crate) fn pending_between(&self, a: u32, b: u32) -> u32 {
         self.pending_before(b as usize) - self.pending_before(a as usize + 1)
     }
 
-    /// Pending gates with plan rank below `rank`.
-    fn pending_before(&self, rank: usize) -> u32 {
+    /// Pending gates with plan rank below `rank`: the queue position of a
+    /// pending gate of that rank.
+    pub(crate) fn pending_before(&self, rank: usize) -> u32 {
         let (mut i, mut sum) = (rank, 0);
         while i > 0 {
             sum += self.pending[i - 1];
             i &= i - 1;
         }
         sum
+    }
+
+    /// The plan rank of the pending gate at queue position `k` (0-based),
+    /// or the plan length when fewer than `k + 1` gates are pending: the
+    /// exclusive rank bound of the first `k` queued gates.
+    pub(crate) fn select(&self, k: usize) -> u32 {
+        // Descend the implicit tree: `pos` is the longest rank prefix
+        // holding at most `k` pending gates; `rest` is `k` minus its count.
+        let (mut pos, mut rest) = (0usize, k);
+        let mut step = (self.pending.len() + 1).next_power_of_two() / 2;
+        while step > 0 {
+            if let Some(&count) = self.pending.get(pos + step - 1) {
+                if count as usize <= rest {
+                    pos += step;
+                    rest -= count as usize;
+                }
+            }
+            step /= 2;
+        }
+        pos as u32
     }
 
     /// Retires the executed gate `g`.
@@ -168,6 +228,7 @@ impl RemainingGates {
             self.pairs[a.index() * n + b.index()] -= 1;
             self.pairs[b.index() * n + a.index()] -= 1;
         }
+        self.left -= 1;
         let mut i = self.rank(g) as usize + 1;
         while i <= self.pending.len() {
             self.pending[i - 1] -= 1;
@@ -186,6 +247,7 @@ pub(crate) mod testing {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::VecDeque;
+    use std::ops::{Range, RangeInclusive};
 
     /// A random circuit mixing one- and two-qubit gates on a random
     /// placement over four traps, executed in a random ready order; `steps`
@@ -198,10 +260,20 @@ pub(crate) mod testing {
     }
 
     pub(crate) fn random_walk(seed: u64) -> Walk {
+        random_walk_of(seed, 4..=16, 20..120)
+    }
+
+    /// [`random_walk`] with qubit and gate counts drawn from `qubits` and
+    /// `gates`.
+    pub(crate) fn random_walk_of(
+        seed: u64,
+        qubits: RangeInclusive<u32>,
+        gates: Range<usize>,
+    ) -> Walk {
         let mut rng = StdRng::seed_from_u64(seed);
-        let n = rng.gen_range(4u32..=16);
+        let n = rng.gen_range(qubits);
         let mut circuit = Circuit::new(n);
-        for _ in 0..rng.gen_range(20..120) {
+        for _ in 0..rng.gen_range(gates) {
             let a = rng.gen_range(0..n);
             if rng.gen_bool(0.2) {
                 circuit.push_single_qubit(Opcode::H, Qubit(a)).unwrap();
@@ -218,7 +290,7 @@ pub(crate) mod testing {
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let dag = circuit.dependency_dag();
         let plan = dag.topological_order();
-        let mut remaining = RemainingGates::new(&circuit, &dag, &plan);
+        let mut remaining = RemainingGates::new(&circuit, &dag, plan.clone());
         let mut pending: VecDeque<GateId> = plan.into();
         let mut ready = dag.ready_set();
         let mut steps = Vec::new();
@@ -258,7 +330,7 @@ mod tests {
         let dag = c.dependency_dag();
         let plan = dag.topological_order();
         assert_eq!(plan, vec![GateId(0), GateId(1), GateId(2), GateId(3)]);
-        let mut r = RemainingGates::new(&c, &dag, &plan);
+        let mut r = RemainingGates::new(&c, &dag, plan);
         let e = |rank, layer, partner| Entry {
             rank,
             layer,
@@ -317,7 +389,15 @@ mod tests {
                         assert_eq!(r.pair_count(ions.0, ions.1), on_pair, "seed {seed}");
                     }
                 }
+                let plan_len = r.rank.len() as u32;
+                for k in 0..pending.len() + 3 {
+                    let want = pending.get(k).map_or(plan_len, |&g| r.rank(g));
+                    assert_eq!(r.select(k), want, "seed {seed} position {k}");
+                }
+                assert_eq!(r.len(), pending.len());
                 for (i, &a) in pending.iter().enumerate() {
+                    assert_eq!(r.gate(r.rank(a)), a);
+                    assert_eq!(r.pending_before(r.rank(a) as usize) as usize, i);
                     for (j, &b) in pending.iter().enumerate().skip(i + 1) {
                         let between = r.pending_between(r.rank(a), r.rank(b));
                         assert_eq!(between as usize, j - i - 1, "seed {seed}");

@@ -4,6 +4,7 @@
 use crate::batch::{legalize, overfills, FreeComponents};
 use crate::config::{CompilerConfig, Objective, RebalancePolicy};
 use crate::error::CompileError;
+use crate::frontier::Frontier;
 use crate::mapping::initial_mapping;
 use crate::objective::{edge_weight, ClockScorer};
 use crate::policies::{decide_direction, decide_direction_open, MoveDecision};
@@ -15,7 +16,6 @@ use qccd_flow::{Commodity, CommodityRouter};
 use qccd_machine::{InitialMapping, IonId, MachineSpec, MachineState, Operation, Schedule, TrapId};
 use qccd_route::{route_budget, RoutePlanner, RouterPolicy, TransportSchedule};
 use qccd_timing::Timeline;
-use std::collections::VecDeque;
 
 /// Open decisions the clock objective re-decided on projected makespan
 /// (both [`decide`](Scheduler::decide) and eviction-side ties).
@@ -149,8 +149,8 @@ pub fn compile_with_mapping(
         (dag, plan)
     };
     let ready = dag.ready_set();
-    let remaining = RemainingGates::new(circuit, &dag, &plan);
-    let pending: VecDeque<GateId> = plan.into();
+    let remaining = RemainingGates::new(circuit, &dag, plan);
+    let frontier = Frontier::new(circuit, &ready, &state, &remaining);
     let clock = match config.objective {
         Objective::Shuttles => None,
         // The clock objective threads the transport-less lowering fold
@@ -184,8 +184,8 @@ pub fn compile_with_mapping(
         router,
         free: FreeComponents::default(),
         state,
-        pending,
         remaining,
+        frontier,
         ops: Vec::with_capacity(circuit.len() * 2),
         stats: CompileStats::default(),
         in_rebalance: false,
@@ -258,12 +258,13 @@ struct Scheduler<'a> {
     /// Reused component labels for the batched layers' feasibility test.
     free: FreeComponents,
     state: MachineState,
-    /// Planned execution order of not-yet-executed gates; front = active.
-    /// Always a subsequence of the initial (layer, id)-sorted topological
-    /// order, so layers are non-decreasing along the queue.
-    pending: VecDeque<GateId>,
-    /// The gates of `pending` indexed per qubit, for the §III scans.
+    /// The not-yet-executed gates: the queue, in the initial (layer,
+    /// id)-sorted topological order (so layers are non-decreasing along
+    /// it; front = active), and the same gates indexed per qubit for the
+    /// §III scans.
     remaining: RemainingGates,
+    /// The queue's ready gates, split by operand locality.
+    frontier: Frontier,
     ops: Vec<Operation>,
     stats: CompileStats,
     /// Set while shuttles belong to a re-balancing eviction, for stats.
@@ -300,14 +301,20 @@ impl Scheduler<'_> {
     }
 
     fn run(&mut self) -> Result<(), CompileError> {
-        while !self.pending.is_empty() {
+        // The queue's front: the lowest plan rank not yet executed. It only
+        // moves forward, so the drain may read it one step stale.
+        let mut front = 0;
+        while !self.remaining.is_empty() {
             if self.config.reorder {
-                self.drain_local_ready_gates()?;
-                if self.pending.is_empty() {
+                self.drain_local_ready_gates(front)?;
+                if self.remaining.is_empty() {
                     break;
                 }
             }
-            self.execute_at(0, self.config.reorder)?;
+            while self.ready.is_done(self.remaining.gate(front)) {
+                front += 1;
+            }
+            self.execute(front, self.config.reorder)?;
         }
         Ok(())
     }
@@ -317,39 +324,26 @@ impl Scheduler<'_> {
     /// costs nothing; retiring them keeps already-satisfied gates out of
     /// the §III-A move-score scans and unlocks their successors earlier.
     /// Gated on the re-ordering heuristic: the baseline compiler executes
-    /// strictly in plan order.
-    fn drain_local_ready_gates(&mut self) -> Result<(), CompileError> {
+    /// strictly in plan order. No gate below plan rank `front` may be
+    /// pending.
+    fn drain_local_ready_gates(&mut self, front: u32) -> Result<(), CompileError> {
         let _phase = qccd_obs::span("drain");
-        // One forward pass suffices: local gates move no ions (locality
-        // never changes during the drain), and the queue is topologically
-        // ordered, so any gate a drain execution makes ready sits at a
-        // later position the cursor has yet to reach.
-        let window = Self::REORDER_WINDOW.min(self.pending.len());
-        let mut pos = 0;
-        while pos < window.min(self.pending.len()) {
-            let gid = self.pending[pos];
-            let local = match self.circuit.gate(gid).qubits {
-                GateQubits::One(_) => true,
-                GateQubits::Two(a, b) => {
-                    self.state.trap_of(IonId::from(a)) == self.state.trap_of(IonId::from(b))
-                }
-            };
-            if local && self.ready.is_ready(gid) {
-                self.execute_at(pos, false)?;
-                // Do not advance: the next gate slid into `pos`.
-            } else {
-                pos += 1;
-            }
+        // Lowest local rank first, while it sits in the front window: local
+        // gates move no ions (locality never changes during the drain),
+        // and an execution only makes later-ranked gates ready, so this is
+        // the order of one forward pass over the window's slots.
+        while let Some(rank) = self.frontier.next_local(&self.remaining, front) {
+            self.execute(rank, false)?;
         }
         Ok(())
     }
 
-    /// Executes the gate at `pending[pos]`, inserting shuttles as needed,
-    /// then removes it from the queue. With `allow_reorder`, a blocked
-    /// favourable direction may first hoist-and-execute a candidate gate
-    /// found *after* `pos` (so `pos` stays valid throughout).
-    fn execute_at(&mut self, pos: usize, allow_reorder: bool) -> Result<(), CompileError> {
-        let gate_id = self.pending[pos];
+    /// Executes the pending gate of plan rank `rank`, inserting shuttles as
+    /// needed, then retires it from the queue. With `allow_reorder`, a
+    /// blocked favourable direction may first hoist-and-execute a
+    /// candidate gate found *after* it in the queue.
+    fn execute(&mut self, rank: u32, allow_reorder: bool) -> Result<(), CompileError> {
+        let gate_id = self.remaining.gate(rank);
         let gate = self.circuit.gate(gate_id);
         let exec_trap = match gate.qubits {
             GateQubits::One(q) => {
@@ -361,7 +355,7 @@ impl Scheduler<'_> {
                 if self.state.trap_of(ia) == self.state.trap_of(ib) {
                     self.stats.local_gates += 1;
                 } else {
-                    self.shuttle_for_gate(pos, allow_reorder)?;
+                    self.shuttle_for_gate(rank, allow_reorder)?;
                 }
                 debug_assert_eq!(self.state.trap_of(ia), self.state.trap_of(ib));
                 self.state.trap_of(ia)
@@ -379,34 +373,42 @@ impl Scheduler<'_> {
         self.planner.decay();
         self.ready.mark_done(&self.dag, gate_id);
         self.remaining.mark_done(self.circuit, gate_id);
-        self.pending.remove(pos);
+        self.frontier.retire(
+            self.circuit,
+            &self.dag,
+            &self.ready,
+            &self.state,
+            &self.remaining,
+            gate_id,
+        );
         Ok(())
     }
 
-    /// Brings the operands of the two-qubit gate at `pending[pos]` into the
-    /// same trap.
-    fn shuttle_for_gate(&mut self, pos: usize, allow_reorder: bool) -> Result<(), CompileError> {
+    /// Brings the operands of the pending two-qubit gate of plan rank
+    /// `rank` into the same trap.
+    fn shuttle_for_gate(&mut self, rank: u32, allow_reorder: bool) -> Result<(), CompileError> {
+        let gate_id = self.remaining.gate(rank);
         let (qa, qb) = self
             .circuit
-            .gate(self.pending[pos])
+            .gate(gate_id)
             .two_qubit_operands()
             .expect("only two-qubit gates need shuttles");
         let (ia, ib) = (IonId::from(qa), IonId::from(qb));
 
-        let mut decision = self.decide(pos);
+        let mut decision = self.decide(gate_id);
 
         // §III-B: if the favourable destination is full, try to hoist a
         // nearby ready gate whose own favourable move *leaves* that trap
         // (Algorithm 1, generalised — see `find_reorder_candidate`).
         if self.state.is_full(decision.to) && allow_reorder {
-            if let Some(cand_pos) = self.find_reorder_candidate(pos, decision.to) {
+            if let Some(candidate) = self.find_reorder_candidate(rank, decision.to) {
                 self.stats.reorders += 1;
-                self.execute_at(cand_pos, false)?;
+                self.execute(candidate, false)?;
                 // The hoisted gate may have moved one of our operands.
                 if self.state.trap_of(ia) == self.state.trap_of(ib) {
                     return Ok(());
                 }
-                decision = self.decide(pos);
+                decision = self.decide(gate_id);
             }
         }
 
@@ -440,13 +442,13 @@ impl Scheduler<'_> {
         // Clock objective: plan the window's open moves as one batched
         // multi-commodity layer (PR 4 measured that these decisions are
         // closed by the time a post-compile pass sees them).
-        if self.try_batched_move(pos, decision, stationary)? {
+        if self.try_batched_move(rank, decision, stationary)? {
             return Ok(());
         }
         self.move_ion(decision, stationary)
     }
 
-    /// Directs the cross-trap gate at `pending[pos]`. The configured
+    /// Directs the pending cross-trap gate `gate_id`. The configured
     /// policy decides as always; under the clock objective a *tied*
     /// §III-A move score — the one case the paper leaves open — is broken
     /// on projected makespan instead of the excess-capacity fallback:
@@ -455,14 +457,14 @@ impl Scheduler<'_> {
     /// walks (evictions needed) score as unboundedly late; a projected
     /// dead heat keeps the excess-capacity choice, so the tie-break is
     /// deterministic.
-    fn decide(&mut self, pos: usize) -> MoveDecision {
+    fn decide(&mut self, gate_id: GateId) -> MoveDecision {
         let _phase = qccd_obs::span("direction-scan");
         let choice = decide_direction_open(
             self.config.direction,
             self.circuit,
             &self.state,
             &self.remaining,
-            self.pending[pos],
+            gate_id,
         );
         let (Some(alt), Some(clock)) = (choice.alternative, self.clock.as_mut()) else {
             return choice.decision;
@@ -526,7 +528,7 @@ impl Scheduler<'_> {
     /// the paths themselves are built only for batches that pass.
     fn try_batched_move(
         &mut self,
-        pos: usize,
+        rank: u32,
         decision: MoveDecision,
         stationary: IonId,
     ) -> Result<bool, CompileError> {
@@ -549,36 +551,25 @@ impl Scheduler<'_> {
         let mut movers: Vec<(IonId, TrapId, TrapId)> =
             vec![(decision.ion, decision.from, decision.to)];
         let mut claimed: Vec<IonId> = vec![decision.ion, stationary];
-        let end = (pos + 1 + Self::REORDER_WINDOW).min(self.pending.len());
-        // A gate can join the batch only if it is ready, cross-trap, and
-        // claims no already-claimed ion. The loop below only ever *grows*
-        // `claimed`, so a gate that cannot join against the initial claim
-        // set never can: the scan starts at the first gate that can, and a
-        // window without one stays a solo move with no per-gate direction
-        // scoring at all (the dominant cost of probing unbatchable
-        // windows).
-        let joins = |p: usize, claimed: &[IonId]| -> Option<(GateId, IonId, IonId)> {
-            let gid = self.pending[p];
-            if !self.ready.is_ready(gid) {
-                return None;
-            }
-            let (xa, xb) = self.circuit.gate(gid).two_qubit_operands()?;
-            let (ja, jb) = (IonId::from(xa), IonId::from(xb));
-            let joins = self.state.trap_of(ja) != self.state.trap_of(jb)
-                && !claimed.contains(&ja)
-                && !claimed.contains(&jb);
-            joins.then_some((gid, ja, jb))
-        };
-        let Some(first) = (pos + 1..end).find(|&p| joins(p, &claimed).is_some()) else {
-            return Ok(false);
-        };
-        for p in first..end {
+        // A candidate that claims an already-claimed ion is skipped before
+        // its direction is scored, so a window without a joinable gate
+        // stays a solo move with no direction scoring at all (the dominant
+        // cost of probing unbatchable windows).
+        let (candidates, _) = self.frontier.cross_window(&self.remaining, rank);
+        for r in candidates {
             if movers.len() >= Self::BATCH_LIMIT {
                 break;
             }
-            let Some((gid, ja, jb)) = joins(p, &claimed) else {
+            let gid = self.remaining.gate(r);
+            let (xa, xb) = self
+                .circuit
+                .gate(gid)
+                .two_qubit_operands()
+                .expect("cross-trap gates are two-qubit gates");
+            let (ja, jb) = (IonId::from(xa), IonId::from(xb));
+            if claimed.contains(&ja) || claimed.contains(&jb) {
                 continue;
-            };
+            }
             let d = decide_direction(
                 self.config.direction,
                 self.circuit,
@@ -701,7 +692,7 @@ impl Scheduler<'_> {
     /// Moves `decision.ion` hop-by-hop to `decision.to` along planner
     /// routes, re-balancing full traps encountered on the way.
     ///
-    /// The route is re-planned from the ion's current trap each hop (the
+    /// The next hop is re-planned from the ion's current trap each hop (the
     /// state changes under it as evictions run), and total hops are
     /// bounded by the planner's routed-path-length budget
     /// ([`route_budget`]): exhausting it is a typed
@@ -737,15 +728,14 @@ impl Scheduler<'_> {
             // (fullness never severs reachability, only prices it).
             // The clock objective's planner prices segments by timed
             // duration (junction-aware) instead of unit hops.
-            let plan = self
+            let next = self
                 .planner
-                .plan_route(self.config.router, &self.state, cur, dest)
+                .next_hop(self.config.router, &self.state, cur, dest)
                 .ok_or(CompileError::Unreachable {
                     ion,
                     from: start,
                     to: dest,
                 })?;
-            let next = plan.path[1];
             let mut attempts = 0u32;
             while self.state.is_full(next) {
                 // Traffic block (§III-C): next trap on the route is full.
@@ -770,6 +760,8 @@ impl Scheduler<'_> {
     fn hop(&mut self, ion: IonId, to: TrapId) -> Result<(), CompileError> {
         let from = self.state.trap_of(ion);
         self.state.shuttle(ion, to)?;
+        self.frontier
+            .moved(&self.ready, &self.state, &self.remaining, ion);
         self.planner.record(from, to);
         let op = Operation::Shuttle { ion, from, to };
         self.ops.push(op);
@@ -990,40 +982,32 @@ impl Scheduler<'_> {
         Ok(())
     }
 
-    /// Bounded lookahead of the drain pass and the Algorithm-1 candidate
-    /// scan, keeping both linear in compile time.
-    const REORDER_WINDOW: usize = 128;
-
     /// Algorithm 1 (generalised): find a pending, ready gate near the
-    /// active gate whose favourable shuttle direction moves an ion *out of*
-    /// `old_destination`, freeing a slot there. Returns its position in
-    /// `pending` (always after `active_pos`). Hoisting any *ready* gate is
-    /// dependency-legal, so the scan is not limited to the active gate's
-    /// layer (serial circuits have singleton layers and would never find a
-    /// candidate); the window bounds compile time.
-    fn find_reorder_candidate(&self, active_pos: usize, old_destination: TrapId) -> Option<usize> {
+    /// active gate (plan rank `active`) whose favourable shuttle direction
+    /// moves an ion *out of* `old_destination`, freeing a slot there.
+    /// Returns its plan rank (always queued after `active`). Hoisting any
+    /// *ready* gate is dependency-legal, so the scan is not limited to the
+    /// active gate's layer (serial circuits have singleton layers and
+    /// would never find a candidate); the window bounds compile time.
+    fn find_reorder_candidate(&self, active: u32, old_destination: TrapId) -> Option<u32> {
         let _phase = qccd_obs::span("reorder-scan");
-        let end = (active_pos + 1 + Self::REORDER_WINDOW).min(self.pending.len());
-        for pos in (active_pos + 1)..end {
-            let gid = self.pending[pos];
-            if !self.ready.is_ready(gid) {
-                continue;
-            }
-            let Some((qa, qb)) = self.circuit.gate(gid).two_qubit_operands() else {
-                continue;
-            };
+        let frees = |from: TrapId, to: TrapId| from == old_destination && !self.state.is_full(to);
+        let (found, reach) = self.frontier.find_cross(&self.remaining, active, |gid| {
+            let (qa, qb) = self
+                .circuit
+                .gate(gid)
+                .two_qubit_operands()
+                .expect("cross-trap gates are two-qubit gates");
             let (ta, tb) = (
                 self.state.trap_of(IonId::from(qa)),
                 self.state.trap_of(IonId::from(qb)),
             );
             // The direction moves one operand into the other's trap, so
-            // only a cross-trap gate with an operand in `old_destination`
-            // and room at the other end can qualify: skip the move-score
-            // scan for every other gate.
-            let frees =
-                |from: TrapId, to: TrapId| from == old_destination && !self.state.is_full(to);
-            if ta == tb || !(frees(ta, tb) || frees(tb, ta)) {
-                continue;
+            // only a gate with an operand in `old_destination` and room at
+            // the other end can qualify: skip the move-score scan for every
+            // other gate.
+            if !(frees(ta, tb) || frees(tb, ta)) {
+                return false;
             }
             let dir = decide_direction(
                 self.config.direction,
@@ -1032,13 +1016,10 @@ impl Scheduler<'_> {
                 &self.remaining,
                 gid,
             );
-            if frees(dir.from, dir.to) {
-                SCAN_ENTRIES.add((pos - active_pos) as u64);
-                return Some(pos);
-            }
-        }
-        SCAN_ENTRIES.add((end - active_pos - 1) as u64);
-        None
+            frees(dir.from, dir.to)
+        });
+        SCAN_ENTRIES.add(reach as u64);
+        found
     }
 }
 

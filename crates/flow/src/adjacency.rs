@@ -23,6 +23,11 @@
 //! the whole graph and lies inside the allowed subgraph, so it is also the
 //! smallest shortest path there. Only a blocked tree path falls back to a
 //! BFS over the allowed nodes.
+//!
+//! [`Adjacency::first_hop_filtered`] answers the same query for a caller
+//! that only takes the path's first step: it walks the tree path's parent
+//! links, or runs the fallback BFS in a caller-owned [`BfsScratch`], and
+//! allocates nothing once the row and the scratch are warm.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -116,18 +121,30 @@ impl Row {
         Some(path)
     }
 
-    /// `true` when every interior node of the tree path to `to` (a
-    /// reachable node) satisfies `allowed`, walking parent links.
-    fn interior_allowed(&self, to: usize, allowed: impl Fn(usize) -> bool) -> bool {
+    /// The node after the source on the tree path to the reachable node
+    /// `to` (`to` itself for the source), walking parent links; `None`
+    /// when an interior node of that path fails `allowed`.
+    fn first_hop(&self, to: usize, allowed: impl Fn(usize) -> bool) -> Option<usize> {
         let mut cur = to;
         for _ in 1..self.dist[to] {
             cur = self.parent[cur] as usize;
             if !allowed(cur) {
-                return false;
+                return None;
             }
         }
-        true
+        Some(cur)
     }
+}
+
+/// Reusable buffers for the filtered BFS of
+/// [`Adjacency::first_hop_filtered`]: kept by the caller across queries,
+/// so a warm query allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct BfsScratch {
+    /// BFS parent of every visited node (the source is its own parent);
+    /// [`NONE`] for unvisited nodes.
+    prev: Vec<u32>,
+    queue: Vec<u32>,
 }
 
 impl Adjacency {
@@ -281,11 +298,50 @@ impl Adjacency {
         if row.dist[to] == NONE {
             return None;
         }
-        if row.interior_allowed(to, &allowed) {
+        if row.first_hop(to, &allowed).is_some() {
             return row.path_to(to, node);
         }
-        let path = self.bfs_filtered(from, to, &allowed)?;
-        Some(path.into_iter().map(node).collect())
+        let mut scratch = BfsScratch::default();
+        if !self.bfs_filtered(from, to, &allowed, &mut scratch) {
+            return None;
+        }
+        let mut path = vec![node(to)];
+        let mut cur = to;
+        while cur != from {
+            cur = scratch.prev[cur] as usize;
+            path.push(node(cur));
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    /// The second node of
+    /// [`shortest_path_filtered`](Adjacency::shortest_path_filtered)`(from,
+    /// to, allowed)` without building the path; `None` when that path is
+    /// `None` or `from == to`. A blocked tree path runs the filtered BFS in
+    /// `scratch`, so warm queries allocate nothing.
+    pub fn first_hop_filtered(
+        &self,
+        from: usize,
+        to: usize,
+        allowed: impl Fn(usize) -> bool,
+        scratch: &mut BfsScratch,
+    ) -> Option<usize> {
+        let row = self.row(from, to)?;
+        if from == to || row.dist[to] == NONE {
+            return None;
+        }
+        if let Some(hop) = row.first_hop(to, &allowed) {
+            return Some(hop);
+        }
+        if !self.bfs_filtered(from, to, &allowed, scratch) {
+            return None;
+        }
+        let mut cur = to;
+        while scratch.prev[cur] as usize != from {
+            cur = scratch.prev[cur] as usize;
+        }
+        Some(cur)
     }
 
     fn memo(&self) -> &Memo {
@@ -299,45 +355,37 @@ impl Adjacency {
     }
 
     /// BFS over `from`, `to` and the allowed nodes, visiting neighbours in
-    /// ascending order; stops when `to` is reached.
+    /// ascending order, recording parents in `scratch`; stops when `to` is
+    /// reached and returns whether it was.
     fn bfs_filtered(
         &self,
         from: usize,
         to: usize,
         interior_allowed: &dyn Fn(usize) -> bool,
-    ) -> Option<Vec<usize>> {
+        scratch: &mut BfsScratch,
+    ) -> bool {
         let sorted = &self.memo().sorted;
-        let mut prev = vec![NONE; self.len()];
-        let mut visited = vec![false; self.len()];
-        let mut queue = Vec::new();
-        visited[from] = true;
-        queue.push(from);
+        let BfsScratch { prev, queue } = scratch;
+        prev.clear();
+        prev.resize(self.len(), NONE);
+        queue.clear();
+        prev[from] = from as u32;
+        queue.push(from as u32);
         let mut head = 0;
         while let Some(&u) = queue.get(head) {
             head += 1;
-            for &v in &sorted[u] {
-                if visited[v] {
+            for &v in &sorted[u as usize] {
+                if prev[v] != NONE || (v != to && !interior_allowed(v)) {
                     continue;
                 }
-                if v != to && !interior_allowed(v) {
-                    continue;
-                }
-                visited[v] = true;
-                prev[v] = u as u32;
+                prev[v] = u;
                 if v == to {
-                    let mut path = vec![to];
-                    let mut cur = to;
-                    while prev[cur] != NONE {
-                        cur = prev[cur] as usize;
-                        path.push(cur);
-                    }
-                    path.reverse();
-                    return Some(path);
+                    return true;
                 }
-                queue.push(v);
+                queue.push(v as u32);
             }
         }
-        None
+        false
     }
 }
 
@@ -601,8 +649,10 @@ mod oracle {
     }
 
     /// Every query for every ordered pair (and one out-of-range node),
-    /// plain and mapped.
+    /// plain, mapped and as a first hop.
     fn check_all(g: &Adjacency, masks: &[u32]) -> Result<usize, String> {
+        // One scratch for every query, as a route planner keeps it.
+        let scratch = &mut BfsScratch::default();
         let mut queries = 0;
         for from in 0..=g.len() {
             for to in 0..=g.len() {
@@ -626,14 +676,22 @@ mod oracle {
                     );
                     prop_assert_eq!(
                         g.shortest_path_filtered_with(from, to, allowed, |v| v as u32),
-                        mapped(want),
+                        mapped(want.clone()),
                         "mapped {} -> {} under mask {:#b}",
                         from,
                         to,
                         mask
                     );
+                    prop_assert_eq!(
+                        g.first_hop_filtered(from, to, allowed, scratch),
+                        want.and_then(|p| p.get(1).copied()),
+                        "first hop {} -> {} under mask {:#b}",
+                        from,
+                        to,
+                        mask
+                    );
                 }
-                queries += 3 + 2 * masks.len();
+                queries += 3 + 3 * masks.len();
             }
         }
         Ok(queries)

@@ -6,7 +6,9 @@
 //! nearest-neighbour scan but still needs shortest paths. This crate
 //! provides both primitives, self-contained:
 //!
-//! * [`Adjacency`] — a small undirected graph with BFS shortest paths.
+//! * [`Adjacency`] — a small undirected graph with BFS shortest paths, and
+//!   the allocation-free first-hop query a hop-by-hop router needs
+//!   ([`BfsScratch`]).
 //! * [`FlowNetwork`] / [`min_cost_max_flow`] — successive-shortest-path
 //!   min-cost max-flow with non-negative edge costs, on flat edge storage.
 //! * [`min_cost_unit_path`] — the one-unit primitive every compiler caller
@@ -36,6 +38,6 @@ mod adjacency;
 mod mcmf;
 mod multicommodity;
 
-pub use adjacency::Adjacency;
+pub use adjacency::{Adjacency, BfsScratch};
 pub use mcmf::{min_cost_max_flow, min_cost_unit_path, FlowEdge, FlowNetwork, FlowResult};
 pub use multicommodity::{route_commodities, Commodity, CommodityRouter};

@@ -2,7 +2,7 @@
 //! priced with min-cost max-flow.
 
 use crate::policy::RouterPolicy;
-use qccd_flow::{min_cost_unit_path, FlowNetwork};
+use qccd_flow::{min_cost_unit_path, BfsScratch, FlowNetwork};
 use qccd_machine::{MachineState, TrapId, TrapTopology};
 
 /// Per-segment congestion surcharge cap. Loads are clamped here so the
@@ -181,6 +181,8 @@ pub struct RoutePlanner {
     /// order is fewer `hops + penalty × full traps` first, colder edges
     /// second.
     hop_scale: i64,
+    /// Buffers of the filtered BFS behind a blocked memoized tree path.
+    scratch: BfsScratch,
 }
 
 impl RoutePlanner {
@@ -220,6 +222,7 @@ impl RoutePlanner {
             entries,
             // Any load sum is < n * (LOAD_CAP + 1); scale hop costs above it.
             hop_scale: (n as i64 + 1) * i64::from(LOAD_CAP + 1),
+            scratch: BfsScratch::default(),
         }
     }
 
@@ -277,29 +280,81 @@ impl RoutePlanner {
                 full_interior_traps: 0,
             });
         }
-        let filtered =
-            topology.shortest_path_filtered(from, dest, |t| t == dest || !state.is_full(t));
+        let filtered = |t| t == dest || !state.is_full(t);
         match policy {
-            RouterPolicy::Serial => filtered
+            RouterPolicy::Serial => topology
+                .shortest_path_filtered(from, dest, filtered)
                 .or_else(|| topology.shortest_path(from, dest))
                 .map(|p| PlannedRoute::from_path(state, p)),
             RouterPolicy::Congestion { full_trap_penalty } => {
-                let Some(filtered) = filtered else {
+                if self.free_first_hop(state, from, dest).is_none() {
                     // Every route needs evictions: walk the serial router's
                     // eviction path so the two routers share eviction
                     // behavior.
                     return topology
                         .shortest_path(from, dest)
                         .map(|p| PlannedRoute::from_path(state, p));
-                };
+                }
                 match self.priced_route(state, from, dest, full_trap_penalty) {
                     Some(priced) => Some(priced),
                     // The flow found no route (cannot happen while BFS
                     // did; be safe): fall back to the full-free detour.
-                    None => Some(PlannedRoute::from_path(state, filtered)),
+                    None => topology
+                        .shortest_path_filtered(from, dest, filtered)
+                        .map(|p| PlannedRoute::from_path(state, p)),
                 }
             }
         }
+    }
+
+    /// The first trap after `from` on the route [`plan_route`] plans
+    /// toward `dest`, or `None` when there is none (`from == dest`, or
+    /// `dest` unreachable).
+    ///
+    /// The serial router takes it from the memoized BFS rows without
+    /// building the route: the first hop of the full-free tree path, of
+    /// the filtered BFS when that path is blocked, else of the
+    /// unconditional tree path. A warm serial query allocates nothing.
+    /// The congestion router prices the whole route as [`plan_route`] does.
+    ///
+    /// [`plan_route`]: RoutePlanner::plan_route
+    pub fn next_hop(
+        &mut self,
+        policy: RouterPolicy,
+        state: &MachineState,
+        from: TrapId,
+        dest: TrapId,
+    ) -> Option<TrapId> {
+        match policy {
+            RouterPolicy::Serial => {
+                let graph = state.spec().topology().adjacency();
+                self.free_first_hop(state, from, dest).or_else(|| {
+                    graph
+                        .first_hop_filtered(from.index(), dest.index(), |_| true, &mut self.scratch)
+                        .map(|t| TrapId(t as u32))
+                })
+            }
+            RouterPolicy::Congestion { .. } => self
+                .plan_route(policy, state, from, dest)?
+                .path
+                .get(1)
+                .copied(),
+        }
+    }
+
+    /// The first hop of the shortest path from `from` to `dest` whose
+    /// interior traps all have room, without building the path.
+    fn free_first_hop(
+        &mut self,
+        state: &MachineState,
+        from: TrapId,
+        dest: TrapId,
+    ) -> Option<TrapId> {
+        let graph = state.spec().topology().adjacency();
+        let free = |t: usize| !state.is_full(TrapId(t as u32));
+        graph
+            .first_hop_filtered(from.index(), dest.index(), free, &mut self.scratch)
+            .map(|t| TrapId(t as u32))
     }
 
     /// Plans a re-balancing eviction out of the full trap `blocked` under
@@ -857,6 +912,67 @@ mod property_tests {
                 let nonzero: Vec<usize> =
                     (0..load.counts.len()).filter(|&k| load.counts[k] > 0).collect();
                 prop_assert_eq!(hot, nonzero);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The first hop the compile loop takes is the second trap of the
+        /// planned route, under both routers, on every topology kind and
+        /// random per-trap fullness, as ions move and loads change.
+        #[test]
+        fn next_hop_is_the_planned_route_s_second_trap(
+            kind in 0u32..4,
+            size in 3u32..9,
+            cap in 1u32..4,
+            fill in proptest::collection::vec(0u32..4, 8..9),
+            steps in proptest::collection::vec(step(), 1..60),
+        ) {
+            let topo = topology(kind, size);
+            let n = topo.num_traps();
+            // Comm capacity 0: a trap holding `cap` ions is full.
+            let spec = MachineSpec::new(topo, cap, 0).unwrap();
+            let traps: Vec<TrapId> = (0..n)
+                .flat_map(|t| std::iter::repeat_n(TrapId(t), (fill[t as usize] % (cap + 1)) as usize))
+                .collect();
+            let mapping = InitialMapping::from_traps(&spec, traps).unwrap();
+            let mut state = MachineState::with_mapping(&spec, &mapping).unwrap();
+            let ions = mapping.num_ions() as usize;
+            let mut planner = RoutePlanner::new(spec.topology());
+            let trap = |i: usize| TrapId((i % n as usize) as u32);
+            for s in steps {
+                match s {
+                    Step::Shuttle { ion, nb } if ions > 0 => {
+                        let ion = qccd_machine::IonId((ion % ions) as u32);
+                        let nbs = spec.topology().neighbors(state.trap_of(ion));
+                        if let Some(&to) = nbs.get(nb % nbs.len().max(1)) {
+                            if !state.is_full(to) {
+                                state.shuttle(ion, to).unwrap();
+                            }
+                        }
+                    }
+                    Step::Record { trap: t, nb } => {
+                        let nbs = spec.topology().neighbors(trap(t));
+                        if let Some(&to) = nbs.get(nb % nbs.len().max(1)) {
+                            planner.record(trap(t), to);
+                        }
+                    }
+                    Step::Decay => planner.decay(),
+                    Step::Route { from, dest, policy } => {
+                        let policy = match policy {
+                            0 | 1 => RouterPolicy::Serial,
+                            p => RouterPolicy::Congestion { full_trap_penalty: 2 * p },
+                        };
+                        let (from, dest) = (trap(from), trap(dest));
+                        let want = planner
+                            .plan_route(policy, &state, from, dest)
+                            .and_then(|r| r.path.get(1).copied());
+                        prop_assert_eq!(planner.next_hop(policy, &state, from, dest), want);
+                    }
+                    Step::Shuttle { .. } | Step::Evict { .. } => {}
+                }
             }
         }
     }

@@ -12,6 +12,13 @@
 //! * the baseline compiler (`FromTrapZero` re-balancing) on L6 — the
 //!   MCMF eviction route of §III-C1.
 //!
+//! The serial loop off L6 is pinned too: the optimized and the baseline
+//! compiler under the shuttle objective on a 4×4 grid, a 16-trap ring and
+//! a 16-trap line — the ops digest, shuttles, transport depth, makespan
+//! bits and the scans' reach (`core.scan_entries`). These were recorded
+//! from the compiler whose drain and window scans walked the pending
+//! queue slot by slot and whose hops built a whole route each.
+//!
 //! Two `pack` pins (recorded from the packer whose backfill kept one
 //! snapshot `Vec` per round and whose layer pass cloned the machine at
 //! every gate-free run) cover the transport back end the same way: the
@@ -229,4 +236,72 @@ fn pack_with_layer_rewrites_on_ring_matches_recorded_output() {
             stats
         )
     );
+}
+
+/// The serial loop's pins: (ops digest, shuttles, depth, makespan bits,
+/// `core.scan_entries`) of one shuttle-objective compile.
+fn serial_pins(
+    circuit: &muzzle_shuttle::circuit::Circuit,
+    spec: &MachineSpec,
+    config: &CompilerConfig,
+) -> (u64, usize, usize, u64, u64) {
+    obs::reset();
+    obs::enable();
+    let result = compile(circuit, spec, config).unwrap();
+    obs::disable();
+    let (shuttles, depth, makespan) = quality(&result);
+    (
+        ops_digest(&result.schedule.operations),
+        shuttles,
+        depth,
+        makespan,
+        obs::counter_value("core.scan_entries"),
+    )
+}
+
+#[test]
+fn serial_loop_off_l6_matches_recorded_schedules() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let cases = [
+        (TrapTopology::grid(4, 4), 16_000),
+        (TrapTopology::ring(16), 4_000),
+        (TrapTopology::linear(16), 4_000),
+    ];
+    let mut got = Vec::new();
+    for (topology, gates) in cases {
+        let spec = MachineSpec::new(topology, 12, 2).unwrap();
+        let circuit = random_circuit(120, gates, 3);
+        for config in [CompilerConfig::optimized(), CompilerConfig::baseline()] {
+            got.push(serial_pins(&circuit, &spec, &config));
+        }
+    }
+    // Optimized then baseline, on the grid, the ring and the line. The
+    // baseline runs no scan: it neither drains nor re-orders.
+    let want = [
+        (
+            1908145040694963469,
+            40441,
+            40441,
+            4706306826944118784,
+            1484015,
+        ),
+        (10715402798073750697, 38762, 38762, 4705380328410185728, 0),
+        (
+            12729140794174364968,
+            18134,
+            18134,
+            4700350670450982912,
+            677242,
+        ),
+        (12086768520641797421, 15930, 15930, 4698814983419461632, 0),
+        (
+            11571998963944269330,
+            20608,
+            20608,
+            4702127910738198528,
+            1506462,
+        ),
+        (6814931473497787475, 19968, 19968, 4701491821786693632, 0),
+    ];
+    assert_eq!(got, want);
 }

@@ -10,12 +10,19 @@
 //!    keeps no operation log (the full re-lower oracle is handed the
 //!    committed prefix by its caller).
 //!
+//! 3. **The serial router's next hop allocates nothing once warm.** The
+//!    compile loop asks [`RoutePlanner::next_hop`] for one trap per hop;
+//!    it reads the memoized BFS rows, and a blocked tree path runs the
+//!    filtered BFS in buffers the planner keeps.
+//!
 //! Counts are per thread, so the harness's other test threads do not
 //! leak into a measurement.
 
 use muzzle_shuttle::circuit::{Circuit, GateId, Opcode, Qubit};
-use muzzle_shuttle::machine::{InitialMapping, IonId, MachineSpec, Operation, Schedule, TrapId};
-use muzzle_shuttle::route::TransportSchedule;
+use muzzle_shuttle::machine::{
+    InitialMapping, IonId, MachineSpec, MachineState, Operation, Schedule, TrapId, TrapTopology,
+};
+use muzzle_shuttle::route::{RoutePlanner, RouterPolicy, TransportSchedule};
 use muzzle_shuttle::timing::{lower, DeltaScorer, TimingModel};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -145,4 +152,36 @@ fn delta_scorer_commit_allocates_nothing_in_steady_state() {
         }
     });
     assert_eq!(count, 0, "24 steady-state commits allocated {count} times");
+}
+
+#[test]
+fn warm_next_hop_allocates_nothing_even_around_full_traps() {
+    // 4x4 grid, capacity 2, no comm reserve: traps 2 and 5 start full.
+    // The memoized tree path 0-1-2-3-7-11-15 crosses full trap 2, so the
+    // corner-to-corner hop comes from the filtered BFS (via trap 4).
+    let spec = MachineSpec::new(TrapTopology::grid(4, 4), 2, 0).unwrap();
+    let traps = [2, 2, 5, 5, 0, 15, 9].map(TrapId).to_vec();
+    let mapping = InitialMapping::from_traps(&spec, traps).unwrap();
+    let state = MachineState::with_mapping(&spec, &mapping).unwrap();
+    let mut planner = RoutePlanner::new(spec.topology());
+    let serial = RouterPolicy::Serial;
+    let queries = [(0, 15), (15, 0), (0, 3), (9, 15), (1, 6), (4, 7), (8, 2)];
+    let mut hop = |a: u32, b: u32| planner.next_hop(serial, &state, TrapId(a), TrapId(b));
+    assert_eq!(
+        hop(0, 15),
+        Some(TrapId(4)),
+        "blocked tree path: BFS fallback"
+    );
+    assert_eq!(hop(9, 15), Some(TrapId(10)), "free tree path 9-10-11-15");
+    for &(a, b) in &queries {
+        hop(a, b);
+    }
+    let count = allocations(|| {
+        for _ in 0..8 {
+            for &(a, b) in &queries {
+                std::hint::black_box(hop(a, b));
+            }
+        }
+    });
+    assert_eq!(count, 0, "56 warm next_hop calls allocated {count} times");
 }
