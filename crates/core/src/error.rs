@@ -2,7 +2,7 @@
 
 use qccd_machine::{IonId, MachineError, TrapId, ValidateScheduleError};
 use qccd_route::TransportError;
-use qccd_timing::LowerError;
+use qccd_timing::{LowerError, ReplayError};
 use std::error::Error;
 use std::fmt;
 
@@ -104,6 +104,16 @@ impl fmt::Display for CompileError {
             CompileError::InternalTimeline(e) => {
                 write!(f, "internal error: timeline lowering failed: {e}")
             }
+        }
+    }
+}
+
+impl From<ReplayError> for CompileError {
+    fn from(e: ReplayError) -> Self {
+        match e {
+            ReplayError::Schedule(e) => CompileError::InternalValidation(e),
+            ReplayError::Transport(e) => CompileError::InternalTransport(e),
+            ReplayError::Lower(e) => CompileError::InternalTimeline(e),
         }
     }
 }

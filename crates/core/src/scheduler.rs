@@ -15,7 +15,7 @@ use qccd_circuit::{Circuit, DependencyDag, GateId, GateQubits, ReadySet};
 use qccd_flow::{Commodity, CommodityRouter};
 use qccd_machine::{InitialMapping, IonId, MachineSpec, MachineState, Operation, Schedule, TrapId};
 use qccd_route::{route_budget, RoutePlanner, RouterPolicy, TransportSchedule};
-use qccd_timing::Timeline;
+use qccd_timing::{Rounds, Timeline};
 
 /// Open decisions the clock objective re-decided on projected makespan
 /// (both [`decide`](Scheduler::decide) and eviction-side ties).
@@ -91,15 +91,23 @@ impl CompileResult {
 ///
 /// The returned schedule is replay-validated before being returned: every
 /// gate executes exactly once in dependency order with co-located operands,
-/// and every shuttle hop is legal.
+/// and every shuttle hop is legal. One checked walk
+/// ([`qccd_timing::replay`]) applies the rules of `Schedule::validate`, of
+/// the strict `TransportSchedule::validate` (for the in-order packers) and
+/// of the lowering fold while it lowers the timeline.
 ///
 /// # Errors
 ///
 /// * [`CompileError::CircuitTooLarge`] — more qubits than the machine hosts.
 /// * [`CompileError::ShuttleDeadlock`] — re-balancing could not free space
 ///   (pathologically over-subscribed machines).
-/// * [`CompileError::InternalValidation`] — the produced schedule failed
-///   replay validation (a compiler bug, never silent).
+/// * [`CompileError::InternalValidation`],
+///   [`CompileError::InternalTransport`],
+///   [`CompileError::InternalTimeline`] — the produced program failed
+///   replay validation (a compiler bug, never silent). The first violation
+///   in operation order wins: a schedule that breaks a rule at operation k
+///   while its rounds disagree with it at an earlier operation j reports
+///   the transport error.
 ///
 /// # Example
 ///
@@ -150,7 +158,11 @@ pub fn compile_with_mapping(
     };
     let ready = dag.ready_set();
     let remaining = RemainingGates::new(circuit, &dag, plan);
-    let frontier = Frontier::new(circuit, &ready, &state, &remaining);
+    // Only the re-ordering heuristic (drain and reorder scan) and the clock
+    // objective's batched layers read the frontier; the baseline loop
+    // executes in plan order and never keeps one.
+    let frontier = (config.reorder || config.objective == Objective::Clock)
+        .then(|| Frontier::new(circuit, &ready, &state, &remaining));
     let clock = match config.objective {
         Objective::Shuttles => None,
         // The clock objective threads the transport-less lowering fold
@@ -192,17 +204,11 @@ pub fn compile_with_mapping(
         clock,
     };
     scheduler.run()?;
-    // Only the operations and the counters outlive the loop: the DAG, the
+    // Only the operations, the counters and the DAG outlive the loop: the
     // index, the queue, the planner and the scorer are dropped here,
-    // before validation, packing and lowering set the compile's peak.
-    let (ops, mut stats, clock_serial_makespan_us) = scheduler.into_output();
+    // before packing and the checked replay set the compile's peak.
+    let (ops, mut stats, clock_serial_makespan_us, dag) = scheduler.into_output();
     let schedule = Schedule::new(mapping, ops);
-    {
-        let _phase = qccd_obs::span("schedule-validate");
-        schedule
-            .validate(circuit, spec)
-            .map_err(CompileError::InternalValidation)?;
-    }
     let transport = {
         let _phase = qccd_obs::span("transport-pack");
         match config.router {
@@ -215,21 +221,27 @@ pub fn compile_with_mapping(
                 .map_err(CompileError::InternalTransport)?,
         }
     };
-    // Lookahead rounds reorder hops within gate-free runs, so they answer
-    // to the relaxed (multiset + replay + final-mapping) validator. The
-    // packer already runs that replay once per gate-free run while
-    // building (and debug builds re-validate inside `pack_lookahead`), so
-    // release builds skip the redundant whole-schedule second pass — the
-    // lookahead hot-path cleanup. The other packers preserve flat order
-    // and must pass the strict validator.
-    if !(config.lookahead && config.router.is_congestion()) {
-        let _phase = qccd_obs::span("transport-validate");
-        transport
-            .validate(&schedule, spec)
-            .map_err(CompileError::InternalTransport)?;
-    }
-    let timeline = qccd_timing::lower(&schedule, Some(&transport), circuit, spec, &config.timing)
-        .map_err(CompileError::InternalTimeline)?;
+    // One checked walk validates the schedule, validates the rounds and
+    // lowers them. The in-order packers answer to the strict transport
+    // rules. Lookahead rounds reorder hops within gate-free runs and
+    // answer to the relaxed rules, which the packer already applied once
+    // per run while building them; the walk adds the fold's own.
+    let rounds = if config.lookahead && config.router.is_congestion() {
+        Rounds::Lowered(&transport)
+    } else {
+        Rounds::Strict(&transport)
+    };
+    let mut timeline = Timeline::for_schedule(&schedule);
+    let fold = qccd_timing::replay(
+        &schedule,
+        rounds,
+        circuit,
+        &dag,
+        spec,
+        &config.timing,
+        &mut |event| timeline.push(event),
+    )?;
+    let timeline = fold.finish(timeline);
     stats.transport_depth = transport.depth();
     Ok(CompileResult {
         schedule,
@@ -263,8 +275,9 @@ struct Scheduler<'a> {
     /// it; front = active), and the same gates indexed per qubit for the
     /// §III scans.
     remaining: RemainingGates,
-    /// The queue's ready gates, split by operand locality.
-    frontier: Frontier,
+    /// The queue's ready gates, split by operand locality (`None` when
+    /// nothing reads it: no re-ordering and the shuttle-count objective).
+    frontier: Option<Frontier>,
     ops: Vec<Operation>,
     stats: CompileStats,
     /// Set while shuttles belong to a re-balancing eviction, for stats.
@@ -275,13 +288,13 @@ struct Scheduler<'a> {
 }
 
 impl Scheduler<'_> {
-    /// The compiled operations, the counters, and the clock objective's
-    /// serial-round makespan; everything else is dropped.
-    fn into_output(self) -> (Vec<Operation>, CompileStats, Option<f64>) {
+    /// The compiled operations, the counters, the clock objective's
+    /// serial-round makespan and the DAG; everything else is dropped.
+    fn into_output(self) -> (Vec<Operation>, CompileStats, Option<f64>, DependencyDag) {
         let mut stats = self.stats;
         stats.clock_speculations = self.clock.as_ref().map_or(0, ClockScorer::speculations);
         let makespan = self.clock.as_ref().map(ClockScorer::makespan_us);
-        (self.ops, stats, makespan)
+        (self.ops, stats, makespan, self.dag)
     }
 
     /// Maximum re-balancing recursion depth before declaring deadlock.
@@ -332,7 +345,11 @@ impl Scheduler<'_> {
         // gates move no ions (locality never changes during the drain),
         // and an execution only makes later-ranked gates ready, so this is
         // the order of one forward pass over the window's slots.
-        while let Some(rank) = self.frontier.next_local(&self.remaining, front) {
+        let next = |s: &Self| {
+            let frontier = s.frontier.as_ref().expect("re-ordering keeps a frontier");
+            frontier.next_local(&s.remaining, front)
+        };
+        while let Some(rank) = next(self) {
             self.execute(rank, false)?;
         }
         Ok(())
@@ -369,18 +386,23 @@ impl Scheduler<'_> {
         self.commit_clock(gate_op)?;
         self.stats.gate_ops += 1;
         // Each retired gate ages the congestion picture: only traffic from
-        // the recent past should price routes.
-        self.planner.decay();
+        // the recent past should price routes. Serial routes never price
+        // loads, so only the congestion router keeps them.
+        if self.config.router.is_congestion() {
+            self.planner.decay();
+        }
         self.ready.mark_done(&self.dag, gate_id);
         self.remaining.mark_done(self.circuit, gate_id);
-        self.frontier.retire(
-            self.circuit,
-            &self.dag,
-            &self.ready,
-            &self.state,
-            &self.remaining,
-            gate_id,
-        );
+        if let Some(frontier) = self.frontier.as_mut() {
+            frontier.retire(
+                self.circuit,
+                &self.dag,
+                &self.ready,
+                &self.state,
+                &self.remaining,
+                gate_id,
+            );
+        }
         Ok(())
     }
 
@@ -555,7 +577,11 @@ impl Scheduler<'_> {
         // its direction is scored, so a window without a joinable gate
         // stays a solo move with no direction scoring at all (the dominant
         // cost of probing unbatchable windows).
-        let (candidates, _) = self.frontier.cross_window(&self.remaining, rank);
+        let (candidates, _) = self
+            .frontier
+            .as_ref()
+            .expect("clock compiles keep a frontier")
+            .cross_window(&self.remaining, rank);
         for r in candidates {
             if movers.len() >= Self::BATCH_LIMIT {
                 break;
@@ -760,9 +786,12 @@ impl Scheduler<'_> {
     fn hop(&mut self, ion: IonId, to: TrapId) -> Result<(), CompileError> {
         let from = self.state.trap_of(ion);
         self.state.shuttle(ion, to)?;
-        self.frontier
-            .moved(&self.ready, &self.state, &self.remaining, ion);
-        self.planner.record(from, to);
+        if let Some(frontier) = self.frontier.as_mut() {
+            frontier.moved(&self.ready, &self.state, &self.remaining, ion);
+        }
+        if self.config.router.is_congestion() {
+            self.planner.record(from, to);
+        }
         let op = Operation::Shuttle { ion, from, to };
         self.ops.push(op);
         self.commit_clock(op)?;
@@ -992,7 +1021,11 @@ impl Scheduler<'_> {
     fn find_reorder_candidate(&self, active: u32, old_destination: TrapId) -> Option<u32> {
         let _phase = qccd_obs::span("reorder-scan");
         let frees = |from: TrapId, to: TrapId| from == old_destination && !self.state.is_full(to);
-        let (found, reach) = self.frontier.find_cross(&self.remaining, active, |gid| {
+        let frontier = self
+            .frontier
+            .as_ref()
+            .expect("re-ordering keeps a frontier");
+        let (found, reach) = frontier.find_cross(&self.remaining, active, |gid| {
             let (qa, qb) = self
                 .circuit
                 .gate(gid)

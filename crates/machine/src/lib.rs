@@ -8,9 +8,12 @@
 //!   (the paper's L6 is [`TrapTopology::linear`]`(6)`).
 //! * [`MachineSpec`] — topology + per-trap *total capacity* and
 //!   *communication capacity* (§II-B1).
-//! * [`MachineState`] — live ion placement: ordered ion chains per trap,
-//!   excess-capacity accounting, and the validated one-hop
-//!   [`shuttle`](MachineState::shuttle) primitive.
+//! * [`Placement`] — chain-free live placement (ion → trap, per-trap
+//!   occupancy) and the machine's legality rules: the validated one-hop
+//!   [`shuttle`](Placement::shuttle) and concurrent
+//!   [`apply_round`](Placement::apply_round).
+//! * [`MachineState`] — a placement plus the ordered ion chain per trap,
+//!   for the compile loop and multi-zone gate-zone promotion.
 //! * [`Operation`] / [`Schedule`] — the compiled program: gates pinned to
 //!   traps interleaved with shuttle hops, plus a full replay validator.
 //!
@@ -35,6 +38,7 @@ mod error;
 mod ids;
 mod mapping;
 mod ops;
+mod placement;
 mod schedule;
 mod spec;
 mod state;
@@ -45,6 +49,7 @@ pub use error::MachineError;
 pub use ids::{IonId, TrapId};
 pub use mapping::InitialMapping;
 pub use ops::{Operation, ShuttleMove};
+pub use placement::Placement;
 pub use schedule::{Schedule, ScheduleStats, ValidateScheduleError};
 pub use spec::MachineSpec;
 pub use state::MachineState;

@@ -4,8 +4,8 @@ use crate::error::MachineError;
 use crate::ids::IonId;
 use crate::mapping::InitialMapping;
 use crate::ops::Operation;
+use crate::placement::Placement;
 use crate::spec::MachineSpec;
-use crate::state::MachineState;
 use qccd_circuit::{Circuit, GateId};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
@@ -79,12 +79,13 @@ impl Schedule {
         out
     }
 
-    /// Replays the schedule against `circuit` on `spec`, verifying every
-    /// compiled-program invariant:
+    /// Replays the schedule against `circuit` on `spec` (on a chain-free
+    /// [`Placement`]), verifying every compiled-program invariant:
     ///
-    /// 1. every shuttle hop is legal (adjacent traps, destination not full);
+    /// 1. every shuttle hop is legal (the ion is in the stated source trap,
+    ///    adjacent traps, destination not full);
     /// 2. at every gate execution all operand ions are co-located in the
-    ///    stated trap;
+    ///    stated trap (an operand with no ion counts as elsewhere);
     /// 3. every circuit gate executes exactly once;
     /// 4. execution order respects the gate-dependency DAG.
     ///
@@ -96,7 +97,7 @@ impl Schedule {
         circuit: &Circuit,
         spec: &MachineSpec,
     ) -> Result<(), ValidateScheduleError> {
-        let mut state = MachineState::with_mapping(spec, &self.initial_mapping)
+        let mut placement = Placement::with_mapping(spec, &self.initial_mapping)
             .map_err(ValidateScheduleError::BadMapping)?;
         let dag = circuit.dependency_dag();
         let mut ready = dag.ready_set();
@@ -105,10 +106,14 @@ impl Schedule {
         for (step, op) in self.operations.iter().enumerate() {
             match *op {
                 Operation::Shuttle { ion, from, to } => {
-                    if state.trap_of(ion) != from {
+                    if placement
+                        .traps()
+                        .get(ion.index())
+                        .is_some_and(|&t| t != from)
+                    {
                         return Err(ValidateScheduleError::WrongSourceTrap { step, ion });
                     }
-                    state
+                    placement
                         .shuttle(ion, to)
                         .map_err(|source| ValidateScheduleError::IllegalShuttle { step, source })?;
                 }
@@ -124,7 +129,7 @@ impl Schedule {
                     }
                     let g = circuit.gate(gate);
                     for q in g.qubits.iter() {
-                        if state.trap_of(IonId::from(q)) != trap {
+                        if placement.traps().get(q.index()) != Some(&trap) {
                             return Err(ValidateScheduleError::NotCoLocated { step, gate });
                         }
                     }

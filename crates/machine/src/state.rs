@@ -1,26 +1,29 @@
-//! Live machine state: ion chains per trap and the shuttle primitive.
+//! Live machine state: a placement plus the ordered ion chain per trap.
 
 use crate::error::MachineError;
 use crate::ids::{IonId, TrapId};
 use crate::mapping::InitialMapping;
 use crate::ops::ShuttleMove;
+use crate::placement::Placement;
 use crate::spec::MachineSpec;
 use crate::zones::ZoneOccupancy;
 
-/// Live placement of ions in a QCCD machine.
+/// Live placement of ions in a QCCD machine, with chain order.
 ///
-/// Tracks the ordered ion chain inside each trap (§II, Fig. 1: "Inside a
-/// trap, ions form a chain") and enforces the capacity and adjacency
-/// invariants on every [`shuttle`](MachineState::shuttle):
+/// Wraps a [`Placement`] (ion → trap, per-trap occupancy, and the machine's
+/// legality rules) and tracks the ordered ion chain inside each trap (§II,
+/// Fig. 1: "Inside a trap, ions form a chain"). Every
+/// [`shuttle`](MachineState::shuttle) and
+/// [`apply_round`](MachineState::apply_round) is checked by the placement,
+/// so the invariants hold:
 ///
 /// 1. every ion is in exactly one trap;
 /// 2. trap occupancy never exceeds total capacity;
 /// 3. shuttles only traverse topology edges into traps with excess capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineState {
-    spec: MachineSpec,
+    placement: Placement,
     chains: Vec<Vec<IonId>>,
-    trap_of: Vec<TrapId>,
 }
 
 impl MachineState {
@@ -31,44 +34,34 @@ impl MachineState {
     ///
     /// # Errors
     ///
-    /// Returns [`MachineError::MappingOverfill`] if the mapping does not fit
-    /// this spec (possible when the mapping was built for a different spec).
+    /// As [`Placement::with_mapping`]: [`MachineError::MappingOverfill`] if
+    /// the mapping does not fit this spec (possible when the mapping was
+    /// built for a different spec).
     pub fn with_mapping(
         spec: &MachineSpec,
         mapping: &InitialMapping,
     ) -> Result<Self, MachineError> {
+        let placement = Placement::with_mapping(spec, mapping)?;
         let mut chains: Vec<Vec<IonId>> = vec![Vec::new(); spec.num_traps() as usize];
-        let mut trap_of = Vec::with_capacity(mapping.num_ions() as usize);
         for (i, &t) in mapping.as_slice().iter().enumerate() {
-            spec.check_trap(t)?;
             chains[t.index()].push(IonId(i as u32));
-            trap_of.push(t);
         }
-        let cap = spec.initial_capacity_per_trap();
-        for (i, chain) in chains.iter().enumerate() {
-            if chain.len() as u32 > cap {
-                return Err(MachineError::MappingOverfill {
-                    trap: TrapId(i as u32),
-                    assigned: chain.len() as u32,
-                    initial_capacity: cap,
-                });
-            }
-        }
-        Ok(MachineState {
-            spec: spec.clone(),
-            chains,
-            trap_of,
-        })
+        Ok(MachineState { placement, chains })
+    }
+
+    /// The chain-free placement under the chains.
+    pub fn placement(&self) -> &Placement {
+        &self.placement
     }
 
     /// The machine specification this state lives on.
     pub fn spec(&self) -> &MachineSpec {
-        &self.spec
+        self.placement.spec()
     }
 
     /// Number of ions in the machine.
     pub fn num_ions(&self) -> u32 {
-        self.trap_of.len() as u32
+        self.placement.num_ions()
     }
 
     /// The trap currently holding `ion`.
@@ -77,7 +70,7 @@ impl MachineState {
     ///
     /// Panics if `ion` is not part of this machine.
     pub fn trap_of(&self, ion: IonId) -> TrapId {
-        self.trap_of[ion.index()]
+        self.placement.trap_of(ion)
     }
 
     /// The ordered ion chain inside `trap`.
@@ -95,7 +88,7 @@ impl MachineState {
     ///
     /// Panics if `trap` is out of range.
     pub fn occupancy(&self, trap: TrapId) -> u32 {
-        self.chains[trap.index()].len() as u32
+        self.placement.occupancy(trap)
     }
 
     /// Excess capacity of `trap`: `total capacity − occupancy` (§II-B1).
@@ -104,12 +97,12 @@ impl MachineState {
     ///
     /// Panics if `trap` is out of range.
     pub fn excess_capacity(&self, trap: TrapId) -> u32 {
-        self.spec.total_capacity() - self.occupancy(trap)
+        self.placement.excess_capacity(trap)
     }
 
     /// Returns `true` if `trap` cannot accept another ion.
     pub fn is_full(&self, trap: TrapId) -> bool {
-        self.excess_capacity(trap) == 0
+        self.placement.is_full(trap)
     }
 
     /// The occupancy of `trap` broken down by the spec's zone layout: chain
@@ -121,7 +114,7 @@ impl MachineState {
     ///
     /// Panics if `trap` is out of range.
     pub fn zone_occupancy(&self, trap: TrapId) -> ZoneOccupancy {
-        ZoneOccupancy::from_occupancy(self.occupancy(trap), self.spec.zone_layout())
+        ZoneOccupancy::from_occupancy(self.occupancy(trap), self.spec().zone_layout())
     }
 
     /// Returns `true` if `ion`'s chain position lies inside its trap's gate
@@ -132,12 +125,12 @@ impl MachineState {
     ///
     /// Panics if `ion` is not part of this machine.
     pub fn in_gate_zone(&self, ion: IonId) -> bool {
-        let trap = self.trap_of[ion.index()];
+        let trap = self.trap_of(ion);
         let pos = self.chains[trap.index()]
             .iter()
             .position(|&i| i == ion)
             .expect("trap_of and chains are kept consistent");
-        (pos as u32) < self.spec.zone_layout().gate
+        (pos as u32) < self.spec().zone_layout().gate
     }
 
     /// Moves `ion` to the front of its chain — the explicit intra-trap zone
@@ -152,8 +145,7 @@ impl MachineState {
         if self.in_gate_zone(ion) {
             return false;
         }
-        let trap = self.trap_of[ion.index()];
-        let chain = &mut self.chains[trap.index()];
+        let chain = &mut self.chains[self.placement.trap_of(ion).index()];
         let pos = chain
             .iter()
             .position(|&i| i == ion)
@@ -169,168 +161,62 @@ impl MachineState {
     ///
     /// # Errors
     ///
-    /// * [`MachineError::IonOutOfRange`] — unknown ion.
-    /// * [`MachineError::TrapOutOfRange`] — unknown destination.
-    /// * [`MachineError::SelfShuttle`] — `to` equals the current trap.
-    /// * [`MachineError::NotAdjacent`] — no shuttle path between the traps.
-    /// * [`MachineError::TrapFull`] — destination has no excess capacity.
+    /// As [`Placement::shuttle`]; on error the state is unchanged.
     pub fn shuttle(&mut self, ion: IonId, to: TrapId) -> Result<(), MachineError> {
-        if ion.index() >= self.trap_of.len() {
-            return Err(MachineError::IonOutOfRange {
-                ion,
-                num_ions: self.num_ions(),
-            });
+        let from = self.placement.shuttle(ion, to)?;
+        self.split(ion, from);
+        self.chains[to.index()].push(ion);
+        Ok(())
+    }
+
+    /// Applies one concurrent transport round under the placement's round
+    /// rules ([`Placement::apply_round`]): every mover splits out of its
+    /// chain, then every mover merges at the end of its destination chain.
+    ///
+    /// # Errors
+    ///
+    /// As [`Placement::apply_round`]; on error the state is unchanged.
+    pub fn apply_round(&mut self, moves: &[ShuttleMove]) -> Result<(), MachineError> {
+        self.placement.apply_round(moves)?;
+        for m in moves {
+            self.split(m.ion, m.from);
         }
-        self.spec.check_trap(to)?;
-        let from = self.trap_of[ion.index()];
-        if from == to {
-            return Err(MachineError::SelfShuttle { trap: from });
+        for m in moves {
+            self.chains[m.to.index()].push(m.ion);
         }
-        if !self.spec.topology().are_adjacent(from, to) {
-            return Err(MachineError::NotAdjacent { from, to });
-        }
-        if self.is_full(to) {
-            return Err(MachineError::TrapFull { trap: to });
-        }
-        let chain = &mut self.chains[from.index()];
+        Ok(())
+    }
+
+    /// Removes `ion` from the chain of `trap`.
+    fn split(&mut self, ion: IonId, trap: TrapId) {
+        let chain = &mut self.chains[trap.index()];
         let pos = chain
             .iter()
             .position(|&i| i == ion)
             .expect("trap_of and chains are kept consistent");
         chain.remove(pos);
-        self.chains[to.index()].push(ion);
-        self.trap_of[ion.index()] = to;
-        Ok(())
-    }
-
-    /// Applies one concurrent transport round: a set of single-hop shuttle
-    /// moves executed simultaneously on pairwise-disjoint shuttle-path
-    /// segments.
-    ///
-    /// Round semantics are *departures-first*: every SPLIT fires before any
-    /// MERGE lands, so an ion may enter a trap another ion vacates in the
-    /// same round (pipelined corridors, swaps). The per-round legality
-    /// rules — the machine's per-edge occupancy and junction bookkeeping —
-    /// are:
-    ///
-    /// 1. every move is a legal hop in isolation (known ion at `from`,
-    ///    adjacent in-range destination);
-    /// 2. no shuttle-path segment carries two moves (per-edge occupancy);
-    /// 3. no ion moves twice;
-    /// 4. each trap runs at most one SPLIT and one MERGE (junction
-    ///    hardware);
-    /// 5. no trap exceeds total capacity after its departures leave.
-    ///
-    /// On error the state is unchanged.
-    ///
-    /// Cost: O(m²) in the round's `m` moves, with no allocation. Each move
-    /// is checked against the round's earlier moves (rules 2–4), and once
-    /// the junction rule passes `m` is at most the number of traps.
-    ///
-    /// # Errors
-    ///
-    /// The first violated rule, as a [`MachineError`] (`EdgeInUse`,
-    /// `IonMovedTwice`, `JunctionBusy`, `RoundOverfill`, or the
-    /// single-hop errors of [`shuttle`](MachineState::shuttle)). Moves are
-    /// checked in order, rules 1–4 per move; capacity (rule 5) is checked
-    /// last, and an overfill names the lowest overfilled trap.
-    pub fn apply_round(&mut self, moves: &[ShuttleMove]) -> Result<(), MachineError> {
-        for (i, m) in moves.iter().enumerate() {
-            if m.ion.index() >= self.trap_of.len() {
-                return Err(MachineError::IonOutOfRange {
-                    ion: m.ion,
-                    num_ions: self.num_ions(),
-                });
-            }
-            self.spec.check_trap(m.to)?;
-            if self.trap_of[m.ion.index()] != m.from {
-                return Err(MachineError::WrongSourceTrap {
-                    ion: m.ion,
-                    claimed: m.from,
-                    actual: self.trap_of[m.ion.index()],
-                });
-            }
-            if m.from == m.to {
-                return Err(MachineError::SelfShuttle { trap: m.from });
-            }
-            if !self.spec.topology().are_adjacent(m.from, m.to) {
-                return Err(MachineError::NotAdjacent {
-                    from: m.from,
-                    to: m.to,
-                });
-            }
-            let earlier = &moves[..i];
-            if earlier.iter().any(|e| e.ion == m.ion) {
-                return Err(MachineError::IonMovedTwice { ion: m.ion });
-            }
-            let seg = m.segment();
-            if earlier.iter().any(|e| e.segment() == seg) {
-                return Err(MachineError::EdgeInUse { a: seg.0, b: seg.1 });
-            }
-            let split_busy = earlier.iter().any(|e| e.from == m.from);
-            if split_busy || earlier.iter().any(|e| e.to == m.to) {
-                let trap = if split_busy { m.from } else { m.to };
-                return Err(MachineError::JunctionBusy { trap });
-            }
-        }
-        // The junction rule passed, so each trap has at most one arrival
-        // and one departure. A trap without an arrival cannot overfill,
-        // and one with an arrival overfills exactly when it is full and no
-        // move departs it. Summed in u64: `capacity + departures` wraps
-        // u32 near `u32::MAX`.
-        let capacity = self.spec.total_capacity();
-        let departures = |t: TrapId| u32::from(moves.iter().any(|d| d.from == t));
-        let overfilled = moves
-            .iter()
-            .map(|m| m.to)
-            .filter(|&t| {
-                u64::from(self.occupancy(t)) + 1 > u64::from(capacity) + u64::from(departures(t))
-            })
-            .min();
-        if let Some(trap) = overfilled {
-            return Err(MachineError::RoundOverfill {
-                trap,
-                occupancy: self.occupancy(trap),
-                arrivals: 1,
-                departures: departures(trap),
-                capacity,
-            });
-        }
-        // All checks passed: split every mover out, then merge them in.
-        for m in moves {
-            let chain = &mut self.chains[m.from.index()];
-            let pos = chain
-                .iter()
-                .position(|&i| i == m.ion)
-                .expect("trap_of and chains are kept consistent");
-            chain.remove(pos);
-        }
-        for m in moves {
-            self.chains[m.to.index()].push(m.ion);
-            self.trap_of[m.ion.index()] = m.to;
-        }
-        Ok(())
     }
 
     /// Verifies the internal invariants (ion conservation, capacity,
-    /// chain/trap_of consistency). Cheap enough for tests and debug asserts.
+    /// chain/placement consistency). Cheap enough for tests and debug
+    /// asserts.
     pub fn check_invariants(&self) -> bool {
-        let mut seen = vec![false; self.trap_of.len()];
+        let mut seen = vec![false; self.num_ions() as usize];
         for (ti, chain) in self.chains.iter().enumerate() {
-            if chain.len() as u32 > self.spec.total_capacity() {
+            if chain.len() as u32 != self.placement.occupancy(TrapId(ti as u32)) {
                 return false;
             }
             for &ion in chain {
                 if ion.index() >= seen.len()
                     || seen[ion.index()]
-                    || self.trap_of[ion.index()] != TrapId(ti as u32)
+                    || self.trap_of(ion) != TrapId(ti as u32)
                 {
                     return false;
                 }
                 seen[ion.index()] = true;
             }
         }
-        seen.into_iter().all(|s| s)
+        self.placement.check_invariants() && seen.into_iter().all(|s| s)
     }
 }
 
@@ -590,30 +476,30 @@ mod apply_round_oracle {
     /// per-round segment and ion lists, then a capacity scan over every
     /// trap.
     fn reference(state: &mut MachineState, moves: &[ShuttleMove]) -> Result<(), MachineError> {
-        let num_traps = state.spec.num_traps() as usize;
+        let num_traps = state.spec().num_traps() as usize;
         let mut arrivals = vec![0u32; num_traps];
         let mut departures = vec![0u32; num_traps];
         let mut segments: Vec<(TrapId, TrapId)> = Vec::new();
         let mut moved: Vec<IonId> = Vec::new();
         for m in moves {
-            if m.ion.index() >= state.trap_of.len() {
+            if m.ion.index() >= state.placement.trap_of.len() {
                 return Err(MachineError::IonOutOfRange {
                     ion: m.ion,
                     num_ions: state.num_ions(),
                 });
             }
-            state.spec.check_trap(m.to)?;
-            if state.trap_of[m.ion.index()] != m.from {
+            state.spec().check_trap(m.to)?;
+            if state.placement.trap_of[m.ion.index()] != m.from {
                 return Err(MachineError::WrongSourceTrap {
                     ion: m.ion,
                     claimed: m.from,
-                    actual: state.trap_of[m.ion.index()],
+                    actual: state.placement.trap_of[m.ion.index()],
                 });
             }
             if m.from == m.to {
                 return Err(MachineError::SelfShuttle { trap: m.from });
             }
-            if !state.spec.topology().are_adjacent(m.from, m.to) {
+            if !state.spec().topology().are_adjacent(m.from, m.to) {
                 return Err(MachineError::NotAdjacent {
                     from: m.from,
                     to: m.to,
@@ -642,14 +528,14 @@ mod apply_round_oracle {
         for t in 0..num_traps {
             let occ = state.chains[t].len() as u32;
             if u64::from(occ) + u64::from(arrivals[t])
-                > u64::from(state.spec.total_capacity()) + u64::from(departures[t])
+                > u64::from(state.spec().total_capacity()) + u64::from(departures[t])
             {
                 return Err(MachineError::RoundOverfill {
                     trap: TrapId(t as u32),
                     occupancy: occ,
                     arrivals: arrivals[t],
                     departures: departures[t],
-                    capacity: state.spec.total_capacity(),
+                    capacity: state.spec().total_capacity(),
                 });
             }
         }
@@ -657,10 +543,12 @@ mod apply_round_oracle {
             let chain = &mut state.chains[m.from.index()];
             let pos = chain.iter().position(|&i| i == m.ion).expect("consistent");
             chain.remove(pos);
+            state.placement.occupancy[m.from.index()] -= 1;
         }
         for m in moves {
             state.chains[m.to.index()].push(m.ion);
-            state.trap_of[m.ion.index()] = m.to;
+            state.placement.occupancy[m.to.index()] += 1;
+            state.placement.trap_of[m.ion.index()] = m.to;
         }
         Ok(())
     }
@@ -705,7 +593,7 @@ mod apply_round_oracle {
                 break;
             }
             let ion = IonId(d.below(ions));
-            let nbrs = state.spec.topology().neighbors(state.trap_of(ion));
+            let nbrs = state.spec().topology().neighbors(state.trap_of(ion));
             if !nbrs.is_empty() {
                 let to = nbrs[d.below(nbrs.len() as u32) as usize];
                 let _ = state.shuttle(ion, to);
@@ -717,7 +605,7 @@ mod apply_round_oracle {
                 0..=3 if ions > 0 => {
                     let ion = IonId(d.below(ions));
                     let from = state.trap_of(ion);
-                    let nbrs = state.spec.topology().neighbors(from);
+                    let nbrs = state.spec().topology().neighbors(from);
                     let to = nbrs
                         .get(d.below(nbrs.len() as u32) as usize)
                         .copied()

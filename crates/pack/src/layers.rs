@@ -23,7 +23,7 @@
 use crate::PackError;
 use qccd_circuit::Circuit;
 use qccd_flow::{Commodity, CommodityRouter};
-use qccd_machine::{IonId, MachineSpec, MachineState, Operation, Schedule, TrapId};
+use qccd_machine::{IonId, MachineSpec, Operation, Placement, Schedule, TrapId};
 use qccd_route::TransportSchedule;
 use qccd_timing::{LowerState, TimingModel};
 
@@ -101,7 +101,7 @@ pub(crate) fn plan_layers(
         let run_ops = &stream[run_start..i];
         let run_rounds = &rounds[rounds_start..round_cursor];
         let rewrite = movers(run_ops)
-            .and_then(|m| rewrite_run(&m, lower.machine(), spec, &mut router))
+            .and_then(|m| rewrite_run(&m, lower.placement(), spec, &mut router))
             .filter(|n| n.len() <= run_ops.len());
         if let Some(new_ops) = rewrite {
             // Score both variants from the same checkpoint; the rewrite
@@ -159,7 +159,7 @@ fn movers(run_ops: &[Operation]) -> Option<Vec<Mover>> {
 /// flight. `router` is the pass's network over `spec`'s topology.
 fn rewrite_run(
     movers: &[Mover],
-    machine: &MachineState,
+    machine: &Placement,
     spec: &MachineSpec,
     router: &mut CommodityRouter,
 ) -> Option<Vec<Operation>> {
@@ -273,7 +273,7 @@ fn score_rewrite(
     spec: &MachineSpec,
 ) -> Option<LowerState> {
     let packed =
-        TransportSchedule::pack_concurrent_from(checkpoint.machine().clone(), new_ops).ok()?;
+        TransportSchedule::pack_concurrent_from(checkpoint.placement().clone(), new_ops).ok()?;
     let mut state = checkpoint.clone();
     state
         .advance(new_ops, Some(&packed.rounds), circuit, spec, &mut |_| {})
@@ -349,8 +349,7 @@ mod tests {
             .count();
         assert!(shuttle_count <= 4);
         let packed_schedule = Schedule::new(schedule.initial_mapping.clone(), planned.ops.clone());
-        let mut state =
-            MachineState::with_mapping(&spec, &packed_schedule.initial_mapping).unwrap();
+        let mut state = Placement::with_mapping(&spec, &packed_schedule.initial_mapping).unwrap();
         for op in &packed_schedule.operations {
             if let Operation::Shuttle { ion, to, .. } = *op {
                 state.shuttle(ion, to).unwrap();
@@ -383,7 +382,7 @@ mod tests {
         .unwrap();
         // Whatever the planner chose, the result replays legally and ends
         // with the same mapping.
-        let mut state = MachineState::with_mapping(&spec, &schedule.initial_mapping).unwrap();
+        let mut state = Placement::with_mapping(&spec, &schedule.initial_mapping).unwrap();
         for op in &planned.ops {
             if let Operation::Shuttle { ion, to, .. } = *op {
                 state.shuttle(ion, to).unwrap();
@@ -409,12 +408,12 @@ mod tests {
             end: usize,
             rounds_start: usize,
             rounds_end: usize,
-            plan: Option<(Vec<Mover>, MachineState)>,
+            plan: Option<(Vec<Mover>, Placement)>,
         }
         let stream = &schedule.operations;
         let rounds = &transport.rounds;
         let mut runs: Vec<Run> = Vec::new();
-        let mut replay = MachineState::with_mapping(spec, &schedule.initial_mapping).unwrap();
+        let mut replay = Placement::with_mapping(spec, &schedule.initial_mapping).unwrap();
         let mut round_cursor = 0usize;
         let mut i = 0usize;
         while i < stream.len() {

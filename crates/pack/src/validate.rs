@@ -3,7 +3,7 @@
 
 use crate::PackError;
 use qccd_circuit::Circuit;
-use qccd_machine::{IonId, MachineSpec, MachineState, Operation, Schedule};
+use qccd_machine::{IonId, MachineSpec, Operation, Placement, Schedule};
 
 /// Proves `packed` is an equivalent rewrite of `original`:
 ///
@@ -50,8 +50,8 @@ pub fn validate_equivalent(
         return Err(PackError::GateSequenceDiverged { index });
     }
 
-    let replay = |s: &Schedule| -> Result<MachineState, PackError> {
-        let mut state = MachineState::with_mapping(spec, &s.initial_mapping)
+    let replay = |s: &Schedule| -> Result<Placement, PackError> {
+        let mut state = Placement::with_mapping(spec, &s.initial_mapping)
             .map_err(|e| PackError::InvalidPacked(e.to_string()))?;
         for op in &s.operations {
             if let Operation::Shuttle { ion, to, .. } = *op {

@@ -2,7 +2,7 @@
 //! into rounds of edge-disjoint simultaneous moves.
 
 use qccd_machine::{
-    IonId, MachineError, MachineSpec, MachineState, Operation, Schedule, ShuttleMove, TrapId,
+    IonId, MachineError, MachineSpec, Operation, Placement, Schedule, ShuttleMove, TrapId,
 };
 use serde::{Deserialize, Serialize};
 use std::error::Error;
@@ -15,7 +15,7 @@ static ROUND_WIDTH: qccd_obs::Histogram = qccd_obs::Histogram::new("route.round_
 
 /// One round of concurrent shuttles: every move runs simultaneously, on
 /// pairwise-disjoint shuttle-path segments, under the machine's junction
-/// rules (see `MachineState::apply_round`).
+/// rules (see `Placement::apply_round`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransportRound {
     /// The member moves, in the order they appear in the flat schedule.
@@ -85,13 +85,13 @@ impl TransportSchedule {
         schedule: &Schedule,
         spec: &MachineSpec,
     ) -> Result<Self, TransportError> {
-        let state = MachineState::with_mapping(spec, &schedule.initial_mapping)
+        let placement = Placement::with_mapping(spec, &schedule.initial_mapping)
             .map_err(TransportError::Machine)?;
-        Self::pack_concurrent_from(state, &schedule.operations)
+        Self::pack_concurrent_from(placement, &schedule.operations)
     }
 
     /// [`pack_concurrent`](Self::pack_concurrent) starting from an
-    /// arbitrary live [`MachineState`] instead of an initial mapping —
+    /// arbitrary live [`Placement`] instead of an initial mapping —
     /// the form a mid-schedule optimizer needs, where trap occupancies can
     /// exceed what an `InitialMapping` may load. `ops` is the operation
     /// stream to pack from that point on; the round-legality rules are
@@ -102,7 +102,7 @@ impl TransportSchedule {
     /// Returns [`TransportError`] if `ops` does not replay legally from
     /// `state`.
     pub fn pack_concurrent_from(
-        mut state: MachineState,
+        mut state: Placement,
         ops: &[Operation],
     ) -> Result<Self, TransportError> {
         let spec = state.spec().clone();
@@ -113,7 +113,7 @@ impl TransportSchedule {
         let mut arrivals = vec![0u32; num_traps];
         let mut departures = vec![0u32; num_traps];
 
-        let close = |state: &mut MachineState,
+        let close = |state: &mut Placement,
                      rounds: &mut Vec<TransportRound>,
                      cur: &mut Vec<ShuttleMove>,
                      segments: &mut Vec<(TrapId, TrapId)>,
@@ -209,7 +209,7 @@ impl TransportSchedule {
     /// whenever backfill does not strictly reduce depth.
     ///
     /// Validation happens **once per gate-free run**: closing a run
-    /// replays its rounds through [`MachineState::apply_round`], which
+    /// replays its rounds through [`Placement::apply_round`], which
     /// enforces every per-round rule and leaves the replayed state equal to
     /// the serial replay's (the rounds are built *from* the schedule's own
     /// hops, so multiset coverage and the final mapping hold by
@@ -246,7 +246,7 @@ impl TransportSchedule {
         use crate::backfill::{BackfillRules, CreditRule, RoundBackfill};
 
         let _phase = qccd_obs::span("backfill");
-        let mut state = MachineState::with_mapping(spec, &schedule.initial_mapping)
+        let mut state = Placement::with_mapping(spec, &schedule.initial_mapping)
             .map_err(TransportError::Machine)?;
         let num_traps = spec.num_traps() as usize;
         let cap = spec.total_capacity();
@@ -257,7 +257,7 @@ impl TransportSchedule {
         // atomically via `apply_round`), no gate fences (the run resets at
         // every gate), unbounded window. One backfill serves every run:
         // closing a run drains its rounds and resets it in place.
-        fn occupancies(state: &MachineState) -> impl Iterator<Item = u32> + '_ {
+        fn occupancies(state: &Placement) -> impl Iterator<Item = u32> + '_ {
             (0..state.spec().num_traps()).map(|t| state.occupancy(TrapId(t)))
         }
         let mut run = RoundBackfill::new(
@@ -270,7 +270,7 @@ impl TransportSchedule {
                 window: usize::MAX,
             },
         );
-        let close_run = |state: &mut MachineState,
+        let close_run = |state: &mut Placement,
                          rounds: &mut Vec<TransportRound>,
                          run: &mut RoundBackfill|
          -> Result<(), TransportError> {
@@ -304,7 +304,7 @@ impl TransportSchedule {
     /// 1. the rounds cover exactly the schedule's shuttle ops, run by run
     ///    — each round draws all its moves from one gate-free run;
     /// 2. every round is legal under the machine's concurrent-round rules,
-    ///    replayed via `MachineState::apply_round`;
+    ///    replayed via `Placement::apply_round`;
     /// 3. the final ion→trap mapping equals the serial replay's.
     ///
     /// Strictly weaker than [`validate`](Self::validate): any in-order
@@ -318,7 +318,7 @@ impl TransportSchedule {
         schedule: &Schedule,
         spec: &MachineSpec,
     ) -> Result<(), TransportError> {
-        let mut state = MachineState::with_mapping(spec, &schedule.initial_mapping)
+        let mut state = Placement::with_mapping(spec, &schedule.initial_mapping)
             .map_err(TransportError::Machine)?;
         let mut serial = state.clone();
         let count_mismatch = || TransportError::MoveCountMismatch {
@@ -394,14 +394,14 @@ impl TransportSchedule {
     ///    spanning a gate;
     /// 2. every round is legal under the machine's concurrent-round rules
     ///    (edge-disjoint segments, junction limits, capacity after
-    ///    departures), replayed via `MachineState::apply_round`;
+    ///    departures), replayed via `Placement::apply_round`;
     /// 3. the final ion→trap mapping equals the serial replay's.
     ///
     /// # Errors
     ///
     /// The first violated rule, as a [`TransportError`].
     pub fn validate(&self, schedule: &Schedule, spec: &MachineSpec) -> Result<(), TransportError> {
-        let mut state = MachineState::with_mapping(spec, &schedule.initial_mapping)
+        let mut state = Placement::with_mapping(spec, &schedule.initial_mapping)
             .map_err(TransportError::Machine)?;
         let mut serial = state.clone();
         // Counting every move and shuttle op is O(n): build the error only

@@ -15,7 +15,7 @@ use crate::report::SimReport;
 use qccd_circuit::{Circuit, GateId, GateQubits};
 use qccd_machine::{IonId, MachineSpec, Schedule, TrapId};
 use qccd_route::TransportSchedule;
-use qccd_timing::{EventRef, LowerError, LowerState, TimingModel};
+use qccd_timing::{replay, EventRef, LowerError, ReplayError, Rounds, TimingModel};
 
 /// Distribution of `1 − F` per replayed gate, in parts per billion
 /// (`--profile` surfaces count/mean/p50/p99).
@@ -56,10 +56,13 @@ pub(crate) enum OpObserver {
 /// Replays `schedule` through the physical model and reports program
 /// fidelity and makespan.
 ///
-/// The schedule is first replay-validated (legal shuttles, co-located gate
-/// operands, dependency order), then lowered into an ASAP event timeline
-/// under the *uniform-hop* timing model built from `params`' duration
-/// fields — the historical per-hop replay, preserved bit-for-bit.
+/// The schedule is replay-validated (legal shuttles, co-located gate
+/// operands, dependency order) while it is lowered into an ASAP event
+/// timeline under the *uniform-hop* timing model built from `params`'
+/// duration fields — the historical per-hop replay, preserved
+/// bit-for-bit. Validation and lowering are one walk
+/// ([`qccd_timing::replay`]): the first violation in operation order is
+/// reported.
 /// Simulation then tracks:
 ///
 /// * a clock per trap (serial in-trap execution, parallel across traps;
@@ -72,10 +75,12 @@ pub(crate) enum OpObserver {
 ///
 /// # Errors
 ///
+/// * [`SimError::InvalidParams`] — `params` contains negative or
+///   non-finite values (checked before the replay starts).
 /// * [`SimError::InvalidSchedule`] — the schedule does not execute
 ///   `circuit` legally on `spec`.
-/// * [`SimError::InvalidParams`] — `params` contains negative or
-///   non-finite values.
+///
+/// The replay reports the first violation in operation order.
 pub fn simulate(
     schedule: &Schedule,
     circuit: &Circuit,
@@ -109,7 +114,10 @@ pub fn simulate(
 /// # Errors
 ///
 /// As [`simulate`], plus [`SimError::TransportMismatch`] if the rounds do
-/// not cover the schedule's shuttle operations.
+/// not cover the schedule's shuttle operations, and [`SimError::Timing`]
+/// if a round breaks a machine rule or no order can apply it. The first
+/// violation in operation order wins: rounds that disagree with a
+/// gate-free run are reported before a schedule fault after that run.
 pub fn simulate_transport(
     schedule: &Schedule,
     transport: &TransportSchedule,
@@ -144,7 +152,8 @@ pub fn simulate_transport(
 /// # Errors
 ///
 /// As [`simulate_transport`], plus [`SimError::InvalidParams`] if `model`
-/// has non-finite or negative constants.
+/// has non-finite or negative constants (checked after the initial
+/// mapping, before the first operation).
 pub fn simulate_timed(
     schedule: &Schedule,
     transport: &TransportSchedule,
@@ -171,8 +180,9 @@ pub fn simulate_timed(
 /// [`attribute_fidelity`](crate::attribute_fidelity). Returns the report
 /// plus the final per-trap motional modes.
 ///
-/// The schedule is validated first; the lowering fold then runs once, and
-/// every event it emits is replayed immediately, in schedule order.
+/// The checked lowering fold runs once, validating each operation before
+/// it folds it, and every event it emits is replayed immediately, in
+/// schedule order.
 ///
 /// When `ledger` is given, every `n̄` update is additionally recorded as a
 /// tagged heat deposit. The recording is a pure side channel — the replay
@@ -192,13 +202,9 @@ pub(crate) fn simulate_inner(
     if !params.is_valid() {
         return Err(SimError::InvalidParams);
     }
-    schedule
-        .validate(circuit, spec)
-        .map_err(SimError::InvalidSchedule)?;
-
     let model = &device_model(params, model);
-    let mut fold =
-        LowerState::new(&schedule.initial_mapping, spec, model).map_err(sim_lower_error)?;
+    let dag = circuit.dependency_dag();
+    let rounds = transport.map_or(Rounds::Serial, Rounds::Lowered);
 
     let num_traps = spec.num_traps() as usize;
     let mut clock = vec![0.0f64; num_traps]; // µs, per trap
@@ -222,13 +228,15 @@ pub(crate) fn simulate_inner(
     let mut shuttle_depth = 0usize;
     let heat_rate_per_us = params.background_heating_quanta_per_s * 1e-6;
 
-    // The device clock: the ASAP lowering fold emits every timed event in
-    // schedule order, and the physics runs on each one as it arrives.
-    fold.advance(
-        &schedule.operations,
-        transport.map(|t| t.rounds.as_slice()),
+    // The device clock: the checked lowering fold emits every timed event
+    // in schedule order, and the physics runs on each one as it arrives.
+    let fold = replay(
+        schedule,
+        rounds,
         circuit,
+        &dag,
         spec,
+        model,
         &mut |event| match event {
             EventRef::Gate {
                 gate,
@@ -365,7 +373,7 @@ pub(crate) fn simulate_inner(
             }
         },
     )
-    .map_err(sim_lower_error)?;
+    .map_err(sim_replay_error)?;
 
     let (program_fidelity, log_program_fidelity) = if zero_fidelity {
         (0.0, f64::NEG_INFINITY)
@@ -425,6 +433,17 @@ pub(crate) fn device_model(params: &SimParams, model: Option<&TimingModel>) -> T
             params.move_us,
         )
     })
+}
+
+/// Maps a checked-replay failure onto the simulator's error type. The
+/// simulator's rounds answer to the lowering rules, so every transport
+/// fault comes back as a lowering error.
+fn sim_replay_error(e: ReplayError) -> SimError {
+    match e {
+        ReplayError::Schedule(e) => SimError::InvalidSchedule(e),
+        ReplayError::Lower(e) => sim_lower_error(e),
+        ReplayError::Transport(e) => unreachable!("lowered rounds raise no strict error: {e}"),
+    }
 }
 
 /// Maps a lowering failure onto the simulator's error type.

@@ -2,7 +2,7 @@
 //! pricing instead of O(suffix) checkpoint-and-re-lower.
 //!
 //! [`LowerState::score_ops`] prices a speculative suffix by cloning the
-//! whole fold — the replayed [`MachineState`] (including the spec's
+//! whole fold — the replayed ion placement (including the spec's
 //! topology adjacency), every per-trap clock and every per-ion
 //! availability — and advancing the clone. That clone is the entire cost:
 //! a candidate shuttle walk only ever *touches* the clocks of the traps it
@@ -11,7 +11,7 @@
 //! clock frontiers, recording a small undo log (index, old value) per
 //! touched resource plus shadow position/occupancy overlays for the
 //! machine state, and rolls everything back after reading the projected
-//! makespan. No allocation-per-candidate, no `MachineState` clone, no
+//! makespan. No allocation-per-candidate, no placement clone, no
 //! event buffer: commits advance the fold with a no-op event sink.
 //!
 //! The arithmetic is a transcription of [`LowerState::advance`]'s
@@ -19,7 +19,7 @@
 //! clone-based oracle (the invariant the `delta_properties` differential
 //! harness and the `delta_regression` pins enforce):
 //!
-//! * **Legality** mirrors `MachineState::shuttle`'s check order exactly —
+//! * **Legality** mirrors `Placement::shuttle`'s check order exactly —
 //!   ion range, destination range, self-shuttle, adjacency, destination
 //!   fullness — against the *shadowed* position/occupancy (an earlier op
 //!   in the same candidate may have moved the ion or filled the trap).
@@ -92,19 +92,19 @@ impl ScoreArena {
     }
 
     /// The trap holding `ion` under the current overlay (latest move
-    /// wins, else the fold's machine state).
+    /// wins, else the fold's placement).
     fn trap_of(&self, state: &LowerState, ion: IonId) -> TrapId {
         self.moved
             .iter()
             .rev()
             .find(|&&(i, _)| i == ion)
             .map(|&(_, t)| t)
-            .unwrap_or_else(|| state.state.trap_of(ion))
+            .unwrap_or_else(|| state.placement().trap_of(ion))
     }
 
     /// Occupancy of `trap` under the current overlay.
     fn occupancy(&self, state: &LowerState, trap: TrapId) -> i64 {
-        let base = i64::from(state.state.occupancy(trap));
+        let base = i64::from(state.placement().occupancy(trap));
         let delta: i64 = self
             .occ_delta
             .iter()
@@ -128,7 +128,7 @@ impl ScoreArena {
             .rev()
             .find(|&&(t, _)| t == trap)
             .map(|&(_, v)| v)
-            .unwrap_or(state.clock[trap])
+            .unwrap_or(state.clocks.clock[trap])
     }
 
     /// Ion availability under the overlay (latest speculative write wins).
@@ -138,7 +138,7 @@ impl ScoreArena {
             .rev()
             .find(|&&(q, _)| q == ion)
             .map(|&(_, v)| v)
-            .unwrap_or(state.avail[ion])
+            .unwrap_or(state.clocks.avail[ion])
     }
 }
 
@@ -169,12 +169,12 @@ fn score_shuttles_overlay(
         let &Operation::Shuttle { ion, from, to } = op else {
             unreachable!("gate candidates take the oracle path");
         };
-        // Legality, in `MachineState::shuttle`'s exact check order,
+        // Legality, in `Placement::shuttle`'s exact check order,
         // against the overlaid state. Every failure mode — TrapFull via
         // the stalled single-member round, the rest via machine errors —
         // makes the oracle score `None`; collapse them.
-        let machine_spec = state.state.spec();
-        if ion.index() >= state.avail.len() {
+        let machine_spec = state.placement().spec();
+        if ion.index() >= state.clocks.avail.len() {
             return None;
         }
         if machine_spec.check_trap(to).is_err() {

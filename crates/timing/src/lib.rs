@@ -25,6 +25,10 @@
 //!   streams: it hands every event to a caller-supplied sink as an
 //!   [`EventRef`], so callers that only need the physics or the makespan
 //!   never store events.
+//! * [`replay`] — the same fold with every check of `Schedule::validate`,
+//!   the strict transport validator and `lower` folded in: one walk over
+//!   a finished program on one chain-free placement, for the compiler's
+//!   and the simulator's own replays.
 //! * [`DeltaScorer`] — the fold with O(delta) speculative scoring on top:
 //!   a candidate shuttle walk is priced by touching only the clocks of the
 //!   traps it visits and the one moved ion's availability, with a small
@@ -36,8 +40,9 @@
 //!   segment is ever double-booked. Round members are stored flat, in two
 //!   arrays shared by all rounds.
 //!
-//! `qccd-core` attaches a timeline to every compile result; `qccd-sim`
-//! drives the fold itself and runs its physics on the streamed events.
+//! `qccd-core` attaches a checked [`replay`]'s timeline to every compile
+//! result; `qccd-sim` drives the same checked replay and runs its physics
+//! on the streamed events.
 //!
 //! # Example
 //!
@@ -77,6 +82,9 @@ mod explain;
 #[cfg(test)]
 mod lower_oracle;
 mod model;
+mod replay;
+#[cfg(test)]
+mod replay_checks;
 mod scheduler;
 mod timeline;
 
@@ -86,5 +94,6 @@ pub use explain::{
     CriticalPath, CriticalPathStep, EdgeReport, MakespanAttribution, TrapReport,
 };
 pub use model::TimingModel;
+pub use replay::{replay, ReplayError, Rounds};
 pub use scheduler::{lower, LowerError, LowerState};
 pub use timeline::{EventRef, TimedMove, Timeline, TimelineError, TimelineEvent};

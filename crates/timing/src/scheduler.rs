@@ -9,21 +9,22 @@
 
 use crate::model::TimingModel;
 use crate::timeline::{EventRef, TimedMove, Timeline};
-use qccd_circuit::{Circuit, GateQubits};
+use qccd_circuit::{Circuit, GateId, GateQubits};
 use qccd_machine::{
-    InitialMapping, IonId, MachineError, MachineSpec, MachineState, Operation, Schedule, TrapId,
+    InitialMapping, IonId, MachineError, MachineSpec, MachineState, Operation, Placement, Schedule,
+    TrapId, TrapTopology,
 };
 use qccd_route::{TransportRound, TransportSchedule};
 use std::error::Error;
 use std::fmt;
 
 /// One shuttle hop: ion, source trap, destination trap.
-type Move = (IonId, TrapId, TrapId);
+pub(crate) type Move = (IonId, TrapId, TrapId);
 
 /// Lowers a compiled `schedule` into a validated ASAP [`Timeline`] under
 /// `model`.
 ///
-/// The scheduler replays the machine state and assigns every operation the
+/// The scheduler replays the ion placement and assigns every operation the
 /// earliest start compatible with its resources:
 ///
 /// * a **gate** starts when its trap is free and every operand qubit's
@@ -45,7 +46,8 @@ type Move = (IonId, TrapId, TrapId);
 /// `schedule` must already be replay-valid against `circuit`/`spec` (as
 /// every [`compile`](../qccd_core/fn.compile.html) result is); lowering
 /// only re-checks what it must replay (shuttle legality, transport-round
-/// coverage).
+/// coverage). [`replay`](crate::replay) is the same fold with every
+/// schedule and transport check folded in.
 ///
 /// # Errors
 ///
@@ -66,14 +68,7 @@ pub fn lower(
 ) -> Result<Timeline, LowerError> {
     let _phase = qccd_obs::span("lowering");
     let mut state = LowerState::new(&schedule.initial_mapping, spec, model)?;
-    // Every shuttle op is exactly one round member and involves at most
-    // two traps; rounds and zone moves aside, every op is one event.
-    let shuttles = schedule
-        .operations
-        .iter()
-        .filter(|op| matches!(op, Operation::Shuttle { .. }))
-        .count();
-    let mut timeline = Timeline::with_capacity(schedule.operations.len(), shuttles, 2 * shuttles);
+    let mut timeline = Timeline::for_schedule(schedule);
     state.advance(
         &schedule.operations,
         transport.map(|t| t.rounds.as_slice()),
@@ -84,17 +79,58 @@ pub fn lower(
     Ok(state.finish(timeline))
 }
 
+/// The ion placement a lowering fold replays: chain-free on single-zone
+/// layouts, with the ordered chains where multi-zone gate-zone promotion
+/// reads their order.
+#[derive(Debug, Clone)]
+pub(crate) enum Ions {
+    Flat(Placement),
+    Chains(MachineState),
+}
+
+impl Ions {
+    pub(crate) fn new(spec: &MachineSpec, mapping: &InitialMapping) -> Result<Self, MachineError> {
+        Ok(if spec.zone_layout().is_single() {
+            Ions::Flat(Placement::with_mapping(spec, mapping)?)
+        } else {
+            Ions::Chains(MachineState::with_mapping(spec, mapping)?)
+        })
+    }
+
+    pub(crate) fn placement(&self) -> &Placement {
+        match self {
+            Ions::Flat(p) => p,
+            Ions::Chains(m) => m.placement(),
+        }
+    }
+
+    pub(crate) fn shuttle(&mut self, ion: IonId, to: TrapId) -> Result<(), MachineError> {
+        match self {
+            Ions::Flat(p) => p.shuttle(ion, to).map(drop),
+            Ions::Chains(m) => m.shuttle(ion, to),
+        }
+    }
+
+    fn promote_to_gate_zone(&mut self, ion: IonId) -> bool {
+        match self {
+            Ions::Flat(_) => false,
+            Ions::Chains(m) => m.promote_to_gate_zone(ion),
+        }
+    }
+}
+
 /// The resumable ASAP-lowering fold behind [`lower`].
 ///
 /// `LowerState` carries everything the lowering loop threads between
-/// operations — the replayed [`MachineState`], the per-trap device clocks,
-/// the per-qubit availability times, and the event counters — but **not**
-/// the events: [`advance`](LowerState::advance) hands each one to a
-/// caller-supplied sink as it is emitted. [`lower`] collects them into a
-/// [`Timeline`]; scoring callers pass a no-op sink and store nothing. This
-/// makes a checkpoint a cheap `clone()` (O(ions + traps), independent of
-/// how many events the prefix produced; the per-round working buffers are
-/// not copied), so a transport optimizer can:
+/// operations — the replayed ion [`Placement`] (with chain order only on
+/// multi-zone layouts), the per-trap device clocks, the per-qubit
+/// availability times, and the event counters — but **not** the events:
+/// [`advance`](LowerState::advance) hands each one to a caller-supplied
+/// sink as it is emitted. [`lower`] collects them into a [`Timeline`];
+/// scoring callers pass a no-op sink and store nothing. This makes a
+/// checkpoint a cheap `clone()` (O(ions + traps), independent of how many
+/// events the prefix produced; the per-round working buffers are not
+/// copied), so a transport optimizer can:
 ///
 /// 1. [`advance`](LowerState::advance) through the accepted prefix once,
 /// 2. clone the state at a candidate's chunk boundary,
@@ -110,7 +146,14 @@ pub fn lower(
 #[derive(Debug, Clone)]
 pub struct LowerState {
     pub(crate) model: TimingModel,
-    pub(crate) state: MachineState,
+    pub(crate) state: Ions,
+    pub(crate) clocks: Clocks,
+    pub(crate) buffers: RoundBuffers,
+}
+
+/// The fold's device clocks and event counters.
+#[derive(Debug, Clone)]
+pub(crate) struct Clocks {
     /// Per-trap device clock, µs.
     pub(crate) clock: Vec<f64>,
     /// Per-qubit availability time, µs.
@@ -120,32 +163,232 @@ pub struct LowerState {
     shuttle_depth: usize,
     zone_moves: usize,
     junction_crossings: usize,
-    buffers: RoundBuffers,
 }
 
 /// The per-round working buffers of [`LowerState::advance`], cleared and
 /// reused by every round. A clone starts empty: the buffers carry nothing
 /// between rounds, so a checkpoint need not copy them.
 #[derive(Debug, Default)]
-struct RoundBuffers {
+pub(crate) struct RoundBuffers {
     /// The current gate-free run, as the multiset of moves still awaiting
     /// a round (`None` once taken).
     run: Vec<Option<Move>>,
     /// The round's member moves, in transport order.
-    members: Vec<Move>,
+    pub(crate) members: Vec<Move>,
     /// Members not yet applied by the departures-first retry.
     pending: Vec<Move>,
     /// Members a retry pass found blocked.
     still: Vec<Move>,
     /// The applied members, in application order.
-    timed: Vec<TimedMove>,
+    pub(crate) timed: Vec<TimedMove>,
     /// The round's involved traps, deduplicated.
-    involved: Vec<TrapId>,
+    pub(crate) involved: Vec<TrapId>,
 }
 
 impl Clone for RoundBuffers {
     fn clone(&self) -> Self {
         RoundBuffers::default()
+    }
+}
+
+impl Clocks {
+    /// Folds one gate on `trap`: the multi-zone operand promotions first,
+    /// then the gate event.
+    fn gate(
+        &mut self,
+        model: &TimingModel,
+        ions: &mut Ions,
+        gate: GateId,
+        trap: TrapId,
+        circuit: &Circuit,
+        sink: &mut impl FnMut(EventRef<'_>),
+    ) {
+        let g = circuit.gate(gate);
+        let t = trap.index();
+        // Multi-zone traps: operands outside the gate zone need an
+        // explicit timed reorder first. Promoting one operand to the chain
+        // front shifts the others back, so it can push an already-checked
+        // operand out again — iterate until every operand is
+        // *simultaneously* gate-ready (the gate zone holds ≥ 2 ions by
+        // validation, so this settles in at most a few passes). Never fires
+        // under the default single-zone layout, which keeps no chains.
+        if let Ions::Chains(_) = ions {
+            loop {
+                let mut promoted = false;
+                for q in g.qubits.iter() {
+                    let ion = IonId::from(q);
+                    if ions.promote_to_gate_zone(ion) {
+                        let start = self.clock[t].max(self.avail[ion.index()]);
+                        let end = start + model.zone_move_us();
+                        self.clock[t] = end;
+                        self.avail[ion.index()] = end;
+                        self.zone_moves += 1;
+                        sink(EventRef::ZoneMove {
+                            ion,
+                            trap,
+                            start_us: start,
+                            end_us: end,
+                        });
+                        promoted = true;
+                    }
+                }
+                if !promoted {
+                    break;
+                }
+            }
+        }
+        let chain_len = ions.placement().occupancy(trap);
+        let tau = match g.qubits {
+            GateQubits::One(_) => model.one_qubit_gate_us(),
+            GateQubits::Two(_, _) => model.two_qubit_gate_us(chain_len),
+        };
+        let start = g
+            .qubits
+            .iter()
+            .map(|q| self.avail[q.index()])
+            .fold(self.clock[t], f64::max);
+        let end = start + tau;
+        self.clock[t] = end;
+        for q in g.qubits.iter() {
+            self.avail[q.index()] = end;
+        }
+        self.gates += 1;
+        sink(EventRef::Gate {
+            gate,
+            trap,
+            chain_len,
+            start_us: start,
+            end_us: end,
+        });
+    }
+
+    /// Applies one hop, recording it as a timed round member. On error
+    /// nothing changed.
+    pub(crate) fn hop(
+        &mut self,
+        ions: &mut Ions,
+        (ion, from, to): Move,
+        topology: &TrapTopology,
+    ) -> Result<TimedMove, MachineError> {
+        let src_occupancy = ions.placement().occupancy(from);
+        ions.shuttle(ion, to)?;
+        let junctions = TimingModel::junctions_crossed(topology, from, to);
+        self.junction_crossings += junctions as usize;
+        Ok(TimedMove {
+            ion,
+            from,
+            to,
+            src_occupancy,
+            junctions,
+        })
+    }
+
+    /// Folds a round of one move: the straight-line path every serial
+    /// round takes, with no buffers. On error nothing changed.
+    pub(crate) fn one_move_round(
+        &mut self,
+        model: &TimingModel,
+        ions: &mut Ions,
+        hop: Move,
+        topology: &TrapTopology,
+        sink: &mut impl FnMut(EventRef<'_>),
+    ) -> Result<(), MachineError> {
+        let timed = self.hop(ions, hop, topology)?;
+        let (ion, from, to) = hop;
+        let both = [from, to];
+        let involved = if to == from { &both[..1] } else { &both[..] };
+        let tau = 0.0f64.max(model.hop_us(timed.junctions));
+        let start = involved
+            .iter()
+            .map(|t| self.clock[t.index()])
+            .fold(0.0f64.max(self.avail[ion.index()]), f64::max);
+        let end = start + tau;
+        self.avail[ion.index()] = end;
+        for t in involved {
+            self.clock[t.index()] = end;
+        }
+        self.shuttles += 1;
+        self.shuttle_depth += 1;
+        sink(EventRef::TransportRound {
+            moves: std::slice::from_ref(&timed),
+            involved,
+            start_us: start,
+            end_us: end,
+        });
+        Ok(())
+    }
+
+    /// The lowering error of a one-move round whose hop failed: a full
+    /// destination can never be freed within the round, so it stalls.
+    fn stalled(&self, e: MachineError) -> LowerError {
+        match e {
+            MachineError::TrapFull { .. } => LowerError::StalledRound {
+                round: self.shuttle_depth,
+            },
+            e => LowerError::Machine(e),
+        }
+    }
+
+    /// Folds the timing of a round whose `members` (in transport order)
+    /// were applied as `timed`: it starts when every member trap is free
+    /// and every member ion's dependencies resolved, and lasts its
+    /// critical-path hop.
+    pub(crate) fn round(
+        &mut self,
+        model: &TimingModel,
+        members: &[Move],
+        timed: &[TimedMove],
+        involved: &mut Vec<TrapId>,
+        sink: &mut impl FnMut(EventRef<'_>),
+    ) {
+        involved.clear();
+        for &(_, from, to) in members {
+            for t in [from, to] {
+                if !involved.contains(&t) {
+                    involved.push(t);
+                }
+            }
+        }
+        let tau = timed
+            .iter()
+            .map(|m| model.hop_us(m.junctions))
+            .fold(0.0f64, f64::max);
+        let start = members
+            .iter()
+            .map(|&(ion, _, _)| self.avail[ion.index()])
+            .chain(involved.iter().map(|t| self.clock[t.index()]))
+            .fold(0.0f64, f64::max);
+        let end = start + tau;
+        for &(ion, _, _) in members {
+            self.avail[ion.index()] = end;
+        }
+        for t in involved.iter() {
+            self.clock[t.index()] = end;
+        }
+        self.shuttles += members.len();
+        self.shuttle_depth += 1;
+        sink(EventRef::TransportRound {
+            moves: timed,
+            involved,
+            start_us: start,
+            end_us: end,
+        });
+    }
+}
+
+/// The end of the gate-free run of shuttle operations starting at `start`.
+pub(crate) fn run_end(ops: &[Operation], start: usize) -> usize {
+    ops[start..]
+        .iter()
+        .position(|op| matches!(op, Operation::Gate { .. }))
+        .map_or(ops.len(), |n| start + n)
+}
+
+/// The hop of the shuttle operation at `i`.
+pub(crate) fn hop_at(ops: &[Operation], i: usize) -> Move {
+    match ops[i] {
+        Operation::Shuttle { ion, from, to } => (ion, from, to),
+        Operation::Gate { .. } => unreachable!("gate-free runs hold only shuttles"),
     }
 }
 
@@ -165,26 +408,33 @@ impl LowerState {
         if !model.is_valid() {
             return Err(LowerError::InvalidModel);
         }
-        let state = MachineState::with_mapping(spec, mapping).map_err(LowerError::Machine)?;
-        let num_traps = spec.num_traps() as usize;
-        let num_ions = state.num_ions() as usize;
-        Ok(LowerState {
+        let state = Ions::new(spec, mapping).map_err(LowerError::Machine)?;
+        Ok(LowerState::starting(state, spec, model))
+    }
+
+    /// Starts the fold over a placement built from `spec`; `model` must be
+    /// valid.
+    pub(crate) fn starting(state: Ions, spec: &MachineSpec, model: &TimingModel) -> Self {
+        let num_ions = state.placement().num_ions() as usize;
+        LowerState {
             model: *model,
             state,
-            clock: vec![0.0; num_traps],
-            avail: vec![0.0; num_ions],
-            gates: 0,
-            shuttles: 0,
-            shuttle_depth: 0,
-            zone_moves: 0,
-            junction_crossings: 0,
+            clocks: Clocks {
+                clock: vec![0.0; spec.num_traps() as usize],
+                avail: vec![0.0; num_ions],
+                gates: 0,
+                shuttles: 0,
+                shuttle_depth: 0,
+                zone_moves: 0,
+                junction_crossings: 0,
+            },
             buffers: RoundBuffers::default(),
-        })
+        }
     }
 
     /// The fold's makespan so far: the latest per-trap clock, µs.
     pub fn makespan_us(&self) -> f64 {
-        self.clock.iter().copied().fold(0.0f64, f64::max)
+        self.clocks.clock.iter().copied().fold(0.0f64, f64::max)
     }
 
     /// Per-trap device clocks so far, µs.
@@ -196,17 +446,17 @@ impl LowerState {
     /// rewrite optimizer needs to accept a candidate without re-lowering
     /// the whole tail.
     pub fn trap_clocks(&self) -> &[f64] {
-        &self.clock
+        &self.clocks.clock
     }
 
     /// Per-qubit availability times so far, µs.
     pub fn ion_avail(&self) -> &[f64] {
-        &self.avail
+        &self.clocks.avail
     }
 
-    /// The replayed machine state after every operation advanced so far.
-    pub fn machine(&self) -> &MachineState {
-        &self.state
+    /// The replayed ion placement after every operation advanced so far.
+    pub fn placement(&self) -> &Placement {
+        self.state.placement()
     }
 
     /// Checkpoints the fold: an independent copy that can advance through
@@ -245,17 +495,17 @@ impl LowerState {
 
     /// Transport rounds lowered so far (the fold's shuttle depth).
     pub fn shuttle_depth(&self) -> usize {
-        self.shuttle_depth
+        self.clocks.shuttle_depth
     }
 
     /// Zone reorders synthesized so far.
     pub fn zone_moves(&self) -> usize {
-        self.zone_moves
+        self.clocks.zone_moves
     }
 
     /// Junction endpoints crossed by every move lowered so far.
     pub fn junction_crossings(&self) -> usize {
-        self.junction_crossings
+        self.clocks.junction_crossings
     }
 
     /// Advances the fold through one chunk of operations, handing every
@@ -285,205 +535,30 @@ impl LowerState {
         sink: &mut impl FnMut(EventRef<'_>),
     ) -> Result<(), LowerError> {
         let topology = spec.topology();
-        let model = self.model;
-        let buf = &mut self.buffers;
         let mut round_idx = 0usize;
         let mut i = 0usize;
         while i < ops.len() {
-            match ops[i] {
-                Operation::Gate { gate, trap } => {
-                    let g = circuit.gate(gate);
-                    let t = trap.index();
-                    // Multi-zone traps: operands outside the gate zone need an
-                    // explicit timed reorder first. Promoting one operand to
-                    // the chain front shifts the others back, so it can push an
-                    // already-checked operand out again — iterate until every
-                    // operand is *simultaneously* gate-ready (the gate zone
-                    // holds ≥ 2 ions by validation, so this settles in at most
-                    // a few passes). Never fires under the default single-zone
-                    // layout.
-                    if !spec.zone_layout().is_single() {
-                        loop {
-                            let mut promoted = false;
-                            for q in g.qubits.iter() {
-                                let ion = IonId::from(q);
-                                if self.state.promote_to_gate_zone(ion) {
-                                    let start = self.clock[t].max(self.avail[ion.index()]);
-                                    let end = start + model.zone_move_us();
-                                    self.clock[t] = end;
-                                    self.avail[ion.index()] = end;
-                                    self.zone_moves += 1;
-                                    sink(EventRef::ZoneMove {
-                                        ion,
-                                        trap,
-                                        start_us: start,
-                                        end_us: end,
-                                    });
-                                    promoted = true;
-                                }
-                            }
-                            if !promoted {
-                                break;
-                            }
-                        }
-                    }
-                    let chain_len = self.state.occupancy(trap);
-                    let tau = match g.qubits {
-                        GateQubits::One(_) => model.one_qubit_gate_us(),
-                        GateQubits::Two(_, _) => model.two_qubit_gate_us(chain_len),
-                    };
-                    let start = g
-                        .qubits
-                        .iter()
-                        .map(|q| self.avail[q.index()])
-                        .fold(self.clock[t], f64::max);
-                    let end = start + tau;
-                    self.clock[t] = end;
-                    for q in g.qubits.iter() {
-                        self.avail[q.index()] = end;
-                    }
-                    self.gates += 1;
-                    sink(EventRef::Gate {
-                        gate,
-                        trap,
-                        chain_len,
-                        start_us: start,
-                        end_us: end,
-                    });
+            match (ops[i], transport) {
+                (Operation::Gate { gate, trap }, _) => {
+                    self.fold_gate(gate, trap, circuit, sink);
                     i += 1;
                 }
-                Operation::Shuttle { .. } => {
-                    // The gate-free run of consecutive shuttle ops starting
-                    // here, as the multiset of moves still awaiting a round.
-                    let run_start = i;
-                    buf.run.clear();
-                    while let Some(&Operation::Shuttle { ion, from, to }) = ops.get(i) {
-                        buf.run.push(Some((ion, from, to)));
-                        i += 1;
-                    }
-                    let run_len = buf.run.len();
-                    // Every slot before `live` is taken: rounds mostly draw
-                    // moves in run order, so the search starts here instead
-                    // of rescanning the run's consumed prefix.
-                    let mut live = 0usize;
-                    let mut consumed = 0usize;
-                    while consumed < run_len {
-                        // This round's member moves: from the transport
-                        // schedule, or one synthetic single-hop round.
-                        buf.members.clear();
-                        match transport {
-                            None => {
-                                let hop = buf.run[consumed].take().expect("consumed in order");
-                                buf.members.push(hop);
-                            }
-                            Some(rounds) => {
-                                let round =
-                                    rounds.get(round_idx).ok_or(LowerError::TransportMismatch {
-                                        op_index: run_start + consumed,
-                                    })?;
-                                if round.moves.is_empty() {
-                                    return Err(LowerError::TransportMismatch {
-                                        op_index: run_start + consumed,
-                                    });
-                                }
-                                round_idx += 1;
-                                for m in &round.moves {
-                                    let want = (m.ion, m.from, m.to);
-                                    let slot = buf.run[live..]
-                                        .iter_mut()
-                                        .find(|slot| **slot == Some(want))
-                                        .ok_or(LowerError::TransportMismatch {
-                                            op_index: run_start + consumed,
-                                        })?;
-                                    *slot = None;
-                                    buf.members.push(want);
-                                    while buf.run.get(live) == Some(&None) {
-                                        live += 1;
-                                    }
-                                }
-                            }
-                        }
-
-                        // Apply the members with departures-first retry: a move
-                        // blocked by a full trap waits for a same-round
-                        // departure to free it. In-order rounds (the strict
-                        // packers) always apply on the first pass, preserving
-                        // the historical per-move occupancy reads.
-                        buf.timed.clear();
-                        buf.pending.clear();
-                        buf.pending.extend_from_slice(&buf.members);
-                        while !buf.pending.is_empty() {
-                            let mut progressed = false;
-                            buf.still.clear();
-                            for &(ion, from, to) in &buf.pending {
-                                let src_occupancy = self.state.occupancy(from);
-                                match self.state.shuttle(ion, to) {
-                                    Ok(()) => {
-                                        let junctions =
-                                            TimingModel::junctions_crossed(topology, from, to);
-                                        self.junction_crossings += junctions as usize;
-                                        buf.timed.push(TimedMove {
-                                            ion,
-                                            from,
-                                            to,
-                                            src_occupancy,
-                                            junctions,
-                                        });
-                                        progressed = true;
-                                    }
-                                    Err(MachineError::TrapFull { .. }) => {
-                                        buf.still.push((ion, from, to))
-                                    }
-                                    Err(e) => return Err(LowerError::Machine(e)),
-                                }
-                            }
-                            if !progressed {
-                                return Err(LowerError::StalledRound {
-                                    round: self.shuttle_depth,
-                                });
-                            }
-                            std::mem::swap(&mut buf.pending, &mut buf.still);
-                        }
-
-                        // ASAP timing: the round starts when every member trap
-                        // is free and every member ion's dependencies resolved;
-                        // it lasts its critical-path hop.
-                        buf.involved.clear();
-                        for &(_, from, to) in &buf.members {
-                            for t in [from, to] {
-                                if !buf.involved.contains(&t) {
-                                    buf.involved.push(t);
-                                }
-                            }
-                        }
-                        let tau = buf
-                            .timed
-                            .iter()
-                            .map(|m| model.hop_us(m.junctions))
-                            .fold(0.0f64, f64::max);
-                        let start = buf
-                            .members
-                            .iter()
-                            .map(|&(ion, _, _)| self.avail[ion.index()])
-                            .chain(buf.involved.iter().map(|t| self.clock[t.index()]))
-                            .fold(0.0f64, f64::max);
-                        let end = start + tau;
-                        for &(ion, _, _) in &buf.members {
-                            self.avail[ion.index()] = end;
-                        }
-                        for t in &buf.involved {
-                            self.clock[t.index()] = end;
-                        }
-                        self.shuttles += buf.members.len();
-                        self.shuttle_depth += 1;
-                        consumed += buf.members.len();
-                        sink(EventRef::TransportRound {
-                            moves: &buf.timed,
-                            involved: &buf.involved,
-                            start_us: start,
-                            end_us: end,
-                        });
-                    }
+                (Operation::Shuttle { ion, from, to }, None) => {
+                    self.clocks
+                        .one_move_round(
+                            &self.model,
+                            &mut self.state,
+                            (ion, from, to),
+                            topology,
+                            sink,
+                        )
+                        .map_err(|e| self.clocks.stalled(e))?;
+                    i += 1;
+                }
+                (Operation::Shuttle { .. }, Some(rounds)) => {
+                    let end = run_end(ops, i);
+                    self.fold_run(ops, i, end, rounds, &mut round_idx, topology, sink)?;
+                    i = end;
                 }
             }
         }
@@ -497,16 +572,121 @@ impl LowerState {
         Ok(())
     }
 
+    /// Folds one gate operation.
+    pub(crate) fn fold_gate(
+        &mut self,
+        gate: GateId,
+        trap: TrapId,
+        circuit: &Circuit,
+        sink: &mut impl FnMut(EventRef<'_>),
+    ) {
+        self.clocks
+            .gate(&self.model, &mut self.state, gate, trap, circuit, sink);
+    }
+
+    /// Lowers the gate-free run `ops[start..end]` onto the `rounds` from
+    /// `round_idx` on, drawing each round's moves from the run's multiset
+    /// of hops (rounds may reorder hops within the run). One-move rounds
+    /// take the straight-line path; wider rounds apply their members with
+    /// departures-first retry: a move blocked by a full trap waits for a
+    /// same-round departure to free it. In-order rounds (the strict
+    /// packers) always apply on the first pass, preserving the historical
+    /// per-move occupancy reads.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn fold_run(
+        &mut self,
+        ops: &[Operation],
+        start: usize,
+        end: usize,
+        rounds: &[TransportRound],
+        round_idx: &mut usize,
+        topology: &TrapTopology,
+        sink: &mut impl FnMut(EventRef<'_>),
+    ) -> Result<(), LowerError> {
+        let buf = &mut self.buffers;
+        buf.run.clear();
+        buf.run.extend((start..end).map(|q| Some(hop_at(ops, q))));
+        let run_len = end - start;
+        // Every slot before `live` is taken: rounds mostly draw moves in
+        // run order, so the search starts here instead of rescanning the
+        // run's consumed prefix.
+        let mut live = 0usize;
+        let mut consumed = 0usize;
+        while consumed < run_len {
+            let mismatch = || LowerError::TransportMismatch {
+                op_index: start + consumed,
+            };
+            let round = rounds.get(*round_idx).ok_or_else(mismatch)?;
+            if round.moves.is_empty() {
+                return Err(mismatch());
+            }
+            *round_idx += 1;
+            buf.members.clear();
+            for m in &round.moves {
+                let want = (m.ion, m.from, m.to);
+                let slot = buf.run[live..]
+                    .iter_mut()
+                    .find(|slot| **slot == Some(want))
+                    .ok_or_else(mismatch)?;
+                *slot = None;
+                buf.members.push(want);
+                while buf.run.get(live) == Some(&None) {
+                    live += 1;
+                }
+            }
+            consumed += buf.members.len();
+
+            if let [hop] = buf.members[..] {
+                self.clocks
+                    .one_move_round(&self.model, &mut self.state, hop, topology, sink)
+                    .map_err(|e| self.clocks.stalled(e))?;
+                continue;
+            }
+
+            buf.timed.clear();
+            buf.pending.clear();
+            buf.pending.extend_from_slice(&buf.members);
+            while !buf.pending.is_empty() {
+                let mut progressed = false;
+                buf.still.clear();
+                for &hop in &buf.pending {
+                    match self.clocks.hop(&mut self.state, hop, topology) {
+                        Ok(timed) => {
+                            buf.timed.push(timed);
+                            progressed = true;
+                        }
+                        Err(MachineError::TrapFull { .. }) => buf.still.push(hop),
+                        Err(e) => return Err(LowerError::Machine(e)),
+                    }
+                }
+                if !progressed {
+                    return Err(LowerError::StalledRound {
+                        round: self.clocks.shuttle_depth,
+                    });
+                }
+                std::mem::swap(&mut buf.pending, &mut buf.still);
+            }
+            self.clocks.round(
+                &self.model,
+                &buf.members,
+                &buf.timed,
+                &mut buf.involved,
+                sink,
+            );
+        }
+        Ok(())
+    }
+
     /// Finishes the fold: stamps its makespan and counters onto
     /// `timeline`, the events collected from its sink.
     pub fn finish(self, timeline: Timeline) -> Timeline {
         Timeline {
             makespan_us: self.makespan_us(),
-            gates: self.gates,
-            shuttles: self.shuttles,
-            shuttle_depth: self.shuttle_depth,
-            zone_moves: self.zone_moves,
-            junction_crossings: self.junction_crossings,
+            gates: self.clocks.gates,
+            shuttles: self.clocks.shuttles,
+            shuttle_depth: self.clocks.shuttle_depth,
+            zone_moves: self.clocks.zone_moves,
+            junction_crossings: self.clocks.junction_crossings,
             ..timeline
         }
     }

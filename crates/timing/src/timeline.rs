@@ -1,7 +1,7 @@
 //! Timed event timelines and their resource-interval validator.
 
 use qccd_circuit::GateId;
-use qccd_machine::{IonId, TrapId};
+use qccd_machine::{IonId, Operation, Schedule, TrapId};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -208,6 +208,18 @@ impl Timeline {
             involved: Vec::with_capacity(involved),
             ..Timeline::default()
         }
+    }
+
+    /// An empty timeline with room for lowering `schedule`: every shuttle
+    /// op is exactly one round member and involves at most two traps;
+    /// rounds and zone moves aside, every op is one event.
+    pub fn for_schedule(schedule: &Schedule) -> Timeline {
+        let shuttles = schedule
+            .operations
+            .iter()
+            .filter(|op| matches!(op, Operation::Shuttle { .. }))
+            .count();
+        Timeline::with_capacity(schedule.operations.len(), shuttles, 2 * shuttles)
     }
 
     /// Appends one emitted event, copying a round's member slices into the

@@ -54,7 +54,7 @@ fn spec_for(topology: TrapTopology, qubits: u32) -> MachineSpec {
 /// bounce-backs (two-hop extensions returning to the source trap price
 /// `None` on both paths).
 fn sample_candidates(scorer: &DeltaScorer, seed: u64) -> Vec<Vec<Operation>> {
-    let machine = scorer.state().machine();
+    let machine = scorer.state().placement();
     let topology = machine.spec().topology().clone();
     let num_ions = machine.num_ions();
     let mut candidates: Vec<Vec<Operation>> = vec![vec![]];

@@ -305,3 +305,165 @@ fn serial_loop_off_l6_matches_recorded_schedules() {
     ];
     assert_eq!(got, want);
 }
+
+/// The serial router prices no loads, so the compile loop keeps no
+/// segment-load table for it: every serial compile must stay bit for bit.
+/// Pinned on the paper suite on L6 (baseline, optimized, and the clock
+/// objective) and on a 4×4 grid under the clock objective: the ops
+/// digest, the rounds digest, shuttles, depth and makespan bits. Recorded
+/// from the compiler that decayed and recorded loads on every gate and hop
+/// whatever the router.
+#[test]
+fn serial_router_compiles_match_recorded_schedules() {
+    use muzzle_shuttle::circuit::generators::paper_suite;
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let clock = CompilerConfig::optimized()
+        .with_timing(TimingModel::realistic())
+        .with_objective(Objective::Clock);
+    type Circuit = muzzle_shuttle::circuit::Circuit;
+    fn pins(
+        circuit: &Circuit,
+        spec: &MachineSpec,
+        config: &CompilerConfig,
+    ) -> (u64, u64, usize, usize, u64) {
+        let result = compile(circuit, spec, config).unwrap();
+        assert_eq!(config.router, RouterPolicy::Serial);
+        let (shuttles, depth, makespan) = quality(&result);
+        (
+            ops_digest(&result.schedule.operations),
+            rounds_digest(&result.transport),
+            shuttles,
+            depth,
+            makespan,
+        )
+    }
+    let l6 = MachineSpec::paper_l6();
+    let mut got = Vec::new();
+    for bench in paper_suite() {
+        for config in [
+            CompilerConfig::baseline(),
+            CompilerConfig::optimized(),
+            clock,
+        ] {
+            got.push(pins(&bench.circuit, &l6, &config));
+        }
+    }
+    let grid = MachineSpec::new(TrapTopology::grid(4, 4), 12, 2).unwrap();
+    got.push(pins(&random_circuit(120, 2000, 1), &grid, &clock));
+    // Baseline, optimized and clock per paper benchmark, then the grid.
+    let want = [
+        (
+            13979375288549768632,
+            17182829550777412231,
+            582,
+            582,
+            4682142311218413568,
+        ),
+        (
+            11888840371149126489,
+            11184486626092171687,
+            356,
+            356,
+            4681332452185079808,
+        ),
+        (
+            4948168972003144332,
+            16667524026950046224,
+            361,
+            361,
+            4680994352359538688,
+        ),
+        (
+            9721752186486733159,
+            13101563250575425965,
+            2251,
+            2251,
+            4689858271505285120,
+        ),
+        (
+            6232505843019965566,
+            1498586829336181749,
+            1337,
+            1337,
+            4688522880273612800,
+        ),
+        (
+            2867367125738741511,
+            5367454566844085628,
+            1435,
+            1435,
+            4689139723476664320,
+        ),
+        (
+            15308133818849004220,
+            11538285964883920208,
+            1301,
+            1301,
+            4688645286841548800,
+        ),
+        (
+            12015383201041862892,
+            15765012107898414036,
+            568,
+            568,
+            4685744998505775104,
+        ),
+        (
+            17255841544044153718,
+            14137381337572545855,
+            523,
+            523,
+            4686147522840756224,
+        ),
+        (
+            9687874457113294967,
+            8781318778015613031,
+            311,
+            311,
+            4686975764334116864,
+        ),
+        (
+            1697998047483310689,
+            16539391742813236632,
+            294,
+            294,
+            4690795003872542720,
+        ),
+        (
+            5399044615583858886,
+            12814081019119916023,
+            364,
+            364,
+            4691160076092702720,
+        ),
+        (
+            1041944776140662478,
+            2816530210447780627,
+            1062,
+            1062,
+            4690358119799193600,
+        ),
+        (
+            15206584562233454415,
+            10392596835909401401,
+            450,
+            450,
+            4692956128336674816,
+        ),
+        (
+            11839170058655463420,
+            15227738025087976871,
+            490,
+            490,
+            4692558603343626240,
+        ),
+        (
+            9822835240180720749,
+            2105461305364483942,
+            4791,
+            4791,
+            4698024494688632832,
+        ),
+    ];
+    assert_eq!(got, want);
+}

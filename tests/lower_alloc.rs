@@ -14,6 +14,13 @@
 //!    compile loop asks [`RoutePlanner::next_hop`] for one trap per hop;
 //!    it reads the memoized BFS rows, and a blocked tree path runs the
 //!    filtered BFS in buffers the planner keeps.
+//! 4. **The checked replay allocates nothing per operation.** Beyond the
+//!    [`Timeline`] it fills (sized up front here), its allocations are its
+//!    setup: the placement, the clocks and the ready set. Doubling the
+//!    schedule leaves the count unchanged.
+//! 5. **`simulate_timed` allocates only its setup.** It runs the same
+//!    checked replay with a physics sink: O(ions + traps + gates) state,
+//!    a fixed number of allocations whatever the schedule's length.
 //!
 //! Counts are per thread, so the harness's other test threads do not
 //! leak into a measurement.
@@ -23,7 +30,8 @@ use muzzle_shuttle::machine::{
     InitialMapping, IonId, MachineSpec, MachineState, Operation, Schedule, TrapId, TrapTopology,
 };
 use muzzle_shuttle::route::{RoutePlanner, RouterPolicy, TransportSchedule};
-use muzzle_shuttle::timing::{lower, DeltaScorer, TimingModel};
+use muzzle_shuttle::sim::{simulate_timed, SimParams};
+use muzzle_shuttle::timing::{lower, replay, DeltaScorer, Rounds, Timeline, TimingModel};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -109,6 +117,69 @@ fn periodic(periods: usize) -> (Circuit, MachineSpec, Schedule) {
         ]);
     }
     (circuit, spec, Schedule::new(mapping, ops))
+}
+
+/// [`periodic`] as a valid program: every gate op runs its own gate of a
+/// chain of `2 × periods` gates on qubits 0 and 1.
+fn valid_periodic(periods: usize) -> (Circuit, MachineSpec, Schedule) {
+    let (_, spec, mut schedule) = periodic(periods);
+    let mut circuit = Circuit::new(4);
+    for op in &mut schedule.operations {
+        if let Operation::Gate { gate, .. } = op {
+            *gate = circuit
+                .push_two_qubit(Opcode::Ms, Qubit(0), Qubit(1))
+                .unwrap();
+        }
+    }
+    (circuit, spec, schedule)
+}
+
+#[test]
+fn checked_replay_allocates_nothing_per_operation() {
+    let model = TimingModel::realistic();
+    let measure = |periods: usize| {
+        let (circuit, spec, schedule) = valid_periodic(periods);
+        let transport = TransportSchedule::pack_concurrent(&schedule, &spec).unwrap();
+        let dag = circuit.dependency_dag();
+        let mut timeline = Timeline::for_schedule(&schedule);
+        let count = allocations(|| {
+            replay(
+                &schedule,
+                Rounds::Strict(&transport),
+                &circuit,
+                &dag,
+                &spec,
+                &model,
+                &mut |e| timeline.push(e),
+            )
+            .unwrap()
+        });
+        assert_eq!(timeline.events.len(), 6 * periods);
+        count
+    };
+    let (small, large) = (measure(2_000), measure(4_000));
+    assert_eq!(
+        small, large,
+        "doubling the schedule grew the replay's allocations"
+    );
+}
+
+#[test]
+fn simulate_timed_allocates_only_its_setup() {
+    let model = TimingModel::realistic();
+    let params = SimParams::default();
+    let measure = |periods: usize| {
+        let (circuit, spec, schedule) = valid_periodic(periods);
+        let transport = TransportSchedule::pack_serial(&schedule);
+        allocations(|| {
+            simulate_timed(&schedule, &transport, &circuit, &spec, &params, &model).unwrap()
+        })
+    };
+    let (small, large) = (measure(2_000), measure(4_000));
+    assert_eq!(
+        small, large,
+        "doubling the schedule grew the simulator's allocations"
+    );
 }
 
 #[test]

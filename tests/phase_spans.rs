@@ -1,6 +1,6 @@
 //! The fixed per-compile passes each report under their own `--profile`
-//! phase: DAG build, schedule validation, transport packing and strict
-//! transport validation, beside the existing lowering span. So do the
+//! phase: DAG build, transport packing, and the one checked replay that
+//! validates the schedule and its rounds while it lowers them. So do the
 //! optimized loop's local-gate drain and §III-B reorder scan. This file
 //! holds one test because telemetry is process-global.
 
@@ -23,16 +23,18 @@ fn fixed_passes_have_their_own_phase_spans() {
         compile(&circuit, &spec, &config).unwrap();
         obs::disable();
         let phases = obs::phase_stats();
-        for name in [
-            "compile",
-            "dag",
-            "schedule-validate",
-            "transport-pack",
-            "transport-validate",
-            "lowering",
-        ] {
+        for name in ["compile", "dag", "transport-pack", "replay"] {
             let count = phases.iter().find(|p| p.name == name).map(|p| p.count);
             assert_eq!(count, Some(1), "{name} in {:?}", config.router);
+        }
+        // The standalone validators and `lower` no longer run inside a
+        // compile: the replay applies their rules.
+        for name in ["schedule-validate", "transport-validate", "lowering"] {
+            assert!(
+                phases.iter().all(|p| p.name != name),
+                "{name} in {:?}",
+                config.router
+            );
         }
     }
 
