@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the substrates: DAG construction, flow routing,
-//! memoized topology paths and per-hop route queries, round backfill, and
+//! the split-graph search, memoized topology paths and per-hop route
+//! queries (serial and congestion), round backfill, and
 //! the replay passes every compile runs (schedule validation, transport
 //! validation, lowering).
 
@@ -7,7 +8,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qccd_circuit::generators::{qft, random_circuit};
 use qccd_core::{compile, CompilerConfig};
 use qccd_flow::{
-    min_cost_max_flow, min_cost_unit_path, route_commodities, Adjacency, Commodity, FlowNetwork,
+    min_cost_max_flow, route_commodities, Adjacency, Commodity, FlowNetwork, SplitCosts,
+    SplitSearch, SplitSink,
 };
 use qccd_machine::{
     InitialMapping, MachineSpec, MachineState, Operation, ShuttleMove, TrapId, TrapTopology,
@@ -45,28 +47,33 @@ fn bench_flow(c: &mut Criterion) {
     });
     // The congestion planner's shape: a node-split 4x4 grid (in/out halves
     // per trap), segment costs one scaled hop plus a load surcharge, one
-    // unit from a corner trap to the opposite one. Built once and
-    // re-priced in place per call, as the planner does.
+    // unit from a corner trap to the opposite one. Segments are priced as
+    // the search relaxes them, as the planner does.
+    struct Priced {
+        costs: Vec<i64>,
+    }
+    impl SplitCosts for Priced {
+        fn internal(&self, _trap: usize) -> i64 {
+            0
+        }
+        fn segment(&self, k: usize) -> Option<i64> {
+            Some(self.costs[k])
+        }
+    }
     let grid = Adjacency::grid(4, 4);
     let n = grid.len();
     let hop_scale = (n as i64 + 1) * 16;
-    let mut net = FlowNetwork::new(2 * n + 1);
-    let mut priced = Vec::new();
-    for a in 0..n {
-        priced.push((net.add_edge(2 * a, 2 * a + 1, 1, 0), 0));
-        for &nb in grid.neighbors(a) {
-            let cost = hop_scale + ((a + nb) % 3) as i64;
-            priced.push((net.add_edge(2 * a + 1, 2 * nb, 1, cost), cost));
-        }
-    }
-    let entry = net.add_edge(2 * n, 0, 1, 0);
-    c.bench_function("unit_path_grid4x4", |b| {
+    let mut search = SplitSearch::new(&grid);
+    let priced = Priced {
+        costs: (0..n)
+            .flat_map(|a| grid.neighbors(a).iter().map(move |&nb| (a, nb)))
+            .map(|(a, nb)| hop_scale + ((a + nb) % 3) as i64)
+            .collect(),
+    };
+    c.bench_function("split_search_grid4x4", |b| {
         b.iter(|| {
-            for &(id, cost) in &priced {
-                net.set_edge(id, 1, cost);
-            }
-            net.set_edge(entry, 1, 0);
-            min_cost_unit_path(black_box(&mut net), 2 * n, 2 * (n - 1) + 1)
+            black_box(&mut search).search(0, SplitSink::Trap(n - 1), &priced);
+            search.first_hop()
         })
     });
     // A batched layer at the compiler's batch limit: 8 commodities.
@@ -121,6 +128,31 @@ fn bench_flow(c: &mut Criterion) {
                 )
             })
         });
+    }
+    group.finish();
+    // The congestion router's per-hop query against machine size, on an
+    // empty machine: an adjacent pair and corner to corner. The search
+    // stops once the sink's label is final, so the adjacent pair costs
+    // the same on both grids.
+    let mut group = c.benchmark_group("next_hop_congestion");
+    for side in [4u32, 32] {
+        let spec = MachineSpec::new(TrapTopology::grid(side, side), 2, 0).expect("valid grid");
+        let mapping = InitialMapping::from_traps(&spec, Vec::new()).expect("no ions fit");
+        let state = MachineState::with_mapping(&spec, &mapping).expect("mapping fits");
+        let mut planner = RoutePlanner::new(spec.topology());
+        let corner = TrapId(side * side - 1);
+        for (pair, dest) in [("adjacent", TrapId(1)), ("corner", corner)] {
+            group.bench_function(&format!("grid{side}x{side}/{pair}"), |b| {
+                b.iter(|| {
+                    planner.next_hop(
+                        RouterPolicy::congestion(),
+                        black_box(&state),
+                        TrapId(0),
+                        dest,
+                    )
+                })
+            });
+        }
     }
     group.finish();
 }

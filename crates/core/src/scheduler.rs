@@ -814,7 +814,7 @@ impl Scheduler<'_> {
     ///
     /// Under the congestion router with the nearest-neighbour rebalance
     /// policy, the destination and route are priced together on the
-    /// planner's MCMF network ([`RoutePlanner::plan_eviction`]): hop
+    /// planner's min-cost search ([`RoutePlanner::plan_eviction`]): hop
     /// count still dominates (the destination stays a nearest non-full
     /// trap), but ties break toward cold corridors and routes avoid full
     /// interior traps when an equal-cost detour exists. The baseline `FromTrapZero`

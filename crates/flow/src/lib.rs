@@ -11,17 +11,21 @@
 //!   ([`BfsScratch`]).
 //! * [`FlowNetwork`] / [`min_cost_max_flow`] — successive-shortest-path
 //!   min-cost max-flow with non-negative edge costs, on flat edge storage.
-//! * [`min_cost_unit_path`] — the one-unit primitive every compiler caller
-//!   uses: a single shortest-path search, one augmentation, and the node
-//!   path read off the predecessor chain. The priced planner, its
-//!   evictions, the baseline re-balancer and the batched layers together
-//!   make about 128k of these solves per `grid_clock` benchmark pass.
+//! * [`min_cost_unit_path`] — one unit along a minimum-cost path: a
+//!   single shortest-path search, one augmentation, and the node path read
+//!   off the predecessor chain (the baseline re-balancer's MCMF eviction).
+//! * [`SplitSearch`] — the same search specialised to the node-split trap
+//!   graph that the route planner, its evictions and the batched layers
+//!   route on (about 128k solves per `grid_clock` benchmark pass): it
+//!   prices each edge from the caller's [`SplitCosts`] as it relaxes it
+//!   and stops once the sink's label is final, with the same routes and
+//!   tie-breaks as the full search.
 //! * [`CommodityRouter`] — sequential multi-commodity routing over
 //!   shared unit edge capacities: pairwise edge-disjoint paths (so a whole
 //!   layer of moves can share transport rounds), with a per-commodity
 //!   `None` fallback when the flows conflict. The router builds its
-//!   node-split network once per graph and re-prices it in place for
-//!   every batch; spent segments drop to capacity 0.
+//!   segment table once per graph and routes each commodity with one
+//!   [`SplitSearch`]; spent segments are closed.
 //!   [`route_commodities`] is the one-shot form on a fresh router.
 //!
 //! # Example
@@ -37,7 +41,9 @@
 mod adjacency;
 mod mcmf;
 mod multicommodity;
+mod split;
 
 pub use adjacency::{Adjacency, BfsScratch};
 pub use mcmf::{min_cost_max_flow, min_cost_unit_path, FlowEdge, FlowNetwork, FlowResult};
 pub use multicommodity::{route_commodities, Commodity, CommodityRouter};
+pub use split::{SplitCosts, SplitSearch, SplitSink};

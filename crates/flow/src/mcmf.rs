@@ -1,5 +1,5 @@
-//! Minimum-cost flow via successive shortest paths, plus the one-unit
-//! path primitive every compiler caller uses.
+//! Minimum-cost flow via successive shortest paths, plus a one-unit path
+//! primitive.
 //!
 //! The baseline QCCD compiler (Murali et al., ISCA'20) formulates trap
 //! re-balancing as an MCMF problem: full traps are sources, traps with
@@ -8,24 +8,26 @@
 //! with SPFA path selection (a FIFO-queue Bellman–Ford; costs here are
 //! non-negative and networks have a few dozen nodes).
 //!
-//! Every compiler caller sends exactly one unit — one ion — per solve, so
-//! [`min_cost_unit_path`] runs a single SPFA, applies that augmentation and
-//! returns the node path straight from the predecessor chain. The traffic
-//! is not small: one `grid_clock` benchmark pass (three 8000-gate circuits
-//! on a 4×4 grid through the clock pipeline) makes about 128k one-unit
-//! solves, so the network is flat — one edge vector with each forward edge
-//! `id` paired with its residual reverse `id ^ 1`, and per-node edge lists
-//! threaded through it in insertion order — and it owns its SPFA scratch
-//! and path buffer, so a solve on a network built once allocates nothing
-//! but the returned path.
+//! [`min_cost_unit_path`] sends exactly one unit: a single SPFA, that
+//! augmentation, and the node path read straight from the predecessor
+//! chain. The baseline re-balancer's MCMF eviction uses it. The route
+//! planner and the commodity router, which make nearly all of a
+//! compile's one-unit solves (about 128k per `grid_clock` benchmark
+//! pass), run the same search on their node-split graph through
+//! [`SplitSearch`](crate::SplitSearch) instead, pricing edges as they are
+//! relaxed; this module stays its oracle. The network is flat — one edge
+//! vector with each forward edge `id` paired with its residual reverse
+//! `id ^ 1`, and per-node edge lists threaded through it in insertion
+//! order — and it owns its SPFA scratch.
 
 use std::collections::VecDeque;
 
-/// MCMF solves started (one per [`min_cost_max_flow`] or
-/// [`min_cost_unit_path`] call).
-static FLOW_SOLVES: qccd_obs::Counter = qccd_obs::Counter::new("flow.solves");
+/// Solves started (one per [`min_cost_max_flow`], [`min_cost_unit_path`]
+/// or [`SplitSearch::search`](crate::SplitSearch::search) call).
+pub(crate) static FLOW_SOLVES: qccd_obs::Counter = qccd_obs::Counter::new("flow.solves");
 /// Augmenting paths found and applied across all solves.
-static FLOW_AUGMENTING_PATHS: qccd_obs::Counter = qccd_obs::Counter::new("flow.augmenting_paths");
+pub(crate) static FLOW_AUGMENTING_PATHS: qccd_obs::Counter =
+    qccd_obs::Counter::new("flow.augmenting_paths");
 
 /// End-of-list / no-predecessor marker for edge ids.
 const NONE: usize = usize::MAX;
@@ -72,8 +74,6 @@ pub struct FlowNetwork {
     tail: Vec<usize>,
     /// Shortest-path scratch, kept across solves.
     spfa: Spfa,
-    /// The last unit path, kept across solves.
-    path: Vec<usize>,
 }
 
 impl FlowNetwork {
@@ -84,7 +84,6 @@ impl FlowNetwork {
             head: vec![NONE; n],
             tail: vec![NONE; n],
             spfa: Spfa::new(n),
-            path: Vec::new(),
         }
     }
 
@@ -98,23 +97,20 @@ impl FlowNetwork {
         self.head.is_empty()
     }
 
-    /// Adds a directed edge `from → to` with the given capacity and cost,
-    /// returning its id (for [`reset_edge`](FlowNetwork::reset_edge)).
+    /// Adds a directed edge `from → to` with the given capacity and cost.
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is out of range, `capacity < 0`, or `cost < 0`.
-    pub fn add_edge(&mut self, from: usize, to: usize, capacity: i64, cost: i64) -> usize {
+    pub fn add_edge(&mut self, from: usize, to: usize, capacity: i64, cost: i64) {
         assert!(
             from < self.len() && to < self.len(),
             "endpoint out of range"
         );
         assert!(capacity >= 0, "capacity must be non-negative");
         assert!(cost >= 0, "cost must be non-negative");
-        let id = self.edges.len();
         self.push(from, to, capacity, cost);
         self.push(to, from, 0, -cost);
-        id
     }
 
     fn push(&mut self, from: usize, to: usize, capacity: i64, cost: i64) {
@@ -130,44 +126,6 @@ impl FlowNetwork {
             last => self.edges[last].next = id,
         }
         self.tail[from] = id;
-    }
-
-    /// Clears any flow on edge `id` (as returned by
-    /// [`add_edge`](FlowNetwork::add_edge)) and sets its capacity, so one
-    /// network can be re-solved with edges opened, closed or spent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not an edge id or `capacity < 0`.
-    pub fn reset_edge(&mut self, id: usize, capacity: i64) {
-        assert!(
-            id.is_multiple_of(2) && id < self.edges.len(),
-            "not an edge id"
-        );
-        self.set_edge(id, capacity, self.edges[id].cost);
-    }
-
-    /// Clears any flow on edge `id` and sets both its capacity and its
-    /// cost, so a network built once can be re-priced and re-solved in
-    /// place. Node lists are untouched: the edge keeps its position in
-    /// the relaxation order, and a capacity-0 edge is never relaxed, so a
-    /// re-priced network searches exactly like a fresh one built with the
-    /// same edges in the same order (closed edges left out).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not an edge id, `capacity < 0`, or `cost < 0`.
-    pub fn set_edge(&mut self, id: usize, capacity: i64, cost: i64) {
-        assert!(
-            id.is_multiple_of(2) && id < self.edges.len(),
-            "not an edge id"
-        );
-        assert!(capacity >= 0, "capacity must be non-negative");
-        assert!(cost >= 0, "cost must be non-negative");
-        self.edges[id].capacity = capacity;
-        self.edges[id].cost = cost;
-        self.edges[id ^ 1].capacity = 0;
-        self.edges[id ^ 1].cost = -cost;
     }
 
     /// Edge ids leaving `node`, residual reverses included, in insertion
@@ -286,9 +244,10 @@ impl Spfa {
 /// Computes minimum-cost maximum flow from `source` to `sink`, mutating the
 /// network's residual capacities in place.
 ///
-/// Runs successive shortest augmenting paths, one SPFA per path. Compiler
-/// callers that route a single unit use [`min_cost_unit_path`] instead;
-/// this is the general solver (and its test oracle).
+/// Runs successive shortest augmenting paths, one SPFA per path. Callers
+/// that route a single unit use [`min_cost_unit_path`], or
+/// [`SplitSearch`](crate::SplitSearch) on a node-split trap graph,
+/// instead; this is the general solver (and their test oracle).
 ///
 /// # Panics
 ///
@@ -348,29 +307,18 @@ pub fn min_cost_max_flow(net: &mut FlowNetwork, source: usize, sink: usize) -> F
 pub fn min_cost_unit_path(net: &mut FlowNetwork, source: usize, sink: usize) -> Option<Vec<usize>> {
     assert!(source < net.len() && sink < net.len(), "node out of range");
     assert_ne!(source, sink, "source and sink must differ");
-    net.unit_path(source, sink).map(<[usize]>::to_vec)
-}
-
-impl FlowNetwork {
-    /// [`min_cost_unit_path`] into the network's own path buffer: the
-    /// returned slice lives until the next solve.
-    pub(crate) fn unit_path(&mut self, source: usize, sink: usize) -> Option<&[usize]> {
-        FLOW_SOLVES.incr();
-        let mut spfa = std::mem::replace(&mut self.spfa, Spfa::new(0));
-        spfa.run(self, source);
-        let found = spfa.dist[sink] != i64::MAX;
-        if found {
-            FLOW_AUGMENTING_PATHS.incr();
-            let mut path = std::mem::take(&mut self.path);
-            path.clear();
-            path.push(sink);
-            spfa.augment(self, sink, 1, |v| path.push(v));
-            path.reverse();
-            self.path = path;
-        }
-        self.spfa = spfa;
-        found.then_some(&self.path[..])
-    }
+    FLOW_SOLVES.incr();
+    let mut spfa = std::mem::replace(&mut net.spfa, Spfa::new(0));
+    spfa.run(net, source);
+    let path = (spfa.dist[sink] != i64::MAX).then(|| {
+        FLOW_AUGMENTING_PATHS.incr();
+        let mut path = vec![sink];
+        spfa.augment(net, sink, 1, |v| path.push(v));
+        path.reverse();
+        path
+    });
+    net.spfa = spfa;
+    path
 }
 
 #[cfg(test)]
@@ -488,34 +436,6 @@ mod tests {
         assert_eq!(net.forward_flows()[0], (0, 1, 1));
         assert_eq!(min_cost_unit_path(&mut net, 0, 3), Some(vec![0, 2, 3]));
         assert_eq!(min_cost_unit_path(&mut net, 0, 3), None);
-    }
-
-    #[test]
-    fn reset_edge_clears_flow_and_reopens() {
-        let mut net = FlowNetwork::new(2);
-        let id = net.add_edge(0, 1, 1, 4);
-        assert_eq!(min_cost_unit_path(&mut net, 0, 1), Some(vec![0, 1]));
-        assert_eq!(min_cost_unit_path(&mut net, 0, 1), None);
-        net.reset_edge(id, 1);
-        assert_eq!(net.forward_flows(), vec![(0, 1, 0)]);
-        assert_eq!(min_cost_unit_path(&mut net, 0, 1), Some(vec![0, 1]));
-        net.reset_edge(id, 0);
-        assert_eq!(min_cost_unit_path(&mut net, 0, 1), None);
-    }
-
-    #[test]
-    fn set_edge_reprices_in_place() {
-        let mut net = FlowNetwork::new(3);
-        let direct = net.add_edge(0, 2, 1, 1);
-        net.add_edge(0, 1, 1, 1);
-        net.add_edge(1, 2, 1, 1);
-        assert_eq!(min_cost_unit_path(&mut net, 0, 2), Some(vec![0, 2]));
-        // Re-opened but now dearer than the two-hop detour.
-        net.set_edge(direct, 1, 5);
-        assert_eq!(net.forward_flows()[0], (0, 2, 0));
-        assert_eq!(min_cost_unit_path(&mut net, 0, 2), Some(vec![0, 1, 2]));
-        net.set_edge(direct, 0, 0);
-        assert_eq!(min_cost_unit_path(&mut net, 0, 2), None);
     }
 
     #[test]

@@ -15,13 +15,14 @@
 //! flows conflict), that commodity falls back to `None` and the caller
 //! routes it alone.
 //!
-//! A [`CommodityRouter`] builds the node-split network once per graph and
-//! re-prices it in place for every batch, the way the route planner in
-//! `qccd-route` reuses its network: a compile that plans thousands of
-//! batches builds one network, not one per batch.
+//! A [`CommodityRouter`] builds the node-split graph's segment table once
+//! per graph and routes every commodity with one [`SplitSearch`] over it:
+//! a compile that plans thousands of batches builds one table, not one
+//! network per batch, and each search prices a segment only when it
+//! relaxes it.
 
 use crate::adjacency::Adjacency;
-use crate::mcmf::FlowNetwork;
+use crate::split::{SplitCosts, SplitSearch, SplitSink};
 
 /// Commodities handed to [`CommodityRouter::route`] across all calls.
 static FLOW_COMMODITIES: qccd_obs::Counter = qccd_obs::Counter::new("flow.commodities_routed");
@@ -54,76 +55,60 @@ pub fn route_commodities(
     CommodityRouter::new(graph).route(commodities, edge_cost)
 }
 
-/// The node-split unit-capacity network of one graph, built once and
-/// re-priced in place by every [`route`](CommodityRouter::route) call.
+/// The node-split unit-capacity graph of one graph, searched by every
+/// [`route`](CommodityRouter::route) call.
 ///
 /// Trap `a` is split into an in-half `2a` and an out-half `2a + 1` joined
-/// by an internal edge of capacity 1, which keeps paths simple; each
-/// directed segment `a → b` is an edge `2a + 1 → 2b`; node `2n` is a
-/// super-source with a closed entry edge into every in-half. Edges are
-/// inserted trap by trap (internal edge, then segments in neighbour
-/// order), then all entries.
-///
-/// Every call resets each edge through [`FlowNetwork::set_edge`], which
-/// also clears the previous call's flow. A closed (capacity-0) edge is
-/// never relaxed, so each call searches exactly like a network freshly
-/// built with the same edges in the same order: the same FIFO
-/// shortest-path searches, the same tie-breaks, the same routes.
+/// by a zero-cost internal edge, which keeps paths simple; each directed
+/// segment `a → b` is an edge `2a + 1 → 2b`; node `2n` is a super-source
+/// whose entry opens into the routed commodity's source. Each commodity
+/// is one [`SplitSearch`], relaxing a trap's segments in
+/// `graph.neighbors(a)` order, so it searches exactly like a min-cost
+/// flow network freshly built with the unspent segments in that order:
+/// the same FIFO shortest-path search, the same tie-breaks, the same
+/// routes.
 #[derive(Debug, Clone)]
 pub struct CommodityRouter {
-    net: FlowNetwork,
-    /// Trap `a`'s internal edge `2a → 2a + 1`.
-    internal: Vec<usize>,
-    /// Trap `a`'s segments are `segments[first[a]..first[a + 1]]`, in
-    /// `graph.neighbors(a)` order; `heads` holds each segment's head.
-    first: Vec<usize>,
-    segments: Vec<usize>,
-    heads: Vec<usize>,
-    /// Trap `a`'s closed entry `2n → 2a`.
-    entries: Vec<usize>,
+    search: SplitSearch,
+    /// The current call's cost of each segment, in the search's segment
+    /// order; `None` once a routed commodity has spent it.
+    costs: Vec<Option<i64>>,
+}
+
+/// One call's segment prices: free traps, spent segments closed.
+struct Prices<'a>(&'a [Option<i64>]);
+
+impl SplitCosts for Prices<'_> {
+    fn internal(&self, _trap: usize) -> i64 {
+        0
+    }
+
+    fn segment(&self, k: usize) -> Option<i64> {
+        self.0[k]
+    }
 }
 
 impl CommodityRouter {
-    /// The network of `graph`, every edge closed until a call prices it.
+    /// The router of `graph`.
     pub fn new(graph: &Adjacency) -> Self {
-        let n = graph.len();
-        let mut net = FlowNetwork::new(2 * n + 1);
-        let mut internal = Vec::with_capacity(n);
-        let mut first = Vec::with_capacity(n + 1);
-        let mut segments = Vec::new();
-        let mut heads = Vec::new();
-        for a in 0..n {
-            internal.push(net.add_edge(2 * a, 2 * a + 1, 0, 0));
-            first.push(segments.len());
-            for &b in graph.neighbors(a) {
-                segments.push(net.add_edge(2 * a + 1, 2 * b, 0, 0));
-                heads.push(b);
-            }
-        }
-        first.push(segments.len());
-        let entries = (0..n).map(|a| net.add_edge(2 * n, 2 * a, 0, 0)).collect();
-        CommodityRouter {
-            net,
-            internal,
-            first,
-            segments,
-            heads,
-            entries,
-        }
+        let search = SplitSearch::new(graph);
+        let costs = vec![None; search.num_segments()];
+        CommodityRouter { search, costs }
     }
 
     /// Routes every commodity with pairwise *edge-disjoint* paths,
-    /// sequentially through the shared unit-capacity network.
+    /// sequentially through the shared unit-capacity graph.
     ///
     /// Each undirected edge of the graph may carry at most one commodity
     /// in total (either direction), and each returned path is simple.
     /// Commodities are processed in the given order; each is routed as one
-    /// unit of min-cost flow ([`min_cost_unit_path`](crate::min_cost_unit_path))
-    /// over the remaining capacities with `edge_cost(a, b)` pricing the hop
-    /// `a → b` (costs must be non-negative). The entry for a commodity is
-    /// `None` when the shared network has no path left for it — the flows
-    /// conflict — and the caller decides the fallback (typically routing
-    /// it alone on the raw topology).
+    /// unit of min-cost flow (one [`SplitSearch`], the search of
+    /// [`min_cost_unit_path`](crate::min_cost_unit_path)) over the
+    /// remaining capacities with `edge_cost(a, b)` pricing the hop
+    /// `a → b`. The entry for a commodity is `None` when the shared graph
+    /// has no path left for it — the flows conflict — and the caller
+    /// decides the fallback (typically routing it alone on the raw
+    /// topology).
     ///
     /// A zero-length commodity (`source == sink`) routes to the trivial
     /// one-node path and consumes no capacity.
@@ -131,27 +116,25 @@ impl CommodityRouter {
     /// `edge_cost` is called exactly once per directed segment of the
     /// graph, before any commodity is routed, so it must be pure — a cost
     /// may not depend on earlier routing. Segments a routed commodity
-    /// spends drop to capacity 0, and each entry edge is opened only while
-    /// its node's commodity is being routed.
+    /// spends are closed, in both directions, for the rest of the call.
     ///
     /// # Panics
     ///
-    /// Panics if a commodity endpoint is out of range for the graph.
+    /// Panics if a commodity endpoint is out of range for the graph, or
+    /// if `edge_cost` returns a negative cost.
     pub fn route(
         &mut self,
         commodities: &[Commodity],
         mut edge_cost: impl FnMut(usize, usize) -> i64,
     ) -> Vec<Option<Vec<usize>>> {
         let _phase = qccd_obs::span("flow");
-        let n = self.internal.len();
-        let source = 2 * n;
+        let n = self.search.traps();
         for a in 0..n {
-            self.net.set_edge(self.internal[a], 1, 0);
-            for k in self.first[a]..self.first[a + 1] {
-                let cost = edge_cost(a, self.heads[k]);
-                self.net.set_edge(self.segments[k], 1, cost);
+            for k in self.search.segments(a) {
+                let cost = edge_cost(a, self.search.head(k));
+                assert!(cost >= 0, "cost must be non-negative");
+                self.costs[k] = Some(cost);
             }
-            self.net.set_edge(self.entries[a], 0, 0);
         }
         commodities
             .iter()
@@ -164,42 +147,26 @@ impl CommodityRouter {
                 if c.source == c.sink {
                     return Some(vec![c.source]);
                 }
-                self.net.reset_edge(self.entries[c.source], 1);
-                // The out-halves the unit passes spell the trap path.
-                let path: Option<Vec<usize>> =
-                    self.net.unit_path(source, 2 * c.sink + 1).map(|nodes| {
-                        nodes
-                            .iter()
-                            .filter(|&&v| v % 2 == 1 && v < source)
-                            .map(|&v| v / 2)
-                            .collect()
-                    });
-                self.net.reset_edge(self.entries[c.source], 0);
-                let Some(path) = path else {
+                let prices = Prices(&self.costs);
+                if self
+                    .search
+                    .search(c.source, SplitSink::Trap(c.sink), &prices)
+                    .is_none()
+                {
                     FLOW_COMMODITY_FALLBACKS.incr();
                     return None;
-                };
-                // Re-open the traps the unit crossed; spend its segments in
-                // both directions.
-                for &a in &path {
-                    self.net.reset_edge(self.internal[a], 1);
                 }
+                let path = self.search.trap_path();
+                // Spend the unit's segments in both directions.
                 for w in path.windows(2) {
                     for (a, b) in [(w[0], w[1]), (w[1], w[0])] {
-                        let id = self.segment(a, b);
-                        self.net.reset_edge(id, 0);
+                        let k = self.search.segment(a, b);
+                        self.costs[k.expect("routed hops follow graph edges")] = None;
                     }
                 }
                 Some(path)
             })
             .collect()
-    }
-
-    /// Edge id of the directed segment `a → b`.
-    fn segment(&self, a: usize, b: usize) -> usize {
-        let (lo, hi) = (self.first[a], self.first[a + 1]);
-        let k = self.heads[lo..hi].iter().position(|&x| x == b);
-        self.segments[lo + k.expect("routed hops follow graph edges")]
     }
 }
 
@@ -286,6 +253,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cost must be non-negative")]
+    fn negative_edge_cost_panics() {
+        route_commodities(&Adjacency::line(3), &[c(0, 2)], |_, _| -1);
+    }
+
+    #[test]
     fn edge_cost_is_called_once_per_directed_segment() {
         for g in [
             Adjacency::line(5),
@@ -368,10 +341,11 @@ mod property_tests {
     }
 
     fn graph(kind: usize, size: usize) -> Adjacency {
-        match kind % 3 {
+        match kind % 4 {
             0 => Adjacency::line(size),
             1 => Adjacency::ring(size.max(3)),
-            _ => Adjacency::grid(2 + size % 3, 2 + size / 3 % 3),
+            2 => Adjacency::grid(2 + size % 3, 2 + size / 3 % 3),
+            _ => Adjacency::grid(5, 5),
         }
     }
 
@@ -379,13 +353,14 @@ mod property_tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The build-once router matches the per-commodity rebuild on
-        /// line, ring and grid graphs: conflicts, `None` fallbacks and
-        /// zero-length commodities included, under tied asymmetric costs.
+        /// line, ring and grid graphs up to 5×5: conflicts, `None`
+        /// fallbacks and zero-length commodities included, under tied
+        /// asymmetric costs.
         #[test]
         fn build_once_routing_matches_per_commodity_rebuild(
-            kind in 0usize..3,
+            kind in 0usize..4,
             size in 2usize..=9,
-            demands in proptest::collection::vec((0usize..16, 0usize..16), 0..10),
+            demands in proptest::collection::vec((0usize..32, 0usize..32), 0..10),
             costs in proptest::collection::vec(1i64..=3, 1..20),
         ) {
             let g = graph(kind, size);

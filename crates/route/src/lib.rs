@@ -15,10 +15,10 @@
 //!   equal-length routes across cold edges.
 //! * [`RoutePlanner`] / [`PlannedRoute`] — one compile's route planner:
 //!   multi-segment routes and priced evictions for one ion over the live
-//!   [`MachineState`](qccd_machine::MachineState), priced on one node-split
-//!   flow network built per compile and re-priced in place per call, with
-//!   the decaying per-segment usage counters that feed the congestion
-//!   surcharge.
+//!   [`MachineState`](qccd_machine::MachineState), searched on one
+//!   node-split graph built per compile whose edges are priced as the
+//!   search relaxes them (`qccd-flow`'s `SplitSearch`), with the decaying
+//!   per-segment usage counters that feed the congestion surcharge.
 //! * [`TransportSchedule`] — a compiled flat
 //!   [`Schedule`](qccd_machine::Schedule) re-expressed as *rounds* of
 //!   edge-disjoint concurrent shuttles, with full replay validation

@@ -1,8 +1,8 @@
 //! The route planner: multi-segment routes over the live machine state,
-//! priced with min-cost max-flow.
+//! priced with min-cost flow.
 
 use crate::policy::RouterPolicy;
-use qccd_flow::{min_cost_unit_path, BfsScratch, FlowNetwork};
+use qccd_flow::{BfsScratch, SplitCosts, SplitSearch, SplitSink};
 use qccd_machine::{MachineState, TrapId, TrapTopology};
 
 /// Per-segment congestion surcharge cap. Loads are clamped here so the
@@ -143,46 +143,74 @@ pub fn route_budget(topology: &TrapTopology, from: TrapId, dest: TrapId) -> Opti
 pub type EdgeWeightFn<'a> = dyn Fn(TrapId, TrapId) -> u32 + 'a;
 
 /// The route planner of one compile: the decaying edge-load counters,
-/// the segment weights, and one priced node-split flow network, all built
+/// the segment weights, and one node-split [`SplitSearch`], all built
 /// once from the topology.
 ///
 /// Nodes `2t` / `2t+1` are trap `t`'s in/out halves, joined by an internal
-/// edge of capacity 1 (so routes are simple paths) that carries the
-/// full-trap penalty; each physical segment `a → b` is an edge
-/// `2a+1 → 2b`. Node `2n` is a super-source with a closed entry edge into
-/// every trap's in-half, and node `2n+1` a super-sink with a closed exit
-/// edge out of every trap's out-half. Edges are inserted trap by trap
-/// (internal edge, then segments in neighbour order), then all exits,
-/// then all entries.
+/// edge (so routes are simple paths) that carries the full-trap penalty;
+/// each physical segment `a → b` is an edge `2a+1 → 2b`. Node `2n` is a
+/// super-source whose entry opens into the route's first trap, and node
+/// `2n+1` a super-sink reached through the exits of an eviction's
+/// candidate traps.
 ///
-/// Every call re-prices the internal and segment edges from the live
-/// state, the weights and the loads, and opens only the entries and exits
-/// it needs, through [`FlowNetwork::set_edge`]; that also clears the
-/// previous call's flow.
-/// A closed (capacity-0) edge is never relaxed, so each solve searches
-/// exactly like a network freshly built with only the open edges, in the
-/// same order — the same FIFO shortest-path search, the same tie-breaks,
-/// the same routes — without a single allocation for the network.
+/// Each call prices an edge from the live state, the weights and the
+/// loads only when the search relaxes it, and stops once the sink's label
+/// is final. The search relaxes edges in the order of a min-cost flow
+/// network built trap by trap (internal edge, then segments in neighbour
+/// order), then exits, then entries, with only the open ones — the same
+/// FIFO shortest-path search, the same tie-breaks, the same routes —
+/// without a single allocation for the graph.
 #[derive(Debug, Clone)]
 pub struct RoutePlanner {
     load: EdgeLoad,
-    net: FlowNetwork,
-    /// Trap `t`'s internal edge `2t → 2t+1`.
-    internal: Vec<usize>,
-    /// Every segment edge, in the load table's segment order.
-    segments: Vec<usize>,
-    /// Each segment's weight (≥ 1), in the same order.
+    search: SplitSearch,
+    /// Each segment's weight (≥ 1), in the load table's segment order.
     weights: Vec<u32>,
-    /// Trap `t`'s closed exit `2t+1 → 2n+1`.
-    exits: Vec<usize>,
-    /// Trap `t`'s closed entry `2n → 2t`.
-    entries: Vec<usize>,
     /// Cost of one unit-weight hop: above any possible load sum, so cost
     /// order is fewer `hops + penalty × full traps` first, colder edges
     /// second.
     hop_scale: i64,
     /// Buffers of the filtered BFS behind a blocked memoized tree path.
     scratch: BfsScratch,
+}
+
+/// The planner's prices for one search. A full trap's internal edge costs
+/// the penalty unless the trap is exempt (a route's endpoints, an
+/// eviction's blocked trap); each segment costs `weight × hop_scale +
+/// load`. An eviction opens the exits of the non-full traps other than
+/// the blocked one and the avoided ones.
+struct Prices<'a> {
+    state: &'a MachineState,
+    weights: &'a [u32],
+    counts: &'a [u32],
+    hop_scale: i64,
+    full_trap_penalty: u32,
+    /// Traps exempt from the penalty.
+    exempt: [TrapId; 2],
+    /// `Some(avoid)` for an eviction out of `exempt[0]`.
+    avoid: Option<&'a [TrapId]>,
+}
+
+impl SplitCosts for Prices<'_> {
+    fn internal(&self, trap: usize) -> i64 {
+        let t = TrapId(trap as u32);
+        if !self.exempt.contains(&t) && self.state.is_full(t) {
+            i64::from(self.full_trap_penalty) * self.hop_scale
+        } else {
+            0
+        }
+    }
+
+    fn segment(&self, k: usize) -> Option<i64> {
+        Some(i64::from(self.weights[k]) * self.hop_scale + i64::from(self.counts[k]))
+    }
+
+    fn exit(&self, trap: usize) -> bool {
+        let t = TrapId(trap as u32);
+        self.avoid.is_some_and(|avoid| {
+            t != self.exempt[0] && !avoid.contains(&t) && !self.state.is_full(t)
+        })
+    }
 }
 
 impl RoutePlanner {
@@ -197,29 +225,15 @@ impl RoutePlanner {
     /// directed segment here and never again.
     pub fn with_weights(topology: &TrapTopology, weight: &EdgeWeightFn) -> Self {
         let n = topology.num_traps() as usize;
-        let mut net = FlowNetwork::new(2 * n + 2);
-        let mut internal = Vec::with_capacity(n);
-        let mut segments = Vec::new();
-        let mut weights = Vec::new();
-        for t in topology.traps() {
-            internal.push(net.add_edge(2 * t.index(), 2 * t.index() + 1, 0, 0));
-            for nb in topology.neighbors(t) {
-                segments.push(net.add_edge(2 * t.index() + 1, 2 * nb.index(), 0, 0));
-                weights.push(weight(t, nb).max(1));
-            }
-        }
-        let exits = (0..n)
-            .map(|t| net.add_edge(2 * t + 1, 2 * n + 1, 0, 0))
+        let weights = topology
+            .traps()
+            .flat_map(|t| topology.neighbors(t).into_iter().map(move |nb| (t, nb)))
+            .map(|(t, nb)| weight(t, nb).max(1))
             .collect();
-        let entries = (0..n).map(|t| net.add_edge(2 * n, 2 * t, 0, 0)).collect();
         RoutePlanner {
             load: EdgeLoad::new(topology),
-            net,
-            internal,
-            segments,
+            search: SplitSearch::new(topology.adjacency()),
             weights,
-            exits,
-            entries,
             // Any load sum is < n * (LOAD_CAP + 1); scale hop costs above it.
             hop_scale: (n as i64 + 1) * i64::from(LOAD_CAP + 1),
             scratch: BfsScratch::default(),
@@ -311,11 +325,12 @@ impl RoutePlanner {
     /// toward `dest`, or `None` when there is none (`from == dest`, or
     /// `dest` unreachable).
     ///
-    /// The serial router takes it from the memoized BFS rows without
-    /// building the route: the first hop of the full-free tree path, of
-    /// the filtered BFS when that path is blocked, else of the
-    /// unconditional tree path. A warm serial query allocates nothing.
-    /// The congestion router prices the whole route as [`plan_route`] does.
+    /// Neither router builds the route. The serial router takes the hop
+    /// from the memoized BFS rows: the first hop of the full-free tree
+    /// path, of the filtered BFS when that path is blocked, else of the
+    /// unconditional tree path. The congestion router prices the route as
+    /// [`plan_route`] does and walks the search's predecessor chain back
+    /// to its first trap. A warm query allocates nothing.
     ///
     /// [`plan_route`]: RoutePlanner::plan_route
     pub fn next_hop(
@@ -325,20 +340,22 @@ impl RoutePlanner {
         from: TrapId,
         dest: TrapId,
     ) -> Option<TrapId> {
+        let Some(free) = self.free_first_hop(state, from, dest) else {
+            // No full-free route (or `from == dest`): both routers take
+            // the unconditional tree path, whose full traps get evicted.
+            let graph = state.spec().topology().adjacency();
+            return graph
+                .first_hop_filtered(from.index(), dest.index(), |_| true, &mut self.scratch)
+                .map(|t| TrapId(t as u32));
+        };
         match policy {
-            RouterPolicy::Serial => {
-                let graph = state.spec().topology().adjacency();
-                self.free_first_hop(state, from, dest).or_else(|| {
-                    graph
-                        .first_hop_filtered(from.index(), dest.index(), |_| true, &mut self.scratch)
-                        .map(|t| TrapId(t as u32))
-                })
+            RouterPolicy::Serial => Some(free),
+            RouterPolicy::Congestion { full_trap_penalty } => {
+                let found = self.search_route(state, from, dest, full_trap_penalty);
+                // The free route's hop is the fallback `plan_route` takes.
+                let hop = found.and_then(|_| self.search.first_hop());
+                Some(hop.map_or(free, |t| TrapId(t as u32)))
             }
-            RouterPolicy::Congestion { .. } => self
-                .plan_route(policy, state, from, dest)?
-                .path
-                .get(1)
-                .copied(),
         }
     }
 
@@ -386,21 +403,23 @@ impl RoutePlanner {
         full_trap_penalty: u32,
     ) -> Option<(TrapId, Vec<TrapId>)> {
         let _phase = qccd_obs::span("route-plan");
-        self.price(state, full_trap_penalty, |t| t != blocked);
-        let mut candidates = 0usize;
-        for t in state.spec().topology().traps() {
-            if t != blocked && !avoid.contains(&t) && !state.is_full(t) {
-                self.net.set_edge(self.exits[t.index()], 1, 0);
-                candidates += 1;
-            }
-        }
-        if candidates == 0 {
+        let prices = Prices {
+            state,
+            weights: &self.weights,
+            counts: &self.load.counts,
+            hop_scale: self.hop_scale,
+            full_trap_penalty,
+            exempt: [blocked; 2],
+            avoid: Some(avoid),
+        };
+        let n = self.search.traps();
+        if !(0..n).any(|t| prices.exit(t)) {
             return None;
         }
-        self.net.set_edge(self.entries[blocked.index()], 1, 0);
-        let n = self.internal.len();
+        self.search
+            .search(blocked.index(), SplitSink::Exits, &prices)?;
         // The trap the unit exits to the super-sink from is the destination.
-        let path = trap_path(&min_cost_unit_path(&mut self.net, 2 * n, 2 * n + 1)?, n);
+        let path = self.trap_path();
         Some((*path.last()?, path))
     }
 
@@ -413,55 +432,38 @@ impl RoutePlanner {
         dest: TrapId,
         full_trap_penalty: u32,
     ) -> Option<PlannedRoute> {
-        let _phase = qccd_obs::span("route-plan");
-        self.price(state, full_trap_penalty, |t| t != from && t != dest);
-        self.net.set_edge(self.entries[from.index()], 1, 0);
-        let n = self.internal.len();
-        let nodes = min_cost_unit_path(&mut self.net, 2 * n, 2 * dest.index() + 1)?;
-        Some(PlannedRoute::from_path(state, trap_path(&nodes, n)))
+        self.search_route(state, from, dest, full_trap_penalty)?;
+        Some(PlannedRoute::from_path(state, self.trap_path()))
     }
 
-    /// Re-prices every internal and segment edge from `state` and the
-    /// loads, and closes every entry and exit. The internal edge of a full
-    /// trap costs the penalty when `penalized(t)`; each segment costs
-    /// `weight × hop_scale + load`.
-    fn price(
+    /// Runs the priced search from `from` to `dest`'s out-half, returning
+    /// the route's cost; the route stays in the search.
+    fn search_route(
         &mut self,
         state: &MachineState,
+        from: TrapId,
+        dest: TrapId,
         full_trap_penalty: u32,
-        penalized: impl Fn(TrapId) -> bool,
-    ) {
-        debug_assert_eq!(state.spec().num_traps() as usize, self.internal.len());
-        for (t, &id) in self.internal.iter().enumerate() {
-            let t = TrapId(t as u32);
-            let cost = if penalized(t) && state.is_full(t) {
-                i64::from(full_trap_penalty) * self.hop_scale
-            } else {
-                0
-            };
-            self.net.set_edge(id, 1, cost);
-        }
-        // `segments`, `weights` and the load table list segments in the
-        // same order.
-        for (k, &id) in self.segments.iter().enumerate() {
-            let cost = i64::from(self.weights[k]) * self.hop_scale + i64::from(self.load.counts[k]);
-            self.net.set_edge(id, 1, cost);
-        }
-        for &id in self.exits.iter().chain(&self.entries) {
-            self.net.set_edge(id, 0, 0);
-        }
+    ) -> Option<i64> {
+        let _phase = qccd_obs::span("route-plan");
+        debug_assert_eq!(state.spec().num_traps() as usize, self.search.traps());
+        let prices = Prices {
+            state,
+            weights: &self.weights,
+            counts: &self.load.counts,
+            hop_scale: self.hop_scale,
+            full_trap_penalty,
+            exempt: [from, dest],
+            avoid: None,
+        };
+        self.search
+            .search(from.index(), SplitSink::Trap(dest.index()), &prices)
     }
-}
 
-/// The trap path spelled by a unit path through the planner's network:
-/// the out-halves it passes, in order (the super-nodes sit at `2n` and
-/// above).
-fn trap_path(nodes: &[usize], n: usize) -> Vec<TrapId> {
-    nodes
-        .iter()
-        .filter(|&&v| v % 2 == 1 && v < 2 * n)
-        .map(|&v| TrapId((v / 2) as u32))
-        .collect()
+    /// The trap path of the last search.
+    fn trap_path(&self) -> Vec<TrapId> {
+        self.search.trap_path_with(|t| TrapId(t as u32))
+    }
 }
 
 #[cfg(test)]
@@ -656,6 +658,32 @@ mod tests {
     }
 
     #[test]
+    fn search_work_does_not_grow_with_the_machine() {
+        // From the same corner on an empty machine: a congestion route to
+        // the adjacent trap, and an eviction out of the (now full) corner
+        // into a free neighbour. Both searches stop once the sink's label
+        // is final, so they pop as many labels on 32×32 as on 4×4.
+        let pops = |side: u32| {
+            let spec = MachineSpec::new(TrapTopology::grid(side, side), 2, 0).unwrap();
+            let mut p = RoutePlanner::new(spec.topology());
+            let empty = InitialMapping::from_traps(&spec, Vec::new()).unwrap();
+            let state = MachineState::with_mapping(&spec, &empty).unwrap();
+            let r = route(&mut p, RouterPolicy::congestion(), &state, 0, 1).unwrap();
+            assert_eq!(r.path, vec![TrapId(0), TrapId(1)]);
+            let route_pops = p.search.pops();
+            let full = InitialMapping::from_traps(&spec, vec![TrapId(0); 2]).unwrap();
+            let state = MachineState::with_mapping(&spec, &full).unwrap();
+            assert!(state.is_full(TrapId(0)));
+            let (dest, _) = p.plan_eviction(&state, TrapId(0), &[], 6).unwrap();
+            assert_eq!(dest, TrapId(1));
+            (route_pops, p.search.pops())
+        };
+        let small = pops(4);
+        assert_eq!(small, pops(32));
+        assert!(small.0 < 34 && small.1 < 34, "{small:?} pops on 34 nodes");
+    }
+
+    #[test]
     fn budget_exceeds_distance() {
         let topo = TrapTopology::linear(6);
         assert_eq!(route_budget(&topo, TrapId(0), TrapId(5)), Some(5 + 12 + 4));
@@ -678,13 +706,27 @@ mod tests {
     }
 }
 
-/// The planner as it was before [`RoutePlanner`] kept one network and one
-/// weight table per compile: every call builds its own priced network,
-/// with only the super-edges that call needs, calling the weight hook for
-/// every segment. The reused planner must agree with it on every call.
+/// The planner as it was before [`RoutePlanner`] kept one search and one
+/// weight table per compile: every call builds its own priced min-cost
+/// flow network, with only the super-edges that call needs, calling the
+/// weight hook for every segment, and runs the full search to the end.
+/// The planner, whose search stops once the sink's label is final, must
+/// agree with it on every call.
 #[cfg(test)]
 mod reference {
     use super::*;
+    use qccd_flow::{min_cost_unit_path, FlowNetwork};
+
+    /// The trap path spelled by a unit path through the network: the
+    /// out-halves it passes, in order (the super-nodes sit at `2n` and
+    /// above).
+    fn trap_path(nodes: &[usize], n: usize) -> Vec<TrapId> {
+        nodes
+            .iter()
+            .filter(|&&v| v % 2 == 1 && v < 2 * n)
+            .map(|&v| TrapId((v / 2) as u32))
+            .collect()
+    }
 
     fn priced_network(
         state: &MachineState,
@@ -829,11 +871,13 @@ mod property_tests {
         ]
     }
 
+    /// A line or ring of `size` traps, a grid of 2–6 × 2–6 traps, or two
+    /// separate lines.
     fn topology(kind: u32, size: u32) -> TrapTopology {
         match kind {
             0 => TrapTopology::linear(size),
             1 => TrapTopology::ring(size.max(3)),
-            2 => TrapTopology::grid(2, size.div_ceil(2).max(2)),
+            2 => TrapTopology::grid(2 + size % 5, 2 + size / 5 % 5),
             // Disconnected: two separate lines, so routes can be `None`.
             _ => {
                 let edges: Vec<(u32, u32)> = (0..size)
@@ -920,14 +964,15 @@ mod property_tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// The first hop the compile loop takes is the second trap of the
-        /// planned route, under both routers, on every topology kind and
-        /// random per-trap fullness, as ions move and loads change.
+        /// planned route, under both routers, on every topology kind (up to
+        /// 6×6 grids and 24-trap rings) and random per-trap fullness, as
+        /// ions move and loads change.
         #[test]
         fn next_hop_is_the_planned_route_s_second_trap(
             kind in 0u32..4,
-            size in 3u32..9,
+            size in 3u32..=24,
             cap in 1u32..4,
-            fill in proptest::collection::vec(0u32..4, 8..9),
+            fill in proptest::collection::vec(0u32..4, 36..37),
             steps in proptest::collection::vec(step(), 1..60),
         ) {
             let topo = topology(kind, size);
@@ -980,10 +1025,14 @@ mod property_tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
+        /// Every route and eviction of a reused planner equals a fresh
+        /// full-search network's, on lines and rings up to 24 traps, grids
+        /// up to 6×6 and disconnected machines, so searches that stop
+        /// before their queue drains are checked against the full search.
         #[test]
         fn reused_planner_matches_per_call_rebuild(
             kind in 0u32..4,
-            size in 3u32..9,
+            size in 3u32..=24,
             cap in 2u32..4,
             weighted in any::<bool>(),
             steps in proptest::collection::vec(step(), 1..60),

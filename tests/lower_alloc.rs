@@ -10,10 +10,12 @@
 //!    keeps no operation log (the full re-lower oracle is handed the
 //!    committed prefix by its caller).
 //!
-//! 3. **The serial router's next hop allocates nothing once warm.** The
-//!    compile loop asks [`RoutePlanner::next_hop`] for one trap per hop;
-//!    it reads the memoized BFS rows, and a blocked tree path runs the
-//!    filtered BFS in buffers the planner keeps.
+//! 3. **The router's next hop allocates nothing once warm.** The compile
+//!    loop asks [`RoutePlanner::next_hop`] for one trap per hop. The
+//!    serial router reads the memoized BFS rows, and a blocked tree path
+//!    runs the filtered BFS in buffers the planner keeps; the congestion
+//!    router also walks its split search's predecessor chain, in labels
+//!    the planner keeps.
 //! 4. **The checked replay allocates nothing per operation.** Beyond the
 //!    [`Timeline`] it fills (sized up front here), its allocations are its
 //!    setup: the placement, the clocks and the ready set. Doubling the
@@ -237,22 +239,33 @@ fn warm_next_hop_allocates_nothing_even_around_full_traps() {
     let mut planner = RoutePlanner::new(spec.topology());
     let serial = RouterPolicy::Serial;
     let queries = [(0, 15), (15, 0), (0, 3), (9, 15), (1, 6), (4, 7), (8, 2)];
-    let mut hop = |a: u32, b: u32| planner.next_hop(serial, &state, TrapId(a), TrapId(b));
     assert_eq!(
-        hop(0, 15),
+        planner.next_hop(serial, &state, TrapId(0), TrapId(15)),
         Some(TrapId(4)),
         "blocked tree path: BFS fallback"
     );
-    assert_eq!(hop(9, 15), Some(TrapId(10)), "free tree path 9-10-11-15");
-    for &(a, b) in &queries {
-        hop(a, b);
-    }
-    let count = allocations(|| {
-        for _ in 0..8 {
-            for &(a, b) in &queries {
-                std::hint::black_box(hop(a, b));
-            }
+    assert_eq!(
+        planner.next_hop(serial, &state, TrapId(9), TrapId(15)),
+        Some(TrapId(10)),
+        "free tree path 9-10-11-15"
+    );
+    // The congestion router's hop walks the split search's predecessor
+    // chain, in labels kept across searches.
+    for policy in [serial, RouterPolicy::congestion()] {
+        let mut hop = |a: u32, b: u32| planner.next_hop(policy, &state, TrapId(a), TrapId(b));
+        for &(a, b) in &queries {
+            hop(a, b);
         }
-    });
-    assert_eq!(count, 0, "56 warm next_hop calls allocated {count} times");
+        let count = allocations(|| {
+            for _ in 0..8 {
+                for &(a, b) in &queries {
+                    std::hint::black_box(hop(a, b));
+                }
+            }
+        });
+        assert_eq!(
+            count, 0,
+            "56 warm {policy:?} next_hop calls allocated {count} times"
+        );
+    }
 }
