@@ -7,10 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qccd_circuit::generators::{qft, random_circuit};
 use qccd_core::{compile, CompilerConfig};
-use qccd_flow::{
-    min_cost_max_flow, route_commodities, Adjacency, Commodity, FlowNetwork, SplitCosts,
-    SplitSearch, SplitSink,
-};
+use qccd_flow::{Adjacency, Commodity, CommodityRouter, SplitCosts, SplitSearch, SplitSink};
 use qccd_machine::{
     InitialMapping, MachineSpec, MachineState, Operation, ShuttleMove, TrapId, TrapTopology,
 };
@@ -33,18 +30,6 @@ fn bench_dag_build(c: &mut Criterion) {
 }
 
 fn bench_flow(c: &mut Criterion) {
-    c.bench_function("mcmf_line_16", |b| {
-        b.iter(|| {
-            let n = 16usize;
-            let mut net = FlowNetwork::new(n + 1);
-            for i in 0..n - 1 {
-                net.add_edge(i, i + 1, 2, 1);
-                net.add_edge(i + 1, i, 2, 1);
-            }
-            net.add_edge(n, 12, 1, 0);
-            min_cost_max_flow(black_box(&mut net), n, 0)
-        })
-    });
     // The congestion planner's shape: a node-split 4x4 grid (in/out halves
     // per trap), segment costs one scaled hop plus a load surcharge, one
     // unit from a corner trap to the opposite one. Segments are priced as
@@ -90,7 +75,9 @@ fn bench_flow(c: &mut Criterion) {
     .map(|(source, sink)| Commodity { source, sink })
     .to_vec();
     c.bench_function("route_commodities_grid4x4_x8", |b| {
-        b.iter(|| route_commodities(black_box(&grid), &demands, |a, b| 2 + ((a + b) % 3) as i64))
+        b.iter(|| {
+            CommodityRouter::new(black_box(&grid)).route(&demands, |a, b| 2 + ((a + b) % 3) as i64)
+        })
     });
     let line = Adjacency::line(64);
     c.bench_function("bfs_line_64", |b| {

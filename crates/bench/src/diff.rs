@@ -16,7 +16,9 @@
 //! [`snapshot_mismatches`] is the gate: after stripping the wall-clock
 //! keys ([`is_wall_clock_key`]) two snapshots of the same code must be
 //! equal bit for bit, observability included, and any difference is
-//! named by path.
+//! named by path. The `profile.phases` times are stripped, but each
+//! benchmark's set of phase names is still compared: a phase a change
+//! adds, renames or drops must be re-pinned on purpose.
 //!
 //! [`diff_snapshots`] is the review aid: it walks two parsed documents in
 //! parallel, classifies every shared numeric/boolean leaf by the
@@ -331,12 +333,21 @@ fn leaf_num(value: &Json) -> Option<f64> {
 /// Path segment for an array element: benchmark-style objects are keyed
 /// by their `name` field so rows stay addressable when reordered.
 fn element_segment(item: &Json, index: usize) -> String {
-    if let Json::Obj(pairs) = item {
-        if let Some((_, Json::Str(name))) = pairs.iter().find(|(k, _)| k == "name") {
-            return format!("[{name}]");
-        }
+    match name_of(item) {
+        Some(name) => format!("[{name}]"),
+        None => format!("[{index}]"),
     }
-    format!("[{index}]")
+}
+
+/// The `name` field of an object element.
+fn name_of(item: &Json) -> Option<&str> {
+    let Json::Obj(pairs) = item else {
+        return None;
+    };
+    pairs.iter().find_map(|(k, v)| match v {
+        Json::Str(name) if k == "name" => Some(name.as_str()),
+        _ => None,
+    })
 }
 
 fn join(path: &str, segment: &str) -> String {
@@ -415,35 +426,97 @@ fn walk(path: &str, old: &Json, new: &Json, rel_tol: f64, report: &mut DiffRepor
 
 /// `true` for the snapshot keys whose values are wall-clock measurements:
 /// `compile_seconds*`, `wall_us`, `phases` (the `profile` subtree's
-/// per-phase times) and `jobs` (the `--jobs` timings).
+/// per-phase times; their names are gated apart) and `jobs` (the `--jobs`
+/// timings).
 pub fn is_wall_clock_key(key: &str) -> bool {
     key.starts_with("compile_seconds") || matches!(key, "wall_us" | "phases" | "jobs")
 }
 
 /// The paths at which `fresh` differs from `committed` once both are
-/// stripped of wall-clock keys; empty iff the two snapshots agree bit for
-/// bit on everything else, work counters and histograms included.
+/// stripped of wall-clock keys, plus every phase name one side's
+/// `phases` list has and the other's lacks; empty iff the two snapshots
+/// agree bit for bit on everything but the times, work counters and
+/// histograms included.
 pub fn snapshot_mismatches(committed: &Json, fresh: &Json) -> Vec<String> {
+    let mut paths = phase_name_mismatches(committed, fresh);
     let old = strip_keys(committed, &is_wall_clock_key);
     let new = strip_keys(fresh, &is_wall_clock_key);
     if old == new {
-        return Vec::new();
+        return paths;
     }
     let report = diff_snapshots(&old, &new, 0.0);
-    let mut paths: Vec<String> = report
-        .metrics
-        .iter()
-        .filter(|m| m.old.to_bits() != m.new.to_bits())
-        .map(|m| m.path.clone())
-        .chain(report.removed.iter().map(|p| format!("{p} (removed)")))
-        .chain(report.added.iter().map(|p| format!("{p} (added)")))
-        .chain(report.strings_changed.iter().map(|(p, _, _)| p.clone()))
-        .collect();
-    if paths.is_empty() {
+    let named = paths.len();
+    paths.extend(
+        report
+            .metrics
+            .iter()
+            .filter(|m| m.old.to_bits() != m.new.to_bits())
+            .map(|m| m.path.clone())
+            .chain(report.removed.iter().map(|p| format!("{p} (removed)")))
+            .chain(report.added.iter().map(|p| format!("{p} (added)")))
+            .chain(report.strings_changed.iter().map(|(p, _, _)| p.clone())),
+    );
+    if paths.len() == named {
         // Same leaves under a different order: still not the same document.
         paths.push("(element order)".to_owned());
     }
     paths
+}
+
+/// Each phase name that one snapshot's `phases` list at some path has and
+/// the other's lacks, as `"{path} (phase {name} removed|added)"`; a
+/// `phases` list only one side has is named once, as removed or added.
+fn phase_name_mismatches(committed: &Json, fresh: &Json) -> Vec<String> {
+    let (mut old, mut new) = (Vec::new(), Vec::new());
+    phase_names("", committed, &mut old);
+    phase_names("", fresh, &mut new);
+    let mut paths = Vec::new();
+    for (path, names) in &old {
+        let Some((_, fresh_names)) = new.iter().find(|(p, _)| p == path) else {
+            paths.push(format!("{path} (removed)"));
+            continue;
+        };
+        let missing = names.iter().filter(|n| !fresh_names.contains(n));
+        paths.extend(missing.map(|n| format!("{path} (phase {n} removed)")));
+        let extra = fresh_names.iter().filter(|n| !names.contains(n));
+        paths.extend(extra.map(|n| format!("{path} (phase {n} added)")));
+    }
+    let added = new.iter().filter(|(p, _)| !old.iter().any(|(o, _)| o == p));
+    paths.extend(added.map(|(p, _)| format!("{p} (added)")));
+    paths
+}
+
+/// Every `phases` list under `doc`, by path, as its sorted phase names.
+/// A `phases` value that is not a list of named entries has none.
+fn phase_names(path: &str, doc: &Json, out: &mut Vec<(String, Vec<String>)>) {
+    match doc {
+        Json::Obj(pairs) => {
+            for (key, value) in pairs {
+                let path = join(path, key);
+                if key != "phases" {
+                    phase_names(&path, value, out);
+                    continue;
+                }
+                let items = match value {
+                    Json::Arr(items) => items.as_slice(),
+                    _ => &[],
+                };
+                let mut names: Vec<String> = items
+                    .iter()
+                    .filter_map(name_of)
+                    .map(str::to_owned)
+                    .collect();
+                names.sort_unstable();
+                out.push((path, names));
+            }
+        }
+        Json::Arr(items) => {
+            for (i, item) in items.iter().enumerate() {
+                phase_names(&join(path, &element_segment(item, i)), item, out);
+            }
+        }
+        _ => {}
+    }
 }
 
 /// Compares two parsed snapshots. `rel_tol` is the relative tolerance
@@ -737,10 +810,11 @@ mod tests {
             assert!(mismatches[0].contains(needle), "{mismatches:?}");
         }
 
-        let wall_clock: [&[&str]; 5] = [
+        let wall_clock: [&[&str]; 6] = [
             &["benchmarks", "0", "clock", "compile_seconds"],
             &["benchmarks", "0", "baseline", "compile_seconds"],
-            &["benchmarks", "0", "profile", "phases"],
+            &["benchmarks", "0", "profile", "phases", "0", "total_us"],
+            &["benchmarks", "0", "profile", "phases", "0", "self_us"],
             &["benchmarks", "0", "profile", "wall_us"],
             &["benchmarks", "0", "jobs"],
         ];
@@ -750,6 +824,63 @@ mod tests {
         }
         assert_ne!(fresh, committed);
         assert!(snapshot_mismatches(&committed, &fresh).is_empty());
+    }
+
+    /// A snapshot whose one benchmark ran the phases `names`.
+    fn phased(names: &[&str], total_us: f64) -> Json {
+        let phase = |name: &str| {
+            Json::obj(vec![
+                ("name", Json::str(name)),
+                ("count", Json::int(1)),
+                ("total_us", Json::Num(total_us)),
+            ])
+        };
+        let profile = Json::obj(vec![
+            ("wall_us", Json::Num(total_us)),
+            (
+                "phases",
+                Json::Arr(names.iter().map(|n| phase(n)).collect()),
+            ),
+        ]);
+        Json::obj(vec![(
+            "benchmarks",
+            Json::Arr(vec![Json::obj(vec![
+                ("name", Json::str("QAOA")),
+                ("profile", profile),
+            ])]),
+        )])
+    }
+
+    #[test]
+    fn snapshot_gate_names_a_missing_or_new_phase_but_not_its_time() {
+        let committed = phased(&["compile", "dag", "replay"], 10.0);
+        let reordered = phased(&["replay", "compile", "dag"], 99.0);
+        assert!(snapshot_mismatches(&committed, &reordered).is_empty());
+
+        let missing = phased(&["compile", "dag"], 10.0);
+        assert_eq!(
+            snapshot_mismatches(&committed, &missing),
+            ["benchmarks[QAOA].profile.phases (phase replay removed)"]
+        );
+        let renamed = phased(&["compile", "dag", "schedule-validate"], 10.0);
+        assert_eq!(
+            snapshot_mismatches(&committed, &renamed),
+            [
+                "benchmarks[QAOA].profile.phases (phase replay removed)",
+                "benchmarks[QAOA].profile.phases (phase schedule-validate added)",
+            ]
+        );
+        let mut dropped = committed.clone();
+        set(
+            &mut dropped,
+            &["benchmarks", "0", "profile", "phases"],
+            Json::Num(1.0),
+        );
+        assert_eq!(
+            snapshot_mismatches(&committed, &dropped).len(),
+            3,
+            "every phase name is gone"
+        );
     }
 
     #[test]

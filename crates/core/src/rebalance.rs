@@ -1,13 +1,13 @@
 //! Trap re-balancing: destination choice, ion choice, and eviction routing.
 //!
 //! Baseline (§III-C1): destination search starts from trap 0; the eviction
-//! route is computed with min-cost max-flow over the trap topology (as in
-//! QCCDSim). Optimized (§III-C2, Algorithm 2): nearest-neighbour-first
-//! destination, max-score ion selection.
+//! route is one unit of min-cost flow over the trap topology (as in
+//! QCCDSim), found by the BFS that unit-cost flow reduces to. Optimized
+//! (§III-C2, Algorithm 2): nearest-neighbour-first destination, max-score
+//! ion selection.
 
 use crate::config::{IonSelection, RebalancePolicy};
 use crate::remaining::{RemainingGates, SCAN_ENTRIES};
-use qccd_flow::{min_cost_unit_path, FlowNetwork};
 use qccd_machine::{IonId, MachineState, TrapId, TrapTopology};
 
 /// Picks the destination trap for an ion evicted from `blocked`.
@@ -143,9 +143,16 @@ pub(crate) fn choose_ion(
 ///
 /// The baseline formulates the move as a unit of min-cost max-flow over the
 /// trap graph (unit cost per shuttle segment), mirroring QCCDSim's MCMF
-/// re-balancer; the optimized compiler takes the plain BFS shortest path.
-/// Both return the same hop count on simple topologies — the *policy*
-/// difference the paper highlights is in the destination choice.
+/// re-balancer. With unit costs that flow's FIFO shortest-path search is a
+/// BFS visiting each trap's neighbours in topology order, which
+/// [`Adjacency::shortest_path_in_insertion_order`] runs directly; its docs
+/// give the argument, and its test module checks it against the flow
+/// network it replaced. The optimized compiler takes the memoized BFS
+/// shortest path, whose ties break toward lower trap indices. Both return
+/// the same hop count — the *policy* difference the paper highlights is in
+/// the destination choice.
+///
+/// [`Adjacency::shortest_path_in_insertion_order`]: qccd_flow::Adjacency::shortest_path_in_insertion_order
 pub(crate) fn eviction_route(
     policy: RebalancePolicy,
     topology: &TrapTopology,
@@ -154,27 +161,13 @@ pub(crate) fn eviction_route(
 ) -> Option<Vec<TrapId>> {
     match policy {
         RebalancePolicy::NearestNeighbor => topology.shortest_path(blocked, dest),
-        RebalancePolicy::FromTrapZero => mcmf_route(topology, blocked, dest),
-    }
-}
-
-/// Routes one unit of min-cost flow from `from` to `to` and returns the
-/// trap path it takes.
-fn mcmf_route(topology: &TrapTopology, from: TrapId, to: TrapId) -> Option<Vec<TrapId>> {
-    if from == to {
-        return Some(vec![from]);
-    }
-    let n = topology.num_traps() as usize;
-    // Node n is a super-source limiting the flow to a single ion.
-    let mut net = FlowNetwork::new(n + 1);
-    for t in topology.traps() {
-        for nb in topology.neighbors(t) {
-            net.add_edge(t.index(), nb.index(), 1, 1);
+        RebalancePolicy::FromTrapZero => {
+            let path = topology
+                .adjacency()
+                .shortest_path_in_insertion_order(blocked.index(), dest.index())?;
+            Some(path.into_iter().map(|t| TrapId(t as u32)).collect())
         }
     }
-    net.add_edge(n, from.index(), 1, 0);
-    let nodes = min_cost_unit_path(&mut net, n, to.index())?;
-    Some(nodes[1..].iter().map(|&t| TrapId(t as u32)).collect())
 }
 
 #[cfg(test)]
@@ -381,24 +374,47 @@ mod tests {
         );
     }
 
+    fn mcmf_route(topo: &TrapTopology, from: u32, to: u32) -> Option<Vec<TrapId>> {
+        eviction_route(
+            RebalancePolicy::FromTrapZero,
+            topo,
+            TrapId(from),
+            TrapId(to),
+        )
+    }
+
     #[test]
     fn mcmf_route_is_shortest_on_line() {
         let topo = TrapTopology::linear(6);
-        let route = mcmf_route(&topo, TrapId(4), TrapId(0)).unwrap();
+        let route = mcmf_route(&topo, 4, 0).unwrap();
         assert_eq!(
             route,
             vec![TrapId(4), TrapId(3), TrapId(2), TrapId(1), TrapId(0)]
         );
-        assert_eq!(
-            mcmf_route(&topo, TrapId(2), TrapId(2)).unwrap(),
-            vec![TrapId(2)]
-        );
+        assert_eq!(mcmf_route(&topo, 2, 2).unwrap(), vec![TrapId(2)]);
     }
 
     #[test]
     fn mcmf_route_on_ring_takes_short_side() {
         let topo = TrapTopology::ring(6);
-        let route = mcmf_route(&topo, TrapId(0), TrapId(5)).unwrap();
+        let route = mcmf_route(&topo, 0, 5).unwrap();
         assert_eq!(route, vec![TrapId(0), TrapId(5)]);
+    }
+
+    #[test]
+    fn mcmf_route_breaks_ring_ties_in_neighbour_order() {
+        // Trap 5 lists trap 4 before trap 0, so the flow's route runs down
+        // the ring, where the optimized compiler's memoized BFS runs
+        // through trap 0.
+        let topo = TrapTopology::ring(6);
+        let route = mcmf_route(&topo, 5, 2).unwrap();
+        assert_eq!(route, [5, 4, 3, 2].map(TrapId).to_vec());
+        let nearest = eviction_route(
+            RebalancePolicy::NearestNeighbor,
+            &topo,
+            TrapId(5),
+            TrapId(2),
+        );
+        assert_eq!(nearest.unwrap(), [5, 0, 1, 2].map(TrapId).to_vec());
     }
 }

@@ -39,7 +39,9 @@ const NONE: u32 = u32::MAX;
 ///
 /// Used to model trap topologies (the paper's L6 is [`Adjacency::line`]`(6)`)
 /// and to answer the shortest-path queries both re-balancing policies need.
-/// See the [module docs](self) for the memo contract behind the queries.
+/// Distances and index-order shortest paths come from per-source BFS rows,
+/// computed on first query and shared by every clone until one of them
+/// gains an edge.
 #[derive(Clone)]
 pub struct Adjacency {
     neighbors: Vec<Vec<usize>>,
@@ -344,6 +346,62 @@ impl Adjacency {
         Some(cur)
     }
 
+    /// A shortest path from `from` to `to` inclusive, found by a BFS that
+    /// visits each node's neighbours in [`neighbors`](Adjacency::neighbors)
+    /// (insertion) order, takes a node's first discoverer as its parent
+    /// and stops once `to` is discovered; `None` if disconnected or out of
+    /// range. Unlike [`shortest_path`](Adjacency::shortest_path), ties
+    /// follow insertion order, not index order: on `ring(6)`, `5 → 2`
+    /// runs `[5, 4, 3, 2]` here and `[5, 0, 1, 2]` there.
+    ///
+    /// This is the route of the baseline re-balancer's min-cost flow
+    /// eviction (QCCDSim's MCMF): one unit from a super-source into
+    /// `from`, over a network that adds a unit-cost, unit-capacity arc
+    /// `t → u` for every neighbour `u` of every node `t`, in that order.
+    /// That network's FIFO SPFA is this BFS:
+    ///
+    /// * with unit costs, nodes leave the FIFO queue in nondecreasing
+    ///   distance, so a node's first label is already its distance, and a
+    ///   label changes only on a strict improvement, so the first
+    ///   discoverer stays its predecessor;
+    /// * a node's arcs are relaxed in insertion order, which is
+    ///   `neighbors` order;
+    /// * residual reverse arcs start at capacity 0, so they are never
+    ///   relaxed;
+    /// * a discovered node's predecessor chain never changes again, so
+    ///   stopping at `to` returns the path the full search returns.
+    ///
+    /// The test module keeps that network as this method's oracle. The
+    /// search allocates its own buffers; the baseline calls it once per
+    /// eviction.
+    pub fn shortest_path_in_insertion_order(&self, from: usize, to: usize) -> Option<Vec<usize>> {
+        if from >= self.len() || to >= self.len() {
+            return None;
+        }
+        let mut parent = vec![NONE; self.len()];
+        parent[from] = from as u32;
+        let mut queue = vec![from];
+        let mut head = 0;
+        while parent[to] == NONE {
+            let &u = queue.get(head)?;
+            head += 1;
+            for &v in &self.neighbors[u] {
+                if parent[v] == NONE {
+                    parent[v] = u as u32;
+                    queue.push(v);
+                }
+            }
+        }
+        let mut path = vec![to];
+        let mut cur = to;
+        while cur != from {
+            cur = parent[cur] as usize;
+            path.push(cur);
+        }
+        path.reverse();
+        Some(path)
+    }
+
     fn memo(&self) -> &Memo {
         self.memo.get_or_init(|| Memo::new(&self.neighbors))
     }
@@ -572,10 +630,12 @@ mod property_tests {
 }
 
 /// Differential check of the memoized queries against the per-query BFS
-/// they replaced, kept here as the oracle.
+/// they replaced, and of the insertion-order BFS against the min-cost flow
+/// eviction it replaced, each kept here as the oracle.
 #[cfg(test)]
 mod oracle {
     use super::*;
+    use crate::mcmf::{min_cost_unit_path, FlowNetwork};
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
@@ -727,6 +787,73 @@ mod oracle {
             check_all(&g, &masks)?;
             prop_assert_eq!(g.has_edge(a, b), g.neighbors(a).contains(&b));
         }
+    }
+
+    /// The baseline re-balancer's former eviction: one unit of min-cost
+    /// flow from a super-source at node `n` into `from`, over unit-cost,
+    /// unit-capacity arcs `t → u` added trap by trap in neighbour order.
+    fn mcmf_eviction(g: &Adjacency, from: usize, to: usize) -> Option<Vec<usize>> {
+        let n = g.len();
+        let mut net = FlowNetwork::new(n + 1);
+        for t in 0..n {
+            for &u in g.neighbors(t) {
+                net.add_edge(t, u, 1, 1);
+            }
+        }
+        net.add_edge(n, from, 1, 0);
+        let nodes = min_cost_unit_path(&mut net, n, to)?;
+        Some(nodes[1..].to_vec())
+    }
+
+    /// A line, an odd or even ring, a grid, or a graph on up to 12 nodes
+    /// with edges inserted in arbitrary order and often disconnected.
+    fn eviction_graph() -> impl Strategy<Value = Adjacency> {
+        prop_oneof![
+            (1usize..=16).prop_map(Adjacency::line),
+            (3usize..=17).prop_map(Adjacency::ring),
+            (1usize..=5, 1usize..=5).prop_map(|(r, c)| Adjacency::grid(r, c)),
+            graph().prop_map(|(g, _)| g),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// For every ordered pair, the insertion-order BFS returns the
+        /// unit-cost min-cost flow's route, `None` included.
+        #[test]
+        fn insertion_order_bfs_is_the_mcmf_eviction_route(g in eviction_graph()) {
+            for from in 0..g.len() {
+                for to in 0..g.len() {
+                    prop_assert_eq!(
+                        g.shortest_path_in_insertion_order(from, to),
+                        mcmf_eviction(&g, from, to),
+                        "{} -> {}",
+                        from,
+                        to
+                    );
+                }
+            }
+        }
+    }
+
+    /// On even rings the two tie-breaks part at the antipode of the last
+    /// trap: insertion order lists `n − 2` before `0` as its neighbour.
+    #[test]
+    fn insertion_order_bfs_differs_from_the_memo_on_even_rings() {
+        for (n, from, to) in [(6, 5, 2), (16, 15, 7)] {
+            let g = Adjacency::ring(n);
+            let down: Vec<usize> = (to..=from).rev().collect();
+            let want = mcmf_eviction(&g, from, to);
+            assert_eq!(want.as_ref(), Some(&down), "ring {n}");
+            assert_eq!(g.shortest_path_in_insertion_order(from, to), want);
+            let memo = g.shortest_path(from, to).unwrap();
+            assert_eq!(memo[1], 0, "ring {n}: the memo goes through trap 0");
+        }
+        assert_eq!(
+            Adjacency::line(3).shortest_path_in_insertion_order(0, 3),
+            None
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Minimum-cost flow via successive shortest paths, plus a one-unit path
-//! primitive.
+//! primitive: the test oracle of this crate's searches.
 //!
 //! The baseline QCCD compiler (Murali et al., ISCA'20) formulates trap
 //! re-balancing as an MCMF problem: full traps are sources, traps with
@@ -8,39 +8,36 @@
 //! with SPFA path selection (a FIFO-queue Bellman–Ford; costs here are
 //! non-negative and networks have a few dozen nodes).
 //!
-//! [`min_cost_unit_path`] sends exactly one unit: a single SPFA, that
-//! augmentation, and the node path read straight from the predecessor
-//! chain. The baseline re-balancer's MCMF eviction uses it. The route
-//! planner and the commodity router, which make nearly all of a
-//! compile's one-unit solves (about 128k per `grid_clock` benchmark
-//! pass), run the same search on their node-split graph through
-//! [`SplitSearch`](crate::SplitSearch) instead, pricing edges as they are
-//! relaxed; this module stays its oracle. The network is flat — one edge
-//! vector with each forward edge `id` paired with its residual reverse
-//! `id ^ 1`, and per-node edge lists threaded through it in insertion
-//! order — and it owns its SPFA scratch.
+//! No product code builds a network. Every one-unit route the compiler
+//! takes comes from a specialised search that this module checks:
+//!
+//! * [`SplitSearch`](crate::SplitSearch) runs [`min_cost_unit_path`]'s
+//!   search on the node-split trap graph, pricing edges as it relaxes
+//!   them (the route planner, its evictions, and through
+//!   [`CommodityRouter`](crate::CommodityRouter) the batched layers);
+//! * [`Adjacency::shortest_path_in_insertion_order`] is the unit-cost
+//!   eviction of the baseline re-balancer, which this network once ran.
+//!
+//! The network is flat — one edge vector with each forward edge `id`
+//! paired with its residual reverse `id ^ 1`, and per-node edge lists
+//! threaded through it in insertion order — and it owns its SPFA scratch.
+//!
+//! [`Adjacency::shortest_path_in_insertion_order`]: crate::Adjacency::shortest_path_in_insertion_order
 
 use std::collections::VecDeque;
-
-/// Solves started (one per [`min_cost_max_flow`], [`min_cost_unit_path`]
-/// or [`SplitSearch::search`](crate::SplitSearch::search) call).
-pub(crate) static FLOW_SOLVES: qccd_obs::Counter = qccd_obs::Counter::new("flow.solves");
-/// Augmenting paths found and applied across all solves.
-pub(crate) static FLOW_AUGMENTING_PATHS: qccd_obs::Counter =
-    qccd_obs::Counter::new("flow.augmenting_paths");
 
 /// End-of-list / no-predecessor marker for edge ids.
 const NONE: usize = usize::MAX;
 
 /// One directed edge in a [`FlowNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowEdge {
+struct FlowEdge {
     /// Edge head (target node).
-    pub to: usize,
+    to: usize,
     /// Remaining capacity.
-    pub capacity: i64,
+    capacity: i64,
     /// Cost per unit of flow (negated on residual reverses).
-    pub cost: i64,
+    cost: i64,
     /// Next edge id in the tail node's list, or [`NONE`].
     next: usize,
 }
@@ -51,23 +48,8 @@ pub struct FlowEdge {
 /// forward edge at an even id and its residual reverse at `id ^ 1`. Each
 /// node's outgoing edges (forward and residual) are linked in insertion
 /// order, which is the order the shortest-path search relaxes them in.
-///
-/// # Example
-///
-/// ```
-/// use qccd_flow::{FlowNetwork, min_cost_max_flow};
-///
-/// let mut net = FlowNetwork::new(4);
-/// net.add_edge(0, 1, 2, 1);
-/// net.add_edge(0, 2, 1, 2);
-/// net.add_edge(1, 3, 2, 1);
-/// net.add_edge(2, 3, 1, 2);
-/// let result = min_cost_max_flow(&mut net, 0, 3);
-/// assert_eq!(result.flow, 3);
-/// assert_eq!(result.cost, 2 * 2 + 1 * 4);
-/// ```
 #[derive(Debug, Clone)]
-pub struct FlowNetwork {
+pub(crate) struct FlowNetwork {
     edges: Vec<FlowEdge>,
     /// First and last edge id of each node's list.
     head: Vec<usize>,
@@ -78,7 +60,7 @@ pub struct FlowNetwork {
 
 impl FlowNetwork {
     /// Creates a network with `n` nodes and no edges.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         FlowNetwork {
             edges: Vec::new(),
             head: vec![NONE; n],
@@ -88,13 +70,8 @@ impl FlowNetwork {
     }
 
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.head.len()
-    }
-
-    /// Returns `true` if the network has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.head.is_empty()
     }
 
     /// Adds a directed edge `from → to` with the given capacity and cost.
@@ -102,7 +79,7 @@ impl FlowNetwork {
     /// # Panics
     ///
     /// Panics if an endpoint is out of range, `capacity < 0`, or `cost < 0`.
-    pub fn add_edge(&mut self, from: usize, to: usize, capacity: i64, cost: i64) {
+    pub(crate) fn add_edge(&mut self, from: usize, to: usize, capacity: i64, cost: i64) {
         assert!(
             from < self.len() && to < self.len(),
             "endpoint out of range"
@@ -137,7 +114,7 @@ impl FlowNetwork {
 
     /// Flow currently assigned along each *forward* edge, as
     /// `(from, to, flow)` triples in insertion order.
-    pub fn forward_flows(&self) -> Vec<(usize, usize, i64)> {
+    pub(crate) fn forward_flows(&self) -> Vec<(usize, usize, i64)> {
         let mut out = Vec::new();
         for from in 0..self.len() {
             for id in self.out_edges(from).filter(|id| id.is_multiple_of(2)) {
@@ -151,11 +128,11 @@ impl FlowNetwork {
 
 /// The result of a min-cost max-flow computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowResult {
+pub(crate) struct FlowResult {
     /// Total flow pushed from source to sink.
-    pub flow: i64,
+    pub(crate) flow: i64,
     /// Total cost of that flow.
-    pub cost: i64,
+    pub(crate) cost: i64,
 }
 
 /// Shortest-path scratch: allocated with the network, reused by every
@@ -244,18 +221,14 @@ impl Spfa {
 /// Computes minimum-cost maximum flow from `source` to `sink`, mutating the
 /// network's residual capacities in place.
 ///
-/// Runs successive shortest augmenting paths, one SPFA per path. Callers
-/// that route a single unit use [`min_cost_unit_path`], or
-/// [`SplitSearch`](crate::SplitSearch) on a node-split trap graph,
-/// instead; this is the general solver (and their test oracle).
+/// Runs successive shortest augmenting paths, one SPFA per path.
 ///
 /// # Panics
 ///
 /// Panics if `source` or `sink` is out of range, or `source == sink`.
-pub fn min_cost_max_flow(net: &mut FlowNetwork, source: usize, sink: usize) -> FlowResult {
+pub(crate) fn min_cost_max_flow(net: &mut FlowNetwork, source: usize, sink: usize) -> FlowResult {
     assert!(source < net.len() && sink < net.len(), "node out of range");
     assert_ne!(source, sink, "source and sink must differ");
-    FLOW_SOLVES.incr();
     let mut spfa = std::mem::replace(&mut net.spfa, Spfa::new(0));
     let mut total_flow = 0i64;
     let mut total_cost = 0i64;
@@ -264,7 +237,6 @@ pub fn min_cost_max_flow(net: &mut FlowNetwork, source: usize, sink: usize) -> F
         if spfa.dist[sink] == i64::MAX {
             break; // no augmenting path remains
         }
-        FLOW_AUGMENTING_PATHS.incr();
         let bottleneck = spfa.bottleneck(net, sink);
         spfa.augment(net, sink, bottleneck, |_| {});
         total_flow += bottleneck;
@@ -286,32 +258,19 @@ pub fn min_cost_max_flow(net: &mut FlowNetwork, source: usize, sink: usize) -> F
 /// the follow-up search a one-unit demand cannot use, and with the path
 /// read off the predecessor chain instead of the flow assignment.
 ///
-/// # Example
-///
-/// ```
-/// use qccd_flow::{FlowNetwork, min_cost_unit_path};
-///
-/// let mut net = FlowNetwork::new(4);
-/// net.add_edge(0, 1, 1, 5);
-/// net.add_edge(0, 2, 1, 1);
-/// net.add_edge(1, 3, 1, 1);
-/// net.add_edge(2, 3, 1, 1);
-/// assert_eq!(min_cost_unit_path(&mut net, 0, 3), Some(vec![0, 2, 3]));
-/// assert_eq!(min_cost_unit_path(&mut net, 0, 3), Some(vec![0, 1, 3]));
-/// assert_eq!(min_cost_unit_path(&mut net, 0, 3), None);
-/// ```
-///
 /// # Panics
 ///
 /// Panics if `source` or `sink` is out of range, or `source == sink`.
-pub fn min_cost_unit_path(net: &mut FlowNetwork, source: usize, sink: usize) -> Option<Vec<usize>> {
+pub(crate) fn min_cost_unit_path(
+    net: &mut FlowNetwork,
+    source: usize,
+    sink: usize,
+) -> Option<Vec<usize>> {
     assert!(source < net.len() && sink < net.len(), "node out of range");
     assert_ne!(source, sink, "source and sink must differ");
-    FLOW_SOLVES.incr();
     let mut spfa = std::mem::replace(&mut net.spfa, Spfa::new(0));
     spfa.run(net, source);
     let path = (spfa.dist[sink] != i64::MAX).then(|| {
-        FLOW_AUGMENTING_PATHS.incr();
         let mut path = vec![sink];
         spfa.augment(net, sink, 1, |v| path.push(v));
         path.reverse();
@@ -321,9 +280,34 @@ pub fn min_cost_unit_path(net: &mut FlowNetwork, source: usize, sink: usize) -> 
     path
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Two routes of capacity 2 and 1: both fill, the cheap one first.
+    #[test]
+    fn max_flow_fills_the_cheap_route_then_the_dear_one() {
+        let mut net = FlowNetwork::new(4);
+        net.add_edge(0, 1, 2, 1);
+        net.add_edge(0, 2, 1, 2);
+        net.add_edge(1, 3, 2, 1);
+        net.add_edge(2, 3, 1, 2);
+        let result = min_cost_max_flow(&mut net, 0, 3);
+        assert_eq!(result.flow, 3);
+        assert_eq!(result.cost, 2 * 2 + 4);
+    }
+
+    /// Each unit takes the cheapest route the residual network has left.
+    #[test]
+    fn unit_paths_take_the_cheapest_route_left() {
+        let mut net = FlowNetwork::new(4);
+        net.add_edge(0, 1, 1, 5);
+        net.add_edge(0, 2, 1, 1);
+        net.add_edge(1, 3, 1, 1);
+        net.add_edge(2, 3, 1, 1);
+        assert_eq!(min_cost_unit_path(&mut net, 0, 3), Some(vec![0, 2, 3]));
+        assert_eq!(min_cost_unit_path(&mut net, 0, 3), Some(vec![0, 1, 3]));
+        assert_eq!(min_cost_unit_path(&mut net, 0, 3), None);
+    }
 
     #[test]
     fn single_edge() {
@@ -453,7 +437,6 @@ mod tests {
     }
 }
 
-#[cfg(test)]
 mod property_tests {
     use super::*;
     use crate::adjacency::Adjacency;

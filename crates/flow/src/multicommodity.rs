@@ -7,9 +7,9 @@
 //! together, so a wide QAOA layer's shuttles share transport rounds
 //! deliberately. True minimum-cost multi-commodity flow is NP-hard in the
 //! integral case; this module implements the standard sequential
-//! relaxation on the MCMF substrate: commodities are routed one at a time
-//! through a *shared* residual network whose undirected edges carry unit
-//! capacity, so the routed paths are pairwise edge-disjoint — exactly the
+//! relaxation: commodities are routed one at a time, each as one unit of
+//! min-cost flow, through a *shared* graph whose undirected edges carry
+//! unit capacity, so the routed paths are pairwise edge-disjoint — exactly the
 //! property that lets their k-th hops share the k-th transport round.
 //! When the shared network has no remaining path for a commodity (the
 //! flows conflict), that commodity falls back to `None` and the caller
@@ -38,21 +38,6 @@ pub struct Commodity {
     pub source: usize,
     /// Node the unit must reach.
     pub sink: usize,
-}
-
-/// Routes every commodity over `graph` on a fresh [`CommodityRouter`]:
-/// see [`CommodityRouter::route`]. Callers that route many batches over
-/// one graph keep a router instead.
-///
-/// # Panics
-///
-/// Panics if a commodity endpoint is out of range for `graph`.
-pub fn route_commodities(
-    graph: &Adjacency,
-    commodities: &[Commodity],
-    edge_cost: impl FnMut(usize, usize) -> i64,
-) -> Vec<Option<Vec<usize>>> {
-    CommodityRouter::new(graph).route(commodities, edge_cost)
 }
 
 /// The node-split unit-capacity graph of one graph, searched by every
@@ -102,8 +87,7 @@ impl CommodityRouter {
     /// Each undirected edge of the graph may carry at most one commodity
     /// in total (either direction), and each returned path is simple.
     /// Commodities are processed in the given order; each is routed as one
-    /// unit of min-cost flow (one [`SplitSearch`], the search of
-    /// [`min_cost_unit_path`](crate::min_cost_unit_path)) over the
+    /// unit of min-cost flow (one [`SplitSearch`]) over the
     /// remaining capacities with `edge_cost(a, b)` pricing the hop
     /// `a → b`. The entry for a commodity is `None` when the shared graph
     /// has no path left for it — the flows conflict — and the caller
@@ -182,7 +166,7 @@ mod tests {
     fn disjoint_demands_route_simultaneously() {
         // Line of 6: 0→2 and 3→5 never touch the same segment.
         let g = Adjacency::line(6);
-        let routes = route_commodities(&g, &[c(0, 2), c(3, 5)], |_, _| 1);
+        let routes = CommodityRouter::new(&g).route(&[c(0, 2), c(3, 5)], |_, _| 1);
         assert_eq!(routes[0], Some(vec![0, 1, 2]));
         assert_eq!(routes[1], Some(vec![3, 4, 5]));
     }
@@ -192,7 +176,7 @@ mod tests {
         // Ring of 6: 0→3 has two 3-hop routes; two commodities with the
         // same endpoints must split across them.
         let g = Adjacency::ring(6);
-        let routes = route_commodities(&g, &[c(0, 3), c(0, 3)], |_, _| 1);
+        let routes = CommodityRouter::new(&g).route(&[c(0, 3), c(0, 3)], |_, _| 1);
         let a = routes[0].as_ref().unwrap();
         let b = routes[1].as_ref().unwrap();
         assert_eq!(a.len(), 4);
@@ -205,7 +189,7 @@ mod tests {
         // Line of 3: both commodities need segment 1—2; the second must
         // report a conflict rather than share the edge.
         let g = Adjacency::line(3);
-        let routes = route_commodities(&g, &[c(0, 2), c(1, 2)], |_, _| 1);
+        let routes = CommodityRouter::new(&g).route(&[c(0, 2), c(1, 2)], |_, _| 1);
         assert_eq!(routes[0], Some(vec![0, 1, 2]));
         assert_eq!(routes[1], None);
     }
@@ -213,7 +197,7 @@ mod tests {
     #[test]
     fn zero_length_commodity_is_trivial_and_free() {
         let g = Adjacency::line(3);
-        let routes = route_commodities(&g, &[c(1, 1), c(0, 2)], |_, _| 1);
+        let routes = CommodityRouter::new(&g).route(&[c(1, 1), c(0, 2)], |_, _| 1);
         assert_eq!(routes[0], Some(vec![1]));
         assert_eq!(routes[1], Some(vec![0, 1, 2]), "no capacity was consumed");
     }
@@ -229,7 +213,7 @@ mod tests {
                 1
             }
         };
-        let routes = route_commodities(&g, &[c(0, 2)], hot);
+        let routes = CommodityRouter::new(&g).route(&[c(0, 2)], hot);
         assert_eq!(routes[0], Some(vec![0, 3, 2]));
     }
 
@@ -237,7 +221,7 @@ mod tests {
     fn routed_paths_are_pairwise_edge_disjoint() {
         let g = Adjacency::grid(3, 3);
         let demands = [c(0, 8), c(2, 6), c(1, 7)];
-        let routes = route_commodities(&g, &demands, |_, _| 1);
+        let routes = CommodityRouter::new(&g).route(&demands, |_, _| 1);
         let mut seen: Vec<(usize, usize)> = Vec::new();
         for route in routes.iter().flatten() {
             for w in route.windows(2) {
@@ -255,7 +239,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cost must be non-negative")]
     fn negative_edge_cost_panics() {
-        route_commodities(&Adjacency::line(3), &[c(0, 2)], |_, _| -1);
+        CommodityRouter::new(&Adjacency::line(3)).route(&[c(0, 2)], |_, _| -1);
     }
 
     #[test]
@@ -267,7 +251,7 @@ mod tests {
         ] {
             let mut calls: Vec<(usize, usize)> = Vec::new();
             let demands = [c(0, 4), c(0, 4), c(2, 2), c(4, 0), c(1, 3)];
-            route_commodities(&g, &demands, |a, b| {
+            CommodityRouter::new(&g).route(&demands, |a, b| {
                 calls.push((a, b));
                 1
             });
@@ -287,8 +271,8 @@ mod property_tests {
     use crate::mcmf::{min_cost_max_flow, FlowNetwork};
     use proptest::prelude::*;
 
-    /// The per-commodity rebuild [`route_commodities`] replaced, kept as
-    /// its oracle: a fresh split network for every commodity with spent
+    /// The per-commodity rebuild [`CommodityRouter`] replaced, kept as its
+    /// oracle: a fresh split network for every commodity with spent
     /// segments left out, a full [`min_cost_max_flow`] solve, and a walk of
     /// the flow assignment.
     fn reference_route_commodities(
@@ -370,7 +354,7 @@ mod property_tests {
                 .map(|&(a, b)| Commodity { source: a % n, sink: b % n })
                 .collect();
             let cost = |a: usize, b: usize| costs[(a * 7 + b * 3) % costs.len()];
-            let got = route_commodities(&g, &commodities, cost);
+            let got = CommodityRouter::new(&g).route(&commodities, cost);
             let want = reference_route_commodities(&g, &commodities, cost);
             prop_assert_eq!(got, want);
         }

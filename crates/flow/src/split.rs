@@ -7,12 +7,13 @@
 //! an internal edge, each directed segment `a → b` is an edge
 //! `2a + 1 → 2b`, node `2n` is a super-source with an entry into one
 //! trap's in-half, and node `2n + 1` a super-sink reached through the
-//! open exits of some out-halves. [`SplitSearch`] runs the FIFO
-//! label-correcting search of [`min_cost_unit_path`] on that graph
-//! without building it as a [`FlowNetwork`]:
+//! open exits of some out-halves. [`SplitSearch`] sends one unit of
+//! min-cost flow through that graph: the FIFO label-correcting search
+//! (SPFA) of a successive-shortest-path solver, without building the
+//! graph as a flow network:
 //!
 //! * **Pricing on relaxation.** A popped node relaxes only the edges open
-//!   at solve time, in the order a [`FlowNetwork`] built trap by trap
+//!   at solve time, in the order a flow network built trap by trap
 //!   (internal edge, then segments in neighbour order), then exits, then
 //!   entries, would list them: the super-source relaxes the source trap's
 //!   entry, an in-half its internal edge, an out-half its open segments
@@ -34,12 +35,16 @@
 //!   previous search wrote them, so a search that stops after a few pops
 //!   costs a few pops, whatever the machine's size.
 //!
-//! [`min_cost_unit_path`]: crate::min_cost_unit_path
-//! [`FlowNetwork`]: crate::FlowNetwork
+//! The test module checks every search against a successive-shortest-path
+//! solver on a flow network of the same open edges: the same found or not
+//! found, node path and sink label.
 
 use crate::adjacency::Adjacency;
-use crate::mcmf::{FLOW_AUGMENTING_PATHS, FLOW_SOLVES};
 
+/// Solves started: one per [`SplitSearch::search`] call.
+static FLOW_SOLVES: qccd_obs::Counter = qccd_obs::Counter::new("flow.solves");
+/// Searches that reached their sink.
+static FLOW_AUGMENTING_PATHS: qccd_obs::Counter = qccd_obs::Counter::new("flow.augmenting_paths");
 /// Labels popped off the split search's queue, summed over searches.
 static FLOW_SEARCH_POPS: qccd_obs::Counter = qccd_obs::Counter::new("flow.search_pops");
 
@@ -551,16 +556,16 @@ mod oracle {
         net
     }
 
-    /// Line, ring, grid up to 6×6, or two lines side by side.
-    fn graph(kind: u32, a: usize, b: usize) -> Adjacency {
+    /// A line or ring of `size` traps, a `rows × cols` grid, or two lines
+    /// side by side.
+    fn graph(kind: u32, size: usize, rows: usize, cols: usize) -> Adjacency {
         match kind {
-            0 => Adjacency::line(a * b),
-            1 => Adjacency::ring((a * b).max(3)),
-            2 => Adjacency::grid(a, b),
+            0 => Adjacency::line(size),
+            1 => Adjacency::ring(size.max(3)),
+            2 => Adjacency::grid(rows, cols),
             _ => {
-                let n = a * b;
-                let mut g = Adjacency::new(n);
-                for v in (1..n).filter(|&v| v != n / 2) {
+                let mut g = Adjacency::new(size);
+                for v in (1..size).filter(|&v| v != size / 2) {
                     g.add_edge(v - 1, v);
                 }
                 g
@@ -569,30 +574,50 @@ mod oracle {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
+        #![proptest_config(ProptestConfig::with_cases(1024))]
 
         /// The split search returns the full SPFA's found/not-found, node
-        /// path and sink label on random planner-shaped instances: zero
-        /// and tied costs, closed segments, penalised traps, an out-half
-        /// sink or a set of open exits.
+        /// path and sink label on random instances: zero and tied costs,
+        /// closed segments, penalised traps, an out-half sink or a set of
+        /// open exits. Half the instances are priced like the route
+        /// planner: every segment open at `units × hop_scale + load`, with
+        /// `hop_scale` above any load sum, and full traps penalised in
+        /// whole hops, on lines and rings up to 24 traps and grids up to
+        /// 6×6.
         #[test]
         fn split_search_matches_min_cost_unit_path(
             kind in 0u32..4,
+            size in 2usize..=24,
             rows in 1usize..=6,
             cols in 2usize..=6,
+            planner_priced in any::<bool>(),
             penalties in proptest::collection::vec(prop_oneof![Just(0i64), 0i64..=3], 1..8),
             segments in proptest::collection::vec(prop_oneof![Just(None), (0i64..=2).prop_map(Some)], 1..16),
+            units in proptest::collection::vec(1i64..=3, 1..8),
+            loads in proptest::collection::vec(prop_oneof![Just(0i64), 0i64..=15], 1..16),
             exits in any::<u64>(),
             to_exits in any::<bool>(),
             endpoints in (0usize..64, 0usize..64),
         ) {
-            let g = graph(kind, rows, cols);
+            let g = graph(kind, size, rows, cols);
             let n = g.len();
             let mut search = SplitSearch::new(&g);
-            let costs = Table {
-                internal: (0..n).map(|t| penalties[t * 5 % penalties.len()]).collect(),
-                segment: (0..search.num_segments()).map(|k| segments[k * 3 % segments.len()]).collect(),
-                exits: (0..n).map(|t| to_exits && exits >> t & 1 == 1).collect(),
+            let penalty = |t: usize| penalties[t * 5 % penalties.len()];
+            let costs = if planner_priced {
+                let hop_scale = (n as i64 + 1) * 16;
+                Table {
+                    internal: (0..n).map(|t| penalty(t) * hop_scale).collect(),
+                    segment: (0..search.num_segments())
+                        .map(|k| Some(units[k * 7 % units.len()] * hop_scale + loads[k * 3 % loads.len()]))
+                        .collect(),
+                    exits: (0..n).map(|t| to_exits && exits >> t & 1 == 1).collect(),
+                }
+            } else {
+                Table {
+                    internal: (0..n).map(penalty).collect(),
+                    segment: (0..search.num_segments()).map(|k| segments[k * 3 % segments.len()]).collect(),
+                    exits: (0..n).map(|t| to_exits && exits >> t & 1 == 1).collect(),
+                }
             };
             let (source, dest) = (endpoints.0 % n, endpoints.1 % n);
             let (sink, sink_node) = if to_exits {

@@ -1,5 +1,5 @@
 //! A [`CommodityRouter`] reused across calls routes exactly like a fresh
-//! network per call ([`route_commodities`]): the same routes, the same
+//! router per call: the same routes, the same
 //! `None` fallbacks and the same `flow.*` work counters, on line, ring,
 //! grid and disconnected graphs under random (tied, zero-cost included)
 //! edge costs.
@@ -7,7 +7,7 @@
 //! The counters are process-global, so this binary holds this one test.
 
 use proptest::prelude::*;
-use qccd_flow::{route_commodities, Adjacency, Commodity, CommodityRouter};
+use qccd_flow::{Adjacency, Commodity, CommodityRouter};
 
 /// A line, ring, grid or disconnected graph (two lines) on 2–9 nodes.
 fn graph(kind: u32, size: usize) -> Adjacency {
@@ -70,7 +70,7 @@ proptest! {
                 .collect();
             let cost = |a: usize, b: usize| costs[(a * 7 + b * 3) % costs.len()];
             let (got, got_work) = counted(|| router.route(&commodities, cost));
-            let (want, want_work) = counted(|| route_commodities(&g, &commodities, cost));
+            let (want, want_work) = counted(|| CommodityRouter::new(&g).route(&commodities, cost));
             prop_assert_eq!(got, want);
             prop_assert_eq!(got_work, want_work);
         }

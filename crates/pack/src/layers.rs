@@ -5,11 +5,11 @@
 //! ready layer (QAOA's rebalance bursts) only share rounds by accident.
 //! This pass re-plans each gate-free run *jointly*: every ion that nets a
 //! displacement across the run becomes one commodity, the commodities are
-//! routed with pairwise edge-disjoint paths on `qccd-flow`'s shared MCMF
-//! network ([`CommodityRouter`], built once per pass), and the run is
-//! re-emitted layer by
-//! layer — the k-th hops of all commodities side by side, exactly the
-//! shape the round packers turn into one round each. Ions whose walk nets
+//! routed one unit of min-cost flow at a time with pairwise edge-disjoint
+//! paths by `qccd-flow`'s [`CommodityRouter`] (built once per pass), and
+//! the run is re-emitted layer by layer — the k-th hops of all
+//! commodities side by side, exactly the shape the round packers turn
+//! into one round each. Ions whose walk nets
 //! to nothing (eviction ping-pongs) drop out entirely.
 //!
 //! When the flows conflict, the planner falls back per-commodity to the

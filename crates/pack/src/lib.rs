@@ -7,18 +7,18 @@
 //! mapping — with a lower *timed makespan*, scored end to end with
 //! `qccd-timing`'s ASAP lowering. Two passes:
 //!
-//! * **Cross-gate packing** ([`cross_gate`]) — hoists shuttle hops across
-//!   non-conflicting gates: a hop may overlap a gate executing in an
-//!   uninvolved trap, which the in-run packers can never exploit because
-//!   their rounds stop at every gate. Trap-disjointness is proved per
-//!   crossed gate, per-ion hop order is preserved, and a no-credit
-//!   capacity rule keeps the rewritten flat schedule serially valid.
-//! * **Batched layer planning** ([`layers`]) — re-plans each gate-free run
-//!   as a multi-commodity flow on `qccd-flow`'s shared MCMF network:
-//!   every net-displaced ion becomes a commodity, paths come out pairwise
-//!   edge-disjoint (so layers share rounds deliberately), net-zero
-//!   eviction ping-pongs drop out, and conflicting commodities fall back
-//!   to per-commodity routes. Each run's rewrite is accepted only if it
+//! * **Cross-gate packing** — hoists shuttle hops across non-conflicting
+//!   gates: a hop may overlap a gate executing in an uninvolved trap,
+//!   which the in-run packers can never exploit because their rounds stop
+//!   at every gate. Trap-disjointness is proved per crossed gate, per-ion
+//!   hop order is preserved, and a no-credit capacity rule keeps the
+//!   rewritten flat schedule serially valid.
+//! * **Batched layer planning** — re-plans each gate-free run as a
+//!   multi-commodity flow with `qccd-flow`'s
+//!   [`CommodityRouter`](qccd_flow::CommodityRouter): every net-displaced
+//!   ion becomes a commodity, paths come out pairwise edge-disjoint (so
+//!   layers share rounds deliberately), net-zero eviction ping-pongs drop
+//!   out, and conflicting commodities fall back to per-commodity routes. Each run's rewrite is accepted only if it
 //!   replays legally and strictly beats the original run on the clock,
 //!   scored by incremental re-lowering from a [`LowerState`] checkpoint.
 //!
@@ -73,30 +73,24 @@ use std::fmt;
 
 pub use validate::validate_equivalent;
 
-/// Configuration of the packing passes.
+/// How many rounds back the cross-gate first-fit scan looks. Bounds the
+/// packer at O(schedule × window) time and O(window × traps) backfill
+/// rows; it comfortably covers every gap the paper workloads exhibit.
+const WINDOW: usize = 96;
+
+/// Configuration of the packing passes: both always run, so the timing
+/// model is the one setting.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PackConfig {
     /// Timing model every candidate is scored under (and the returned
     /// timeline is lowered with).
     pub model: TimingModel,
-    /// Enable cross-gate round packing.
-    pub cross_gate: bool,
-    /// Enable batched multi-commodity layer planning.
-    pub batch_layers: bool,
-    /// How many rounds back the cross-gate first-fit scan looks. Bounds
-    /// the packer at O(schedule × window) time and O(window × traps)
-    /// backfill rows; the default comfortably covers every gap the paper
-    /// workloads exhibit.
-    pub window: usize,
 }
 
 impl PackConfig {
-    /// Both passes enabled, scored under `model`.
+    /// The passes scored under `model`.
     pub fn for_model(model: TimingModel) -> Self {
-        PackConfig {
-            model,
-            ..Self::default()
-        }
+        PackConfig { model }
     }
 
     /// Returns `self` unchanged. Packing runs on the calling thread;
@@ -108,14 +102,9 @@ impl PackConfig {
 }
 
 impl Default for PackConfig {
-    /// Both passes, realistic device timing, window 96.
+    /// Realistic device timing.
     fn default() -> Self {
-        PackConfig {
-            model: TimingModel::realistic(),
-            cross_gate: true,
-            batch_layers: true,
-            window: 96,
-        }
+        Self::for_model(TimingModel::realistic())
     }
 }
 
@@ -209,45 +198,31 @@ pub fn pack(
         Ok(())
     };
 
-    // The greedy in-run repack rides along whenever any pass is enabled:
-    // the lookahead packer optimizes *depth* and can be marginally slower
-    // on the clock (fewer, wider rounds can couple resources), so the
-    // packed result must never lose to either in-run packer.
-    if config.cross_gate || config.batch_layers {
-        if let Ok(greedy) = TransportSchedule::pack_concurrent(&result.schedule, spec) {
-            offer(Rewrite::of(result.schedule.clone(), greedy, 0))?;
-        }
+    // The greedy in-run repack rides along: the lookahead packer optimizes
+    // *depth* and can be marginally slower on the clock (fewer, wider
+    // rounds can couple resources), so the packed result must never lose
+    // to either in-run packer.
+    if let Ok(greedy) = TransportSchedule::pack_concurrent(&result.schedule, spec) {
+        offer(Rewrite::of(result.schedule.clone(), greedy, 0))?;
     }
-    if config.cross_gate {
-        for rewrite in cross_gate_rewrites(&result.schedule, spec, config.window) {
+    for rewrite in cross_gate_rewrites(&result.schedule, spec) {
+        offer(rewrite)?;
+    }
+    let planned = plan_layers(
+        &result.schedule,
+        &result.transport,
+        circuit,
+        spec,
+        &config.model,
+    )?;
+    // A plan that changed no op yields the input's own cross-gate
+    // rewrites, already offered above: they tie, so they never win.
+    if planned.replanned_runs > 0 && planned.ops != result.schedule.operations {
+        let schedule = Schedule::new(result.schedule.initial_mapping.clone(), planned.ops);
+        for mut rewrite in cross_gate_rewrites(&schedule, spec) {
+            rewrite.replanned_runs = planned.replanned_runs;
+            rewrite.dropped_hops = planned.dropped_hops;
             offer(rewrite)?;
-        }
-    }
-    if config.batch_layers {
-        let planned = plan_layers(
-            &result.schedule,
-            &result.transport,
-            circuit,
-            spec,
-            &config.model,
-        )?;
-        // A plan that changed no op yields the input's own cross-gate
-        // rewrites, already offered above: they tie, so they never win.
-        let unchanged = config.cross_gate && planned.ops == result.schedule.operations;
-        if planned.replanned_runs > 0 && !unchanged {
-            let schedule = Schedule::new(result.schedule.initial_mapping.clone(), planned.ops);
-            let rewrites = if config.cross_gate {
-                cross_gate_rewrites(&schedule, spec, config.window)
-            } else {
-                let transport = TransportSchedule::pack_concurrent(&schedule, spec)
-                    .map_err(PackError::Transport)?;
-                vec![Rewrite::of(schedule, transport, 0)]
-            };
-            for mut rewrite in rewrites {
-                rewrite.replanned_runs = planned.replanned_runs;
-                rewrite.dropped_hops = planned.dropped_hops;
-                offer(rewrite)?;
-            }
         }
     }
 
@@ -366,10 +341,10 @@ struct Candidate {
 /// ops+rounds is O(n) while lowering a duplicate costs several O(n)
 /// passes, and an identical candidate ties on every selection key, so
 /// dropping it cannot change which candidate wins.
-fn cross_gate_rewrites(base: &Schedule, spec: &MachineSpec, window: usize) -> Vec<Rewrite> {
+fn cross_gate_rewrites(base: &Schedule, spec: &MachineSpec) -> Vec<Rewrite> {
     let (cap, num_traps) = (spec.total_capacity(), spec.num_traps() as usize);
-    let share_only = pack_cross_gate(base, cap, num_traps, window, true);
-    let full = pack_cross_gate(base, cap, num_traps, window, false);
+    let share_only = pack_cross_gate(base, cap, num_traps, WINDOW, true);
+    let full = pack_cross_gate(base, cap, num_traps, WINDOW, false);
     let full = (full != share_only).then_some(full);
     [Some(share_only), full]
         .into_iter()
@@ -465,12 +440,12 @@ pub struct ClockStats {
 }
 
 /// Compiles `circuit` with the **clock objective** end to end: the
-/// timed compile loop (incremental [`LowerState`](qccd_timing::LowerState)
-/// scoring of direction ties, re-balancing destination ties, and batched
-/// multi-commodity layers — `qccd-core`'s [`Objective::Clock`]) on the
-/// packed transport stack, raced against the default-objective packed
-/// stack ([`compile_packed`]) under the same timing model. The result
-/// with the lower timed makespan wins; on a dead heat the
+/// timed compile loop (incremental [`LowerState`] scoring of direction
+/// ties, re-balancing destination ties, and batched multi-commodity
+/// layers — `qccd-core`'s [`Objective::Clock`]) on the packed transport
+/// stack, raced against the default-objective packed stack
+/// ([`compile_packed`]) under the same timing model. The result with the
+/// lower timed makespan wins; on a dead heat the
 /// default-objective result is kept, so the pipeline provably **never
 /// regresses** the packed stack (`--objective clock` in the CLI).
 ///
@@ -726,22 +701,6 @@ mod tests {
                 .unwrap();
             result.timeline.validate().unwrap();
         }
-    }
-
-    #[test]
-    fn disabled_passes_return_the_input() {
-        let spec = MachineSpec::linear(3, 8, 2).unwrap();
-        let circuit = random_circuit(12, 60, 5);
-        let result = compile(&circuit, &spec, &packed_config()).unwrap();
-        let config = PackConfig {
-            cross_gate: false,
-            batch_layers: false,
-            ..PackConfig::default()
-        };
-        let packed = pack(&result, &circuit, &spec, &config).unwrap();
-        assert!(!packed.stats.improved);
-        assert_eq!(packed.schedule, result.schedule);
-        assert_eq!(packed.transport, result.transport);
     }
 
     /// The selection `pack` ran before it streamed: collect every

@@ -47,38 +47,25 @@ fn oracle_pack(
         keep_faster(&mut best, (rewrite, timeline), |c| c.1.makespan_us);
         Ok(())
     };
-    if config.cross_gate || config.batch_layers {
-        if let Ok(greedy) = TransportSchedule::pack_concurrent(&result.schedule, spec) {
-            offer(Rewrite::of(result.schedule.clone(), greedy, 0))?;
-        }
+    if let Ok(greedy) = TransportSchedule::pack_concurrent(&result.schedule, spec) {
+        offer(Rewrite::of(result.schedule.clone(), greedy, 0))?;
     }
-    if config.cross_gate {
-        for r in cross_gate_rewrites(&result.schedule, spec, config.window) {
+    for r in cross_gate_rewrites(&result.schedule, spec) {
+        offer(r)?;
+    }
+    let planned = plan_layers(
+        &result.schedule,
+        &result.transport,
+        circuit,
+        spec,
+        &config.model,
+    )?;
+    if planned.replanned_runs > 0 {
+        let schedule = Schedule::new(result.schedule.initial_mapping.clone(), planned.ops);
+        for mut r in cross_gate_rewrites(&schedule, spec) {
+            r.replanned_runs = planned.replanned_runs;
+            r.dropped_hops = planned.dropped_hops;
             offer(r)?;
-        }
-    }
-    if config.batch_layers {
-        let planned = plan_layers(
-            &result.schedule,
-            &result.transport,
-            circuit,
-            spec,
-            &config.model,
-        )?;
-        if planned.replanned_runs > 0 {
-            let schedule = Schedule::new(result.schedule.initial_mapping.clone(), planned.ops);
-            let rewrites = if config.cross_gate {
-                cross_gate_rewrites(&schedule, spec, config.window)
-            } else {
-                let transport = TransportSchedule::pack_concurrent(&schedule, spec)
-                    .map_err(PackError::Transport)?;
-                vec![Rewrite::of(schedule, transport, 0)]
-            };
-            for mut r in rewrites {
-                r.replanned_runs = planned.replanned_runs;
-                r.dropped_hops = planned.dropped_hops;
-                offer(r)?;
-            }
         }
     }
     let input_depth = result.transport.depth();
@@ -190,12 +177,10 @@ proptest! {
         let objective = if clock { Objective::Clock } else { Objective::Shuttles };
         let (circuit, spec, result) = compiled(topology, gates, seed, timing, objective);
         for model in [TimingModel::ideal(), TimingModel::realistic()] {
-            for (cross_gate, batch_layers) in [(true, true), (false, true), (true, false)] {
-                let config = PackConfig { model, cross_gate, batch_layers, ..PackConfig::default() };
-                let got = pack(&result, &circuit, &spec, &config).expect("packs");
-                let want = oracle_pack(&result, &circuit, &spec, &config).expect("packs");
-                assert_same(&got, &want)?;
-            }
+            let config = PackConfig::for_model(model);
+            let got = pack(&result, &circuit, &spec, &config).expect("packs");
+            let want = oracle_pack(&result, &circuit, &spec, &config).expect("packs");
+            assert_same(&got, &want)?;
         }
     }
 }

@@ -7,12 +7,12 @@
 //! * [`RouterPolicy`] — the route-selection policy. [`RouterPolicy::Serial`]
 //!   reproduces the paper's executor (one ion at a time, hop-by-hop along
 //!   the shortest path, detouring around full traps whenever any detour
-//!   exists). [`RouterPolicy::Congestion`] prices routes with
-//!   `qccd-flow`'s min-cost max-flow: a full interior trap costs a
-//!   configurable eviction penalty and recently-used shuttle segments cost
-//!   a congestion surcharge, so the planner detours around full traps only
-//!   while the detour is cheaper than a re-balancing eviction and spreads
-//!   equal-length routes across cold edges.
+//!   exists). [`RouterPolicy::Congestion`] routes each move as one unit of
+//!   min-cost flow (`qccd-flow`'s `SplitSearch`): a full interior trap
+//!   costs a configurable eviction penalty and recently-used shuttle
+//!   segments cost a congestion surcharge, so the planner detours around
+//!   full traps only while the detour is cheaper than a re-balancing
+//!   eviction and spreads equal-length routes across cold edges.
 //! * [`RoutePlanner`] / [`PlannedRoute`] — one compile's route planner:
 //!   multi-segment routes and priced evictions for one ion over the live
 //!   [`MachineState`](qccd_machine::MachineState), searched on one

@@ -707,53 +707,81 @@ mod tests {
 }
 
 /// The planner as it was before [`RoutePlanner`] kept one search and one
-/// weight table per compile: every call builds its own priced min-cost
-/// flow network, with only the super-edges that call needs, calling the
-/// weight hook for every segment, and runs the full search to the end.
-/// The planner, whose search stops once the sink's label is final, must
-/// agree with it on every call.
+/// weight table per compile: every call prices a fresh cost table up
+/// front, calling the weight hook for every segment, and routes on it with
+/// a fresh [`SplitSearch`]. The planner, which prices an edge only when
+/// its search relaxes it, must agree with it on every call. The chain to
+/// min-cost flow closes in `qccd-flow`: its `split::oracle` test checks
+/// the split search against a full successive-shortest-path solve on
+/// costs of the same shape.
 #[cfg(test)]
 mod reference {
     use super::*;
-    use qccd_flow::{min_cost_unit_path, FlowNetwork};
 
-    /// The trap path spelled by a unit path through the network: the
-    /// out-halves it passes, in order (the super-nodes sit at `2n` and
-    /// above).
-    fn trap_path(nodes: &[usize], n: usize) -> Vec<TrapId> {
-        nodes
-            .iter()
-            .filter(|&&v| v % 2 == 1 && v < 2 * n)
-            .map(|&v| TrapId((v / 2) as u32))
-            .collect()
+    /// One call's prices: per-trap internal costs, per-segment costs in
+    /// the search's segment order, and the open exits.
+    struct Table {
+        internal: Vec<i64>,
+        segment: Vec<i64>,
+        exits: Vec<bool>,
     }
 
-    fn priced_network(
+    impl SplitCosts for Table {
+        fn internal(&self, trap: usize) -> i64 {
+            self.internal[trap]
+        }
+
+        fn segment(&self, k: usize) -> Option<i64> {
+            Some(self.segment[k])
+        }
+
+        fn exit(&self, trap: usize) -> bool {
+            self.exits[trap]
+        }
+    }
+
+    fn priced_table(
         state: &MachineState,
         load: &EdgeLoad,
         full_trap_penalty: u32,
         penalized: impl Fn(TrapId) -> bool,
-        extra: usize,
         weight: Option<&EdgeWeightFn>,
-    ) -> FlowNetwork {
+    ) -> Table {
         let topology = state.spec().topology();
         let n = topology.num_traps() as usize;
         let hop_scale = (n as i64 + 1) * i64::from(LOAD_CAP + 1);
-        let mut net = FlowNetwork::new(2 * n + 1 + extra);
+        let mut table = Table {
+            internal: Vec::with_capacity(n),
+            segment: Vec::new(),
+            exits: vec![false; n],
+        };
         for t in topology.traps() {
-            let cost = if penalized(t) && state.is_full(t) {
+            table.internal.push(if penalized(t) && state.is_full(t) {
                 i64::from(full_trap_penalty) * hop_scale
             } else {
                 0
-            };
-            net.add_edge(2 * t.index(), 2 * t.index() + 1, 1, cost);
+            });
             for nb in topology.neighbors(t) {
                 let units = weight.map_or(1, |w| i64::from(w(t, nb).max(1)));
-                let cost = units * hop_scale + i64::from(load.load(t, nb));
-                net.add_edge(2 * t.index() + 1, 2 * nb.index(), 1, cost);
+                table
+                    .segment
+                    .push(units * hop_scale + i64::from(load.load(t, nb)));
             }
         }
-        net
+        table
+    }
+
+    /// The trap path a fresh search routes on `table` from `source` to
+    /// `sink`.
+    fn route(
+        state: &MachineState,
+        table: &Table,
+        source: TrapId,
+        sink: SplitSink,
+    ) -> Option<Vec<TrapId>> {
+        let mut search = SplitSearch::new(state.spec().topology().adjacency());
+        search.search(source.index(), sink, table)?;
+        Some(search.trap_path_with(|t| TrapId(t as u32)))
     }
 
     pub(super) fn plan_route(
@@ -783,14 +811,10 @@ mod reference {
                         .shortest_path(from, dest)
                         .map(|p| PlannedRoute::from_path(state, p));
                 };
-                let n = topology.num_traps() as usize;
                 let penalized = |t| t != from && t != dest;
-                let mut net = priced_network(state, load, full_trap_penalty, penalized, 0, weight);
-                net.add_edge(2 * n, 2 * from.index(), 1, 0);
-                match min_cost_unit_path(&mut net, 2 * n, 2 * dest.index() + 1) {
-                    Some(nodes) => Some(PlannedRoute::from_path(state, trap_path(&nodes, n))),
-                    None => Some(PlannedRoute::from_path(state, filtered)),
-                }
+                let table = priced_table(state, load, full_trap_penalty, penalized, weight);
+                let path = route(state, &table, from, SplitSink::Trap(dest.index()));
+                Some(PlannedRoute::from_path(state, path.unwrap_or(filtered)))
             }
         }
     }
@@ -803,22 +827,14 @@ mod reference {
         full_trap_penalty: u32,
         weight: Option<&EdgeWeightFn>,
     ) -> Option<(TrapId, Vec<TrapId>)> {
-        let topology = state.spec().topology();
-        let n = topology.num_traps() as usize;
-        let sink = 2 * n + 1;
-        let mut net = priced_network(state, load, full_trap_penalty, |t| t != blocked, 1, weight);
-        let mut candidates = 0usize;
-        for t in topology.traps() {
-            if t != blocked && !avoid.contains(&t) && !state.is_full(t) {
-                net.add_edge(2 * t.index() + 1, sink, 1, 0);
-                candidates += 1;
-            }
+        let mut table = priced_table(state, load, full_trap_penalty, |t| t != blocked, weight);
+        for t in state.spec().topology().traps() {
+            table.exits[t.index()] = t != blocked && !avoid.contains(&t) && !state.is_full(t);
         }
-        if candidates == 0 {
+        if !table.exits.contains(&true) {
             return None;
         }
-        net.add_edge(2 * n, 2 * blocked.index(), 1, 0);
-        let path = trap_path(&min_cost_unit_path(&mut net, 2 * n, sink)?, n);
+        let path = route(state, &table, blocked, SplitSink::Exits)?;
         Some((*path.last()?, path))
     }
 }
@@ -1026,9 +1042,8 @@ mod property_tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Every route and eviction of a reused planner equals a fresh
-        /// full-search network's, on lines and rings up to 24 traps, grids
-        /// up to 6×6 and disconnected machines, so searches that stop
-        /// before their queue drains are checked against the full search.
+        /// search's on a cost table priced up front, on lines and rings up
+        /// to 24 traps, grids up to 6×6 and disconnected machines.
         #[test]
         fn reused_planner_matches_per_call_rebuild(
             kind in 0u32..4,

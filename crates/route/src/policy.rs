@@ -15,7 +15,7 @@ pub enum RouterPolicy {
     Serial,
     /// Congestion-aware routing plus concurrent transport:
     ///
-    /// * routes are priced with min-cost max-flow — each segment costs one
+    /// * routes are priced as one unit of min-cost flow — each segment costs one
     ///   hop plus a congestion surcharge from recent use, and passing
     ///   through a full interior trap costs `full_trap_penalty` extra hops
     ///   (an estimate of one re-balancing eviction). The planner detours

@@ -9,7 +9,8 @@
 //!
 //! * [`circuit`] — circuit IR, gate-dependency DAG, benchmark generators.
 //! * [`machine`] — QCCD machine model: traps, topologies, shuttles, schedules.
-//! * [`flow`] — graph substrate (shortest paths, min-cost max-flow).
+//! * [`flow`] — graph substrate (shortest paths, one-unit min-cost flow
+//!   searches, multi-commodity routing).
 //! * [`route`] — shuttle transport: congestion-aware route planning and
 //!   concurrent transport scheduling (rounds of edge-disjoint shuttles).
 //! * [`timing`] — device timing: per-operation duration models (uniform
