@@ -742,7 +742,7 @@ fn ablation(spec: &MachineSpec) {
     dir_reorder.reorder = true;
     let mut rebalance_only = baseline;
     rebalance_only.rebalance = RebalancePolicy::NearestNeighbor;
-    rebalance_only.ion_selection = IonSelection::MaxScore { wd: 0.5, ws: 0.5 };
+    rebalance_only.ion_selection = IonSelection::MaxScore;
     let mut literal_gate_distance = CompilerConfig::optimized();
     literal_gate_distance.direction = DirectionPolicy::FutureOpsGateDistance {
         proximity: CompilerConfig::DEFAULT_PROXIMITY,

@@ -17,8 +17,9 @@
 //! keys ([`is_wall_clock_key`]) two snapshots of the same code must be
 //! equal bit for bit, observability included, and any difference is
 //! named by path. The `profile.phases` times are stripped, but each
-//! benchmark's set of phase names is still compared: a phase a change
-//! adds, renames or drops must be re-pinned on purpose.
+//! benchmark's phase names and each phase's `count` are still compared:
+//! a phase a change adds, renames, drops or enters a different number of
+//! times must be re-pinned on purpose.
 //!
 //! [`diff_snapshots`] is the review aid: it walks two parsed documents in
 //! parallel, classifies every shared numeric/boolean leaf by the
@@ -339,15 +340,20 @@ fn element_segment(item: &Json, index: usize) -> String {
     }
 }
 
-/// The `name` field of an object element.
-fn name_of(item: &Json) -> Option<&str> {
+/// The `key` field of an object element.
+fn field<'a>(item: &'a Json, key: &str) -> Option<&'a Json> {
     let Json::Obj(pairs) = item else {
         return None;
     };
-    pairs.iter().find_map(|(k, v)| match v {
-        Json::Str(name) if k == "name" => Some(name.as_str()),
+    pairs.iter().find_map(|(k, v)| (k == key).then_some(v))
+}
+
+/// The `name` field of an object element.
+fn name_of(item: &Json) -> Option<&str> {
+    match field(item, "name")? {
+        Json::Str(name) => Some(name.as_str()),
         _ => None,
-    })
+    }
 }
 
 fn join(path: &str, segment: &str) -> String {
@@ -434,11 +440,11 @@ pub fn is_wall_clock_key(key: &str) -> bool {
 
 /// The paths at which `fresh` differs from `committed` once both are
 /// stripped of wall-clock keys, plus every phase name one side's
-/// `phases` list has and the other's lacks; empty iff the two snapshots
-/// agree bit for bit on everything but the times, work counters and
-/// histograms included.
+/// `phases` list has and the other's lacks and every phase whose `count`
+/// differs; empty iff the two snapshots agree bit for bit on everything
+/// but the times, work counters and histograms included.
 pub fn snapshot_mismatches(committed: &Json, fresh: &Json) -> Vec<String> {
-    let mut paths = phase_name_mismatches(committed, fresh);
+    let mut paths = phase_mismatches(committed, fresh);
     let old = strip_keys(committed, &is_wall_clock_key);
     let new = strip_keys(fresh, &is_wall_clock_key);
     if old == new {
@@ -464,59 +470,78 @@ pub fn snapshot_mismatches(committed: &Json, fresh: &Json) -> Vec<String> {
 }
 
 /// Each phase name that one snapshot's `phases` list at some path has and
-/// the other's lacks, as `"{path} (phase {name} removed|added)"`; a
-/// `phases` list only one side has is named once, as removed or added.
-fn phase_name_mismatches(committed: &Json, fresh: &Json) -> Vec<String> {
+/// the other's lacks, as `"{path} (phase {name} removed|added)"`, and
+/// each phase both have with a different `count`, as `"{path} (phase
+/// {name} count {old} -> {new})"`; a `phases` list only one side has is
+/// named once, as removed or added.
+fn phase_mismatches(committed: &Json, fresh: &Json) -> Vec<String> {
     let (mut old, mut new) = (Vec::new(), Vec::new());
-    phase_names("", committed, &mut old);
-    phase_names("", fresh, &mut new);
+    phase_counts("", committed, &mut old);
+    phase_counts("", fresh, &mut new);
     let mut paths = Vec::new();
-    for (path, names) in &old {
-        let Some((_, fresh_names)) = new.iter().find(|(p, _)| p == path) else {
+    for (path, phases) in &old {
+        let Some((_, fresh_phases)) = new.iter().find(|(p, _)| p == path) else {
             paths.push(format!("{path} (removed)"));
             continue;
         };
-        let missing = names.iter().filter(|n| !fresh_names.contains(n));
-        paths.extend(missing.map(|n| format!("{path} (phase {n} removed)")));
-        let extra = fresh_names.iter().filter(|n| !names.contains(n));
-        paths.extend(extra.map(|n| format!("{path} (phase {n} added)")));
+        let find = |list: &[Phase], name: &str| list.iter().find(|(n, _)| n == name).map(|p| p.1);
+        for (name, count) in phases {
+            match find(fresh_phases, name) {
+                None => paths.push(format!("{path} (phase {name} removed)")),
+                Some(c) if c.to_bits() != count.to_bits() => {
+                    paths.push(format!("{path} (phase {name} count {count} -> {c})"));
+                }
+                Some(_) => {}
+            }
+        }
+        let extra = fresh_phases
+            .iter()
+            .filter(|(n, _)| find(phases, n).is_none());
+        paths.extend(extra.map(|(n, _)| format!("{path} (phase {n} added)")));
     }
     let added = new.iter().filter(|(p, _)| !old.iter().any(|(o, _)| o == p));
     paths.extend(added.map(|(p, _)| format!("{p} (added)")));
     paths
 }
 
-/// Every `phases` list under `doc`, by path, as its sorted phase names.
-/// A `phases` value that is not a list of named entries has none.
-fn phase_names(path: &str, doc: &Json, out: &mut Vec<(String, Vec<String>)>) {
+/// One profiled phase: its name and its `count` leaf (NaN without one).
+type Phase = (String, f64);
+
+/// Every `phases` list under `doc`, by path, as its phases sorted by
+/// name. A `phases` value that is not a list of named entries has none.
+fn phase_counts(path: &str, doc: &Json, out: &mut Vec<(String, Vec<Phase>)>) {
     match doc {
         Json::Obj(pairs) => {
             for (key, value) in pairs {
                 let path = join(path, key);
                 if key != "phases" {
-                    phase_names(&path, value, out);
+                    phase_counts(&path, value, out);
                     continue;
                 }
                 let items = match value {
                     Json::Arr(items) => items.as_slice(),
                     _ => &[],
                 };
-                let mut names: Vec<String> = items
+                let mut phases: Vec<Phase> = items
                     .iter()
-                    .filter_map(name_of)
-                    .map(str::to_owned)
+                    .filter_map(|item| Some((name_of(item)?.to_owned(), count_of(item))))
                     .collect();
-                names.sort_unstable();
-                out.push((path, names));
+                phases.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                out.push((path, phases));
             }
         }
         Json::Arr(items) => {
             for (i, item) in items.iter().enumerate() {
-                phase_names(&join(path, &element_segment(item, i)), item, out);
+                phase_counts(&join(path, &element_segment(item, i)), item, out);
             }
         }
         _ => {}
     }
+}
+
+/// The numeric `count` field of an object element, NaN without one.
+fn count_of(item: &Json) -> f64 {
+    field(item, "count").and_then(leaf_num).unwrap_or(f64::NAN)
 }
 
 /// Compares two parsed snapshots. `rel_tol` is the relative tolerance
@@ -826,13 +851,14 @@ mod tests {
         assert!(snapshot_mismatches(&committed, &fresh).is_empty());
     }
 
-    /// A snapshot whose one benchmark ran the phases `names`.
+    /// A snapshot whose one benchmark ran the phases `names`, each once.
     fn phased(names: &[&str], total_us: f64) -> Json {
         let phase = |name: &str| {
             Json::obj(vec![
                 ("name", Json::str(name)),
                 ("count", Json::int(1)),
                 ("total_us", Json::Num(total_us)),
+                ("self_us", Json::Num(total_us)),
             ])
         };
         let profile = Json::obj(vec![
@@ -880,6 +906,31 @@ mod tests {
             snapshot_mismatches(&committed, &dropped).len(),
             3,
             "every phase name is gone"
+        );
+    }
+
+    #[test]
+    fn snapshot_gate_pins_each_phase_count_but_not_its_times() {
+        let committed = phased(&["compile", "dag", "replay"], 10.0);
+        let mut retimed = committed.clone();
+        for field in ["total_us", "self_us"] {
+            set(
+                &mut retimed,
+                &["benchmarks", "0", "profile", "phases", "2", field],
+                Json::Num(1e9),
+            );
+        }
+        assert!(snapshot_mismatches(&committed, &retimed).is_empty());
+
+        let mut recounted = committed.clone();
+        set(
+            &mut recounted,
+            &["benchmarks", "0", "profile", "phases", "2", "count"],
+            Json::int(2),
+        );
+        assert_eq!(
+            snapshot_mismatches(&committed, &recounted),
+            ["benchmarks[QAOA].profile.phases (phase replay count 1 -> 2)"]
         );
     }
 

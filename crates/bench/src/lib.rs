@@ -35,7 +35,7 @@ use qccd_circuit::Circuit;
 use qccd_core::{compile, CompileResult, CompilerConfig, Objective, RouterPolicy};
 use qccd_machine::{MachineSpec, TrapTopology};
 use qccd_route::TransportSchedule;
-use qccd_sim::{attribute_fidelity_timed, simulate_timed, simulate_traced, SimParams, SimReport};
+use qccd_sim::{attribute_fidelity_timed, simulate_timed, SimParams, SimReport};
 use qccd_timing::TimingModel;
 use std::time::Instant;
 
@@ -137,11 +137,11 @@ pub struct ComparisonRow {
     /// [`qccd_core::compile`] — the loop where candidate scoring lives —
     /// not the post-compile pack passes.
     pub clock_compile_s: f64,
-    /// Idle fraction of the machine over the optimized schedule's traced
-    /// replay ([`qccd_sim::simulate_traced`]): `1 − mean(trap busy) /
-    /// makespan`, in `[0, 1]`.
+    /// Idle fraction of the machine over the optimized compile's own
+    /// timeline (its configured, ideal timing model, one hop per round):
+    /// `1 − mean(trap busy) / makespan`, in `[0, 1]`.
     pub idle_fraction: f64,
-    /// Index of the busiest trap in that replay (ties go to the lowest
+    /// Index of the busiest trap on that timeline (ties go to the lowest
     /// index).
     pub hottest_trap: usize,
     /// Busy time of the hottest trap, µs.
@@ -319,15 +319,12 @@ pub fn compare_timed(
         model,
     )
     .expect("clock-objective schedules are valid by construction");
-    // Per-trap utilization of the optimized ("This Work") schedule: the
-    // traced replay mirrors `optimized_sim`'s serial replay, so its busy
-    // figures describe the same run the headline columns report.
-    let optimized_trace = simulate_traced(&opt.schedule, &bench.circuit, spec, params)
-        .expect("compiled schedules are valid by construction");
-    let idle_fraction = optimized_trace.idle_fraction();
-    let (hottest_trap, hottest_trap_busy_us) = optimized_trace
-        .hottest_trap()
-        .expect("machines have at least one trap");
+    // Per-trap utilization of the optimized ("This Work") schedule, read
+    // off the timeline its compile already lowered.
+    let (idle_fraction, hottest_trap, hottest_trap_busy_us) = utilization(
+        &opt.timeline.trap_busy_all(spec.num_traps() as usize),
+        opt.timeline.makespan_us,
+    );
     // Fidelity-loss split of the clock artifact (the headline timed
     // schedule): duration vs motional share of the log loss, from the
     // attribution pass whose terms reproduce `clock_sim`'s
@@ -375,6 +372,27 @@ pub fn compare_timed(
         clock_duration_share,
         clock_motional_share,
     }
+}
+
+/// The machine's idle fraction and its busiest trap, from per-trap busy
+/// times over a run of `makespan_us`: `(1 − mean(busy) / makespan` clamped
+/// to `[0, 1]` and 0 for a zero makespan or no traps, `busiest trap index`,
+/// `its busy µs)`. Ties go to the lowest trap index, so the answer is
+/// deterministic for symmetric schedules.
+fn utilization(busy: &[f64], makespan_us: f64) -> (f64, usize, f64) {
+    let idle_fraction = if makespan_us <= 0.0 || busy.is_empty() {
+        0.0
+    } else {
+        let mean_busy = busy.iter().sum::<f64>() / busy.len() as f64;
+        (1.0 - mean_busy / makespan_us).clamp(0.0, 1.0)
+    };
+    let (hottest, hottest_busy_us) = busy
+        .iter()
+        .copied()
+        .enumerate()
+        .max_by(|(ia, a), (ib, b)| a.total_cmp(b).then(ib.cmp(ia)))
+        .unwrap_or((0, 0.0));
+    (idle_fraction, hottest, hottest_busy_us)
 }
 
 /// Runs the five named NISQ benchmarks (Table II's upper rows).
@@ -746,6 +764,22 @@ mod tests {
         assert!(parse_per_size("x")
             .unwrap_err()
             .contains("not a valid number"));
+    }
+
+    #[test]
+    fn utilization_bounds_idle_and_sends_ties_to_the_lowest_trap() {
+        // Trap 1 is busiest; the mean busy time is a third of the run.
+        let (idle, hottest, busy) = utilization(&[100.0, 200.0, 0.0], 300.0);
+        assert_eq!((hottest, busy), (1, 200.0));
+        assert!((idle - 2.0 / 3.0).abs() < 1e-12);
+        // Ties go to the lowest index.
+        assert_eq!(utilization(&[5.0, 7.0, 7.0], 10.0).1, 1);
+        assert_eq!(utilization(&[0.0; 3], 10.0), (1.0, 0, 0.0));
+        // A zero makespan (or no traps) reads as no idle time.
+        assert_eq!(utilization(&[0.0; 3], 0.0), (0.0, 0, 0.0));
+        assert_eq!(utilization(&[], 10.0), (0.0, 0, 0.0));
+        // Busy time beyond the makespan clamps to fully used.
+        assert_eq!(utilization(&[20.0, 20.0], 10.0).0, 0.0);
     }
 
     #[test]

@@ -62,14 +62,10 @@ pub enum IonSelection {
     ChainEnd,
     /// The paper's max-score heuristic (§III-C2): prefer ions with many
     /// remaining gates in the destination trap and few in the source trap,
-    /// `score = wd·#dest − ws·#source`. On equal counts the weights shift
-    /// to 0.49/0.51 so the score cannot be zero.
-    MaxScore {
-        /// Weight on gates in the destination trap (paper: 0.5).
-        wd: f64,
-        /// Weight on gates in the source trap (paper: 0.5).
-        ws: f64,
-    },
+    /// `score = wd·#dest − ws·#source` with the paper's weights
+    /// `wd = ws = 0.5`. On equal counts the weights shift to 0.49/0.51 so
+    /// the score cannot be zero.
+    MaxScore,
 }
 
 /// What the compile loop optimizes at every open decision.
@@ -223,7 +219,7 @@ impl CompilerConfig {
             },
             reorder: true,
             rebalance: RebalancePolicy::NearestNeighbor,
-            ion_selection: IonSelection::MaxScore { wd: 0.5, ws: 0.5 },
+            ion_selection: IonSelection::MaxScore,
             mapping: MappingPolicy::GreedyInteraction,
             router: RouterPolicy::Serial,
             lookahead: false,
@@ -302,7 +298,7 @@ impl fmt::Display for CompilerConfig {
         };
         let ion = match self.ion_selection {
             IonSelection::ChainEnd => "chain-end",
-            IonSelection::MaxScore { .. } => "max-score",
+            IonSelection::MaxScore => "max-score",
         };
         write!(
             f,
@@ -343,7 +339,7 @@ mod tests {
         assert_eq!(o.direction, DirectionPolicy::FutureOps { proximity: 6 });
         assert!(o.reorder);
         assert_eq!(o.rebalance, RebalancePolicy::NearestNeighbor);
-        assert_eq!(o.ion_selection, IonSelection::MaxScore { wd: 0.5, ws: 0.5 });
+        assert_eq!(o.ion_selection, IonSelection::MaxScore);
     }
 
     #[test]

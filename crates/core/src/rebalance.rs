@@ -10,6 +10,14 @@ use crate::config::{IonSelection, RebalancePolicy};
 use crate::remaining::{RemainingGates, SCAN_ENTRIES};
 use qccd_machine::{IonId, MachineState, TrapId, TrapTopology};
 
+/// Max-score weight on an ion's remaining gates in the destination trap
+/// (§III-C2: 0.5).
+const MAX_SCORE_WD: f64 = 0.5;
+
+/// Max-score weight on an ion's remaining gates in the source trap
+/// (§III-C2: 0.5).
+const MAX_SCORE_WS: f64 = 0.5;
+
 /// Picks the destination trap for an ion evicted from `blocked`.
 ///
 /// Candidates are traps with excess capacity, excluding `blocked` itself and
@@ -105,7 +113,7 @@ pub(crate) fn choose_ion(
     match selection {
         // Baseline: the chain-end ion is the cheapest split.
         IonSelection::ChainEnd => candidates.last().copied(),
-        IonSelection::MaxScore { wd, ws } => {
+        IonSelection::MaxScore => {
             // Remaining gates of `ion` whose partner sits in `trap`.
             let gates_with = |ion: IonId, trap: TrapId| -> u32 {
                 let partners = state.chain(trap);
@@ -120,7 +128,7 @@ pub(crate) fn choose_ion(
                     // the score cannot be zero.
                     0.49 * df - 0.51 * sf
                 } else {
-                    wd * df - ws * sf
+                    MAX_SCORE_WD * df - MAX_SCORE_WS * sf
                 }
             };
             // Highest score wins; ties break toward the chain end (cheaper
@@ -316,7 +324,7 @@ mod tests {
         let dag = c.dependency_dag();
         let remaining = RemainingGates::new(&c, &dag, dag.topological_order());
         let ion = choose_ion(
-            IonSelection::MaxScore { wd: 0.5, ws: 0.5 },
+            IonSelection::MaxScore,
             &state,
             &remaining,
             TrapId(0),
@@ -341,7 +349,7 @@ mod tests {
         let dag = c.dependency_dag();
         let remaining = RemainingGates::new(&c, &dag, dag.topological_order());
         let ion = choose_ion(
-            IonSelection::MaxScore { wd: 0.5, ws: 0.5 },
+            IonSelection::MaxScore,
             &state,
             &remaining,
             TrapId(0),

@@ -213,11 +213,11 @@ pub fn compile_with_mapping(
         let _phase = qccd_obs::span("transport-pack");
         match config.router {
             RouterPolicy::Serial => TransportSchedule::pack_serial(&schedule),
-            RouterPolicy::Congestion { .. } if config.lookahead => {
+            RouterPolicy::Congestion if config.lookahead => {
                 TransportSchedule::pack_lookahead(&schedule, spec)
                     .map_err(CompileError::InternalTransport)?
             }
-            RouterPolicy::Congestion { .. } => TransportSchedule::pack_concurrent(&schedule, spec)
+            RouterPolicy::Congestion => TransportSchedule::pack_concurrent(&schedule, spec)
                 .map_err(CompileError::InternalTransport)?,
         }
     };
@@ -841,14 +841,10 @@ impl Scheduler<'_> {
         // machines — relax it rather than deadlock.
         let priced = match (self.config.router, self.config.rebalance) {
             _ if clock_pick.is_some() => clock_pick,
-            (RouterPolicy::Congestion { full_trap_penalty }, RebalancePolicy::NearestNeighbor) => {
-                self.planner
-                    .plan_eviction(&self.state, blocked, avoid, full_trap_penalty)
-                    .or_else(|| {
-                        self.planner
-                            .plan_eviction(&self.state, blocked, &[], full_trap_penalty)
-                    })
-            }
+            (RouterPolicy::Congestion, RebalancePolicy::NearestNeighbor) => self
+                .planner
+                .plan_eviction(&self.state, blocked, avoid)
+                .or_else(|| self.planner.plan_eviction(&self.state, blocked, &[])),
             _ => None,
         };
         let (dest, priced_route) = match priced {
@@ -1289,10 +1285,7 @@ mod tests {
                     RebalancePolicy::FromTrapZero,
                     RebalancePolicy::NearestNeighbor,
                 ] {
-                    for ion_selection in [
-                        IonSelection::ChainEnd,
-                        IonSelection::MaxScore { wd: 0.5, ws: 0.5 },
-                    ] {
+                    for ion_selection in [IonSelection::ChainEnd, IonSelection::MaxScore] {
                         for router in [RouterPolicy::Serial, RouterPolicy::congestion()] {
                             let config = CompilerConfig {
                                 direction,

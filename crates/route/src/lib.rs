@@ -9,7 +9,7 @@
 //!   the shortest path, detouring around full traps whenever any detour
 //!   exists). [`RouterPolicy::Congestion`] routes each move as one unit of
 //!   min-cost flow (`qccd-flow`'s `SplitSearch`): a full interior trap
-//!   costs a configurable eviction penalty and recently-used shuttle
+//!   costs a fixed eviction penalty of 6 hops and recently-used shuttle
 //!   segments cost a congestion surcharge, so the planner detours around
 //!   full traps only while the detour is cheaper than a re-balancing
 //!   eviction and spreads equal-length routes across cold edges.

@@ -1,7 +1,7 @@
 //! The route planner: multi-segment routes over the live machine state,
 //! priced with min-cost flow.
 
-use crate::policy::RouterPolicy;
+use crate::policy::{RouterPolicy, FULL_TRAP_PENALTY};
 use qccd_flow::{BfsScratch, SplitCosts, SplitSearch, SplitSink};
 use qccd_machine::{MachineState, TrapId, TrapTopology};
 
@@ -184,7 +184,6 @@ struct Prices<'a> {
     weights: &'a [u32],
     counts: &'a [u32],
     hop_scale: i64,
-    full_trap_penalty: u32,
     /// Traps exempt from the penalty.
     exempt: [TrapId; 2],
     /// `Some(avoid)` for an eviction out of `exempt[0]`.
@@ -195,7 +194,7 @@ impl SplitCosts for Prices<'_> {
     fn internal(&self, trap: usize) -> i64 {
         let t = TrapId(trap as u32);
         if !self.exempt.contains(&t) && self.state.is_full(t) {
-            i64::from(self.full_trap_penalty) * self.hop_scale
+            i64::from(FULL_TRAP_PENALTY) * self.hop_scale
         } else {
             0
         }
@@ -271,8 +270,7 @@ impl RoutePlanner {
     /// * [`RouterPolicy::Congestion`] — min-cost flow pricing over the
     ///   node-split network: every segment costs its weight (one hop
     ///   unless built [`with_weights`](Self::with_weights)) plus the load
-    ///   surcharge, and a full interior trap costs `full_trap_penalty`
-    ///   extra hops. The cheapest route
+    ///   surcharge, and a full interior trap costs 6 extra hops. The cheapest route
     ///   wins; hop count strictly dominates the surcharge, so congestion
     ///   only arbitrates between otherwise-equal routes, and a full-free
     ///   detour is taken only while it beats evicting through the full
@@ -300,7 +298,7 @@ impl RoutePlanner {
                 .shortest_path_filtered(from, dest, filtered)
                 .or_else(|| topology.shortest_path(from, dest))
                 .map(|p| PlannedRoute::from_path(state, p)),
-            RouterPolicy::Congestion { full_trap_penalty } => {
+            RouterPolicy::Congestion => {
                 if self.free_first_hop(state, from, dest).is_none() {
                     // Every route needs evictions: walk the serial router's
                     // eviction path so the two routers share eviction
@@ -309,7 +307,7 @@ impl RoutePlanner {
                         .shortest_path(from, dest)
                         .map(|p| PlannedRoute::from_path(state, p));
                 }
-                match self.priced_route(state, from, dest, full_trap_penalty) {
+                match self.priced_route(state, from, dest) {
                     Some(priced) => Some(priced),
                     // The flow found no route (cannot happen while BFS
                     // did; be safe): fall back to the full-free detour.
@@ -350,8 +348,8 @@ impl RoutePlanner {
         };
         match policy {
             RouterPolicy::Serial => Some(free),
-            RouterPolicy::Congestion { full_trap_penalty } => {
-                let found = self.search_route(state, from, dest, full_trap_penalty);
+            RouterPolicy::Congestion => {
+                let found = self.search_route(state, from, dest);
                 // The free route's hop is the fallback `plan_route` takes.
                 let hop = found.and_then(|_| self.search.first_hop());
                 Some(hop.map_or(free, |t| TrapId(t as u32)))
@@ -383,7 +381,7 @@ impl RoutePlanner {
     /// Every trap with excess capacity (other than `blocked` and the traps
     /// in `avoid`) is a candidate sink; each physical segment costs its
     /// weight plus its load surcharge, and crossing a *full* interior trap
-    /// costs `full_trap_penalty` extra hops. Hop count strictly dominates
+    /// costs 6 extra hops. Hop count strictly dominates
     /// the surcharge, so the destination is still a nearest non-full trap —
     /// but ties break toward cold corridors and routes never thread a full
     /// trap when an equal-cost detour exists. The clock-objective compiler
@@ -400,7 +398,6 @@ impl RoutePlanner {
         state: &MachineState,
         blocked: TrapId,
         avoid: &[TrapId],
-        full_trap_penalty: u32,
     ) -> Option<(TrapId, Vec<TrapId>)> {
         let _phase = qccd_obs::span("route-plan");
         let prices = Prices {
@@ -408,7 +405,6 @@ impl RoutePlanner {
             weights: &self.weights,
             counts: &self.load.counts,
             hop_scale: self.hop_scale,
-            full_trap_penalty,
             exempt: [blocked; 2],
             avoid: Some(avoid),
         };
@@ -430,21 +426,14 @@ impl RoutePlanner {
         state: &MachineState,
         from: TrapId,
         dest: TrapId,
-        full_trap_penalty: u32,
     ) -> Option<PlannedRoute> {
-        self.search_route(state, from, dest, full_trap_penalty)?;
+        self.search_route(state, from, dest)?;
         Some(PlannedRoute::from_path(state, self.trap_path()))
     }
 
     /// Runs the priced search from `from` to `dest`'s out-half, returning
     /// the route's cost; the route stays in the search.
-    fn search_route(
-        &mut self,
-        state: &MachineState,
-        from: TrapId,
-        dest: TrapId,
-        full_trap_penalty: u32,
-    ) -> Option<i64> {
+    fn search_route(&mut self, state: &MachineState, from: TrapId, dest: TrapId) -> Option<i64> {
         let _phase = qccd_obs::span("route-plan");
         debug_assert_eq!(state.spec().num_traps() as usize, self.search.traps());
         let prices = Prices {
@@ -452,7 +441,6 @@ impl RoutePlanner {
             weights: &self.weights,
             counts: &self.load.counts,
             hop_scale: self.hop_scale,
-            full_trap_penalty,
             exempt: [from, dest],
             avoid: None,
         };
@@ -630,7 +618,7 @@ mod tests {
         assert!(state.is_full(TrapId(0)));
         let mut p = planner(&state);
         p.record(TrapId(0), TrapId(1));
-        let (dest, route) = p.plan_eviction(&state, TrapId(0), &[], 6).unwrap();
+        let (dest, route) = p.plan_eviction(&state, TrapId(0), &[]).unwrap();
         assert_eq!(dest, TrapId(5), "cold neighbour wins the tie");
         assert_eq!(route, vec![TrapId(0), TrapId(5)]);
     }
@@ -649,12 +637,12 @@ mod tests {
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         assert!(state.is_full(TrapId(0)) && state.is_full(TrapId(1)));
         let mut p = planner(&state);
-        let (dest, route) = p.plan_eviction(&state, TrapId(0), &[TrapId(7)], 6).unwrap();
+        let (dest, route) = p.plan_eviction(&state, TrapId(0), &[TrapId(7)]).unwrap();
         assert_eq!(dest, TrapId(6));
         assert_eq!(route, vec![TrapId(0), TrapId(7), TrapId(6)]);
         // No candidate at all: every other trap avoided.
         let all: Vec<TrapId> = (1..8).map(TrapId).collect();
-        assert_eq!(p.plan_eviction(&state, TrapId(0), &all, 6), None);
+        assert_eq!(p.plan_eviction(&state, TrapId(0), &all), None);
     }
 
     #[test]
@@ -674,7 +662,7 @@ mod tests {
             let full = InitialMapping::from_traps(&spec, vec![TrapId(0); 2]).unwrap();
             let state = MachineState::with_mapping(&spec, &full).unwrap();
             assert!(state.is_full(TrapId(0)));
-            let (dest, _) = p.plan_eviction(&state, TrapId(0), &[], 6).unwrap();
+            let (dest, _) = p.plan_eviction(&state, TrapId(0), &[]).unwrap();
             assert_eq!(dest, TrapId(1));
             (route_pops, p.search.pops())
         };
@@ -743,7 +731,6 @@ mod reference {
     fn priced_table(
         state: &MachineState,
         load: &EdgeLoad,
-        full_trap_penalty: u32,
         penalized: impl Fn(TrapId) -> bool,
         weight: Option<&EdgeWeightFn>,
     ) -> Table {
@@ -757,7 +744,7 @@ mod reference {
         };
         for t in topology.traps() {
             table.internal.push(if penalized(t) && state.is_full(t) {
-                i64::from(full_trap_penalty) * hop_scale
+                i64::from(FULL_TRAP_PENALTY) * hop_scale
             } else {
                 0
             });
@@ -805,14 +792,14 @@ mod reference {
             RouterPolicy::Serial => filtered
                 .or_else(|| topology.shortest_path(from, dest))
                 .map(|p| PlannedRoute::from_path(state, p)),
-            RouterPolicy::Congestion { full_trap_penalty } => {
+            RouterPolicy::Congestion => {
                 let Some(filtered) = filtered else {
                     return topology
                         .shortest_path(from, dest)
                         .map(|p| PlannedRoute::from_path(state, p));
                 };
                 let penalized = |t| t != from && t != dest;
-                let table = priced_table(state, load, full_trap_penalty, penalized, weight);
+                let table = priced_table(state, load, penalized, weight);
                 let path = route(state, &table, from, SplitSink::Trap(dest.index()));
                 Some(PlannedRoute::from_path(state, path.unwrap_or(filtered)))
             }
@@ -824,10 +811,9 @@ mod reference {
         blocked: TrapId,
         avoid: &[TrapId],
         load: &EdgeLoad,
-        full_trap_penalty: u32,
         weight: Option<&EdgeWeightFn>,
     ) -> Option<(TrapId, Vec<TrapId>)> {
-        let mut table = priced_table(state, load, full_trap_penalty, |t| t != blocked, weight);
+        let mut table = priced_table(state, load, |t| t != blocked, weight);
         for t in state.spec().topology().traps() {
             table.exits[t.index()] = t != blocked && !avoid.contains(&t) && !state.is_full(t);
         }
@@ -1024,7 +1010,7 @@ mod property_tests {
                     Step::Route { from, dest, policy } => {
                         let policy = match policy {
                             0 | 1 => RouterPolicy::Serial,
-                            p => RouterPolicy::Congestion { full_trap_penalty: 2 * p },
+                            _ => RouterPolicy::Congestion,
                         };
                         let (from, dest) = (trap(from), trap(dest));
                         let want = planner
@@ -1097,7 +1083,7 @@ mod property_tests {
                     Step::Route { from, dest, policy } => {
                         let policy = match policy {
                             0 => RouterPolicy::Serial,
-                            p => RouterPolicy::Congestion { full_trap_penalty: 2 * p },
+                            _ => RouterPolicy::Congestion,
                         };
                         let (from, dest) = (trap(from), trap(dest));
                         let got = planner.plan_route(policy, &state, from, dest);
@@ -1108,8 +1094,8 @@ mod property_tests {
                         let blocked = trap(blocked);
                         let avoid: Vec<TrapId> =
                             (0..n).filter(|t| avoid >> t & 1 == 1).map(TrapId).collect();
-                        let got = planner.plan_eviction(&state, blocked, &avoid, 6);
-                        let want = reference::plan_eviction(&state, blocked, &avoid, &load, 6, weight);
+                        let got = planner.plan_eviction(&state, blocked, &avoid);
+                        let want = reference::plan_eviction(&state, blocked, &avoid, &load, weight);
                         prop_assert_eq!(got, want);
                     }
                 }

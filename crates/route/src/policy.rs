@@ -17,42 +17,33 @@ pub enum RouterPolicy {
     ///
     /// * routes are priced as one unit of min-cost flow — each segment costs one
     ///   hop plus a congestion surcharge from recent use, and passing
-    ///   through a full interior trap costs `full_trap_penalty` extra hops
-    ///   (an estimate of one re-balancing eviction). The planner detours
-    ///   around a full trap only while the detour is cheaper than evicting
-    ///   through it; pathologically long detours (longer than
-    ///   `full_trap_penalty` extra hops per full trap) fall back to the
-    ///   pass-through-and-evict route the serial router would take when no
-    ///   detour exists at all.
+    ///   through a full interior trap costs 6 extra hops (an estimate of
+    ///   one re-balancing eviction: a destination search plus 1-2
+    ///   eviction hops, often cascading). The planner detours around a
+    ///   full trap only while the detour is cheaper than evicting through
+    ///   it; pathologically long detours (more than 6 extra hops per full
+    ///   trap) fall back to the pass-through-and-evict route the serial
+    ///   router would take when no detour exists at all.
     /// * the emitted flat schedule is packed into rounds of edge-disjoint
     ///   concurrent shuttles; the round count (transport depth) becomes
     ///   the timing-relevant metric.
-    Congestion {
-        /// Extra cost, in hops, of crossing one full interior trap —
-        /// the planner's price for the re-balancing eviction that crossing
-        /// would force. [`RouterPolicy::DEFAULT_FULL_TRAP_PENALTY`] is the
-        /// tuned default.
-        full_trap_penalty: u32,
-    },
+    Congestion,
 }
 
-impl RouterPolicy {
-    /// Default eviction-cost estimate: a typical eviction costs one
-    /// destination-search plus 1-2 eviction hops and often cascades, so a
-    /// detour of up to 6 extra hops is preferred over crossing one full
-    /// trap.
-    pub const DEFAULT_FULL_TRAP_PENALTY: u32 = 6;
+/// Extra cost, in hops, of crossing one full interior trap under
+/// [`RouterPolicy::Congestion`]: the planner's price for the re-balancing
+/// eviction that crossing would force.
+pub(crate) const FULL_TRAP_PENALTY: u32 = 6;
 
-    /// The congestion router with the default full-trap penalty.
+impl RouterPolicy {
+    /// The congestion router.
     pub fn congestion() -> Self {
-        RouterPolicy::Congestion {
-            full_trap_penalty: Self::DEFAULT_FULL_TRAP_PENALTY,
-        }
+        RouterPolicy::Congestion
     }
 
     /// Returns `true` for the congestion-aware policy.
     pub fn is_congestion(self) -> bool {
-        matches!(self, RouterPolicy::Congestion { .. })
+        matches!(self, RouterPolicy::Congestion)
     }
 }
 
@@ -60,9 +51,7 @@ impl fmt::Display for RouterPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RouterPolicy::Serial => write!(f, "serial"),
-            RouterPolicy::Congestion { full_trap_penalty } => {
-                write!(f, "congestion(penalty={full_trap_penalty})")
-            }
+            RouterPolicy::Congestion => write!(f, "congestion(penalty={FULL_TRAP_PENALTY})"),
         }
     }
 }

@@ -662,7 +662,7 @@ fn attribute_inner(
 
     // The same default-model fallback the replay applied: τ below must be
     // the duration the fidelity model charged.
-    let model = &device_model(params, model);
+    let model = &device_model(model);
 
     let shuttle_hop_loss = -(1.0 - params.shuttle_infidelity).ln();
     let mut terms = Vec::with_capacity(events.len());
@@ -752,7 +752,6 @@ fn attribute_inner(
                 to,
                 start_us,
                 end_us,
-                ..
             } => {
                 shuttle_pulse_loss += shuttle_hop_loss;
                 terms.push(LossTerm::Shuttle {
@@ -766,7 +765,6 @@ fn attribute_inner(
                 });
                 shuttle_idx += 1;
             }
-            OpObserver::ZoneMove { .. } => {}
         }
     }
 

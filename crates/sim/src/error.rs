@@ -14,7 +14,7 @@ pub enum SimError {
     /// non-finite values.
     InvalidParams,
     /// The transport rounds handed to
-    /// [`simulate_transport`](crate::simulate_transport) do not match the
+    /// [`simulate_timed`](crate::simulate_timed) do not match the
     /// schedule's shuttle operations.
     TransportMismatch {
         /// Index of the first schedule operation the rounds disagree with.

@@ -15,8 +15,9 @@
 //! shuttles (which curbs `n̄`) directly improves the reported number —
 //! the mechanism behind Fig. 8 of the paper.
 //!
-//! The constants in [`SimParams`] are calibrated-plausible trapped-ion
-//! figures (documented per field); the paper inherits its exact values from
+//! The error-physics constants in [`SimParams`] and the durations in
+//! [`TimingModel`] are calibrated-plausible trapped-ion figures
+//! (documented per field); the paper inherits its exact values from
 //! the QCCDSim code base and omits them "for brevity", so absolute
 //! fidelities here are not comparable to the authors' — improvement
 //! *ratios* between two compilations of the same circuit are.
@@ -47,7 +48,6 @@ mod params;
 mod replay_oracle;
 mod report;
 mod simulator;
-mod trace;
 
 pub use attribution::{
     attribute_fidelity, attribute_fidelity_timed, FidelityAttribution, HeatDeposit, HeatKind,
@@ -57,9 +57,8 @@ pub use error::SimError;
 pub use fidelity::{chain_scaling_factor, one_qubit_gate_fidelity, two_qubit_gate_fidelity};
 pub use params::SimParams;
 pub use report::SimReport;
-pub use simulator::{simulate, simulate_timed, simulate_transport};
-pub use trace::{simulate_traced, SimTrace, TraceRecord, TrapUtilization};
+pub use simulator::{simulate, simulate_timed};
 
-// The timing model shapes every timed replay; re-export it so simulator
+// The timing model is every replay's clock; re-export it so simulator
 // users need not depend on `qccd-timing` directly.
 pub use qccd_timing::{Timeline, TimingModel};

@@ -1,29 +1,22 @@
-//! Simulation parameters: operation durations, heating, fidelity scaling.
+//! Simulation parameters: heating and fidelity scaling.
 
 use serde::{Deserialize, Serialize};
 
-/// Physical-model constants for the simulator.
+/// Error-physics constants for the simulator: heating rates and quanta,
+/// the background error rate Γ, the shuttle-pulse loss and the motional
+/// coupling scale.
 ///
 /// Defaults are calibrated-plausible figures for surface-electrode
 /// trapped-ion systems, in the ranges published by Murali et al. (ISCA'20)
 /// and the experimental papers they calibrate against (\[9\], \[10\] in the
-/// paper). The paper itself omits the exact values "for brevity"; every
-/// knob is exposed here so alternative calibrations are one struct away.
+/// paper). The paper itself omits the exact values "for brevity".
+/// Operation durations are not here: every replay reads them from one
+/// [`TimingModel`](qccd_timing::TimingModel) ([`TimingModel::ideal`]
+/// unless the caller passes another).
+///
+/// [`TimingModel::ideal`]: qccd_timing::TimingModel::ideal
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SimParams {
-    /// Single-qubit gate duration, µs.
-    pub one_qubit_gate_us: f64,
-    /// Two-qubit MS-gate base duration at chain length 2, µs.
-    pub two_qubit_gate_base_us: f64,
-    /// Fractional two-qubit gate slowdown per extra ion in the chain
-    /// (longer chains have softer motional modes → slower gates).
-    pub gate_chain_slowdown: f64,
-    /// Chain split duration, µs (Fig. 3 SPLIT step).
-    pub split_us: f64,
-    /// Chain merge duration, µs (Fig. 3 MERGE step).
-    pub merge_us: f64,
-    /// Ion transit duration per shuttle-path segment, µs (Fig. 3 MOVE step).
-    pub move_us: f64,
     /// Background heating rate of a chain, quanta per second of trap-local
     /// time (the `Γτ` driver).
     pub background_heating_quanta_per_s: f64,
@@ -58,12 +51,6 @@ impl SimParams {
     /// The default calibration used throughout the evaluation harness.
     pub fn new() -> Self {
         SimParams {
-            one_qubit_gate_us: 10.0,
-            two_qubit_gate_base_us: 100.0,
-            gate_chain_slowdown: 0.05,
-            split_us: 80.0,
-            merge_us: 80.0,
-            move_us: 5.0,
             background_heating_quanta_per_s: 5.0,
             split_heating_quanta: 0.2,
             move_heating_quanta: 0.1,
@@ -75,17 +62,6 @@ impl SimParams {
         }
     }
 
-    /// Duration of a two-qubit gate in an `m`-ion chain, µs.
-    pub fn two_qubit_gate_us(&self, chain_len: u32) -> f64 {
-        let extra = chain_len.saturating_sub(2) as f64;
-        self.two_qubit_gate_base_us * (1.0 + self.gate_chain_slowdown * extra)
-    }
-
-    /// Duration of one shuttle hop (split + move + merge), µs.
-    pub fn shuttle_hop_us(&self) -> f64 {
-        self.split_us + self.move_us + self.merge_us
-    }
-
     /// Validates that all parameters are finite and non-negative (and the
     /// per-hop shuttle infidelity below 1).
     pub fn is_valid(&self) -> bool {
@@ -93,12 +69,6 @@ impl SimParams {
             return false;
         }
         let fields = [
-            self.one_qubit_gate_us,
-            self.two_qubit_gate_base_us,
-            self.gate_chain_slowdown,
-            self.split_us,
-            self.merge_us,
-            self.move_us,
             self.background_heating_quanta_per_s,
             self.split_heating_quanta,
             self.move_heating_quanta,
@@ -125,21 +95,6 @@ mod tests {
     #[test]
     fn defaults_are_valid() {
         assert!(SimParams::default().is_valid());
-    }
-
-    #[test]
-    fn gate_time_grows_with_chain_length() {
-        let p = SimParams::default();
-        assert_eq!(p.two_qubit_gate_us(2), 100.0);
-        assert!(p.two_qubit_gate_us(10) > p.two_qubit_gate_us(5));
-        // Chain length below 2 clamps to the base duration.
-        assert_eq!(p.two_qubit_gate_us(1), 100.0);
-    }
-
-    #[test]
-    fn shuttle_hop_time_sums_steps() {
-        let p = SimParams::default();
-        assert_eq!(p.shuttle_hop_us(), 80.0 + 5.0 + 80.0);
     }
 
     #[test]

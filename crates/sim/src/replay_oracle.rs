@@ -37,7 +37,7 @@ fn oracle_simulate_inner(
     schedule
         .validate(circuit, spec)
         .map_err(SimError::InvalidSchedule)?;
-    let model = &device_model(params, model);
+    let model = &device_model(model);
     let timeline =
         qccd_timing::lower(schedule, transport, circuit, spec, model).map_err(|e| match e {
             LowerError::TransportMismatch { op_index } => SimError::TransportMismatch { op_index },
@@ -168,7 +168,6 @@ fn oracle_simulate_inner(
                         to: m.to,
                         start_us,
                         end_us,
-                        dest_n_bar_after: n_bar[ti],
                     });
                     shuttles += 1;
                 }
@@ -177,10 +176,7 @@ fn oracle_simulate_inner(
                 }
             }
             EventRef::ZoneMove {
-                ion,
-                trap,
-                start_us,
-                end_us,
+                ion, trap, end_us, ..
             } => {
                 // An intra-trap reorder: the chain idles (background
                 // heating) and the reorder pulse deposits its own quanta.
@@ -191,12 +187,6 @@ fn oracle_simulate_inner(
                     lr.zone(t, heat, params.zone_move_heating_quanta, end_us, ion);
                 }
                 clock[t] = end_us;
-                observer(OpObserver::ZoneMove {
-                    ion,
-                    trap,
-                    start_us,
-                    end_us,
-                });
             }
         }
     }

@@ -27,7 +27,7 @@ pub struct SimReport {
     pub shuttles: usize,
     /// Transport rounds replayed: equals `shuttles` under serial transport
     /// (one hop at a time); lower under
-    /// [`simulate_transport`](crate::simulate_transport) whenever
+    /// [`simulate_timed`](crate::simulate_timed) whenever
     /// edge-disjoint hops shared a concurrent round.
     pub shuttle_depth: usize,
     /// Gates replayed.

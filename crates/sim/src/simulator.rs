@@ -24,8 +24,8 @@ static GATE_INFIDELITY: qccd_obs::Histogram = qccd_obs::Histogram::new("sim.gate
 /// Distribution of the chain's `n̄` per replayed gate, in milliquanta.
 static GATE_NBAR: qccd_obs::Histogram = qccd_obs::Histogram::new("sim.gate_nbar");
 
-/// Event passed to the trace observer for every replayed operation.
-/// See [`simulate_traced`](crate::simulate_traced) for the public surface.
+/// Event passed to the observer for every replayed gate and shuttle: the
+/// fidelity attribution pass builds its loss terms from these.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum OpObserver {
     Gate {
@@ -43,13 +43,6 @@ pub(crate) enum OpObserver {
         to: TrapId,
         start_us: f64,
         end_us: f64,
-        dest_n_bar_after: f64,
-    },
-    ZoneMove {
-        ion: IonId,
-        trap: TrapId,
-        start_us: f64,
-        end_us: f64,
     },
 }
 
@@ -57,10 +50,9 @@ pub(crate) enum OpObserver {
 /// fidelity and makespan.
 ///
 /// The schedule is replay-validated (legal shuttles, co-located gate
-/// operands, dependency order) while it is lowered into an ASAP event
-/// timeline under the *uniform-hop* timing model built from `params`'
-/// duration fields — the historical per-hop replay, preserved
-/// bit-for-bit. Validation and lowering are one walk
+/// operands, dependency order) while it is lowered, one hop per round,
+/// into an ASAP event timeline under the uniform-hop
+/// [`TimingModel::ideal`]. Validation and lowering are one walk
 /// ([`qccd_timing::replay`]): the first violation in operation order is
 /// reported.
 /// Simulation then tracks:
@@ -101,59 +93,32 @@ pub fn simulate(
 }
 
 /// Replays `schedule` with its shuttle traffic executed as the concurrent
-/// rounds of `transport` instead of one hop at a time.
+/// rounds of `transport`, on the device clock `model`.
 ///
-/// Every round occupies all its member traps for one round duration — its
-/// moves split, fly and merge simultaneously on disjoint shuttle-path
-/// segments — so transport time scales with the schedule's *depth*
-/// (`transport.depth()`, reported as
-/// [`shuttle_depth`](SimReport::shuttle_depth)) rather than its raw shuttle
-/// count. Heating physics is unchanged: each member move still deposits
-/// its split/move/merge quanta.
+/// Every round occupies all its member traps for its critical-path
+/// duration — its moves split, fly and merge simultaneously on disjoint
+/// shuttle-path segments — so transport time scales with the schedule's
+/// *depth* (`transport.depth()`, reported as
+/// [`shuttle_depth`](SimReport::shuttle_depth)) rather than its raw
+/// shuttle count. Linear-segment transit, junction corner/swap costs and
+/// timed intra-trap zone moves on multi-zone machines all come from
+/// `model`; `params` supplies the error physics (heating rates and
+/// quanta, Γ, motional coupling). Each member move deposits its
+/// split/move/merge quanta.
+///
+/// With [`TimingModel::ideal`] and one hop per round
+/// ([`TransportSchedule::pack_serial`]) this reproduces [`simulate`]
+/// exactly.
 ///
 /// # Errors
 ///
 /// As [`simulate`], plus [`SimError::TransportMismatch`] if the rounds do
-/// not cover the schedule's shuttle operations, and [`SimError::Timing`]
-/// if a round breaks a machine rule or no order can apply it. The first
-/// violation in operation order wins: rounds that disagree with a
-/// gate-free run are reported before a schedule fault after that run.
-pub fn simulate_transport(
-    schedule: &Schedule,
-    transport: &TransportSchedule,
-    circuit: &Circuit,
-    spec: &MachineSpec,
-    params: &SimParams,
-) -> Result<SimReport, SimError> {
-    simulate_inner(
-        schedule,
-        circuit,
-        spec,
-        params,
-        Some(transport),
-        None,
-        None,
-        &mut |_| {},
-    )
-    .map(|(report, _)| report)
-}
-
-/// Replays `schedule`'s transport rounds under an explicit device
-/// [`TimingModel`] instead of the uniform-hop model: linear-segment
-/// transit, junction corner/swap costs, critical-path round durations, and
-/// timed intra-trap zone moves on multi-zone machines all shape the
-/// timeline the physics replay consumes.
-///
-/// `params` still supplies the *error* physics (heating rates and quanta,
-/// Γ, motional coupling); its duration fields are ignored in favour of
-/// `model`. With [`TimingModel::ideal`] and default parameters this
-/// reproduces [`simulate_transport`] exactly.
-///
-/// # Errors
-///
-/// As [`simulate_transport`], plus [`SimError::InvalidParams`] if `model`
-/// has non-finite or negative constants (checked after the initial
-/// mapping, before the first operation).
+/// not cover the schedule's shuttle operations, [`SimError::Timing`] if a
+/// round breaks a machine rule or no order can apply it, and
+/// [`SimError::InvalidParams`] if `model` has non-finite or negative
+/// constants. The first violation in operation order wins: rounds that
+/// disagree with a gate-free run are reported before a schedule fault
+/// after that run.
 pub fn simulate_timed(
     schedule: &Schedule,
     transport: &TransportSchedule,
@@ -175,8 +140,7 @@ pub fn simulate_timed(
     .map(|(report, _)| report)
 }
 
-/// Core replay loop shared by [`simulate`], [`simulate_transport`],
-/// [`simulate_timed`], [`simulate_traced`](crate::simulate_traced) and
+/// Core replay loop shared by [`simulate`], [`simulate_timed`] and
 /// [`attribute_fidelity`](crate::attribute_fidelity). Returns the report
 /// plus the final per-trap motional modes.
 ///
@@ -202,7 +166,7 @@ pub(crate) fn simulate_inner(
     if !params.is_valid() {
         return Err(SimError::InvalidParams);
     }
-    let model = &device_model(params, model);
+    let model = &device_model(model);
     let dag = circuit.dependency_dag();
     let rounds = transport.map_or(Rounds::Serial, Rounds::Lowered);
 
@@ -341,7 +305,6 @@ pub(crate) fn simulate_inner(
                         to: m.to,
                         start_us,
                         end_us,
-                        dest_n_bar_after: n_bar[ti],
                     });
                     shuttles += 1;
                 }
@@ -350,10 +313,7 @@ pub(crate) fn simulate_inner(
                 }
             }
             EventRef::ZoneMove {
-                ion,
-                trap,
-                start_us,
-                end_us,
+                ion, trap, end_us, ..
             } => {
                 // An intra-trap reorder: the chain idles (background
                 // heating) and the reorder pulse deposits its own quanta.
@@ -364,12 +324,6 @@ pub(crate) fn simulate_inner(
                     lr.zone(t, heat, params.zone_move_heating_quanta, end_us, ion);
                 }
                 clock[t] = end_us;
-                observer(OpObserver::ZoneMove {
-                    ion,
-                    trap,
-                    start_us,
-                    end_us,
-                });
             }
         },
     )
@@ -421,18 +375,9 @@ pub(crate) fn simulate_inner(
 }
 
 /// The device clock the replay runs on: `model`, or without one the
-/// uniform-hop model carrying the params' historical duration fields.
-pub(crate) fn device_model(params: &SimParams, model: Option<&TimingModel>) -> TimingModel {
-    model.copied().unwrap_or_else(|| {
-        TimingModel::ideal_from(
-            params.one_qubit_gate_us,
-            params.two_qubit_gate_base_us,
-            params.gate_chain_slowdown,
-            params.split_us,
-            params.merge_us,
-            params.move_us,
-        )
-    })
+/// uniform-hop [`TimingModel::ideal`].
+pub(crate) fn device_model(model: Option<&TimingModel>) -> TimingModel {
+    model.copied().unwrap_or_else(TimingModel::ideal)
 }
 
 /// Maps a checked-replay failure onto the simulator's error type. The
@@ -536,11 +481,11 @@ mod tests {
             &SimParams::default(),
         )
         .unwrap();
-        let p = SimParams::default();
-        let serial = 2.0 * p.two_qubit_gate_us(2) + p.shuttle_hop_us() + p.two_qubit_gate_us(3);
+        let m = TimingModel::ideal();
+        let serial = 2.0 * m.two_qubit_gate_us(2) + m.hop_us(0) + m.two_qubit_gate_us(3);
         assert!(report.makespan_us < serial);
         // And at least gate + shuttle + gate on the critical path.
-        let critical = p.two_qubit_gate_us(2) + p.shuttle_hop_us();
+        let critical = m.two_qubit_gate_us(2) + m.hop_us(0);
         assert!(report.makespan_us > critical);
     }
 
@@ -593,7 +538,7 @@ mod tests {
     fn invalid_params_rejected() {
         let (c, spec, mapping) = two_trap_fixture();
         let p = SimParams {
-            move_us: f64::INFINITY,
+            gamma_per_us: f64::NAN,
             ..SimParams::default()
         };
         assert_eq!(
@@ -660,9 +605,10 @@ mod tests {
             .collect();
         let schedule = Schedule::new(mapping, ops);
         let params = SimParams::default();
+        let ideal = TimingModel::ideal();
         let serial = simulate(&schedule, &c, &spec, &params).unwrap();
         assert_eq!(serial.shuttle_depth, 2, "serial: one round per hop");
-        assert!((serial.makespan_us - 2.0 * params.shuttle_hop_us()).abs() < 1e-9);
+        assert!((serial.makespan_us - 2.0 * ideal.hop_us(0)).abs() < 1e-9);
 
         let transport = TransportSchedule {
             rounds: vec![TransportRound {
@@ -672,10 +618,10 @@ mod tests {
                     .collect(),
             }],
         };
-        let concurrent = simulate_transport(&schedule, &transport, &c, &spec, &params).unwrap();
+        let concurrent = simulate_timed(&schedule, &transport, &c, &spec, &params, &ideal).unwrap();
         assert_eq!(concurrent.shuttle_depth, 1, "one concurrent round");
         assert_eq!(concurrent.shuttles, 2);
-        assert!((concurrent.makespan_us - params.shuttle_hop_us()).abs() < 1e-9);
+        assert!((concurrent.makespan_us - ideal.hop_us(0)).abs() < 1e-9);
         // Per-move split/move/merge quanta are identical, but background
         // heating accrues with elapsed time — halving the transport time
         // strictly reduces accumulated heat (and so improves fidelity).
@@ -749,7 +695,14 @@ mod tests {
             }],
         };
         assert!(matches!(
-            simulate_transport(&schedule, &wrong, &c, &spec, &SimParams::default()),
+            simulate_timed(
+                &schedule,
+                &wrong,
+                &c,
+                &spec,
+                &SimParams::default(),
+                &TimingModel::ideal()
+            ),
             Err(SimError::TransportMismatch { .. })
         ));
     }
@@ -762,7 +715,14 @@ mod tests {
         let mut padded = TransportSchedule::pack_serial(&schedule);
         padded.rounds.insert(0, TransportRound { moves: vec![] });
         assert!(matches!(
-            simulate_transport(&schedule, &padded, &c, &spec, &SimParams::default()),
+            simulate_timed(
+                &schedule,
+                &padded,
+                &c,
+                &spec,
+                &SimParams::default(),
+                &TimingModel::ideal()
+            ),
             Err(SimError::TransportMismatch { .. })
         ));
     }
@@ -779,9 +739,9 @@ mod tests {
             &SimParams::default(),
         )
         .unwrap();
-        let p = SimParams::default();
+        let m = TimingModel::ideal();
         // Critical path: gate0 (ion 1 busy) -> shuttle -> gate2.
-        let expect = p.two_qubit_gate_us(2) + p.shuttle_hop_us() + p.two_qubit_gate_us(3);
+        let expect = m.two_qubit_gate_us(2) + m.hop_us(0) + m.two_qubit_gate_us(3);
         assert!((report.makespan_us - expect).abs() < 1e-9);
     }
 

@@ -9,8 +9,8 @@
 //! zones is itself a timed operation. This crate owns that model:
 //!
 //! * [`TimingModel`] — per-operation durations with two presets:
-//!   [`ideal`](TimingModel::ideal) (uniform hops; validated to reproduce
-//!   the historical simulator numbers bit-for-bit) and
+//!   [`ideal`](TimingModel::ideal) (uniform hops; the simulator's clock
+//!   when no other model is given) and
 //!   [`realistic`](TimingModel::realistic) (QCCDSim-style constants:
 //!   linear-segment speed, junction corner cost, zone-move cost).
 //! * [`lower`] — the ASAP scheduler: replays a compiled

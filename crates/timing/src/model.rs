@@ -9,10 +9,9 @@ use std::fmt;
 /// Two presets are provided:
 ///
 /// * [`TimingModel::ideal`] — the uniform-hop model the paper's evaluation
-///   (and PR 2's simulator) charges: every shuttle hop costs
-///   `split + move + merge` regardless of where it runs, junctions are
-///   free, and zone moves are instantaneous. Validated to reproduce the
-///   historical simulator numbers bit-for-bit.
+///   charges: every shuttle hop costs `split + move + merge` regardless of
+///   where it runs, junctions are free, and zone moves are instantaneous.
+///   The simulator runs on it whenever no model is given.
 /// * [`TimingModel::realistic`] — QCCDSim-style constants (Murali et al.,
 ///   ISCA'20): linear-segment transport at a finite speed, a corner/swap
 ///   cost for every T-/X-junction crossed, and a real cost for intra-trap
@@ -48,34 +47,21 @@ pub struct TimingModel {
 }
 
 impl TimingModel {
-    /// The uniform-hop preset matching the historical simulator's default
-    /// calibration ([`ideal_from`](TimingModel::ideal_from) with the
-    /// simulator's default durations): segment transport takes exactly
-    /// `move_us`, junctions and zone moves are free.
+    /// The uniform-hop preset: the durations the paper's evaluation
+    /// charges and every replay uses unless given another model. A
+    /// two-qubit gate takes 100 µs at chain length 2 (5% slower per extra
+    /// ion), a one-qubit gate 10 µs, and a shuttle hop `80 + 5 + 80` µs of
+    /// split, move and merge. The segment is 5 µm long at 1 µm/µs, so
+    /// `segment_move_us()` is bit-for-bit 5 µs; junctions and zone moves
+    /// are free.
     pub fn ideal() -> Self {
-        // Mirrors qccd-sim's SimParams::new() duration fields.
-        TimingModel::ideal_from(10.0, 100.0, 0.05, 80.0, 80.0, 5.0)
-    }
-
-    /// Builds the uniform-hop model from explicit durations, preserving
-    /// the historical arithmetic exactly: the segment is `move_us` µm long
-    /// and travels at 1 µm/µs, so `segment_move_us()` is bit-for-bit
-    /// `move_us`, and junction/zone costs are zero.
-    pub fn ideal_from(
-        one_qubit_gate_us: f64,
-        two_qubit_gate_base_us: f64,
-        gate_chain_slowdown: f64,
-        split_us: f64,
-        merge_us: f64,
-        move_us: f64,
-    ) -> Self {
         TimingModel {
-            one_qubit_gate_us,
-            two_qubit_gate_base_us,
-            gate_chain_slowdown,
-            split_us,
-            merge_us,
-            segment_um: move_us,
+            one_qubit_gate_us: 10.0,
+            two_qubit_gate_base_us: 100.0,
+            gate_chain_slowdown: 0.05,
+            split_us: 80.0,
+            merge_us: 80.0,
+            segment_um: 5.0,
             speed_um_per_us: 1.0,
             junction_cross_us: 0.0,
             zone_move_us: 0.0,

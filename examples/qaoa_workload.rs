@@ -11,7 +11,8 @@
 use muzzle_shuttle::circuit::generators::qaoa;
 use muzzle_shuttle::compiler::{compile, CompilerConfig, ScheduleAnalysis};
 use muzzle_shuttle::machine::MachineSpec;
-use muzzle_shuttle::sim::{simulate, simulate_traced, SimParams};
+use muzzle_shuttle::sim::{simulate, SimParams};
+use muzzle_shuttle::timing::trap_reports;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let machine = MachineSpec::paper_l6();
@@ -43,7 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Deeper QAOA → more shuttles per gate → larger fidelity win for");
     println!("the optimized compiler (the paper's §IV-C observation).");
 
-    // Dig into the deepest instance with the analysis and trace APIs.
+    // Dig into the deepest instance with the analysis API and the
+    // compile's own timeline.
     let circuit = qaoa(64, 13, 0xA0A0);
     let base = compile(&circuit, &machine, &CompilerConfig::baseline())?;
     let opt = compile(&circuit, &machine, &CompilerConfig::optimized())?;
@@ -59,16 +61,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         opt_a.total_ping_pong()
     );
 
-    let trace = simulate_traced(&opt.schedule, &circuit, &machine, &params)?;
+    let opt_sim = simulate(&opt.schedule, &circuit, &machine, &params)?;
+    let traps = trap_reports(&opt.timeline, machine.num_traps() as usize);
+    let mean_utilization = traps.iter().map(|t| t.utilization).sum::<f64>() / traps.len() as f64;
     println!(
         "  optimized machine idle fraction: {:.0}%  worst gate fidelity: {:.4}",
-        100.0 * trace.idle_fraction(),
-        trace.report.min_gate_fidelity
+        100.0 * (1.0 - mean_utilization),
+        opt_sim.min_gate_fidelity
     );
-    for (t, u) in trace.utilization.iter().enumerate() {
+    for t in &traps {
         println!(
-            "  trap T{t}: {:>4} gates, {:>3} arrivals, {:>3} departures, final n-bar {:.1}",
-            u.gates, u.arrivals, u.departures, u.final_n_bar
+            "  trap {}: {:>5} events, busy {:>3.0}%, longest idle {:.1} ms",
+            t.trap,
+            t.events,
+            100.0 * t.utilization,
+            t.longest_idle_us / 1000.0
         );
     }
     Ok(())

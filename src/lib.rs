@@ -67,6 +67,6 @@ pub mod prelude {
     pub use qccd_machine::{IonId, MachineSpec, MachineState, Schedule, TrapId, ZoneLayout};
     pub use qccd_pack::{compile_clock, compile_packed, pack, ClockStats, PackConfig, PackStats};
     pub use qccd_route::{RouterPolicy, TransportSchedule};
-    pub use qccd_sim::{simulate, simulate_timed, simulate_transport, SimParams, SimReport};
+    pub use qccd_sim::{simulate, simulate_timed, SimParams, SimReport};
     pub use qccd_timing::{DeltaScorer, LowerState, Timeline, TimingModel};
 }

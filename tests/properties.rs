@@ -9,7 +9,8 @@ use muzzle_shuttle::compiler::{
     RouterPolicy,
 };
 use muzzle_shuttle::machine::{InitialMapping, IonId, MachineSpec, MachineState, TrapId};
-use muzzle_shuttle::sim::{simulate, simulate_traced, SimParams};
+use muzzle_shuttle::sim::{simulate, SimParams};
+use muzzle_shuttle::timing::EventRef;
 use proptest::prelude::*;
 
 /// An arbitrary small machine spec that can host `min_ions`.
@@ -33,10 +34,7 @@ fn config_strategy() -> impl Strategy<Value = CompilerConfig> {
             Just(RebalancePolicy::FromTrapZero),
             Just(RebalancePolicy::NearestNeighbor)
         ],
-        prop_oneof![
-            Just(IonSelection::ChainEnd),
-            Just(IonSelection::MaxScore { wd: 0.5, ws: 0.5 })
-        ],
+        prop_oneof![Just(IonSelection::ChainEnd), Just(IonSelection::MaxScore)],
         prop_oneof![
             Just(MappingPolicy::RoundRobin),
             Just(MappingPolicy::GreedyInteraction)
@@ -116,8 +114,9 @@ proptest! {
         prop_assert!(dag.is_valid_execution_order(&order));
     }
 
-    /// Traced simulation agrees with the plain simulation and its records
-    /// are internally consistent.
+    /// The compile's own timeline (the trace of its events on the device
+    /// clock) agrees with the plain simulation, and its events are
+    /// internally consistent.
     #[test]
     fn trace_is_consistent_with_report(
         qubits in 4u32..=10,
@@ -127,22 +126,31 @@ proptest! {
     ) {
         let circuit = random_circuit(qubits, gates, seed);
         let compiled = compile(&circuit, &spec, &CompilerConfig::optimized()).expect("compiles");
-        let params = SimParams::default();
-        let plain = simulate(&compiled.schedule, &circuit, &spec, &params).expect("simulates");
-        let traced = simulate_traced(&compiled.schedule, &circuit, &spec, &params).expect("simulates");
-        prop_assert_eq!(traced.report, plain);
-        prop_assert_eq!(traced.records.len(), compiled.schedule.operations.len());
-        // Every record fits inside the makespan and has non-negative span.
-        for r in &traced.records {
-            prop_assert!(r.start_us() <= r.end_us());
-            prop_assert!(r.end_us() <= plain.makespan_us + 1e-9);
+        let plain = simulate(&compiled.schedule, &circuit, &spec, &SimParams::default())
+            .expect("simulates");
+        let timeline = &compiled.timeline;
+        prop_assert_eq!(timeline.makespan_us, plain.makespan_us);
+        // Every event fits inside the makespan and has non-negative span.
+        let (mut gate_events, mut moves) = (0usize, 0usize);
+        for event in timeline.iter() {
+            prop_assert!(event.start_us() <= event.end_us());
+            prop_assert!(event.end_us() <= plain.makespan_us);
+            match event {
+                EventRef::Gate { .. } => gate_events += 1,
+                EventRef::TransportRound { moves: m, .. } => moves += m.len(),
+                EventRef::ZoneMove { .. } => {}
+            }
         }
-        // Utilization tallies match the schedule stats.
-        let total_gates: usize = traced.utilization.iter().map(|u| u.gates).sum();
-        let arrivals: usize = traced.utilization.iter().map(|u| u.arrivals).sum();
-        prop_assert_eq!(total_gates, gates);
-        prop_assert_eq!(arrivals, compiled.stats.shuttles);
-        prop_assert!((0.0..=1.0).contains(&traced.idle_fraction()));
+        // Event tallies match the schedule stats and the report.
+        prop_assert_eq!(gate_events, gates);
+        prop_assert_eq!(gate_events, plain.gates);
+        prop_assert_eq!(moves, compiled.stats.shuttles);
+        prop_assert_eq!(moves, plain.shuttles);
+        // No trap is busy longer than the run, so the idle fraction is in
+        // [0, 1].
+        for busy in timeline.trap_busy_all(spec.num_traps() as usize) {
+            prop_assert!((0.0..=plain.makespan_us).contains(&busy));
+        }
     }
 
     /// Schedule analysis tallies are conserved.
