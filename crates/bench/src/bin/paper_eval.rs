@@ -4,16 +4,17 @@
 //! cargo run -p qccd-bench --release --bin paper_eval -- all [--per-size N]
 //! ```
 //!
-//! Subcommands: `table2`, `fig8`, `table3`, `ablation`, `proximity`,
-//! `mapping`, `routers`, `timing`, `lookahead`, `pack`, `all`, the
+//! Subcommands: the paper's artefacts `table2`, `fig8`, `table3`,
+//! `ablation`, `proximity` and `mapping` (`all` prints every one), the
 //! `snapshot` gate (writes `BENCH.json` when absent, else checks a fresh
 //! run against it), and the snapshot differ
 //! `diff OLD.json NEW.json [--rel-tol X] [--json]` (exits 1 on any
-//! quality regression).
+//! quality regression). The router, timing-model and packing comparisons
+//! are report columns: `muzzle eval --timing ideal|realistic` prints them.
 
+use qccd_bench::report::{attribution_json, blame_counts_json, fidelity_json};
 use qccd_bench::{
-    aggregate_random, lookahead_packing_gains, pack_gains, run_nisq_suite, run_random_suite,
-    run_timing_sweep, run_topology_router_sweep, standard_topologies, timed_compile, ComparisonRow,
+    aggregate_random, run_nisq_suite, run_random_suite, timed_compile, ComparisonRow,
     RANDOM_SUITE_SEED, TIMING_RUNS,
 };
 use qccd_circuit::generators::{paper_suite, random_suite};
@@ -44,8 +45,8 @@ fn main() {
                 per_size = qccd_bench::parse_per_size(value).unwrap_or_else(|e| usage(&e));
                 i += 2;
             }
-            "table2" | "fig8" | "table3" | "ablation" | "proximity" | "mapping" | "routers"
-            | "timing" | "lookahead" | "pack" | "snapshot" | "all" => {
+            "table2" | "fig8" | "table3" | "ablation" | "proximity" | "mapping" | "snapshot"
+            | "all" => {
                 command = args[i].clone();
                 i += 1;
             }
@@ -81,10 +82,6 @@ fn main() {
         "ablation" => ablation(&spec),
         "proximity" => proximity(&spec),
         "mapping" => mapping_ablation(&spec),
-        "routers" => routers(&params),
-        "timing" => timing(&spec, &params),
-        "lookahead" => lookahead(&spec),
-        "pack" => pack(&spec),
         "snapshot" => snapshot(&spec, &params),
         "all" => {
             table2(&nisq, &random);
@@ -93,10 +90,6 @@ fn main() {
             ablation(&spec);
             proximity(&spec);
             mapping_ablation(&spec);
-            routers(&params);
-            timing(&spec, &params);
-            lookahead(&spec);
-            pack(&spec);
         }
         _ => unreachable!("validated above"),
     }
@@ -105,7 +98,7 @@ fn main() {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: paper_eval [table2|fig8|table3|ablation|proximity|mapping|routers|timing|lookahead|pack|snapshot|all] [--per-size N]\n       paper_eval diff OLD.json NEW.json [--rel-tol X] [--json]"
+        "usage: paper_eval [table2|fig8|table3|ablation|proximity|mapping|snapshot|all] [--per-size N]\n       paper_eval diff OLD.json NEW.json [--rel-tol X] [--json]"
     );
     std::process::exit(2);
 }
@@ -218,98 +211,13 @@ fn explain_benchmark(
     let json = Json::obj(vec![
         ("makespan_us", Json::Num(attribution.makespan_us)),
         ("critical_path_steps", Json::int(path.steps.len())),
-        (
-            "blame_counts",
-            Json::Obj(
-                path.blame_counts()
-                    .iter()
-                    .map(|(b, n)| (b.label().to_owned(), Json::int(*n)))
-                    .collect(),
-            ),
-        ),
-        (
-            "attribution",
-            Json::obj(vec![
-                ("gate_us", Json::Num(attribution.gate_us)),
-                ("flight_us", Json::Num(attribution.flight_us)),
-                ("split_merge_us", Json::Num(attribution.split_merge_us)),
-                ("junction_us", Json::Num(attribution.junction_us)),
-                ("zone_move_us", Json::Num(attribution.zone_move_us)),
-                ("idle_wait_us", Json::Num(attribution.idle_wait_us)),
-                ("total_us", Json::Num(attribution.total_us())),
-                (
-                    "identity",
-                    Json::Bool(
-                        attribution.total_us().to_bits() == attribution.makespan_us.to_bits(),
-                    ),
-                ),
-            ]),
-        ),
+        ("blame_counts", blame_counts_json(&path)),
+        ("attribution", attribution_json(&attribution)),
     ]);
     ExplainedBenchmark {
         steps: path.steps.len(),
         json,
     }
-}
-
-/// The per-benchmark `"fidelity"` snapshot value: the loss-decomposition
-/// totals, the duration/motional shares, and the top-3 worst gates and
-/// hottest traps by blamed heat loss.
-fn fidelity_json(attr: &qccd_sim::FidelityAttribution) -> Json {
-    Json::obj(vec![
-        (
-            "log_program_fidelity",
-            Json::Num(attr.report.log_program_fidelity),
-        ),
-        ("total_log_loss", Json::Num(attr.total_loss())),
-        ("duration_loss", Json::Num(attr.gate_duration_loss)),
-        ("motional_loss", Json::Num(attr.gate_motional_loss)),
-        ("zero_point_loss", Json::Num(attr.gate_zero_point_loss)),
-        ("heat_loss", Json::Num(attr.gate_heat_loss)),
-        ("shuttle_pulse_loss", Json::Num(attr.shuttle_pulse_loss)),
-        ("duration_share", Json::Num(attr.duration_share())),
-        ("motional_share", Json::Num(attr.motional_share())),
-        ("saturated_gates", Json::int(attr.saturated_gates)),
-        ("identity", Json::Bool(attr.identity_holds())),
-        (
-            "worst_gates",
-            Json::Arr(
-                attr.worst_gates(3)
-                    .iter()
-                    .filter_map(|t| match t {
-                        qccd_sim::LossTerm::Gate {
-                            gate,
-                            trap,
-                            log_loss,
-                            n_bar,
-                            ..
-                        } => Some(Json::obj(vec![
-                            ("gate", Json::int(gate.index())),
-                            ("trap", Json::int(trap.index())),
-                            ("log_loss", Json::Num(*log_loss)),
-                            ("n_bar", Json::Num(*n_bar)),
-                        ])),
-                        qccd_sim::LossTerm::Shuttle { .. } => None,
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "hottest_traps",
-            Json::Arr(
-                attr.hottest_traps(3)
-                    .iter()
-                    .map(|(trap, blamed, gross)| {
-                        Json::obj(vec![
-                            ("trap", Json::int(*trap)),
-                            ("blamed_log_loss", Json::Num(*blamed)),
-                            ("gross_quanta", Json::Num(*gross)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 /// The committed snapshot `paper_eval snapshot` checks (run from the
@@ -365,7 +273,7 @@ fn snapshot(spec: &MachineSpec, params: &SimParams) {
     qccd_obs::info("paper_eval", || "profiling paper suite...".to_owned());
     let profiles = qccd_bench::profile::profile_suite(&suite, spec, params, &model);
     let mut rows: Vec<SnapshotRow> = Vec::new();
-    for (bench, profile) in suite.iter().zip(profiles) {
+    for (bench, (row, profile)) in suite.iter().zip(profiles) {
         let run = |jobs: usize, runs: usize| {
             let config = clock_config.with_jobs(jobs);
             let mut best = f64::INFINITY;
@@ -403,10 +311,10 @@ fn snapshot(spec: &MachineSpec, params: &SimParams) {
         }
         let explained = explain_benchmark(bench, &chosen, &model);
         assert!(
-            profile.row.clock_timed_makespan_us.to_bits() == chosen.timeline.makespan_us.to_bits(),
+            row.clock_timed_makespan_us.to_bits() == chosen.timeline.makespan_us.to_bits(),
             "{}: profiled clock row diverged from the jobs determinism sweep ({} vs {})",
             bench.name,
-            profile.row.clock_timed_makespan_us,
+            row.clock_timed_makespan_us,
             chosen.timeline.makespan_us
         );
         let attr = qccd_sim::attribute_fidelity_timed(
@@ -433,9 +341,10 @@ fn snapshot(spec: &MachineSpec, params: &SimParams) {
             100.0 * attr.motional_share()
         );
         rows.push(SnapshotRow {
+            row,
             profile,
             explain: explained.json,
-            fidelity: fidelity_json(&attr),
+            fidelity: fidelity_json(&attr, 3),
             jobs: Json::obj(vec![
                 ("compile_seconds_jobs1", Json::Num(secs1)),
                 ("compile_seconds_jobs4", Json::Num(secs4)),
@@ -510,124 +419,6 @@ fn check_fidelity(name: &str, attr: &qccd_sim::FidelityAttribution) {
             && !attr.hottest_traps(3).is_empty(),
         "{name}: no worst gate or hottest trap blamed"
     );
-}
-
-/// Topology × router sweep: the paper benchmarks on the L6-class machine
-/// re-shaped as line, ring and grid, under the serial and congestion
-/// routers.
-fn routers(params: &SimParams) {
-    println!("## Topology x router sweep (optimized policy stack, capacity 17, comm 2)");
-    println!(
-        "{:<16} {:>6} {:>24} {:>8} {:>6} {:>12}",
-        "Benchmark", "Topo", "Router", "Shuttle", "Depth", "Makespan(us)"
-    );
-    qccd_obs::info("paper_eval", || "topology x router sweep...".to_owned());
-    let rows = run_topology_router_sweep(&paper_suite(), &standard_topologies(6), 17, 2, params);
-    for r in &rows {
-        println!(
-            "{:<16} {:>6} {:>24} {:>8} {:>6} {:>12.1}",
-            r.name, r.topology, r.router, r.shuttles, r.depth, r.makespan_us
-        );
-    }
-    println!();
-}
-
-/// Timing-model sweep: how much of the uniform-hop makespan survives the
-/// QCCDSim-style constants (finite segment speed, junction corner/swap
-/// time, timed zone moves).
-fn timing(spec: &MachineSpec, params: &SimParams) {
-    println!("## Timing-model sweep (optimized policy stack)");
-    println!(
-        "{:<16} {:>24} {:>10} {:>6} {:>14} {:>6}",
-        "Benchmark", "Router", "Timing", "Depth", "TMakespan(us)", "Junc"
-    );
-    qccd_obs::info("paper_eval", || "timing-model sweep...".to_owned());
-    let rows = run_timing_sweep(&paper_suite(), spec, params);
-    for r in &rows {
-        println!(
-            "{:<16} {:>24} {:>10} {:>6} {:>14.1} {:>6}",
-            r.name, r.router, r.timing, r.depth, r.timed_makespan_us, r.junction_crossings
-        );
-    }
-    println!();
-}
-
-/// Lookahead round packing: before/after transport depths.
-fn lookahead(spec: &MachineSpec) {
-    println!("## Lookahead round packing (congestion router) — transport depth");
-    println!(
-        "{:<16} {:>8} {:>10} {:>6}",
-        "Benchmark", "Greedy", "Lookahead", "Gain"
-    );
-    qccd_obs::info("paper_eval", || "lookahead packing...".to_owned());
-    let rows = lookahead_packing_gains(&paper_suite(), spec);
-    let mut regressions = 0usize;
-    for r in &rows {
-        println!(
-            "{:<16} {:>8} {:>10} {:>6}",
-            r.name,
-            r.greedy_depth,
-            r.lookahead_depth,
-            r.greedy_depth as i64 - r.lookahead_depth as i64
-        );
-        if r.lookahead_depth > r.greedy_depth {
-            regressions += 1;
-        }
-    }
-    // The never-deeper invariant holds by construction (pack_lookahead
-    // falls back to greedy); debug builds re-assert it, release reports.
-    debug_assert_eq!(regressions, 0, "lookahead packing must never deepen");
-    if regressions > 0 {
-        println!("WARNING: {regressions} benchmark(s) regressed under lookahead");
-    }
-    println!();
-}
-
-/// Timeline-driven packing: before/after transport depth and timed
-/// makespan (realistic device model). This doubles as the PR 4 acceptance
-/// gate: packed timed makespan must be ≤ lookahead on every paper
-/// benchmark and *strictly* lower on QAOA.
-fn pack(spec: &MachineSpec) {
-    println!("## qccd-pack — cross-gate packing + batched layer planning (realistic timing)");
-    println!(
-        "{:<16} {:>7} {:>7} {:>7} {:>12} {:>12} {:>9} {:>6} {:>7}",
-        "Benchmark",
-        "Greedy",
-        "Look",
-        "Packed",
-        "LookMk(us)",
-        "PackMk(us)",
-        "Gain(us)",
-        "Hoist",
-        "Replan"
-    );
-    qccd_obs::info("paper_eval", || "pack gains...".to_owned());
-    let rows = pack_gains(&paper_suite(), spec);
-    for r in &rows {
-        println!(
-            "{:<16} {:>7} {:>7} {:>7} {:>12.1} {:>12.1} {:>9.1} {:>6} {:>7}",
-            r.name,
-            r.greedy_depth,
-            r.lookahead_depth,
-            r.packed_depth,
-            r.lookahead_makespan_us,
-            r.packed_makespan_us,
-            r.lookahead_makespan_us - r.packed_makespan_us,
-            r.hoisted_hops,
-            r.replanned_runs
-        );
-        assert!(
-            r.packed_makespan_us <= r.lookahead_makespan_us,
-            "{}: packing regressed the timed makespan",
-            r.name
-        );
-    }
-    let qaoa = rows.iter().find(|r| r.name == "QAOA").expect("QAOA row");
-    assert!(
-        qaoa.packed_makespan_us < qaoa.lookahead_makespan_us,
-        "QAOA packed makespan must strictly beat lookahead"
-    );
-    println!();
 }
 
 /// Table II: reduction in the number of shuttles.

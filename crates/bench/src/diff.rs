@@ -640,7 +640,7 @@ mod tests {
                     (
                         "fidelity",
                         Json::obj(vec![
-                            ("total_log_loss", Json::Num(loss)),
+                            ("total_loss", Json::Num(loss)),
                             ("duration_share", Json::Num(0.5)),
                             (
                                 "hottest_traps",
@@ -800,11 +800,12 @@ mod tests {
             circuit: random_circuit(12, 80, 3),
         };
         let model = TimingModel::realistic();
-        let profile = profile_suite(&[bench], &spec, &SimParams::default(), &model)
+        let (row, profile) = profile_suite(&[bench], &spec, &SimParams::default(), &model)
             .pop()
             .expect("one profile per benchmark");
         let counter = profile.counters[0].0.clone();
         let row = SnapshotRow {
+            row,
             profile,
             explain: Json::obj(vec![("critical_path_steps", Json::int(7))]),
             fidelity: Json::obj(vec![("identity", Json::Bool(true))]),

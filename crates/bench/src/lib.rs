@@ -14,13 +14,12 @@
 //! | `ablation`  | per-heuristic contribution (§III design choices) |
 //! | `proximity` | §III-A3 proximity design-parameter sweep |
 //! | `mapping`   | §IV-E3 initial-placement ablation |
-//! | `routers`   | topology × router sweep (line, ring, grid; serial, congestion) |
-//! | `timing`    | timing-model sweep (ideal vs realistic, both routers) |
-//! | `lookahead` | greedy vs lookahead transport depth |
-//! | `pack`      | greedy/lookahead/packed depth and timed makespan |
 //! | `all`       | everything above |
 //! | `snapshot`  | writes or checks `BENCH.json`: the [`report`] plus the [`profile`] subtrees |
 //! | `diff`      | `diff OLD.json NEW.json`: the schema-aware snapshot differ ([`diff`]) |
+//!
+//! The router, timing-model and packing comparisons are columns of every
+//! [`ComparisonRow`]: `muzzle eval --timing ideal|realistic` prints them.
 //!
 //! Random-suite size defaults to the paper's 30 circuits per qubit count
 //! (120 total); pass `--per-size N` (1 to [`MAX_PER_SIZE`]) to shrink it
@@ -33,8 +32,7 @@ pub mod report;
 use qccd_circuit::generators::{paper_suite, random_suite, BenchmarkCircuit};
 use qccd_circuit::Circuit;
 use qccd_core::{compile, CompileResult, CompilerConfig, Objective, RouterPolicy};
-use qccd_machine::{MachineSpec, TrapTopology};
-use qccd_route::TransportSchedule;
+use qccd_machine::MachineSpec;
 use qccd_sim::{attribute_fidelity_timed, simulate_timed, SimParams, SimReport};
 use qccd_timing::TimingModel;
 use std::time::Instant;
@@ -138,7 +136,7 @@ pub struct ComparisonRow {
     /// not the post-compile pack passes.
     pub clock_compile_s: f64,
     /// Idle fraction of the machine over the optimized compile's own
-    /// timeline (its configured, ideal timing model, one hop per round):
+    /// timeline (lowered under the row's timing model, one hop per round):
     /// `1 − mean(trap busy) / makespan`, in `[0, 1]`.
     pub idle_fraction: f64,
     /// Index of the busiest trap on that timeline (ties go to the lowest
@@ -243,8 +241,18 @@ pub fn compare_timed(
     params: &SimParams,
     model: &TimingModel,
 ) -> ComparisonRow {
-    let (base, base_t) = timed_compile(&bench.circuit, spec, &CompilerConfig::baseline());
-    let (opt, opt_t) = timed_compile(&bench.circuit, spec, &CompilerConfig::optimized());
+    // Under the shuttle objective the timing model changes only the
+    // lowering, so these are the paper's schedules, lowered under `model`.
+    let (base, base_t) = timed_compile(
+        &bench.circuit,
+        spec,
+        &CompilerConfig::baseline().with_timing(*model),
+    );
+    let (opt, opt_t) = timed_compile(
+        &bench.circuit,
+        spec,
+        &CompilerConfig::optimized().with_timing(*model),
+    );
     let (cong, _) = timed_compile(
         &bench.circuit,
         spec,
@@ -416,279 +424,6 @@ pub fn run_random_suite(
         .collect()
 }
 
-/// One cell of the topology × router sweep: one circuit compiled with the
-/// optimized policy stack on one interconnect under one router.
-#[derive(Debug, Clone)]
-pub struct TopologyRouterRow {
-    /// Benchmark name.
-    pub name: String,
-    /// Topology display form (`L6`, `R6`, `G2x3`, ...).
-    pub topology: String,
-    /// Router display form (`serial`, `congestion(penalty=6)`).
-    pub router: String,
-    /// Shuttle hops emitted.
-    pub shuttles: usize,
-    /// Concurrent transport depth (equals `shuttles` under serial).
-    pub depth: usize,
-    /// Simulated makespan, µs (rounds timed concurrently under the
-    /// congestion router).
-    pub makespan_us: f64,
-    /// Simulated program fidelity (log form, exact under underflow).
-    pub log_program_fidelity: f64,
-}
-
-/// The standard interconnects for `n` traps: linear, ring, and the most
-/// square grid factorisation (omitted when `n` is prime or `< 4`).
-pub fn standard_topologies(n: u32) -> Vec<TrapTopology> {
-    let mut out = vec![TrapTopology::linear(n)];
-    if n >= 3 {
-        out.push(TrapTopology::ring(n));
-    }
-    let mut best: Option<(u32, u32)> = None;
-    for r in 2..=n {
-        if n.is_multiple_of(r) && n / r >= 2 {
-            let c = n / r;
-            if best.is_none_or(|(br, bc)| r.abs_diff(c) < br.abs_diff(bc)) {
-                best = Some((r, c));
-            }
-        }
-    }
-    if let Some((r, c)) = best {
-        out.push(TrapTopology::grid(r, c));
-    }
-    out
-}
-
-/// Runs every benchmark × topology × router combination with the optimized
-/// policy stack: the scenario-diversity sweep the routing subsystem
-/// unlocks. Machines use `capacity`/`comm` per trap on each topology.
-///
-/// # Panics
-///
-/// Panics if a machine spec is invalid or a benchmark does not fit it.
-pub fn run_topology_router_sweep(
-    benches: &[BenchmarkCircuit],
-    topologies: &[TrapTopology],
-    capacity: u32,
-    comm: u32,
-    params: &SimParams,
-) -> Vec<TopologyRouterRow> {
-    let mut rows = Vec::new();
-    for bench in benches {
-        for topology in topologies {
-            let spec = MachineSpec::new(topology.clone(), capacity, comm)
-                .expect("sweep machine parameters are valid");
-            for router in [RouterPolicy::Serial, RouterPolicy::congestion()] {
-                let config = CompilerConfig::optimized().with_router(router);
-                let (result, _) = timed_compile(&bench.circuit, &spec, &config);
-                let sim = simulate_timed(
-                    &result.schedule,
-                    &result.transport,
-                    &bench.circuit,
-                    &spec,
-                    params,
-                    &TimingModel::ideal(),
-                )
-                .expect("compiled schedules are valid by construction");
-                rows.push(TopologyRouterRow {
-                    name: bench.name.clone(),
-                    topology: topology.to_string(),
-                    router: router.to_string(),
-                    shuttles: result.stats.shuttles,
-                    depth: result.stats.transport_depth,
-                    makespan_us: sim.makespan_us,
-                    log_program_fidelity: sim.log_program_fidelity,
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// One cell of the timing-model sweep: one benchmark compiled with the
-/// optimized stack under one router, replayed under one timing model.
-#[derive(Debug, Clone)]
-pub struct TimingSweepRow {
-    /// Benchmark name.
-    pub name: String,
-    /// Router display form.
-    pub router: String,
-    /// Timing-model display form (`ideal`, `realistic`).
-    pub timing: String,
-    /// Concurrent transport depth.
-    pub depth: usize,
-    /// Timed makespan under the model, µs.
-    pub timed_makespan_us: f64,
-    /// Junction endpoints crossed by the schedule's shuttles.
-    pub junction_crossings: usize,
-    /// Simulated program fidelity (log form, exact under underflow).
-    pub log_program_fidelity: f64,
-}
-
-/// Runs every benchmark × router × timing-model combination with the
-/// optimized policy stack — the sweep the timing subsystem unlocks: how
-/// much of the uniform-hop makespan survives junction corner/swap costs
-/// and finite segment speeds.
-///
-/// # Panics
-///
-/// Panics if a benchmark does not fit `spec`.
-pub fn run_timing_sweep(
-    benches: &[BenchmarkCircuit],
-    spec: &MachineSpec,
-    params: &SimParams,
-) -> Vec<TimingSweepRow> {
-    let mut rows = Vec::new();
-    for bench in benches {
-        for router in [RouterPolicy::Serial, RouterPolicy::congestion()] {
-            let config = CompilerConfig::optimized().with_router(router);
-            let (result, _) = timed_compile(&bench.circuit, spec, &config);
-            for model in [TimingModel::ideal(), TimingModel::realistic()] {
-                let sim = simulate_timed(
-                    &result.schedule,
-                    &result.transport,
-                    &bench.circuit,
-                    spec,
-                    params,
-                    &model,
-                )
-                .expect("compiled schedules are valid by construction");
-                rows.push(TimingSweepRow {
-                    name: bench.name.clone(),
-                    router: router.to_string(),
-                    timing: model.to_string(),
-                    depth: result.stats.transport_depth,
-                    timed_makespan_us: sim.timed_makespan_us,
-                    junction_crossings: sim.junction_crossings,
-                    log_program_fidelity: sim.log_program_fidelity,
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// Before/after depths of lookahead round packing on one benchmark: the
-/// greedy packer's transport depth against the first-fit backfill packer's.
-#[derive(Debug, Clone)]
-pub struct LookaheadRow {
-    /// Benchmark name.
-    pub name: String,
-    /// Transport depth of the greedy (current-round-or-new) packer.
-    pub greedy_depth: usize,
-    /// Transport depth after first-fit backfill into earlier rounds.
-    pub lookahead_depth: usize,
-}
-
-/// Measures lookahead round packing against the greedy packer on every
-/// benchmark (optimized stack, congestion router).
-///
-/// # Panics
-///
-/// Panics if a benchmark does not fit `spec`.
-pub fn lookahead_packing_gains(
-    benches: &[BenchmarkCircuit],
-    spec: &MachineSpec,
-) -> Vec<LookaheadRow> {
-    benches
-        .iter()
-        .map(|bench| {
-            let config = CompilerConfig::optimized().with_router(RouterPolicy::congestion());
-            let (greedy, _) = timed_compile(&bench.circuit, spec, &config);
-            let packed = TransportSchedule::pack_lookahead(&greedy.schedule, spec)
-                .expect("compiled schedules repack");
-            packed
-                .validate_relaxed(&greedy.schedule, spec)
-                .expect("lookahead packing must replay-validate");
-            LookaheadRow {
-                name: bench.name.clone(),
-                greedy_depth: greedy.stats.transport_depth,
-                lookahead_depth: packed.depth(),
-            }
-        })
-        .collect()
-}
-
-/// Before/after numbers for the timeline-driven `qccd-pack` optimizer on
-/// one benchmark: greedy vs lookahead vs packed transport, counted in
-/// rounds and — the metric packing optimizes — timed makespan under the
-/// realistic device model.
-#[derive(Debug, Clone)]
-pub struct PackRow {
-    /// Benchmark name.
-    pub name: String,
-    /// Transport depth of the greedy in-run packer.
-    pub greedy_depth: usize,
-    /// Transport depth after lookahead backfill.
-    pub lookahead_depth: usize,
-    /// Transport depth after cross-gate packing + layer planning.
-    pub packed_depth: usize,
-    /// Shuttle hops after packing (layer planning can drop net-zero walks).
-    pub packed_shuttles: usize,
-    /// Greedy-packed timed makespan (realistic model), µs.
-    pub greedy_makespan_us: f64,
-    /// Lookahead timed makespan (realistic model), µs.
-    pub lookahead_makespan_us: f64,
-    /// Packed timed makespan (realistic model), µs.
-    pub packed_makespan_us: f64,
-    /// Hops hoisted across at least one gate.
-    pub hoisted_hops: usize,
-    /// Gate-free runs rewritten by the batched layer planner.
-    pub replanned_runs: usize,
-}
-
-/// Measures the `qccd-pack` passes against the greedy and lookahead
-/// packers on every benchmark (optimized stack, congestion router,
-/// realistic timing — the configuration the pack acceptance criteria are
-/// stated in).
-///
-/// # Panics
-///
-/// Panics if a benchmark does not fit `spec` or a packed schedule fails
-/// its validators (never silent).
-pub fn pack_gains(benches: &[BenchmarkCircuit], spec: &MachineSpec) -> Vec<PackRow> {
-    let model = TimingModel::realistic();
-    benches
-        .iter()
-        .map(|bench| {
-            let config = CompilerConfig::optimized()
-                .with_router(RouterPolicy::congestion())
-                .with_lookahead(true)
-                .with_timing(model);
-            let (lookahead, _) = timed_compile(&bench.circuit, spec, &config);
-            let greedy = TransportSchedule::pack_concurrent(&lookahead.schedule, spec)
-                .expect("compiled schedules repack");
-            let greedy_timeline = qccd_timing::lower(
-                &lookahead.schedule,
-                Some(&greedy),
-                &bench.circuit,
-                spec,
-                &model,
-            )
-            .expect("greedy rounds lower");
-            let packed = qccd_pack::pack(
-                &lookahead,
-                &bench.circuit,
-                spec,
-                &qccd_pack::PackConfig::for_model(model),
-            )
-            .expect("packing validates on compiled schedules");
-            PackRow {
-                name: bench.name.clone(),
-                greedy_depth: greedy.depth(),
-                lookahead_depth: lookahead.transport.depth(),
-                packed_depth: packed.stats.packed_depth,
-                packed_shuttles: packed.schedule.stats().shuttles,
-                greedy_makespan_us: greedy_timeline.makespan_us,
-                lookahead_makespan_us: packed.stats.input_makespan_us,
-                packed_makespan_us: packed.stats.packed_makespan_us,
-                hoisted_hops: packed.stats.hoisted_hops,
-                replanned_runs: packed.stats.replanned_runs,
-            }
-        })
-        .collect()
-}
-
 /// Mean and population standard deviation of a sample.
 pub fn mean_std(values: &[f64]) -> (f64, f64) {
     if values.is_empty() {
@@ -831,129 +566,49 @@ mod tests {
         );
     }
 
+    /// The utilization columns come from the optimized schedule lowered
+    /// under the row's own timing model (under realistic timing they once
+    /// read the ideal lowering): a fresh `lower` under that model gives the
+    /// same figures, and the row's timed simulation ends where it does.
     #[test]
-    fn standard_topologies_cover_linear_ring_grid() {
-        let names: Vec<String> = standard_topologies(6)
-            .iter()
-            .map(|t| t.to_string())
-            .collect();
-        assert_eq!(names, vec!["L6", "R6", "G2x3"]);
-        // 5 is prime: no grid.
-        let names: Vec<String> = standard_topologies(5)
-            .iter()
-            .map(|t| t.to_string())
-            .collect();
-        assert_eq!(names, vec!["L5", "R5"]);
-    }
-
-    #[test]
-    fn topology_router_sweep_is_complete_and_consistent() {
-        let benches = vec![BenchmarkCircuit {
-            name: "tiny".into(),
-            circuit: random_circuit(10, 40, 5),
-        }];
-        let topologies = standard_topologies(4);
-        let rows = run_topology_router_sweep(&benches, &topologies, 8, 2, &SimParams::default());
-        assert_eq!(rows.len(), topologies.len() * 2);
-        for pair in rows.chunks(2) {
-            let (serial, congestion) = (&pair[0], &pair[1]);
-            assert_eq!(serial.router, "serial");
-            assert_eq!(serial.depth, serial.shuttles, "serial depth = count");
-            assert!(congestion.depth <= congestion.shuttles);
-        }
-    }
-
-    #[test]
-    fn timing_sweep_ideal_matches_untimed_and_realistic_stretches() {
+    fn utilization_is_read_under_the_rows_timing_model() {
         let spec = MachineSpec::linear(3, 8, 2).unwrap();
-        let benches = vec![BenchmarkCircuit {
+        let bench = BenchmarkCircuit {
             name: "tiny".into(),
             circuit: random_circuit(12, 80, 3),
-        }];
-        let rows = run_timing_sweep(&benches, &spec, &SimParams::default());
-        assert_eq!(rows.len(), 4, "2 routers x 2 models");
-        for pair in rows.chunks(2) {
-            let (ideal, realistic) = (&pair[0], &pair[1]);
-            assert_eq!(ideal.timing, "ideal");
-            assert_eq!(realistic.timing, "realistic");
-            assert!(
-                realistic.timed_makespan_us > ideal.timed_makespan_us,
-                "finite segment speed must stretch {} ({})",
-                realistic.name,
-                realistic.router
+        };
+        let mut rows = Vec::new();
+        for model in [TimingModel::ideal(), TimingModel::realistic()] {
+            let row = compare_timed(&bench, &spec, &SimParams::default(), &model);
+            let config = CompilerConfig::optimized().with_timing(model);
+            let (opt, _) = timed_compile(&bench.circuit, &spec, &config);
+            let fresh = qccd_timing::lower(
+                &opt.schedule,
+                Some(&opt.transport),
+                &bench.circuit,
+                &spec,
+                &model,
+            )
+            .unwrap();
+            assert_eq!(
+                utilization(&fresh.trap_busy_all(3), fresh.makespan_us),
+                (
+                    row.idle_fraction,
+                    row.hottest_trap,
+                    row.hottest_trap_busy_us
+                ),
+                "{model}"
             );
+            assert_eq!(
+                row.optimized_sim.timed_makespan_us, opt.timeline.makespan_us,
+                "{model}"
+            );
+            rows.push(row);
         }
-        // Cross-check the ideal serial cell against the legacy replay.
-        let (opt, _) = timed_compile(&benches[0].circuit, &spec, &CompilerConfig::optimized());
-        let legacy = qccd_sim::simulate(
-            &opt.schedule,
-            &benches[0].circuit,
-            &spec,
-            &SimParams::default(),
-        )
-        .unwrap();
-        assert_eq!(rows[0].timed_makespan_us, legacy.makespan_us);
-    }
-
-    #[test]
-    fn lookahead_packing_never_deepens_and_improves_somewhere() {
-        // The before/after assertion for lookahead round packing: on the
-        // paper suite the backfill packer must never exceed the greedy
-        // packer's depth, and must strictly beat it on at least one
-        // benchmark (QAOA's wide gate-free rebalancing runs are the
-        // motivating case — greedy packs only −1 depth there).
-        let spec = MachineSpec::paper_l6();
-        let rows = lookahead_packing_gains(&paper_suite(), &spec);
-        assert_eq!(rows.len(), 5);
-        for r in &rows {
-            assert!(
-                r.lookahead_depth <= r.greedy_depth,
-                "{}: lookahead {} > greedy {}",
-                r.name,
-                r.lookahead_depth,
-                r.greedy_depth
-            );
-        }
-        assert!(
-            rows.iter().any(|r| r.lookahead_depth < r.greedy_depth),
-            "lookahead must strictly reduce depth on at least one paper benchmark: {rows:?}"
-        );
-    }
-
-    #[test]
-    fn pack_beats_lookahead_on_qaoa_and_never_regresses() {
-        // The PR 4 acceptance: on the paper machine, packed timed makespan
-        // ≤ lookahead *and* ≤ greedy on every paper benchmark (the packer
-        // carries the greedy repack as a candidate precisely because
-        // lookahead optimizes depth and can lose the odd 100 µs on the
-        // clock), with a *strict* packed win on QAOA — the benchmark whose
-        // depth lives between gates, out of the in-run packers' reach.
-        let spec = MachineSpec::paper_l6();
-        let rows = pack_gains(&paper_suite(), &spec);
-        assert_eq!(rows.len(), 5);
-        for r in &rows {
-            assert!(
-                r.packed_makespan_us <= r.lookahead_makespan_us,
-                "{}: packed {} > lookahead {}",
-                r.name,
-                r.packed_makespan_us,
-                r.lookahead_makespan_us
-            );
-            assert!(
-                r.packed_makespan_us <= r.greedy_makespan_us,
-                "{}: packed {} > greedy {}",
-                r.name,
-                r.packed_makespan_us,
-                r.greedy_makespan_us
-            );
-        }
-        let qaoa = rows.iter().find(|r| r.name == "QAOA").expect("QAOA row");
-        assert!(
-            qaoa.packed_makespan_us < qaoa.lookahead_makespan_us,
-            "QAOA must strictly improve: packed {} vs lookahead {}",
-            qaoa.packed_makespan_us,
-            qaoa.lookahead_makespan_us
-        );
+        let (ideal, realistic) = (&rows[0], &rows[1]);
+        assert_eq!(ideal.optimized_shuttles, realistic.optimized_shuttles);
+        assert_eq!(ideal.baseline_shuttles, realistic.baseline_shuttles);
+        assert_ne!(ideal.hottest_trap_busy_us, realistic.hottest_trap_busy_us);
     }
 
     #[test]

@@ -14,33 +14,13 @@
 //! rows.
 
 use crate::diff::snapshot_mismatches;
-use crate::report::{report_json, row_json};
+use crate::report::{profile_json, report_json, row_json, Profile};
 use crate::{compare_timed, ComparisonRow};
 use qccd_circuit::generators::BenchmarkCircuit;
 use qccd_machine::MachineSpec;
 use qccd_obs::json::Json;
 use qccd_sim::SimParams;
 use qccd_timing::TimingModel;
-
-/// One benchmark's quality row plus its recorded instrumentation.
-pub struct BenchmarkProfile {
-    /// The quality row (recorded while instrumented; asserted equal to
-    /// the uninstrumented reference run).
-    pub row: ComparisonRow,
-    /// Per-phase wall-time breakdown, hottest self-time first.
-    pub phases: Vec<qccd_obs::PhaseStat>,
-    /// Every hot-path counter touched during the run, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// Value-distribution histograms recorded during the run, sorted by
-    /// name (e.g. candidate scores per clock round).
-    pub histograms: Vec<qccd_obs::HistogramSnapshot>,
-    /// `timing.delta_hits / (delta_hits + clone_fallbacks)` — the share
-    /// of speculative candidates priced by the O(delta) path. Shuttle-only
-    /// candidate walks keep this at exactly 1.
-    pub delta_hit_rate: f64,
-    /// Wall time between the first and last recorded span, µs.
-    pub wall_us: f64,
-}
 
 /// Runs every benchmark twice — an uninstrumented reference pass and an
 /// instrumented pass — asserting quality parity, and returns the
@@ -59,7 +39,7 @@ pub fn profile_suite(
     spec: &MachineSpec,
     params: &SimParams,
     model: &TimingModel,
-) -> Vec<BenchmarkProfile> {
+) -> Vec<(ComparisonRow, Profile)> {
     benches
         .iter()
         .map(|bench| {
@@ -71,10 +51,7 @@ pub fn profile_suite(
             qccd_obs::enable();
             let row = compare_timed(bench, spec, params, model);
             qccd_obs::disable();
-            let phases = qccd_obs::phase_stats();
-            let counters = qccd_obs::counters();
-            let histograms = qccd_obs::histograms();
-            let wall_us = qccd_obs::wall_us();
+            let profile = Profile::recorded();
 
             let mismatches = snapshot_mismatches(&row_json(&reference), &row_json(&row));
             assert!(
@@ -83,7 +60,6 @@ pub fn profile_suite(
                 bench.name,
                 mismatches.join(", "),
             );
-            let hits = qccd_obs::counter_value("timing.delta_hits");
             let fallbacks = qccd_obs::counter_value("timing.clone_fallbacks");
             assert!(
                 fallbacks == 0,
@@ -92,81 +68,22 @@ pub fn profile_suite(
                 bench.name,
             );
             assert!(
-                !phases.is_empty() && !histograms.is_empty(),
+                !profile.phases.is_empty() && !profile.histograms.is_empty(),
                 "{}: the instrumented run recorded no phase or no histogram",
                 bench.name,
             );
-            let delta_hit_rate = if hits + fallbacks == 0 {
-                1.0
-            } else {
-                hits as f64 / (hits + fallbacks) as f64
-            };
-            BenchmarkProfile {
-                row,
-                phases,
-                counters,
-                histograms,
-                delta_hit_rate,
-                wall_us,
-            }
+            (row, profile)
         })
         .collect()
-}
-
-fn profile_json(p: &BenchmarkProfile) -> Json {
-    Json::obj(vec![
-        (
-            "phases",
-            Json::Arr(
-                p.phases
-                    .iter()
-                    .map(|ph| {
-                        Json::obj(vec![
-                            ("name", Json::str(ph.name.as_str())),
-                            ("count", Json::int(ph.count)),
-                            ("total_us", Json::Num(ph.total_us)),
-                            ("self_us", Json::Num(ph.self_us)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "counters",
-            Json::Obj(
-                p.counters
-                    .iter()
-                    .map(|(name, value)| (name.clone(), Json::int(*value as usize)))
-                    .collect(),
-            ),
-        ),
-        (
-            "histograms",
-            Json::Arr(
-                p.histograms
-                    .iter()
-                    .map(|h| {
-                        Json::obj(vec![
-                            ("name", Json::str(h.name.as_str())),
-                            ("count", Json::int(h.count as usize)),
-                            ("mean", Json::Num(h.mean())),
-                            ("p50", Json::int(h.p50() as usize)),
-                            ("p99", Json::int(h.p99() as usize)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("delta_hit_rate", Json::Num(p.delta_hit_rate)),
-        ("wall_us", Json::Num(p.wall_us)),
-    ])
 }
 
 /// One benchmark's snapshot entry: its profiled quality row plus the
 /// subtrees that ride after it.
 pub struct SnapshotRow {
     /// The profiled quality row.
-    pub profile: BenchmarkProfile,
+    pub row: ComparisonRow,
+    /// What the recorder held after the row's instrumented run.
+    pub profile: Profile,
     /// The critical-path makespan attribution.
     pub explain: Json,
     /// The fidelity-loss attribution.
@@ -186,7 +103,7 @@ pub fn render_snapshot(
     rows: &[SnapshotRow],
     all_jobs_deterministic: bool,
 ) -> String {
-    let quality: Vec<ComparisonRow> = rows.iter().map(|row| row.profile.row.clone()).collect();
+    let quality: Vec<ComparisonRow> = rows.iter().map(|row| row.row.clone()).collect();
     let Json::Obj(mut doc) = report_json("paper", machine, timing, &quality) else {
         unreachable!("the report is an object");
     };

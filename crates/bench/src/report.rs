@@ -1,19 +1,29 @@
-//! The evaluation report: the one schema `muzzle eval --format json`
-//! emits and `paper_eval snapshot` pins in `BENCH.json`.
+//! The evaluation report and the documents it shares with the CLI: one
+//! renderer per JSON object that both `muzzle` and `paper_eval snapshot`
+//! print.
 //!
-//! [`report_json`] builds the whole document: the Fig. 4 preamble, one
-//! [`row_json`] object per benchmark, then the eight [`SuiteChecks`]
-//! flags. `muzzle eval`'s text mode reads the same checks. The snapshot
-//! is this document with per-benchmark `profile`/`explain`/`fidelity`/
-//! `jobs` subtrees appended ([`crate::profile::render_snapshot`]), and the
-//! instrumentation-parity check compares two [`row_json`] renderings of
-//! the same benchmark ([`crate::profile::profile_suite`]).
+//! [`report_json`] builds the whole `muzzle eval --format json` document:
+//! the Fig. 4 preamble, one [`row_json`] object per benchmark, then the
+//! eight [`SuiteChecks`] flags. `muzzle eval`'s text mode reads the same
+//! checks. The snapshot is this document with per-benchmark `profile`/
+//! `explain`/`fidelity`/`jobs` subtrees appended
+//! ([`crate::profile::render_snapshot`]), and the instrumentation-parity
+//! check compares two [`row_json`] renderings of the same benchmark
+//! ([`crate::profile::profile_suite`]).
+//!
+//! The subtrees have one renderer each, which the CLI calls too:
+//! [`profile_json`] (`muzzle compile|simulate --profile`),
+//! [`fidelity_json`] (`muzzle explain --fidelity`), and
+//! [`attribution_json`] with [`blame_counts_json`] (`muzzle explain`).
 
 use crate::ComparisonRow;
 use qccd_circuit::parser::parse_program;
 use qccd_core::{compile_with_mapping, CompilerConfig};
 use qccd_machine::{InitialMapping, MachineSpec, TrapId};
 use qccd_obs::json::Json;
+use qccd_obs::{HistogramSnapshot, PhaseStat};
+use qccd_sim::{FidelityAttribution, LossTerm};
+use qccd_timing::{CriticalPath, MakespanAttribution};
 
 /// Suite-level acceptance flags reported after the per-benchmark rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,6 +265,209 @@ pub fn report_json(
             "clock_strict_win_count",
             Json::int(checks.clock_strict_wins),
         ),
+    ])
+}
+
+/// What the `qccd-obs` recorder holds after an instrumented run.
+#[derive(Debug, Clone)]
+pub struct Profile {
+    /// Per-phase wall-time breakdown, hottest self-time first.
+    pub phases: Vec<PhaseStat>,
+    /// Every hot-path counter touched during the run, sorted by name.
+    pub counters: Vec<(String, u64)>,
+    /// Value-distribution histograms recorded during the run, sorted by
+    /// name (e.g. candidate scores per clock round).
+    pub histograms: Vec<HistogramSnapshot>,
+    /// `timing.delta_hits / (delta_hits + clone_fallbacks)`: the share of
+    /// speculative candidates priced by the O(delta) path, 1 when none was
+    /// priced. Shuttle-only candidate walks keep this at exactly 1.
+    pub delta_hit_rate: f64,
+    /// Wall time between the first and last recorded span, µs.
+    pub wall_us: f64,
+}
+
+impl Profile {
+    /// Reads the recorder as it stands.
+    pub fn recorded() -> Profile {
+        let hits = qccd_obs::counter_value("timing.delta_hits");
+        let fallbacks = qccd_obs::counter_value("timing.clone_fallbacks");
+        Profile {
+            phases: qccd_obs::phase_stats(),
+            counters: qccd_obs::counters(),
+            histograms: qccd_obs::histograms(),
+            delta_hit_rate: if hits + fallbacks == 0 {
+                1.0
+            } else {
+                hits as f64 / (hits + fallbacks) as f64
+            },
+            wall_us: qccd_obs::wall_us(),
+        }
+    }
+}
+
+/// The `profile` object: phases (inclusive and self time), counters,
+/// histograms, the delta hit rate and the recorded wall time.
+pub fn profile_json(p: &Profile) -> Json {
+    Json::obj(vec![
+        (
+            "phases",
+            Json::Arr(
+                p.phases
+                    .iter()
+                    .map(|ph| {
+                        Json::obj(vec![
+                            ("name", Json::str(ph.name.as_str())),
+                            ("count", Json::int(ph.count)),
+                            ("total_us", Json::Num(ph.total_us)),
+                            ("self_us", Json::Num(ph.self_us)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "counters",
+            Json::Obj(
+                p.counters
+                    .iter()
+                    .map(|(name, value)| (name.clone(), Json::int(*value as usize)))
+                    .collect(),
+            ),
+        ),
+        (
+            "histograms",
+            Json::Arr(
+                p.histograms
+                    .iter()
+                    .map(|h| {
+                        Json::obj(vec![
+                            ("name", Json::str(h.name.as_str())),
+                            ("count", Json::int(h.count as usize)),
+                            ("mean", Json::Num(h.mean())),
+                            ("p50", Json::int(h.p50() as usize)),
+                            ("p99", Json::int(h.p99() as usize)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        ("delta_hit_rate", Json::Num(p.delta_hit_rate)),
+        ("wall_us", Json::Num(p.wall_us)),
+    ])
+}
+
+/// The makespan attribution object: the six critical-path segments, their
+/// sum, the makespan, and whether the two agree bit for bit.
+pub fn attribution_json(attribution: &MakespanAttribution) -> Json {
+    Json::obj(vec![
+        ("gate_us", Json::Num(attribution.gate_us)),
+        ("flight_us", Json::Num(attribution.flight_us)),
+        ("split_merge_us", Json::Num(attribution.split_merge_us)),
+        ("junction_us", Json::Num(attribution.junction_us)),
+        ("zone_move_us", Json::Num(attribution.zone_move_us)),
+        ("idle_wait_us", Json::Num(attribution.idle_wait_us)),
+        ("total_us", Json::Num(attribution.total_us())),
+        ("makespan_us", Json::Num(attribution.makespan_us)),
+        (
+            "identity",
+            Json::Bool(attribution.total_us().to_bits() == attribution.makespan_us.to_bits()),
+        ),
+    ])
+}
+
+/// How many critical-path steps each blame bound, by blame label.
+pub fn blame_counts_json(path: &CriticalPath) -> Json {
+    Json::Obj(
+        path.blame_counts()
+            .iter()
+            .map(|(b, n)| (b.label().to_owned(), Json::int(*n)))
+            .collect(),
+    )
+}
+
+/// The fidelity-attribution object: the loss decomposition, the duration
+/// and motional shares, and the `top` worst gates, hottest traps and
+/// costliest shuttles.
+pub fn fidelity_json(attr: &FidelityAttribution, top: usize) -> Json {
+    let worst = attr
+        .worst_gates(top)
+        .iter()
+        .filter_map(|term| match **term {
+            LossTerm::Gate {
+                gate,
+                trap,
+                start_us,
+                end_us,
+                chain_len,
+                tau_us,
+                fidelity,
+                n_bar,
+                log_loss,
+                duration_loss,
+                motional_loss,
+                heat_loss,
+                ..
+            } => Some(Json::obj(vec![
+                ("gate", Json::int(gate.index())),
+                ("trap", Json::int(trap.index())),
+                ("start_us", Json::Num(start_us)),
+                ("end_us", Json::Num(end_us)),
+                ("chain_len", Json::int(chain_len as usize)),
+                ("tau_us", Json::Num(tau_us)),
+                ("fidelity", Json::Num(fidelity)),
+                ("n_bar", Json::Num(n_bar)),
+                ("log_loss", Json::Num(log_loss)),
+                ("duration_loss", Json::Num(duration_loss)),
+                ("motional_loss", Json::Num(motional_loss)),
+                ("heat_loss", Json::Num(heat_loss)),
+            ])),
+            LossTerm::Shuttle { .. } => None,
+        })
+        .collect();
+    let hottest = attr
+        .hottest_traps(top)
+        .into_iter()
+        .map(|(trap, blamed, gross)| {
+            Json::obj(vec![
+                ("trap", Json::int(trap)),
+                ("blamed_log_loss", Json::Num(blamed)),
+                ("gross_quanta", Json::Num(gross)),
+            ])
+        })
+        .collect();
+    let costliest = attr
+        .costliest_shuttles(top)
+        .into_iter()
+        .map(|h| {
+            Json::obj(vec![
+                ("shuttle", Json::int(h.shuttle)),
+                ("ion", Json::int(h.ion.index())),
+                ("from", Json::int(h.from.index())),
+                ("to", Json::int(h.to.index())),
+                ("pulse_log_loss", Json::Num(h.pulse_log_loss)),
+                ("heat_log_loss", Json::Num(h.heat_log_loss)),
+                ("total_log_loss", Json::Num(h.total_log_loss())),
+            ])
+        })
+        .collect();
+    Json::obj(vec![
+        (
+            "log_program_fidelity",
+            Json::Num(attr.report.log_program_fidelity),
+        ),
+        ("total_loss", Json::Num(attr.total_loss())),
+        ("duration_loss", Json::Num(attr.gate_duration_loss)),
+        ("motional_loss", Json::Num(attr.gate_motional_loss)),
+        ("zero_point_loss", Json::Num(attr.gate_zero_point_loss)),
+        ("heat_loss", Json::Num(attr.gate_heat_loss)),
+        ("shuttle_pulse_loss", Json::Num(attr.shuttle_pulse_loss)),
+        ("duration_share", Json::Num(attr.duration_share())),
+        ("motional_share", Json::Num(attr.motional_share())),
+        ("saturated_gates", Json::int(attr.saturated_gates)),
+        ("identity", Json::Bool(attr.identity_holds())),
+        ("worst_gates", Json::Arr(worst)),
+        ("hottest_traps", Json::Arr(hottest)),
+        ("costliest_shuttles", Json::Arr(costliest)),
     ])
 }
 

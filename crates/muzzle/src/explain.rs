@@ -21,6 +21,7 @@
 //! counter rows in the exported trace.
 
 use crate::{emit, parse_common, CommonOptions};
+use qccd_bench::report::{attribution_json, blame_counts_json, fidelity_json};
 use qccd_obs::json::Json;
 use qccd_sim::{FidelityAttribution, LossTerm};
 use qccd_timing::{
@@ -72,8 +73,7 @@ pub fn cmd_explain(args: &[String]) -> Result<(), String> {
     qccd_obs::info("explain", || {
         format!("compiling {} on {machine}...", circuit.name)
     });
-    let (result, _pack, _clock, compile_s) =
-        crate::timed(&circuit.circuit, &machine, &config, opts.router == "packed")?;
+    let (result, _pack, _clock, compile_s) = crate::timed(&circuit.circuit, &machine, &config)?;
     let timeline = &result.timeline;
 
     let path = critical_path(timeline, &circuit.circuit);
@@ -487,39 +487,13 @@ fn render_json(
         ("makespan_us", Json::Num(timeline.makespan_us)),
         ("events", Json::int(timeline.events.len())),
         ("compile_seconds", Json::Num(compile_s)),
-        (
-            "attribution",
-            Json::obj(vec![
-                ("gate_us", Json::Num(attribution.gate_us)),
-                ("flight_us", Json::Num(attribution.flight_us)),
-                ("split_merge_us", Json::Num(attribution.split_merge_us)),
-                ("junction_us", Json::Num(attribution.junction_us)),
-                ("zone_move_us", Json::Num(attribution.zone_move_us)),
-                ("idle_wait_us", Json::Num(attribution.idle_wait_us)),
-                ("total_us", Json::Num(attribution.total_us())),
-                ("makespan_us", Json::Num(attribution.makespan_us)),
-                (
-                    "identity",
-                    Json::Bool(
-                        attribution.total_us().to_bits() == attribution.makespan_us.to_bits(),
-                    ),
-                ),
-            ]),
-        ),
+        ("attribution", attribution_json(attribution)),
         (
             "critical_path",
             Json::obj(vec![
                 ("steps", Json::int(path.steps.len())),
                 ("contiguous", Json::Bool(path.is_contiguous())),
-                (
-                    "blame_counts",
-                    Json::Obj(
-                        path.blame_counts()
-                            .iter()
-                            .map(|(b, n)| (b.label().to_owned(), Json::int(*n)))
-                            .collect(),
-                    ),
-                ),
+                ("blame_counts", blame_counts_json(path)),
                 ("path", Json::Arr(steps)),
             ]),
         ),
@@ -566,88 +540,4 @@ fn render_json(
     let mut text = value.to_string();
     text.push('\n');
     text
-}
-
-/// The `--fidelity` JSON subtree.
-fn fidelity_json(attr: &FidelityAttribution, top: usize) -> Json {
-    let worst = attr
-        .worst_gates(top)
-        .iter()
-        .filter_map(|term| match **term {
-            LossTerm::Gate {
-                gate,
-                trap,
-                start_us,
-                end_us,
-                chain_len,
-                tau_us,
-                fidelity,
-                n_bar,
-                log_loss,
-                duration_loss,
-                motional_loss,
-                heat_loss,
-                ..
-            } => Some(Json::obj(vec![
-                ("gate", Json::int(gate.index())),
-                ("trap", Json::int(trap.index())),
-                ("start_us", Json::Num(start_us)),
-                ("end_us", Json::Num(end_us)),
-                ("chain_len", Json::int(chain_len as usize)),
-                ("tau_us", Json::Num(tau_us)),
-                ("fidelity", Json::Num(fidelity)),
-                ("n_bar", Json::Num(n_bar)),
-                ("log_loss", Json::Num(log_loss)),
-                ("duration_loss", Json::Num(duration_loss)),
-                ("motional_loss", Json::Num(motional_loss)),
-                ("heat_loss", Json::Num(heat_loss)),
-            ])),
-            LossTerm::Shuttle { .. } => None,
-        })
-        .collect();
-    let hottest = attr
-        .hottest_traps(top)
-        .into_iter()
-        .map(|(trap, blamed, gross)| {
-            Json::obj(vec![
-                ("trap", Json::int(trap)),
-                ("blamed_log_loss", Json::Num(blamed)),
-                ("gross_quanta", Json::Num(gross)),
-            ])
-        })
-        .collect();
-    let costliest = attr
-        .costliest_shuttles(top)
-        .into_iter()
-        .map(|h| {
-            Json::obj(vec![
-                ("shuttle", Json::int(h.shuttle)),
-                ("ion", Json::int(h.ion.index())),
-                ("from", Json::int(h.from.index())),
-                ("to", Json::int(h.to.index())),
-                ("pulse_log_loss", Json::Num(h.pulse_log_loss)),
-                ("heat_log_loss", Json::Num(h.heat_log_loss)),
-                ("total_log_loss", Json::Num(h.total_log_loss())),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        (
-            "log_program_fidelity",
-            Json::Num(attr.report.log_program_fidelity),
-        ),
-        ("total_loss", Json::Num(attr.total_loss())),
-        ("duration_loss", Json::Num(attr.gate_duration_loss)),
-        ("motional_loss", Json::Num(attr.gate_motional_loss)),
-        ("zero_point_loss", Json::Num(attr.gate_zero_point_loss)),
-        ("heat_loss", Json::Num(attr.gate_heat_loss)),
-        ("shuttle_pulse_loss", Json::Num(attr.shuttle_pulse_loss)),
-        ("duration_share", Json::Num(attr.duration_share())),
-        ("motional_share", Json::Num(attr.motional_share())),
-        ("saturated_gates", Json::int(attr.saturated_gates)),
-        ("identity", Json::Bool(attr.identity_holds())),
-        ("worst_gates", Json::Arr(worst)),
-        ("hottest_traps", Json::Arr(hottest)),
-        ("costliest_shuttles", Json::Arr(costliest)),
-    ])
 }

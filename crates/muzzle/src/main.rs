@@ -20,6 +20,7 @@ mod explain;
 mod output;
 mod spec;
 
+use qccd_bench::report::{profile_json, Profile};
 use qccd_core::{
     compile, CompileResult, CompilerConfig, DirectionPolicy, Objective, RouterPolicy,
     ScheduleAnalysis, TimingModel,
@@ -102,7 +103,9 @@ OBSERVABILITY OPTIONS (compile, simulate, eval):
                         hot-path counters, and the recorded histograms
                         (on simulate: the replay's sim.gate_infidelity /
                         sim.gate_nbar distributions) to the report;
-                        compile and simulate. Histogram p50/p99 are
+                        compile and simulate. The JSON form is the
+                        profile object BENCH.json holds per benchmark,
+                        delta hit rate included. Histogram p50/p99 are
                         bucket upper bounds clamped to the largest
                         recorded sample, so a percentile never exceeds
                         any value actually observed
@@ -378,56 +381,6 @@ pub fn apply_verbosity(opts: &CommonOptions) {
     }
 }
 
-/// The `--profile` report block: per-phase wall-time breakdown (inclusive
-/// and self time) plus every hot-path counter, as JSON.
-fn profile_json() -> Json {
-    Json::obj(vec![
-        (
-            "phases",
-            Json::Arr(
-                qccd_obs::phase_stats()
-                    .iter()
-                    .map(|p| {
-                        Json::obj(vec![
-                            ("name", Json::str(p.name.as_str())),
-                            ("count", Json::int(p.count)),
-                            ("total_us", Json::Num(p.total_us)),
-                            ("self_us", Json::Num(p.self_us)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "counters",
-            Json::Obj(
-                qccd_obs::counters()
-                    .into_iter()
-                    .map(|(name, value)| (name, Json::int(value as usize)))
-                    .collect(),
-            ),
-        ),
-        (
-            "histograms",
-            Json::Arr(
-                qccd_obs::histograms()
-                    .iter()
-                    .map(|h| {
-                        Json::obj(vec![
-                            ("name", Json::str(h.name.as_str())),
-                            ("count", Json::int(h.count as usize)),
-                            ("mean", Json::Num(h.mean())),
-                            ("p50", Json::int(h.p50() as usize)),
-                            ("p99", Json::int(h.p99() as usize)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("wall_us", Json::Num(qccd_obs::wall_us())),
-    ])
-}
-
 /// Writes `report` to `--out` or stdout.
 pub fn emit(report: &str, out: &Option<String>) -> Result<(), String> {
     match out {
@@ -529,13 +482,13 @@ fn pack_stats_json(p: &qccd_pack::PackStats) -> Json {
 /// One compile through the selected stack, with wall-clock time:
 /// `--objective clock` runs the clock pipeline
 /// ([`qccd_pack::compile_clock`] — timed compile loop raced against the
-/// default packed stack), `--router packed` runs the qccd-pack passes
+/// default packed stack), `--router packed` (the congestion router with
+/// lookahead backfill, see [`build_config`]) runs the qccd-pack passes
 /// ([`qccd_pack::compile_packed`]), anything else the plain compiler.
 fn timed(
     circuit: &qccd_circuit::Circuit,
     machine: &MachineSpec,
     config: &CompilerConfig,
-    pack: bool,
 ) -> Result<
     (
         CompileResult,
@@ -551,7 +504,7 @@ fn timed(
             qccd_pack::compile_clock(circuit, machine, config).map_err(|e| e.to_string())?;
         return Ok((result, None, Some(stats), start.elapsed().as_secs_f64()));
     }
-    if pack {
+    if config.lookahead && config.router.is_congestion() {
         let (result, stats) =
             qccd_pack::compile_packed(circuit, machine, config).map_err(|e| e.to_string())?;
         return Ok((result, Some(stats), None, start.elapsed().as_secs_f64()));
@@ -597,8 +550,7 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
         qccd_obs::reset();
         qccd_obs::enable();
     }
-    let (result, pack_stats, clock_stats, compile_s) =
-        timed(&circuit.circuit, &machine, &config, opts.router == "packed")?;
+    let (result, pack_stats, clock_stats, compile_s) = timed(&circuit.circuit, &machine, &config)?;
     if trace.is_some() || profile {
         qccd_obs::disable();
     }
@@ -631,7 +583,7 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
                 None => value,
             };
             let value = if profile {
-                value.with_field("profile", profile_json())
+                value.with_field("profile", profile_json(&Profile::recorded()))
             } else {
                 value
             };
@@ -748,9 +700,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     // hop per round under the serial router — the historical replay) on
     // the timed event timeline of the selected --timing model.
     let model = parse_timing_model(&opts.timing);
-    let pack = opts.router == "packed";
     let run = |config: &CompilerConfig| -> Result<(CompileResult, SimReport), String> {
-        let (result, _, _, _) = timed(&circuit.circuit, &machine, config, pack)?;
+        let (result, _, _, _) = timed(&circuit.circuit, &machine, config)?;
         let report = simulate_timed(
             &result.schedule,
             &result.transport,
@@ -801,7 +752,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
                     ),
                 ]);
                 let value = if profile {
-                    value.with_field("profile", profile_json())
+                    value.with_field("profile", profile_json(&Profile::recorded()))
                 } else {
                     value
                 };
@@ -864,7 +815,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
                     ("report", sim_report_json(&sim)),
                 ]);
                 let value = if profile {
-                    value.with_field("profile", profile_json())
+                    value.with_field("profile", profile_json(&Profile::recorded()))
                 } else {
                     value
                 };
@@ -1027,18 +978,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                 ))
             }
         };
-        let (base, _, _, _) = timed(
-            &circuit.circuit,
-            &machine,
-            &base_cfg,
-            opts.router == "packed",
-        )?;
-        let (opt, _, _, _) = timed(
-            &circuit.circuit,
-            &machine,
-            &opt_cfg,
-            opts.router == "packed",
-        )?;
+        let (base, _, _, _) = timed(&circuit.circuit, &machine, &base_cfg)?;
+        let (opt, _, _, _) = timed(&circuit.circuit, &machine, &opt_cfg)?;
         rows.push(Row {
             value,
             baseline: base.stats.shuttles,
@@ -1316,6 +1257,106 @@ mod tests {
             list.extend_from_slice(stack);
             cmd_compile(&args(&list)).unwrap_or_else(|e| panic!("{stack:?}: {e}"));
         }
+    }
+
+    /// The object keys of `doc`, plus `key[].field` for the fields of
+    /// the first element of each array of objects.
+    fn schema(doc: &Json) -> Vec<String> {
+        let Json::Obj(pairs) = doc else {
+            panic!("not an object: {doc}")
+        };
+        let mut keys = Vec::new();
+        for (key, value) in pairs {
+            keys.push(key.clone());
+            if let Json::Arr(items) = value {
+                if let Some(Json::Obj(fields)) = items.first() {
+                    keys.extend(fields.iter().map(|(field, _)| format!("{key}[].{field}")));
+                }
+            }
+        }
+        keys.sort();
+        keys
+    }
+
+    /// The `key` value of `doc`, an object.
+    fn subtree(doc: &Json, key: &str) -> Json {
+        let Json::Obj(pairs) = doc else {
+            panic!("not an object: {doc}")
+        };
+        pairs.iter().find(|(k, _)| k == key).unwrap().1.clone()
+    }
+
+    /// The `key` object of the first benchmark `BENCH.json` pins.
+    fn snapshot_subtree(key: &str) -> Json {
+        let doc = qccd_obs::json::parse(include_str!("../../../BENCH.json")).unwrap();
+        let Json::Arr(benchmarks) = subtree(&doc, "benchmarks") else {
+            panic!("BENCH.json has no benchmark list")
+        };
+        subtree(&benchmarks[0], key)
+    }
+
+    /// Runs `cmd` with `--format json --out FILE` and parses the report.
+    fn json_report(cmd: fn(&[String]) -> Result<(), String>, list: &[&str], tag: &str) -> Json {
+        let out = std::env::temp_dir().join(format!("muzzle-{tag}-{}.json", std::process::id()));
+        let mut list = list.to_vec();
+        let out_arg = out.to_str().unwrap();
+        list.extend_from_slice(&["--format", "json", "--quiet", "--out", out_arg]);
+        cmd(&args(&list)).unwrap();
+        let text = std::fs::read_to_string(&out).unwrap();
+        std::fs::remove_file(&out).unwrap();
+        qccd_obs::json::parse(&text).unwrap()
+    }
+
+    /// `compile --profile --format json` prints the `profile` object in
+    /// `BENCH.json`'s per-benchmark schema, so `paper_eval diff` reads it.
+    #[test]
+    fn profile_json_has_the_snapshot_schema() {
+        let report = json_report(
+            cmd_compile,
+            &[
+                "--circuit",
+                "qaoa:16x4",
+                "--traps",
+                "3",
+                "--capacity",
+                "8",
+                "--objective",
+                "clock",
+                "--timing",
+                "realistic",
+                "--profile",
+            ],
+            "profile",
+        );
+        assert_eq!(
+            schema(&subtree(&report, "profile")),
+            schema(&snapshot_subtree("profile"))
+        );
+    }
+
+    /// `explain --fidelity --format json` prints the `fidelity` object in
+    /// `BENCH.json`'s per-benchmark schema.
+    #[test]
+    fn fidelity_json_has_the_snapshot_schema() {
+        let report = json_report(
+            explain::cmd_explain,
+            &[
+                "--circuit",
+                "qaoa:16x4",
+                "--traps",
+                "3",
+                "--capacity",
+                "8",
+                "--timing",
+                "realistic",
+                "--fidelity",
+            ],
+            "fidelity",
+        );
+        assert_eq!(
+            schema(&subtree(&report, "fidelity")),
+            schema(&snapshot_subtree("fidelity"))
+        );
     }
 
     #[test]

@@ -72,12 +72,6 @@ impl SimReport {
             (false, false) => (self.log_program_fidelity - other.log_program_fidelity).exp(),
         }
     }
-
-    /// The improvement as a log10 ("orders of magnitude"), convenient for
-    /// plotting Fig. 8 when ratios overflow.
-    pub fn fidelity_improvement_log10(&self, other: &SimReport) -> f64 {
-        (self.log_program_fidelity - other.log_program_fidelity) / std::f64::consts::LN_10
-    }
 }
 
 impl fmt::Display for SimReport {

@@ -10,7 +10,7 @@ use muzzle_shuttle::compiler::{compile, CompilerConfig, RouterPolicy};
 use muzzle_shuttle::machine::MachineSpec;
 use muzzle_shuttle::pack::compile_packed;
 use muzzle_shuttle::route::TransportSchedule;
-use muzzle_shuttle::timing::TimingModel;
+use muzzle_shuttle::timing::{lower, TimingModel};
 use qccd_circuit::generators::paper_suite;
 
 /// One benchmark's pinned row (realistic timing).
@@ -215,6 +215,18 @@ fn default_objective_rows_match_bench_pr4_exactly() {
             pack_stats.packed_makespan_us, pin.packed_makespan_us,
             "{}: packed timed makespan drifted",
             pin.name
+        );
+        // The greedy repack is one of the packer's candidates, so the
+        // packed makespan never exceeds the greedy rounds' either.
+        let greedy_makespan_us =
+            lower(&look.schedule, Some(&greedy), &bench.circuit, &spec, &model)
+                .expect("greedy rounds lower")
+                .makespan_us;
+        assert!(
+            pack_stats.packed_makespan_us <= greedy_makespan_us,
+            "{}: packed {} > greedy {greedy_makespan_us}",
+            pin.name,
+            pack_stats.packed_makespan_us
         );
     }
 }

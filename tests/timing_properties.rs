@@ -143,11 +143,16 @@ proptest! {
 /// Junction sensitivity, deterministically: the same compiled schedule
 /// costs strictly more under the realistic model on a grid (which has
 /// T-/X-junctions) than the ideal model says, and the realistic makespan
-/// differs from ideal on ring topologies too (finite segment speed).
+/// differs from ideal on ring and linear topologies too (finite segment
+/// speed).
 #[test]
 fn realistic_model_is_junction_sensitive_on_grid_and_ring() {
     let params = SimParams::default();
-    for topology in [TrapTopology::grid(2, 3), TrapTopology::ring(6)] {
+    for topology in [
+        TrapTopology::grid(2, 3),
+        TrapTopology::ring(6),
+        TrapTopology::linear(3),
+    ] {
         let junctions_exist = (0..topology.num_traps())
             .any(|t| topology.is_junction(muzzle_shuttle::machine::TrapId(t)));
         let spec = MachineSpec::new(topology, 8, 2).expect("valid spec");
