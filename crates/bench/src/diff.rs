@@ -1,5 +1,5 @@
-//! Snapshot comparison: the `paper_eval snapshot` parity gate and the
-//! schema-aware `paper_eval diff`.
+//! Snapshot comparison: the `muzzle snapshot` parity gate and the
+//! schema-aware `muzzle diff`.
 //!
 //! The committed `BENCH.json` carries three kinds of leaves:
 //!
@@ -25,7 +25,7 @@
 //! parallel, classifies every shared numeric/boolean leaf by the
 //! direction inferred from its key name (observability and wall-clock
 //! leaves are informational), and returns a [`DiffReport`] renderable as
-//! markdown or JSON. `paper_eval diff OLD NEW` exits non-zero iff the
+//! markdown or JSON. `muzzle diff OLD NEW` exits non-zero iff the
 //! report contains a quality regression.
 
 use qccd_obs::json::{strip_keys, Json};
@@ -783,7 +783,7 @@ mod tests {
         set(child, rest, value);
     }
 
-    /// The `paper_eval snapshot` gate on a real rendered snapshot: editing
+    /// The `muzzle snapshot` gate on a real rendered snapshot: editing
     /// one work counter or one quality leaf fails it and names the path;
     /// editing only wall-clock leaves passes.
     #[test]

@@ -1,36 +1,23 @@
 //! Evaluation harness regenerating every table and figure of the paper.
 //!
-//! The [`paper_eval`](../paper_eval/index.html) binary drives this library:
+//! The `muzzle` CLI drives this library:
 //!
-//! ```text
-//! cargo run -p qccd-bench --release --bin paper_eval -- all
-//! ```
+//! | Command | Output |
+//! |---------|--------|
+//! | `muzzle eval --format paper` | Table II (shuttles), Fig. 8 (fidelity), Table III (compile time), the per-heuristic ablation, the §III-A3 proximity sweep and the §IV-E3 initial-placement ablation |
+//! | `muzzle eval` (text, JSON or CSV) | one [`ComparisonRow`] per benchmark plus the [`report::SuiteChecks`]; the router, timing-model and packing comparisons are its columns |
+//! | `muzzle snapshot` | writes or checks `BENCH.json`: the [`report`] plus the [`profile`] subtrees |
+//! | `muzzle diff OLD.json NEW.json` | the schema-aware snapshot differ ([`diff`]) |
 //!
-//! | Subcommand  | Paper artefact |
-//! |-------------|----------------|
-//! | `table2`    | Table II — reduction in the number of shuttles |
-//! | `fig8`      | Fig. 8 — program-fidelity improvement |
-//! | `table3`    | Table III — compilation-time overhead |
-//! | `ablation`  | per-heuristic contribution (§III design choices) |
-//! | `proximity` | §III-A3 proximity design-parameter sweep |
-//! | `mapping`   | §IV-E3 initial-placement ablation |
-//! | `all`       | everything above |
-//! | `snapshot`  | writes or checks `BENCH.json`: the [`report`] plus the [`profile`] subtrees |
-//! | `diff`      | `diff OLD.json NEW.json`: the schema-aware snapshot differ ([`diff`]) |
-//!
-//! The router, timing-model and packing comparisons are columns of every
-//! [`ComparisonRow`]: `muzzle eval --timing ideal|realistic` prints them.
-//!
-//! Random-suite size defaults to the paper's 30 circuits per qubit count
-//! (120 total); pass `--per-size N` (1 to [`MAX_PER_SIZE`]) to shrink it
-//! for quick runs.
+//! The random suite defaults to the paper's 30 circuits per qubit count
+//! (120 total); `--per-size N` (1 to [`MAX_PER_SIZE`]) shrinks it for
+//! quick runs.
 
 pub mod diff;
 pub mod profile;
 pub mod report;
 
-use qccd_circuit::generators::{paper_suite, random_suite, BenchmarkCircuit};
-use qccd_circuit::Circuit;
+use qccd_circuit::generators::BenchmarkCircuit;
 use qccd_core::{compile, CompileResult, CompilerConfig, Objective, RouterPolicy};
 use qccd_machine::MachineSpec;
 use qccd_sim::{attribute_fidelity_timed, simulate_timed, SimParams, SimReport};
@@ -40,7 +27,8 @@ use std::time::Instant;
 /// Seed used for the random benchmark suite, fixed for reproducibility.
 pub const RANDOM_SUITE_SEED: u64 = 0xDA7E_2022;
 
-/// Samples per compile-seconds measurement (see [`min_compile_seconds`]).
+/// Samples per compile-seconds measurement: the minimum of this many
+/// compiles is the noise-resistant estimate of a deterministic compile.
 pub const TIMING_RUNS: usize = 3;
 
 /// The most gates a generated circuit or suite may have: 2^24 =
@@ -185,48 +173,6 @@ impl ComparisonRow {
     }
 }
 
-/// Compiles `circuit` under `config`, measuring wall-clock compile time.
-///
-/// # Panics
-///
-/// Panics if compilation fails — the harness only runs benchmarks that fit
-/// the evaluation machine.
-pub fn timed_compile(
-    circuit: &Circuit,
-    spec: &MachineSpec,
-    config: &CompilerConfig,
-) -> (CompileResult, f64) {
-    let start = Instant::now();
-    let result = compile(circuit, spec, config).expect("benchmark circuits fit the paper machine");
-    (result, start.elapsed().as_secs_f64())
-}
-
-/// Minimum wall-clock seconds over `runs` compiles of `circuit` under
-/// `config`. The compile is deterministic, so the minimum is the
-/// noise-resistant point estimate: any sample above it is scheduler
-/// interference, not work.
-///
-/// # Panics
-///
-/// As [`timed_compile`].
-pub fn min_compile_seconds(
-    circuit: &Circuit,
-    spec: &MachineSpec,
-    config: &CompilerConfig,
-    runs: usize,
-) -> f64 {
-    (0..runs.max(1))
-        .map(|_| timed_compile(circuit, spec, config).1)
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Runs one benchmark under baseline and optimized configurations and
-/// simulates both schedules under the uniform-hop (ideal) timing model —
-/// the paper-parity comparison.
-pub fn compare(bench: &BenchmarkCircuit, spec: &MachineSpec, params: &SimParams) -> ComparisonRow {
-    compare_timed(bench, spec, params, &TimingModel::ideal())
-}
-
 /// Runs one benchmark under baseline and optimized configurations and
 /// simulates both schedules on `model`'s timed event timeline.
 ///
@@ -234,30 +180,24 @@ pub fn compare(bench: &BenchmarkCircuit, spec: &MachineSpec, params: &SimParams)
 /// with the full packed stack — congestion + lookahead + `qccd-pack`
 /// scored under `model` — to fill the packed columns; callers that only
 /// need the serial pair (and care about the extra compile cost) should
-/// drive [`timed_compile`] directly.
+/// call [`qccd_core::compile`] directly.
 pub fn compare_timed(
     bench: &BenchmarkCircuit,
     spec: &MachineSpec,
     params: &SimParams,
     model: &TimingModel,
 ) -> ComparisonRow {
+    let timed = |config: &CompilerConfig| {
+        let start = Instant::now();
+        let result = compile(&bench.circuit, spec, config)
+            .expect("benchmark circuits fit the evaluation machine");
+        (result, start.elapsed().as_secs_f64())
+    };
     // Under the shuttle objective the timing model changes only the
     // lowering, so these are the paper's schedules, lowered under `model`.
-    let (base, base_t) = timed_compile(
-        &bench.circuit,
-        spec,
-        &CompilerConfig::baseline().with_timing(*model),
-    );
-    let (opt, opt_t) = timed_compile(
-        &bench.circuit,
-        spec,
-        &CompilerConfig::optimized().with_timing(*model),
-    );
-    let (cong, _) = timed_compile(
-        &bench.circuit,
-        spec,
-        &CompilerConfig::optimized().with_router(RouterPolicy::congestion()),
-    );
+    let (base, base_t) = timed(&CompilerConfig::baseline().with_timing(*model));
+    let (opt, opt_t) = timed(&CompilerConfig::optimized().with_timing(*model));
+    let (cong, _) = timed(&CompilerConfig::optimized().with_router(RouterPolicy::congestion()));
     let (packed, pack_stats) = qccd_pack::compile_packed(
         &bench.circuit,
         spec,
@@ -277,56 +217,28 @@ pub fn compare_timed(
     .expect("benchmark circuits compile under the clock objective");
     // Time the clock-objective *compile loop* — the same section
     // `baseline_compile_s`/`optimized_compile_s` time, and the one
-    // candidate scoring runs in.
+    // candidate scoring runs in. The compile is deterministic, so the
+    // minimum over `TIMING_RUNS` is the noise-resistant estimate: any
+    // sample above it is scheduler interference, not work.
     let clock_config = CompilerConfig::optimized()
         .with_timing(*model)
         .with_objective(Objective::Clock);
-    let clock_compile_s = min_compile_seconds(&bench.circuit, spec, &clock_config, TIMING_RUNS);
-    let baseline_sim = simulate_timed(
-        &base.schedule,
-        &base.transport,
-        &bench.circuit,
-        spec,
-        params,
-        model,
-    )
-    .expect("compiled schedules are valid by construction");
-    let optimized_sim = simulate_timed(
-        &opt.schedule,
-        &opt.transport,
-        &bench.circuit,
-        spec,
-        params,
-        model,
-    )
-    .expect("compiled schedules are valid by construction");
-    let transport_sim = simulate_timed(
-        &cong.schedule,
-        &cong.transport,
-        &bench.circuit,
-        spec,
-        params,
-        model,
-    )
-    .expect("round-packed schedules are valid by construction");
-    let packed_sim = simulate_timed(
-        &packed.schedule,
-        &packed.transport,
-        &bench.circuit,
-        spec,
-        params,
-        model,
-    )
-    .expect("packed schedules are valid by construction");
-    let clock_sim = simulate_timed(
-        &clock.schedule,
-        &clock.transport,
-        &bench.circuit,
-        spec,
-        params,
-        model,
-    )
-    .expect("clock-objective schedules are valid by construction");
+    let clock_compile_s = (0..TIMING_RUNS)
+        .map(|_| timed(&clock_config).1)
+        .fold(f64::INFINITY, f64::min);
+    let sim = |result: &CompileResult| {
+        simulate_timed(
+            &result.schedule,
+            &result.transport,
+            &bench.circuit,
+            spec,
+            params,
+            model,
+        )
+        .expect("compiled schedules are valid by construction")
+    };
+    let (baseline_sim, optimized_sim, transport_sim) = (sim(&base), sim(&opt), sim(&cong));
+    let (packed_sim, clock_sim) = (sim(&packed), sim(&clock));
     // Per-trap utilization of the optimized ("This Work") schedule, read
     // off the timeline its compile already lowered.
     let (idle_fraction, hottest_trap, hottest_trap_busy_us) = utilization(
@@ -403,27 +315,6 @@ fn utilization(busy: &[f64], makespan_us: f64) -> (f64, usize, f64) {
     (idle_fraction, hottest, hottest_busy_us)
 }
 
-/// Runs the five named NISQ benchmarks (Table II's upper rows).
-pub fn run_nisq_suite(spec: &MachineSpec, params: &SimParams) -> Vec<ComparisonRow> {
-    paper_suite()
-        .iter()
-        .map(|b| compare(b, spec, params))
-        .collect()
-}
-
-/// Runs the random suite (`per_size` circuits × 4 qubit counts) and also
-/// returns the per-circuit rows.
-pub fn run_random_suite(
-    spec: &MachineSpec,
-    params: &SimParams,
-    per_size: usize,
-) -> Vec<ComparisonRow> {
-    random_suite(per_size, RANDOM_SUITE_SEED)
-        .iter()
-        .map(|b| compare(b, spec, params))
-        .collect()
-}
-
 /// Mean and population standard deviation of a sample.
 pub fn mean_std(values: &[f64]) -> (f64, f64) {
     if values.is_empty() {
@@ -483,7 +374,7 @@ pub fn aggregate_random(rows: &[ComparisonRow]) -> RandomAggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qccd_circuit::generators::random_circuit;
+    use qccd_circuit::generators::{random_circuit, random_suite};
 
     /// `--per-size` of 0 or above the gate bound is a usage error raised
     /// before the suite is generated (those once reported on zero
@@ -539,8 +430,12 @@ mod tests {
             name: "tiny".into(),
             circuit: random_circuit(12, 80, 3),
         };
-        let row = compare(&bench, &spec, &SimParams::default());
+        let row = compare_timed(&bench, &spec, &SimParams::default(), &TimingModel::ideal());
         assert_eq!(row.two_qubit_gates, 80);
+        assert_eq!(
+            row.delta(),
+            row.baseline_shuttles as i64 - row.optimized_shuttles as i64
+        );
         assert_eq!(row.baseline_sim.shuttles, row.baseline_shuttles);
         assert_eq!(row.optimized_sim.shuttles, row.optimized_shuttles);
         assert!(row.baseline_compile_s >= 0.0);
@@ -581,7 +476,7 @@ mod tests {
         for model in [TimingModel::ideal(), TimingModel::realistic()] {
             let row = compare_timed(&bench, &spec, &SimParams::default(), &model);
             let config = CompilerConfig::optimized().with_timing(model);
-            let (opt, _) = timed_compile(&bench.circuit, &spec, &config);
+            let opt = compile(&bench.circuit, &spec, &config).unwrap();
             let fresh = qccd_timing::lower(
                 &opt.schedule,
                 Some(&opt.transport),
@@ -616,13 +511,14 @@ mod tests {
         let spec = MachineSpec::linear(3, 8, 2).unwrap();
         let rows: Vec<ComparisonRow> = (0..3)
             .map(|i| {
-                compare(
+                compare_timed(
                     &BenchmarkCircuit {
                         name: format!("r{i}"),
                         circuit: random_circuit(12, 60, i),
                     },
                     &spec,
                     &SimParams::default(),
+                    &TimingModel::ideal(),
                 )
             })
             .collect();

@@ -1,4 +1,4 @@
-//! The `BENCH.json` snapshot that `paper_eval snapshot` writes and
+//! The `BENCH.json` snapshot that `muzzle snapshot` writes and
 //! checks: the `muzzle eval --suite paper --timing realistic --format
 //! json` report ([`crate::report::report_json`]) plus, per benchmark, an
 //! instrumentation profile recorded by `qccd-obs` (phase wall-time

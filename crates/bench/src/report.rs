@@ -1,10 +1,10 @@
 //! The evaluation report and the documents it shares with the CLI: one
-//! renderer per JSON object that both `muzzle` and `paper_eval snapshot`
+//! renderer per JSON object that both `muzzle eval` and `muzzle snapshot`
 //! print.
 //!
 //! [`report_json`] builds the whole `muzzle eval --format json` document:
 //! the Fig. 4 preamble, one [`row_json`] object per benchmark, then the
-//! eight [`SuiteChecks`] flags. `muzzle eval`'s text mode reads the same
+//! nine [`SuiteChecks`] flags. `muzzle eval`'s text mode reads the same
 //! checks. The snapshot is this document with per-benchmark `profile`/
 //! `explain`/`fidelity`/`jobs` subtrees appended
 //! ([`crate::profile::render_snapshot`]), and the instrumentation-parity
@@ -30,6 +30,10 @@ use qccd_timing::{CriticalPath, MakespanAttribution};
 pub struct SuiteChecks {
     /// Optimized shuttle count ≤ baseline on every benchmark (Table II).
     pub all_leq: bool,
+    /// Optimized `log_program_fidelity` ≥ baseline on every benchmark
+    /// (Fig. 8's ≥ 1X). Reads false on the paper suite, whose QFT loses
+    /// fidelity to the baseline.
+    pub fidelity_geq: bool,
     /// Congestion-routed shuttle count ≤ serial on every benchmark.
     pub congestion_leq: bool,
     /// Benchmarks whose concurrent transport depth is strictly below the
@@ -52,13 +56,16 @@ pub struct SuiteChecks {
 }
 
 impl SuiteChecks {
-    /// The eight flags over `rows`.
+    /// The nine flags over `rows`.
     pub fn of(rows: &[ComparisonRow]) -> SuiteChecks {
         let count = |pred: fn(&ComparisonRow) -> bool| rows.iter().filter(|r| pred(r)).count();
         SuiteChecks {
             all_leq: rows
                 .iter()
                 .all(|r| r.optimized_shuttles <= r.baseline_shuttles),
+            fidelity_geq: rows.iter().all(|r| {
+                r.optimized_sim.log_program_fidelity >= r.baseline_sim.log_program_fidelity
+            }),
             congestion_leq: rows
                 .iter()
                 .all(|r| r.congestion_shuttles <= r.optimized_shuttles),
@@ -243,6 +250,10 @@ pub fn report_json(
         ),
         ("benchmarks", Json::Arr(rows.iter().map(row_json).collect())),
         ("all_optimized_leq_baseline", Json::Bool(checks.all_leq)),
+        (
+            "all_optimized_fidelity_geq_baseline",
+            Json::Bool(checks.fidelity_geq),
+        ),
         (
             "all_congestion_leq_serial",
             Json::Bool(checks.congestion_leq),
@@ -533,9 +544,16 @@ mod tests {
         let checks = SuiteChecks::of(&rows);
         assert!(!checks.all_leq);
         assert!(SuiteChecks::of(&rows[..1]).all_leq);
+        let mut lossy = rows[0].clone();
+        lossy.optimized_sim.log_program_fidelity = lossy.baseline_sim.log_program_fidelity - 1.0;
+        assert!(!SuiteChecks::of(&[rows[0].clone(), lossy]).fidelity_geq);
         let spec = MachineSpec::linear(3, 8, 2).unwrap();
         let doc = report_json("mini", &spec, "realistic", &rows).to_string();
         assert!(doc.contains("\"all_optimized_leq_baseline\": false"));
+        assert!(doc.contains(&format!(
+            "\"all_optimized_fidelity_geq_baseline\": {}",
+            checks.fidelity_geq
+        )));
         assert!(doc.contains(&format!(
             "\"clock_strict_win_count\": {}",
             checks.clock_strict_wins

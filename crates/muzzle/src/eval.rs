@@ -9,8 +9,11 @@
 //!
 //! The JSON document and the suite checks come from
 //! [`qccd_bench::report`], whose rows `BENCH.json` pins as well.
+//! `--format paper` prints the paper's own artefacts instead
+//! ([`crate::paper`]), with the random suite's aggregate rows.
 
 use crate::output::csv_row;
+use crate::paper::render_paper;
 use crate::{emit, parse_common};
 use qccd_bench::report::{fig4_worked_example, report_json, SuiteChecks};
 use qccd_bench::{compare_timed, parse_per_size, ComparisonRow, RANDOM_SUITE_SEED};
@@ -24,31 +27,17 @@ fn mini_suite() -> Vec<BenchmarkCircuit> {
     use qccd_circuit::generators::{
         qaoa, qft, quadratic_form, random_circuit, square_root, supremacy,
     };
+    let bench = |name: &str, circuit| BenchmarkCircuit {
+        name: name.to_owned(),
+        circuit,
+    };
     vec![
-        BenchmarkCircuit {
-            name: "supremacy-mini".into(),
-            circuit: supremacy(4, 4, 12),
-        },
-        BenchmarkCircuit {
-            name: "qaoa-mini".into(),
-            circuit: qaoa(16, 4, 3),
-        },
-        BenchmarkCircuit {
-            name: "sqrt-mini".into(),
-            circuit: square_root(16, 3),
-        },
-        BenchmarkCircuit {
-            name: "qft-mini".into(),
-            circuit: qft(16),
-        },
-        BenchmarkCircuit {
-            name: "quadform-mini".into(),
-            circuit: quadratic_form(16, 200),
-        },
-        BenchmarkCircuit {
-            name: "random-mini".into(),
-            circuit: random_circuit(18, 200, 9),
-        },
+        bench("supremacy-mini", supremacy(4, 4, 12)),
+        bench("qaoa-mini", qaoa(16, 4, 3)),
+        bench("sqrt-mini", square_root(16, 3)),
+        bench("qft-mini", qft(16)),
+        bench("quadform-mini", quadratic_form(16, 200)),
+        bench("random-mini", random_circuit(18, 200, 9)),
     ]
 }
 
@@ -81,9 +70,22 @@ pub fn cmd_eval(args: &[String]) -> Result<(), String> {
         .find(|(k, _)| k == "--suite")
         .map(|(_, v)| v.clone())
         .unwrap_or_else(|| "paper".to_owned());
+    let paper_format = opts.format == "paper";
+    if paper_format && suite_name != "paper" {
+        return Err(format!(
+            "--format paper prints the paper's artefacts and needs --suite paper, \
+             got --suite {suite_name}"
+        ));
+    }
     let per_size = match opts.extra_values.iter().find(|(k, _)| k == "--per-size") {
+        Some(_) if suite_name != "random" && !paper_format => {
+            return Err(format!(
+                "--per-size is not supported here: --suite {suite_name} runs no random \
+                 circuits (use --suite random, or --suite paper --format paper)"
+            ))
+        }
         Some((_, v)) => parse_per_size(v)?,
-        None => 5,
+        None => 30,
     };
 
     let params = SimParams::default();
@@ -111,14 +113,21 @@ pub fn cmd_eval(args: &[String]) -> Result<(), String> {
             suite.len()
         )
     });
-    let rows: Vec<ComparisonRow> = suite
-        .iter()
-        .map(|bench| {
-            qccd_obs::info("eval", || format!("  {}", bench.name));
-            compare_timed(bench, &machine, &params, &model)
-        })
-        .collect();
+    let compare = |benches: &[BenchmarkCircuit]| -> Vec<ComparisonRow> {
+        benches
+            .iter()
+            .map(|bench| {
+                qccd_obs::info("eval", || format!("  {}", bench.name));
+                compare_timed(bench, &machine, &params, &model)
+            })
+            .collect()
+    };
+    let rows = compare(&suite);
     let report = match opts.format.as_str() {
+        "paper" => {
+            let random = compare(&random_suite(per_size, RANDOM_SUITE_SEED));
+            render_paper(&machine, &opts.timing, per_size, &rows, &random)
+        }
         "json" => format!(
             "{}\n",
             report_json(&suite_name, &machine, &opts.timing, &rows)
@@ -141,7 +150,7 @@ fn render_text(suite: &str, machine: &MachineSpec, timing: &str, rows: &[Compari
         fig4.0, fig4.1
     ));
     out.push_str(&format!(
-        "{:<16} {:>6} {:>9} {:>9} {:>10} {:>6} {:>8} {:>6} {:>6} {:>12} {:>12} {:>12} {:>12} {:>6} {:>5} {:>4} {:>12} {:>5} {:>5}\n",
+        "{:<16} {:>6} {:>9} {:>9} {:>10} {:>6} {:>8} {:>6} {:>6} {:>12} {:>12} {:>12} {:>12} {:>12} {:>6} {:>5} {:>4} {:>12} {:>5} {:>5}\n",
         "Benchmark",
         "Qubits",
         "2Q gates",
@@ -155,6 +164,7 @@ fn render_text(suite: &str, machine: &MachineSpec, timing: &str, rows: &[Compari
         "PkMkspn(us)",
         "CkMkspn(us)",
         "SMkspn(us)",
+        "BMkspn(us)",
         "Junc",
         "Idle%",
         "Hot",
@@ -164,7 +174,7 @@ fn render_text(suite: &str, machine: &MachineSpec, timing: &str, rows: &[Compari
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:<16} {:>6} {:>9} {:>9} {:>10} {:>6} {:>7.2}% {:>6} {:>6} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>6} {:>4.1}% {:>4} {:>11.2}X {:>4.1}% {:>4.1}%\n",
+            "{:<16} {:>6} {:>9} {:>9} {:>10} {:>6} {:>7.2}% {:>6} {:>6} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>6} {:>4.1}% {:>4} {:>11.2}X {:>4.1}% {:>4.1}%\n",
             r.name,
             r.qubits,
             r.two_qubit_gates,
@@ -178,6 +188,7 @@ fn render_text(suite: &str, machine: &MachineSpec, timing: &str, rows: &[Compari
             r.packed_sim.timed_makespan_us,
             r.clock_sim.timed_makespan_us,
             r.optimized_sim.timed_makespan_us,
+            r.baseline_sim.timed_makespan_us,
             r.transport_sim.junction_crossings,
             100.0 * r.idle_fraction,
             format!("T{}", r.hottest_trap),
@@ -186,57 +197,27 @@ fn render_text(suite: &str, machine: &MachineSpec, timing: &str, rows: &[Compari
             100.0 * r.clock_motional_share
         ));
     }
+    let verdict = |ok: bool| if ok { "yes" } else { "NO — regression!" };
+    let n = rows.len();
     out.push_str(&format!(
-        "\noptimized <= baseline on every benchmark: {}\n",
-        if checks.all_leq {
-            "yes"
-        } else {
-            "NO — regression!"
-        }
-    ));
-    out.push_str(&format!(
-        "congestion router <= serial router on every benchmark: {}\n",
-        if checks.congestion_leq {
-            "yes"
-        } else {
-            "NO — regression!"
-        }
-    ));
-    out.push_str(&format!(
-        "benchmarks with transport depth strictly below shuttle count: {} of {}\n",
+        "\noptimized <= baseline on every benchmark: {}\n\
+         optimized fidelity >= baseline on every benchmark: {}\n\
+         congestion router <= serial router on every benchmark: {}\n\
+         benchmarks with transport depth strictly below shuttle count: {} of {n}\n\
+         benchmarks where concurrent timed makespan <= serial: {} of {n}\n\
+         packed timed makespan <= lookahead on every benchmark: {}\n\
+         benchmarks where packing strictly beat lookahead: {} of {n}\n\
+         clock objective <= packed on every benchmark: {}\n\
+         benchmarks where the clock objective strictly beat packed: {} of {n}\n",
+        verdict(checks.all_leq),
+        if checks.fidelity_geq { "yes" } else { "no" },
+        verdict(checks.congestion_leq),
         checks.depth_wins,
-        rows.len()
-    ));
-    out.push_str(&format!(
-        "benchmarks where concurrent timed makespan <= serial: {} of {}\n",
         checks.timed_makespan_wins,
-        rows.len()
-    ));
-    out.push_str(&format!(
-        "packed timed makespan <= lookahead on every benchmark: {}\n",
-        if checks.packed_leq_lookahead {
-            "yes"
-        } else {
-            "NO — regression!"
-        }
-    ));
-    out.push_str(&format!(
-        "benchmarks where packing strictly beat lookahead: {} of {}\n",
+        verdict(checks.packed_leq_lookahead),
         checks.packed_strict_wins,
-        rows.len()
-    ));
-    out.push_str(&format!(
-        "clock objective <= packed on every benchmark: {}\n",
-        if checks.clock_leq_packed {
-            "yes"
-        } else {
-            "NO — regression!"
-        }
-    ));
-    out.push_str(&format!(
-        "benchmarks where the clock objective strictly beat packed: {} of {}\n",
+        verdict(checks.clock_leq_packed),
         checks.clock_strict_wins,
-        rows.len()
     ));
     out
 }
@@ -294,28 +275,106 @@ fn render_csv(timing: &str, rows: &[ComparisonRow]) -> String {
 mod tests {
     use super::*;
 
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Runs `muzzle eval` with `list` plus `--quiet --out FILE` and
+    /// returns the report.
+    fn report(list: &[&str], tag: &str) -> String {
+        let out = std::env::temp_dir().join(format!("muzzle-eval-{tag}-{}", std::process::id()));
+        let out_arg = out.to_str().unwrap();
+        cmd_eval(&args(&[list, &["--quiet", "--out", out_arg]].concat())).unwrap();
+        let text = std::fs::read_to_string(&out).unwrap();
+        std::fs::remove_file(&out).unwrap();
+        text
+    }
+
+    /// `--format paper` prints the paper's Table II with the pinned
+    /// baseline/optimized shuttle pairs, then every later section.
+    #[test]
+    fn paper_format_prints_the_pinned_table_ii() {
+        let text = report(&["--format", "paper", "--per-size", "1"], "paper");
+        let table = text.split("## Table II").nth(1).unwrap();
+        let table = table.split("\n\n").next().unwrap();
+        for (name, baseline, optimized) in [
+            ("Supremacy", "582", "356"),
+            ("QAOA", "2251", "1337"),
+            ("SquareRoot", "1301", "568"),
+            ("QFT", "311", "294"),
+            ("QuadraticForm", "1062", "450"),
+        ] {
+            let row = table.lines().find(|l| l.starts_with(name)).unwrap();
+            let cells: Vec<&str> = row.split_whitespace().collect();
+            assert_eq!((cells[3], cells[4]), (baseline, optimized), "{row}");
+        }
+        assert!(table.contains("Random"), "the random aggregate row");
+        assert!(text.contains("## Initial-mapping ablation"));
+    }
+
+    /// The optimized policy loses fidelity to the baseline on the paper
+    /// suite's QFT under both timing models, and on no mini benchmark.
+    #[test]
+    fn fidelity_check_reads_no_on_paper_and_yes_on_mini() {
+        for (suite, timing, geq) in [
+            ("paper", "ideal", false),
+            ("paper", "realistic", false),
+            ("mini", "ideal", true),
+            ("mini", "realistic", true),
+        ] {
+            let list = ["--suite", suite, "--timing", timing, "--format", "json"];
+            let doc = report(&list, &format!("{suite}-{timing}"));
+            let flag = format!("\"all_optimized_fidelity_geq_baseline\": {geq}");
+            assert!(doc.contains(&flag), "{suite} {timing}");
+        }
+    }
+
+    /// `--per-size` and `--jobs` are usage errors wherever they would be
+    /// accepted and then ignored: `--per-size` where no random suite runs,
+    /// `--jobs` always (the suites run sequentially). `--format paper`
+    /// needs the paper suite.
+    #[test]
+    fn ignored_flags_are_rejected_before_any_compile() {
+        for (list, want) in [
+            (
+                &["--suite", "mini", "--per-size", "3"][..],
+                "--per-size is not supported here",
+            ),
+            (
+                &["--suite", "paper", "--per-size", "3"],
+                "--per-size is not supported here",
+            ),
+            (
+                &["--per-size", "3", "--format", "json"],
+                "--per-size is not supported here",
+            ),
+            (
+                &["--suite", "mini", "--jobs", "8"],
+                "--jobs is not supported here",
+            ),
+            (
+                &["--suite", "mini", "--format", "paper"],
+                "--format paper prints",
+            ),
+            (
+                &["--suite", "random", "--format", "paper"],
+                "--format paper prints",
+            ),
+        ] {
+            let err = cmd_eval(&args(list)).unwrap_err();
+            assert!(err.starts_with(want), "{list:?} → `{err}`");
+        }
+    }
+
     /// `--per-size` of 0 or above the gate bound is a usage error raised
     /// before the suite is generated.
     #[test]
     fn per_size_outside_the_bound_is_a_usage_error() {
         for v in ["0", "1960", "100000000", "18446744073709551615"] {
             let err = parse_per_size(v).unwrap_err();
-            let args: Vec<String> = ["--suite", "random", "--per-size", v]
-                .map(str::to_owned)
-                .to_vec();
-            assert_eq!(cmd_eval(&args).unwrap_err(), err);
+            let list = ["--suite", "random", "--per-size", v];
+            assert_eq!(cmd_eval(&args(&list)).unwrap_err(), err);
         }
         assert!(crate::USAGE.contains("1 to 1959"));
-    }
-
-    /// The suites always run sequentially, so `--jobs` is a usage error
-    /// rather than a flag that is accepted and then ignored.
-    #[test]
-    fn jobs_is_rejected_before_any_compile() {
-        let args: Vec<String> = ["--suite", "mini", "--jobs", "8"]
-            .map(str::to_owned)
-            .to_vec();
-        let err = cmd_eval(&args).unwrap_err();
-        assert!(err.starts_with("--jobs is not supported here"), "{err}");
     }
 }

@@ -22,11 +22,12 @@
 
 use crate::{emit, parse_common, CommonOptions};
 use qccd_bench::report::{attribution_json, blame_counts_json, fidelity_json};
+use qccd_circuit::Circuit;
 use qccd_obs::json::Json;
 use qccd_sim::{FidelityAttribution, LossTerm};
 use qccd_timing::{
     attribute_path, critical_path, edge_reports, trap_reports, CriticalPath, EdgeReport, EventRef,
-    MakespanAttribution, Timeline, TrapReport,
+    MakespanAttribution, Timeline, TimingModel, TrapReport,
 };
 
 /// Width of the text heatmap bars, characters.
@@ -61,14 +62,7 @@ pub fn cmd_explain(args: &[String]) -> Result<(), String> {
 
     let machine = opts.machine.build()?;
     let circuit = crate::require_circuit(&opts, machine.initial_capacity())?;
-    let config = crate::build_config(
-        &opts.policy,
-        opts.proximity,
-        &opts.router,
-        &opts.timing,
-        &opts.objective,
-        opts.jobs,
-    )?;
+    let config = opts.config(&opts.policy, opts.proximity)?;
     let model = crate::parse_timing_model(&opts.timing);
     qccd_obs::info("explain", || {
         format!("compiling {} on {machine}...", circuit.name)
@@ -76,20 +70,7 @@ pub fn cmd_explain(args: &[String]) -> Result<(), String> {
     let (result, _pack, _clock, compile_s) = crate::timed(&circuit.circuit, &machine, &config)?;
     let timeline = &result.timeline;
 
-    let path = critical_path(timeline, &circuit.circuit);
-    let attribution = attribute_path(timeline, &model, &path);
-    // The whole command is built on this identity; a violation means the
-    // extractor disagrees with the scheduler and nothing below is
-    // trustworthy.
-    if attribution.total_us().to_bits() != timeline.makespan_us.to_bits() {
-        return Err(format!(
-            "attribution identity violated: segments sum to {} but the \
-             timeline's makespan is {} (this is a bug in the critical-path \
-             extractor, not in your invocation)",
-            attribution.total_us(),
-            timeline.makespan_us
-        ));
-    }
+    let (path, attribution) = attribute_makespan(timeline, &circuit.circuit, &model)?;
     let traps = trap_reports(timeline, machine.num_traps() as usize);
     let edges = edge_reports(timeline);
 
@@ -107,14 +88,7 @@ pub fn cmd_explain(args: &[String]) -> Result<(), String> {
             &model,
         )
         .map_err(|e| e.to_string())?;
-        if !attr.identity_holds() {
-            return Err(format!(
-                "fidelity attribution identity violated: the loss terms do \
-                 not reproduce log_program_fidelity = {} bit for bit (this \
-                 is a bug in the attribution pass, not in your invocation)",
-                attr.report.log_program_fidelity
-            ));
-        }
+        check_fidelity(&attr)?;
         Some(attr)
     } else {
         None
@@ -157,6 +131,80 @@ pub fn cmd_explain(args: &[String]) -> Result<(), String> {
         ),
     };
     emit(&report, &opts.out)
+}
+
+/// The critical path through `timeline` and its makespan attributed by
+/// op kind, checked: the segments sum to the makespan bit for bit along a
+/// contiguous path, which is empty only for an empty schedule. `muzzle
+/// explain` and `muzzle snapshot` are built on these identities; a
+/// violation means the extractor disagrees with the scheduler.
+///
+/// # Errors
+///
+/// Returns the violated identity.
+pub fn attribute_makespan(
+    timeline: &Timeline,
+    circuit: &Circuit,
+    model: &TimingModel,
+) -> Result<(CriticalPath, MakespanAttribution), String> {
+    let path = critical_path(timeline, circuit);
+    let attribution = attribute_path(timeline, model, &path);
+    if attribution.total_us().to_bits() != timeline.makespan_us.to_bits() {
+        return Err(format!(
+            "attribution identity violated: segments sum to {} but the \
+             timeline's makespan is {} (this is a bug in the critical-path \
+             extractor, not in your invocation)",
+            attribution.total_us(),
+            timeline.makespan_us
+        ));
+    }
+    if !path.is_contiguous() || (path.steps.is_empty() && timeline.makespan_us > 0.0) {
+        return Err(format!(
+            "the critical path of {} steps is empty or not contiguous under a \
+             {} us makespan (this is a bug in the critical-path extractor)",
+            path.steps.len(),
+            timeline.makespan_us
+        ));
+    }
+    Ok((path, attribution))
+}
+
+/// The fidelity attribution's identities: the loss terms and heat ledger
+/// reproduce `log_program_fidelity` bit for bit, the duration and motional
+/// shares lie in `[0, 1]` and sum to at most 1, and a schedule that ran
+/// any gate has a positive loss, a worst gate and a hottest trap.
+///
+/// # Errors
+///
+/// Returns the violated identity.
+pub fn check_fidelity(attr: &FidelityAttribution) -> Result<(), String> {
+    if !attr.identity_holds() {
+        return Err(format!(
+            "fidelity attribution identity violated: the loss terms do \
+             not reproduce log_program_fidelity = {} bit for bit (this \
+             is a bug in the attribution pass, not in your invocation)",
+            attr.report.log_program_fidelity
+        ));
+    }
+    let (duration, motional) = (attr.duration_share(), attr.motional_share());
+    if !((0.0..=1.0).contains(&duration)
+        && (0.0..=1.0).contains(&motional)
+        && duration + motional <= 1.0 + 1e-12)
+    {
+        return Err(format!(
+            "fidelity loss shares out of range (duration {duration}, motional {motional})"
+        ));
+    }
+    let blamed = attr.total_loss() > 0.0
+        && !attr.worst_gates(1).is_empty()
+        && !attr.hottest_traps(1).is_empty();
+    if attr.report.gates > 0 && !blamed {
+        return Err(format!(
+            "{} gates ran, but the fidelity attribution blames no loss, gate or trap",
+            attr.report.gates
+        ));
+    }
+    Ok(())
 }
 
 /// Traps/edges reordered busiest-first (stable on ties, so equal-busy

@@ -10,6 +10,9 @@
 //! muzzle simulate --circuit qaoa:64x13 --compare        # fidelity report
 //! muzzle sweep    --param proximity --values 1,2,4,6,12 # design sweep
 //! muzzle eval     --suite paper                         # Table II / Fig. 8
+//! muzzle eval     --format paper --per-size 2           # the paper's artefacts
+//! muzzle snapshot                                       # BENCH.json gate
+//! muzzle diff     BENCH.json BENCH.new.json             # snapshot differ
 //! ```
 //!
 //! Run `muzzle help` for the full option list. Reports emit as `text`
@@ -18,6 +21,8 @@
 mod eval;
 mod explain;
 mod output;
+mod paper;
+mod snapshot;
 mod spec;
 
 use qccd_bench::report::{profile_json, Profile};
@@ -45,6 +50,11 @@ COMMANDS:
     eval        Reproduce the paper's comparison report over a suite
     explain     Compile one circuit and explain where its makespan goes:
                 critical path, per-kind attribution, trap/edge utilization
+    snapshot    Build BENCH.json for the paper suite and check it against
+                the committed one (run from the repository root; exit 1
+                naming the paths on a mismatch, which BENCH.new.json holds)
+    diff        diff OLD.json NEW.json [--rel-tol X] [--format json]:
+                compare two snapshots; exit 1 on a quality regression
     help        Show this message
 
 CIRCUIT / MACHINE OPTIONS (compile, simulate, sweep):
@@ -119,10 +129,17 @@ COMMAND-SPECIFIC:
     sweep     --param P           proximity | traps
               --values A,B,C      swept values
     eval      --suite S           paper | mini | random   [default: paper]
-              --per-size N        random-suite circuits per size [default: 5]
-                                  (1 to 1959: four sizes of at most 2140
+              --format paper      the paper's Table II, Fig. 8, Table III,
+                                  ablation, proximity and mapping sections
+                                  with the random suite's aggregate rows
+                                  (--suite paper only)
+              --per-size N        random-suite circuits per size [default: 30]
+                                  (--suite random or --format paper only;
+                                  1 to 1959: four sizes of at most 2140
                                   gates each stay within 16777216 gates;
                                   other values exit 2)
+    diff      --rel-tol X         relative change below which a metric
+                                  counts as unchanged [default: 0]
     explain   --top K             bottleneck traps/edges to list [default: 5]
               --gantt PATH        write a per-trap Gantt chart of the
                                   schedule as Chrome-trace JSON to PATH
@@ -135,6 +152,7 @@ COMMAND-SPECIFIC:
 EXAMPLES:
     muzzle compile --circuit qft:16 --traps 2
     muzzle eval --suite paper --format json --out report.json
+    muzzle eval --format paper --per-size 2
     muzzle explain --circuit qaoa:64x13 --timing realistic --router packed
 ";
 
@@ -144,12 +162,16 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::from(2);
     };
+    let rest = &args[1..];
+    // `Ok(false)`: a gate (`snapshot`, `diff`) ran and failed, exit 1.
     let result = match command.as_str() {
-        "compile" => cmd_compile(&args[1..]),
-        "simulate" => cmd_simulate(&args[1..]),
-        "sweep" => cmd_sweep(&args[1..]),
-        "eval" => eval::cmd_eval(&args[1..]),
-        "explain" => explain::cmd_explain(&args[1..]),
+        "compile" => cmd_compile(rest).map(|()| true),
+        "simulate" => cmd_simulate(rest).map(|()| true),
+        "sweep" => cmd_sweep(rest).map(|()| true),
+        "eval" => eval::cmd_eval(rest).map(|()| true),
+        "explain" => explain::cmd_explain(rest).map(|()| true),
+        "snapshot" => snapshot::cmd_snapshot(rest),
+        "diff" => snapshot::cmd_diff(rest),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -157,7 +179,8 @@ fn main() -> ExitCode {
         other => Err(format!("unknown command `{other}` (try `muzzle help`)")),
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
         Err(message) => {
             eprintln!("error: {message}");
             ExitCode::from(2)
@@ -188,6 +211,19 @@ pub struct CommonOptions {
 }
 
 impl CommonOptions {
+    /// [`build_config`] for `policy` and `proximity` under this
+    /// invocation's router, timing model, objective and jobs.
+    pub fn config(&self, policy: &str, proximity: Option<u32>) -> Result<CompilerConfig, String> {
+        build_config(
+            policy,
+            proximity,
+            &self.router,
+            &self.timing,
+            &self.objective,
+            self.jobs,
+        )
+    }
+
     /// Errors if the user explicitly passed any of `flags`; `context`
     /// explains why the subcommand cannot honour them.
     pub fn reject_flags(&self, flags: &[&str], context: &str) -> Result<(), String> {
@@ -286,8 +322,18 @@ pub fn parse_common(
             }
             "--format" => {
                 let f = next(&mut i, arg)?;
-                if !["text", "json", "csv"].contains(&f.as_str()) {
-                    return Err(format!("--format must be text, json, or csv, got `{f}`"));
+                // `paper` is the paper's own layout, which only `eval`
+                // (the one command with a `--suite`) prints.
+                let (formats, names) = if value_flags.contains(&"--suite") {
+                    (
+                        &["text", "json", "csv", "paper"][..],
+                        "text, json, csv, or paper",
+                    )
+                } else {
+                    (&["text", "json", "csv"][..], "text, json, or csv")
+                };
+                if !formats.contains(&f.as_str()) {
+                    return Err(format!("--format must be {names}, got `{f}`"));
                 }
                 opts.format = f;
             }
@@ -530,14 +576,7 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     apply_verbosity(&opts);
     let machine = opts.machine.build()?;
     let circuit = require_circuit(&opts, machine.initial_capacity())?;
-    let config = build_config(
-        &opts.policy,
-        opts.proximity,
-        &opts.router,
-        &opts.timing,
-        &opts.objective,
-        opts.jobs,
-    )?;
+    let config = opts.config(&opts.policy, opts.proximity)?;
     let trace = opts
         .extra_values
         .iter()
@@ -700,9 +739,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     // hop per round under the serial router — the historical replay) on
     // the timed event timeline of the selected --timing model.
     let model = parse_timing_model(&opts.timing);
-    let run = |config: &CompilerConfig| -> Result<(CompileResult, SimReport), String> {
+    let run = |config: &CompilerConfig| -> Result<SimReport, String> {
         let (result, _, _, _) = timed(&circuit.circuit, &machine, config)?;
-        let report = simulate_timed(
+        simulate_timed(
             &result.schedule,
             &result.transport,
             &circuit.circuit,
@@ -710,146 +749,93 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             &params,
             &model,
         )
-        .map_err(|e| e.to_string())?;
-        Ok((result, report))
+        .map_err(|e| e.to_string())
     };
-
-    let mut report = String::new();
-    if compare {
+    // One (policy, report) pair per simulated policy: both under --compare.
+    let sims = if compare {
         opts.reject_flags(
             &["--policy"],
             "--compare always runs both the baseline and optimized policies",
         )?;
-        let (_, base) = run(&build_config(
-            "baseline",
-            None,
-            &opts.router,
-            &opts.timing,
-            &opts.objective,
-            opts.jobs,
-        )?)?;
-        let (_, opt) = run(&build_config(
-            "optimized",
-            opts.proximity,
-            &opts.router,
-            &opts.timing,
-            &opts.objective,
-            opts.jobs,
-        )?)?;
-        if profile {
-            qccd_obs::disable();
-        }
-        match opts.format.as_str() {
-            "json" => {
-                let value = Json::obj(vec![
-                    ("circuit", Json::str(&circuit.name)),
-                    ("machine", Json::str(machine.to_string())),
-                    ("baseline", sim_report_json(&base)),
-                    ("optimized", sim_report_json(&opt)),
+        vec![
+            ("baseline", run(&opts.config("baseline", None)?)?),
+            (
+                "optimized",
+                run(&opts.config("optimized", opts.proximity)?)?,
+            ),
+        ]
+    } else {
+        let config = opts.config(&opts.policy, opts.proximity)?;
+        vec![(opts.policy.as_str(), run(&config)?)]
+    };
+    if profile {
+        qccd_obs::disable();
+    }
+
+    let mut report = String::new();
+    match (opts.format.as_str(), &sims[..]) {
+        ("json", _) => {
+            let mut fields = vec![
+                ("circuit", Json::str(&circuit.name)),
+                ("machine", Json::str(machine.to_string())),
+            ];
+            match &sims[..] {
+                [(_, base), (_, opt)] => fields.extend([
+                    ("baseline", sim_report_json(base)),
+                    ("optimized", sim_report_json(opt)),
                     (
                         "fidelity_improvement",
-                        Json::Num(opt.fidelity_improvement_over(&base)),
+                        Json::Num(opt.fidelity_improvement_over(base)),
                     ),
-                ]);
-                let value = if profile {
-                    value.with_field("profile", profile_json(&Profile::recorded()))
-                } else {
-                    value
-                };
-                report.push_str(&value.to_string());
-                report.push('\n');
-            }
-            "csv" => {
-                report.push_str(
-                    "circuit,machine,policy,timing,program_fidelity,makespan_us,timed_makespan_us,shuttles,gates,zone_moves\n",
-                );
-                for (policy, r) in [("baseline", &base), ("optimized", &opt)] {
-                    report.push_str(&output::csv_row(&[
-                        circuit.name.clone(),
-                        machine.to_string(),
-                        policy.to_owned(),
-                        opts.timing.clone(),
-                        format!("{:e}", r.program_fidelity),
-                        format!("{:.3}", r.makespan_us),
-                        format!("{:.3}", r.timed_makespan_us),
-                        r.shuttles.to_string(),
-                        r.gates.to_string(),
-                        r.zone_moves.to_string(),
-                    ]));
-                    report.push('\n');
-                }
-            }
-            _ => {
-                report.push_str(&format!("circuit   {} on {machine}\n", circuit.name));
-                report.push_str(&format!("baseline  {base}\n"));
-                report.push_str(&format!("optimized {opt}\n"));
-                report.push_str(&format!(
-                    "improvement {:.2}X ({} fewer shuttles)\n",
-                    opt.fidelity_improvement_over(&base),
-                    base.shuttles as i64 - opt.shuttles as i64
-                ));
-                if profile {
-                    report.push_str(&qccd_obs::summary_table());
-                }
-            }
-        }
-    } else {
-        let config = build_config(
-            &opts.policy,
-            opts.proximity,
-            &opts.router,
-            &opts.timing,
-            &opts.objective,
-            opts.jobs,
-        )?;
-        let (_, sim) = run(&config)?;
-        if profile {
-            qccd_obs::disable();
-        }
-        match opts.format.as_str() {
-            "json" => {
-                let value = Json::obj(vec![
-                    ("circuit", Json::str(&circuit.name)),
-                    ("machine", Json::str(machine.to_string())),
+                ]),
+                _ => fields.extend([
                     ("policy", Json::str(&opts.policy)),
-                    ("report", sim_report_json(&sim)),
-                ]);
-                let value = if profile {
-                    value.with_field("profile", profile_json(&Profile::recorded()))
-                } else {
-                    value
-                };
-                report.push_str(&value.to_string());
-                report.push('\n');
+                    ("report", sim_report_json(&sims[0].1)),
+                ]),
             }
-            "csv" => {
-                report.push_str(
-                    "circuit,machine,policy,timing,program_fidelity,makespan_us,timed_makespan_us,shuttles,gates,zone_moves\n",
-                );
+            if profile {
+                fields.push(("profile", profile_json(&Profile::recorded())));
+            }
+            report.push_str(&Json::obj(fields).to_string());
+            report.push('\n');
+        }
+        ("csv", _) => {
+            report.push_str(
+                "circuit,machine,policy,timing,program_fidelity,makespan_us,timed_makespan_us,shuttles,gates,zone_moves\n",
+            );
+            for (policy, r) in &sims {
                 report.push_str(&output::csv_row(&[
                     circuit.name.clone(),
                     machine.to_string(),
-                    opts.policy.clone(),
+                    policy.to_string(),
                     opts.timing.clone(),
-                    format!("{:e}", sim.program_fidelity),
-                    format!("{:.3}", sim.makespan_us),
-                    format!("{:.3}", sim.timed_makespan_us),
-                    sim.shuttles.to_string(),
-                    sim.gates.to_string(),
-                    sim.zone_moves.to_string(),
+                    format!("{:e}", r.program_fidelity),
+                    format!("{:.3}", r.makespan_us),
+                    format!("{:.3}", r.timed_makespan_us),
+                    r.shuttles.to_string(),
+                    r.gates.to_string(),
+                    r.zone_moves.to_string(),
                 ]));
                 report.push('\n');
             }
-            _ => {
-                report.push_str(&format!(
-                    "circuit {} on {machine} ({})\n{sim}\n",
-                    circuit.name, opts.policy
-                ));
-                if profile {
-                    report.push_str(&qccd_obs::summary_table());
-                }
-            }
         }
+        (_, [(_, base), (_, opt)]) => {
+            report.push_str(&format!("circuit   {} on {machine}\n", circuit.name));
+            report.push_str(&format!("baseline  {base}\n"));
+            report.push_str(&format!("optimized {opt}\n"));
+            report.push_str(&format!(
+                "improvement {:.2}X ({} fewer shuttles)\n",
+                opt.fidelity_improvement_over(base),
+                base.shuttles as i64 - opt.shuttles as i64
+            ));
+        }
+        (_, _) => report.push_str(&format!(
+            "circuit {} on {machine} ({})\n{}\n",
+            circuit.name, opts.policy, sims[0].1
+        )),
+    }
+    if profile && !matches!(opts.format.as_str(), "json" | "csv") {
+        report.push_str(&qccd_obs::summary_table());
     }
     emit(&report, &opts.out)
 }
@@ -936,41 +922,13 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         let (machine, base_cfg, opt_cfg) = match param.as_str() {
             "proximity" => (
                 opts.machine.build()?,
-                build_config(
-                    "baseline",
-                    None,
-                    &opts.router,
-                    &opts.timing,
-                    &opts.objective,
-                    opts.jobs,
-                )?,
-                build_config(
-                    "optimized",
-                    Some(value),
-                    &opts.router,
-                    &opts.timing,
-                    &opts.objective,
-                    opts.jobs,
-                )?,
+                opts.config("baseline", None)?,
+                opts.config("optimized", Some(value))?,
             ),
             "traps" => (
                 traps_machine(value)?,
-                build_config(
-                    "baseline",
-                    None,
-                    &opts.router,
-                    &opts.timing,
-                    &opts.objective,
-                    opts.jobs,
-                )?,
-                build_config(
-                    "optimized",
-                    opts.proximity,
-                    &opts.router,
-                    &opts.timing,
-                    &opts.objective,
-                    opts.jobs,
-                )?,
+                opts.config("baseline", None)?,
+                opts.config("optimized", opts.proximity)?,
             ),
             other => {
                 return Err(format!(
@@ -1308,7 +1266,7 @@ mod tests {
     }
 
     /// `compile --profile --format json` prints the `profile` object in
-    /// `BENCH.json`'s per-benchmark schema, so `paper_eval diff` reads it.
+    /// `BENCH.json`'s per-benchmark schema, so `muzzle diff` reads it.
     #[test]
     fn profile_json_has_the_snapshot_schema() {
         let report = json_report(

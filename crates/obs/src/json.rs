@@ -7,7 +7,7 @@
 //! order, two-space indent, integral numbers printed without a fraction.
 //! [`parse`] reads any RFC 8259 document back into the same value model
 //! (Rust's shortest-roundtrip float formatting makes render-then-parse
-//! bit-exact), which is what `paper_eval diff` and the `paper_eval
+//! bit-exact), which is what `muzzle diff` and the `muzzle
 //! snapshot` gate walk.
 
 use std::fmt;
@@ -167,7 +167,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 /// `value` with every object entry whose key satisfies `drop` removed,
-/// recursively — how the `paper_eval snapshot` gate strips wall-clock
+/// recursively — how the `muzzle snapshot` gate strips wall-clock
 /// fields before asserting two snapshots bit-for-bit equal.
 pub fn strip_keys(value: &Json, drop: &dyn Fn(&str) -> bool) -> Json {
     match value {

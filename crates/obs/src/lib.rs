@@ -22,7 +22,7 @@
 //! Exports: [`chrome_trace`] renders everything as Chrome trace-event JSON
 //! (loadable in `chrome://tracing` / Perfetto), [`summary_table`] renders
 //! the compact per-phase table, and [`phase_stats`] / [`counters`] expose
-//! the raw aggregates for harnesses like `paper_eval snapshot`. The
+//! the raw aggregates for harnesses like `muzzle snapshot`. The
 //! [`json`] module is the workspace's one JSON value type, shared by
 //! these exports and every crate that writes or reads a JSON document.
 //!
@@ -36,7 +36,7 @@
 //! [`enable`] to start recording. Crucially, instrumentation *observes,
 //! never decides*: no compiler decision reads any of this state, so
 //! compile results are bit-for-bit identical with telemetry on or off
-//! (the `paper_eval snapshot` harness asserts exactly that).
+//! (the `muzzle snapshot` harness asserts exactly that).
 //!
 //! # Example
 //!

@@ -28,7 +28,7 @@
 //!    (see [`HeatDeposit`] for the fold rule).
 //!
 //! Both identities are checked by [`FidelityAttribution::identity_holds`];
-//! `muzzle explain --fidelity` hard-errors and `paper_eval snapshot`
+//! `muzzle explain --fidelity` hard-errors and `muzzle snapshot`
 //! asserts when either is violated.
 //!
 //! The ledger observes and never decides: the instrumented replay performs
