@@ -173,7 +173,7 @@ fn bench_backfill(c: &mut Criterion) {
                     }
                 }
             }
-            black_box(bf.rounds().count())
+            black_box(bf.num_rounds())
         })
     });
 }

@@ -801,6 +801,7 @@ mod tests {
         };
         let model = TimingModel::realistic();
         let (row, profile) = profile_suite(&[bench], &spec, &SimParams::default(), &model)
+            .expect("the instrumented run keeps every identity")
             .pop()
             .expect("one profile per benchmark");
         let counter = profile.counters[0].0.clone();

@@ -8,10 +8,10 @@
 //!
 //! Instrumentation observes, never decides: every benchmark is compiled
 //! twice, once with the recorder off and once with it on, and the two
-//! rendered report rows are asserted equal outside the wall-clock keys
+//! rendered report rows are checked equal outside the wall-clock keys
 //! before the snapshot is written. A divergence is a bug in the
-//! instrumentation and panics rather than silently snapshotting tainted
-//! rows.
+//! instrumentation and an error naming the benchmark, never a silently
+//! snapshotted tainted row.
 
 use crate::diff::snapshot_mismatches;
 use crate::report::{profile_json, report_json, row_json, Profile};
@@ -23,23 +23,23 @@ use qccd_sim::SimParams;
 use qccd_timing::TimingModel;
 
 /// Runs every benchmark twice — an uninstrumented reference pass and an
-/// instrumented pass — asserting quality parity, and returns the
+/// instrumented pass — checking quality parity, and returns the
 /// instrumented rows with their recorded profiles.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if instrumentation changed any leaf of the rendered report row
-/// outside the wall-clock keys (the observes-never-decides contract), if
-/// any speculative candidate fell back to the clone oracle
-/// (`timing.clone_fallbacks`) — candidate walks are shuttle-only, so the
-/// delta scorer must serve 100% of them — or if a run recorded no phase
-/// or no histogram.
+/// A message naming the benchmark when instrumentation changed any leaf
+/// of the rendered report row outside the wall-clock keys (the
+/// observes-never-decides contract), when any speculative candidate fell
+/// back to the clone oracle (`timing.clone_fallbacks`) — candidate walks
+/// are shuttle-only, so the delta scorer must serve 100% of them — or
+/// when a run recorded no phase or no histogram.
 pub fn profile_suite(
     benches: &[BenchmarkCircuit],
     spec: &MachineSpec,
     params: &SimParams,
     model: &TimingModel,
-) -> Vec<(ComparisonRow, Profile)> {
+) -> Result<Vec<(ComparisonRow, Profile)>, String> {
     benches
         .iter()
         .map(|bench| {
@@ -52,29 +52,45 @@ pub fn profile_suite(
             let row = compare_timed(bench, spec, params, model);
             qccd_obs::disable();
             let profile = Profile::recorded();
-
-            let mismatches = snapshot_mismatches(&row_json(&reference), &row_json(&row));
-            assert!(
-                mismatches.is_empty(),
-                "{}: instrumentation changed {}",
-                bench.name,
-                mismatches.join(", "),
-            );
             let fallbacks = qccd_obs::counter_value("timing.clone_fallbacks");
-            assert!(
-                fallbacks == 0,
-                "{}: {fallbacks} candidates fell back to the clone oracle \
-                 (candidate walks are shuttle-only)",
-                bench.name,
-            );
-            assert!(
-                !profile.phases.is_empty() && !profile.histograms.is_empty(),
-                "{}: the instrumented run recorded no phase or no histogram",
-                bench.name,
-            );
-            (row, profile)
+            check_profiled(
+                &bench.name,
+                &snapshot_mismatches(&row_json(&reference), &row_json(&row)),
+                fallbacks,
+                &profile,
+            )?;
+            Ok((row, profile))
         })
         .collect()
+}
+
+/// The checks [`profile_suite`] makes on one benchmark's instrumented run:
+/// the report-row leaves instrumentation changed, the candidates that fell
+/// back to the clone oracle, and the recorded profile.
+fn check_profiled(
+    name: &str,
+    mismatches: &[String],
+    fallbacks: u64,
+    profile: &Profile,
+) -> Result<(), String> {
+    if !mismatches.is_empty() {
+        return Err(format!(
+            "{name}: instrumentation changed {}",
+            mismatches.join(", ")
+        ));
+    }
+    if fallbacks != 0 {
+        return Err(format!(
+            "{name}: {fallbacks} candidates fell back to the clone oracle \
+             (candidate walks are shuttle-only)"
+        ));
+    }
+    if profile.phases.is_empty() || profile.histograms.is_empty() {
+        return Err(format!(
+            "{name}: the instrumented run recorded no phase or no histogram"
+        ));
+    }
+    Ok(())
 }
 
 /// One benchmark's snapshot entry: its profiled quality row plus the
@@ -125,4 +141,51 @@ pub fn render_snapshot(
     let mut text = Json::Obj(doc).to_string();
     text.push('\n');
     text
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qccd_obs::{HistogramSnapshot, PhaseStat};
+
+    fn profile(phases: usize, histograms: usize) -> Profile {
+        Profile {
+            phases: (0..phases)
+                .map(|_| PhaseStat {
+                    name: "compile".into(),
+                    count: 1,
+                    total_us: 1.0,
+                    self_us: 1.0,
+                })
+                .collect(),
+            counters: Vec::new(),
+            histograms: (0..histograms)
+                .map(|_| HistogramSnapshot {
+                    name: "route.round_width".into(),
+                    buckets: vec![1],
+                    sum: 1,
+                    count: 1,
+                    max: 1,
+                })
+                .collect(),
+            delta_hit_rate: 1.0,
+            wall_us: 1.0,
+        }
+    }
+
+    #[test]
+    fn each_failed_check_is_an_error_naming_the_benchmark() {
+        assert_eq!(check_profiled("QFT", &[], 0, &profile(1, 1)), Ok(()));
+        let changed = ["benchmarks.0.clock.clock_ties".to_owned()];
+        let cases = [
+            (&changed[..], 0, profile(1, 1), "instrumentation changed"),
+            (&[][..], 3, profile(1, 1), "3 candidates fell back"),
+            (&[][..], 0, profile(0, 1), "no phase or no histogram"),
+            (&[][..], 0, profile(1, 0), "no phase or no histogram"),
+        ];
+        for (mismatches, fallbacks, profile, want) in cases {
+            let err = check_profiled("QFT", mismatches, fallbacks, &profile).unwrap_err();
+            assert!(err.starts_with("QFT: ") && err.contains(want), "{err}");
+        }
+    }
 }

@@ -282,7 +282,7 @@ pub fn report_json(
 /// What the `qccd-obs` recorder holds after an instrumented run.
 #[derive(Debug, Clone)]
 pub struct Profile {
-    /// Per-phase wall-time breakdown, hottest self-time first.
+    /// Per-phase wall-time breakdown, sorted by phase name.
     pub phases: Vec<PhaseStat>,
     /// Every hot-path counter touched during the run, sorted by name.
     pub counters: Vec<(String, u64)>,

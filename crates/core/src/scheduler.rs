@@ -566,6 +566,23 @@ impl Scheduler<'_> {
         let _phase = qccd_obs::span("batching");
         let topology = self.state.spec().topology();
 
+        // Walkers: the movers with a full-free path (interior traps not
+        // full). Exactly these end up with a walk below, since a full-free
+        // flow route implies such a path; it is also their post-flow
+        // fallback. The active mover without one aborts the whole batch —
+        // its evictions belong to the solo machinery — so it is tested
+        // before the window is scored (the window loop changes no state,
+        // so the labels stay valid).
+        let graph = topology.adjacency();
+        self.free
+            .label(graph, |t| self.state.is_full(TrapId(t as u32)));
+        if !self
+            .free
+            .connects(graph, decision.from.index(), decision.to.index())
+        {
+            return Ok(false);
+        }
+
         // The active mover plus every ready cross-trap gate in the window
         // whose favourable move is unblocked. Claimed ions (gate operands
         // of already-batched gates) stay put so each batched gate finds
@@ -596,6 +613,13 @@ impl Scheduler<'_> {
             if claimed.contains(&ja) || claimed.contains(&jb) {
                 continue;
             }
+            // Either way the gate points, its destination is one of the
+            // two operand traps: when both are full it is dropped below.
+            if self.state.is_full(self.state.trap_of(ja))
+                && self.state.is_full(self.state.trap_of(jb))
+            {
+                continue;
+            }
             let d = decide_direction(
                 self.config.direction,
                 self.circuit,
@@ -614,21 +638,10 @@ impl Scheduler<'_> {
             return Ok(false);
         }
 
-        // Walkers: the movers with a full-free path (interior traps not
-        // full). Exactly these end up with a walk below, since a full-free
-        // flow route implies such a path; it is also their post-flow
-        // fallback. The active mover without one aborts the whole batch —
-        // its evictions belong to the solo machinery.
-        let graph = topology.adjacency();
-        self.free
-            .label(graph, |t| self.state.is_full(TrapId(t as u32)));
         let walkers: Vec<bool> = movers
             .iter()
             .map(|&(_, from, to)| self.free.connects(graph, from.index(), to.index()))
             .collect();
-        if !walkers[0] {
-            return Ok(false);
-        }
         let capacity = self.state.spec().total_capacity();
         let ends: Vec<(TrapId, TrapId)> = movers
             .iter()

@@ -53,7 +53,7 @@ pub fn cmd_snapshot(args: &[String]) -> Result<bool, String> {
     let clock_config = CompilerConfig::optimized().with_timing(model);
     let suite = paper_suite();
     qccd_obs::info("snapshot", || "profiling paper suite...".to_owned());
-    let profiles = profile_suite(&suite, &spec, &params, &model);
+    let profiles = profile_suite(&suite, &spec, &params, &model)?;
     let mut rows: Vec<SnapshotRow> = Vec::new();
     for (bench, (row, profile)) in suite.iter().zip(profiles) {
         let name = &bench.name;

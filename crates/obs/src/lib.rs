@@ -510,8 +510,8 @@ fn walk_nesting(group: &[SpanRec], mut visit: impl FnMut(&SpanRec, u64)) {
     }
 }
 
-/// Aggregate span timing per phase name, sorted by self time, largest
-/// first.
+/// Aggregate span timing per phase name, sorted by name, so the order
+/// does not depend on wall-clock times.
 pub fn phase_stats() -> Vec<PhaseStat> {
     let mut agg: Vec<(String, usize, u64, u64)> = Vec::new();
     for group in spans_by_thread() {
@@ -536,7 +536,7 @@ pub fn phase_stats() -> Vec<PhaseStat> {
             self_us: slf as f64 / 1000.0,
         })
         .collect();
-    stats.sort_by(|a, b| b.self_us.total_cmp(&a.self_us));
+    stats.sort_by(|a, b| a.name.cmp(&b.name));
     stats
 }
 
@@ -690,7 +690,9 @@ pub fn summary_table() -> String {
         "{:<16} {:>9} {:>13} {:>13} {:>7}",
         "phase", "count", "total(ms)", "self(ms)", "self%"
     );
-    for p in phase_stats() {
+    let mut phases = phase_stats();
+    phases.sort_by(|a, b| b.self_us.total_cmp(&a.self_us));
+    for p in phases {
         let pct = if wall > 0.0 {
             100.0 * p.self_us / wall
         } else {
@@ -1133,6 +1135,31 @@ mod tests {
         assert!(table.contains("tabled"));
         assert!(table.contains("test.count"));
         assert!(table.contains("wall"));
+        disable();
+    }
+
+    #[test]
+    fn phases_list_by_name_and_the_table_by_self_time() {
+        let _g = exclusive();
+        enable();
+        {
+            let _s = span("zz-slow");
+            thread::sleep(std::time::Duration::from_millis(3));
+        }
+        {
+            let _s = span("aa-fast");
+        }
+        let names: Vec<String> = phase_stats().into_iter().map(|p| p.name).collect();
+        assert_eq!(names, ["aa-fast", "zz-slow"]);
+        let table = summary_table();
+        let (slow, fast) = (
+            table.find("zz-slow").unwrap(),
+            table.find("aa-fast").unwrap(),
+        );
+        assert!(
+            slow < fast,
+            "the table leads with the slowest phase:\n{table}"
+        );
         disable();
     }
 

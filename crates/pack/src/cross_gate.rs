@@ -29,12 +29,12 @@
 //!   serially replayable in any order, so the emitted flat schedule stays
 //!   valid under the strict serial validator and downstream consumers.
 //!
-//! The result is a rewritten flat schedule plus a strict-validating
-//! transport schedule with the same gates in the same traps, the same
+//! The result is a rewritten flat schedule plus strict-validating flat
+//! rounds ([`FlatRounds`]) with the same gates in the same traps, the same
 //! per-ion hop sequences, and an identical final mapping.
 
 use qccd_machine::{Operation, Schedule, ShuttleMove};
-use qccd_route::{BackfillRules, CreditRule, RoundBackfill, TransportRound, TransportSchedule};
+use qccd_route::{BackfillRules, CreditRule, FlatRounds, RoundBackfill};
 
 /// One rebuilt schedule + transport pair from the cross-gate packer.
 #[derive(Clone, PartialEq)]
@@ -42,16 +42,9 @@ pub(crate) struct CrossGatePacked {
     /// The rewritten flat operation stream (round-ordered hops).
     pub ops: Vec<Operation>,
     /// The matching rounds, strict-validating against `ops`.
-    pub transport: TransportSchedule,
+    pub rounds: FlatRounds,
     /// Hops that crossed at least one gate on their way into a round.
     pub hoisted_hops: usize,
-}
-
-/// Event stream of the packed program: gates in original order, rounds at
-/// their creation points.
-enum Ev {
-    Gate { op: Operation },
-    Round(usize),
 }
 
 /// Packs `schedule`'s hops into rounds that may precede non-conflicting
@@ -86,19 +79,21 @@ pub(crate) fn pack_cross_gate(
             window,
         },
     );
-    let mut events: Vec<Ev> = Vec::new();
+    // How many gates precede each round's creation point.
+    let mut gates_before: Vec<usize> = Vec::new();
+    let mut gates = 0usize;
     let mut hoisted_hops = 0usize;
 
     for op in &schedule.operations {
         match *op {
             Operation::Gate { trap, .. } => {
-                events.push(Ev::Gate { op: *op });
+                gates += 1;
                 bf.note_gate(trap);
             }
             Operation::Shuttle { ion, from, to } => {
                 let placement = bf.place(ShuttleMove { ion, from, to });
                 if placement.opened {
-                    events.push(Ev::Round(placement.round));
+                    gates_before.push(gates);
                 }
                 if placement.hoisted {
                     hoisted_hops += 1;
@@ -111,29 +106,26 @@ pub(crate) fn pack_cross_gate(
     // creation point. Under the no-credit rule any within-round order
     // replays serially, so insertion order is kept (it matches the strict
     // transport validator's in-order expectation by construction).
-    let mut rounds = bf.into_rounds();
+    let rounds = bf.into_flat();
     let mut ops = Vec::with_capacity(schedule.operations.len());
-    let mut transport_rounds = Vec::with_capacity(rounds.len());
-    for ev in events {
-        match ev {
-            Ev::Gate { op } => ops.push(op),
-            Ev::Round(idx) => {
-                // Each round is emitted once, at its creation point.
-                let moves = std::mem::take(&mut rounds[idx]);
-                ops.extend(moves.iter().map(|m| Operation::Shuttle {
-                    ion: m.ion,
-                    from: m.from,
-                    to: m.to,
-                }));
-                transport_rounds.push(TransportRound { moves });
-            }
-        }
+    let mut gate_ops = schedule
+        .operations
+        .iter()
+        .filter(|op| matches!(op, Operation::Gate { .. }));
+    let mut emitted = 0usize;
+    for (moves, &before) in rounds.iter().zip(&gates_before) {
+        ops.extend(gate_ops.by_ref().take(before - emitted));
+        emitted = before;
+        ops.extend(moves.iter().map(|m| Operation::Shuttle {
+            ion: m.ion,
+            from: m.from,
+            to: m.to,
+        }));
     }
+    ops.extend(gate_ops);
     CrossGatePacked {
         ops,
-        transport: TransportSchedule {
-            rounds: transport_rounds,
-        },
+        rounds,
         hoisted_hops,
     }
 }
@@ -183,10 +175,11 @@ mod tests {
         let (spec, mapping) = fixture();
         let schedule = Schedule::new(mapping, vec![sh(2, 0, 1), gate(0, 3), sh(5, 1, 2)]);
         let packed = pack(&schedule, &spec, false);
-        assert_eq!(packed.transport.rounds.len(), 1, "one merged round");
+        assert_eq!(packed.rounds.depth(), 1, "one merged round");
         assert_eq!(packed.hoisted_hops, 1);
         packed
-            .transport
+            .rounds
+            .into_schedule()
             .validate(
                 &Schedule::new(schedule.initial_mapping.clone(), packed.ops.clone()),
                 &spec,
@@ -201,7 +194,7 @@ mod tests {
         let (spec, mapping) = fixture();
         let schedule = Schedule::new(mapping, vec![sh(2, 0, 1), gate(0, 2), sh(5, 1, 2)]);
         let packed = pack(&schedule, &spec, false);
-        assert_eq!(packed.transport.rounds.len(), 2);
+        assert_eq!(packed.rounds.depth(), 2);
         assert_eq!(packed.hoisted_hops, 0);
         // Flat order keeps the hop after the gate.
         let gate_pos = packed
@@ -219,9 +212,9 @@ mod tests {
         let (spec, mapping) = fixture();
         let schedule = Schedule::new(mapping, vec![sh(2, 0, 1), gate(0, 3), sh(2, 1, 2)]);
         let packed = pack(&schedule, &spec, false);
-        assert_eq!(packed.transport.rounds.len(), 2);
-        let first = &packed.transport.rounds[0].moves[0];
-        let second = &packed.transport.rounds[1].moves[0];
+        assert_eq!(packed.rounds.depth(), 2);
+        let rounds: Vec<&[ShuttleMove]> = packed.rounds.iter().collect();
+        let (first, second) = (&rounds[0][0], &rounds[1][0]);
         assert_eq!((first.from, first.to), (TrapId(0), TrapId(1)));
         assert_eq!((second.from, second.to), (TrapId(1), TrapId(2)));
     }
@@ -235,12 +228,12 @@ mod tests {
         let schedule = Schedule::new(mapping, vec![sh(2, 0, 1), gate(0, 4), sh(8, 2, 3)]);
         let share = pack(&schedule, &spec, true);
         assert_eq!(
-            share.transport.rounds.len(),
+            share.rounds.depth(),
             2,
             "disjoint hops stay in their own rounds under share-only"
         );
         let any = pack(&schedule, &spec, false);
-        assert_eq!(any.transport.rounds.len(), 1, "first-fit merges them");
+        assert_eq!(any.rounds.depth(), 1, "first-fit merges them");
     }
 
     #[test]
@@ -256,9 +249,10 @@ mod tests {
                 .unwrap();
         let schedule = Schedule::new(mapping, vec![sh(1, 1, 2), sh(0, 0, 1)]);
         let packed = pack(&schedule, &spec, false);
-        assert_eq!(packed.transport.rounds.len(), 2);
+        assert_eq!(packed.rounds.depth(), 2);
         packed
-            .transport
+            .rounds
+            .into_schedule()
             .validate(
                 &Schedule::new(schedule.initial_mapping.clone(), packed.ops.clone()),
                 &spec,

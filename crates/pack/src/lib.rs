@@ -22,6 +22,12 @@
 //!   replays legally and strictly beats the original run on the clock,
 //!   scored by incremental re-lowering from a [`LowerState`] checkpoint.
 //!
+//! Candidates are held flat: their ops (the greedy repack borrows the
+//! input's) and a [`FlatRounds`] each, one move list and one round-end
+//! list instead of a vector per round. Only the winner becomes a
+//! [`TransportSchedule`], and [`compile_packed`] drops the compile's
+//! timeline while it packs, since packing reads only its makespan.
+//!
 //! Every candidate the passes produce is compared against the input under
 //! the same [`TimingModel`]; [`pack`] returns the input unchanged whenever
 //! no candidate strictly improves the timed makespan, so packing **never
@@ -58,8 +64,8 @@ use cross_gate::{pack_cross_gate, CrossGatePacked};
 use layers::plan_layers;
 use qccd_circuit::Circuit;
 use qccd_core::{compile, CompileError, CompileResult, CompilerConfig, Objective, RouterPolicy};
-use qccd_machine::{IonId, MachineSpec, Schedule};
-use qccd_route::{TransportError, TransportSchedule};
+use qccd_machine::{InitialMapping, IonId, MachineSpec, Operation, Schedule};
+use qccd_route::{FlatRounds, TransportError, TransportSchedule};
 
 /// Rewrite candidates the packer lowered and scored against the input.
 static PACK_CANDIDATES: qccd_obs::Counter = qccd_obs::Counter::new("pack.candidates_tried");
@@ -182,157 +188,170 @@ pub fn pack(
             &config.model,
         )?)
     };
-
-    let mut best: Option<Candidate> = None;
-    let mut offer = |rewrite: Rewrite| -> Result<(), PackError> {
-        PACK_CANDIDATES.incr();
-        let makespan_us = rewrite.makespan_us(circuit, spec, &config.model)?;
-        keep_faster(
-            &mut best,
-            Candidate {
-                rewrite,
-                makespan_us,
-            },
-            |c| c.makespan_us,
-        );
-        Ok(())
+    let input = Input {
+        schedule: &result.schedule,
+        transport: &result.transport,
+        makespan_us: input_timeline.makespan_us,
     };
+    if let Some(packed) = input.best_rewrite(circuit, spec, &config.model)? {
+        return Ok(packed);
+    }
+    Ok(Packed {
+        schedule: result.schedule.clone(),
+        transport: result.transport.clone(),
+        stats: input.unimproved(),
+        timeline: input_timeline.into_owned(),
+    })
+}
 
-    // The greedy in-run repack rides along: the lookahead packer optimizes
-    // *depth* and can be marginally slower on the clock (fewer, wider
-    // rounds can couple resources), so the packed result must never lose
-    // to either in-run packer.
-    if let Ok(greedy) = TransportSchedule::pack_concurrent(&result.schedule, spec) {
-        offer(Rewrite::of(result.schedule.clone(), greedy, 0))?;
-    }
-    for rewrite in cross_gate_rewrites(&result.schedule, spec) {
-        offer(rewrite)?;
-    }
-    let planned = plan_layers(
-        &result.schedule,
-        &result.transport,
-        circuit,
-        spec,
-        &config.model,
-    )?;
-    // A plan that changed no op yields the input's own cross-gate
-    // rewrites, already offered above: they tie, so they never win.
-    if planned.replanned_runs > 0 && planned.ops != result.schedule.operations {
-        let schedule = Schedule::new(result.schedule.initial_mapping.clone(), planned.ops);
-        for mut rewrite in cross_gate_rewrites(&schedule, spec) {
-            rewrite.replanned_runs = planned.replanned_runs;
-            rewrite.dropped_hops = planned.dropped_hops;
+/// The program [`pack`] rewrites: a compiled schedule, its rounds and
+/// their timed makespan under the pack model.
+struct Input<'a> {
+    schedule: &'a Schedule,
+    transport: &'a TransportSchedule,
+    makespan_us: f64,
+}
+
+impl<'a> Input<'a> {
+    /// Builds and scores every candidate, keeping only the running best,
+    /// and returns the best strict improvement, lowered and validated; or
+    /// `None` when no candidate beats the input.
+    fn best_rewrite(
+        &self,
+        circuit: &Circuit,
+        spec: &MachineSpec,
+        model: &TimingModel,
+    ) -> Result<Option<Packed>, PackError> {
+        let mapping = &self.schedule.initial_mapping;
+        let mut best: Option<Candidate<'a>> = None;
+        let mut offer = |rewrite: Rewrite<'a>| -> Result<(), PackError> {
+            PACK_CANDIDATES.incr();
+            let makespan_us = rewrite.makespan_us(mapping, circuit, spec, model)?;
+            keep_faster(
+                &mut best,
+                Candidate {
+                    rewrite,
+                    makespan_us,
+                },
+                |c| c.makespan_us,
+            );
+            Ok(())
+        };
+
+        // The greedy in-run repack rides along: the lookahead packer
+        // optimizes *depth* and can be marginally slower on the clock
+        // (fewer, wider rounds can couple resources), so the packed result
+        // must never lose to either in-run packer.
+        if let Ok(greedy) = TransportSchedule::pack_concurrent(self.schedule, spec) {
+            offer(Rewrite {
+                ops: Cow::Borrowed(&self.schedule.operations),
+                rounds: FlatRounds::from(greedy),
+                hoisted_hops: 0,
+                replanned_runs: 0,
+                dropped_hops: 0,
+            })?;
+        }
+        for rewrite in cross_gate_rewrites(self.schedule, spec) {
             offer(rewrite)?;
         }
-    }
+        let planned = plan_layers(self.schedule, self.transport, circuit, spec, model)?;
+        // A plan that changed no op yields the input's own cross-gate
+        // rewrites, already offered above: they tie, so they never win.
+        if planned.replanned_runs > 0 && planned.ops != self.schedule.operations {
+            let schedule = Schedule::new(mapping.clone(), planned.ops);
+            for mut rewrite in cross_gate_rewrites(&schedule, spec) {
+                rewrite.replanned_runs = planned.replanned_runs;
+                rewrite.dropped_hops = planned.dropped_hops;
+                offer(rewrite)?;
+            }
+        }
 
-    match best.filter(|c| c.makespan_us < input_timeline.makespan_us) {
-        Some(Candidate {
+        let Some(Candidate {
             rewrite: c,
             makespan_us,
-        }) => {
-            PACK_ADOPTED.incr();
-            // Only the winner is lowered into a timeline; its fold ends on
-            // the clocks the scoring fold ended on.
-            let timeline = lower(
-                &c.schedule,
-                Some(&c.transport),
-                circuit,
-                spec,
-                &config.model,
-            )?;
-            debug_assert_eq!(timeline.makespan_us.to_bits(), makespan_us.to_bits());
-            {
-                let _phase = qccd_obs::span("pack-validate");
-                validate_equivalent(&result.schedule, &c.schedule, circuit, spec)?;
-                c.transport
-                    .validate(&c.schedule, spec)
-                    .map_err(PackError::Transport)?;
-                timeline
-                    .validate()
-                    .map_err(|e| PackError::InvalidPacked(e.to_string()))?;
-            }
-            let stats = PackStats {
-                input_depth: result.transport.depth(),
-                packed_depth: c.transport.depth(),
-                input_makespan_us: input_timeline.makespan_us,
-                packed_makespan_us: timeline.makespan_us,
-                hoisted_hops: c.hoisted_hops,
-                replanned_runs: c.replanned_runs,
-                dropped_hops: c.dropped_hops,
-                improved: true,
-            };
-            Ok(Packed {
-                schedule: c.schedule,
-                transport: c.transport,
-                timeline,
-                stats,
-            })
+        }) = best.filter(|c| c.makespan_us < self.makespan_us)
+        else {
+            return Ok(None);
+        };
+        PACK_ADOPTED.incr();
+        // Only the winner becomes a program and is lowered into a
+        // timeline; its fold ends on the clocks the scoring fold ended on.
+        let schedule = Schedule::new(mapping.clone(), c.ops.into_owned());
+        let transport = c.rounds.into_schedule();
+        let timeline = lower(&schedule, Some(&transport), circuit, spec, model)?;
+        debug_assert_eq!(timeline.makespan_us.to_bits(), makespan_us.to_bits());
+        {
+            let _phase = qccd_obs::span("pack-validate");
+            validate_equivalent(self.schedule, &schedule, circuit, spec)?;
+            transport
+                .validate(&schedule, spec)
+                .map_err(PackError::Transport)?;
+            timeline
+                .validate()
+                .map_err(|e| PackError::InvalidPacked(e.to_string()))?;
         }
-        None => {
-            let stats = PackStats {
-                input_depth: result.transport.depth(),
-                packed_depth: result.transport.depth(),
-                input_makespan_us: input_timeline.makespan_us,
-                packed_makespan_us: input_timeline.makespan_us,
-                improved: false,
-                ..PackStats::default()
-            };
-            Ok(Packed {
-                schedule: result.schedule.clone(),
-                transport: result.transport.clone(),
-                timeline: input_timeline.into_owned(),
-                stats,
-            })
+        let stats = PackStats {
+            input_depth: self.transport.depth(),
+            packed_depth: transport.depth(),
+            input_makespan_us: self.makespan_us,
+            packed_makespan_us: timeline.makespan_us,
+            hoisted_hops: c.hoisted_hops,
+            replanned_runs: c.replanned_runs,
+            dropped_hops: c.dropped_hops,
+            improved: true,
+        };
+        Ok(Some(Packed {
+            schedule,
+            transport,
+            timeline,
+            stats,
+        }))
+    }
+
+    /// The stats of a pack that kept the input.
+    fn unimproved(&self) -> PackStats {
+        PackStats {
+            input_depth: self.transport.depth(),
+            packed_depth: self.transport.depth(),
+            input_makespan_us: self.makespan_us,
+            packed_makespan_us: self.makespan_us,
+            improved: false,
+            ..PackStats::default()
         }
     }
 }
 
-/// One rewrite of the input program, before it is lowered.
-struct Rewrite {
-    schedule: Schedule,
-    transport: TransportSchedule,
+/// One rewrite of the input program, before it is lowered: its ops (the
+/// greedy repack borrows the input's) and its rounds, held flat.
+struct Rewrite<'a> {
+    ops: Cow<'a, [Operation]>,
+    rounds: FlatRounds,
     hoisted_hops: usize,
     replanned_runs: usize,
     dropped_hops: usize,
 }
 
-impl Rewrite {
+impl Rewrite<'_> {
     /// The rewrite's timed makespan under `model`, folded through a no-op
     /// sink: it stores no event, and equals the makespan of its
     /// [`lower`]ed timeline bit for bit.
     fn makespan_us(
         &self,
+        mapping: &InitialMapping,
         circuit: &Circuit,
         spec: &MachineSpec,
         model: &TimingModel,
     ) -> Result<f64, LowerError> {
         let _phase = qccd_obs::span("lowering");
-        let mut fold = LowerState::new(&self.schedule.initial_mapping, spec, model)?;
-        fold.advance(
-            &self.schedule.operations,
-            Some(&self.transport.rounds),
-            circuit,
-            spec,
-            &mut |_| {},
-        )?;
+        let mut fold = LowerState::new(mapping, spec, model)?;
+        fold.advance_rounds(&self.ops, &self.rounds, circuit, spec, &mut |_| {})?;
         Ok(fold.makespan_us())
-    }
-
-    fn of(schedule: Schedule, transport: TransportSchedule, hoisted_hops: usize) -> Self {
-        Rewrite {
-            schedule,
-            transport,
-            hoisted_hops,
-            replanned_runs: 0,
-            dropped_hops: 0,
-        }
     }
 }
 
 /// A rewrite plus its timed makespan under the pack model.
-struct Candidate {
-    rewrite: Rewrite,
+struct Candidate<'a> {
+    rewrite: Rewrite<'a>,
     makespan_us: f64,
 }
 
@@ -341,7 +360,7 @@ struct Candidate {
 /// ops+rounds is O(n) while lowering a duplicate costs several O(n)
 /// passes, and an identical candidate ties on every selection key, so
 /// dropping it cannot change which candidate wins.
-fn cross_gate_rewrites(base: &Schedule, spec: &MachineSpec) -> Vec<Rewrite> {
+fn cross_gate_rewrites(base: &Schedule, spec: &MachineSpec) -> Vec<Rewrite<'static>> {
     let (cap, num_traps) = (spec.total_capacity(), spec.num_traps() as usize);
     let share_only = pack_cross_gate(base, cap, num_traps, WINDOW, true);
     let full = pack_cross_gate(base, cap, num_traps, WINDOW, false);
@@ -349,12 +368,12 @@ fn cross_gate_rewrites(base: &Schedule, spec: &MachineSpec) -> Vec<Rewrite> {
     [Some(share_only), full]
         .into_iter()
         .flatten()
-        .map(|p: CrossGatePacked| {
-            Rewrite::of(
-                Schedule::new(base.initial_mapping.clone(), p.ops),
-                p.transport,
-                p.hoisted_hops,
-            )
+        .map(|p: CrossGatePacked| Rewrite {
+            ops: Cow::Owned(p.ops),
+            rounds: p.rounds,
+            hoisted_hops: p.hoisted_hops,
+            replanned_runs: 0,
+            dropped_hops: 0,
         })
         .collect()
 }
@@ -382,6 +401,11 @@ fn keep_faster<T>(best: &mut Option<T>, candidate: T, makespan: impl Fn(&T) -> f
 /// [`CompileResult::with_transport`]) whenever packing improved the timed
 /// makespan, and the plain lookahead result otherwise.
 ///
+/// Packing reads only the compile's timed makespan, so the compile's
+/// timeline is dropped while the candidates are built; when none wins,
+/// the input is lowered again — the same fold, so the same timeline, bit
+/// for bit.
+///
 /// # Errors
 ///
 /// [`PackCompileError::Compile`] from the compiler, or
@@ -397,21 +421,43 @@ pub fn compile_packed(
         RouterPolicy::congestion()
     };
     let config = config.with_router(router).with_lookahead(true);
-    let result = compile(circuit, spec, &config).map_err(PackCompileError::Compile)?;
-    let packed = pack(
-        &result,
-        circuit,
-        spec,
-        &PackConfig::for_model(config.timing),
-    )
-    .map_err(PackCompileError::Pack)?;
-    let stats = packed.stats;
-    let result = if stats.improved {
-        result.with_transport(packed.schedule, packed.transport, packed.timeline)
-    } else {
-        result
+    let mut result = compile(circuit, spec, &config).map_err(PackCompileError::Compile)?;
+    let model = config.timing;
+    debug_assert!(
+        result.timing == model,
+        "the compile lowers under its config's model"
+    );
+    let makespan_us = std::mem::take(&mut result.timeline).makespan_us;
+    let _phase = qccd_obs::span("pack");
+    let input = Input {
+        schedule: &result.schedule,
+        transport: &result.transport,
+        makespan_us,
     };
-    Ok((result, stats))
+    match input
+        .best_rewrite(circuit, spec, &model)
+        .map_err(PackCompileError::Pack)?
+    {
+        Some(packed) => {
+            let stats = packed.stats;
+            Ok((
+                result.with_transport(packed.schedule, packed.transport, packed.timeline),
+                stats,
+            ))
+        }
+        None => {
+            let stats = input.unimproved();
+            result.timeline = lower(
+                &result.schedule,
+                Some(&result.transport),
+                circuit,
+                spec,
+                &model,
+            )
+            .map_err(|e| PackCompileError::Pack(e.into()))?;
+            Ok((result, stats))
+        }
+    }
 }
 
 /// What the clock-objective pipeline did, and what it was worth.

@@ -3,12 +3,14 @@
 //! [`Timeline`], the running best keeps its timeline, and the post-plan
 //! candidates are offered even when the plan changed no op. The scoring
 //! [`pack`] must return the same schedule, transport, timeline and
-//! [`PackStats`] bit for bit.
+//! [`PackStats`] bit for bit. The oracle lowers each candidate in the
+//! nested [`TransportSchedule`] form, so it also checks that scoring the
+//! flat rounds folds the same clocks.
 
 use crate::layers::plan_layers;
 use crate::{
-    cross_gate_rewrites, keep_faster, pack, validate_equivalent, PackConfig, PackError, PackStats,
-    Packed, Rewrite,
+    compile_packed, cross_gate_rewrites, keep_faster, pack, validate_equivalent, PackConfig,
+    PackError, PackStats, Packed, Rewrite,
 };
 use proptest::prelude::*;
 use qccd_circuit::generators::random_circuit;
@@ -35,20 +37,34 @@ fn oracle_pack(
             &config.model,
         )?
     };
-    let mut best: Option<(Rewrite, Timeline)> = None;
+    let mapping = &result.schedule.initial_mapping;
+    let mut best: Option<(Program, Timeline)> = None;
     let mut offer = |rewrite: Rewrite| -> Result<(), PackError> {
+        let c = Program {
+            schedule: Schedule::new(mapping.clone(), rewrite.ops.into_owned()),
+            transport: rewrite.rounds.into_schedule(),
+            hoisted_hops: rewrite.hoisted_hops,
+            replanned_runs: rewrite.replanned_runs,
+            dropped_hops: rewrite.dropped_hops,
+        };
         let timeline = lower(
-            &rewrite.schedule,
-            Some(&rewrite.transport),
+            &c.schedule,
+            Some(&c.transport),
             circuit,
             spec,
             &config.model,
         )?;
-        keep_faster(&mut best, (rewrite, timeline), |c| c.1.makespan_us);
+        keep_faster(&mut best, (c, timeline), |c| c.1.makespan_us);
         Ok(())
     };
     if let Ok(greedy) = TransportSchedule::pack_concurrent(&result.schedule, spec) {
-        offer(Rewrite::of(result.schedule.clone(), greedy, 0))?;
+        offer(Rewrite {
+            ops: result.schedule.operations.clone().into(),
+            rounds: greedy.into(),
+            hoisted_hops: 0,
+            replanned_runs: 0,
+            dropped_hops: 0,
+        })?;
     }
     for r in cross_gate_rewrites(&result.schedule, spec) {
         offer(r)?;
@@ -111,6 +127,15 @@ fn oracle_pack(
             },
         },
     )
+}
+
+/// A candidate in the nested form the packer once held every candidate in.
+struct Program {
+    schedule: Schedule,
+    transport: TransportSchedule,
+    hoisted_hops: usize,
+    replanned_runs: usize,
+    dropped_hops: usize,
 }
 
 /// Bit-level equality of two packings: `f64` fields compare by bits.
@@ -216,4 +241,47 @@ fn fixed_sample_adopts_layer_planned_candidates_like_the_oracle() {
         planned_wins > 0 && changed > 0 && unchanged > 0,
         "{planned_wins} {changed} {unchanged}"
     );
+}
+
+/// `compile_packed` drops the compile's timeline while it packs and, when
+/// no candidate wins, lowers the input again: it must return what
+/// compiling and then running the oracle returns, timeline included, bit
+/// for bit, whether or not packing improved.
+#[test]
+fn compile_packed_equals_compile_then_the_oracle() {
+    let (mut improved, mut kept) = (0, 0);
+    for seed in 1..9u64 {
+        for (topology, timing) in [
+            (0, TimingModel::ideal()),
+            (1, TimingModel::realistic()),
+            (2, TimingModel::ideal()),
+            (2, TimingModel::realistic()),
+        ] {
+            for objective in [Objective::Shuttles, Objective::Clock] {
+                let (circuit, spec, result) = compiled(topology, 40, seed, timing, objective);
+                let config = CompilerConfig::optimized()
+                    .with_router(RouterPolicy::congestion())
+                    .with_timing(timing)
+                    .with_objective(objective);
+                let (got, stats) = compile_packed(&circuit, &spec, &config).expect("packs");
+                let want = oracle_pack(&result, &circuit, &spec, &PackConfig::for_model(timing))
+                    .expect("packs");
+                assert_eq!(stats, want.stats);
+                assert_eq!(got.schedule, want.schedule);
+                assert_eq!(got.transport, want.transport);
+                assert_eq!(got.timeline, want.timeline);
+                assert_eq!(
+                    got.timeline.makespan_us.to_bits(),
+                    want.timeline.makespan_us.to_bits()
+                );
+                assert_eq!(got.stats.transport_depth, want.transport.depth());
+                if stats.improved {
+                    improved += 1;
+                } else {
+                    kept += 1;
+                }
+            }
+        }
+    }
+    assert!(improved > 0 && kept > 0, "{improved} improved, {kept} kept");
 }

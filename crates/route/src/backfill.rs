@@ -25,29 +25,36 @@
 //!   by the per-trap arrival lists are re-checked so their own single
 //!   arrival still fits.
 //!
-//! Cost per placement: the first-fit scan examines at most
-//! `min(window, rounds since the hop's fences)` candidate rounds, each in
-//! O(round width) for the segment check; the downstream re-check of a
-//! candidate round `r` reads only the destination's arrivals after `r`
-//! (found by binary search), so across the scan it reads each of them at
-//! most once per candidate. Accepting the hop updates the two traps'
-//! columns of the occupancy rows after the chosen round and inserts into
-//! one sorted arrival list. The `route.backfill_scan` counter adds up the
-//! candidate rounds and downstream entries each placement reads.
+//! Cost per placement: the first-fit scan examines at most `min(window,
+//! rounds since the hop's fences)` candidate rounds, each in O(1): a round
+//! holds at most one departure per trap, so the only member that can share
+//! the hop's segment is the one leaving `to`, and the departure column,
+//! which holds each split's destination, says whether it goes to `from`.
+//! The downstream re-check of a candidate round `r` reads only the
+//! destination's arrivals after `r` (found by binary search), so across
+//! the scan it reads each of them at most once per candidate. Accepting
+//! the hop updates the two traps' columns of the occupancy rows after the
+//! chosen round and inserts into one sorted arrival list. The
+//! `route.backfill_scan` counter adds up the candidate rounds and
+//! downstream entries each placement reads.
 //!
-//! Storage: occupancies, arrivals and departures live in flat row-major
-//! `rounds × traps` vectors that hold only the rounds a placement can
-//! still read. The scan never looks below `rounds − window`, the
-//! downstream re-check reads only rounds after the candidate, and
-//! accepting a hop writes only rows after the chosen round, so rows (and
-//! arrival-list entries) older than `rounds − window` are dead. Once
+//! Storage: occupancies, arrivals and departures (each as its destination)
+//! live in flat row-major `rounds × traps` vectors that hold only the
+//! rounds a placement can still read. The scan never looks below `rounds −
+//! window`, the downstream re-check reads only rounds after the candidate,
+//! and accepting a hop writes only rows after the chosen round, so rows
+//! (and arrival-list entries) older than `rounds − window` are dead. Once
 //! `max(window, 64)` of them have accumulated they are drained from the
 //! front in one amortized O(traps)-per-row move that keeps the live rows
 //! contiguous. The state is therefore O(window × traps) plus the placed
-//! moves, instead of O(rounds × traps); an unbounded window
-//! (`usize::MAX`) never drops a row. Opening a round appends a row and
-//! allocates nothing per round beyond its move list.
+//! moves, instead of O(rounds × traps); an unbounded window (`usize::MAX`)
+//! never drops a row. The placed moves sit in one flat array in placement
+//! order, each tagged with its round, and a round keeps only its member
+//! count: opening a round appends a row and allocates nothing per round.
+//! The rounds are handed out flat ([`FlatRounds`]: moves in round order
+//! plus each round's end), sorted by one counting pass over the tags.
 
+use crate::FlatRounds;
 use qccd_machine::{ShuttleMove, TrapId};
 
 /// Hops offered to [`RoundBackfill::place`] (backfill attempts).
@@ -87,11 +94,12 @@ pub struct BackfillRules {
     pub window: usize,
 }
 
-/// One round under construction.
-#[derive(Debug, Clone)]
+/// One round under construction: its members live in
+/// [`RoundBackfill::members`], tagged with the round's index.
+#[derive(Debug, Clone, Copy)]
 struct RoundSlot {
-    /// Member moves, in placement order.
-    moves: Vec<ShuttleMove>,
+    /// Member moves placed so far.
+    len: u32,
     /// Gates noted when this round was opened (hoist accounting).
     gates_at_creation: usize,
 }
@@ -117,6 +125,11 @@ pub struct RoundBackfill {
     cap: u32,
     num_traps: usize,
     rounds: Vec<RoundSlot>,
+    /// Every placed move with its round's index, in placement order.
+    members: Vec<(u32, ShuttleMove)>,
+    /// The rounds last handed out by [`drain_rounds`](Self::drain_rounds),
+    /// kept so the next run reuses the allocation.
+    drained: FlatRounds,
     /// The oldest round whose rows are still stored; every earlier round
     /// lies behind the scan window for good.
     base: usize,
@@ -127,9 +140,10 @@ pub struct RoundBackfill {
     /// Row-major `(rounds − base) × traps`: merges into each trap per
     /// round.
     arrivals: Vec<u32>,
-    /// Row-major `(rounds − base) × traps`: splits out of each trap per
-    /// round.
-    departures: Vec<u32>,
+    /// Row-major `(rounds − base) × traps`: each trap's split per round,
+    /// as its destination's index plus one, or 0 when none leaves (a round
+    /// holds at most one departure per trap).
+    departure: Vec<u32>,
     /// Rounds `≥ base` with an arrival at each trap, ascending.
     arrival_rounds: Vec<Vec<usize>>,
     /// A hop touching trap `t` may not join a round older than
@@ -139,6 +153,11 @@ pub struct RoundBackfill {
     /// it has none), the earliest round its next hop may join.
     ion_fence: Vec<usize>,
     gates_noted: usize,
+}
+
+/// The `departure` entry of a split to trap `t`.
+fn departure_to(t: usize) -> u32 {
+    u32::try_from(t + 1).expect("fewer than 2^32 traps")
 }
 
 impl RoundBackfill {
@@ -151,10 +170,12 @@ impl RoundBackfill {
             cap,
             num_traps,
             rounds: Vec::new(),
+            members: Vec::new(),
+            drained: FlatRounds::default(),
             base: 0,
             occ_before: occ0,
             arrivals: Vec::new(),
-            departures: Vec::new(),
+            departure: Vec::new(),
             arrival_rounds: vec![Vec::new(); num_traps],
             min_join: vec![0; num_traps],
             ion_fence: Vec::new(),
@@ -168,12 +189,13 @@ impl RoundBackfill {
     /// allocations. Drain the rounds first; any left are dropped.
     pub fn reset(&mut self, occ0: impl IntoIterator<Item = u32>) {
         self.rounds.clear();
+        self.members.clear();
         self.base = 0;
         self.occ_before.clear();
         self.occ_before.extend(occ0);
         debug_assert_eq!(self.occ_before.len(), self.num_traps);
         self.arrivals.clear();
-        self.departures.clear();
+        self.departure.clear();
         self.arrival_rounds.iter_mut().for_each(Vec::clear);
         self.min_join.fill(0);
         self.ion_fence.clear();
@@ -196,7 +218,7 @@ impl RoundBackfill {
     fn fits(&self, r: usize, t: usize, extra: u32) -> bool {
         let k = self.row(r) + t;
         let credit = match self.rules.credit {
-            CreditRule::DepartureCredit => self.departures[k],
+            CreditRule::DepartureCredit => u32::from(self.departure[k] != 0),
             CreditRule::NoCredit => 0,
         };
         u64::from(self.occ_before[k]) + u64::from(extra) <= u64::from(self.cap) + u64::from(credit)
@@ -219,7 +241,7 @@ impl RoundBackfill {
         let cells = stale * self.num_traps;
         self.occ_before.drain(..cells);
         self.arrivals.drain(..cells);
-        self.departures.drain(..cells);
+        self.departure.drain(..cells);
         for list in &mut self.arrival_rounds {
             let dead = list.partition_point(|&s| s < live);
             list.drain(..dead);
@@ -230,7 +252,6 @@ impl RoundBackfill {
     /// First-fit places `m` into the earliest legal round, opening a new
     /// one when nothing accepts, and maintains every snapshot and index.
     pub fn place(&mut self, m: ShuttleMove) -> Placement {
-        let seg = m.segment();
         let (fi, ti) = (m.from.index(), m.to.index());
         let nt = self.num_traps;
         let lo = self.min_join[fi]
@@ -241,22 +262,22 @@ impl RoundBackfill {
         let mut chosen = None;
         for r in lo..self.rounds.len() {
             scanned += 1;
-            let moves = &self.rounds[r].moves;
             let row = self.row(r);
-            if self.departures[row + fi] > 0
+            // No member leaves `from` or enters `to` past the first two
+            // tests, so the only member on the hop's segment would be the
+            // one leaving `to` for `from`.
+            if self.departure[row + fi] != 0
                 || self.arrivals[row + ti] > 0
                 || !self.fits(r, ti, 1)
-                || moves.iter().any(|c| c.segment() == seg)
+                || self.departure[row + ti] == departure_to(fi)
             {
                 continue;
             }
+            // For the same reason a member touches `from` or `to` exactly
+            // when one enters `from` or leaves `to`.
             if self.rules.share_only
                 && self.arrivals[row + fi] == 0
-                && self.departures[row + ti] == 0
-                && !moves.iter().any(|c| {
-                    let (cf, ct) = (c.from.index(), c.to.index());
-                    cf == fi || cf == ti || ct == fi || ct == ti
-                })
+                && self.departure[row + ti] == 0
             {
                 continue;
             }
@@ -283,20 +304,24 @@ impl RoundBackfill {
             Some(r) => (r, false),
             None => {
                 self.rounds.push(RoundSlot {
-                    moves: Vec::new(),
+                    len: 0,
                     gates_at_creation: self.gates_noted,
                 });
                 let last = self.occ_before.len() - nt;
                 self.occ_before.extend_from_within(last..);
                 self.arrivals.resize(self.arrivals.len() + nt, 0);
-                self.departures.resize(self.departures.len() + nt, 0);
+                self.departure.resize(self.departure.len() + nt, 0);
                 (self.rounds.len() - 1, true)
             }
         };
-        let hoisted = self.rounds[chosen].gates_at_creation < self.gates_noted;
-        self.rounds[chosen].moves.push(m);
+        let slot = &mut self.rounds[chosen];
+        let hoisted = slot.gates_at_creation < self.gates_noted;
+        slot.len += 1;
+        let tag = u32::try_from(chosen).expect("fewer than 2^32 rounds");
+        self.members.push((tag, m));
         let row = self.row(chosen);
-        self.departures[row + fi] += 1;
+        debug_assert_eq!(self.departure[row + fi], 0, "one departure per trap");
+        self.departure[row + fi] = departure_to(ti);
         self.arrivals[row + ti] += 1;
         let list = &mut self.arrival_rounds[ti];
         let pos = list.partition_point(|&s| s < chosen);
@@ -326,9 +351,9 @@ impl RoundBackfill {
         }
     }
 
-    /// The rounds built so far, in order.
-    pub fn rounds(&self) -> impl Iterator<Item = &[ShuttleMove]> {
-        self.rounds.iter().map(|r| r.moves.as_slice())
+    /// Rounds opened so far.
+    pub fn num_rounds(&self) -> usize {
+        self.rounds.len()
     }
 
     /// Whether the backfill holds no round.
@@ -336,16 +361,58 @@ impl RoundBackfill {
         self.rounds.is_empty()
     }
 
-    /// Takes each round's moves out in order, keeping the round list's
-    /// allocation. The backfill must be [`reset`](Self::reset) before it
-    /// places another hop.
-    pub fn drain_rounds(&mut self) -> impl Iterator<Item = Vec<ShuttleMove>> + '_ {
-        self.rounds.drain(..).map(|r| r.moves)
+    /// Writes the rounds into `out`, replacing its contents: the members in
+    /// round order, in placement order within a round (a stable counting
+    /// sort on the round tags).
+    fn sort_into(&self, out: &mut FlatRounds) {
+        let FlatRounds { moves, ends } = out;
+        // `ends` first holds each round's start, the cursor its next member
+        // is written at; once every member is placed it holds the ends.
+        ends.clear();
+        let mut at = 0usize;
+        ends.extend(self.rounds.iter().map(|slot| {
+            let start = at;
+            at += slot.len as usize;
+            start
+        }));
+        moves.clear();
+        if let Some(&(_, first)) = self.members.first() {
+            moves.resize(self.members.len(), first);
+        }
+        for &(r, m) in &self.members {
+            let cursor = &mut ends[r as usize];
+            moves[*cursor] = m;
+            *cursor += 1;
+        }
+    }
+
+    /// The rounds built so far, each round's moves in order. They stay in a
+    /// buffer the next call reuses; the backfill must be
+    /// [`reset`](Self::reset) before it places another hop.
+    pub fn drain_rounds(&mut self) -> impl Iterator<Item = &[ShuttleMove]> + '_ {
+        let mut out = std::mem::take(&mut self.drained);
+        self.sort_into(&mut out);
+        self.drained = out;
+        self.drained.iter()
+    }
+
+    /// Consumes the backfill, returning its rounds flat.
+    pub fn into_flat(self) -> FlatRounds {
+        let mut out = FlatRounds {
+            moves: Vec::with_capacity(self.members.len()),
+            ends: Vec::with_capacity(self.rounds.len()),
+        };
+        self.sort_into(&mut out);
+        out
     }
 
     /// Consumes the backfill, returning each round's moves in order.
-    pub fn into_rounds(self) -> Vec<Vec<ShuttleMove>> {
-        self.rounds.into_iter().map(|r| r.moves).collect()
+    #[cfg(test)]
+    fn into_rounds(self) -> Vec<Vec<ShuttleMove>> {
+        self.into_flat()
+            .iter()
+            .map(<[ShuttleMove]>::to_vec)
+            .collect()
     }
 
     /// Rounds whose occupancy rows are still stored, counting the
@@ -416,7 +483,7 @@ mod tests {
         assert_eq!(bf.place(mv(0, 1, 2)).round, 1);
         // Same segment as round 0: also pushed later.
         assert_eq!(bf.place(mv(3, 0, 1)).round, 1);
-        assert_eq!(bf.rounds().count(), 2);
+        assert_eq!(bf.num_rounds(), 2);
     }
 
     #[test]
@@ -463,10 +530,7 @@ mod tests {
             bf.place(mv(ion, from, to));
             assert!(bf.retained_rows() <= 2 * (window + 1) + 64);
         }
-        assert!(
-            bf.rounds().count() > 50 * window,
-            "trimming fired many times"
-        );
+        assert!(bf.num_rounds() > 50 * window, "trimming fired many times");
     }
 
     #[test]

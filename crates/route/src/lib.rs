@@ -54,4 +54,4 @@ mod transport;
 pub use backfill::{BackfillRules, CreditRule, Placement, RoundBackfill};
 pub use planner::{route_budget, EdgeWeightFn, PlannedRoute, RoutePlanner};
 pub use policy::RouterPolicy;
-pub use transport::{TransportError, TransportRound, TransportSchedule};
+pub use transport::{FlatRounds, RoundList, TransportError, TransportRound, TransportSchedule};

@@ -37,6 +37,93 @@ pub struct TransportSchedule {
     pub rounds: Vec<TransportRound>,
 }
 
+/// Transport rounds held flat: every member move in round order, plus the
+/// end of each round in that list. The packers build and score their
+/// candidates in this form, one allocation for all the moves instead of
+/// one per round; only the result a packer returns becomes a
+/// [`TransportSchedule`] ([`into_schedule`](Self::into_schedule)).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FlatRounds {
+    /// The member moves, round after round.
+    pub(crate) moves: Vec<ShuttleMove>,
+    /// One past each round's last move in `moves`.
+    pub(crate) ends: Vec<usize>,
+}
+
+impl FlatRounds {
+    /// Number of rounds — the transport depth.
+    pub fn depth(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Each round's moves, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[ShuttleMove]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(s, &e)| &self.moves[s..e])
+    }
+
+    /// The nested form, each round's moves in a vector of exactly its
+    /// width.
+    pub fn into_schedule(self) -> TransportSchedule {
+        TransportSchedule {
+            rounds: self
+                .iter()
+                .map(|moves| TransportRound {
+                    moves: moves.to_vec(),
+                })
+                .collect(),
+        }
+    }
+}
+
+impl From<TransportSchedule> for FlatRounds {
+    /// Flattens `schedule`, freeing each round's vector as it is copied.
+    fn from(schedule: TransportSchedule) -> Self {
+        let mut flat = FlatRounds {
+            moves: Vec::with_capacity(schedule.num_moves()),
+            ends: Vec::with_capacity(schedule.depth()),
+        };
+        for round in schedule.rounds {
+            flat.moves.extend_from_slice(&round.moves);
+            flat.ends.push(flat.moves.len());
+        }
+        flat
+    }
+}
+
+/// Transport rounds read one round at a time as a slice of moves, from
+/// either form: the nested [`TransportSchedule::rounds`] or
+/// [`FlatRounds`].
+pub trait RoundList {
+    /// Number of rounds.
+    fn num_rounds(&self) -> usize;
+
+    /// Round `i`'s moves, or `None` past the last round.
+    fn round(&self, i: usize) -> Option<&[ShuttleMove]>;
+}
+
+impl RoundList for [TransportRound] {
+    fn num_rounds(&self) -> usize {
+        self.len()
+    }
+
+    fn round(&self, i: usize) -> Option<&[ShuttleMove]> {
+        self.get(i).map(|r| r.moves.as_slice())
+    }
+}
+
+impl RoundList for FlatRounds {
+    fn num_rounds(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn round(&self, i: usize) -> Option<&[ShuttleMove]> {
+        let end = *self.ends.get(i)?;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        Some(&self.moves[start..end])
+    }
+}
+
 impl TransportSchedule {
     /// Number of rounds — the schedule's concurrent transport depth.
     pub fn depth(&self) -> usize {
@@ -278,9 +365,11 @@ impl TransportSchedule {
                 return Ok(());
             }
             for moves in run.drain_rounds() {
-                state.apply_round(&moves).map_err(TransportError::Machine)?;
+                state.apply_round(moves).map_err(TransportError::Machine)?;
                 ROUND_WIDTH.record(moves.len() as u64);
-                rounds.push(TransportRound { moves });
+                rounds.push(TransportRound {
+                    moves: moves.to_vec(),
+                });
             }
             run.reset(occupancies(state));
             Ok(())

@@ -14,7 +14,7 @@ use qccd_machine::{
     InitialMapping, IonId, MachineError, MachineSpec, MachineState, Operation, Placement, Schedule,
     TrapId, TrapTopology,
 };
-use qccd_route::{TransportRound, TransportSchedule};
+use qccd_route::{RoundList, TransportRound, TransportSchedule};
 use std::error::Error;
 use std::fmt;
 
@@ -534,6 +534,35 @@ impl LowerState {
         spec: &MachineSpec,
         sink: &mut impl FnMut(EventRef<'_>),
     ) -> Result<(), LowerError> {
+        self.advance_with(ops, transport, circuit, spec, sink)
+    }
+
+    /// [`advance`](Self::advance) with `rounds` in either form — nested
+    /// or [`FlatRounds`](qccd_route::FlatRounds) — read one round at a
+    /// time by the same fold.
+    ///
+    /// # Errors
+    ///
+    /// As [`advance`](Self::advance).
+    pub fn advance_rounds<R: RoundList + ?Sized>(
+        &mut self,
+        ops: &[Operation],
+        rounds: &R,
+        circuit: &Circuit,
+        spec: &MachineSpec,
+        sink: &mut impl FnMut(EventRef<'_>),
+    ) -> Result<(), LowerError> {
+        self.advance_with(ops, Some(rounds), circuit, spec, sink)
+    }
+
+    fn advance_with<R: RoundList + ?Sized>(
+        &mut self,
+        ops: &[Operation],
+        transport: Option<&R>,
+        circuit: &Circuit,
+        spec: &MachineSpec,
+        sink: &mut impl FnMut(EventRef<'_>),
+    ) -> Result<(), LowerError> {
         let topology = spec.topology();
         let mut round_idx = 0usize;
         let mut i = 0usize;
@@ -563,7 +592,7 @@ impl LowerState {
             }
         }
         if let Some(rounds) = transport {
-            if round_idx != rounds.len() {
+            if round_idx != rounds.num_rounds() {
                 return Err(LowerError::TransportMismatch {
                     op_index: ops.len(),
                 });
@@ -593,12 +622,12 @@ impl LowerState {
     /// packers) always apply on the first pass, preserving the historical
     /// per-move occupancy reads.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn fold_run(
+    pub(crate) fn fold_run<R: RoundList + ?Sized>(
         &mut self,
         ops: &[Operation],
         start: usize,
         end: usize,
-        rounds: &[TransportRound],
+        rounds: &R,
         round_idx: &mut usize,
         topology: &TrapTopology,
         sink: &mut impl FnMut(EventRef<'_>),
@@ -616,13 +645,13 @@ impl LowerState {
             let mismatch = || LowerError::TransportMismatch {
                 op_index: start + consumed,
             };
-            let round = rounds.get(*round_idx).ok_or_else(mismatch)?;
-            if round.moves.is_empty() {
+            let round = rounds.round(*round_idx).ok_or_else(mismatch)?;
+            if round.is_empty() {
                 return Err(mismatch());
             }
             *round_idx += 1;
             buf.members.clear();
-            for m in &round.moves {
+            for m in round {
                 let want = (m.ion, m.from, m.to);
                 let slot = buf.run[live..]
                     .iter_mut()

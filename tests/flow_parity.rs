@@ -103,7 +103,7 @@ fn clock_pipeline_on_grid_matches_recorded_flow_routes() {
         "route.backfill_attempts",
     ]
     .map(obs::counter_value);
-    assert_eq!(work, [375420, 585, 539, 36188]);
+    assert_eq!(work, [360339, 585, 539, 36188]);
 }
 
 #[test]
